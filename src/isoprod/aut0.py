@@ -6,12 +6,21 @@ vanishes on it.  The intersection of those kernels is computed dually (one
 annihilator call on the subgroup of the dual generated by the admissible
 characters), and the quotient by ``K Delta_G`` is reported through its
 invariant factors and explicit generator cosets.
+
+The admissible characters are enumerated on packed characters (see
+``groups.PackedCharacters``): a pre-admissible test is an integer dot
+product with the stabilizer lifts, scaled to ``exponent(G)``, and the first
+kind is the convolution that also computes ``h^{3,0}``.  Character objects
+are built for the admissible characters only.  Each generator coset is
+written with trivial third component and reduced once, top-down, against
+the Hermite basis of the remaining adjustment subgroup; the result is the
+lexicographically least such representative, for every size of
+adjustment subgroup.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from .covering import stabilizer_union
@@ -22,6 +31,7 @@ from .groups import (
     Character,
     GroupElement,
     InvariantFactors,
+    PackedCharacters,
     QuotientStructure,
     Subgroup,
     diagonal_subgroup,
@@ -31,12 +41,6 @@ from .groups import (
     split_element,
     subgroup_quotient,
 )
-
-# Cosets are canonicalized by scanning their adjustment subgroup for the
-# lexicographically least representative; beyond this many cosets per scan
-# the representative is left in reduced (third-component-zero) form.
-CANONICALIZE_CAP = 2 ** 16
-
 
 class AdmissibleKind(enum.Enum):
     FIRST = "first"
@@ -113,36 +117,54 @@ def pre_admissible(datum: AlgebraicDatum, i: int, chi: Character) -> bool:
     return False
 
 
-def _pre_admissible_set(datum: AlgebraicDatum, i: int) -> list[Character]:
+def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) -> list[int]:
+    """The pre-admissible characters of the i-th factor, packed and sorted.
+
+    Every character drawn from the annihilator of ``K_i`` vanishes on
+    ``K_i``; it is pre-admissible when its integer dot product with some
+    stabilizer lift, scaled to ``exponent(G)``, is nonzero mod the exponent.
+    """
+    group = datum.group
+    den = group.exponent
+    scales = [den // n for n in group.orders]
+    q = datum.quotients[i]
+    lifts = {tuple(e * s % den for e, s in zip(q.lift(sigma).exponents, scales))
+             for sigma in stabilizer_union(datum.vectors[i])}
     out = []
     for elem in datum.kernels[i].annihilator().elements():
-        chi = datum.group.character(elem.exponents)
-        if pre_admissible(datum, i, chi):
-            out.append(chi)
-    return sorted(out, key=lambda c: c.sort_key())
+        chi = elem.exponents
+        if any(sum(a * v for a, v in zip(chi, lift)) % den for lift in lifts):
+            out.append(codec.pack(chi))
+    return sorted(out)
 
 
 def admissible_characters(datum: AlgebraicDatum,
                           ) -> tuple[list[AdmissibleCharacter], list[AdmissibleCharacter]]:
-    """Complete enumeration of the admissible characters of both kinds."""
-    pre = [_pre_admissible_set(datum, i) for i in range(3)]
-    pre_lookup = [set(p) for p in pre]
-    first = []
-    for c1, c2 in itertools.product(pre[0], pre[1]):
-        c3 = -(c1 + c2)
-        if c3 in pre_lookup[2]:
-            first.append(AdmissibleCharacter(AdmissibleKind.FIRST, (c1, c2, c3)))
-    second = []
-    trivial = datum.group.trivial_character
-    for trivial_slot, i, j in ((2, 0, 1), (1, 0, 2), (0, 1, 2)):
+    """Complete enumeration of the admissible characters of both kinds.
+
+    Both kinds are found on packed characters; character objects are built
+    for the hits only.
+    """
+    codec = PackedCharacters(datum.group)
+    neg = codec.neg
+    pre = [dict.fromkeys(_pre_admissible_set(datum, i, codec), 1) for i in range(3)]
+    # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
+    terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
+    first_keys = sorted((c1, c2, neg(s)) for c1, c2, s, _ in terms)
+    second_keys = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
         for chi in pre[i]:
-            if -chi in pre_lookup[j]:
-                comps = [trivial, trivial, trivial]
-                comps[i], comps[j] = chi, -chi
-                second.append(AdmissibleCharacter(AdmissibleKind.SECOND, tuple(comps)))
-    first.sort(key=lambda a: a.sort_key())
-    second.sort(key=lambda a: a.sort_key())
-    return first, second
+            if neg(chi) in pre[j]:
+                comps = [0, 0, 0]
+                comps[i], comps[j] = chi, neg(chi)
+                second_keys.append(tuple(comps))
+
+    def build(kind: AdmissibleKind, keys: list) -> list[AdmissibleCharacter]:
+        return [AdmissibleCharacter(kind, tuple(codec.character(c) for c in key))
+                for key in keys]
+
+    return (build(AdmissibleKind.FIRST, first_keys),
+            build(AdmissibleKind.SECOND, sorted(second_keys)))
 
 
 def _k_delta(datum: AlgebraicDatum) -> Subgroup:
@@ -204,10 +226,7 @@ def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
         gens.append(product_element(cube, (g.zero, k, g.zero)))
     for k in datum.kernels[2].generators:
         gens.append(product_element(cube, (-k, -k, g.zero)))
-    adjust = cube.subgroup(gens)
-    if adjust.order > CANONICALIZE_CAP:
-        return rep
-    return min((rep + s for s in adjust.elements()), key=lambda e: e.sort_key())
+    return cube.subgroup(gens).coset_minimum(rep)
 
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None) -> Aut0Result:

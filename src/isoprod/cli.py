@@ -4,13 +4,14 @@ Every subcommand builds one machine-readable report object; the text
 format is rendered from that object and never computed separately.  Exit
 codes: 0 success, 1 datum validation failure (the report is still
 emitted), 2 parse/schema error, 3 internal consistency or theorem
-violation.
+violation, or any other unexpected error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -231,8 +232,17 @@ def _run(datum_source, sections: tuple[str, ...], fmt: str, oracle: bool,
     except IsoprodError as exc:
         click.echo(f"error [{exc.code}]: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
+    except Exception as exc:
+        _internal_error(exc)
     _emit(report, fmt)
     sys.exit(_exit_code(report))
+
+
+def _internal_error(exc: Exception) -> NoReturn:
+    """Any failure outside the typed errors is a bug: report it on one
+    line, without a traceback, under the internal-error exit code."""
+    click.echo(f"error [internal]: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(EXIT_INTERNAL)
 
 
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
@@ -355,6 +365,8 @@ def search(specfile: str, fmt: str, seed: int) -> None:
     except IsoprodError as exc:
         click.echo(f"error [{exc.code}]: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
+    except Exception as exc:
+        _internal_error(exc)
     _emit({"survey": result.as_document()}, fmt)
     sys.exit(EXIT_OK)
 

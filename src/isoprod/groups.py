@@ -421,10 +421,11 @@ class Character:
     def pairing(self, g: GroupElement) -> RationalAngle:
         if g.group != self.group:
             raise ParentMismatchError("character and element over different groups")
-        total = Fraction(0)
-        for a, e, n in zip(self.exponents, g.exponents, self.group.orders):
-            total += Fraction(a * e, n)
-        return RationalAngle.of(total.numerator, total.denominator)
+        # Integer dot product over the common denominator exponent(G).
+        den = self.group.exponent
+        total = sum(a * e * (den // n)
+                    for a, e, n in zip(self.exponents, g.exponents, self.group.orders))
+        return RationalAngle.of(total, den)
 
     @property
     def is_trivial(self) -> bool:
@@ -454,6 +455,73 @@ class Character:
 def pairing(chi: Character, g: GroupElement) -> RationalAngle:
     """Exact value of ``chi(g)`` as a rational angle."""
     return chi.pairing(g)
+
+
+class PackedCharacters:
+    """Characters of one group packed into single integers.
+
+    Coordinate ``j`` of a character occupies a bit field of ``width`` bits,
+    the first coordinate in the most significant field, so integer order
+    is the lexicographic order of exponent tuples.  The top bit of every
+    field is a guard: a field holds values below ``2 ** (width - 1)``,
+    which exceeds every order, so the sum of two reduced characters never
+    carries into the next field.  Adding the per-field offset
+    ``2 ** (width - 1) - n_j`` sets exactly the guard bits of the fields
+    that reached ``n_j``; spreading each guard bit over its field selects
+    the ``n_j`` to subtract.  Sum and negation are then a few integer
+    operations, with no loop over coordinates and no lookup table.
+    """
+
+    def __init__(self, group: AbelianGroup):
+        self.group = group
+        self.width = max(group.orders, default=1).bit_length() + 1
+        self.shifts = tuple(self.width * (group.rank - 1 - j) for j in range(group.rank))
+        top = 1 << (self.width - 1)
+        self._guard = sum(top << s for s in self.shifts)
+        self._offset = sum((top - n) << s for n, s in zip(group.orders, self.shifts))
+        self._moduli = sum(n << s for n, s in zip(group.orders, self.shifts))
+
+    def pack(self, exponents: Iterable[int]) -> int:
+        """Pack a reduced exponent tuple."""
+        return sum(e << s for e, s in zip(exponents, self.shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        mask = (1 << self.width) - 1
+        return tuple((packed >> s) & mask for s in self.shifts)
+
+    def character(self, packed: int) -> Character:
+        return Character(self.group, self.unpack(packed))
+
+    def neg(self, x: int) -> int:
+        # Field j of n_j - x holds n_j exactly where x_j = 0; reduce it to 0.
+        s = self._moduli - x
+        g = ((s + self._offset) & self._guard) >> (self.width - 1)
+        return s - (((g << self.width) - g) & self._moduli)
+
+    def convolve(self, a: dict[int, int], b: dict[int, int], c: dict[int, int],
+                 ) -> list[tuple[int, int, int, int]]:
+        """Every term ``(x, y, x + y, a[x] * b[y] * c[x + y])`` with a
+        nonzero value, in the order of ``a`` then ``b``.
+
+        The three maps send packed characters to integer weights; entries
+        of weight zero are skipped.
+        """
+        offset, guard, moduli = self._offset, self._guard, self._moduli
+        width, low = self.width, self.width - 1
+        b_items = [(y, by) for y, by in b.items() if by]
+        get = c.get
+        out = []
+        for x, ax in a.items():
+            if not ax:
+                continue
+            xo = x + offset
+            for y, by in b_items:
+                g = ((xo + y) & guard) >> low
+                s = x + y - (((g << width) - g) & moduli)
+                cz = get(s)
+                if cz:
+                    out.append((x, y, s, ax * by * cz))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +585,25 @@ class Subgroup:
     def __contains__(self, g: GroupElement) -> bool:
         return self.contains(g)
 
+    def coset_minimum(self, g: GroupElement) -> GroupElement:
+        """The lexicographically least element of the coset ``g + H``.
+
+        One top-down pass against the upper-triangular Hermite basis (H.
+        Cohen, *A Course in Computational Algebraic Number Theory*, 2.4)
+        leaves coordinate ``j`` in ``[0, p_j)`` for the pivot ``p_j``.  Two
+        members of the coset that agree before column ``j`` differ by a
+        lattice vector whose column ``j`` is a multiple of ``p_j``, so no
+        member is smaller there.
+        """
+        if g.group != self.ambient:
+            raise ParentMismatchError("element from a different group")
+        v = list(g.exponents)
+        for j, row in enumerate(self.basis):
+            q = v[j] // row[j]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        return GroupElement(self.ambient, tuple(v))
+
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         if self.ambient != other.ambient:
             raise ParentMismatchError("subgroups of different groups")
@@ -556,11 +643,11 @@ class Subgroup:
     def elements(self) -> Iterator[GroupElement]:
         """All elements, via the invariant-factor decomposition."""
         st = self.structure()
-        for coeffs in itertools.product(*(range(d) for d in st.invariant_factors.factors)):
-            g = self.ambient.zero
-            for c, gen in zip(coeffs, st.generators):
-                g = g + c * gen
-            yield g
+        multiples = [[tuple(c * x for x in gen.exponents) for c in range(d)]
+                     for d, gen in zip(st.invariant_factors.factors, st.generators)]
+        zero = (0,) * self.ambient.rank
+        for terms in itertools.product(*multiples):
+            yield GroupElement(self.ambient, tuple(map(sum, zip(zero, *terms))))
 
     def annihilator(self) -> "Subgroup":
         """Characters vanishing on this subgroup, as a subgroup of the dual.

@@ -4,6 +4,14 @@ Each curve factor contributes a table of character eigenspace dimensions
 (supported on the annihilator of its kernel); the Hodge numbers of the
 quotient are multiplicities of the trivial character in the Kunneth
 products, computed as exact integer convolutions over the dual group.
+
+The convolution runs on packed characters (``groups.PackedCharacters``):
+each character is one integer with a guarded bit field per coordinate, so
+adding and negating characters is a few integer operations and a table
+lookup is a hash of a small integer.  The tables are packed once per call
+with their zero entries dropped.  ``hodge_diamond`` sums the convolution
+terms and ``isotypic_decomposition`` keeps them, so both read the same
+terms.
 """
 
 from __future__ import annotations
@@ -14,9 +22,7 @@ from typing import Iterator
 from .covering import cw_dimension, genus
 from .datum import AlgebraicDatum, invariants, validate_datum
 from .errors import ConsistencyError
-from .groups import Character, GroupElement, direct_product
-
-TripleCharacter = tuple[Character, Character, Character]
+from .groups import Character, PackedCharacters, direct_product
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,38 @@ def _assemble_diamond(h10: int, h20: int, h30: int, h11: int, h21: int) -> Hodge
     return diamond
 
 
+def _packed_tables(datum: AlgebraicDatum, table: EigenDimTable,
+                   ) -> tuple[PackedCharacters, list[dict[int, int]]]:
+    """The three tables keyed by packed characters, zero entries dropped."""
+    codec = PackedCharacters(datum.group)
+    return codec, [{codec.pack(chi.exponents): dim for chi, dim in t.items() if dim}
+                   for t in table.tables]
+
+
+def _negated(codec: PackedCharacters, t: dict[int, int]) -> dict[int, int]:
+    return {codec.neg(x): dim for x, dim in t.items()}
+
+
+def _pair_sum(a: dict[int, int], b: dict[int, int]) -> int:
+    return sum(dim * b.get(x, 0) for x, dim in a.items())
+
+
+def _convolution_terms(codec: PackedCharacters, d1: dict[int, int], d2: dict[int, int],
+                       d3: dict[int, int], p: int, q: int,
+                       ) -> list[tuple[tuple[int, int, int], int]]:
+    """The Kunneth terms of ``H^{3,0}`` or of the primitive part of
+    ``H^{2,1}``, as (packed character triple summing to zero, dimension)."""
+    neg = codec.neg
+    if (p, q) == (3, 0):
+        return [((x, y, neg(s)), dim)
+                for x, y, s, dim in codec.convolve(d1, d2, _negated(codec, d3))]
+    # Conjugating one slot: a piece bar(W_1^chi) (x) W_2^c2 (x) W_3^c3
+    # survives when chi = c2 + c3, with character (-chi, c2, c3).
+    return ([((neg(s), y, z), dim) for y, z, s, dim in codec.convolve(d2, d3, d1)]
+            + [((x, neg(s), z), dim) for x, z, s, dim in codec.convolve(d1, d3, d2)]
+            + [((x, y, neg(s)), dim) for x, y, s, dim in codec.convolve(d1, d2, d3)])
+
+
 def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None) -> HodgeDiamond:
     """Hodge diamond by exact convolution of the eigenspace tables.
 
@@ -120,19 +158,15 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None) -> 
     """
     if table is None:
         table = eigendim_table(datum)
-    d1, d2, d3 = table.tables
+    codec, (d1, d2, d3) = _packed_tables(datum, table)
 
-    h10 = sum(t.get(datum.group.trivial_character, 0) for t in (d1, d2, d3))
+    h10 = sum(t.get(0, 0) for t in (d1, d2, d3))
     pairs = ((d1, d2), (d1, d3), (d2, d3))
-    h20 = sum(a[chi] * b.get(-chi, 0) for a, b in pairs for chi in a)
-    h11 = 3 + 2 * sum(a[chi] * b.get(chi, 0) for a, b in pairs for chi in a)
-    h30 = sum(d1[c1] * d2[c2] * d3.get(-(c1 + c2), 0) for c1 in d1 for c2 in d2)
-    # Conjugating one slot of the (3,0) convolution gives the primitive part
-    # of h^{2,1}; the three fibration classes add 2 per base 1-form.
-    h21 = 2 * h10
-    h21 += sum(d1.get(c2 + c3, 0) * d2[c2] * d3[c3] for c2 in d2 for c3 in d3)
-    h21 += sum(d1[c1] * d2.get(c1 + c3, 0) * d3[c3] for c1 in d1 for c3 in d3)
-    h21 += sum(d1[c1] * d2[c2] * d3.get(c1 + c2, 0) for c1 in d1 for c2 in d2)
+    h20 = sum(_pair_sum(a, _negated(codec, b)) for a, b in pairs)
+    h11 = 3 + 2 * sum(_pair_sum(a, b) for a, b in pairs)
+    h30 = sum(dim for _, dim in _convolution_terms(codec, d1, d2, d3, 3, 0))
+    # The three fibration classes add 2 per base 1-form to h^{2,1}.
+    h21 = 2 * h10 + sum(dim for _, dim in _convolution_terms(codec, d1, d2, d3, 2, 1))
 
     diamond = _assemble_diamond(h10, h20, h30, h11, h21)
 
@@ -165,56 +199,36 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
         raise ValueError(f"unsupported Hodge summand ({p},{q})")
     if table is None:
         table = eigendim_table(datum)
-    d1, d2, d3 = table.tables
-    cube = direct_product([datum.group] * 3)
-    zero = datum.group.trivial_character
-    acc: dict[tuple[int, ...], int] = {}
+    codec, (d1, d2, d3) = _packed_tables(datum, table)
+    acc: dict[tuple[int, int, int], int] = {}
 
-    def add(c1: Character, c2: Character, c3: Character, dim: int) -> None:
+    def add(key: tuple[int, int, int], dim: int) -> None:
         if dim:
-            key = c1.exponents + c2.exponents + c3.exponents
             acc[key] = acc.get(key, 0) + dim
 
-    if (p, q) == (3, 0):
-        for c1 in d1:
-            for c2 in d2:
-                c3 = -(c1 + c2)
-                add(c1, c2, c3, d1[c1] * d2[c2] * d3.get(c3, 0))
-    elif (p, q) == (2, 1):
-        for c2 in d2:
-            for c3 in d3:
-                c1 = -(c2 + c3)
-                base = d2[c2] * d3[c3]
-                add(c1, c2, c3, d1.get(-c1, 0) * base)
-        for c1 in d1:
-            for c3 in d3:
-                c2 = -(c1 + c3)
-                add(c1, c2, c3, d1[c1] * d2.get(-c2, 0) * d3[c3])
-        for c1 in d1:
-            for c2 in d2:
-                c3 = -(c1 + c2)
-                add(c1, c2, c3, d1[c1] * d2[c2] * d3.get(-c3, 0))
-        add(zero, zero, zero, 2 * sum(t.get(zero, 0) for t in (d1, d2, d3)))
-    elif (p, q) == (2, 0):
-        slots = ((0, 1, d1, d2), (0, 2, d1, d3), (1, 2, d2, d3))
-        for i, j, a, b in slots:
-            for chi in a:
-                comps = [zero, zero, zero]
-                comps[i], comps[j] = chi, -chi
-                add(*comps, a[chi] * b.get(-chi, 0))
-    else:  # (1, 1)
-        slots = ((0, 1, d1, d2), (0, 2, d1, d3), (1, 2, d2, d3))
-        for i, j, a, b in slots:
-            for chi in a:
-                dim = a[chi] * b.get(chi, 0)
-                comps = [zero, zero, zero]
-                comps[i], comps[j] = chi, -chi
-                add(*comps, dim)
-                comps[i], comps[j] = -chi, chi
-                add(*comps, dim)
-        add(zero, zero, zero, 3)
+    if (p, q) in {(3, 0), (2, 1)}:
+        for key, dim in _convolution_terms(codec, d1, d2, d3, p, q):
+            add(key, dim)
+        if (p, q) == (2, 1):
+            add((0, 0, 0), 2 * sum(t.get(0, 0) for t in (d1, d2, d3)))
+    else:
+        # H^{2,0} pairs chi with -chi; H^{1,1} pairs chi with chi and
+        # carries both orderings of the conjugate pair.
+        h20 = (p, q) == (2, 0)
+        for i, j, a, b in ((0, 1, d1, d2), (0, 2, d1, d3), (1, 2, d2, d3)):
+            for x, dim in a.items():
+                y = codec.neg(x)
+                dim *= b.get(y if h20 else x, 0)
+                for u, v in ((x, y),) if h20 else ((x, y), (y, x)):
+                    comps = [0, 0, 0]
+                    comps[i], comps[j] = u, v
+                    add(tuple(comps), dim)
+        if (p, q) == (1, 1):
+            add((0, 0, 0), 3)
 
-    out = [(cube.character(key), dim) for key, dim in sorted(acc.items())]
+    cube = direct_product([datum.group] * 3)
+    out = [(cube.character(codec.unpack(x) + codec.unpack(y) + codec.unpack(z)), dim)
+           for (x, y, z), dim in sorted(acc.items())]
     total = sum(dim for _, dim in out)
     expected = hodge_diamond(datum, table)[p, q]
     if total != expected:

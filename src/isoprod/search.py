@@ -46,22 +46,31 @@ class SearchSpec:
     def from_document(doc: dict) -> "SearchSpec":
         if not isinstance(doc, dict) or "group" not in doc:
             raise StructuralError('search spec must be an object with a "group" key')
-        try:
-            orders = tuple(int(n) for n in doc["group"])
-            g_primes = tuple(int(x) for x in doc.get("g_primes", (1, 1, 1)))
-            spec = SearchSpec(
-                group_orders=orders,
-                kernels=_parse_kernel_policy(doc.get("kernels", "cyclic"), len(orders)),
-                g_primes=g_primes,
-                max_branch=int(doc.get("max_branch", 4)),
-                branch_order_bound=(int(doc["branch_order_bound"])
-                                    if "branch_order_bound" in doc else None),
-                cap=int(doc.get("cap", DEFAULT_CAP)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructuralError(f"malformed search spec: {exc}") from exc
-        if len(spec.g_primes) != 3:
+        orders = doc["group"]
+        if not isinstance(orders, list) or not orders:
+            raise StructuralError('"group" must be a nonempty list of positive integers')
+        orders = tuple(_integer(n, "group order", 1) for n in orders)
+        g_primes = doc.get("g_primes", [1, 1, 1])
+        if not isinstance(g_primes, list) or len(g_primes) != 3:
             raise StructuralError("g_primes must list three base genera")
-        return spec
+        bound = doc.get("branch_order_bound")
+        return SearchSpec(
+            group_orders=orders,
+            kernels=_parse_kernel_policy(doc.get("kernels", "cyclic"), len(orders)),
+            g_primes=tuple(_integer(g, "g_prime", 0) for g in g_primes),
+            max_branch=_integer(doc.get("max_branch", 4), "max_branch", 0),
+            branch_order_bound=(None if bound is None
+                                else _integer(bound, "branch_order_bound", 1)),
+            cap=_integer(doc.get("cap", DEFAULT_CAP), "cap", 0))
+
+
+def _integer(value: object, name: str, minimum: int) -> int:
+    """A JSON integer (not a boolean) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructuralError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise StructuralError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def _parse_kernel_policy(value: object, rank: int) -> object:
@@ -82,7 +91,8 @@ def _parse_kernel_policy(value: object, rank: int) -> object:
             kernel = []
             for gen in gens:
                 if (not isinstance(gen, (list, tuple)) or len(gen) != rank
-                        or not all(isinstance(x, int) for x in gen)):
+                        or not all(isinstance(x, int) and not isinstance(x, bool)
+                                   for x in gen)):
                     raise StructuralError(
                         f"generator must be a list of {rank} integers, got {gen!r}")
                 kernel.append(tuple(gen))

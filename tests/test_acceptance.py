@@ -23,7 +23,7 @@ from isoprod.aut0 import (
     _k_delta,
 )
 from isoprod.covering import cw_table, genus
-from isoprod.datum import validate_datum
+from isoprod.datum import invariants, validate_datum
 from isoprod.examples import example1, example2a, example2b, example3, example4
 from isoprod.groups import (
     product_element,
@@ -73,6 +73,27 @@ def test_criterion_1_first_family_regression():
         b = triple(d, r.cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
         assert verify_generator(d, a) and verify_generator(d, b)
         assert r.cosets_generate([a, b])
+    budget.check()
+
+
+def test_criterion_1_first_family_at_n16():
+    # G = Z32^3, |G| = 32,768; the values agree with the product formulas.
+    budget = Budget(30)
+    d = example1(16, 16, 16)
+    report = validate_datum(d)
+    assert report.ok
+    assert list(report.genera) == [513, 513, 513]
+    inv = invariants(d)
+    assert (inv.chi_structure_sheaf, inv.euler_number, inv.canonical_cube) == \
+        (-4096, -32768, 196608)
+    assert hodge_diamond(d).h == ((1, 3, 3, 4097), (3, 9, 12297, 3),
+                                  (3, 12297, 9, 3), (4097, 3, 3, 1))
+    r = aut0(d, report)
+    assert r.status is Aut0Status.PROVEN
+    assert list(r.invariant_factors) == [2, 2]
+    orders = [representation_kernel(d, p, q).order
+              for p, q in ((3, 0), (2, 1), (2, 0), (1, 1))]
+    assert orders == [2 ** 32, 2 ** 32, 2 ** 45, 2 ** 45]
     budget.check()
 
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
+
+from conftest import random_element, random_group, random_subgroup
 
 from isoprod.aut0 import (
     AdmissibleKind,
@@ -14,12 +18,21 @@ from isoprod.aut0 import (
     pre_admissible,
     representation_kernel,
     verify_generator,
+    _canonical_representative,
     _k_delta,
+    _pre_admissible_set,
 )
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
 from isoprod.errors import TheoremViolationError, UnsupportedDatumError
 from isoprod.examples import example1, example2a, example2b, example3, example4
-from isoprod.groups import AbelianGroup, direct_product, product_element
+from isoprod.groups import (
+    AbelianGroup,
+    PackedCharacters,
+    direct_product,
+    product_element,
+    split_element,
+)
+from isoprod.oracle import enumerate_subgroup
 
 
 def triple(datum, cube, exps1, exps2, exps3):
@@ -46,6 +59,18 @@ class TestPreAdmissible:
             for elem in d.kernels[i].annihilator().elements():
                 chi = d.group.character(elem.exponents)
                 assert pre_admissible(d, i, chi) == pre_admissible(d, i, -chi)
+
+
+    @pytest.mark.parametrize("factory", [lambda: example1(2, 1, 3), example2a,
+                                         lambda: example2b(3, 2, 1), example4,
+                                         lambda: example3(2)])
+    def test_packed_set_matches_the_definition(self, factory):
+        d = factory()
+        codec = PackedCharacters(d.group)
+        for i in range(3):
+            packed = _pre_admissible_set(d, i, codec)
+            assert [codec.character(x) for x in packed] == \
+                [chi for chi in d.group.characters() if pre_admissible(d, i, chi)]
 
 
 class TestAdmissibleSets:
@@ -193,6 +218,47 @@ class TestExampleAut0:
         assert r.cosets_generate([gen])
         # The canonical representative differs but names the same coset.
         assert r.same_coset(r.generators[0], gen)
+
+
+class TestCanonicalRepresentative:
+    """Generators are the least representatives of their cosets among the
+    triples with trivial third component: ``rep`` moves by
+    ``(k1 - k3, k2 - k3, 1)`` with ``k_i`` in ``K_i``."""
+
+    @staticmethod
+    def brute_minimum(datum, rep):
+        g = datum.group
+        a, b, c = (part.exponents for part in split_element(rep, [g, g, g]))
+        k1s, k2s, k3s = (enumerate_subgroup(k).members for k in datum.kernels)
+        tail = (0,) * g.rank
+
+        def shifted(x, k, k3):
+            return tuple((xj - cj + kj - k3j) % n
+                         for xj, cj, kj, k3j, n in zip(x, c, k, k3, g.orders))
+
+        return min(shifted(a, k1, k3) + shifted(b, k2, k3) + tail
+                   for k1 in k1s for k2 in k2s for k3 in k3s)
+
+    def test_random_small_kernels(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            group = random_group(rng, max_order=16)
+            datum = SimpleNamespace(
+                group=group, kernels=tuple(random_subgroup(rng, group) for _ in range(3)))
+            cube = direct_product([group] * 3)
+            rep = random_element(rng, cube)
+            got = _canonical_representative(datum, rep, cube)
+            assert got.exponents == self.brute_minimum(datum, rep)
+
+    def test_adjustment_subgroup_beyond_two_to_the_sixteen(self):
+        # K_i = <e_i> of order 42: the adjustment subgroup has 42^3 = 74,088
+        # elements, and the least representative has first coordinate 0.
+        d = example1(21, 21, 21)
+        cube = direct_product([d.group] * 3)
+        rep = triple(d, cube, (5, 3, 1), (2, 7, 4), (1, 1, 1))
+        got = _canonical_representative(d, rep, cube)
+        assert got.exponents == self.brute_minimum(d, rep)
+        assert got.exponents[0] == 0
 
 
 class TestStatuses:

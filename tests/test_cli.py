@@ -185,3 +185,42 @@ class TestSearchCommand:
         result = runner.invoke(main, ["search", str(path)])
         assert result.exit_code == 2
         assert "exceeds the cap" in result.output
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("doc", [
+        {"group": [0]},
+        {"group": [2, 2], "max_branch": -1},
+        {"group": [2, 2], "g_primes": [-1, 1, 1]},
+        {"group": [True, 2]},
+    ])
+    def test_malformed_search_spec_exits_two(self, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["search", str(path)])
+        assert result.exit_code == 2
+        assert "error [structural]" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_unexpected_report_error_exits_three(self, example1_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr("isoprod.cli.build_report", broken)
+        result = runner.invoke(main, ["report", example1_file])
+        assert result.exit_code == 3
+        assert "error [internal]: RuntimeError: injected failure" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_unexpected_search_error_exits_three(self, tmp_path, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr("isoprod.cli.survey", broken)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(TestSearchCommand.SPEC))
+        result = runner.invoke(main, ["search", str(path)])
+        assert result.exit_code == 3
+        assert "error [internal]: RuntimeError: injected failure" in result.output
+        assert isinstance(result.exception, SystemExit)

@@ -13,6 +13,7 @@ from isoprod.errors import ConsistencyError, ParentMismatchError
 from isoprod.groups import (
     AbelianGroup,
     InvariantFactors,
+    PackedCharacters,
     RationalAngle,
     Subgroup,
     diagonal_subgroup,
@@ -271,6 +272,53 @@ class TestSubgroups:
         regenerated = group.subgroup(list(h.elements()))
         assert regenerated == h
         assert hash(regenerated) == hash(h)
+
+
+class TestCosetMinimum:
+    def test_matches_the_least_element_of_the_coset(self):
+        from conftest import random_element, random_group, random_subgroup
+        from isoprod.oracle import enumerate_subgroup
+
+        rng = random.Random(12)
+        for _ in range(60):
+            group = random_group(rng, max_order=128)
+            h = random_subgroup(rng, group)
+            g = random_element(rng, group)
+            coset = [(g + x).exponents for x in enumerate_subgroup(h).elements()]
+            assert h.coset_minimum(g).exponents == min(coset)
+
+
+class TestPackedCharacters:
+    @given(abelian_groups(), st.data())
+    def test_arithmetic_and_order_match_characters(self, group, data):
+        codec = PackedCharacters(group)
+        chi, psi = (group.character(data.draw(group_elements(group)).exponents)
+                    for _ in range(2))
+        x, y = codec.pack(chi.exponents), codec.pack(psi.exponents)
+        assert codec.unpack(x) == chi.exponents
+        assert codec.character(y) == psi
+        assert codec.neg(x) == codec.pack((-chi).exponents)
+        assert (x < y) == (chi.exponents < psi.exponents)
+        total = codec.pack((chi + psi).exponents)
+        assert codec.convolve({x: 2}, {y: 3}, {total: 5}) == [(x, y, total, 30)]
+
+    def test_convolution_matches_character_sums(self):
+        from conftest import random_group
+
+        rng = random.Random(13)
+        for _ in range(30):
+            group = random_group(rng, max_order=64)
+            codec = PackedCharacters(group)
+            chars = list(group.characters())
+            a, b, c = ({chi: rng.choice([0, 1, 1, 2])
+                        for chi in rng.sample(chars, rng.randint(1, len(chars)))}
+                       for _ in range(3))
+            want = [(x, y, x + y, a[x] * b[y] * c[x + y])
+                    for x in a for y in b if a[x] * b[y] * c.get(x + y, 0)]
+            got = codec.convolve(*({codec.pack(chi.exponents): w for chi, w in t.items()}
+                                   for t in (a, b, c)))
+            assert got == [tuple(codec.pack(chi.exponents) for chi in term[:3]) + term[3:]
+                           for term in want]
 
 
 class TestAnnihilator:

@@ -97,7 +97,7 @@ def _oracle_section(datum: AlgebraicDatum, report) -> dict:
 
     agreement = {}
     try:
-        fast = hodge_diamond(datum)
+        fast = hodge_diamond(datum, report=report)
         slow = brute_hodge(datum)
         agreement["hodge"] = "agree" if fast.h == slow.h else "DISAGREE"
     except OracleScaleError as exc:
@@ -133,7 +133,7 @@ def build_report(datum: AlgebraicDatum, sections: tuple[str, ...],
     if "invariants" in sections:
         out["invariants"] = _invariants_section(datum, report)
     if "hodge" in sections:
-        out["hodge"] = hodge_diamond(datum).h
+        out["hodge"] = hodge_diamond(datum, report=report).h
     if "aut0" in sections:
         out["aut0"] = _aut0_section(datum, report)
     if "kernels" in sections:

@@ -119,6 +119,15 @@ class DatumReport:
                 and self.all_genera_at_least_two and not self.freeness_ok)
 
 
+def freeness_witness(datum: AlgebraicDatum) -> GroupElement | None:
+    """The least nontrivial element of G with a fixed point on all three
+    curves, or None when the diagonal action is free."""
+    common = datum.stabilizer_preimage(0) & datum.stabilizer_preimage(1) \
+        & datum.stabilizer_preimage(2)
+    return min((g for g in common if not g.is_zero), key=lambda g: g.sort_key(),
+               default=None)
+
+
 def validate_datum(datum: AlgebraicDatum) -> DatumReport:
     """Minimality, freeness (evaluated through preimages in G), vector
     validity, genera, and the hypothesis flags of the classification."""
@@ -132,20 +141,14 @@ def validate_datum(datum: AlgebraicDatum) -> DatumReport:
                     minimality_witness = (i + 1, j + 1)
     outcomes = tuple(v.validate() for v in datum.vectors)
 
-    common = datum.stabilizer_preimage(0) & datum.stabilizer_preimage(1) \
-        & datum.stabilizer_preimage(2)
-    nontrivial = sorted((g for g in common if not g.is_zero),
-                        key=lambda g: g.sort_key())
-    freeness_ok = not nontrivial
-    freeness_witness = nontrivial[0] if nontrivial else None
-
+    witness = freeness_witness(datum)
     genera = tuple(genus(v) for v in datum.vectors)
     g_primes = [v.g_prime for v in datum.vectors]
     return DatumReport(
         minimality_ok=minimality_ok,
         minimality_witness=minimality_witness,
-        freeness_ok=freeness_ok,
-        freeness_witness=freeness_witness,
+        freeness_ok=witness is None,
+        freeness_witness=witness,
         vector_outcomes=outcomes,
         genera=genera,
         irregularity=sum(g_primes),

@@ -4,12 +4,16 @@ A group is presented as a direct sum of cyclic groups ``Z_{n_1} + ... +
 Z_{n_k}``; elements and characters are exponent tuples.  Subgroups are
 represented by a canonical Hermite-reduced basis of the corresponding
 integer lattice in ``Z^k`` (the lattice always contains the relation
-lattice ``diag(n_1, ..., n_k) Z^k``), which gives unique representations,
-fast membership, and exact quotient structure through the Smith normal
-form.
+lattice ``diag(n_1, ..., n_k) Z^k``).  The Hermite basis alone answers
+membership, order, exponent and cyclicity, coset minima, and element
+listing (H. Cohen, *A Course in Computational Algebraic Number Theory*,
+2.4).  The Smith normal form is used for quotients ``A / B``, whose
+elimination carries ``V^{-1}`` alongside ``V``, and for the integer
+kernels behind intersections and annihilators.  No rational arithmetic is
+involved.
 
-All values are immutable after construction; cached derived data is
-computed eagerly so instances are safe to share between threads.
+All values are immutable after construction and nothing is cached
+lazily, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """Return ``(S, U, V)`` with ``U @ A @ V = S``.
+def _smith(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Return ``(S, U, V, V^{-1})`` with ``U @ A @ V = S``.
 
-    ``S`` is diagonal with ``d_1 | d_2 | ...`` and nonnegative entries;
-    ``U`` and ``V`` are unimodular.
+    Every column operation applied to ``V`` is mirrored by the inverse row
+    operation on ``V^{-1}``, so the inverse costs no extra elimination.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -52,16 +56,19 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
             raise ValueError("ragged matrix")
     u = _identity(m)
     v = _identity(n)
+    v_inv = _identity(n)
 
     def row_sub(i: int, j: int, q: int) -> None:
         s[i] = [x - q * y for x, y in zip(s[i], s[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_sub(i: int, j: int, q: int) -> None:
+        # V <- V E with E = I - q e_j e_i^T, so V^{-1} <- (I + q e_j e_i^T) V^{-1}.
         for row in s:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def row_swap(i: int, j: int) -> None:
         s[i], s[j] = s[j], s[i]
@@ -72,6 +79,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     t = 0
     while t < min(m, n):
@@ -118,6 +126,16 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
             s[t] = [-x for x in s[t]]
             u[t] = [-x for x in u[t]]
         t += 1
+    return s, u, v, v_inv
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """Return ``(S, U, V)`` with ``U @ A @ V = S``.
+
+    ``S`` is diagonal with ``d_1 | d_2 | ...`` and nonnegative entries;
+    ``U`` and ``V`` are unimodular.
+    """
+    s, u, v, _ = _smith(a)
     return s, u, v
 
 
@@ -190,25 +208,17 @@ def solve_upper(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]
 
 
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    ``U M V = S`` is the identity exactly when ``M`` is unimodular, and
+    then ``M^{-1} = V U``.
+    """
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = [[x for x in row[n:]] for row in aug]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ConsistencyError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    s, u, v = smith_normal_form(m)
+    if any(len(row) != n for row in m) or any(s[i][i] != 1 for i in range(n)):
+        raise ConsistencyError("matrix is not unimodular")
+    return [[sum(v[i][t] * u[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +582,14 @@ class Subgroup:
         return self.order == 1
 
     @property
+    def exponent(self) -> int:
+        """The lcm of the orders of the basis rows, which generate H."""
+        orders = self.ambient.orders
+        return lcm(1, *(n // gcd(x, n) for row in self.basis for x, n in zip(row, orders)))
+
+    @property
     def is_cyclic(self) -> bool:
-        return len(self.structure().invariant_factors.factors) <= 1
+        return self.exponent == self.order
 
     def contains(self, g: GroupElement) -> bool:
         if g.group != self.ambient:
@@ -641,10 +657,18 @@ class Subgroup:
         return subgroup_quotient(self, self.ambient.trivial_subgroup())
 
     def elements(self) -> Iterator[GroupElement]:
-        """All elements, via the invariant-factor decomposition."""
-        st = self.structure()
-        multiples = [[tuple(c * x for x in gen.exponents) for c in range(d)]
-                     for d, gen in zip(st.invariant_factors.factors, st.generators)]
+        """All elements: the Hermite box ``sum c_j b_j`` with
+        ``0 <= c_j < n_j / b_j[j]``, reduced mod the orders.
+
+        Two box points that agree mod ``n`` differ by ``sum d_j b_j`` with
+        ``|d_j| < n_j / b_j[j]``; reading the triangular basis column by
+        column forces every ``d_j = 0``.  The box has ``|H|`` points, so it
+        lists each element exactly once.
+        """
+        orders = self.ambient.orders
+        multiples = [[tuple(c * x for x in row) for c in range(n // row[j])]
+                     for j, (n, row) in enumerate(zip(orders, self.basis))
+                     if row[j] < n]
         zero = (0,) * self.ambient.rank
         for terms in itertools.product(*multiples):
             yield GroupElement(self.ambient, tuple(map(sum, zip(zero, *terms))))
@@ -768,10 +792,10 @@ class QuotientStructure:
     def lift(self, q: GroupElement) -> GroupElement:
         if q.group != self.group:
             raise ParentMismatchError("element not in the quotient group")
-        g = self.numerator.ambient.zero
-        for c, gen in zip(q.exponents, self.generators):
-            g = g + c * gen
-        return g
+        amb = self.numerator.ambient
+        pairs = list(zip(q.exponents, self.generators))
+        return GroupElement(amb, tuple(sum(c * gen.exponents[j] for c, gen in pairs)
+                                       for j in range(amb.rank)))
 
 
 def subgroup_quotient(a: Subgroup, b: Subgroup) -> QuotientStructure:
@@ -793,9 +817,8 @@ def subgroup_quotient(a: Subgroup, b: Subgroup) -> QuotientStructure:
         if coeffs is None:
             raise ConsistencyError("containment check passed but solve failed")
         rel.append(coeffs)
-    s, _, v = smith_normal_form(rel)
+    s, _, v, v_inv = _smith(rel)
     diags = [s[j][j] for j in range(k)]
-    v_inv = unimodular_inverse(v)
     kept = [j for j in range(k) if diags[j] > 1]
     factors = InvariantFactors(diags[j] for j in kept)
     gens = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .covering import cw_dimension, genus
-from .datum import AlgebraicDatum, invariants, validate_datum
+from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
 from .groups import Character, PackedCharacters, direct_product
 
@@ -150,11 +150,13 @@ def _convolution_terms(codec: PackedCharacters, d1: dict[int, int], d2: dict[int
             + [((x, y, neg(s)), dim) for x, y, s, dim in codec.convolve(d1, d2, d3)])
 
 
-def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None) -> HodgeDiamond:
+def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
+                  report: DatumReport | None = None) -> HodgeDiamond:
     """Hodge diamond by exact convolution of the eigenspace tables.
 
     For free data the holomorphic Euler characteristic and the topological
-    Euler number are cross-checked against the product formulas.
+    Euler number are cross-checked against the product formulas.  A caller
+    that has validated the datum already passes its ``report``.
     """
     if table is None:
         table = eigendim_table(datum)
@@ -170,7 +172,8 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None) -> 
 
     diamond = _assemble_diamond(h10, h20, h30, h11, h21)
 
-    report = validate_datum(datum)
+    if report is None:
+        report = validate_datum(datum)
     if report.ok:
         inv = invariants(datum)
         if diamond.chi_structure_sheaf() != inv.chi_structure_sheaf:

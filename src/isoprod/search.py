@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .aut0 import Aut0Result, aut0, verify_generator
 from .covering import GeneratingVector, genus
-from .datum import AlgebraicDatum, VectorSpec, validate_datum
+from .datum import AlgebraicDatum, VectorSpec, freeness_witness, validate_datum
 from .errors import SearchCapError, StructuralError, TheoremViolationError
 from .groups import AbelianGroup, GroupElement, Subgroup, quotient_structure
 
@@ -219,12 +219,6 @@ def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
             if quotient.subgroup(branch + eta).order == quotient.order]
 
 
-def _is_free(datum: AlgebraicDatum) -> bool:
-    common = datum.stabilizer_preimage(0) & datum.stabilizer_preimage(1) \
-        & datum.stabilizer_preimage(2)
-    return all(g.is_zero for g in common)
-
-
 def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     """Stream exactly the valid data of the space in canonical order.
 
@@ -247,7 +241,7 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
                 continue
             probe = _assemble(group, kernels, spaces, spec.g_primes, branches,
                               tuple(c[0] for c in eta_choices))
-            if not _is_free(probe):
+            if freeness_witness(probe) is not None:
                 continue
             for etas in itertools.product(*eta_choices):
                 yield _assemble(group, kernels, spaces, spec.g_primes, branches, etas)

@@ -16,6 +16,7 @@ from isoprod.groups import (
     PackedCharacters,
     RationalAngle,
     Subgroup,
+    _smith,
     diagonal_subgroup,
     direct_product,
     embed_factor,
@@ -31,6 +32,7 @@ from isoprod.groups import (
     subgroup_quotient,
     unimodular_inverse,
 )
+from isoprod.oracle import enumerate_subgroup
 
 
 def matmul(a, b):
@@ -104,6 +106,28 @@ class TestSmithNormalForm:
     def test_property(self, a):
         check_snf(a)
 
+    def test_tracked_inverse(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+            s, u, v, v_inv = _smith(a)
+            assert (s, u, v) == smith_normal_form(a)
+            assert matmul(v, v_inv) == matmul(v_inv, v) == [
+                [int(i == j) for j in range(n)] for i in range(n)]
+
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(20261019)
+        for _ in range(200):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+            s, _, _ = smith_normal_form(a)
+            expected = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+            assert [s[i][i] for i in range(min(m, n))] == [int(d) for d in expected]
+
 
 class TestKernels:
     def test_left_kernel_annihilates(self):
@@ -169,6 +193,23 @@ class TestUnimodularInverse:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ConsistencyError):
             unimodular_inverse([[2, 0], [0, 1]])
+
+    def test_random_products_of_elementary_matrices(self):
+        rng = random.Random(20261020)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(8):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    q = rng.randint(-3, 3)
+                    m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+                else:
+                    m[i] = [-x for x in m[i]]
+            assert matmul(m, unimodular_inverse(m)) == [
+                [int(i == j) for j in range(n)] for i in range(n)]
+        with pytest.raises(ConsistencyError):
+            unimodular_inverse([[1, 0, 0], [0, 1, 0]])
 
 
 class TestRationalAngle:
@@ -274,10 +315,69 @@ class TestSubgroups:
         assert hash(regenerated) == hash(h)
 
 
+# Random subgroups of these groups exercise high rank, a prime power
+# ambient and mixed coprime orders.
+HERMITE_GROUPS = (AbelianGroup([16, 16, 16]), AbelianGroup([2, 2, 2, 2]),
+                  AbelianGroup([4, 8, 3]))
+
+
+@st.composite
+def hermite_subgroup_pairs(draw):
+    """``(B, A)`` with ``B <= A`` in one of :data:`HERMITE_GROUPS`."""
+    group = draw(st.sampled_from(HERMITE_GROUPS))
+    a = draw(subgroups(group))
+    b = a & draw(subgroups(group))
+    return b, a
+
+
+class TestHermitePaths:
+    """Element listing, cyclicity and quotients read from the Hermite basis,
+    checked against the closure oracle and the Smith structure."""
+
+    @given(hermite_subgroup_pairs())
+    def test_elements_match_the_closure_oracle(self, pair):
+        _, h = pair
+        listed = [e.exponents for e in h.elements()]
+        assert len(listed) == len(set(listed)) == h.order
+        assert sorted(listed) == list(enumerate_subgroup(h).members)
+
+    @given(hermite_subgroup_pairs())
+    def test_cyclicity_matches_the_invariant_factors(self, pair):
+        for h in pair:
+            assert h.is_cyclic == (len(h.structure().invariant_factors) <= 1)
+            assert h.exponent == max(h.structure().invariant_factors, default=1)
+
+    @given(hermite_subgroup_pairs(), st.data())
+    def test_lift_and_project_are_inverse(self, pair, data):
+        b, a = pair
+        q = subgroup_quotient(a, b)
+        # The tracked V^{-1} builds the generators and V projects: the j-th
+        # generator must land on the j-th unit vector.
+        for j, gen in enumerate(q.generators):
+            assert q.project(gen) == q.group.basis_element(j)
+        for _ in range(5):
+            x = data.draw(group_elements(q.group))
+            assert q.project(q.lift(x)) == x
+        members = list(a.elements())
+        for _ in range(5):
+            g = data.draw(st.sampled_from(members))
+            assert b.contains(q.lift(q.project(g)) - g)
+
+    @given(hermite_subgroup_pairs())
+    def test_quotient_factors_match_sympy(self, pair):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        _, h = pair
+        # G/H is Z^k modulo the lattice of H, whose Hermite basis is h.basis.
+        expected = invariant_factors(sympy.Matrix(h.basis), domain=sympy.ZZ)
+        q = quotient_structure(h.ambient, h)
+        assert list(q.invariant_factors) == [int(d) for d in expected if d != 1]
+
+
 class TestCosetMinimum:
     def test_matches_the_least_element_of_the_coset(self):
         from conftest import random_element, random_group, random_subgroup
-        from isoprod.oracle import enumerate_subgroup
 
         rng = random.Random(12)
         for _ in range(60):

@@ -52,6 +52,17 @@ class TestDiamondStructure:
         assert hd.betti(1) == 6  # q = 3 throughout the suite
         assert sum((-1) ** k * hd.betti(k) for k in range(7)) == hd.euler_number()
 
+    def test_given_report_is_not_recomputed(self, monkeypatch):
+        d = example1(2, 1, 3)
+        report = validate_datum(d)
+        expected = hodge_diamond(d).h
+
+        def refuse(datum):
+            raise AssertionError("validate_datum called again")
+
+        monkeypatch.setattr("isoprod.hodge.validate_datum", refuse)
+        assert hodge_diamond(d, report=report).h == expected
+
     @pytest.mark.parametrize("factory", [example1, example2a, example2b, example4])
     def test_matches_product_formulas(self, factory):
         d = factory()

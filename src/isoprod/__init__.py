@@ -18,7 +18,6 @@ from .aut0 import (
     verify_generator,
 )
 from .covering import (
-    BranchSignature,
     GeneratingVector,
     ValidationOutcome,
     cw_dimension,

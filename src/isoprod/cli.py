@@ -106,8 +106,8 @@ def _oracle_section(datum: AlgebraicDatum, report) -> dict:
         first, second = admissible_characters(datum)
         fast_kernel = representation_kernel(datum, 3, 0)
         slow_kernel = brute_kernel(datum, first + second)
-        kernels_match = (fast_kernel.order == len(slow_kernel)
-                         and all(fast_kernel.contains(e) for e in slow_kernel.elements()))
+        kernels_match = ({e.exponents for e in fast_kernel.elements()}
+                         == set(slow_kernel.members))
         fast_factors = list(subgroup_quotient(fast_kernel, _k_delta(datum))
                             .invariant_factors)
         slow_factors = list(brute_quotient(fast_kernel, _k_delta(datum)))

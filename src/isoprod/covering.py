@@ -19,17 +19,6 @@ from .groups import AbelianGroup, Character, GroupElement
 
 
 @dataclass(frozen=True)
-class BranchSignature:
-    """Base genus and sorted branch orders ``[g'; m_1 <= ... <= m_r]``."""
-
-    g_prime: int
-    orders: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"[{self.g_prime}; {', '.join(map(str, self.orders))}]"
-
-
-@dataclass(frozen=True)
 class ValidationOutcome:
     violations: tuple[str, ...]
 
@@ -42,9 +31,9 @@ class ValidationOutcome:
 class GeneratingVector:
     """Presentation ``(sigma_1..sigma_r; eta_1..eta_{2g'})`` of a cover.
 
-    Branch elements keep their input order; the signature sorts them.  The
-    eta elements only participate in the generation check but are stored so
-    inputs round-trip.
+    Branch elements keep their input order.  The eta elements only
+    participate in the generation check but are stored so inputs
+    round-trip.
     """
 
     quotient_group: AbelianGroup
@@ -63,9 +52,6 @@ class GeneratingVector:
         object.__setattr__(self, "g_prime", int(g_prime))
         object.__setattr__(self, "branch", tuple(branch))
         object.__setattr__(self, "eta", tuple(eta))
-
-    def signature(self) -> BranchSignature:
-        return BranchSignature(self.g_prime, tuple(sorted(g.order for g in self.branch)))
 
     def validate(self) -> ValidationOutcome:
         return validate_generating_vector(self)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -255,9 +254,6 @@ class RationalAngle:
     @property
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
         den = lcm(self.den, other.den)
@@ -696,23 +692,6 @@ class Subgroup:
         for vec in right_kernel(aug):
             gens.append(GroupElement(amb, tuple(vec[:k])))
         return Subgroup(amb, tuple(gens))
-
-
-def subgroup_generate(group: AbelianGroup, gens: Iterable[GroupElement]) -> Subgroup:
-    """The subgroup generated by ``gens``."""
-    return Subgroup(group, tuple(gens))
-
-
-def subgroup_intersection(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    return h1.intersection(h2)
-
-
-def subgroup_sum(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    return h1.sum(h2)
-
-
-def subgroup_contains(h: Subgroup, g: GroupElement) -> bool:
-    return h.contains(g)
 
 
 def annihilator(group: AbelianGroup, h: Subgroup) -> Subgroup:

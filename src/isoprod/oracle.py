@@ -7,17 +7,27 @@ tables with invariant factors read off the element-order census, kernels
 are found by scanning ``G^3``, and Hodge numbers come from naive triple
 loops over the character cube.  Used only by tests and the CLI's
 ``--oracle`` cross-check mode.
+
+Costs, in additions or dot products of exponent tuples:
+
+- ``enumerate_subgroup``: O(|H| * #generators);
+- ``brute_quotient``: O(|A|) for ``A / B`` after the two closures (each
+  coset is visited once);
+- ``brute_kernel``: O(|G|^3 * #characters);
+- ``brute_hodge``: O(|G|^3) over the character cube.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import add, mod, mul
 
 from .datum import AlgebraicDatum
-from .errors import ConsistencyError, OracleScaleError
+from .errors import ConsistencyError, OracleScaleError, ParentMismatchError
 from .groups import AbelianGroup, GroupElement, InvariantFactors, Subgroup
 from .hodge import HodgeDiamond
 
@@ -51,7 +61,7 @@ class ElementSet:
 
 
 def _add(orders: tuple[int, ...], a: Exponents, b: Exponents) -> Exponents:
-    return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+    return tuple(map(mod, map(add, a, b), orders))
 
 
 def enumerate_subgroup(subgroup: Subgroup, cap: int = SUBGROUP_CAP) -> ElementSet:
@@ -137,22 +147,37 @@ def _invariant_factors_from_census(census: Counter[int], order: int) -> Invarian
 
 def brute_quotient(numerator: AbelianGroup | Subgroup, denominator: Subgroup,
                    cap: int = SUBGROUP_CAP) -> InvariantFactors:
-    """Invariant factors of ``numerator / denominator`` via the coset table."""
+    """Invariant factors of ``numerator / denominator`` via the coset table.
+
+    The numerator is walked in lexicographic order (the order in which
+    both branches below list it).  An element without a coset yet is the
+    least member of its coset; the whole coset is then marked, so every
+    element of the numerator is reached once.
+    """
     if isinstance(numerator, AbelianGroup):
         ambient = numerator
         if ambient.order > cap:
             raise OracleScaleError(f"group of order {ambient.order} exceeds the oracle cap")
-        top = [e.exponents for e in ambient.elements()]
+        top = tuple(itertools.product(*(range(n) for n in ambient.orders)))
     else:
         ambient = numerator.ambient
-        top = list(enumerate_subgroup(numerator, cap).members)
+        top = enumerate_subgroup(numerator, cap).members
     bottom = enumerate_subgroup(denominator, cap).members
     orders = ambient.orders
 
+    in_top = set(top)
     rep_of: dict[Exponents, Exponents] = {}
+    cosets = []
     for x in top:
-        rep_of[x] = min(_add(orders, x, h) for h in bottom)
-    cosets = sorted(set(rep_of.values()))
+        if x in rep_of:
+            continue
+        cosets.append(x)
+        for h in bottom:
+            y = _add(orders, x, h)
+            if y not in in_top:
+                raise ConsistencyError(
+                    f"coset member {y} lies outside the numerator")
+            rep_of[y] = x
     if len(cosets) * len(bottom) != len(top):
         raise ConsistencyError("coset table does not tile the numerator")
 
@@ -173,7 +198,9 @@ def brute_kernel(datum: AlgebraicDatum, characters: list, cap: int = SUBGROUP_CA
     """Scan every triple of ``G^3`` against every supplied character.
 
     Characters may be given on ``G^3`` directly or as admissible triples
-    with an ``on_cube`` method.
+    with an ``on_cube`` method.  A character ``a`` kills ``x`` when
+    ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``; the
+    weights ``a_j e / n_j`` are formed once per character.
     """
     from .groups import direct_product
 
@@ -181,12 +208,18 @@ def brute_kernel(datum: AlgebraicDatum, characters: list, cap: int = SUBGROUP_CA
     cube = direct_product([g, g, g])
     if cube.order > cap:
         raise OracleScaleError(f"|G|^3 = {cube.order} exceeds the oracle cap of {cap}")
-    chars = [psi.on_cube(cube) if hasattr(psi, "on_cube") else psi for psi in characters]
-    members = []
-    for x in cube.elements():
-        if all(psi.pairing(x).is_zero for psi in chars):
-            members.append(x.exponents)
-    return ElementSet(cube, tuple(sorted(members)))
+    orders = cube.orders
+    den = cube.exponent
+    weights = []
+    for psi in characters:
+        chi = psi.on_cube(cube) if hasattr(psi, "on_cube") else psi
+        if chi.group != cube:
+            raise ParentMismatchError("character and element over different groups")
+        weights.append(tuple(a * (den // n) for a, n in zip(chi.exponents, orders)))
+    # The product runs in lexicographic order, so the members come sorted.
+    members = [x for x in itertools.product(*(range(n) for n in orders))
+               if not any(sum(map(mul, w, x)) % den for w in weights)]
+    return ElementSet(cube, tuple(members))
 
 
 def _brute_eigendims(datum: AlgebraicDatum, i: int,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -88,6 +90,20 @@ class TestReport:
         assert "oracle hodge: agree" in result.output
         assert "oracle kernel: agree" in result.output
         assert "oracle quotient: agree" in result.output
+
+    def test_oracle_at_the_hodge_cap_finishes(self):
+        # |G| = 64 is the Hodge oracle's cap, so all three checks run on a
+        # 262,144-element cube.  The datum is not free, so the report ends
+        # with the validation-failure exit code 1, not with an error.
+        sample = Path(__file__).resolve().parents[1] / "docs" / "sample_example3_n2.json"
+        start = time.monotonic()
+        result = runner.invoke(main, ["report", str(sample), "--oracle"])
+        elapsed = time.monotonic() - start
+        assert result.exit_code == 1
+        assert "action is not free" in result.output
+        for check in ("hodge", "kernel", "quotient"):
+            assert f"oracle {check}: agree" in result.output
+        assert elapsed < 60, f"report --oracle took {elapsed:.1f}s"
 
     def test_oracle_skips_when_too_large(self, tmp_path):
         path = tmp_path / "big.json"

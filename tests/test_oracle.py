@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from conftest import random_group, random_subgroup
+from conftest import random_element, random_group, random_subgroup
 from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta
-from isoprod.errors import OracleScaleError
+from isoprod.errors import ConsistencyError, OracleScaleError
 from isoprod.examples import example1, example2a, example2b, example3, example4
 from isoprod.groups import (
     AbelianGroup,
@@ -88,6 +88,29 @@ class TestBruteQuotient:
         with pytest.raises(OracleScaleError):
             brute_quotient(g, g.trivial_subgroup(), cap=100)
 
+    @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 3]])
+    def test_subgroup_numerator_matches_structured(self, orders):
+        rng = random.Random(20240822 + sum(orders))
+        g = AbelianGroup(orders)
+        cube = direct_product([g, g, g])
+        for _ in range(25):
+            a = random_subgroup(rng, cube, max_gens=4)
+            # Random integer combinations of A's generators generate B <= A.
+            b = cube.subgroup(
+                sum((rng.randrange(8) * x for x in a.generators), cube.zero)
+                for _ in range(rng.randint(0, 3)))
+            expected = subgroup_quotient(a, b).invariant_factors
+            assert list(brute_quotient(a, b)) == list(expected)
+
+    def test_denominator_outside_numerator_raises(self):
+        g = AbelianGroup([4, 2])
+        a = g.subgroup([g.element((1, 0))])
+        b = g.subgroup([g.element((0, 1))])
+        with pytest.raises(ConsistencyError):
+            brute_quotient(a, b)
+        with pytest.raises(ConsistencyError):
+            brute_quotient(g.trivial_subgroup(), b)
+
 
 class TestBruteKernel:
     def test_no_characters_gives_whole_cube(self):
@@ -115,6 +138,18 @@ class TestBruteKernel:
     def test_cap_enforced(self):
         with pytest.raises(OracleScaleError):
             brute_kernel(example1(3, 3, 3), [], cap=1000)
+
+    def test_plain_cube_characters_match_pairing_scan(self):
+        rng = random.Random(20240823)
+        d = example2b()
+        g = d.group
+        cube = direct_product([g, g, g])
+        for _ in range(5):
+            chars = [cube.character(random_element(rng, cube).exponents)
+                     for _ in range(rng.randint(1, 3))]
+            expected = sorted(x.exponents for x in cube.elements()
+                              if all(psi.pairing(x).is_zero for psi in chars))
+            assert list(brute_kernel(d, chars).members) == expected
 
 
 class TestBruteHodge:

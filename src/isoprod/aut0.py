@@ -16,6 +16,12 @@ written with trivial third component and reduced once, top-down, against
 the Hermite basis of the remaining adjustment subgroup; the result is the
 lexicographically least such representative, for every size of
 adjustment subgroup.
+
+``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
+and forms the ``(3,0)`` kernel from that list through
+``_annihilated_kernel``, the routine behind ``representation_kernel``;
+``K Delta_G`` is built once per call.  ``verify_generator`` enumerates
+again on purpose: it is the survey's independent re-check.
 """
 
 from __future__ import annotations
@@ -59,10 +65,11 @@ class AdmissibleCharacter:
     components: tuple[Character, Character, Character]
 
     def on_cube(self, cube: AbelianGroup) -> Character:
-        exps: tuple[int, ...] = ()
-        for c in self.components:
-            exps = exps + c.exponents
-        return cube.character(exps)
+        return cube.character(self._cube_exponents())
+
+    def _cube_exponents(self) -> tuple[int, ...]:
+        """The components' exponents, concatenated: a character of ``G^3``."""
+        return tuple(e for c in self.components for e in c.exponents)
 
     def sort_key(self) -> tuple:
         return (self.kind.value, tuple(c.exponents for c in self.components))
@@ -184,7 +191,8 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     pre-admissible components.  Likewise ``H^{1,1}`` and ``H^{2,0}`` both
     see exactly the second kind up to negation, which does not change the
     annihilator.  Hence the two kernel equalities hold at the level of
-    character sets.
+    character sets, and the CLI's kernels section reads ``(2,1)`` from the
+    ``(3,0)`` kernel and ``(1,1)`` from the ``(2,0)`` kernel.
     """
     if (p, q) not in {(3, 0), (2, 1), (2, 0), (1, 1)}:
         raise ValueError(f"representation kernel supported for (3,0),(2,1),(2,0),(1,1); "
@@ -192,9 +200,17 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     first, second = admissible_characters(datum)
     characters = first + second if p + q == 3 else second
     cube = direct_product([datum.group] * 3)
-    dual_gens = [psi.on_cube(cube).as_element() for psi in characters]
+    return _annihilated_kernel(cube, characters, _k_delta(datum), (p, q))
+
+
+def _annihilated_kernel(cube: AbelianGroup, characters: list[AdmissibleCharacter],
+                        k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
+    """The subgroup of ``G^3`` on which every given character vanishes,
+    checked to contain ``K Delta_G``."""
+    dual_gens = [cube.element(psi._cube_exponents()) for psi in characters]
     kernel = cube.subgroup(dual_gens).annihilator()
-    if not _k_delta(datum).is_subgroup_of(kernel):
+    if not k_delta.is_subgroup_of(kernel):
+        p, q = pq
         raise ConsistencyError(
             f"K Delta_G is not contained in the ({p},{q}) kernel; "
             "the admissible enumeration is inconsistent")
@@ -247,8 +263,8 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None) -> Aut0Result
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
-    kernel = representation_kernel(datum, 3, 0)
     k_delta = _k_delta(datum)
+    kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
     quotient = subgroup_quotient(kernel, k_delta)
     generators = tuple(_canonical_representative(datum, gen, cube)
                        for gen in quotient.generators)

@@ -83,17 +83,16 @@ def _aut0_section(datum: AlgebraicDatum, report) -> dict:
 
 
 def _kernels_section(datum: AlgebraicDatum) -> dict:
-    section = {}
-    for p, q in ((3, 0), (2, 1), (2, 0), (1, 1)):
-        kernel = representation_kernel(datum, p, q)
-        section[f"h{p}{q}"] = {"order": kernel.order,
-                               "quotient_rank": len(kernel.generators)}
-    return section
+    # The (2,1) and (1,1) kernels equal the (3,0) and (2,0) ones.
+    h30 = representation_kernel(datum, 3, 0)
+    h20 = representation_kernel(datum, 2, 0)
+    return {key: {"order": kernel.order, "quotient_rank": len(kernel.generators)}
+            for key, kernel in (("h30", h30), ("h21", h30), ("h20", h20), ("h11", h20))}
 
 
 def _oracle_section(datum: AlgebraicDatum, report) -> dict:
-    from .aut0 import _k_delta, admissible_characters
-    from .groups import subgroup_quotient
+    from .aut0 import _annihilated_kernel, _k_delta, admissible_characters
+    from .groups import direct_product, subgroup_quotient
 
     agreement = {}
     try:
@@ -104,13 +103,14 @@ def _oracle_section(datum: AlgebraicDatum, report) -> dict:
         agreement["hodge"] = f"skipped: {exc}"
     try:
         first, second = admissible_characters(datum)
-        fast_kernel = representation_kernel(datum, 3, 0)
+        k_delta = _k_delta(datum)
+        fast_kernel = _annihilated_kernel(direct_product([datum.group] * 3),
+                                          first + second, k_delta, (3, 0))
         slow_kernel = brute_kernel(datum, first + second)
         kernels_match = ({e.exponents for e in fast_kernel.elements()}
                          == set(slow_kernel.members))
-        fast_factors = list(subgroup_quotient(fast_kernel, _k_delta(datum))
-                            .invariant_factors)
-        slow_factors = list(brute_quotient(fast_kernel, _k_delta(datum)))
+        fast_factors = list(subgroup_quotient(fast_kernel, k_delta).invariant_factors)
+        slow_factors = list(brute_quotient(fast_kernel, k_delta))
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"
         agreement["quotient"] = ("agree" if fast_factors == slow_factors
                                  else "DISAGREE")
@@ -223,24 +223,24 @@ def _run(datum_source, sections: tuple[str, ...], fmt: str, oracle: bool,
     try:
         datum = datum_source()
         report = build_report(datum, sections, oracle=oracle, header=header)
-    except SchemaError as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    except (ConsistencyError, TheoremViolationError) as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
-    except IsoprodError as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
     except Exception as exc:
-        _internal_error(exc)
+        _fail(exc)
     _emit(report, fmt)
     sys.exit(_exit_code(report))
 
 
-def _internal_error(exc: Exception) -> NoReturn:
-    """Any failure outside the typed errors is a bug: report it on one
-    line, without a traceback, under the internal-error exit code."""
+def _fail(exc: Exception) -> NoReturn:
+    """Report an error on one line, without a traceback, and exit with its
+    code: consistency and theorem violations are internal, the other typed
+    errors and undecodable JSON are schema errors, and any failure outside
+    the typed errors is a bug, reported as internal."""
+    if isinstance(exc, json.JSONDecodeError):
+        click.echo(f"error [{SchemaError.code}]: {exc}", err=True)
+        sys.exit(EXIT_SCHEMA)
+    if isinstance(exc, IsoprodError):
+        click.echo(f"error [{exc.code}]: {exc}", err=True)
+        sys.exit(EXIT_INTERNAL if isinstance(exc, (ConsistencyError, TheoremViolationError))
+                 else EXIT_SCHEMA)
     click.echo(f"error [internal]: {type(exc).__name__}: {exc}", err=True)
     sys.exit(EXIT_INTERNAL)
 
@@ -346,27 +346,15 @@ def example(name: str, param: str | None, fmt: str, oracle: bool) -> None:
 @main.command()
 @click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
 @format_option
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Reserved for partition shuffling; results are "
-                   "seed-independent.")
-def search(specfile: str, fmt: str, seed: int) -> None:
+def search(specfile: str, fmt: str) -> None:
     """Survey the automorphism groups over a bounded search space."""
     try:
         with open(specfile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         spec = SearchSpec.from_document(doc)
         result = survey(spec)
-    except (json.JSONDecodeError, SchemaError) as exc:
-        click.echo(f"error [document-schema]: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    except (ConsistencyError, TheoremViolationError) as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
-    except IsoprodError as exc:
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
     except Exception as exc:
-        _internal_error(exc)
+        _fail(exc)
     _emit({"survey": result.as_document()}, fmt)
     sys.exit(EXIT_OK)
 

@@ -9,9 +9,12 @@ The convolution runs on packed characters (``groups.PackedCharacters``):
 each character is one integer with a guarded bit field per coordinate, so
 adding and negating characters is a few integer operations and a table
 lookup is a hash of a small integer.  The tables are packed once per call
-with their zero entries dropped.  ``hodge_diamond`` sums the convolution
-terms and ``isotypic_decomposition`` keeps them, so both read the same
-terms.
+with their zero entries dropped.  One routine, ``_kunneth_pieces``, lists
+the Kunneth pieces of ``H^{3,0}``, ``H^{2,1}``, ``H^{2,0}`` and ``H^{1,1}``
+as (packed character triple, dimension), with the constant terms at the
+trivial triple; ``hodge_diamond`` sums them and
+``isotypic_decomposition`` groups them by triple, so both read the same
+pieces.
 """
 
 from __future__ import annotations
@@ -130,24 +133,41 @@ def _negated(codec: PackedCharacters, t: dict[int, int]) -> dict[int, int]:
     return {codec.neg(x): dim for x, dim in t.items()}
 
 
-def _pair_sum(a: dict[int, int], b: dict[int, int]) -> int:
-    return sum(dim * b.get(x, 0) for x, dim in a.items())
+def _kunneth_pieces(codec: PackedCharacters, tables: list[dict[int, int]], p: int, q: int,
+                    ) -> list[tuple[tuple[int, int, int], int]]:
+    """The Kunneth pieces of ``H^{p,q}`` for ``(p, q)`` in ``(3,0), (2,1),
+    (2,0), (1,1)``, as (packed character triple summing to zero, dimension).
 
-
-def _convolution_terms(codec: PackedCharacters, d1: dict[int, int], d2: dict[int, int],
-                       d3: dict[int, int], p: int, q: int,
-                       ) -> list[tuple[tuple[int, int, int], int]]:
-    """The Kunneth terms of ``H^{3,0}`` or of the primitive part of
-    ``H^{2,1}``, as (packed character triple summing to zero, dimension)."""
+    A triple may repeat; the constant terms sit at the trivial triple.
+    """
+    d1, d2, d3 = tables
     neg = codec.neg
     if (p, q) == (3, 0):
         return [((x, y, neg(s)), dim)
                 for x, y, s, dim in codec.convolve(d1, d2, _negated(codec, d3))]
-    # Conjugating one slot: a piece bar(W_1^chi) (x) W_2^c2 (x) W_3^c3
-    # survives when chi = c2 + c3, with character (-chi, c2, c3).
-    return ([((neg(s), y, z), dim) for y, z, s, dim in codec.convolve(d2, d3, d1)]
-            + [((x, neg(s), z), dim) for x, z, s, dim in codec.convolve(d1, d3, d2)]
-            + [((x, y, neg(s)), dim) for x, y, s, dim in codec.convolve(d1, d2, d3)])
+    if (p, q) == (2, 1):
+        # Conjugating one slot: a piece bar(W_1^chi) (x) W_2^c2 (x) W_3^c3
+        # survives when chi = c2 + c3, with character (-chi, c2, c3).  The
+        # three fibration classes add 2 per base 1-form.
+        return ([((0, 0, 0), 2 * sum(t.get(0, 0) for t in tables))]
+                + [((neg(s), y, z), dim) for y, z, s, dim in codec.convolve(d2, d3, d1)]
+                + [((x, neg(s), z), dim) for x, z, s, dim in codec.convolve(d1, d3, d2)]
+                + [((x, y, neg(s)), dim) for x, y, s, dim in codec.convolve(d1, d2, d3)])
+    # H^{2,0} pairs chi with -chi; H^{1,1} pairs chi with chi and carries
+    # both orderings of the conjugate pair.
+    h20 = (p, q) == (2, 0)
+    pieces = [] if h20 else [((0, 0, 0), 3)]
+    for i, j, a, b in ((0, 1, d1, d2), (0, 2, d1, d3), (1, 2, d2, d3)):
+        for x, dim in a.items():
+            y = neg(x)
+            dim *= b.get(y if h20 else x, 0)
+            if not dim:
+                continue
+            for u, v in ((x, y),) if h20 else ((x, y), (y, x)):
+                comps = [0, 0, 0]
+                comps[i], comps[j] = u, v
+                pieces.append((tuple(comps), dim))
+    return pieces
 
 
 def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
@@ -160,15 +180,10 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
     """
     if table is None:
         table = eigendim_table(datum)
-    codec, (d1, d2, d3) = _packed_tables(datum, table)
-
-    h10 = sum(t.get(0, 0) for t in (d1, d2, d3))
-    pairs = ((d1, d2), (d1, d3), (d2, d3))
-    h20 = sum(_pair_sum(a, _negated(codec, b)) for a, b in pairs)
-    h11 = 3 + 2 * sum(_pair_sum(a, b) for a, b in pairs)
-    h30 = sum(dim for _, dim in _convolution_terms(codec, d1, d2, d3, 3, 0))
-    # The three fibration classes add 2 per base 1-form to h^{2,1}.
-    h21 = 2 * h10 + sum(dim for _, dim in _convolution_terms(codec, d1, d2, d3, 2, 1))
+    codec, tables = _packed_tables(datum, table)
+    h10 = sum(t.get(0, 0) for t in tables)
+    h30, h21, h20, h11 = (sum(dim for _, dim in _kunneth_pieces(codec, tables, p, q))
+                          for p, q in ((3, 0), (2, 1), (2, 0), (1, 1)))
 
     diamond = _assemble_diamond(h10, h20, h30, h11, h21)
 
@@ -202,36 +217,14 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
         raise ValueError(f"unsupported Hodge summand ({p},{q})")
     if table is None:
         table = eigendim_table(datum)
-    codec, (d1, d2, d3) = _packed_tables(datum, table)
+    codec, tables = _packed_tables(datum, table)
     acc: dict[tuple[int, int, int], int] = {}
-
-    def add(key: tuple[int, int, int], dim: int) -> None:
-        if dim:
-            acc[key] = acc.get(key, 0) + dim
-
-    if (p, q) in {(3, 0), (2, 1)}:
-        for key, dim in _convolution_terms(codec, d1, d2, d3, p, q):
-            add(key, dim)
-        if (p, q) == (2, 1):
-            add((0, 0, 0), 2 * sum(t.get(0, 0) for t in (d1, d2, d3)))
-    else:
-        # H^{2,0} pairs chi with -chi; H^{1,1} pairs chi with chi and
-        # carries both orderings of the conjugate pair.
-        h20 = (p, q) == (2, 0)
-        for i, j, a, b in ((0, 1, d1, d2), (0, 2, d1, d3), (1, 2, d2, d3)):
-            for x, dim in a.items():
-                y = codec.neg(x)
-                dim *= b.get(y if h20 else x, 0)
-                for u, v in ((x, y),) if h20 else ((x, y), (y, x)):
-                    comps = [0, 0, 0]
-                    comps[i], comps[j] = u, v
-                    add(tuple(comps), dim)
-        if (p, q) == (1, 1):
-            add((0, 0, 0), 3)
+    for key, dim in _kunneth_pieces(codec, tables, p, q):
+        acc[key] = acc.get(key, 0) + dim
 
     cube = direct_product([datum.group] * 3)
     out = [(cube.character(codec.unpack(x) + codec.unpack(y) + codec.unpack(z)), dim)
-           for (x, y, z), dim in sorted(acc.items())]
+           for (x, y, z), dim in sorted(acc.items()) if dim]
     total = sum(dim for _, dim in out)
     expected = hodge_diamond(datum, table)[p, q]
     if total != expected:

@@ -228,12 +228,13 @@ def _brute_eigendims(datum: AlgebraicDatum, i: int,
     kill K_i, from the raw branch representatives in G."""
     g = datum.group
     spec = datum.raw_vectors[i]
-    kernel = kernel_sets[i]
+    members = set(kernel_sets[i].members)
+    kernel = kernel_sets[i].elements()
 
     def order_mod(rep: GroupElement) -> int:
         acc = rep
         m = 1
-        while acc not in kernel:
+        while acc.exponents not in members:
             acc = acc + rep
             m += 1
         return m
@@ -241,7 +242,7 @@ def _brute_eigendims(datum: AlgebraicDatum, i: int,
     branch = [(rep, order_mod(rep)) for rep in spec.branch]
     table: dict[Exponents, int] = {}
     for chi in g.characters():
-        if not all(chi.pairing(k).is_zero for k in kernel.elements()):
+        if not all(chi.pairing(k).is_zero for k in kernel):
             continue
         total = Fraction(spec.g_prime - 1)
         for rep, m in branch:

@@ -219,32 +219,43 @@ def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
             if quotient.subgroup(branch + eta).order == quotient.order]
 
 
+def _candidates(spec: SearchSpec, group: AbelianGroup) -> Iterator[tuple]:
+    """Every branch triple that some handle tuples complete to generating
+    vectors, in canonical order, as ``(kernels, spaces, branches,
+    eta_choices)``; ``eta_choices[i]`` lists the completing handle tuples
+    of factor i, computed once per branch of that factor.
+
+    Raises ``SearchCapError`` before any work when the estimated space
+    exceeds the cap.
+    """
+    estimate = estimate_space(spec)
+    if estimate > spec.cap:
+        raise SearchCapError(
+            f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
+    for kernels in _kernel_triples(spec, group):
+        spaces = _factor_spaces(spec, kernels, group)
+        etas = [{branch: _generating_etas(s.quotient_structure.group, branch, s.eta_tuples)
+                 for branch in s.branch_sets} for s in spaces]
+        for branches in itertools.product(*(s.branch_sets for s in spaces)):
+            eta_choices = [etas[i][branches[i]] for i in range(3)]
+            if all(eta_choices):
+                yield kernels, spaces, branches, eta_choices
+
+
 def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     """Stream exactly the valid data of the space in canonical order.
 
     Branch tuples are emitted in nondecreasing element order, which is the
     permutation dedup; every emitted datum passes the full validation.
     """
-    estimate = estimate_space(spec)
-    if estimate > spec.cap:
-        raise SearchCapError(
-            f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
     group = AbelianGroup(spec.group_orders)
-    for kernels in _kernel_triples(spec, group):
-        spaces = _factor_spaces(spec, kernels, group)
-        for branches in itertools.product(*(s.branch_sets for s in spaces)):
-            eta_choices = [
-                _generating_etas(spaces[i].quotient_structure.group, branches[i],
-                                 spaces[i].eta_tuples)
-                for i in range(3)]
-            if not all(eta_choices):
-                continue
-            probe = _assemble(group, kernels, spaces, spec.g_primes, branches,
-                              tuple(c[0] for c in eta_choices))
-            if freeness_witness(probe) is not None:
-                continue
-            for etas in itertools.product(*eta_choices):
-                yield _assemble(group, kernels, spaces, spec.g_primes, branches, etas)
+    for kernels, spaces, branches, eta_choices in _candidates(spec, group):
+        probe = _assemble(group, kernels, spaces, spec.g_primes, branches,
+                          tuple(c[0] for c in eta_choices))
+        if freeness_witness(probe) is not None:
+            continue
+        for etas in itertools.product(*eta_choices):
+            yield _assemble(group, kernels, spaces, spec.g_primes, branches, etas)
 
 
 @dataclass
@@ -271,53 +282,34 @@ def survey(spec: SearchSpec) -> SurveyResult:
     elements, so each branch triple is computed once and weighted by the
     number of handle tuples completing it to a generating vector.
     """
-    estimate = estimate_space(spec)
-    if estimate > spec.cap:
-        raise SearchCapError(
-            f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
     group = AbelianGroup(spec.group_orders)
     histogram: dict[tuple[int, ...], int] = {}
     status_counts: dict[str, int] = {}
     count = 0
     extremal: dict[tuple[int, ...], tuple[AlgebraicDatum, Aut0Result]] = {}
-    for kernels in _kernel_triples(spec, group):
-        spaces = _factor_spaces(spec, kernels, group)
-        eta_count_cache: list[dict[tuple, int]] = [{}, {}, {}]
-        eta_first_cache: list[dict[tuple, tuple[GroupElement, ...]]] = [{}, {}, {}]
-        for i in range(3):
-            for branch in spaces[i].branch_sets:
-                good = _generating_etas(spaces[i].quotient_structure.group, branch,
-                                        spaces[i].eta_tuples)
-                eta_count_cache[i][branch] = len(good)
-                if good:
-                    eta_first_cache[i][branch] = good[0]
-        for branches in itertools.product(*(s.branch_sets for s in spaces)):
-            weight = 1
-            for i in range(3):
-                weight *= eta_count_cache[i][branches[i]]
-            if weight == 0:
-                continue
-            datum = _assemble(group, kernels, spaces, spec.g_primes, branches,
-                              tuple(eta_first_cache[i][branches[i]] for i in range(3)))
-            report = validate_datum(datum)
-            if not report.ok:
-                continue
-            result = aut0(datum, report)
-            for gen in result.generators:
-                if not verify_generator(datum, gen):
-                    raise TheoremViolationError(
-                        "survey generator failed independent re-verification")
-            key = tuple(result.invariant_factors)
-            if result.status.value == "Proven" and key not in ((), (2,), (2, 2)):
+    for kernels, spaces, branches, eta_choices in _candidates(spec, group):
+        weight = len(eta_choices[0]) * len(eta_choices[1]) * len(eta_choices[2])
+        datum = _assemble(group, kernels, spaces, spec.g_primes, branches,
+                          tuple(c[0] for c in eta_choices))
+        report = validate_datum(datum)
+        if not report.ok:
+            continue
+        result = aut0(datum, report)
+        for gen in result.generators:
+            if not verify_generator(datum, gen):
                 raise TheoremViolationError(
-                    f"proven result with factors {list(key)} on datum "
-                    f"{[tuple(b.exponents for b in br) for br in branches]}")
-            count += weight
-            histogram[key] = histogram.get(key, 0) + weight
-            status_counts[result.status.value] = \
-                status_counts.get(result.status.value, 0) + weight
-            if key not in extremal:
-                extremal[key] = (datum, result)
+                    "survey generator failed independent re-verification")
+        key = tuple(result.invariant_factors)
+        if result.status.value == "Proven" and key not in ((), (2,), (2, 2)):
+            raise TheoremViolationError(
+                f"proven result with factors {list(key)} on datum "
+                f"{[tuple(b.exponents for b in br) for br in branches]}")
+        count += weight
+        histogram[key] = histogram.get(key, 0) + weight
+        status_counts[result.status.value] = \
+            status_counts.get(result.status.value, 0) + weight
+        if key not in extremal:
+            extremal[key] = (datum, result)
     return SurveyResult(
         count=count,
         histogram=histogram,

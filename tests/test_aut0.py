@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from conftest import random_element, random_group, random_subgroup
 
 from isoprod.aut0 import (
+    AdmissibleCharacter,
     AdmissibleKind,
     Aut0Status,
     admissible_characters,
@@ -23,7 +26,7 @@ from isoprod.aut0 import (
     _pre_admissible_set,
 )
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
-from isoprod.errors import TheoremViolationError, UnsupportedDatumError
+from isoprod.errors import ConsistencyError, TheoremViolationError, UnsupportedDatumError
 from isoprod.examples import example1, example2a, example2b, example3, example4
 from isoprod.groups import (
     AbelianGroup,
@@ -33,6 +36,9 @@ from isoprod.groups import (
     split_element,
 )
 from isoprod.oracle import enumerate_subgroup
+
+# The package exports the function ``aut0`` under the submodule's name.
+aut0_module = importlib.import_module("isoprod.aut0")
 
 
 def triple(datum, cube, exps1, exps2, exps3):
@@ -153,6 +159,36 @@ class TestRepresentationKernel:
     def test_unsupported_summand(self):
         with pytest.raises(ValueError):
             representation_kernel(example1(), 1, 0)
+
+
+class TestOneEnumeration:
+    def spy(self, monkeypatch, calls, name):
+        real = getattr(aut0_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(aut0_module, name, wrapper)
+
+    def test_aut0_enumerates_and_builds_k_delta_once(self, monkeypatch):
+        calls = Counter()
+        self.spy(monkeypatch, calls, "admissible_characters")
+        self.spy(monkeypatch, calls, "_k_delta")
+        result = aut0(example1())
+        assert calls == {"admissible_characters": 1, "_k_delta": 1}
+        assert result.kernel.basis == representation_kernel(example1(), 3, 0).basis
+
+    def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
+        d = example1()
+        trivial = d.group.trivial_character
+        # Nonzero on K_1 = <(1,0,0)>, so its kernel misses K Delta_G.
+        bogus = AdmissibleCharacter(AdmissibleKind.FIRST,
+                                    (d.group.character((1, 0, 0)), trivial, trivial))
+        monkeypatch.setattr(aut0_module, "admissible_characters",
+                            lambda datum: ([bogus], []))
+        with pytest.raises(ConsistencyError, match=r"\(3,0\) kernel"):
+            aut0(d)
 
 
 class TestExampleAut0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from pathlib import Path
@@ -120,6 +121,21 @@ class TestSubcommands:
         for key in ("h30", "h21", "h20", "h11"):
             assert f"kernel on {key}:" in result.output
 
+    def test_kernels_enumerates_once_per_kernel(self, monkeypatch):
+        aut0_module = importlib.import_module("isoprod.aut0")
+        real = aut0_module.admissible_characters
+        calls = []
+
+        def spy(datum):
+            calls.append(datum)
+            return real(datum)
+
+        monkeypatch.setattr(aut0_module, "admissible_characters", spy)
+        sample = Path(__file__).resolve().parent.parent / "docs" / "sample_example1.json"
+        result = runner.invoke(main, ["kernels", str(sample)])
+        assert result.exit_code == 0
+        assert len(calls) == 2
+
     def test_hodge_subcommand(self, example1_file):
         result = runner.invoke(main, ["hodge", example1_file, "--format", "json"])
         doc = json.loads(result.output)
@@ -180,14 +196,6 @@ class TestSearchCommand:
         assert doc["survey"]["count"] == 24192
         assert doc["survey"]["histogram"] == \
             {"[]": 10368, "[2]": 10368, "[2,2]": 3456}
-
-    def test_seed_does_not_change_results(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(self.SPEC))
-        a = runner.invoke(main, ["search", str(path), "--format", "json"])
-        b = runner.invoke(main, ["search", str(path), "--seed", "7",
-                                 "--format", "json"])
-        assert a.output == b.output
 
     def test_malformed_spec_exits_two(self, tmp_path):
         path = tmp_path / "spec.json"

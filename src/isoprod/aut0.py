@@ -9,7 +9,7 @@ invariant factors and explicit generator cosets.
 
 The admissible characters are enumerated on packed characters (see
 ``groups.PackedCharacters``): a pre-admissible test is an integer dot
-product with the stabilizer lifts, scaled to ``exponent(G)``, and the first
+product with the branch lifts, scaled to ``exponent(G)``, and the first
 kind is the convolution that also computes ``h^{3,0}``.  Character objects
 are built for the admissible characters only.  Each generator coset is
 written with trivial third component and reduced once, top-down, against
@@ -19,15 +19,23 @@ adjustment subgroup.
 
 ``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
 and forms the ``(3,0)`` kernel from that list through
-``_annihilated_kernel``, the routine behind ``representation_kernel``;
-``K Delta_G`` is built once per call.  ``verify_generator`` enumerates
-again on purpose: it is the survey's independent re-check.
+``_annihilated_kernel``, the routine behind ``representation_kernel``.
+Two kinds of pieces feed it, and a caller that holds them passes them in:
+the packed pre-admissible set of each factor (``_pre_admissible_set``,
+the ``pre`` argument of ``aut0`` and ``admissible_characters``), and the
+``_KernelPieces`` of the kernel triple (``G^3``, ``K Delta_G`` and the
+adjustment subgroup, the ``kernel_pieces`` argument of ``aut0``).  A lone
+call computes each once; the survey computes the first once per factor
+branch and the second once per kernel triple.  ``verify_generator``
+enumerates again from scratch on purpose: it is the survey's independent
+re-check.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .covering import stabilizer_union
 from .datum import AlgebraicDatum, DatumReport, RigidityClass, rigidity_class, validate_datum
@@ -128,15 +136,17 @@ def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) 
     """The pre-admissible characters of the i-th factor, packed and sorted.
 
     Every character drawn from the annihilator of ``K_i`` vanishes on
-    ``K_i``; it is pre-admissible when its integer dot product with some
-    stabilizer lift, scaled to ``exponent(G)``, is nonzero mod the exponent.
+    ``K_i``, so on a multiple ``c sigma`` of a branch element it takes ``c``
+    times its value on ``sigma``; it is pre-admissible when its integer dot
+    product with some branch lift, scaled to ``exponent(G)``, is nonzero mod
+    the exponent.
     """
     group = datum.group
     den = group.exponent
     scales = [den // n for n in group.orders]
     q = datum.quotients[i]
     lifts = {tuple(e * s % den for e, s in zip(q.lift(sigma).exponents, scales))
-             for sigma in stabilizer_union(datum.vectors[i])}
+             for sigma in datum.vectors[i].branch}
     out = []
     for elem in datum.kernels[i].annihilator().elements():
         chi = elem.exponents
@@ -145,16 +155,19 @@ def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) 
     return sorted(out)
 
 
-def admissible_characters(datum: AlgebraicDatum,
+def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None = None,
                           ) -> tuple[list[AdmissibleCharacter], list[AdmissibleCharacter]]:
     """Complete enumeration of the admissible characters of both kinds.
 
     Both kinds are found on packed characters; character objects are built
-    for the hits only.
+    for the hits only.  ``pre`` holds the three packed pre-admissible sets
+    (``_pre_admissible_set``) when the caller has them already.
     """
     codec = PackedCharacters(datum.group)
     neg = codec.neg
-    pre = [dict.fromkeys(_pre_admissible_set(datum, i, codec), 1) for i in range(3)]
+    if pre is None:
+        pre = [_pre_admissible_set(datum, i, codec) for i in range(3)]
+    pre = [dict.fromkeys(p, 1) for p in pre]
     # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
     terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
     first_keys = sorted((c1, c2, neg(s)) for c1, c2, s, _ in terms)
@@ -227,14 +240,26 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
     return all(psi.on_cube(cube).pairing(rep).is_zero for psi in first + second)
 
 
-def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
-                              cube: AbelianGroup) -> GroupElement:
-    """Normalize the third component to the identity, then pick the
-    lexicographically least representative of the coset."""
+@dataclass(frozen=True)
+class _KernelPieces:
+    """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
+    ``K Delta_G``, and the adjustment subgroup of the canonical
+    representatives."""
+
+    cube: AbelianGroup
+    k_delta: Subgroup
+    adjustment: Subgroup
+
+
+def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
+    cube = direct_product([datum.group] * 3)
+    return _KernelPieces(cube, _k_delta(datum), _adjustment_subgroup(datum, cube))
+
+
+def _adjustment_subgroup(datum: AlgebraicDatum, cube: AbelianGroup) -> Subgroup:
+    """The freedom left once a coset representative has trivial third
+    component: the triples ``(k1 - k3, k2 - k3, 0)``."""
     g = datum.group
-    parts = split_element(rep, [g, g, g])
-    rep = product_element(cube, (parts[0] - parts[2], parts[1] - parts[2], g.zero))
-    # Remaining freedom fixing the third slot: add (k1 - k3, k2 - k3, 0).
     gens = []
     for k in datum.kernels[0].generators:
         gens.append(product_element(cube, (k, g.zero, g.zero)))
@@ -242,12 +267,33 @@ def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
         gens.append(product_element(cube, (g.zero, k, g.zero)))
     for k in datum.kernels[2].generators:
         gens.append(product_element(cube, (-k, -k, g.zero)))
-    return cube.subgroup(gens).coset_minimum(rep)
+    return cube.subgroup(gens)
 
 
-def aut0(datum: AlgebraicDatum, report: DatumReport | None = None) -> Aut0Result:
+def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
+                              cube: AbelianGroup,
+                              adjustment: Subgroup | None = None) -> GroupElement:
+    """Normalize the third component to the identity, then pick the
+    lexicographically least representative of the coset."""
+    g = datum.group
+    parts = split_element(rep, [g, g, g])
+    rep = product_element(cube, (parts[0] - parts[2], parts[1] - parts[2], g.zero))
+    if adjustment is None:
+        adjustment = _adjustment_subgroup(datum, cube)
+    return adjustment.coset_minimum(rep)
+
+
+def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
+         kernel_pieces: _KernelPieces | None = None,
+         pre: Sequence[list[int]] | None = None) -> Aut0Result:
     """The group of numerically trivial automorphisms (or the kernel
-    quotient standing in for it), with generators and a proof status."""
+    quotient standing in for it), with generators and a proof status.
+
+    A caller that holds the datum's pieces already passes them in: its
+    ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
+    ``K Delta_G`` and the adjustment subgroup) and the three packed
+    pre-admissible sets ``pre``.  Each is computed here when not given.
+    """
     if report is None:
         report = validate_datum(datum)
     klass = rigidity_class(datum)
@@ -255,18 +301,20 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None) -> Aut0Result
         raise UnsupportedDatumError(
             "the classification needs irregularity 3 with no rational base curve "
             "(or irregularity >= 4)")
-    first, second = admissible_characters(datum)
+    first, second = (admissible_characters(datum) if pre is None
+                     else admissible_characters(datum, pre))
     counts = (len(first), len(second))
-    cube = direct_product([datum.group] * 3)
+    if kernel_pieces is None:
+        kernel_pieces = _kernel_pieces(datum)
+    cube, k_delta = kernel_pieces.cube, kernel_pieces.k_delta
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
-    k_delta = _k_delta(datum)
     kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
     quotient = subgroup_quotient(kernel, k_delta)
-    generators = tuple(_canonical_representative(datum, gen, cube)
+    generators = tuple(_canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
                        for gen in quotient.generators)
 
     if not report.freeness_ok:

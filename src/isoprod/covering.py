@@ -81,16 +81,15 @@ def validate_generating_vector(vector: GeneratingVector) -> ValidationOutcome:
 def genus(vector: GeneratingVector) -> int:
     """Genus of the covering curve from the Riemann-Hurwitz relation.
 
-    ``2g - 2 = |Q| (2g' - 2 + sum_j (1 - 1/m_j))``.
+    ``2g - 2 = |Q| (2g' - 2) + sum_j (|Q| - |Q| / m_j)``, in integers: each
+    branch order ``m_j`` divides ``|Q|``.
     """
     q_order = vector.quotient_group.order
-    rhs = Fraction(2 * vector.g_prime - 2)
-    for sigma in vector.branch:
-        rhs += 1 - Fraction(1, sigma.order)
-    total = q_order * rhs
-    if total.denominator != 1 or (total.numerator + 2) % 2:
+    total = q_order * (2 * vector.g_prime - 2) + sum(
+        q_order - q_order // sigma.order for sigma in vector.branch)
+    if total % 2:
         raise ConsistencyError(f"Riemann-Hurwitz value 2g-2 = {total} is not an even integer")
-    g = (int(total) + 2) // 2
+    g = (total + 2) // 2
     if g < 0:
         raise ConsistencyError(f"negative genus {g}")
     return g
@@ -99,13 +98,19 @@ def genus(vector: GeneratingVector) -> int:
 def stabilizer_union(vector: GeneratingVector) -> frozenset[GroupElement]:
     """All elements acting with a fixed point: the union of the cyclic
     groups generated by the branch elements, identity included."""
-    out = {vector.quotient_group.zero}
+    q = vector.quotient_group
+    return frozenset(GroupElement(q, t) for t in _stabilizer_tuples(vector))
+
+
+def _stabilizer_tuples(vector: GeneratingVector) -> set[tuple[int, ...]]:
+    """The stabilizer union as reduced exponent tuples of the acting group."""
+    orders = vector.quotient_group.orders
+    out = {(0,) * len(orders)}
     for sigma in vector.branch:
-        g = sigma
-        while not g.is_zero:
-            out.add(g)
-            g = g + sigma
-    return frozenset(out)
+        exps = sigma.exponents
+        for c in range(1, sigma.order):
+            out.add(tuple(c * x % n for x, n in zip(exps, orders)))
+    return out
 
 
 def cw_dimension(vector: GeneratingVector, chi: Character) -> int:

@@ -5,6 +5,16 @@ abelian group, three pairwise trivially-intersecting kernels, and a
 generating vector over each quotient ``G/K_i``.  Branch and handle
 elements are supplied as representatives in ``G`` and reduced to the
 quotients internally.
+
+Validation is built from two private pieces.  ``_KernelChecks`` holds what
+reads the kernels alone (minimality with its witness, cyclicity);
+``_FactorChecks`` holds what reads one factor alone (the vector outcome,
+the genus and the stabilizer preimage in ``G`` as reduced exponent
+tuples).  ``validate_datum`` computes both for a lone datum; a caller that
+holds them already, such as the survey, which computes them once per
+kernel triple and once per factor branch, passes them in as
+``kernel_checks`` and ``factors``, and only the three-way freeness
+intersection is left to do.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .covering import GeneratingVector, ValidationOutcome, genus, stabilizer_union
+from .covering import GeneratingVector, ValidationOutcome, _stabilizer_tuples, genus
 from .errors import ConsistencyError, StructuralError
 from .groups import (
     AbelianGroup,
@@ -72,14 +82,22 @@ class AlgebraicDatum:
     def stabilizer_preimage(self, i: int) -> frozenset[GroupElement]:
         """Elements of G acting with a fixed point on the i-th curve: the
         full preimage of the stabilizer union of V_i, which contains K_i."""
-        q = self.quotients[i]
-        kernel_elements = list(self.kernels[i].elements())
-        out = set()
-        for s in stabilizer_union(self.vectors[i]):
-            lifted = q.lift(s)
-            for k in kernel_elements:
-                out.add(lifted + k)
-        return frozenset(out)
+        return frozenset(GroupElement(self.group, t) for t in _stabilizer_preimage(
+            self.group, self.kernels[i], self.quotients[i], self.vectors[i]))
+
+
+def _stabilizer_preimage(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
+                         vector: GeneratingVector) -> frozenset[tuple[int, ...]]:
+    """The stabilizer preimage of one factor as reduced exponent tuples of
+    G: every lifted element of the stabilizer union plus every element of
+    the kernel, reduced once."""
+    orders = group.orders
+    gens = [g.exponents for g in quotient.generators]
+    lifts = [[sum(c * gen[j] for c, gen in zip(s, gens)) for j in range(len(orders))]
+             for s in _stabilizer_tuples(vector)]
+    kernel_elements = [k.exponents for k in kernel.elements()]
+    return frozenset(tuple((a + b) % n for a, b, n in zip(lift, k, orders))
+                     for lift in lifts for k in kernel_elements)
 
 
 class RigidityClass(enum.Enum):
@@ -119,40 +137,79 @@ class DatumReport:
                 and self.all_genera_at_least_two and not self.freeness_ok)
 
 
+@dataclass(frozen=True)
+class _KernelChecks:
+    """The checks that read the kernel triple alone."""
+
+    minimality_witness: tuple[int, int] | None
+    all_cyclic: bool
+
+
+def _kernel_checks(kernels: Sequence[Subgroup]) -> _KernelChecks:
+    """Minimality (the first pair of kernels meeting nontrivially, if any)
+    and cyclicity of the three kernels."""
+    witness = next(((i + 1, j + 1) for i in range(3) for j in range(i + 1, 3)
+                    if not (kernels[i] & kernels[j]).is_trivial), None)
+    return _KernelChecks(witness, all(k.is_cyclic for k in kernels))
+
+
+@dataclass(frozen=True)
+class _FactorChecks:
+    """The checks that read one factor alone: its vector outcome, its genus
+    and its stabilizer preimage in G as reduced exponent tuples."""
+
+    outcome: ValidationOutcome
+    genus: int
+    preimage: frozenset[tuple[int, ...]]
+
+
+def _factor_checks(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
+                   vector: GeneratingVector) -> _FactorChecks:
+    return _FactorChecks(vector.validate(), genus(vector),
+                         _stabilizer_preimage(group, kernel, quotient, vector))
+
+
+def _common_fixed_point(group: AbelianGroup, preimages: Sequence[frozenset[tuple[int, ...]]],
+                        ) -> GroupElement | None:
+    """The least nontrivial element in all three stabilizer preimages."""
+    common = preimages[0] & preimages[1] & preimages[2]
+    least = min((t for t in common if any(t)), default=None)
+    return None if least is None else GroupElement(group, least)
+
+
 def freeness_witness(datum: AlgebraicDatum) -> GroupElement | None:
     """The least nontrivial element of G with a fixed point on all three
     curves, or None when the diagonal action is free."""
-    common = datum.stabilizer_preimage(0) & datum.stabilizer_preimage(1) \
-        & datum.stabilizer_preimage(2)
-    return min((g for g in common if not g.is_zero), key=lambda g: g.sort_key(),
-               default=None)
+    return _common_fixed_point(datum.group, [
+        _stabilizer_preimage(datum.group, datum.kernels[i], datum.quotients[i],
+                             datum.vectors[i]) for i in range(3)])
 
 
-def validate_datum(datum: AlgebraicDatum) -> DatumReport:
+def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = None,
+                   factors: Sequence[_FactorChecks] | None = None) -> DatumReport:
     """Minimality, freeness (evaluated through preimages in G), vector
-    validity, genera, and the hypothesis flags of the classification."""
-    minimality_ok = True
-    minimality_witness = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (datum.kernels[i] & datum.kernels[j]).is_trivial:
-                minimality_ok = False
-                if minimality_witness is None:
-                    minimality_witness = (i + 1, j + 1)
-    outcomes = tuple(v.validate() for v in datum.vectors)
+    validity, genera, and the hypothesis flags of the classification.
 
-    witness = freeness_witness(datum)
-    genera = tuple(genus(v) for v in datum.vectors)
+    ``kernel_checks`` and ``factors`` are the datum's own pieces (see the
+    module docstring); each is computed here when not given.
+    """
+    if kernel_checks is None:
+        kernel_checks = _kernel_checks(datum.kernels)
+    if factors is None:
+        factors = [_factor_checks(datum.group, datum.kernels[i], datum.quotients[i],
+                                  datum.vectors[i]) for i in range(3)]
+    witness = _common_fixed_point(datum.group, [f.preimage for f in factors])
+    genera = tuple(f.genus for f in factors)
     g_primes = [v.g_prime for v in datum.vectors]
     return DatumReport(
-        minimality_ok=minimality_ok,
-        minimality_witness=minimality_witness,
+        minimality_ok=kernel_checks.minimality_witness is None,
+        minimality_witness=kernel_checks.minimality_witness,
         freeness_ok=witness is None,
         freeness_witness=witness,
-        vector_outcomes=outcomes,
+        vector_outcomes=tuple(f.outcome for f in factors),
         genera=genera,
         irregularity=sum(g_primes),
-        all_kernels_cyclic=all(k.is_cyclic for k in datum.kernels),
+        all_kernels_cyclic=kernel_checks.all_cyclic,
         all_bases_elliptic=all(gp == 1 for gp in g_primes),
         all_genera_at_least_two=all(g >= 2 for g in genera),
     )

@@ -204,6 +204,7 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
 
 def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
                            table: EigenDimTable | None = None,
+                           report: DatumReport | None = None,
                            ) -> list[tuple[Character, int]]:
     """Isotypic pieces of ``H^{p,q}(X)`` under the descended product action.
 
@@ -211,7 +212,8 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
     components multiply to the trivial character; only positive dimensions
     are listed, sorted by character exponents.  Supported for
     ``(p, q) in {(3,0), (2,1), (2,0), (1,1)}``; the other summands follow
-    by conjugation and duality.
+    by conjugation and duality.  The total is cross-checked against
+    ``hodge_diamond``, which receives ``table`` and ``report``.
     """
     if (p, q) not in {(3, 0), (2, 1), (2, 0), (1, 1)}:
         raise ValueError(f"unsupported Hodge summand ({p},{q})")
@@ -226,7 +228,7 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
     out = [(cube.character(codec.unpack(x) + codec.unpack(y) + codec.unpack(z)), dim)
            for (x, y, z), dim in sorted(acc.items()) if dim]
     total = sum(dim for _, dim in out)
-    expected = hodge_diamond(datum, table)[p, q]
+    expected = hodge_diamond(datum, table, report)[p, q]
     if total != expected:
         raise ConsistencyError(
             f"isotypic dimensions for ({p},{q}) sum to {total}, "

@@ -8,20 +8,59 @@ aggregates the distribution of the numerically trivial automorphism
 groups.  The automorphism computation only depends on the kernels and the
 branch multisets, so the survey runs it once per branch triple and counts
 handle choices by multiplicity.
+
+Each check runs once at the level it depends on:
+
+- per kernel triple (``_KernelTriple``): minimality with its witness and
+  kernel cyclicity, and, from the first valid datum on, ``G^3``,
+  ``K Delta_G`` and the adjustment subgroup of the canonical
+  representatives;
+- per factor branch, inside one kernel triple (``_Branch``): the completing
+  handle tuples, the lifted ``VectorSpec`` and the ``GeneratingVector``,
+  its validation outcome, its genus and stabilizer preimage, and, from the
+  first valid datum on, its packed pre-admissible set;
+- per branch triple: only the three-way freeness intersection
+  (``validate_datum``), the admissible convolution, the annihilator and
+  quotient (``aut0``), and the independent ``verify_generator``.
+
+``validate_datum`` and ``aut0`` take these pieces as arguments and compute
+exactly what they would compute for a lone datum.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from functools import cached_property
+from math import comb, prod
 from typing import Iterator, Sequence
 
-from .aut0 import Aut0Result, aut0, verify_generator
+from .aut0 import (
+    Aut0Result,
+    _kernel_pieces,
+    _pre_admissible_set,
+    aut0,
+    verify_generator,
+)
 from .covering import GeneratingVector, genus
-from .datum import AlgebraicDatum, VectorSpec, freeness_witness, validate_datum
+from .datum import (
+    AlgebraicDatum,
+    DatumReport,
+    VectorSpec,
+    _common_fixed_point,
+    _factor_checks,
+    _kernel_checks,
+    validate_datum,
+)
 from .errors import SearchCapError, StructuralError, TheoremViolationError
-from .groups import AbelianGroup, GroupElement, Subgroup, quotient_structure
+from .groups import (
+    AbelianGroup,
+    GroupElement,
+    PackedCharacters,
+    QuotientStructure,
+    Subgroup,
+    quotient_structure,
+)
 
 DEFAULT_CAP = 2_000_000
 
@@ -194,22 +233,6 @@ def estimate_space(spec: SearchSpec) -> int:
     return total
 
 
-def _assemble(group: AbelianGroup, kernels: tuple[Subgroup, ...],
-              spaces: list[_FactorSpace], g_primes: tuple[int, int, int],
-              branches: Sequence[tuple[GroupElement, ...]],
-              etas: Sequence[tuple[GroupElement, ...]]) -> AlgebraicDatum:
-    vectors = []
-    raw = []
-    for i in range(3):
-        q = spaces[i].quotient_structure
-        vectors.append(GeneratingVector(q.group, g_primes[i], branches[i], etas[i]))
-        raw.append(VectorSpec(g_primes[i],
-                              tuple(q.lift(b) for b in branches[i]),
-                              tuple(q.lift(e) for e in etas[i])))
-    return AlgebraicDatum(group, kernels, tuple(vectors),
-                          tuple(s.quotient_structure for s in spaces), tuple(raw))
-
-
 def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
                      eta_tuples: list[tuple[GroupElement, ...]]) -> list:
     base = quotient.subgroup(branch)
@@ -219,11 +242,73 @@ def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
             if quotient.subgroup(branch + eta).order == quotient.order]
 
 
-def _candidates(spec: SearchSpec, group: AbelianGroup) -> Iterator[tuple]:
+class _Branch:
+    """One branch multiset of one factor inside one kernel triple, with the
+    pieces computed from it once: the completing handle tuples, the vector
+    and lifted ``VectorSpec`` with the first of them, its validation checks,
+    and (filled by ``_KernelTriple.aut0``) its packed pre-admissible set."""
+
+    def __init__(self, group: AbelianGroup, kernel: Subgroup, q: QuotientStructure,
+                 g_prime: int, branch: tuple[GroupElement, ...],
+                 etas: list[tuple[GroupElement, ...]]):
+        self.etas = etas
+        self._q, self._g_prime, self._branch = q, g_prime, branch
+        self._lifted = tuple(q.lift(b) for b in branch)
+        self.vector, self.raw = self._vector(etas[0])
+        self.checks = _factor_checks(group, kernel, q, self.vector)
+        self.pre: list[int] | None = None
+
+    def _vector(self, eta: tuple[GroupElement, ...]) -> tuple[GeneratingVector, VectorSpec]:
+        q = self._q
+        return (GeneratingVector(q.group, self._g_prime, self._branch, eta),
+                VectorSpec(self._g_prime, self._lifted, tuple(q.lift(e) for e in eta)))
+
+    @cached_property
+    def vectors(self) -> list[tuple[GeneratingVector, VectorSpec]]:
+        """The vector and lifted spec for every completing handle tuple."""
+        return [(self.vector, self.raw)] + [self._vector(eta) for eta in self.etas[1:]]
+
+
+class _KernelTriple:
+    """One kernel triple with the pieces computed from it once: its quotients
+    and kernel checks, and (filled by ``aut0``) its ``_KernelPieces``."""
+
+    def __init__(self, group: AbelianGroup, kernels: tuple[Subgroup, ...],
+                 quotients: tuple[QuotientStructure, ...]):
+        self.group, self.kernels, self.quotients = group, kernels, quotients
+        self.checks = _kernel_checks(kernels)
+        self._codec = PackedCharacters(group)
+        self._pieces = None
+
+    def datum(self, branches: Sequence[_Branch],
+              vectors: Sequence[tuple[GeneratingVector, VectorSpec]] | None = None,
+              ) -> AlgebraicDatum:
+        """The datum of a branch triple with the first handle tuples, or with
+        the given ``(vector, spec)`` per factor."""
+        if vectors is None:
+            vectors = [(b.vector, b.raw) for b in branches]
+        return AlgebraicDatum(self.group, self.kernels, tuple(v for v, _ in vectors),
+                              self.quotients, tuple(r for _, r in vectors))
+
+    def validate(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> DatumReport:
+        return validate_datum(datum, self.checks, [b.checks for b in branches])
+
+    def aut0(self, datum: AlgebraicDatum, report: DatumReport,
+             branches: Sequence[_Branch]) -> Aut0Result:
+        if self._pieces is None:
+            self._pieces = _kernel_pieces(datum)
+        for i, b in enumerate(branches):
+            if b.pre is None:
+                b.pre = _pre_admissible_set(datum, i, self._codec)
+        return aut0(datum, report, self._pieces, [b.pre for b in branches])
+
+
+def _candidates(spec: SearchSpec, group: AbelianGroup,
+                ) -> Iterator[tuple[_KernelTriple, tuple[_Branch, _Branch, _Branch]]]:
     """Every branch triple that some handle tuples complete to generating
-    vectors, in canonical order, as ``(kernels, spaces, branches,
-    eta_choices)``; ``eta_choices[i]`` lists the completing handle tuples
-    of factor i, computed once per branch of that factor.
+    vectors, in canonical order, as its kernel triple and its three
+    branches.  The branches and their pieces are built once per kernel
+    triple.
 
     Raises ``SearchCapError`` before any work when the estimated space
     exceeds the cap.
@@ -234,12 +319,19 @@ def _candidates(spec: SearchSpec, group: AbelianGroup) -> Iterator[tuple]:
             f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
     for kernels in _kernel_triples(spec, group):
         spaces = _factor_spaces(spec, kernels, group)
-        etas = [{branch: _generating_etas(s.quotient_structure.group, branch, s.eta_tuples)
-                 for branch in s.branch_sets} for s in spaces]
-        for branches in itertools.product(*(s.branch_sets for s in spaces)):
-            eta_choices = [etas[i][branches[i]] for i in range(3)]
-            if all(eta_choices):
-                yield kernels, spaces, branches, eta_choices
+        triple = _KernelTriple(group, kernels, tuple(s.quotient_structure for s in spaces))
+        factors = []
+        for i, space in enumerate(spaces):
+            q = space.quotient_structure
+            branches = []
+            for branch in space.branch_sets:
+                etas = _generating_etas(q.group, branch, space.eta_tuples)
+                if etas:
+                    branches.append(_Branch(group, kernels[i], q, spec.g_primes[i],
+                                            branch, etas))
+            factors.append(branches)
+        for branches in itertools.product(*factors):
+            yield triple, branches
 
 
 def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
@@ -249,13 +341,11 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     permutation dedup; every emitted datum passes the full validation.
     """
     group = AbelianGroup(spec.group_orders)
-    for kernels, spaces, branches, eta_choices in _candidates(spec, group):
-        probe = _assemble(group, kernels, spaces, spec.g_primes, branches,
-                          tuple(c[0] for c in eta_choices))
-        if freeness_witness(probe) is not None:
+    for triple, branches in _candidates(spec, group):
+        if _common_fixed_point(group, [b.checks.preimage for b in branches]) is not None:
             continue
-        for etas in itertools.product(*eta_choices):
-            yield _assemble(group, kernels, spaces, spec.g_primes, branches, etas)
+        for vectors in itertools.product(*(b.vectors for b in branches)):
+            yield triple.datum(branches, vectors)
 
 
 @dataclass
@@ -287,14 +377,12 @@ def survey(spec: SearchSpec) -> SurveyResult:
     status_counts: dict[str, int] = {}
     count = 0
     extremal: dict[tuple[int, ...], tuple[AlgebraicDatum, Aut0Result]] = {}
-    for kernels, spaces, branches, eta_choices in _candidates(spec, group):
-        weight = len(eta_choices[0]) * len(eta_choices[1]) * len(eta_choices[2])
-        datum = _assemble(group, kernels, spaces, spec.g_primes, branches,
-                          tuple(c[0] for c in eta_choices))
-        report = validate_datum(datum)
+    for triple, branches in _candidates(spec, group):
+        datum = triple.datum(branches)
+        report = triple.validate(datum, branches)
         if not report.ok:
             continue
-        result = aut0(datum, report)
+        result = triple.aut0(datum, report, branches)
         for gen in result.generators:
             if not verify_generator(datum, gen):
                 raise TheoremViolationError(
@@ -303,7 +391,8 @@ def survey(spec: SearchSpec) -> SurveyResult:
         if result.status.value == "Proven" and key not in ((), (2,), (2, 2)):
             raise TheoremViolationError(
                 f"proven result with factors {list(key)} on datum "
-                f"{[tuple(b.exponents for b in br) for br in branches]}")
+                f"{[tuple(b.exponents for b in v.branch) for v in datum.vectors]}")
+        weight = prod(len(b.etas) for b in branches)
         count += weight
         histogram[key] = histogram.get(key, 0) + weight
         status_counts[result.status.value] = \

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from isoprod import hodge as hodge_module
 from isoprod.aut0 import _k_delta
 from isoprod.datum import invariants, validate_datum
 from isoprod.errors import ConsistencyError
@@ -127,6 +128,24 @@ class TestIsotypic:
         assert len(nontrivial) == 1
         assert nontrivial[0][1] == 1
         assert nontrivial[0][0].exponents == (0, 1, 1, 1, 0, 1, 1, 1, 0)
+
+    def test_given_report_skips_validation(self, monkeypatch):
+        d = example2a()
+        report = validate_datum(d)
+        table = eigendim_table(d)
+        real = hodge_module.validate_datum
+        calls = []
+
+        def spy(datum, *args, **kwargs):
+            calls.append(datum)
+            return real(datum, *args, **kwargs)
+
+        monkeypatch.setattr(hodge_module, "validate_datum", spy)
+        for pq in ((3, 0), (2, 1), (2, 0), (1, 1)):
+            isotypic_decomposition(d, *pq, table=table, report=report)
+        assert calls == []
+        isotypic_decomposition(d, 3, 0, table=table)
+        assert len(calls) == 1
 
 
 class TestNonFree:

@@ -11,8 +11,10 @@ from isoprod.aut0 import aut0, verify_generator
 from isoprod.datum import validate_datum
 from isoprod.errors import SearchCapError, StructuralError
 from isoprod.examples import example1
+from isoprod.groups import AbelianGroup
 from isoprod.search import (
     SearchSpec,
+    _candidates,
     enumerate_data,
     estimate_space,
     survey,
@@ -22,6 +24,8 @@ Z2_CUBED = SearchSpec(group_orders=(2, 2, 2))
 
 # Kernel triples as generator exponent lists, <e_1>, <e_2>, <e_3>.
 BASIS_KERNELS = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+# The Z_2 x Z_4 family of TestSurvey.test_mixed_group_spot_family.
+MIXED_KERNELS = ((), ((1, 0),), ((0, 2),))
 
 
 def spec_with(**kw):
@@ -156,3 +160,38 @@ class TestSurvey:
         doc2 = survey(spec_with(max_branch=2)).as_document()
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
         assert doc1["histogram"] == {"[]": 10368, "[2]": 10368, "[2,2]": 3456}
+
+
+class TestFactorized:
+    """The survey computes each check once per kernel triple or per factor
+    branch; on every branch triple its verdicts equal the lone-datum ones."""
+
+    SPACES = {
+        "basis_r3": spec_with(max_branch=3),
+        "z2xz4_mixed": SearchSpec(group_orders=(2, 4), kernels=(MIXED_KERNELS,),
+                                  max_branch=3),
+        # Equal quotients and equal branch multisets under two kernel
+        # triples: a factor's pieces must stay with their kernel triple.
+        "two_kernel_triples": spec_with(
+            kernels=(BASIS_KERNELS, (((1, 1, 0),), ((0, 1, 0),), ((0, 0, 1),))),
+            max_branch=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_factorized_verdicts_equal_the_lone_datum_ones(self, name):
+        spec = self.SPACES[name]
+        valid = invalid = 0
+        for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)):
+            datum = triple.datum(branches)
+            report = triple.validate(datum, branches)
+            assert report == validate_datum(datum)
+            if not report.ok:
+                invalid += 1
+                continue
+            valid += 1
+            got, want = triple.aut0(datum, report, branches), aut0(datum)
+            assert got.status == want.status
+            assert got.invariant_factors == want.invariant_factors
+            assert got.generators == want.generators
+            assert got.admissible_counts == want.admissible_counts
+        assert valid and invalid

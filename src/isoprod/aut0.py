@@ -26,15 +26,22 @@ the ``pre`` argument of ``aut0`` and ``admissible_characters``), and the
 ``_KernelPieces`` of the kernel triple (``G^3``, ``K Delta_G`` and the
 adjustment subgroup, the ``kernel_pieces`` argument of ``aut0``).  A lone
 call computes each once; the survey computes the first once per factor
-branch and the second once per kernel triple.  ``verify_generator``
-enumerates again from scratch on purpose: it is the survey's independent
-re-check.
+branch and the second once per kernel triple.
+
+Within one kernel triple the annihilator, the quotient by ``K Delta_G``
+and the canonical generators depend only on the three pre-admissible
+sets, so ``aut0`` memoizes them in ``_KernelPieces.memo``, keyed by the
+tuple of the three packed sets.  The memo lives and dies with its
+``_KernelPieces``: a lone call starts from an empty one, and one survey
+call owns one per kernel triple.  The enumeration, the status and the
+theorem bounds still run on every call.  ``verify_generator`` enumerates
+again from scratch on purpose: it is the survey's independent re-check.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .covering import stabilizer_union
@@ -244,11 +251,18 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
 class _KernelPieces:
     """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
     ``K Delta_G``, and the adjustment subgroup of the canonical
-    representatives."""
+    representatives.
+
+    ``memo`` holds the rest of ``aut0``'s lattice work, which within
+    one kernel triple depends only on the pre-admissible sets: it maps the
+    tuple of the three packed sets to ``(kernel, quotient, generators)``.
+    """
 
     cube: AbelianGroup
     k_delta: Subgroup
     adjustment: Subgroup
+    memo: dict[tuple, tuple[Subgroup, QuotientStructure, tuple[GroupElement, ...]]] = \
+        field(default_factory=dict, compare=False, repr=False)
 
 
 def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
@@ -293,6 +307,8 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
     ``K Delta_G`` and the adjustment subgroup) and the three packed
     pre-admissible sets ``pre``.  Each is computed here when not given.
+    Given ``pre``, the kernel, quotient and generators are looked up in,
+    or added to, ``kernel_pieces.memo`` under it.
     """
     if report is None:
         report = validate_datum(datum)
@@ -301,21 +317,32 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         raise UnsupportedDatumError(
             "the classification needs irregularity 3 with no rational base curve "
             "(or irregularity >= 4)")
-    first, second = (admissible_characters(datum) if pre is None
-                     else admissible_characters(datum, pre))
-    counts = (len(first), len(second))
     if kernel_pieces is None:
         kernel_pieces = _kernel_pieces(datum)
     cube, k_delta = kernel_pieces.cube, kernel_pieces.k_delta
+    if pre is None:
+        # A lone call leaves the sets to ``admissible_characters``: no key,
+        # nothing shared.
+        first, second = admissible_characters(datum)
+        memo, key = {}, None
+    else:
+        first, second = admissible_characters(datum, pre)
+        memo, key = kernel_pieces.memo, tuple(tuple(p) for p in pre)
+    counts = (len(first), len(second))
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
-    kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
-    quotient = subgroup_quotient(kernel, k_delta)
-    generators = tuple(_canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
-                       for gen in quotient.generators)
+    solved = memo.get(key)
+    if solved is None:
+        kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
+        quotient = subgroup_quotient(kernel, k_delta)
+        generators = tuple(
+            _canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
+            for gen in quotient.generators)
+        solved = memo[key] = (kernel, quotient, generators)
+    kernel, quotient, generators = solved
 
     if not report.freeness_ok:
         status = Aut0Status.NON_FREE_KERNEL_ONLY

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ConsistencyError, ParentMismatchError
 from .groups import AbelianGroup, Character, GroupElement
@@ -78,15 +79,20 @@ def validate_generating_vector(vector: GeneratingVector) -> ValidationOutcome:
     return ValidationOutcome(tuple(violations))
 
 
+def _riemann_hurwitz(q_order: int, g_prime: int, branch: Sequence[GroupElement]) -> int:
+    """``2g - 2`` of a cover with deck group of order ``q_order`` over a
+    genus ``g_prime`` base, branched at the given elements; never raises."""
+    return q_order * (2 * g_prime - 2) + sum(
+        q_order - q_order // sigma.order for sigma in branch)
+
+
 def genus(vector: GeneratingVector) -> int:
     """Genus of the covering curve from the Riemann-Hurwitz relation.
 
     ``2g - 2 = |Q| (2g' - 2) + sum_j (|Q| - |Q| / m_j)``, in integers: each
     branch order ``m_j`` divides ``|Q|``.
     """
-    q_order = vector.quotient_group.order
-    total = q_order * (2 * vector.g_prime - 2) + sum(
-        q_order - q_order // sigma.order for sigma in vector.branch)
+    total = _riemann_hurwitz(vector.quotient_group.order, vector.g_prime, vector.branch)
     if total % 2:
         raise ConsistencyError(f"Riemann-Hurwitz value 2g-2 = {total} is not an even integer")
     g = (total + 2) // 2

@@ -14,17 +14,28 @@ Each check runs once at the level it depends on:
 - per kernel triple (``_KernelTriple``): minimality with its witness and
   kernel cyclicity, and, from the first valid datum on, ``G^3``,
   ``K Delta_G`` and the adjustment subgroup of the canonical
-  representatives;
+  representatives (``aut0._KernelPieces``);
 - per factor branch, inside one kernel triple (``_Branch``): the completing
   handle tuples, the lifted ``VectorSpec`` and the ``GeneratingVector``,
   its validation outcome, its genus and stabilizer preimage, and, from the
   first valid datum on, its packed pre-admissible set;
+- per distinct pre-admissible triple, inside one kernel triple: ``aut0``'s
+  annihilator, quotient by ``K Delta_G`` and canonical generators, memoized
+  in the ``_KernelPieces.memo`` of the kernel triple and keyed by the three
+  packed pre-admissible sets.  ``_candidates`` builds the
+  ``_KernelTriple`` objects afresh, so each memo belongs to one ``survey``
+  call;
 - per branch triple: only the three-way freeness intersection
-  (``validate_datum``), the admissible convolution, the annihilator and
-  quotient (``aut0``), and the independent ``verify_generator``.
+  (``validate_datum``), the admissible convolution, the memo lookup, the
+  status and theorem bounds (``aut0``), and the independent
+  ``verify_generator``.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
+
+Before any work, ``_candidates`` refuses a space whose estimated branch
+triples (``estimate_space``) or whose handle tuples times branch multisets
+of one factor (``|Q_i|^(2 g'_i)`` each) exceed the cap.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .aut0 import (
     aut0,
     verify_generator,
 )
-from .covering import GeneratingVector, genus
+from .covering import GeneratingVector, _riemann_hurwitz
 from .datum import (
     AlgebraicDatum,
     DatumReport,
@@ -200,10 +211,11 @@ def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
     spaces = []
     for i, kernel in enumerate(kernels):
         q = quotient_structure(group, kernel)
+        # Curves of genus < 2 are dropped here, also where the base genus
+        # makes 2g - 2 negative (``genus`` raises on those).
         branch = [b for b in _branch_multisets(q.group, spec.max_branch,
                                                spec.branch_order_bound)
-                  if genus(GeneratingVector(q.group, spec.g_primes[i], b, _any_eta(
-                      q.group, spec.g_primes[i]))) >= 2]
+                  if _riemann_hurwitz(q.group.order, spec.g_primes[i], b) >= 2]
         eta = sorted(
             itertools.product(
                 sorted(q.group.elements(), key=lambda g: g.sort_key()),
@@ -213,24 +225,40 @@ def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
     return spaces
 
 
-def _any_eta(quotient: AbelianGroup, g_prime: int) -> tuple[GroupElement, ...]:
-    return tuple([quotient.zero] * (2 * g_prime))
-
-
 def estimate_space(spec: SearchSpec) -> int:
     """Upper bound on the number of branch triples to be examined, computed
     before any validation work.  Handle tuples are weighted by counting and
-    never iterated jointly, so they do not enter the work estimate."""
+    never iterated jointly, so they do not enter this estimate; the cap on
+    them is per factor (``_check_handle_work``)."""
     group = AbelianGroup(spec.group_orders)
     total = 0
     for kernels in _kernel_triples(spec, group):
         per_factor = 1
         for kernel in kernels:
-            n_pool = group.order // kernel.order - 1
-            per_factor *= sum(comb(n_pool + r - 1, r)
-                              for r in range(2, spec.max_branch + 1))
+            per_factor *= _multiset_bound(group.order // kernel.order, spec.max_branch)
         total += per_factor
     return total
+
+
+def _multiset_bound(q_order: int, max_branch: int) -> int:
+    """Multisets of 2 to ``max_branch`` nontrivial elements of a group of
+    order ``q_order``, product relation ignored."""
+    n_pool = q_order - 1
+    return sum(comb(n_pool + r - 1, r) for r in range(2, max_branch + 1))
+
+
+def _check_handle_work(spec: SearchSpec, group: AbelianGroup,
+                       triples: Sequence[tuple[Subgroup, ...]]) -> None:
+    """Refuse a factor whose ``|Q|^(2g')`` handle tuples, each filtered once
+    per branch multiset, exceed the cap; ``estimate_space`` leaves them out."""
+    for kernels in triples:
+        for kernel, g_prime in zip(kernels, spec.g_primes):
+            q_order = group.order // kernel.order
+            work = q_order ** (2 * g_prime) * _multiset_bound(q_order, spec.max_branch)
+            if work > spec.cap:
+                raise SearchCapError(
+                    f"{work} handle tuples times branch multisets of a factor with "
+                    f"|Q| = {q_order} and g' = {g_prime} exceed the cap of {spec.cap}")
 
 
 def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
@@ -310,14 +338,16 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
     branches.  The branches and their pieces are built once per kernel
     triple.
 
-    Raises ``SearchCapError`` before any work when the estimated space
-    exceeds the cap.
+    Raises ``SearchCapError`` before any work when the estimated space, or
+    the handle tuples of one factor, exceed the cap.
     """
     estimate = estimate_space(spec)
     if estimate > spec.cap:
         raise SearchCapError(
             f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
-    for kernels in _kernel_triples(spec, group):
+    triples = _kernel_triples(spec, group)
+    _check_handle_work(spec, group, triples)
+    for kernels in triples:
         spaces = _factor_spaces(spec, kernels, group)
         triple = _KernelTriple(group, kernels, tuple(s.quotient_structure for s in spaces))
         factors = []

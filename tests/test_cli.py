@@ -210,6 +210,27 @@ class TestSearchCommand:
         assert result.exit_code == 2
         assert "exceeds the cap" in result.output
 
+    def test_base_genus_zero_is_an_empty_survey(self, tmp_path):
+        # Every branch multiset over a genus 0 base gives 2g - 2 < 2 here;
+        # the genus filter drops them instead of raising.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(self.SPEC, g_primes=[0, 1, 1], max_branch=3)))
+        result = runner.invoke(main, ["search", str(path)])
+        assert result.exit_code == 0
+        assert result.output == "survey: 0 data\n"
+
+    def test_handle_tuples_count_against_the_cap(self, tmp_path):
+        # 4^10 handle tuples for the trivial kernel's factor: refused
+        # before any of them is built.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"group": [2, 2], "kernels": "cyclic",
+                                    "g_primes": [1, 1, 5], "max_branch": 3}))
+        start = time.monotonic()
+        result = runner.invoke(main, ["search", str(path)])
+        assert time.monotonic() - start < 5
+        assert result.exit_code == 2
+        assert "error [search-cap]" in result.output
+
 
 class TestRobustness:
     @pytest.mark.parametrize("doc", [

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from isoprod.aut0 import aut0, verify_generator
+from isoprod.aut0 import _pre_admissible_set, aut0, verify_generator
 from isoprod.datum import validate_datum
 from isoprod.errors import SearchCapError, StructuralError
 from isoprod.examples import example1
-from isoprod.groups import AbelianGroup
+from isoprod.groups import AbelianGroup, PackedCharacters
 from isoprod.search import (
     SearchSpec,
     _candidates,
@@ -19,6 +21,9 @@ from isoprod.search import (
     estimate_space,
     survey,
 )
+
+aut0_module = importlib.import_module("isoprod.aut0")
+search_module = importlib.import_module("isoprod.search")
 
 Z2_CUBED = SearchSpec(group_orders=(2, 2, 2))
 
@@ -195,3 +200,34 @@ class TestFactorized:
             assert got.generators == want.generators
             assert got.admissible_counts == want.admissible_counts
         assert valid and invalid
+
+    def test_aut0_lattice_work_once_per_pre_admissible_triple(self, monkeypatch):
+        # At r <= 4 the 208 valid branch triples have 41 distinct
+        # pre-admissible triples (at r <= 3 all 14 are distinct).
+        spec = spec_with(max_branch=4)
+        group = AbelianGroup(spec.group_orders)
+        codec = PackedCharacters(group)
+        valid, distinct = 0, set()
+        for triple, branches in _candidates(spec, group):
+            datum = triple.datum(branches)
+            if validate_datum(datum).ok:
+                valid += 1
+                pre = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))
+                distinct.add((tuple(k.basis for k in triple.kernels), pre))
+
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(search_module, "aut0")
+        spy(aut0_module, "_annihilated_kernel")
+        survey(spec)
+        assert calls["aut0"] == valid
+        assert calls["_annihilated_kernel"] == len(distinct) < valid

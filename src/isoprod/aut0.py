@@ -8,34 +8,32 @@ characters), and the quotient by ``K Delta_G`` is reported through its
 invariant factors and explicit generator cosets.
 
 The admissible characters are enumerated on packed characters (see
-``groups.PackedCharacters``): a pre-admissible test is an integer dot
-product with the branch lifts, scaled to ``exponent(G)``, and the first
-kind is the convolution that also computes ``h^{3,0}``.  Character objects
-are built for the admissible characters only.  Each generator coset is
-written with trivial third component and reduced once, top-down, against
-the Hermite basis of the remaining adjustment subgroup; the result is the
-lexicographically least such representative, for every size of
-adjustment subgroup.
+``groups.PackedCharacters``) from the packed pre-admissible set of each
+factor, which ``hodge._factor_walk`` reads off the integer walk over
+``Ann(K_i)`` that also gives the Chevalley-Weil dimensions; the first kind
+is the convolution that also computes ``h^{3,0}``.  Each generator coset
+is written with trivial third component and reduced once, top-down,
+against the Hermite basis of the remaining adjustment subgroup; the result
+is the lexicographically least such representative.
 
 ``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
 and forms the ``(3,0)`` kernel from that list through
-``_annihilated_kernel``, the routine behind ``representation_kernel``.
-Two kinds of pieces feed it, and a caller that holds them passes them in:
-the packed pre-admissible set of each factor (``_pre_admissible_set``,
-the ``pre`` argument of ``aut0`` and ``admissible_characters``), and the
-``_KernelPieces`` of the kernel triple (``G^3``, ``K Delta_G`` and the
-adjustment subgroup, the ``kernel_pieces`` argument of ``aut0``).  A lone
-call computes each once; the survey computes the first once per factor
-branch and the second once per kernel triple.
+``_annihilated_kernel``, the routine behind ``representation_kernel``.  A
+caller that holds the pieces passes them in: the three pre-admissible sets
+(``pre``) and the ``_KernelPieces`` of the kernel triple (``G^3``,
+``K Delta_G`` and the adjustment subgroup).  The survey computes the first
+once per factor branch and the second once per kernel triple; a report
+(``cli._Analysis``) reads the sets off its eigenspace table.
 
-Within one kernel triple the annihilator, the quotient by ``K Delta_G``
-and the canonical generators depend only on the three pre-admissible
-sets, so ``aut0`` memoizes them in ``_KernelPieces.memo``, keyed by the
-tuple of the three packed sets.  The memo lives and dies with its
-``_KernelPieces``: a lone call starts from an empty one, and one survey
-call owns one per kernel triple.  The enumeration, the status and the
-theorem bounds still run on every call.  ``verify_generator`` enumerates
-again from scratch on purpose: it is the survey's independent re-check.
+Within one kernel triple the rest depends only on the three sets, so
+``aut0`` keeps it in ``_KernelPieces.memo`` under them, as a ``_Solved``:
+the admissible characters, the annihilator, the quotient by ``K Delta_G``
+and the canonical generators.  A survey reuses the lattice work across
+branch triples; a report's kernels and oracle sections read the admissible
+characters and the ``(3,0)`` kernel there (``_solved``).  The enumeration,
+the status and the theorem bounds still run on every ``aut0`` call.
+``verify_generator`` enumerates again from scratch on purpose: it is the
+survey's independent re-check.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from .groups import (
     split_element,
     subgroup_quotient,
 )
+from .hodge import _factor_walk
 
 class AdmissibleKind(enum.Enum):
     FIRST = "first"
@@ -140,26 +139,9 @@ def pre_admissible(datum: AlgebraicDatum, i: int, chi: Character) -> bool:
 
 
 def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) -> list[int]:
-    """The pre-admissible characters of the i-th factor, packed and sorted.
-
-    Every character drawn from the annihilator of ``K_i`` vanishes on
-    ``K_i``, so on a multiple ``c sigma`` of a branch element it takes ``c``
-    times its value on ``sigma``; it is pre-admissible when its integer dot
-    product with some branch lift, scaled to ``exponent(G)``, is nonzero mod
-    the exponent.
-    """
-    group = datum.group
-    den = group.exponent
-    scales = [den // n for n in group.orders]
-    q = datum.quotients[i]
-    lifts = {tuple(e * s % den for e, s in zip(q.lift(sigma).exponents, scales))
-             for sigma in datum.vectors[i].branch}
-    out = []
-    for elem in datum.kernels[i].annihilator().elements():
-        chi = elem.exponents
-        if any(sum(a * v for a, v in zip(chi, lift)) % den for lift in lifts):
-            out.append(codec.pack(chi))
-    return sorted(out)
+    """The pre-admissible characters of the i-th factor, packed and sorted,
+    from the integer walk over ``Ann(K_i)`` (``hodge._factor_walk``)."""
+    return _factor_walk(datum, i, codec)[1]
 
 
 def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None = None,
@@ -247,22 +229,42 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
     return all(psi.on_cube(cube).pairing(rep).is_zero for psi in first + second)
 
 
+@dataclass
+class _Solved:
+    """``aut0``'s work on one pre-admissible triple: the admissible characters
+    and, once formed, the (3,0) kernel, its quotient and generators."""
+
+    admissible: tuple[list[AdmissibleCharacter], list[AdmissibleCharacter]]
+    kernel: Subgroup | None = None
+    quotient: QuotientStructure | None = None
+    generators: tuple[GroupElement, ...] = ()
+
+
 @dataclass(frozen=True)
 class _KernelPieces:
     """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
     ``K Delta_G``, and the adjustment subgroup of the canonical
     representatives.
 
-    ``memo`` holds the rest of ``aut0``'s lattice work, which within
-    one kernel triple depends only on the pre-admissible sets: it maps the
-    tuple of the three packed sets to ``(kernel, quotient, generators)``.
+    ``memo`` holds the rest of ``aut0``'s work, which within one kernel
+    triple depends only on the pre-admissible sets: it maps the tuple of
+    the three packed sets to their ``_Solved``.
     """
 
     cube: AbelianGroup
     k_delta: Subgroup
     adjustment: Subgroup
-    memo: dict[tuple, tuple[Subgroup, QuotientStructure, tuple[GroupElement, ...]]] = \
-        field(default_factory=dict, compare=False, repr=False)
+    memo: dict[tuple, _Solved] = field(default_factory=dict, compare=False, repr=False)
+
+
+def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces, pre: Sequence[list[int]],
+            admissible: tuple | None = None) -> _Solved:
+    """The memo entry of ``pre``, made on a miss from ``admissible`` or else
+    from a new enumeration."""
+    memo, key = kernel_pieces.memo, tuple(tuple(p) for p in pre)
+    if key not in memo:
+        memo[key] = _Solved(admissible or admissible_characters(datum, pre))
+    return memo[key]
 
 
 def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
@@ -307,8 +309,9 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
     ``K Delta_G`` and the adjustment subgroup) and the three packed
     pre-admissible sets ``pre``.  Each is computed here when not given.
-    Given ``pre``, the kernel, quotient and generators are looked up in,
-    or added to, ``kernel_pieces.memo`` under it.
+    Given ``pre``, the admissible characters, kernel, quotient and
+    generators are looked up in, or added to, ``kernel_pieces.memo`` under
+    it, where the caller can read them afterwards.
     """
     if report is None:
         report = validate_datum(datum)
@@ -324,25 +327,23 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         # A lone call leaves the sets to ``admissible_characters``: no key,
         # nothing shared.
         first, second = admissible_characters(datum)
-        memo, key = {}, None
+        solved = _Solved((first, second))
     else:
         first, second = admissible_characters(datum, pre)
-        memo, key = kernel_pieces.memo, tuple(tuple(p) for p in pre)
+        solved = _solved(datum, kernel_pieces, pre, (first, second))
     counts = (len(first), len(second))
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
-    solved = memo.get(key)
-    if solved is None:
-        kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
-        quotient = subgroup_quotient(kernel, k_delta)
-        generators = tuple(
+    if solved.kernel is None:
+        solved.kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
+        solved.quotient = subgroup_quotient(solved.kernel, k_delta)
+        solved.generators = tuple(
             _canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
-            for gen in quotient.generators)
-        solved = memo[key] = (kernel, quotient, generators)
-    kernel, quotient, generators = solved
+            for gen in solved.quotient.generators)
+    kernel, quotient, generators = solved.kernel, solved.quotient, solved.generators
 
     if not report.freeness_ok:
         status = Aut0Status.NON_FREE_KERNEL_ONLY

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import cached_property
 from typing import NoReturn
 
 import click
 
 from . import docio
+from .aut0 import _annihilated_kernel, _kernel_pieces, _pre_admissible_set, _solved
 from .aut0 import aut0 as compute_aut0
-from .aut0 import representation_kernel
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
     ConsistencyError,
@@ -28,7 +29,8 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .examples import EXAMPLE_NAMES, build_example
-from .hodge import hodge_diamond
+from .groups import PackedCharacters, Subgroup, subgroup_quotient
+from .hodge import eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient
 from .search import SearchSpec, survey
 
@@ -67,9 +69,57 @@ def _invariants_section(datum: AlgebraicDatum, report) -> dict:
     return section
 
 
-def _aut0_section(datum: AlgebraicDatum, report) -> dict:
+class _Analysis:
+    """What a report computes for one datum, each piece once, when a section
+    first reads it.  The kernels and oracle sections read the admissible
+    characters and ``(3,0)`` kernel that ``aut0`` left in ``pieces.memo``,
+    and compute them only where ``aut0`` did not run or stopped early.
+    """
+
+    def __init__(self, datum: AlgebraicDatum, with_table: bool):
+        self.datum, self.with_table = datum, with_table
+        self.report = validate_datum(datum)
+
+    @cached_property
+    def diamond(self):
+        return hodge_diamond(self.datum, table=self.table, report=self.report)
+
+    @cached_property
+    def table(self):
+        return eigendim_table(self.datum)
+
+    @cached_property
+    def pre(self) -> list[list[int]]:
+        # Without a table the sets are walked alone: the table's checks fail
+        # on some invalid data that the aut0 and kernels sections report.
+        if self.with_table:
+            return list(self.table._pre)
+        codec = PackedCharacters(self.datum.group)
+        return [_pre_admissible_set(self.datum, i, codec) for i in range(3)]
+
+    @cached_property
+    def pieces(self):
+        return _kernel_pieces(self.datum)
+
+    @cached_property
+    def solved(self):
+        return _solved(self.datum, self.pieces, self.pre)
+
+    @cached_property
+    def h30(self) -> Subgroup:
+        first, second = self.solved.admissible
+        return self.solved.kernel or _annihilated_kernel(
+            self.pieces.cube, first + second, self.pieces.k_delta, (3, 0))
+
+    @cached_property
+    def h20(self) -> Subgroup:
+        return _annihilated_kernel(self.pieces.cube, self.solved.admissible[1],
+                                   self.pieces.k_delta, (2, 0))
+
+
+def _aut0_section(a: _Analysis) -> dict:
     try:
-        result = compute_aut0(datum, report)
+        result = compute_aut0(a.datum, a.report, a.pieces, a.pre)
     except UnsupportedDatumError as exc:
         return {"status": "Unsupported", "detail": str(exc)}
     return {
@@ -82,34 +132,29 @@ def _aut0_section(datum: AlgebraicDatum, report) -> dict:
     }
 
 
-def _kernels_section(datum: AlgebraicDatum) -> dict:
+def _kernels_section(a: _Analysis) -> dict:
     # The (2,1) and (1,1) kernels equal the (3,0) and (2,0) ones.
-    h30 = representation_kernel(datum, 3, 0)
-    h20 = representation_kernel(datum, 2, 0)
     return {key: {"order": kernel.order, "quotient_rank": len(kernel.generators)}
-            for key, kernel in (("h30", h30), ("h21", h30), ("h20", h20), ("h11", h20))}
+            for key, kernel in (("h30", a.h30), ("h21", a.h30), ("h20", a.h20),
+                                ("h11", a.h20))}
 
 
-def _oracle_section(datum: AlgebraicDatum, report) -> dict:
-    from .aut0 import _annihilated_kernel, _k_delta, admissible_characters
-    from .groups import direct_product, subgroup_quotient
-
+def _oracle_section(a: _Analysis) -> dict:
     agreement = {}
     try:
-        fast = hodge_diamond(datum, report=report)
-        slow = brute_hodge(datum)
+        fast = a.diamond
+        slow = brute_hodge(a.datum)
         agreement["hodge"] = "agree" if fast.h == slow.h else "DISAGREE"
     except OracleScaleError as exc:
         agreement["hodge"] = f"skipped: {exc}"
     try:
-        first, second = admissible_characters(datum)
-        k_delta = _k_delta(datum)
-        fast_kernel = _annihilated_kernel(direct_product([datum.group] * 3),
-                                          first + second, k_delta, (3, 0))
-        slow_kernel = brute_kernel(datum, first + second)
+        first, second = a.solved.admissible
+        fast_kernel, k_delta = a.h30, a.pieces.k_delta
+        slow_kernel = brute_kernel(a.datum, first + second)
         kernels_match = ({e.exponents for e in fast_kernel.elements()}
                          == set(slow_kernel.members))
-        fast_factors = list(subgroup_quotient(fast_kernel, k_delta).invariant_factors)
+        quotient = a.solved.quotient or subgroup_quotient(fast_kernel, k_delta)
+        fast_factors = list(quotient.invariant_factors)
         slow_factors = list(brute_quotient(fast_kernel, k_delta))
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"
         agreement["quotient"] = ("agree" if fast_factors == slow_factors
@@ -124,22 +169,22 @@ def _oracle_section(datum: AlgebraicDatum, report) -> dict:
 
 def build_report(datum: AlgebraicDatum, sections: tuple[str, ...],
                  oracle: bool = False, header: str | None = None) -> dict:
-    report = validate_datum(datum)
+    a = _Analysis(datum, with_table="hodge" in sections or oracle)
     out: dict = {}
     if header:
         out["note"] = header
     out["datum"] = docio.datum_document(datum)
-    out["validation"] = _validation_section(datum, report)
+    out["validation"] = _validation_section(datum, a.report)
     if "invariants" in sections:
-        out["invariants"] = _invariants_section(datum, report)
+        out["invariants"] = _invariants_section(datum, a.report)
     if "hodge" in sections:
-        out["hodge"] = hodge_diamond(datum, report=report).h
+        out["hodge"] = a.diamond.h
     if "aut0" in sections:
-        out["aut0"] = _aut0_section(datum, report)
+        out["aut0"] = _aut0_section(a)
     if "kernels" in sections:
-        out["kernels"] = _kernels_section(datum)
+        out["kernels"] = _kernels_section(a)
     if oracle:
-        out["oracle"] = _oracle_section(datum, report)
+        out["oracle"] = _oracle_section(a)
     return out
 
 

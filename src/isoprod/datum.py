@@ -177,14 +177,6 @@ def _common_fixed_point(group: AbelianGroup, preimages: Sequence[frozenset[tuple
     return None if least is None else GroupElement(group, least)
 
 
-def freeness_witness(datum: AlgebraicDatum) -> GroupElement | None:
-    """The least nontrivial element of G with a fixed point on all three
-    curves, or None when the diagonal action is free."""
-    return _common_fixed_point(datum.group, [
-        _stabilizer_preimage(datum.group, datum.kernels[i], datum.quotients[i],
-                             datum.vectors[i]) for i in range(3)])
-
-
 def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = None,
                    factors: Sequence[_FactorChecks] | None = None) -> DatumReport:
     """Minimality, freeness (evaluated through preimages in G), vector

@@ -347,11 +347,6 @@ class AbelianGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(self.basis_element(j) for j in range(self.rank)))
 
-    def structure_name(self) -> str:
-        if self.is_trivial:
-            return "1"
-        return " + ".join(f"Z{n}" for n in self.orders)
-
 
 def _reduce(exps: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
     if len(exps) != len(orders):
@@ -456,11 +451,6 @@ class Character:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.exponents)) + ")"
-
-
-def pairing(chi: Character, g: GroupElement) -> RationalAngle:
-    """Exact value of ``chi(g)`` as a rational angle."""
-    return chi.pairing(g)
 
 
 class PackedCharacters:
@@ -692,12 +682,6 @@ class Subgroup:
         for vec in right_kernel(aug):
             gens.append(GroupElement(amb, tuple(vec[:k])))
         return Subgroup(amb, tuple(gens))
-
-
-def annihilator(group: AbelianGroup, h: Subgroup) -> Subgroup:
-    if h.ambient != group:
-        raise ParentMismatchError("subgroup of a different group")
-    return h.annihilator()
 
 
 # ---------------------------------------------------------------------------

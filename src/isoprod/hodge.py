@@ -8,21 +8,24 @@ products, computed as exact integer convolutions over the dual group.
 The convolution runs on packed characters (``groups.PackedCharacters``):
 each character is one integer with a guarded bit field per coordinate, so
 adding and negating characters is a few integer operations and a table
-lookup is a hash of a small integer.  The tables are packed once per call
-with their zero entries dropped.  One routine, ``_kunneth_pieces``, lists
-the Kunneth pieces of ``H^{3,0}``, ``H^{2,1}``, ``H^{2,0}`` and ``H^{1,1}``
-as (packed character triple, dimension), with the constant terms at the
-trivial triple; ``hodge_diamond`` sums them and
-``isotypic_decomposition`` groups them by triple, so both read the same
-pieces.
+lookup is a hash of a small integer.  The tables are built packed by one
+integer walk per factor over the annihilator of its kernel
+(``_factor_walk``, Chevalley-Weil without ``Fraction``), which also gives
+the pre-admissible sets that ``aut0`` and the CLI report read.  One
+routine, ``_kunneth_pieces``, lists the Kunneth pieces of ``H^{3,0}``,
+``H^{2,1}``, ``H^{2,0}`` and ``H^{1,1}`` as (packed character triple,
+dimension), with the constant terms at the trivial triple;
+``hodge_diamond`` sums them and ``isotypic_decomposition`` groups them by
+triple, so both read the same pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Sequence
 
-from .covering import cw_dimension, genus
+from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
 from .groups import Character, PackedCharacters, direct_product
@@ -33,11 +36,19 @@ class EigenDimTable:
     """For each factor, the map ``chi -> dim W_i^chi`` over characters of G.
 
     Only characters vanishing on ``K_i`` can appear; the table stores the
-    full annihilator support including zero entries.
+    full annihilator support including zero entries, keyed by packed
+    characters (``_packed``; ``tables`` is the view keyed by ``Character``),
+    and each factor's sorted packed pre-admissible set (``_pre``).
     """
 
     datum: AlgebraicDatum
-    tables: tuple[dict[Character, int], ...]
+    _packed: tuple[dict[int, int], ...]
+    _pre: tuple[list[int], ...]
+
+    @cached_property
+    def tables(self) -> tuple[dict[Character, int], ...]:
+        codec = PackedCharacters(self.datum.group)
+        return tuple({codec.character(x): dim for x, dim in t.items()} for t in self._packed)
 
     def dimension(self, i: int, chi: Character) -> int:
         return self.tables[i].get(chi, 0)
@@ -46,37 +57,55 @@ class EigenDimTable:
         return iter(self.tables[i])
 
 
+def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
+                 ) -> tuple[dict[int, int], list[int]]:
+    """One integer pass over the annihilator of ``K_i``: for each character
+    (packed, in annihilator order) the sum of its values ``v_j`` on the
+    branch lifts, each a dot product scaled to ``e = exponent(G)`` and
+    reduced mod ``e``, so that ``v_j / e = k_j / m_j``; and the sorted
+    pre-admissible characters, those with some ``v_j != 0``.
+    """
+    den = datum.group.exponent
+    scales = [den // n for n in datum.group.orders]
+    q = datum.quotients[i]
+    lifts = [tuple(e * s % den for e, s in zip(q.lift(sigma).exponents, scales))
+             for sigma in datum.vectors[i].branch]
+    sums = {}
+    for elem in datum.kernels[i].annihilator().elements():
+        chi = elem.exponents
+        sums[codec.pack(chi)] = sum(sum(a * v for a, v in zip(chi, lift)) % den
+                                    for lift in lifts)
+    return sums, sorted(x for x, s in sums.items() if s)
+
+
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
-    """Pull the eigenspace dimensions of each cover back to characters of G."""
-    tables = []
-    for i in range(3):
-        vector = datum.vectors[i]
-        q = datum.quotients[i]
-        table: dict[Character, int] = {}
-        for chi_elem in datum.kernels[i].annihilator().elements():
-            chi = datum.group.character(chi_elem.exponents)
-            # chi factors through G/K_i; evaluate the induced character by
-            # pairing chi with lifts of the branch elements.
-            induced = q.group.character(
-                _induced_exponents(datum, i, chi))
-            table[chi] = cw_dimension(vector, induced)
+    """Pull the eigenspace dimensions of each cover back to characters of G.
+
+    Chevalley-Weil in integers, with the sums of ``_factor_walk``:
+    ``e dim W_i^chi = (g' - 1) e + sum_j v_j + [chi = 0] e`` must divide to
+    a nonnegative integer, and the dimensions must sum to the genus.
+    """
+    codec = PackedCharacters(datum.group)
+    den = datum.group.exponent
+    tables, pre = [], []
+    for i, vector in enumerate(datum.vectors):
+        sums, pre_i = _factor_walk(datum, i, codec)
+        table = {}
+        for x, s in sums.items():
+            total = (vector.g_prime - 1) * den + s + (0 if x else den)
+            if total % den or total < 0:
+                raise ConsistencyError(
+                    f"factor {i + 1}: eigenspace dimension {total}/{den} for character "
+                    f"{codec.character(x)} is not a nonnegative integer")
+            table[x] = total // den
         g = genus(vector)
         if sum(table.values()) != g:
             raise ConsistencyError(
                 f"factor {i + 1}: eigenspace dimensions sum to {sum(table.values())}, "
                 f"genus is {g}")
         tables.append(table)
-    return EigenDimTable(datum, tuple(tables))
-
-
-def _induced_exponents(datum: AlgebraicDatum, i: int, chi: Character) -> tuple[int, ...]:
-    """Exponents of the character on G/K_i induced by ``chi`` (which must
-    vanish on K_i): evaluate chi on the lifted quotient generators."""
-    q = datum.quotients[i]
-    exps = []
-    for gen, order in zip(q.generators, q.group.orders):
-        exps.append(chi.pairing(gen).scaled_numerator(order))
-    return tuple(exps)
+        pre.append(pre_i)
+    return EigenDimTable(datum, tuple(tables), tuple(pre))
 
 
 @dataclass(frozen=True)
@@ -121,19 +150,7 @@ def _assemble_diamond(h10: int, h20: int, h30: int, h11: int, h21: int) -> Hodge
     return diamond
 
 
-def _packed_tables(datum: AlgebraicDatum, table: EigenDimTable,
-                   ) -> tuple[PackedCharacters, list[dict[int, int]]]:
-    """The three tables keyed by packed characters, zero entries dropped."""
-    codec = PackedCharacters(datum.group)
-    return codec, [{codec.pack(chi.exponents): dim for chi, dim in t.items() if dim}
-                   for t in table.tables]
-
-
-def _negated(codec: PackedCharacters, t: dict[int, int]) -> dict[int, int]:
-    return {codec.neg(x): dim for x, dim in t.items()}
-
-
-def _kunneth_pieces(codec: PackedCharacters, tables: list[dict[int, int]], p: int, q: int,
+def _kunneth_pieces(codec: PackedCharacters, tables: Sequence[dict[int, int]], p: int, q: int,
                     ) -> list[tuple[tuple[int, int, int], int]]:
     """The Kunneth pieces of ``H^{p,q}`` for ``(p, q)`` in ``(3,0), (2,1),
     (2,0), (1,1)``, as (packed character triple summing to zero, dimension).
@@ -144,7 +161,7 @@ def _kunneth_pieces(codec: PackedCharacters, tables: list[dict[int, int]], p: in
     neg = codec.neg
     if (p, q) == (3, 0):
         return [((x, y, neg(s)), dim)
-                for x, y, s, dim in codec.convolve(d1, d2, _negated(codec, d3))]
+                for x, y, s, dim in codec.convolve(d1, d2, {neg(z): d for z, d in d3.items()})]
     if (p, q) == (2, 1):
         # Conjugating one slot: a piece bar(W_1^chi) (x) W_2^c2 (x) W_3^c3
         # survives when chi = c2 + c3, with character (-chi, c2, c3).  The
@@ -180,7 +197,7 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
     """
     if table is None:
         table = eigendim_table(datum)
-    codec, tables = _packed_tables(datum, table)
+    codec, tables = PackedCharacters(datum.group), table._packed
     h10 = sum(t.get(0, 0) for t in tables)
     h30, h21, h20, h11 = (sum(dim for _, dim in _kunneth_pieces(codec, tables, p, q))
                           for p, q in ((3, 0), (2, 1), (2, 0), (1, 1)))
@@ -219,7 +236,7 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
         raise ValueError(f"unsupported Hodge summand ({p},{q})")
     if table is None:
         table = eigendim_table(datum)
-    codec, tables = _packed_tables(datum, table)
+    codec, tables = PackedCharacters(datum.group), table._packed
     acc: dict[tuple[int, int, int], int] = {}
     for key, dim in _kunneth_pieces(codec, tables, p, q):
         acc[key] = acc.get(key, 0) + dim

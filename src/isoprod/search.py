@@ -15,10 +15,12 @@ Each check runs once at the level it depends on:
   kernel cyclicity, and, from the first valid datum on, ``G^3``,
   ``K Delta_G`` and the adjustment subgroup of the canonical
   representatives (``aut0._KernelPieces``);
-- per factor branch, inside one kernel triple (``_Branch``): the completing
-  handle tuples, the lifted ``VectorSpec`` and the ``GeneratingVector``,
-  its validation outcome, its genus and stabilizer preimage, and, from the
-  first valid datum on, its packed pre-admissible set;
+- per subgroup that a branch multiset generates, and per base genus, once
+  per ``survey`` call: the handle tuples completing it (``_generating_etas``);
+- per factor branch, inside one kernel triple (``_Branch``): the lifted
+  ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
+  genus and stabilizer preimage, and, from the first valid datum on, its
+  packed pre-admissible set;
 - per distinct pre-admissible triple, inside one kernel triple: ``aut0``'s
   annihilator, quotient by ``K Delta_G`` and canonical generators, memoized
   in the ``_KernelPieces.memo`` of the kernel triple and keyed by the three
@@ -262,12 +264,17 @@ def _check_handle_work(spec: SearchSpec, group: AbelianGroup,
 
 
 def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
-                     eta_tuples: list[tuple[GroupElement, ...]]) -> list:
+                     eta_tuples: list[tuple[GroupElement, ...]], kept: dict) -> list:
+    """The handle tuples completing ``branch`` to a generating vector.  They
+    depend only on the subgroup the branch generates, under which ``kept``
+    holds them for one handle count."""
     base = quotient.subgroup(branch)
     if base.order == quotient.order:
         return eta_tuples
-    return [eta for eta in eta_tuples
-            if quotient.subgroup(branch + eta).order == quotient.order]
+    if base not in kept:
+        kept[base] = [eta for eta in eta_tuples
+                      if quotient.subgroup(branch + eta).order == quotient.order]
+    return kept[base]
 
 
 class _Branch:
@@ -347,6 +354,7 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
             f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
     triples = _kernel_triples(spec, group)
     _check_handle_work(spec, group, triples)
+    kept: dict[int, dict] = {}
     for kernels in triples:
         spaces = _factor_spaces(spec, kernels, group)
         triple = _KernelTriple(group, kernels, tuple(s.quotient_structure for s in spaces))
@@ -355,7 +363,8 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
             q = space.quotient_structure
             branches = []
             for branch in space.branch_sets:
-                etas = _generating_etas(q.group, branch, space.eta_tuples)
+                etas = _generating_etas(q.group, branch, space.eta_tuples,
+                                        kept.setdefault(spec.g_primes[i], {}))
                 if etas:
                     branches.append(_Branch(group, kernels[i], q, spec.g_primes[i],
                                             branch, etas))

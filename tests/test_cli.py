@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import importlib
 import json
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from isoprod.cli import main
+from isoprod.aut0 import representation_kernel
+from isoprod.cli import build_report, main
+from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.docio import datum_document, dumps
 from isoprod.examples import example1, example3
+from isoprod.groups import AbelianGroup
 
 runner = CliRunner()
 
@@ -126,21 +131,83 @@ class TestSubcommands:
         real = aut0_module.admissible_characters
         calls = []
 
-        def spy(datum):
+        def spy(datum, *args, **kwargs):
             calls.append(datum)
-            return real(datum)
+            return real(datum, *args, **kwargs)
 
         monkeypatch.setattr(aut0_module, "admissible_characters", spy)
         sample = Path(__file__).resolve().parent.parent / "docs" / "sample_example1.json"
         result = runner.invoke(main, ["kernels", str(sample)])
         assert result.exit_code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_hodge_subcommand(self, example1_file):
         result = runner.invoke(main, ["hodge", example1_file, "--format", "json"])
         doc = json.loads(result.output)
         assert doc["hodge"][1][1] == 9
         assert "aut0" not in doc
+
+
+def _spy_everywhere(monkeypatch, module_name: str, name: str, calls: Counter) -> None:
+    """Count the calls of ``module.name`` under every isoprod name bound to it."""
+    real = getattr(importlib.import_module(module_name), name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "isoprod" or mod_name.startswith("isoprod."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def _off_path_datum(case: str) -> AlgebraicDatum:
+    """Data whose kernels section cannot take the usual path: ``aut0`` stops
+    at ``TrivialByRigidity`` or raises ``UnsupportedDatumError``, so it forms
+    no (3,0) kernel; or a vector breaks the product relation, so the
+    eigenspace table would fail its checks and the report walks the
+    pre-admissible sets without it."""
+    if case == "broken_product_relation":
+        d = example1()
+        raw = d.raw_vectors[0]
+        return AlgebraicDatum.build(d.group, [k.generators for k in d.kernels],
+                                    [VectorSpec(1, raw.branch[:1], raw.eta),
+                                     *d.raw_vectors[1:]])
+    g = AbelianGroup([2])
+    e = g.basis_element(0)
+    genus_two = VectorSpec(2, (), (e, g.zero, e, g.zero))
+    first = genus_two if case == "trivial_by_rigidity" else VectorSpec(0, (e,) * 4, ())
+    return AlgebraicDatum.build(g, [[], [], []], [first, genus_two, genus_two])
+
+
+class TestOnePassPerDatum:
+    def test_full_report_computes_each_object_once(self, monkeypatch):
+        calls = Counter()
+        for module_name, name in (("isoprod.datum", "validate_datum"),
+                                  ("isoprod.hodge", "eigendim_table"),
+                                  ("isoprod.aut0", "admissible_characters"),
+                                  ("isoprod.aut0", "_annihilated_kernel")):
+            _spy_everywhere(monkeypatch, module_name, name, calls)
+        report = build_report(example1(), ("invariants", "hodge", "aut0", "kernels"),
+                              oracle=True)
+        assert set(report["oracle"].values()) == {"agree"}
+        assert calls["validate_datum"] == calls["eigendim_table"] == 1
+        assert calls["admissible_characters"] == 1
+        assert calls["_annihilated_kernel"] <= 2
+
+    @pytest.mark.parametrize("case,status", [
+        ("trivial_by_rigidity", "TrivialByRigidity"), ("unsupported", "Unsupported"),
+        ("broken_product_relation", "Proven")])
+    def test_kernels_off_the_usual_path(self, case, status):
+        datum = _off_path_datum(case)
+        report = build_report(datum, ("aut0", "kernels"))
+        assert report["aut0"]["status"] == status
+        h30, h20 = (representation_kernel(datum, 3, 0).order,
+                    representation_kernel(datum, 2, 0).order)
+        assert [report["kernels"][k]["order"] for k in ("h30", "h21", "h20", "h11")] == \
+            [h30, h30, h20, h20]
 
 
 class TestExampleCommand:

@@ -5,11 +5,28 @@ from __future__ import annotations
 import pytest
 
 from isoprod import hodge as hodge_module
-from isoprod.aut0 import _k_delta
-from isoprod.datum import invariants, validate_datum
+from isoprod.aut0 import _k_delta, pre_admissible
+from isoprod.covering import cw_dimension
+from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
 from isoprod.errors import ConsistencyError
 from isoprod.examples import example1, example2a, example2b, example3, example4
+from isoprod.groups import AbelianGroup, PackedCharacters
 from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_decomposition
+from isoprod.search import SearchSpec, _candidates
+
+
+def _non_elliptic_data():
+    """One datum per branch triple of the ``g' = (2,1,1)`` basis-kernel space
+    over Z2^3 at ``r <= 4``, valid or not."""
+    spec = SearchSpec(group_orders=(2, 2, 2), max_branch=4, g_primes=(2, 1, 1),
+                      kernels=((((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)),))
+    return [triple.datum(branches)
+            for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders))]
+
+
+def _with_first_vector(d: AlgebraicDatum, spec: VectorSpec) -> AlgebraicDatum:
+    return AlgebraicDatum.build(d.group, [k.generators for k in d.kernels],
+                                [spec, *d.raw_vectors[1:]])
 
 
 class TestFrozenDiamonds:
@@ -93,6 +110,48 @@ class TestEigendimTables:
             assert sum(table.tables[i].values()) == report.genera[i]
             for chi in table.support(i):
                 assert ann.contains(chi.as_element())
+
+    @pytest.mark.parametrize("factory", [
+        example1, lambda: example1(2, 1, 3), example2a, lambda: example2a(1, 1, 2),
+        example2b, lambda: example2b(3, 2, 1), lambda: example3(1), lambda: example3(2),
+        example4])
+    def test_integer_walk_matches_the_per_character_reference(self, factory):
+        self.check_walk(factory())
+
+    def test_integer_walk_matches_the_reference_on_non_elliptic_bases(self):
+        data = _non_elliptic_data()
+        assert len(data) > 100 and all(d.vectors[0].g_prime == 2 for d in data)
+        for d in data:
+            self.check_walk(d)
+
+    @staticmethod
+    def check_walk(d):
+        """Every annihilator character's dimension equals ``cw_dimension`` of
+        the character it induces on ``G/K_i``; the packed pre-admissible
+        sets equal ``pre_admissible``."""
+        table = eigendim_table(d)
+        codec = PackedCharacters(d.group)
+        for i in range(3):
+            q = d.quotients[i]
+            ann = list(d.kernels[i].annihilator().elements())
+            assert len(table.tables[i]) == len(ann)
+            for elem in ann:
+                chi = d.group.character(elem.exponents)
+                induced = q.group.character(
+                    chi.pairing(gen).scaled_numerator(n)
+                    for gen, n in zip(q.generators, q.group.orders))
+                assert table.dimension(i, chi) == cw_dimension(d.vectors[i], induced)
+            assert table._pre[i] == [codec.pack(chi.exponents) for chi in d.group.characters()
+                                     if pre_admissible(d, i, chi)]
+
+    @pytest.mark.parametrize("broken", ["product_relation", "rational_base"])
+    def test_walk_rejects_malformed_vectors(self, broken):
+        d = example1()
+        raw = d.raw_vectors[0]
+        spec = (VectorSpec(1, raw.branch[:1], raw.eta) if broken == "product_relation"
+                else VectorSpec(0, raw.branch, ()))
+        with pytest.raises(ConsistencyError):
+            eigendim_table(_with_first_vector(d, spec))
 
     def test_trivial_character_gives_base_genus(self):
         d = example1()

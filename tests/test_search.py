@@ -14,6 +14,7 @@ from isoprod.datum import validate_datum
 from isoprod.errors import SearchCapError, StructuralError
 from isoprod.examples import example1
 from isoprod.groups import AbelianGroup, PackedCharacters
+from test_acceptance import Budget
 from isoprod.search import (
     SearchSpec,
     _candidates,
@@ -149,6 +150,19 @@ class TestSurvey:
         assert result.count == 138240
         assert result.histogram == {(): 124416, (2,): 13824}
         assert result.status_counts == {"Proven": 138240}
+
+    def test_handle_tuples_once_per_generated_subgroup(self):
+        # 117 branch multisets of this space do not generate their quotient,
+        # and each filtered all 4,096 handle tuples of the g' = 3 factor
+        # afresh (5 s or more); the kept tuples depend only on the subgroup
+        # the branch generates and on g'.
+        budget = Budget(3)
+        result = survey(SearchSpec.from_document(
+            {"group": [2, 2], "kernels": "cyclic", "max_branch": 3, "g_primes": [1, 1, 3]}))
+        assert result.count == 33896448
+        assert result.as_document()["histogram"] == {"[]": 33896448}
+        assert result.status_counts == {"TrivialByRigidity": 33896448}
+        budget.check()
 
     def test_extremal_witnesses_reverify(self):
         result = survey(spec_with(max_branch=3))

@@ -2,19 +2,20 @@
 
 Everything here works by exhaustive enumeration over explicit element
 lists and shares no code with the Smith/Hermite fast paths: subgroups are
-closed out by breadth-first addition, quotients are built as literal coset
-tables with invariant factors read off the element-order census, kernels
-are found by scanning ``G^3``, and Hodge numbers come from naive triple
-loops over the character cube.  Used only by tests and the CLI's
-``--oracle`` cross-check mode.
+closed out coset by coset, quotients are built as literal coset tables
+with invariant factors read off the element-order census, kernels are
+found by scanning ``G^3``, and Hodge numbers come from loops over pairs of
+characters on an explicit addition table.  Used only by tests and the
+CLI's ``--oracle`` cross-check mode.
 
 Costs, in additions or dot products of exponent tuples:
 
-- ``enumerate_subgroup``: O(|H| * #generators);
+- ``enumerate_subgroup``: O(|H|), at most ``2|H|`` additions;
 - ``brute_quotient``: O(|A|) for ``A / B`` after the two closures (each
   coset is visited once);
-- ``brute_kernel``: O(|G|^3 * #characters);
-- ``brute_hodge``: O(|G|^3) over the character cube.
+- ``brute_kernel``: O(|G|^2 * #characters) to scan ``G^3``, plus one step
+  per member of the kernel;
+- ``brute_hodge``: O(|G|^2) table lookups over pairs of characters.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from operator import add, mod, mul
@@ -53,8 +55,12 @@ class ElementSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[Exponents]:
+        return frozenset(self.members)
+
     def __contains__(self, element: GroupElement) -> bool:
-        return element.exponents in set(self.members)
+        return element.exponents in self._member_set
 
     def elements(self) -> list[GroupElement]:
         return [self.ambient.element(e) for e in self.members]
@@ -65,25 +71,36 @@ def _add(orders: tuple[int, ...], a: Exponents, b: Exponents) -> Exponents:
 
 
 def enumerate_subgroup(subgroup: Subgroup, cap: int = SUBGROUP_CAP) -> ElementSet:
-    """Close the generators under addition, one element at a time."""
+    """Close the generators under addition, one generator at a time.
+
+    A generator ``g`` already in the closure ``S`` adds nothing.  Otherwise
+    ``S`` gains the cosets ``S + g, S + 2g, ...`` until a multiple of ``g``
+    falls back into ``S``; each coset is the previous one shifted by ``g``.
+    Every new element costs one addition and every generator outside ``S``
+    one more, for the multiple that returns, so the closure of ``H`` takes
+    at most ``2|H|`` additions.
+    """
     ambient = subgroup.ambient
     orders = ambient.orders
-    gens = [g.exponents for g in subgroup.generators]
-    seen = {tuple([0] * len(orders))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _add(orders, x, g)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise OracleScaleError(
-                            f"subgroup closure exceeds the oracle cap of {cap} elements")
-                    nxt.append(y)
-        frontier = nxt
-    return ElementSet(ambient, tuple(sorted(seen)))
+    zero = tuple([0] * len(orders))
+    closure = [zero]
+    seen = {zero}
+    for g in (gen.exponents for gen in subgroup.generators):
+        if g in seen:
+            continue
+        size = len(closure)
+        coset = closure[:]
+        # ``closure[0]`` is zero, so ``coset[0]`` is ``k*g`` for ``S + k*g``.
+        step = _add(orders, coset[0], g)
+        while step not in seen:
+            if len(closure) + size > cap:
+                raise OracleScaleError(
+                    f"subgroup closure exceeds the oracle cap of {cap} elements")
+            coset = [step] + [_add(orders, x, g) for x in coset[1:]]
+            closure.extend(coset)
+            seen.update(coset)
+            step = _add(orders, coset[0], g)
+    return ElementSet(ambient, tuple(sorted(closure)))
 
 
 def _invariant_factors_from_census(census: Counter[int], order: int) -> InvariantFactors:
@@ -199,8 +216,11 @@ def brute_kernel(datum: AlgebraicDatum, characters: list, cap: int = SUBGROUP_CA
 
     Characters may be given on ``G^3`` directly or as admissible triples
     with an ``on_cube`` method.  A character ``a`` kills ``x`` when
-    ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``; the
-    weights ``a_j e / n_j`` are formed once per character.
+    ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``.  The sum
+    splits over the three ``G``-slices of ``G^3``, so each slice gets a
+    table of value vectors, one value per character.  The third slice is
+    bucketed by its vector, and each pair ``(x1, x2)`` reads off the bucket
+    of the negated partial sums.
     """
     from .groups import direct_product
 
@@ -216,9 +236,26 @@ def brute_kernel(datum: AlgebraicDatum, characters: list, cap: int = SUBGROUP_CA
         if chi.group != cube:
             raise ParentMismatchError("character and element over different groups")
         weights.append(tuple(a * (den // n) for a, n in zip(chi.exponents, orders)))
-    # The product runs in lexicographic order, so the members come sorted.
-    members = [x for x in itertools.product(*(range(n) for n in orders))
-               if not any(sum(map(mul, w, x)) % den for w in weights)]
+    rank = g.rank
+    elements = list(itertools.product(*(range(n) for n in g.orders)))
+
+    def values(s: int) -> list[tuple[int, ...]]:
+        return [tuple(sum(map(mul, w[s * rank:(s + 1) * rank], x)) % den for w in weights)
+                for x in elements]
+
+    first, second, third = values(0), values(1), values(2)
+    buckets: dict[tuple[int, ...], list[Exponents]] = {}
+    for x, v in zip(elements, third):
+        buckets.setdefault(v, []).append(x)
+    # Slices, pairs and buckets all run in lexicographic order, so the
+    # members come sorted.
+    members = []
+    for x1, v1 in zip(elements, first):
+        for x2, v2 in zip(elements, second):
+            bucket = buckets.get(tuple((-a - b) % den for a, b in zip(v1, v2)))
+            if bucket:
+                head = x1 + x2
+                members.extend(head + x3 for x3 in bucket)
     return ElementSet(cube, tuple(members))
 
 
@@ -256,7 +293,12 @@ def _brute_eigendims(datum: AlgebraicDatum, i: int,
 
 
 def brute_hodge(datum: AlgebraicDatum) -> HodgeDiamond:
-    """Hodge diamond by naive triple loops over the character cube."""
+    """Hodge diamond by loops over pairs of characters of ``G``.
+
+    The characters are indexed in lexicographic order and added through an
+    explicit ``|G| x |G|`` table; in each Kunneth sum over ``(a, b, c)`` the
+    pair ``(a, b)`` fixes ``c``.
+    """
     g = datum.group
     if g.order > HODGE_GROUP_CAP:
         raise OracleScaleError(
@@ -266,29 +308,34 @@ def brute_hodge(datum: AlgebraicDatum) -> HodgeDiamond:
     chars = [chi.exponents for chi in g.characters()]
     orders = g.orders
     zero = tuple([0] * len(orders))
+    index = {chi: j for j, chi in enumerate(chars)}
+    n = len(chars)
+    # Addition is commutative: each unordered pair is added once.
+    plus = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            plus[i][j] = plus[j][i] = index[_add(orders, chars[i], chars[j])]
+    origin = index[zero]
+    neg = [row.index(origin) for row in plus]
+    d0, d1, d2 = ([dims[i].get(chi, 0) for chi in chars] for i in range(3))
 
-    def d(i: int, chi: Exponents) -> int:
-        return dims[i].get(chi, 0)
-
-    h10 = h20 = h30 = h11 = h21 = 0
-    for a in chars:
-        for b in chars:
-            ab = _add(orders, a, b)
-            for c in chars:
-                if _add(orders, ab, c) == zero:
-                    h30 += d(0, a) * d(1, b) * d(2, c)
-                if c == zero and ab == zero:
-                    h20 += d(0, a) * d(1, b) + d(0, a) * d(2, b) + d(1, a) * d(2, b)
-                if c == zero and a == b:
-                    h11 += 2 * (d(0, a) * d(1, b) + d(0, a) * d(2, b) + d(1, a) * d(2, b))
-                if ab == c:
-                    h21 += d(0, c) * d(1, a) * d(2, b)
-                if _add(orders, a, c) == b:
-                    h21 += d(0, a) * d(1, b) * d(2, c)
-                if _add(orders, b, c) == a:
-                    h21 += d(0, b) * d(1, c) * d(2, a)
+    h20 = h30 = h11 = h21 = 0
+    for a in range(n):
+        row = plus[a]
+        for b in range(n):
+            ab = row[b]
+            # h30: a + b + c = 0.
+            h30 += d0[a] * d1[b] * d2[neg[ab]]
+            # h21: c = a + b, c = b - a and c = a - b.
+            h21 += d0[ab] * d1[a] * d2[b]
+            h21 += d0[a] * d1[b] * d2[plus[b][neg[a]]]
+            h21 += d0[b] * d1[row[neg[b]]] * d2[a]
+        # c = 0 with a + b = 0 (h20) or with a = b (h11).
+        b = neg[a]
+        h20 += d0[a] * d1[b] + d0[a] * d2[b] + d1[a] * d2[b]
+        h11 += 2 * (d0[a] * d1[a] + d0[a] * d2[a] + d1[a] * d2[a])
     # Degenerate Kunneth assignments: the base 1-forms and polarizations.
-    h10 = d(0, zero) + d(1, zero) + d(2, zero)
+    h10 = d0[origin] + d1[origin] + d2[origin]
     h11 += 3
     h21 += 2 * h10
 

@@ -208,8 +208,11 @@ class _FactorSpace:
     eta_tuples: list[tuple[GroupElement, ...]]
 
 
-def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
-                   group: AbelianGroup) -> list[_FactorSpace]:
+def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup], group: AbelianGroup,
+                   handles: dict) -> list[_FactorSpace]:
+    """The three factor spaces of a kernel triple.  The sorted handle tuples
+    depend only on the quotient group and ``g'``; ``handles`` holds them
+    under that pair for the whole space."""
     spaces = []
     for i, kernel in enumerate(kernels):
         q = quotient_structure(group, kernel)
@@ -218,12 +221,13 @@ def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
         branch = [b for b in _branch_multisets(q.group, spec.max_branch,
                                                spec.branch_order_bound)
                   if _riemann_hurwitz(q.group.order, spec.g_primes[i], b) >= 2]
-        eta = sorted(
-            itertools.product(
+        key = (q.group, spec.g_primes[i])
+        if key not in handles:
+            # The product of a sorted list runs in sorted order.
+            handles[key] = list(itertools.product(
                 sorted(q.group.elements(), key=lambda g: g.sort_key()),
-                repeat=2 * spec.g_primes[i]),
-            key=lambda t: tuple(g.sort_key() for g in t))
-        spaces.append(_FactorSpace(q, branch, eta))
+                repeat=2 * spec.g_primes[i]))
+        spaces.append(_FactorSpace(q, branch, handles[key]))
     return spaces
 
 
@@ -355,8 +359,9 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
     triples = _kernel_triples(spec, group)
     _check_handle_work(spec, group, triples)
     kept: dict[int, dict] = {}
+    handles: dict = {}
     for kernels in triples:
-        spaces = _factor_spaces(spec, kernels, group)
+        spaces = _factor_spaces(spec, kernels, group, handles)
         triple = _KernelTriple(group, kernels, tuple(s.quotient_structure for s in spaces))
         factors = []
         for i, space in enumerate(spaces):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from conftest import random_element, random_group, random_subgroup
+from isoprod import docio, oracle
 from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta
 from isoprod.errors import ConsistencyError, OracleScaleError
 from isoprod.examples import example1, example2a, example2b, example3, example4
@@ -45,17 +47,77 @@ class TestEnumerateSubgroup:
         for m in closed.members:
             assert m[0:3] == m[3:6] == m[6:9]
 
-    def test_matches_structured_order(self):
-        rng = random.Random(20240818)
-        for _ in range(40):
-            g = random_group(rng, max_rank=3, max_order=200)
-            h = random_subgroup(rng, g)
-            assert len(enumerate_subgroup(h)) == h.order
 
     def test_cap_enforced(self):
         g = AbelianGroup([1 << 10, 1 << 10])
         with pytest.raises(OracleScaleError):
             enumerate_subgroup(g.full_subgroup(), cap=100)
+
+    @staticmethod
+    def generator_lists(rng, group):
+        """Random generators, then the same list with a repeat, a sum of
+        two of them (already in the closure) and zero mixed in."""
+        gens = [random_element(rng, group) for _ in range(rng.randint(0, 4))]
+        extra = [group.zero]
+        if gens:
+            extra += [rng.choice(gens), sum(gens[:2], group.zero)]
+        mixed = gens + extra
+        rng.shuffle(mixed)
+        return [gens, mixed]
+
+    def test_matches_structured_order(self):
+        # The closure lists exactly the elements of the Hermite box.
+        rng = random.Random(20240818)
+        groups = [random_group(rng, max_rank=3, max_order=200) for _ in range(40)]
+        groups += [direct_product([g, g, g])
+                   for g in (AbelianGroup(o) for o in ([2], [3], [4], [2, 2], [4, 2]))]
+        for g in groups:
+            for gens in self.generator_lists(rng, g):
+                h = g.subgroup(gens)
+                want = tuple(sorted(e.exponents for e in h.elements()))
+                assert len(want) == h.order
+                assert enumerate_subgroup(h).members == want
+
+    def test_cap_between_the_first_cyclic_layer_and_the_order(self):
+        g = AbelianGroup([32, 32])
+        h = g.full_subgroup()
+        with pytest.raises(OracleScaleError):
+            enumerate_subgroup(h, cap=100)
+        assert len(enumerate_subgroup(h, cap=32 * 32)) == 32 * 32
+
+
+def spy_on_add(monkeypatch) -> list[int]:
+    """Count the calls to the oracle's own tuple addition."""
+    calls = [0]
+    plain = oracle._add
+
+    def counted(orders, a, b):
+        calls[0] += 1
+        return plain(orders, a, b)
+
+    monkeypatch.setattr(oracle, "_add", counted)
+    return calls
+
+
+class TestWorkBounds:
+    def test_closure_makes_at_most_two_additions_per_element(self, monkeypatch):
+        rng = random.Random(20261019)
+        calls = spy_on_add(monkeypatch)
+        cubes = [direct_product([g, g, g])
+                 for g in (AbelianGroup(o) for o in ([2, 2], [4, 2], [3]))]
+        for g in [random_group(rng) for _ in range(20)] + cubes:
+            h = random_subgroup(rng, g, max_gens=10)
+            calls[0] = 0
+            closed = enumerate_subgroup(h)
+            assert calls[0] <= 2 * len(closed)
+
+    @pytest.mark.parametrize("factory", [example1, example4,
+                                         lambda: example2b(2, 2, 1)])
+    def test_hodge_makes_at_most_one_addition_per_pair(self, monkeypatch, factory):
+        d = factory()
+        calls = spy_on_add(monkeypatch)
+        brute_hodge(d)
+        assert 0 < calls[0] <= d.group.order ** 2
 
 
 class TestBruteQuotient:
@@ -141,15 +203,20 @@ class TestBruteKernel:
 
     def test_plain_cube_characters_match_pairing_scan(self):
         rng = random.Random(20240823)
-        d = example2b()
-        g = d.group
-        cube = direct_product([g, g, g])
-        for _ in range(5):
-            chars = [cube.character(random_element(rng, cube).exponents)
-                     for _ in range(rng.randint(1, 3))]
-            expected = sorted(x.exponents for x in cube.elements()
-                              if all(psi.pairing(x).is_zero for psi in chars))
-            assert list(brute_kernel(d, chars).members) == expected
+        # example2b's group Z4 x Z2 x Z2, and a datum (not valid) over Z4 x Z2.
+        mixed = docio.parse_datum_document({
+            "group": [4, 2],
+            "kernels": [[[1, 0]], [[0, 1]], [[2, 1]]],
+            "vectors": [{"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]}] * 3})
+        for d in (example2b(), mixed):
+            g = d.group
+            cube = direct_product([g, g, g])
+            for _ in range(5):
+                chars = [cube.character(random_element(rng, cube).exponents)
+                         for _ in range(rng.randint(1, 3))]
+                expected = sorted(x.exponents for x in cube.elements()
+                                  if all(psi.pairing(x).is_zero for psi in chars))
+                assert list(brute_kernel(d, chars).members) == expected
 
 
 class TestBruteHodge:
@@ -163,6 +230,28 @@ class TestBruteHodge:
     def test_cap_enforced(self):
         with pytest.raises(OracleScaleError):
             brute_hodge(example1(3, 3, 3))
+
+    @pytest.mark.parametrize("doc", [
+        docio.datum_document(example2b(2, 2, 1)),
+        # Z7 covers of P^1 with branch types (1,2,4), (1,1,5), (1,3,3): the
+        # eigentables differ from factor to factor and from their negations.
+        {"group": [7], "kernels": [[], [], []],
+         "vectors": [{"g_prime": 0, "branch": [[1], [2], [4]], "eta": []},
+                     {"g_prime": 0, "branch": [[1], [1], [5]], "eta": []},
+                     {"g_prime": 0, "branch": [[1], [3], [3]], "eta": []}]},
+    ], ids=["example2b(2,2,1)", "z7_not_free"])
+    def test_every_factor_order(self, doc):
+        # A sign slip in a Kunneth sum (b - a for a - b, a + b for -(a + b))
+        # leaves the diamond of example2b(2,2,1), and of every free datum
+        # tried, unchanged: where the stabilizer preimages of the three
+        # factors meet trivially, the sums mostly factor.  The Z7 datum is
+        # not free and pins every role.
+        for order in itertools.permutations(range(3)):
+            d = docio.parse_datum_document({
+                "group": doc["group"],
+                "kernels": [doc["kernels"][i] for i in order],
+                "vectors": [doc["vectors"][i] for i in order]})
+            assert brute_hodge(d).h == hodge_diamond(d).h
 
 
 class TestElementSet:

@@ -151,8 +151,7 @@ def _oracle_section(a: _Analysis) -> dict:
         first, second = a.solved.admissible
         fast_kernel, k_delta = a.h30, a.pieces.k_delta
         slow_kernel = brute_kernel(a.datum, first + second)
-        kernels_match = ({e.exponents for e in fast_kernel.elements()}
-                         == set(slow_kernel.members))
+        kernels_match = set(fast_kernel._element_tuples()) == set(slow_kernel.members)
         quotient = a.solved.quotient or subgroup_quotient(fast_kernel, k_delta)
         fast_factors = list(quotient.invariant_factors)
         slow_factors = list(brute_quotient(fast_kernel, k_delta))

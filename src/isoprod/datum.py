@@ -95,7 +95,7 @@ def _stabilizer_preimage(group: AbelianGroup, kernel: Subgroup, quotient: Quotie
     gens = [g.exponents for g in quotient.generators]
     lifts = [[sum(c * gen[j] for c, gen in zip(s, gens)) for j in range(len(orders))]
              for s in _stabilizer_tuples(vector)]
-    kernel_elements = [k.exponents for k in kernel.elements()]
+    kernel_elements = list(kernel._element_tuples())
     return frozenset(tuple((a + b) % n for a, b, n in zip(lift, k, orders))
                      for lift in lifts for k in kernel_elements)
 

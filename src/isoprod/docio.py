@@ -2,7 +2,9 @@
 
 Schema: ``{"group": [n1, ...], "kernels": [[exp, ...] x3],
 "vectors": [{"g_prime": int, "branch": [exp, ...], "eta": [exp, ...]} x3]}``
-where every ``exp`` is an exponent tuple of a representative in the
+where every order ``n_i`` is at least 2 (the group drops trivial
+factors, which would leave each exponent list one coordinate too wide)
+and every ``exp`` is an exponent tuple of a representative in the
 ambient group (branch and handle entries included — they are reduced to
 the quotients internally).  Serialization is canonical: fixed key order,
 integers only, two-space indent, trailing newline; parse/serialize
@@ -43,6 +45,9 @@ def parse_datum_document(doc: object) -> AlgebraicDatum:
             or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
                        for n in orders)):
         raise SchemaError('"group" must be a nonempty list of positive integers')
+    if 1 in orders:
+        raise SchemaError(f'"group" entry {orders.index(1) + 1} has order 1; '
+                          'leave out trivial factors')
     group = AbelianGroup(orders)
     rank = len(orders)
 

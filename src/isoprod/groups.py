@@ -7,13 +7,15 @@ integer lattice in ``Z^k`` (the lattice always contains the relation
 lattice ``diag(n_1, ..., n_k) Z^k``).  The Hermite basis alone answers
 membership, order, exponent and cyclicity, coset minima, and element
 listing (H. Cohen, *A Course in Computational Algebraic Number Theory*,
-2.4).  The Smith normal form is used for quotients ``A / B``, whose
-elimination carries ``V^{-1}`` alongside ``V``, and for the integer
-kernels behind intersections and annihilators.  No rational arithmetic is
-involved.
+2.4), and its dual basis, found by exact forward substitution, generates
+the annihilator.  The Smith normal form is used for quotients ``A / B``,
+whose elimination carries ``V^{-1}`` alongside ``V``, and for the integer
+kernels behind intersections.  No rational arithmetic is involved.
 
-All values are immutable after construction and nothing is cached
-lazily, so instances are safe to share between threads.
+All values are immutable after construction.  The one lazily cached value
+is a subgroup's annihilator, stored on the instance by its first call;
+instances stay safe to share between threads, because the value is a pure
+function of the instance and a racing first call writes an equal value.
 """
 
 from __future__ import annotations
@@ -643,8 +645,14 @@ class Subgroup:
         return subgroup_quotient(self, self.ambient.trivial_subgroup())
 
     def elements(self) -> Iterator[GroupElement]:
-        """All elements: the Hermite box ``sum c_j b_j`` with
-        ``0 <= c_j < n_j / b_j[j]``, reduced mod the orders.
+        """All elements, in the order of :meth:`_element_tuples`."""
+        for exps in self._element_tuples():
+            yield GroupElement(self.ambient, exps)
+
+    def _element_tuples(self) -> Iterator[tuple[int, ...]]:
+        """All elements as reduced exponent tuples: the Hermite box
+        ``sum c_j b_j`` with ``0 <= c_j < n_j / b_j[j]``, reduced mod the
+        orders.
 
         Two box points that agree mod ``n`` differ by ``sum d_j b_j`` with
         ``|d_j| < n_j / b_j[j]``; reading the triangular basis column by
@@ -657,7 +665,7 @@ class Subgroup:
                      if row[j] < n]
         zero = (0,) * self.ambient.rank
         for terms in itertools.product(*multiples):
-            yield GroupElement(self.ambient, tuple(map(sum, zip(zero, *terms))))
+            yield tuple(x % n for x, n in zip(map(sum, zip(zero, *terms)), orders))
 
     def annihilator(self) -> "Subgroup":
         """Characters vanishing on this subgroup, as a subgroup of the dual.
@@ -665,23 +673,40 @@ class Subgroup:
         The dual group shares the coordinate presentation of the ambient
         group, so the result is a :class:`Subgroup` of the same
         :class:`AbelianGroup` whose elements are character exponent tuples.
+
+        A character ``a`` vanishes on ``H`` exactly when ``B D^{-1} a`` is
+        integral, for the upper-triangular Hermite basis ``B`` of the
+        lattice of ``H`` and ``D = diag(n)``; so the annihilator lattice is
+        spanned by the rows of ``M = B^{-T} D`` (H. Cohen, *A Course in
+        Computational Algebraic Number Theory*, 2.4).  The lattice of ``B``
+        contains ``D``, so ``D = C B`` for an integer matrix ``C`` and
+        ``M = C^T`` is integral.  ``B^T M = D`` is lower triangular, and
+        forward substitution solves it one column at a time; every
+        division by a pivot of ``B`` is exact because ``M`` is integral.
+        The ``k`` rows of ``M`` are the generators, so the result always
+        has exactly ``rank`` generators.
+
+        The result is stored on the instance by the first call.
         """
+        cached = self.__dict__.get("_annihilator")
+        if cached is not None:
+            return cached
         amb = self.ambient
+        basis = self.basis
         k = amb.rank
-        if k == 0:
-            return amb.trivial_subgroup()
-        n_exp = amb.exponent
-        rows = list(self.basis)
-        m = len(rows)
-        # Solve w . a = 0 (mod n_exp) per basis row w, scaled to a common
-        # denominator; solutions are the first k coordinates of the right
-        # kernel of [W | -n_exp * I].
-        w = [[row[j] * (n_exp // amb.orders[j]) for j in range(k)] for row in rows]
-        aug = [w[i] + [-n_exp if i == r else 0 for r in range(m)] for i in range(m)]
-        gens = []
-        for vec in right_kernel(aug):
-            gens.append(GroupElement(amb, tuple(vec[:k])))
-        return Subgroup(amb, tuple(gens))
+        cols = []
+        for c, n in enumerate(amb.orders):
+            x = [0] * k
+            for i in range(c, k):
+                t = (n if i == c else 0) - sum(basis[j][i] * x[j] for j in range(c, i))
+                q, r = divmod(t, basis[i][i])
+                if r:
+                    raise ConsistencyError("Hermite dual is not integral")
+                x[i] = q
+            cols.append(x)
+        result = Subgroup(amb, tuple(GroupElement(amb, row) for row in zip(*cols)))
+        object.__setattr__(self, "_annihilator", result)
+        return result
 
 
 # ---------------------------------------------------------------------------

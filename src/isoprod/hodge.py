@@ -71,8 +71,7 @@ def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
     lifts = [tuple(e * s % den for e, s in zip(q.lift(sigma).exponents, scales))
              for sigma in datum.vectors[i].branch]
     sums = {}
-    for elem in datum.kernels[i].annihilator().elements():
-        chi = elem.exponents
+    for chi in datum.kernels[i].annihilator()._element_tuples():
         sums[codec.pack(chi)] = sum(sum(a * v for a, v in zip(chi, lift)) % den
                                     for lift in lifts)
     return sums, sorted(x for x, s in sums.items() if s)

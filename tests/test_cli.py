@@ -62,6 +62,20 @@ class TestExitCodes:
         result = runner.invoke(main, ["aut0", str(path)])
         assert result.exit_code == 2
 
+    def test_order_one_group_entry_exits_two(self, tmp_path):
+        doc = datum_document(example1())
+        doc["group"] = [1] + doc["group"]
+        for exps in doc["kernels"] + [v[key] for v in doc["vectors"]
+                                      for key in ("branch", "eta")]:
+            exps[:] = [[0] + e for e in exps]
+        path = tmp_path / "order1.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["report", str(path)])
+        assert result.exit_code == 2
+        assert "error [document-schema]" in result.output
+        assert '"group" entry 1 has order 1' in result.output
+        assert "parent-mismatch" not in result.output
+
     def test_missing_file_is_a_usage_error(self):
         result = runner.invoke(main, ["report", "no-such-file.json"])
         assert result.exit_code == 2

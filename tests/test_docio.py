@@ -72,6 +72,17 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             parse_datum_document(doc)
 
+    def test_order_one_group_entry_is_named(self):
+        # AbelianGroup drops the order-1 factor; the document must not keep
+        # its coordinate and fail later on every exponent list.
+        doc = json.loads(json.dumps(self.base()))
+        doc["group"].append(1)
+        for exps in doc["kernels"] + [v[key] for v in doc["vectors"]
+                                      for key in ("branch", "eta")]:
+            exps[:] = [e + [0] for e in exps]
+        with pytest.raises(SchemaError, match='"group" entry 4 has order 1'):
+            parse_datum_document(doc)
+
     def test_root_must_be_object(self):
         with pytest.raises(SchemaError):
             parse_datum_document([1, 2, 3])

@@ -8,7 +8,8 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import abelian_groups, group_elements, groups_with_subgroup, subgroups
+from conftest import (abelian_groups, group_elements, groups_with_subgroup, random_group,
+                      random_subgroup, subgroups)
 from isoprod.errors import ConsistencyError, ParentMismatchError
 from isoprod.groups import (
     AbelianGroup,
@@ -451,6 +452,46 @@ class TestAnnihilator:
         big = g.subgroup([g.element((1, 1))])
         assert small.is_subgroup_of(big)
         assert big.annihilator().is_subgroup_of(small.annihilator())
+
+    @pytest.mark.parametrize("orders", [(2, 2, 2), (4, 2), (6,), (3, 3), ()])
+    def test_matches_a_brute_scan_on_cubes(self, orders):
+        # Cubes G^3 as in the Aut_0 kernel, at most 729 characters each;
+        # the empty order list is the rank-0 group.
+        cube = direct_product([AbelianGroup(orders)] * 3)
+        rng = random.Random(str(orders))
+        hs = [cube.trivial_subgroup(), cube.full_subgroup()]
+        hs += [random_subgroup(rng, cube, max_gens=4) for _ in range(6)]
+        for h in hs:
+            ann = h.annihilator()
+            rows = [cube.element(row) for row in h.basis]
+            brute = sorted(chi.exponents for chi in cube.characters()
+                           if all(chi.pairing(g).is_zero for g in rows))
+            assert sorted(ann._element_tuples()) == brute
+            assert h.order * ann.order == cube.order
+            assert ann.annihilator() == h
+            assert len(ann.generators) == cube.rank
+
+    def test_is_stored_on_the_instance(self):
+        g = AbelianGroup([4, 6, 2])
+        h = g.subgroup([g.element((2, 3, 1))])
+        twin = g.subgroup([g.element((2, 3, 1)), g.element((0, 0, 0))])
+        assert h.annihilator() is h.annihilator()
+        assert twin is not h and twin == h
+        assert twin.annihilator() == h.annihilator()
+        assert hash(h) == hash(twin)
+
+
+class TestElementTuples:
+    def test_match_the_element_listing(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            group = random_group(rng, max_rank=4)
+            h = random_subgroup(rng, group)
+            tuples = list(h._element_tuples())
+            assert tuples == [e.exponents for e in h.elements()]
+            assert len(set(tuples)) == len(tuples) == h.order
+            assert all(0 <= x < n for t in tuples for x, n in zip(t, group.orders))
+            assert all(h.contains(group.element(t)) for t in tuples)
 
 
 class TestQuotients:

@@ -9,9 +9,10 @@ invariant factors and explicit generator cosets.
 
 The admissible characters are enumerated on packed characters (see
 ``groups.PackedCharacters``) from the packed pre-admissible set of each
-factor, which ``hodge._factor_walk`` reads off the integer walk over
-``Ann(K_i)`` that also gives the Chevalley-Weil dimensions; the first kind
-is the convolution that also computes ``h^{3,0}``.  Each generator coset
+factor, which is read off the integer walk over ``Ann(K_i)`` that also
+gives the Chevalley-Weil dimensions (``hodge._factor_walk``); the first
+kind is one packed convolution of the three sets, the only one a report
+makes (``hodge_diamond`` counts classes instead).  Each generator coset
 is written with trivial third component and reduced once, top-down,
 against the Hermite basis of the remaining adjustment subgroup; the result
 is the lexicographically least such representative.
@@ -60,7 +61,7 @@ from .groups import (
     split_element,
     subgroup_quotient,
 )
-from .hodge import _factor_walk
+from .hodge import _factor_walk, _pre_admissible
 
 class AdmissibleKind(enum.Enum):
     FIRST = "first"
@@ -141,7 +142,7 @@ def pre_admissible(datum: AlgebraicDatum, i: int, chi: Character) -> bool:
 def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) -> list[int]:
     """The pre-admissible characters of the i-th factor, packed and sorted,
     from the integer walk over ``Ann(K_i)`` (``hodge._factor_walk``)."""
-    return _factor_walk(datum, i, codec)[1]
+    return _pre_admissible(_factor_walk(datum, i, codec))
 
 
 def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None = None,

@@ -208,6 +208,39 @@ def solve_upper(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]
     return coeffs
 
 
+def _coset_key(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
+    """The least point of ``vec + L`` in the box ``0 <= x_j < basis[j][j]``,
+    for the lattice ``L`` of an upper-triangular Hermite ``basis`` of full
+    rank: one top-down pass, one floor division per column.  ``vec`` may
+    hold any integers; each coset of ``L`` has exactly one point in the box.
+    """
+    v = list(vec)
+    for j, row in enumerate(basis):
+        q = v[j] // row[j]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _hermite_dual(basis: Sequence[Sequence[int]], orders: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows of ``M`` with ``B^T M = diag(orders)``, for the upper-triangular
+    Hermite basis ``B`` of a lattice containing ``diag(orders)``: they
+    generate the annihilator lattice (see ``Subgroup.annihilator``).
+    """
+    k = len(orders)
+    cols = []
+    for c, n in enumerate(orders):
+        x = [0] * k
+        for i in range(c, k):
+            t = (n if i == c else 0) - sum(basis[j][i] * x[j] for j in range(c, i))
+            q, r = divmod(t, basis[i][i])
+            if r:
+                raise ConsistencyError("Hermite dual is not integral")
+            x[i] = q
+        cols.append(x)
+    return list(zip(*cols))
+
+
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of a unimodular integer matrix.
 
@@ -488,7 +521,12 @@ class PackedCharacters:
         return tuple((packed >> s) & mask for s in self.shifts)
 
     def character(self, packed: int) -> Character:
-        return Character(self.group, self.unpack(packed))
+        # ``unpack`` yields a reduced tuple, so ``Character``'s reduction
+        # is skipped.
+        chi = object.__new__(Character)
+        object.__setattr__(chi, "group", self.group)
+        object.__setattr__(chi, "exponents", self.unpack(packed))
+        return chi
 
     def neg(self, x: int) -> int:
         # Field j of n_j - x holds n_j exactly where x_j = 0; reduce it to 0.
@@ -601,12 +639,7 @@ class Subgroup:
         """
         if g.group != self.ambient:
             raise ParentMismatchError("element from a different group")
-        v = list(g.exponents)
-        for j, row in enumerate(self.basis):
-            q = v[j] // row[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        return GroupElement(self.ambient, tuple(v))
+        return GroupElement(self.ambient, _coset_key(self.basis, g.exponents))
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         if self.ambient != other.ambient:
@@ -692,19 +725,8 @@ class Subgroup:
         if cached is not None:
             return cached
         amb = self.ambient
-        basis = self.basis
-        k = amb.rank
-        cols = []
-        for c, n in enumerate(amb.orders):
-            x = [0] * k
-            for i in range(c, k):
-                t = (n if i == c else 0) - sum(basis[j][i] * x[j] for j in range(c, i))
-                q, r = divmod(t, basis[i][i])
-                if r:
-                    raise ConsistencyError("Hermite dual is not integral")
-                x[i] = q
-            cols.append(x)
-        result = Subgroup(amb, tuple(GroupElement(amb, row) for row in zip(*cols)))
+        result = Subgroup(amb, tuple(GroupElement(amb, row)
+                                     for row in _hermite_dual(self.basis, amb.orders)))
         object.__setattr__(self, "_annihilator", result)
         return result
 
@@ -790,20 +812,19 @@ def subgroup_quotient(a: Subgroup, b: Subgroup) -> QuotientStructure:
     """Structure of ``A / B`` for subgroups ``B <= A`` of one ambient group."""
     if a.ambient != b.ambient:
         raise ParentMismatchError("subgroups of different groups")
-    if not b.is_subgroup_of(a):
-        raise ParentMismatchError("denominator is not contained in the numerator")
     amb = a.ambient
     k = amb.rank
     if k == 0:
         group = AbelianGroup(())
         return QuotientStructure(a, b, InvariantFactors(()), (), group, ((), (), (), ()))
     # Express the denominator lattice in the basis of the numerator lattice;
-    # the quotient is Z^k modulo the row space of that integer matrix.
+    # the quotient is Z^k modulo the row space of that integer matrix.  A
+    # row with no solution is a denominator not contained in the numerator.
     rel = []
     for row in b.basis:
         coeffs = solve_upper(a.basis, row)
         if coeffs is None:
-            raise ConsistencyError("containment check passed but solve failed")
+            raise ParentMismatchError("denominator is not contained in the numerator")
         rel.append(coeffs)
     s, _, v, v_inv = _smith(rel)
     diags = [s[j][j] for j in range(k)]

@@ -1,34 +1,73 @@
-"""Hodge diamond of the quotient 3-fold via character convolution.
+"""Hodge diamond of the quotient 3-fold by Chevalley-Weil class counting.
 
 Each curve factor contributes a table of character eigenspace dimensions
-(supported on the annihilator of its kernel); the Hodge numbers of the
-quotient are multiplicities of the trivial character in the Kunneth
-products, computed as exact integer convolutions over the dual group.
+``D_i``, supported on the annihilator of its kernel; the Hodge numbers of
+the quotient are multiplicities of the trivial character in the Kunneth
+products.  The tables are built packed (``groups.PackedCharacters``) by
+one integer walk per factor over ``Ann(K_i)`` (``_factor_walk``,
+Chevalley-Weil without ``Fraction``), which also gives the pre-admissible
+sets that ``aut0`` and the CLI report read.
 
-The convolution runs on packed characters (``groups.PackedCharacters``):
-each character is one integer with a guarded bit field per coordinate, so
-adding and negating characters is a few integer operations and a table
-lookup is a hash of a small integer.  The tables are built packed by one
-integer walk per factor over the annihilator of its kernel
-(``_factor_walk``, Chevalley-Weil without ``Fraction``), which also gives
-the pre-admissible sets that ``aut0`` and the CLI report read.  One
-routine, ``_kunneth_pieces``, lists the Kunneth pieces of ``H^{3,0}``,
-``H^{2,1}``, ``H^{2,0}`` and ``H^{1,1}`` as (packed character triple,
-dimension), with the constant terms at the trivial triple;
-``hodge_diamond`` sums them and ``isotypic_decomposition`` groups them by
-triple, so both read the same pieces.
+Chevalley-Weil gives ``D_i = F_i + [chi = 0]`` with
+``F_i(chi) = (g' - 1) + sum_j k_j / m_j``, where ``k_j / m_j`` is the value
+of ``chi`` on the lift of the j-th branch point.  So ``F_i`` is constant on
+the classes of ``Ann(K_i)`` modulo ``A_i = Ann(T_i)``,
+``T_i = K_i + <branch lifts>``: two characters share a class exactly when
+they take the same values on the lifts, and the walk reads one
+representative and one integer ``f`` per class off those values
+(``_FactorClasses``).  For classes ``x_i + A_i`` the triples
+``c_1 + c_2 + c_3 = 0`` number the fibre size
+``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|`` when ``x_1 + x_2 + x_3`` lies in
+``A_1 + A_2 + A_3``, and none otherwise; the pairs ``c_i + c_j = 0`` number
+``|A_i meet A_j| = |A_i| |A_j| / |A_i + A_j|`` when ``x_i + x_j`` lies in
+``A_i + A_j``.  Hence, with ``h^{1,0} = sum g'_i``:
+
+- ``h^{3,0}``: the sum of ``F_1 F_2 F_3`` over ``c_1 + c_2 + c_3 = 0``, the
+  three sums of ``F_i(c) F_j(-c)``, and ``sum F_i(0) + 1`` from the
+  trivial character;
+- ``h^{2,1}``: ``2 h^{1,0}`` plus three such 3-fold counts, each with one
+  slot conjugated (its representatives negated);
+- ``h^{2,0}`` and ``h^{1,1}``: pair counts of ``F_i(c) F_j(-c)`` and of
+  ``F_i(c) F_j(c)``, with the same trivial-character terms.
+
+``_class_counts`` builds each of the four sum subgroups once and compares
+classes by their canonical coset representative against its Hermite basis,
+so the cost depends on the number of classes (the order of the subgroup of
+``G / K_i`` that the branch points generate), not on ``|G|``.
+
+``isotypic_decomposition`` lists the pieces themselves, whose number is of
+order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
+totals are checked against ``hodge_diamond``, an independent count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterator, Sequence
 
 from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
-from .groups import Character, PackedCharacters, direct_product
+from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key,
+                     _hermite_dual, direct_product, row_hermite)
+
+
+@dataclass(frozen=True)
+class _FactorClasses:
+    """One factor's characters up to the branch points: ``A = Ann(T)`` for
+    ``T = K_i + <lifts of the branch points>``, given by its order and by
+    generator rows (the Hermite dual of ``T``, which span the whole lattice
+    of ``A``, relations included); one character per class of
+    ``Ann(K_i) / A`` (exponent tuples; the first is the class of zero); and
+    the integer ``f = (g' - 1) + sum_j k_j / m_j`` shared by its members.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    order: int
+    reps: tuple[tuple[int, ...], ...]
+    dims: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -38,12 +77,14 @@ class EigenDimTable:
     Only characters vanishing on ``K_i`` can appear; the table stores the
     full annihilator support including zero entries, keyed by packed
     characters (``_packed``; ``tables`` is the view keyed by ``Character``),
-    and each factor's sorted packed pre-admissible set (``_pre``).
+    each factor's sorted packed pre-admissible set (``_pre``) and its
+    Chevalley-Weil classes (``_classes``).
     """
 
     datum: AlgebraicDatum
     _packed: tuple[dict[int, int], ...]
     _pre: tuple[list[int], ...]
+    _classes: tuple[_FactorClasses, ...]
 
     @cached_property
     def tables(self) -> tuple[dict[Character, int], ...]:
@@ -57,54 +98,80 @@ class EigenDimTable:
         return iter(self.tables[i])
 
 
+def _branch_lifts(datum: AlgebraicDatum, i: int) -> list[GroupElement]:
+    q = datum.quotients[i]
+    return [q.lift(sigma) for sigma in datum.vectors[i].branch]
+
+
 def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
-                 ) -> tuple[dict[int, int], list[int]]:
+                 lifts: Sequence[GroupElement] | None = None,
+                 ) -> dict[int, tuple[int, ...]]:
     """One integer pass over the annihilator of ``K_i``: for each character
-    (packed, in annihilator order) the sum of its values ``v_j`` on the
+    (packed, in annihilator order) its values ``(v_1, ..., v_r)`` on the
     branch lifts, each a dot product scaled to ``e = exponent(G)`` and
-    reduced mod ``e``, so that ``v_j / e = k_j / m_j``; and the sorted
-    pre-admissible characters, those with some ``v_j != 0``.
+    reduced mod ``e``, so that ``v_j / e = k_j / m_j``.  The pre-admissible
+    characters are those with some ``v_j != 0`` (``_pre_admissible``).
     """
     den = datum.group.exponent
     scales = [den // n for n in datum.group.orders]
-    q = datum.quotients[i]
-    lifts = [tuple(e * s % den for e, s in zip(q.lift(sigma).exponents, scales))
-             for sigma in datum.vectors[i].branch]
-    sums = {}
-    for chi in datum.kernels[i].annihilator()._element_tuples():
-        sums[codec.pack(chi)] = sum(sum(a * v for a, v in zip(chi, lift)) % den
-                                    for lift in lifts)
-    return sums, sorted(x for x, s in sums.items() if s)
+    if lifts is None:
+        lifts = _branch_lifts(datum, i)
+    scaled = [tuple(e * s % den for e, s in zip(lift.exponents, scales)) for lift in lifts]
+    return {codec.pack(chi): tuple(sum(a * v for a, v in zip(chi, lift)) % den
+                                   for lift in scaled)
+            for chi in datum.kernels[i].annihilator()._element_tuples()}
+
+
+def _pre_admissible(values: dict[int, tuple[int, ...]]) -> list[int]:
+    """The sorted packed characters of a ``_factor_walk`` with a nonzero value."""
+    return sorted(x for x, v in values.items() if any(v))
 
 
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
     """Pull the eigenspace dimensions of each cover back to characters of G.
 
-    Chevalley-Weil in integers, with the sums of ``_factor_walk``:
+    Chevalley-Weil in integers, with the values of ``_factor_walk``:
     ``e dim W_i^chi = (g' - 1) e + sum_j v_j + [chi = 0] e`` must divide to
-    a nonnegative integer, and the dimensions must sum to the genus.
+    a nonnegative integer, and the dimensions must sum to the genus.  The
+    characters with equal values form the classes of ``Ann(K_i)`` modulo
+    ``Ann(T_i)``; their number times ``|Ann(T_i)|`` must be ``|Ann(K_i)|``.
     """
-    codec = PackedCharacters(datum.group)
-    den = datum.group.exponent
-    tables, pre = [], []
+    group = datum.group
+    codec = PackedCharacters(group)
+    den = group.exponent
+    tables, pre, classes = [], [], []
     for i, vector in enumerate(datum.vectors):
-        sums, pre_i = _factor_walk(datum, i, codec)
-        table = {}
-        for x, s in sums.items():
-            total = (vector.g_prime - 1) * den + s + (0 if x else den)
+        lifts = _branch_lifts(datum, i)
+        values = _factor_walk(datum, i, codec, lifts)
+        table, firsts = {}, {}
+        for x, vals in values.items():
+            total = (vector.g_prime - 1) * den + sum(vals) + (0 if x else den)
             if total % den or total < 0:
                 raise ConsistencyError(
                     f"factor {i + 1}: eigenspace dimension {total}/{den} for character "
                     f"{codec.character(x)} is not a nonnegative integer")
             table[x] = total // den
+            firsts.setdefault(vals, x)
         g = genus(vector)
         if sum(table.values()) != g:
             raise ConsistencyError(
                 f"factor {i + 1}: eigenspace dimensions sum to {sum(table.values())}, "
                 f"genus is {g}")
+        # |Ann(T)| = |G| / |T| is the product of the pivots of T's basis.
+        t_basis = row_hermite([*datum.kernels[i].basis, *(lift.exponents for lift in lifts)],
+                              group.rank)
+        order = prod(row[j] for j, row in enumerate(t_basis))
+        if len(firsts) * order != len(table):
+            raise ConsistencyError(
+                f"factor {i + 1}: {len(firsts)} Chevalley-Weil classes of "
+                f"|Ann(T)| = {order} do not cover |Ann(K)| = {len(table)}")
         tables.append(table)
-        pre.append(pre_i)
-    return EigenDimTable(datum, tuple(tables), tuple(pre))
+        pre.append(_pre_admissible(values))
+        classes.append(_FactorClasses(
+            tuple(_hermite_dual(t_basis, group.orders)), order,
+            tuple(codec.unpack(x) for x in firsts.values()),
+            tuple(table[x] - (0 if x else 1) for x in firsts.values())))
+    return EigenDimTable(datum, tuple(tables), tuple(pre), tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -186,9 +253,65 @@ def _kunneth_pieces(codec: PackedCharacters, tables: Sequence[dict[int, int]], p
     return pieces
 
 
+def _class_counts(group: AbelianGroup, classes: Sequence[_FactorClasses],
+                  ) -> tuple[int, int, int, int]:
+    """The sums of ``F_1 F_2 F_3`` and ``F_i F_j`` that the Hodge numbers
+    need, by class: ``(t30, t21, same, opp)``.
+
+    ``t30`` sums ``F_1(x_1) F_2(x_2) F_3(x_3)`` over ``x_1 + x_2 + x_3 = 0``
+    and ``t21`` the three such sums with one slot conjugated; ``same`` sums
+    ``F_i(x) F_j(-x)`` and ``opp`` sums ``F_i(x) F_j(x)`` over the three
+    pairs.  Classes are bucketed by their canonical coset representative
+    against the Hermite basis of each sum subgroup, so the condition
+    ``x_1 + x_2 + x_3 in A_1 + A_2 + A_3`` is an equality of keys.
+    """
+    def summed(*idx: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+        # The Hermite basis of A_i + A_j (+ A_l) and the order of the sum.
+        basis = row_hermite([row for i in idx for row in classes[i].rows], group.rank)
+        return basis, group.order // prod(row[j] for j, row in enumerate(basis))
+
+    def buckets(i: int, basis: tuple, sign: int) -> dict[tuple[int, ...], int]:
+        out: dict[tuple[int, ...], int] = {}
+        for rep, f in zip(classes[i].reps, classes[i].dims):
+            if f:
+                key = _coset_key(basis, [sign * e for e in rep])
+                out[key] = out.get(key, 0) + f
+        return out
+
+    basis, order = summed(0, 1, 2)
+    fibre = prod(c.order for c in classes) // order
+    (p1, n1), (p2, n2), (p3, n3) = ((buckets(i, basis, 1), buckets(i, basis, -1))
+                                    for i in range(3))
+
+    def matched(left: dict, right: dict) -> int:
+        return sum(w * right.get(k, 0) for k, w in left.items())
+
+    def threefold(one: dict, two: dict, three: dict) -> int:
+        # x_1 + x_2 + x_3 lies in the sum exactly when the key of x_1 + x_2
+        # is the key of -x_3; each such class triple has ``fibre`` solutions.
+        acc = 0
+        for k1, w1 in one.items():
+            for k2, w2 in two.items():
+                acc += w1 * w2 * three.get(_coset_key(basis, [x + y for x, y in zip(k1, k2)]), 0)
+        return acc * fibre
+
+    t30 = threefold(p1, p2, n3)
+    t21 = threefold(n1, p2, n3) + threefold(p1, n2, n3) + threefold(p1, p2, p3)
+    same = opp = 0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        # x_i + x_j (x_i - x_j) lies in A_i + A_j exactly when the key of
+        # x_i is the key of -x_j (x_j); each class pair has |A_i meet A_j|.
+        pair, order = summed(i, j)
+        meet = classes[i].order * classes[j].order // order
+        left = buckets(i, pair, 1)
+        same += meet * matched(left, buckets(j, pair, -1))
+        opp += meet * matched(left, buckets(j, pair, 1))
+    return t30, t21, same, opp
+
+
 def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
                   report: DatumReport | None = None) -> HodgeDiamond:
-    """Hodge diamond by exact convolution of the eigenspace tables.
+    """Hodge diamond by Chevalley-Weil class counting (see the module notes).
 
     For free data the holomorphic Euler characteristic and the topological
     Euler number are cross-checked against the product formulas.  A caller
@@ -196,10 +319,14 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
     """
     if table is None:
         table = eigendim_table(datum)
-    codec, tables = PackedCharacters(datum.group), table._packed
-    h10 = sum(t.get(0, 0) for t in tables)
-    h30, h21, h20, h11 = (sum(dim for _, dim in _kunneth_pieces(codec, tables, p, q))
-                          for p, q in ((3, 0), (2, 1), (2, 0), (1, 1)))
+    # D_i = F_i + [chi = 0] with F_i(0) = g'_i - 1: the trivial character
+    # adds the pair sums to the triple sums and constants to both.
+    h10 = sum(t.get(0, 0) for t in table._packed)
+    t30, t21, same, opp = _class_counts(datum.group, table._classes)
+    h30 = t30 + same + h10 - 2
+    h21 = 2 * h10 + t21 + same + 2 * opp + 3 * (h10 - 2)
+    h20 = same + 2 * h10 - 3
+    h11 = 2 * opp + 4 * h10 - 3
 
     diamond = _assemble_diamond(h10, h20, h30, h11, h21)
 

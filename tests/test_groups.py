@@ -13,6 +13,7 @@ from conftest import (abelian_groups, group_elements, groups_with_subgroup, rand
 from isoprod.errors import ConsistencyError, ParentMismatchError
 from isoprod.groups import (
     AbelianGroup,
+    Character,
     InvariantFactors,
     PackedCharacters,
     RationalAngle,
@@ -403,6 +404,20 @@ class TestPackedCharacters:
         total = codec.pack((chi + psi).exponents)
         assert codec.convolve({x: 2}, {y: 3}, {total: 5}) == [(x, y, total, 30)]
 
+    def test_character_equals_the_reducing_constructor(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            group = random_group(rng)
+            codec = PackedCharacters(group)
+            for _ in range(10):
+                exps = tuple(rng.randrange(n) for n in group.orders)
+                chi = codec.character(codec.pack(exps))
+                want = Character(group, exps)
+                assert type(chi) is Character
+                assert chi == want and hash(chi) == hash(want)
+                assert chi.group is group and chi.exponents == want.exponents
+                assert -chi == -want and chi + want == want + want
+
     def test_convolution_matches_character_sums(self):
         from conftest import random_group
 
@@ -550,8 +565,19 @@ class TestQuotients:
         g = AbelianGroup([4, 4])
         a = g.subgroup([g.element((2, 0))])
         b = g.subgroup([g.element((0, 2))])
-        with pytest.raises(ParentMismatchError):
+        with pytest.raises(ParentMismatchError, match="denominator is not contained"):
             subgroup_quotient(a, b)
+
+    def test_subgroup_quotient_refuses_exactly_the_non_contained(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            group = random_group(rng, max_order=64)
+            a, b = random_subgroup(rng, group), random_subgroup(rng, group)
+            if b.is_subgroup_of(a):
+                assert subgroup_quotient(a, b).group.order * b.order == a.order
+            else:
+                with pytest.raises(ParentMismatchError, match="denominator is not contained"):
+                    subgroup_quotient(a, b)
 
 
 class TestInvariantFactors:

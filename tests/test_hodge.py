@@ -1,16 +1,21 @@
-"""Hodge diamonds: frozen example values, symmetries, and isotypic pieces."""
+"""Hodge diamonds: frozen example values, symmetries, class counting
+against the convolution, and isotypic pieces."""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
 from isoprod import hodge as hodge_module
+from isoprod import docio
 from isoprod.aut0 import _k_delta, pre_admissible
+from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
 from isoprod.errors import ConsistencyError
-from isoprod.examples import example1, example2a, example2b, example3, example4
-from isoprod.groups import AbelianGroup, PackedCharacters
+from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
+from isoprod.groups import AbelianGroup, PackedCharacters, Subgroup
 from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_decomposition
 from isoprod.search import SearchSpec, _candidates
 
@@ -24,14 +29,56 @@ def _non_elliptic_data():
             for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders))]
 
 
+def _valid_data(spec: SearchSpec) -> list[AlgebraicDatum]:
+    data = (triple.datum(branches)
+            for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)))
+    return [d for d in data if validate_datum(d).ok]
+
+
+BASIS_KERNELS = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+# The frozen survey spaces of test_search and test_acceptance: r <= 4 holds
+# the r <= 3 one, and the two Z2 x Z4 kernel triples hold the single one.
+FROZEN_SPACES = {
+    "z2^3_basis_r4": SearchSpec(group_orders=(2, 2, 2), kernels=(BASIS_KERNELS,),
+                                max_branch=4),
+    "z2xz4_mixed_r3": SearchSpec(group_orders=(2, 4),
+                                 kernels=((((), ((1, 0),), ((0, 2),))),
+                                          (((), ((0, 2),), ((1, 2),)))),
+                                 max_branch=3),
+    "z2^2_cyclic_g113": SearchSpec.from_document(
+        {"group": [2, 2], "kernels": "cyclic", "max_branch": 3, "g_primes": [1, 1, 3]}),
+}
+# The report ladder of the benchmark, as ``isoprod example`` parameters.
+EXAMPLE_LADDER = (
+    ("example1", {"n": 1}), ("example1", {"n": 2}), ("example1", {"n": 4}),
+    ("example1", {"n": 8}), ("example2a", {"n": 4}),
+    ("example2b", {"n1": 4, "n2": 2, "n3": 2}), ("example3", {"n": 4}), ("example4", {}),
+)
+# Z7 covers of P^1 with branch types (1,2,4), (1,1,5), (1,3,3): not free;
+# the eigentables differ from factor to factor and from their negations.
+Z7_DOCUMENT = {"group": [7], "kernels": [[], [], []],
+               "vectors": [{"g_prime": 0, "branch": [[1], [2], [4]], "eta": []},
+                           {"g_prime": 0, "branch": [[1], [1], [5]], "eta": []},
+                           {"g_prime": 0, "branch": [[1], [3], [3]], "eta": []}]}
+SUMMANDS = ((3, 0), (2, 1), (2, 0), (1, 1))
+
+
+def _z7_orders() -> list[AlgebraicDatum]:
+    return [docio.parse_datum_document({
+        "group": Z7_DOCUMENT["group"],
+        "kernels": [Z7_DOCUMENT["kernels"][i] for i in order],
+        "vectors": [Z7_DOCUMENT["vectors"][i] for i in order]})
+        for order in itertools.permutations(range(3))]
+
+
 def _with_first_vector(d: AlgebraicDatum, spec: VectorSpec) -> AlgebraicDatum:
     return AlgebraicDatum.build(d.group, [k.generators for k in d.kernels],
                                 [spec, *d.raw_vectors[1:]])
 
 
 class TestFrozenDiamonds:
-    # (h10, h20, h30, h11, h21) per example, from the eigenspace convolution
-    # and independently confirmed by the brute-force oracle in test_oracle.
+    # (h10, h20, h30, h11, h21) per example, from the eigenspace tables and
+    # independently confirmed by the brute-force oracle in test_oracle.
     CASES = [
         (example1, (3, 3, 2, 9, 12)),
         (example2a, (3, 4, 3, 11, 15)),
@@ -160,6 +207,102 @@ class TestEigendimTables:
             assert table.dimension(i, d.group.trivial_character) == 1
 
 
+class TestClassCounting:
+    """``hodge_diamond`` counts over Chevalley-Weil classes; the Kunneth
+    convolution of the full tables is the independent reference."""
+
+    @staticmethod
+    def check(d: AlgebraicDatum) -> None:
+        table = eigendim_table(d)
+        hd = hodge_diamond(d, table)
+        codec = PackedCharacters(d.group)
+        convolved = [sum(dim for _, dim in hodge_module._kunneth_pieces(codec, table._packed, *pq))
+                     for pq in SUMMANDS]
+        assert [hd[pq] for pq in SUMMANDS] == convolved
+        assert hd[1, 0] == sum(v.g_prime for v in d.vectors)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_SPACES))
+    def test_frozen_survey_spaces(self, name):
+        data = _valid_data(FROZEN_SPACES[name])
+        assert data
+        for d in data:
+            self.check(d)
+
+    @pytest.mark.parametrize("name,params", EXAMPLE_LADDER)
+    def test_example_ladder(self, name, params):
+        self.check(build_example(name, params))
+
+    def test_non_elliptic_space(self):
+        # g' = (2,1,1): the class of the trivial character of the first
+        # factor has f = g' - 1 = 1, so the pair terms carry it.
+        data = [d for d in _non_elliptic_data() if validate_datum(d).ok]
+        assert len(data) == 208
+        assert all(eigendim_table(d)._classes[0].dims[0] == 1 for d in data)
+        for d in data:
+            self.check(d)
+
+    def test_tables_that_are_not_negation_invariant(self):
+        # Every order of the Z7 factors: each slot's sign is pinned.
+        data = _z7_orders()
+        assert not any(self.negation_invariant(d) for d in data)
+        for d in data:
+            self.check(d)
+
+    @staticmethod
+    def negation_invariant(d: AlgebraicDatum) -> bool:
+        codec = PackedCharacters(d.group)
+        return all(t == {codec.neg(x): dim for x, dim in t.items()}
+                   for t in eigendim_table(d)._packed)
+
+    @pytest.mark.parametrize("factory", [example1, example2b, example4,
+                                         lambda: example3(2), lambda: _z7_orders()[1]])
+    def test_classes_are_the_cosets_of_the_branch_annihilator(self, factory):
+        d = factory()
+        table = eigendim_table(d)
+        codec = PackedCharacters(d.group)
+        for i, classes in enumerate(table._classes):
+            lifts = [d.quotients[i].lift(sigma) for sigma in d.vectors[i].branch]
+            a = d.group.subgroup(d.kernels[i].generators + tuple(lifts)).annihilator()
+            assert Subgroup(d.group, [d.group.element(r) for r in classes.rows]) == a
+            assert classes.order == a.order
+            assert len(classes.reps) * a.order == d.kernels[i].annihilator().order
+            assert not any(classes.reps[0])
+            # Each character's class is its representative's coset of A_i,
+            # and its dimension is the class's f plus [chi = 0].
+            for x, dim in table._packed[i].items():
+                chi = d.group.element(codec.unpack(x))
+                hits = [c for c, rep in enumerate(classes.reps)
+                        if a.contains(chi - d.group.element(rep))]
+                assert len(hits) == 1
+                assert dim == classes.dims[hits[0]] + (0 if x else 1)
+
+    def test_class_count_check_fires(self, monkeypatch):
+        # A T_i basis that loses the branch lifts makes A_i all of Ann(K_i),
+        # which the classes of the walk no longer cover.
+        real = hodge_module.row_hermite
+        monkeypatch.setattr(hodge_module, "row_hermite",
+                            lambda rows, width: real(list(rows)[:width], width))
+        with pytest.raises(ConsistencyError, match="Chevalley-Weil classes"):
+            eigendim_table(example1())
+
+    def test_no_convolution_in_the_diamond(self, monkeypatch):
+        d = example1(2, 2, 2)
+        table = eigendim_table(d)
+        calls = []
+        real = PackedCharacters.convolve
+
+        def spy(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(PackedCharacters, "convolve", spy)
+        hodge_diamond(d, table)
+        assert calls == []
+        # A report convolves once: the admissible enumeration.
+        build_report(d, ("invariants", "hodge", "aut0", "kernels"))
+        assert len(calls) == 1
+
+
 class TestIsotypic:
     @pytest.mark.parametrize("pq", [(3, 0), (2, 1), (2, 0), (1, 1)])
     @pytest.mark.parametrize("factory", [example1, example2a, example4])
@@ -209,7 +352,7 @@ class TestIsotypic:
 
 class TestNonFree:
     def test_example3_diamond_is_consistent(self):
-        # The action is not free; the convolution still computes the
+        # The action is not free; the class count still computes the
         # invariant forms and stays symmetric.
         hd = hodge_diamond(example3(1))
         hd.check_symmetries()

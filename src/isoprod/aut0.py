@@ -9,13 +9,20 @@ invariant factors and explicit generator cosets.
 
 The admissible characters are enumerated on packed characters (see
 ``groups.PackedCharacters``) from the packed pre-admissible set of each
-factor, which is read off the integer walk over ``Ann(K_i)`` that also
-gives the Chevalley-Weil dimensions (``hodge._factor_walk``); the first
-kind is one packed convolution of the three sets, the only one a report
-makes (``hodge_diamond`` counts classes instead).  Each generator coset
-is written with trivial third component and reduced once, top-down,
-against the Hermite basis of the remaining adjustment subgroup; the result
-is the lexicographically least such representative.
+factor, which comes from its Chevalley-Weil classes
+(``hodge._pre_admissible_classes``, also behind the eigenspace table); the
+first kind is one packed convolution of the three sets, the only one a
+report makes (``hodge_diamond`` counts classes instead).
+
+Every admissible character lies in the sum-zero plane
+``c_1 + c_2 + c_3 = 0``, so it is fixed by ``(c_1, c_2)`` and vanishes on
+``Delta_G``.  ``_annihilated_kernel`` therefore Hermite-reduces the rows
+``(c_1, c_2)`` at width ``2r`` rather than ``3r``, and the kernel is the
+Hermite dual of that span in ``G^2``, placed in the first two slots, plus
+``Delta_G``.  Each generator coset is written with trivial third component
+and reduced once, top-down, against the Hermite basis of the remaining
+adjustment subgroup; the result is the lexicographically least such
+representative.
 
 ``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
 and forms the ``(3,0)`` kernel from that list through
@@ -34,7 +41,8 @@ branch triples; a report's kernels and oracle sections read the admissible
 characters and the ``(3,0)`` kernel there (``_solved``).  The enumeration,
 the status and the theorem bounds still run on every ``aut0`` call.
 ``verify_generator`` enumerates again from scratch on purpose: it is the
-survey's independent re-check.
+survey's independent re-check, so it takes its pre-admissible sets from
+the walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes.
 """
 
 from __future__ import annotations
@@ -54,14 +62,16 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
+    _hermite_dual,
     diagonal_subgroup,
     direct_product,
     product_element,
     product_subgroup,
+    row_hermite,
     split_element,
     subgroup_quotient,
 )
-from .hodge import _factor_walk, _pre_admissible
+from .hodge import _factor_walk, _pre_admissible, _pre_admissible_classes
 
 class AdmissibleKind(enum.Enum):
     FIRST = "first"
@@ -141,7 +151,8 @@ def pre_admissible(datum: AlgebraicDatum, i: int, chi: Character) -> bool:
 
 def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) -> list[int]:
     """The pre-admissible characters of the i-th factor, packed and sorted,
-    from the integer walk over ``Ann(K_i)`` (``hodge._factor_walk``)."""
+    from the integer walk over ``Ann(K_i)`` (``hodge._factor_walk``), which
+    shares no code with the classes of ``hodge._class_lattice``."""
     return _pre_admissible(_factor_walk(datum, i, codec))
 
 
@@ -149,14 +160,16 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
                           ) -> tuple[list[AdmissibleCharacter], list[AdmissibleCharacter]]:
     """Complete enumeration of the admissible characters of both kinds.
 
-    Both kinds are found on packed characters; character objects are built
-    for the hits only.  ``pre`` holds the three packed pre-admissible sets
-    (``_pre_admissible_set``) when the caller has them already.
+    Both kinds are found on packed characters; one character object is
+    built per distinct component of the hits.  ``pre`` holds the three
+    packed pre-admissible sets when the caller has them already; otherwise
+    they come from each factor's Chevalley-Weil classes
+    (``hodge._pre_admissible_classes``).
     """
     codec = PackedCharacters(datum.group)
     neg = codec.neg
     if pre is None:
-        pre = [_pre_admissible_set(datum, i, codec) for i in range(3)]
+        pre = [_pre_admissible_classes(datum, i, codec) for i in range(3)]
     pre = [dict.fromkeys(p, 1) for p in pre]
     # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
     terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
@@ -169,9 +182,17 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
                 comps[i], comps[j] = chi, neg(chi)
                 second_keys.append(tuple(comps))
 
+    characters: dict[int, Character] = {}
+
+    def character(x: int) -> Character:
+        chi = characters.get(x)
+        if chi is None:
+            chi = characters[x] = codec.character(x)
+        return chi
+
     def build(kind: AdmissibleKind, keys: list) -> list[AdmissibleCharacter]:
-        return [AdmissibleCharacter(kind, tuple(codec.character(c) for c in key))
-                for key in keys]
+        return [AdmissibleCharacter(kind, (character(c1), character(c2), character(c3)))
+                for c1, c2, c3 in keys]
 
     return (build(AdmissibleKind.FIRST, first_keys),
             build(AdmissibleKind.SECOND, sorted(second_keys)))
@@ -209,9 +230,24 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
 def _annihilated_kernel(cube: AbelianGroup, characters: list[AdmissibleCharacter],
                         k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
     """The subgroup of ``G^3`` on which every given character vanishes,
-    checked to contain ``K Delta_G``."""
-    dual_gens = [cube.element(psi._cube_exponents()) for psi in characters]
-    kernel = cube.subgroup(dual_gens).annihilator()
+    checked to contain ``K Delta_G``.
+
+    Every admissible character has ``c_1 + c_2 + c_3 = 0``, so it maps
+    ``(g_1, g_2, g_3)`` to ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)``: the kernel
+    is ``(Ann_{G^2}(S) x 0) + Delta_G`` for the span ``S`` of the rows
+    ``(c_1, c_2)``.  Those rows are Hermite-reduced at width ``2r``, and the
+    Hermite dual of the result, with the ``r`` diagonal rows, generates the
+    kernel.
+    """
+    r = cube.rank // 3
+    plane = cube.orders[: 2 * r]
+    rows = [psi.components[0].exponents + psi.components[1].exponents for psi in characters]
+    relations = [[n if c == j else 0 for c in range(2 * r)] for j, n in enumerate(plane)]
+    span = row_hermite(rows + relations, 2 * r)
+    diagonal = [tuple(int(c == j) for c in range(r)) * 3 for j in range(r)]
+    kernel = Subgroup(cube, tuple(
+        GroupElement(cube, row) for row in
+        [dual + (0,) * r for dual in _hermite_dual(span, plane)] + diagonal))
     if not k_delta.is_subgroup_of(kernel):
         p, q = pq
         raise ConsistencyError(
@@ -226,7 +262,9 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
     cube = direct_product([datum.group] * 3)
     if rep.group != cube:
         rep = cube.element(rep.exponents)
-    first, second = admissible_characters(datum)
+    codec = PackedCharacters(datum.group)
+    first, second = admissible_characters(
+        datum, [_pre_admissible_set(datum, i, codec) for i in range(3)])
     return all(psi.on_cube(cube).pairing(rep).is_zero for psi in first + second)
 
 
@@ -354,12 +392,14 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         status = Aut0Status.KERNEL_ONLY
 
     factors = quotient.invariant_factors
-    if status is Aut0Status.PROVEN:
+    # The theorem speaks of valid data only: an invalid datum keeps its
+    # status, and its quotient goes unchecked.
+    if report.ok and status is Aut0Status.PROVEN:
         if factors.order > 4 or any(d != 2 for d in factors):
             raise TheoremViolationError(
                 f"datum satisfies the cyclic-kernel hypotheses but the quotient is "
                 f"{factors}; expected a 2-elementary group of order <= 4")
-    if status is Aut0Status.KERNEL_ONLY and factors.order > 4:
+    if report.ok and status is Aut0Status.KERNEL_ONLY and factors.order > 4:
         raise TheoremViolationError(
             f"free datum with irregularity 3 has kernel quotient of order "
             f"{factors.order} > 4")

@@ -17,7 +17,7 @@ from typing import NoReturn
 import click
 
 from . import docio
-from .aut0 import _annihilated_kernel, _kernel_pieces, _pre_admissible_set, _solved
+from .aut0 import _annihilated_kernel, _kernel_pieces, _solved
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, build_example
 from .groups import PackedCharacters, Subgroup, subgroup_quotient
-from .hodge import eigendim_table, hodge_diamond
+from .hodge import _pre_admissible_classes, eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient
 from .search import SearchSpec, survey
 
@@ -90,12 +90,13 @@ class _Analysis:
 
     @cached_property
     def pre(self) -> list[list[int]]:
-        # Without a table the sets are walked alone: the table's checks fail
-        # on some invalid data that the aut0 and kernels sections report.
+        # Without a table the sets come from the classes alone: the table's
+        # checks fail on some invalid data that the aut0 and kernels
+        # sections report.
         if self.with_table:
             return list(self.table._pre)
         codec = PackedCharacters(self.datum.group)
-        return [_pre_admissible_set(self.datum, i, codec) for i in range(3)]
+        return [_pre_admissible_classes(self.datum, i, codec) for i in range(3)]
 
     @cached_property
     def pieces(self):

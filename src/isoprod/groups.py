@@ -12,16 +12,18 @@ the annihilator.  The Smith normal form is used for quotients ``A / B``,
 whose elimination carries ``V^{-1}`` alongside ``V``, and for the integer
 kernels behind intersections.  No rational arithmetic is involved.
 
-All values are immutable after construction.  The one lazily cached value
-is a subgroup's annihilator, stored on the instance by its first call;
-instances stay safe to share between threads, because the value is a pure
-function of the instance and a racing first call writes an equal value.
+All values are immutable after construction.  The lazily cached values
+are a subgroup's annihilator and exponent, stored on the instance by their
+first read; instances stay safe to share between threads, because each
+value is a pure function of the instance and a racing first read writes an
+equal value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -220,6 +222,26 @@ def _coset_key(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int,
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return tuple(v)
+
+
+def _hermite_box(basis: Sequence[Sequence[int]], orders: Sequence[int],
+                 counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The points ``sum c_j basis[j]`` with ``0 <= c_j < counts[j]``, reduced
+    mod ``orders``, zero first.
+
+    For the upper-triangular Hermite basis of a lattice ``L`` and the pivots
+    ``p_j`` of a sublattice ``M`` containing ``diag(orders)``, the counts
+    ``p_j / basis[j][j]`` give one point per coset of ``M`` in ``L``: two
+    points in one coset differ by ``sum d_j basis[j]`` with
+    ``|d_j| < counts[j]``, and reading the triangular basis column by column
+    forces every ``d_j = 0``.  With ``M = diag(orders)`` the box lists the
+    subgroup of ``L`` once per element.
+    """
+    multiples = [[tuple(c * x for x in row) for c in range(count)]
+                 for row, count in zip(basis, counts) if count > 1]
+    zero = (0,) * len(orders)
+    for terms in itertools.product(*multiples):
+        yield tuple(x % n for x, n in zip(map(sum, zip(zero, *terms)), orders))
 
 
 def _hermite_dual(basis: Sequence[Sequence[int]], orders: Sequence[int]) -> list[tuple[int, ...]]:
@@ -534,6 +556,18 @@ class PackedCharacters:
         g = ((s + self._offset) & self._guard) >> (self.width - 1)
         return s - (((g << self.width) - g) & self._moduli)
 
+    def sums(self, a: Iterable[int], b: Sequence[int]) -> list[int]:
+        """Every sum ``x + y``, for ``x`` in ``a`` and then ``y`` in ``b``."""
+        offset, guard, moduli = self._offset, self._guard, self._moduli
+        width, low = self.width, self.width - 1
+        out = []
+        for x in a:
+            xo = x + offset
+            for y in b:
+                g = ((xo + y) & guard) >> low
+                out.append(x + y - (((g << width) - g) & moduli))
+        return out
+
     def convolve(self, a: dict[int, int], b: dict[int, int], c: dict[int, int],
                  ) -> list[tuple[int, int, int, int]]:
         """Every term ``(x, y, x + y, a[x] * b[y] * c[x + y])`` with a
@@ -607,9 +641,10 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    @property
+    @cached_property
     def exponent(self) -> int:
-        """The lcm of the orders of the basis rows, which generate H."""
+        """The lcm of the orders of the basis rows, which generate H; stored
+        on the instance by the first read."""
         orders = self.ambient.orders
         return lcm(1, *(n // gcd(x, n) for row in self.basis for x, n in zip(row, orders)))
 
@@ -684,21 +719,12 @@ class Subgroup:
 
     def _element_tuples(self) -> Iterator[tuple[int, ...]]:
         """All elements as reduced exponent tuples: the Hermite box
-        ``sum c_j b_j`` with ``0 <= c_j < n_j / b_j[j]``, reduced mod the
-        orders.
-
-        Two box points that agree mod ``n`` differ by ``sum d_j b_j`` with
-        ``|d_j| < n_j / b_j[j]``; reading the triangular basis column by
-        column forces every ``d_j = 0``.  The box has ``|H|`` points, so it
-        lists each element exactly once.
+        ``sum c_j b_j`` with ``0 <= c_j < n_j / b_j[j]`` (``_hermite_box``),
+        which has ``|H|`` points and lists each element exactly once.
         """
         orders = self.ambient.orders
-        multiples = [[tuple(c * x for x in row) for c in range(n // row[j])]
-                     for j, (n, row) in enumerate(zip(orders, self.basis))
-                     if row[j] < n]
-        zero = (0,) * self.ambient.rank
-        for terms in itertools.product(*multiples):
-            yield tuple(x % n for x, n in zip(map(sum, zip(zero, *terms)), orders))
+        return _hermite_box(self.basis, orders,
+                            [n // row[j] for j, (n, row) in enumerate(zip(orders, self.basis))])
 
     def annihilator(self) -> "Subgroup":
         """Characters vanishing on this subgroup, as a subgroup of the dual.

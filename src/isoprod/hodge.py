@@ -3,20 +3,25 @@
 Each curve factor contributes a table of character eigenspace dimensions
 ``D_i``, supported on the annihilator of its kernel; the Hodge numbers of
 the quotient are multiplicities of the trivial character in the Kunneth
-products.  The tables are built packed (``groups.PackedCharacters``) by
-one integer walk per factor over ``Ann(K_i)`` (``_factor_walk``,
-Chevalley-Weil without ``Fraction``), which also gives the pre-admissible
-sets that ``aut0`` and the CLI report read.
+products.
 
 Chevalley-Weil gives ``D_i = F_i + [chi = 0]`` with
 ``F_i(chi) = (g' - 1) + sum_j k_j / m_j``, where ``k_j / m_j`` is the value
 of ``chi`` on the lift of the j-th branch point.  So ``F_i`` is constant on
 the classes of ``Ann(K_i)`` modulo ``A_i = Ann(T_i)``,
 ``T_i = K_i + <branch lifts>``: two characters share a class exactly when
-they take the same values on the lifts, and the walk reads one
-representative and one integer ``f`` per class off those values
-(``_FactorClasses``).  For classes ``x_i + A_i`` the triples
-``c_1 + c_2 + c_3 = 0`` number the fibre size
+they take the same values on the lifts.  ``_class_lattice`` lists one
+representative per class without visiting the other characters: with the
+Hermite bases ``B`` of ``Ann(K_i)`` and ``A`` of ``A_i``, the box
+``sum c_j B_j``, ``0 <= c_j < A[j][j] / B[j][j]``, meets every class once,
+and its first point is zero.  ``eigendim_table`` reads one integer ``f``
+per class off its representative's values (``_FactorClasses``, checked in
+integers, without ``Fraction``); the pre-admissible set that ``aut0``, the
+CLI report and the survey read is ``Ann(K_i)`` minus ``A_i``, the nonzero
+classes translated by the elements of ``A_i`` (``_pre_admissible_classes``).
+
+For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
+fibre size
 ``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|`` when ``x_1 + x_2 + x_3`` lies in
 ``A_1 + A_2 + A_3``, and none otherwise; the pairs ``c_i + c_j = 0`` number
 ``|A_i meet A_j| = |A_i| |A_j| / |A_i + A_j|`` when ``x_i + x_j`` lies in
@@ -38,6 +43,13 @@ so the cost depends on the number of classes (the order of the subgroup of
 ``isotypic_decomposition`` lists the pieces themselves, whose number is of
 order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
 totals are checked against ``hodge_diamond``, an independent count.
+
+The integer walk over all of ``Ann(K_i)`` (``_factor_walk``) remains only
+where a caller needs every character: the table views ``_packed`` and
+``tables``, built with their own per-character checks on first read (by
+``isotypic_decomposition``, the API or the tests), and
+``aut0.verify_generator``'s independent pre-admissible sets.  A report
+makes no walk.
 """
 
 from __future__ import annotations
@@ -51,17 +63,17 @@ from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key,
-                     _hermite_dual, direct_product, row_hermite)
+                     _hermite_box, _hermite_dual, direct_product, row_hermite)
 
 
 @dataclass(frozen=True)
 class _FactorClasses:
     """One factor's characters up to the branch points: ``A = Ann(T)`` for
     ``T = K_i + <lifts of the branch points>``, given by its order and by
-    generator rows (the Hermite dual of ``T``, which span the whole lattice
-    of ``A``, relations included); one character per class of
-    ``Ann(K_i) / A`` (exponent tuples; the first is the class of zero); and
-    the integer ``f = (g' - 1) + sum_j k_j / m_j`` shared by its members.
+    the upper-triangular Hermite basis of its lattice (``rows``); one
+    character per class of ``Ann(K_i) / A`` (exponent tuples from the box of
+    ``_class_lattice``; the first is the class of zero); and the integer
+    ``f = (g' - 1) + sum_j k_j / m_j`` shared by its members.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -74,17 +86,21 @@ class _FactorClasses:
 class EigenDimTable:
     """For each factor, the map ``chi -> dim W_i^chi`` over characters of G.
 
-    Only characters vanishing on ``K_i`` can appear; the table stores the
-    full annihilator support including zero entries, keyed by packed
-    characters (``_packed``; ``tables`` is the view keyed by ``Character``),
-    each factor's sorted packed pre-admissible set (``_pre``) and its
-    Chevalley-Weil classes (``_classes``).
+    The table holds each factor's Chevalley-Weil classes (``_classes``) and
+    its sorted packed pre-admissible set (``_pre``).  The full annihilator
+    support, zero entries included, is a view built by the walk on first
+    read: keyed by packed characters (``_packed``) or by ``Character``
+    (``tables``).
     """
 
     datum: AlgebraicDatum
-    _packed: tuple[dict[int, int], ...]
     _pre: tuple[list[int], ...]
     _classes: tuple[_FactorClasses, ...]
+
+    @cached_property
+    def _packed(self) -> tuple[dict[int, int], ...]:
+        codec = PackedCharacters(self.datum.group)
+        return tuple(_walk_table(self.datum, i, codec) for i in range(3))
 
     @cached_property
     def tables(self) -> tuple[dict[Character, int], ...]:
@@ -98,13 +114,23 @@ class EigenDimTable:
         return iter(self.tables[i])
 
 
-def _branch_lifts(datum: AlgebraicDatum, i: int) -> list[GroupElement]:
-    q = datum.quotients[i]
-    return [q.lift(sigma) for sigma in datum.vectors[i].branch]
+def _branch_lifts(datum: AlgebraicDatum, i: int) -> tuple[GroupElement, ...]:
+    # Any lifts will do: lifts that differ by elements of K_i span the same
+    # T_i and take the same values on Ann(K_i).
+    return datum.raw_vectors[i].branch
+
+
+def _scaled_lifts(datum: AlgebraicDatum, i: int) -> list[tuple[int, ...]]:
+    """The branch lifts with coordinate ``j`` scaled by ``e / n_j``, for
+    ``e = exponent(G)``: a character's value on a lift is then one dot
+    product, mod ``e``, over ``e``."""
+    den = datum.group.exponent
+    scales = [den // n for n in datum.group.orders]
+    return [tuple(e * s % den for e, s in zip(lift.exponents, scales))
+            for lift in _branch_lifts(datum, i)]
 
 
 def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
-                 lifts: Sequence[GroupElement] | None = None,
                  ) -> dict[int, tuple[int, ...]]:
     """One integer pass over the annihilator of ``K_i``: for each character
     (packed, in annihilator order) its values ``(v_1, ..., v_r)`` on the
@@ -113,10 +139,7 @@ def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
     characters are those with some ``v_j != 0`` (``_pre_admissible``).
     """
     den = datum.group.exponent
-    scales = [den // n for n in datum.group.orders]
-    if lifts is None:
-        lifts = _branch_lifts(datum, i)
-    scaled = [tuple(e * s % den for e, s in zip(lift.exponents, scales)) for lift in lifts]
+    scaled = _scaled_lifts(datum, i)
     return {codec.pack(chi): tuple(sum(a * v for a, v in zip(chi, lift)) % den
                                    for lift in scaled)
             for chi in datum.kernels[i].annihilator()._element_tuples()}
@@ -127,51 +150,110 @@ def _pre_admissible(values: dict[int, tuple[int, ...]]) -> list[int]:
     return sorted(x for x, v in values.items() if any(v))
 
 
-def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
-    """Pull the eigenspace dimensions of each cover back to characters of G.
+def _walk_table(datum: AlgebraicDatum, i: int, codec: PackedCharacters) -> dict[int, int]:
+    """The i-th factor's dimension of every character of ``Ann(K_i)``, from
+    ``_factor_walk``: ``e dim W_i^chi = (g' - 1) e + sum_j v_j + [chi = 0] e``
+    must divide to a nonnegative integer, and the dimensions must sum to
+    the genus."""
+    vector = datum.vectors[i]
+    den = datum.group.exponent
+    table = {}
+    for x, vals in _factor_walk(datum, i, codec).items():
+        total = (vector.g_prime - 1) * den + sum(vals) + (0 if x else den)
+        if total % den or total < 0:
+            raise ConsistencyError(
+                f"factor {i + 1}: eigenspace dimension {total}/{den} for character "
+                f"{codec.character(x)} is not a nonnegative integer")
+        table[x] = total // den
+    g = genus(vector)
+    if sum(table.values()) != g:
+        raise ConsistencyError(
+            f"factor {i + 1}: eigenspace dimensions sum to {sum(table.values())}, "
+            f"genus is {g}")
+    return table
 
-    Chevalley-Weil in integers, with the values of ``_factor_walk``:
-    ``e dim W_i^chi = (g' - 1) e + sum_j v_j + [chi = 0] e`` must divide to
-    a nonnegative integer, and the dimensions must sum to the genus.  The
-    characters with equal values form the classes of ``Ann(K_i)`` modulo
-    ``Ann(T_i)``; their number times ``|Ann(T_i)|`` must be ``|Ann(K_i)|``.
+
+def _class_lattice(datum: AlgebraicDatum, i: int,
+                   ) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    """The Hermite basis of ``A_i = Ann(T_i)`` and one character per class
+    of ``Ann(K_i) / A_i``, the class of zero first.
+
+    ``A_i`` is the Hermite dual of ``T_i``'s basis.  Its lattice lies in
+    that of ``Ann(K_i)``, whose stored Hermite basis ``B`` has pivots
+    dividing those of ``A_i``'s, so the box ``sum c_j B_j`` with
+    ``0 <= c_j < A[j][j] / B[j][j]`` holds one point per class
+    (``groups._hermite_box``).  No character outside the box is visited.
+    """
+    group = datum.group
+    t_basis = row_hermite([*datum.kernels[i].basis,
+                           *(lift.exponents for lift in _branch_lifts(datum, i))], group.rank)
+    a_basis = row_hermite(_hermite_dual(t_basis, group.orders), group.rank)
+    b_basis = datum.kernels[i].annihilator().basis
+    reps = list(_hermite_box(b_basis, group.orders,
+                             [a[j] // b[j] for j, (a, b) in enumerate(zip(a_basis, b_basis))]))
+    return a_basis, reps
+
+
+def _pre_from_classes(codec: PackedCharacters, a_basis: Sequence[Sequence[int]],
+                      reps: Sequence[tuple[int, ...]]) -> list[int]:
+    """The sorted packed pre-admissible set: ``Ann(K_i)`` outside ``A_i``,
+    the nonzero classes of ``_class_lattice`` translated by ``A_i``."""
+    orders = codec.group.orders
+    members = [codec.pack(a) for a in _hermite_box(
+        a_basis, orders, [n // row[j] for j, (n, row) in enumerate(zip(orders, a_basis))])]
+    return sorted(codec.sums([codec.pack(rep) for rep in reps[1:]], members))
+
+
+def _pre_admissible_classes(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
+                            ) -> list[int]:
+    """The i-th factor's sorted packed pre-admissible set from its classes,
+    without the checks of ``eigendim_table``."""
+    return _pre_from_classes(codec, *_class_lattice(datum, i))
+
+
+def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
+    """The Chevalley-Weil classes and pre-admissible sets of each factor.
+
+    Chevalley-Weil in integers on one representative per class, with its
+    values ``v_j`` on the branch lifts scaled to ``e = exponent(G)``:
+    ``e f = (g' - 1) e + sum_j v_j`` must divide to an integer, and every
+    dimension (``f``, or ``f + 1`` for the trivial character) must be
+    nonnegative.  Distinct classes must take distinct values, and the
+    dimensions must sum to the genus: ``sum f |A_i| + 1 = g``.
     """
     group = datum.group
     codec = PackedCharacters(group)
     den = group.exponent
-    tables, pre, classes = [], [], []
+    pre, classes = [], []
     for i, vector in enumerate(datum.vectors):
-        lifts = _branch_lifts(datum, i)
-        values = _factor_walk(datum, i, codec, lifts)
-        table, firsts = {}, {}
-        for x, vals in values.items():
-            total = (vector.g_prime - 1) * den + sum(vals) + (0 if x else den)
-            if total % den or total < 0:
+        a_basis, reps = _class_lattice(datum, i)
+        order = group.order // prod(row[j] for j, row in enumerate(a_basis))
+        scaled = _scaled_lifts(datum, i)
+        dims, seen = [], set()
+        for c, rep in enumerate(reps):
+            vals = tuple(sum(a * v for a, v in zip(rep, lift)) % den for lift in scaled)
+            total = (vector.g_prime - 1) * den + sum(vals)
+            # The least dimension in the class: f, or f + 1 when the class
+            # of zero is the trivial character alone.
+            least = total + (den if c == 0 and order == 1 else 0)
+            if total % den or least < 0:
                 raise ConsistencyError(
-                    f"factor {i + 1}: eigenspace dimension {total}/{den} for character "
-                    f"{codec.character(x)} is not a nonnegative integer")
-            table[x] = total // den
-            firsts.setdefault(vals, x)
+                    f"factor {i + 1}: eigenspace dimension {least}/{den} for character "
+                    f"{group.character(rep)} is not a nonnegative integer")
+            dims.append(total // den)
+            seen.add(vals)
+        if len(seen) != len(reps):
+            raise ConsistencyError(
+                f"factor {i + 1}: {len(reps)} Chevalley-Weil classes take "
+                f"{len(seen)} value vectors on the branch lifts")
         g = genus(vector)
-        if sum(table.values()) != g:
+        if sum(dims) * order + 1 != g:
             raise ConsistencyError(
-                f"factor {i + 1}: eigenspace dimensions sum to {sum(table.values())}, "
-                f"genus is {g}")
-        # |Ann(T)| = |G| / |T| is the product of the pivots of T's basis.
-        t_basis = row_hermite([*datum.kernels[i].basis, *(lift.exponents for lift in lifts)],
-                              group.rank)
-        order = prod(row[j] for j, row in enumerate(t_basis))
-        if len(firsts) * order != len(table):
-            raise ConsistencyError(
-                f"factor {i + 1}: {len(firsts)} Chevalley-Weil classes of "
-                f"|Ann(T)| = {order} do not cover |Ann(K)| = {len(table)}")
-        tables.append(table)
-        pre.append(_pre_admissible(values))
-        classes.append(_FactorClasses(
-            tuple(_hermite_dual(t_basis, group.orders)), order,
-            tuple(codec.unpack(x) for x in firsts.values()),
-            tuple(table[x] - (0 if x else 1) for x in firsts.values())))
-    return EigenDimTable(datum, tuple(tables), tuple(pre), tuple(classes))
+                f"factor {i + 1}: {len(reps)} Chevalley-Weil classes of |Ann(T)| = {order} "
+                f"give dimensions summing to {sum(dims) * order + 1}, genus is {g}")
+        pre.append(_pre_from_classes(codec, a_basis, reps))
+        classes.append(_FactorClasses(a_basis, order, tuple(reps), tuple(dims)))
+    return EigenDimTable(datum, tuple(pre), tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -321,7 +403,7 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
         table = eigendim_table(datum)
     # D_i = F_i + [chi = 0] with F_i(0) = g'_i - 1: the trivial character
     # adds the pair sums to the triple sums and constants to both.
-    h10 = sum(t.get(0, 0) for t in table._packed)
+    h10 = sum(c.dims[0] + 1 for c in table._classes)
     t30, t21, same, opp = _class_counts(datum.group, table._classes)
     h30 = t30 + same + h10 - 2
     h21 = 2 * h10 + t21 + same + 2 * opp + 3 * (h10 - 2)

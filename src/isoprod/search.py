@@ -48,13 +48,7 @@ from functools import cached_property
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .aut0 import (
-    Aut0Result,
-    _kernel_pieces,
-    _pre_admissible_set,
-    aut0,
-    verify_generator,
-)
+from .aut0 import Aut0Result, _kernel_pieces, aut0, verify_generator
 from .covering import GeneratingVector, _riemann_hurwitz
 from .datum import (
     AlgebraicDatum,
@@ -66,6 +60,7 @@ from .datum import (
     validate_datum,
 )
 from .errors import SearchCapError, StructuralError, TheoremViolationError
+from .hodge import _pre_admissible_classes
 from .groups import (
     AbelianGroup,
     GroupElement,
@@ -338,7 +333,7 @@ class _KernelTriple:
             self._pieces = _kernel_pieces(datum)
         for i, b in enumerate(branches):
             if b.pre is None:
-                b.pre = _pre_admissible_set(datum, i, self._codec)
+                b.pre = _pre_admissible_classes(datum, i, self._codec)
         return aut0(datum, report, self._pieces, [b.pre for b in branches])
 
 

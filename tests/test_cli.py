@@ -76,6 +76,23 @@ class TestExitCodes:
         assert '"group" entry 1 has order 1' in result.output
         assert "parent-mismatch" not in result.output
 
+    def test_invalid_datum_outside_the_theorem_exits_one(self, tmp_path):
+        # Genera (3, 1, 1): not a valid datum, so its quotient of order 16
+        # is reported, not held against the theorem's bound of 4.
+        doc = {"group": [2, 2], "kernels": [[], [], []],
+               "vectors": [{"g_prime": 1, "branch": [[1, 0], [1, 0]], "eta": [[1, 0], [0, 1]]},
+                           {"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]},
+                           {"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]}]}
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["report", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        assert report["validation"]["ok"] is False
+        assert report["validation"]["genera"] == [3, 1, 1]
+        assert report["aut0"]["status"] == "Proven"
+        assert report["aut0"]["invariant_factors"] == [2, 2, 2, 2]
+
     def test_missing_file_is_a_usage_error(self):
         result = runner.invoke(main, ["report", "no-such-file.json"])
         assert result.exit_code == 2
@@ -181,8 +198,8 @@ def _off_path_datum(case: str) -> AlgebraicDatum:
     """Data whose kernels section cannot take the usual path: ``aut0`` stops
     at ``TrivialByRigidity`` or raises ``UnsupportedDatumError``, so it forms
     no (3,0) kernel; or a vector breaks the product relation, so the
-    eigenspace table would fail its checks and the report walks the
-    pre-admissible sets without it."""
+    eigenspace table would fail its checks and the report reads the
+    pre-admissible sets off the classes without it."""
     if case == "broken_product_relation":
         d = example1()
         raw = d.raw_vectors[0]
@@ -210,6 +227,14 @@ class TestOnePassPerDatum:
         assert calls["validate_datum"] == calls["eigendim_table"] == 1
         assert calls["admissible_characters"] == 1
         assert calls["_annihilated_kernel"] <= 2
+
+    def test_report_makes_no_walk_over_the_annihilators(self, monkeypatch):
+        # The classes and pre-admissible sets come from the Hermite box of
+        # class representatives, not from a walk over every Ann(K_i).
+        calls = Counter()
+        _spy_everywhere(monkeypatch, "isoprod.hodge", "_factor_walk", calls)
+        build_report(example1(8), ("invariants", "hodge", "aut0", "kernels"))
+        assert calls["_factor_walk"] == 0
 
     @pytest.mark.parametrize("case,status", [
         ("trivial_by_rigidity", "TrivialByRigidity"), ("unsupported", "Unsupported"),

@@ -9,13 +9,13 @@ import pytest
 
 from isoprod import hodge as hodge_module
 from isoprod import docio
-from isoprod.aut0 import _k_delta, pre_admissible
+from isoprod.aut0 import _annihilated_kernel, _k_delta, admissible_characters, pre_admissible
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
 from isoprod.errors import ConsistencyError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
-from isoprod.groups import AbelianGroup, PackedCharacters, Subgroup
+from isoprod.groups import AbelianGroup, PackedCharacters, Subgroup, _coset_key, direct_product
 from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_decomposition
 from isoprod.search import SearchSpec, _candidates
 
@@ -301,6 +301,89 @@ class TestClassCounting:
         # A report convolves once: the admissible enumeration.
         build_report(d, ("invariants", "hodge", "aut0", "kernels"))
         assert len(calls) == 1
+
+
+# The oracle cross-check set of the benchmark, as ``isoprod example`` parameters.
+ORACLE_EXAMPLES = (
+    ("example1", {"n": 1}), ("example1", {"n1": 2, "n2": 1, "n3": 1}),
+    ("example2a", {"n1": 2, "n2": 1, "n3": 1}), ("example2a", {"n1": 1, "n2": 1, "n3": 2}),
+    ("example2b", {}), ("example3", {"n": 1}), ("example4", {}),
+)
+CLASS_DATA = ("examples", "non_elliptic", "z7", *sorted(FROZEN_SPACES))
+
+
+def _class_data(name: str) -> list[AlgebraicDatum]:
+    """The ladder and oracle examples, the valid data of the ``g' = (2,1,1)``
+    space, the six orders of the Z7 datum, or a frozen survey space."""
+    if name == "examples":
+        return [build_example(n, p) for n, p in EXAMPLE_LADDER + ORACLE_EXAMPLES]
+    if name == "non_elliptic":
+        return [d for d in _non_elliptic_data() if validate_datum(d).ok]
+    if name == "z7":
+        return _z7_orders()
+    return _valid_data(FROZEN_SPACES[name])
+
+
+class TestClassesWithoutWalk:
+    """``eigendim_table`` reads its classes and pre-admissible sets off a box
+    of class representatives; the walk over ``Ann(K_i)`` is the reference."""
+
+    @pytest.mark.parametrize("name", CLASS_DATA)
+    def test_classes_and_sets_match_the_walk(self, name):
+        data = _class_data(name)
+        assert data
+        for d in data:
+            self.check(d)
+
+    @staticmethod
+    def check(d: AlgebraicDatum) -> None:
+        table = eigendim_table(d)
+        codec = PackedCharacters(d.group)
+        den = d.group.exponent
+        for i, classes in enumerate(table._classes):
+            values = hodge_module._factor_walk(d, i, codec)
+            # Group the walk's characters by their coset of A_i: each coset
+            # has one value vector, and distinct cosets have distinct ones.
+            by_key: dict[tuple[int, ...], set] = {}
+            for x, vals in values.items():
+                by_key.setdefault(_coset_key(classes.rows, codec.unpack(x)), set()).add(vals)
+            assert all(len(v) == 1 for v in by_key.values())
+            assert len({v for vs in by_key.values() for v in vs}) == len(by_key)
+            assert classes.order * len(by_key) == len(values)
+            walk = {key: ((d.vectors[i].g_prime - 1) * den + sum(v)) // den
+                    for key, (v,) in by_key.items()}
+            assert not any(classes.reps[0])
+            assert {_coset_key(classes.rows, rep): f
+                    for rep, f in zip(classes.reps, classes.dims)} == walk
+            pre = hodge_module._pre_admissible(values)
+            assert table._pre[i] == pre
+            assert hodge_module._pre_admissible_classes(d, i, codec) == pre
+
+    @pytest.mark.parametrize("name", CLASS_DATA)
+    def test_kernels_in_the_sum_zero_plane(self, name):
+        for d in _class_data(name):
+            cube = direct_product([d.group] * 3)
+            first, second = admissible_characters(d)
+            for characters, pq in ((first + second, (3, 0)), (second, (2, 0))):
+                reference = cube.subgroup(
+                    [cube.element(psi._cube_exponents()) for psi in characters]).annihilator()
+                assert _annihilated_kernel(cube, characters, _k_delta(d), pq) == reference
+
+    @pytest.mark.parametrize("factory", [lambda: example1(2, 1, 3), example2b, example4])
+    def test_branch_lifts_shifted_by_kernel_elements(self, factory):
+        # Lifts that differ by elements of K_i span the same T_i and take the
+        # same values on Ann(K_i), so the raw lifts serve as well as fresh ones.
+        d = factory()
+        specs = [VectorSpec(v.g_prime, tuple(b + k.generators[-1] for b in v.branch), v.eta)
+                 for v, k in zip(d.raw_vectors, d.kernels)]
+        shifted = AlgebraicDatum.build(d.group, [k.generators for k in d.kernels], specs)
+        assert shifted.vectors == d.vectors
+        assert all(hodge_module._branch_lifts(shifted, i) != hodge_module._branch_lifts(d, i)
+                   for i in range(3))
+        table, moved = eigendim_table(d), eigendim_table(shifted)
+        assert moved._classes == table._classes and moved._pre == table._pre
+        assert moved._packed == table._packed
+        assert hodge_diamond(shifted) == hodge_diamond(d)
 
 
 class TestIsotypic:

@@ -21,7 +21,6 @@ from .covering import (
     GeneratingVector,
     ValidationOutcome,
     cw_dimension,
-    cw_table,
     genus,
     stabilizer_union,
     validate_generating_vector,
@@ -56,13 +55,11 @@ from .groups import (
     GroupElement,
     InvariantFactors,
     QuotientStructure,
-    RationalAngle,
     Subgroup,
     diagonal_subgroup,
     direct_product,
     left_kernel,
     quotient_structure,
-    right_kernel,
     smith_normal_form,
     subgroup_quotient,
 )

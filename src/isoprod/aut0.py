@@ -71,7 +71,7 @@ from .groups import (
     split_element,
     subgroup_quotient,
 )
-from .hodge import _factor_walk, _pre_admissible, _pre_admissible_classes
+from .hodge import _factor_walk, _pre_admissible_classes
 
 class AdmissibleKind(enum.Enum):
     FIRST = "first"
@@ -95,9 +95,6 @@ class AdmissibleCharacter:
     def _cube_exponents(self) -> tuple[int, ...]:
         """The components' exponents, concatenated: a character of ``G^3``."""
         return tuple(e for c in self.components for e in c.exponents)
-
-    def sort_key(self) -> tuple:
-        return (self.kind.value, tuple(c.exponents for c in self.components))
 
 
 class Aut0Status(enum.Enum):
@@ -140,11 +137,11 @@ def pre_admissible(datum: AlgebraicDatum, i: int, chi: Character) -> bool:
     """Does ``chi`` vanish on ``K_i`` and act nontrivially on some element
     with a fixed point on the i-th curve?"""
     for gen in datum.kernels[i].generators:
-        if not chi.pairing(gen).is_zero:
+        if chi.pairing(gen):
             return False
     q = datum.quotients[i]
     for sigma in stabilizer_union(datum.vectors[i]):
-        if not chi.pairing(q.lift(sigma)).is_zero:
+        if chi.pairing(q.lift(sigma)):
             return True
     return False
 
@@ -153,7 +150,7 @@ def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) 
     """The pre-admissible characters of the i-th factor, packed and sorted,
     from the integer walk over ``Ann(K_i)`` (``hodge._factor_walk``), which
     shares no code with the classes of ``hodge._class_lattice``."""
-    return _pre_admissible(_factor_walk(datum, i, codec))
+    return sorted(x for x, v in _factor_walk(datum, i, codec).items() if any(v))
 
 
 def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None = None,
@@ -265,7 +262,7 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
     codec = PackedCharacters(datum.group)
     first, second = admissible_characters(
         datum, [_pre_admissible_set(datum, i, codec) for i in range(3)])
-    return all(psi.on_cube(cube).pairing(rep).is_zero for psi in first + second)
+    return all(psi.on_cube(cube).pairing(rep) == 0 for psi in first + second)
 
 
 @dataclass
@@ -347,10 +344,11 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     A caller that holds the datum's pieces already passes them in: its
     ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
     ``K Delta_G`` and the adjustment subgroup) and the three packed
-    pre-admissible sets ``pre``.  Each is computed here when not given.
-    Given ``pre``, the admissible characters, kernel, quotient and
-    generators are looked up in, or added to, ``kernel_pieces.memo`` under
-    it, where the caller can read them afterwards.
+    pre-admissible sets ``pre`` (else read off the Chevalley-Weil classes).
+    Each is computed here when not given.  The admissible characters,
+    kernel, quotient and generators are looked up in, or added to,
+    ``kernel_pieces.memo`` under ``pre``, where the caller can read them
+    afterwards.
     """
     if report is None:
         report = validate_datum(datum)
@@ -363,13 +361,10 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         kernel_pieces = _kernel_pieces(datum)
     cube, k_delta = kernel_pieces.cube, kernel_pieces.k_delta
     if pre is None:
-        # A lone call leaves the sets to ``admissible_characters``: no key,
-        # nothing shared.
-        first, second = admissible_characters(datum)
-        solved = _Solved((first, second))
-    else:
-        first, second = admissible_characters(datum, pre)
-        solved = _solved(datum, kernel_pieces, pre, (first, second))
+        codec = PackedCharacters(datum.group)
+        pre = [_pre_admissible_classes(datum, i, codec) for i in range(3)]
+    first, second = admissible_characters(datum, pre)
+    solved = _solved(datum, kernel_pieces, pre, (first, second))
     counts = (len(first), len(second))
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:

@@ -3,7 +3,8 @@
 Every subcommand builds one machine-readable report object; the text
 format is rendered from that object and never computed separately.  Exit
 codes: 0 success, 1 datum validation failure (the report is still
-emitted), 2 parse/schema error, 3 internal consistency or theorem
+emitted, with a null Hodge diamond when a generating vector is invalid),
+2 parse/schema error, 3 internal consistency or theorem
 violation, or any other unexpected error.
 """
 
@@ -74,14 +75,21 @@ class _Analysis:
     first reads it.  The kernels and oracle sections read the admissible
     characters and ``(3,0)`` kernel that ``aut0`` left in ``pieces.memo``,
     and compute them only where ``aut0`` did not run or stopped early.
+
+    Chevalley-Weil needs valid generating vectors: without them there is no
+    eigenspace table and no diamond (``None``), and the pre-admissible sets
+    come from the classes alone.
     """
 
     def __init__(self, datum: AlgebraicDatum, with_table: bool):
-        self.datum, self.with_table = datum, with_table
+        self.datum = datum
         self.report = validate_datum(datum)
+        self.with_table = with_table and self.report.vectors_ok
 
     @cached_property
     def diamond(self):
+        if not self.report.vectors_ok:
+            return None
         return hodge_diamond(self.datum, table=self.table, report=self.report)
 
     @cached_property
@@ -90,9 +98,6 @@ class _Analysis:
 
     @cached_property
     def pre(self) -> list[list[int]]:
-        # Without a table the sets come from the classes alone: the table's
-        # checks fail on some invalid data that the aut0 and kernels
-        # sections report.
         if self.with_table:
             return list(self.table._pre)
         codec = PackedCharacters(self.datum.group)
@@ -144,8 +149,11 @@ def _oracle_section(a: _Analysis) -> dict:
     agreement = {}
     try:
         fast = a.diamond
-        slow = brute_hodge(a.datum)
-        agreement["hodge"] = "agree" if fast.h == slow.h else "DISAGREE"
+        if fast is None:
+            agreement["hodge"] = "skipped: no Hodge diamond without valid generating vectors"
+        else:
+            slow = brute_hodge(a.datum)
+            agreement["hodge"] = "agree" if fast.h == slow.h else "DISAGREE"
     except OracleScaleError as exc:
         agreement["hodge"] = f"skipped: {exc}"
     try:
@@ -178,7 +186,7 @@ def build_report(datum: AlgebraicDatum, sections: tuple[str, ...],
     if "invariants" in sections:
         out["invariants"] = _invariants_section(datum, a.report)
     if "hodge" in sections:
-        out["hodge"] = a.diamond.h
+        out["hodge"] = None if a.diamond is None else a.diamond.h
     if "aut0" in sections:
         out["aut0"] = _aut0_section(a)
     if "kernels" in sections:
@@ -222,8 +230,11 @@ def render_text(report: dict) -> str:
         lines.append(f"invariants: chi(O) = {inv['chi_structure_sheaf']}"
                      f"  e = {inv['euler_number']}  K^3 = {inv['canonical_cube']}")
     if "hodge" in report:
-        lines.append("hodge diamond:")
-        lines.extend("  " + row for row in _render_diamond(report["hodge"]))
+        if report["hodge"] is None:
+            lines.append("hodge diamond: undefined")
+        else:
+            lines.append("hodge diamond:")
+            lines.extend("  " + row for row in _render_diamond(report["hodge"]))
     if "aut0" in report:
         a = report["aut0"]
         lines.append(f"aut0: status {a['status']}")

@@ -5,8 +5,9 @@ presented by branch elements ``sigma_1, ..., sigma_r`` and handle elements
 ``eta_1, ..., eta_{2g'}``.  Commutators vanish, so the defining product
 relation collapses to ``sum(sigma_j) = 0``.  The module computes the genus
 of the covering curve, the set of elements acting with fixed points, and
-the exact dimension of every character eigenspace of the space of
-holomorphic 1-forms.
+the exact dimension of a character eigenspace of the space of holomorphic
+1-forms: the reference Chevalley-Weil count, one character at a time
+(``hodge.eigendim_table`` counts by classes of characters).
 """
 
 from __future__ import annotations
@@ -124,14 +125,15 @@ def cw_dimension(vector: GeneratingVector, chi: Character) -> int:
 
     Abelian eigenspace count: ``(g' - 1) + sum_j k_j / m_j``, plus one for
     the trivial character, where ``chi(sigma_j)`` is the ``k_j``-th power of
-    the primitive ``m_j``-th root of unity.
+    the primitive ``m_j``-th root of unity, that is ``k_j / m_j = v_j / e``
+    for ``v_j = chi.pairing(sigma_j)`` and ``e = exponent(Q)``.
     """
     if chi.group != vector.quotient_group:
         raise ParentMismatchError("character over a different group")
+    den = vector.quotient_group.exponent
     total = Fraction(vector.g_prime - 1)
     for sigma in vector.branch:
-        m = sigma.order
-        total += Fraction(chi.pairing(sigma).scaled_numerator(m), m)
+        total += Fraction(chi.pairing(sigma), den)
     if chi.is_trivial:
         total += 1
     if total.denominator != 1 or total < 0:
@@ -139,16 +141,3 @@ def cw_dimension(vector: GeneratingVector, chi: Character) -> int:
             f"eigenspace dimension {total} for character {chi} is not a nonnegative integer")
     return int(total)
 
-
-def cw_table(vector: GeneratingVector) -> dict[Character, int]:
-    """Eigenspace dimension for every character of the acting group.
-
-    The column sum must reproduce the Riemann-Hurwitz genus; the two
-    computations are independent.
-    """
-    table = {chi: cw_dimension(vector, chi) for chi in vector.quotient_group.characters()}
-    g = genus(vector)
-    if sum(table.values()) != g:
-        raise ConsistencyError(
-            f"eigenspace dimensions sum to {sum(table.values())}, genus is {g}")
-    return table

@@ -149,15 +149,6 @@ def left_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
     return [u[i] for i in range(m) if all(x == 0 for x in s[i])]
 
 
-def right_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of ``{x in Z^n : A x = 0}`` as rows."""
-    at = [list(col) for col in zip(*a)] if a and a[0] else []
-    if not at:
-        n = len(a[0]) if a else 0
-        return _identity(n)
-    return left_kernel(at)
-
-
 def row_hermite(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical upper-triangular Hermite basis of a full-rank row lattice.
 
@@ -283,50 +274,6 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
 
 
 @dataclass(frozen=True)
-class RationalAngle:
-    """The value ``exp(2*pi*i*num/den)`` stored as ``num/den`` in Q/Z.
-
-    Always reduced with ``gcd(num, den) = 1`` and ``0 <= num < den``.
-    """
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.den <= 0 or not 0 <= self.num < self.den or gcd(self.num, self.den) != 1:
-            raise ValueError(f"unreduced angle {self.num}/{self.den}; use RationalAngle.of")
-
-    @staticmethod
-    def of(num: int, den: int) -> "RationalAngle":
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        num %= den
-        g = gcd(num, den)
-        return RationalAngle(num // g, den // g)
-
-    @staticmethod
-    def zero() -> "RationalAngle":
-        return RationalAngle(0, 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        den = lcm(self.den, other.den)
-        return RationalAngle.of(self.num * (den // self.den) + other.num * (den // other.den), den)
-
-    def __neg__(self) -> "RationalAngle":
-        return RationalAngle.of(-self.num, self.den)
-
-    def scaled_numerator(self, den: int) -> int:
-        """Rescale to the given denominator; the angle must be a multiple of 1/den."""
-        if den % self.den:
-            raise ValueError(f"angle {self.num}/{self.den} has no denominator {den}")
-        return self.num * (den // self.den)
-
-
-@dataclass(frozen=True)
 class AbelianGroup:
     """Finite abelian group ``Z_{n_1} + ... + Z_{n_k}``.
 
@@ -377,6 +324,7 @@ class AbelianGroup:
         return GroupElement(self, tuple(int(i == j) for i in range(self.rank)))
 
     def elements(self) -> Iterator["GroupElement"]:
+        """Every element, in lexicographic order of exponent tuples."""
         for exps in itertools.product(*(range(n) for n in self.orders)):
             yield GroupElement(self, exps)
 
@@ -453,9 +401,6 @@ class GroupElement:
             return 1
         return lcm(*(n // gcd(e, n) for e, n in zip(self.exponents, self.group.orders)))
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.exponents
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.exponents)) + ")"
 
@@ -476,14 +421,15 @@ class Character:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "exponents", _reduce(tuple(exponents), group.orders))
 
-    def pairing(self, g: GroupElement) -> RationalAngle:
+    def pairing(self, g: GroupElement) -> int:
+        """The integer ``v = sum a_j g_j e / n_j mod e``, ``0 <= v < e``, with
+        ``chi(g) = exp(2*pi*i * v / e)`` for ``e = exponent(G)``: zero exactly
+        when ``chi(g) = 1``, and additive mod ``e`` in ``chi`` and in ``g``."""
         if g.group != self.group:
             raise ParentMismatchError("character and element over different groups")
-        # Integer dot product over the common denominator exponent(G).
         den = self.group.exponent
-        total = sum(a * e * (den // n)
-                    for a, e, n in zip(self.exponents, g.exponents, self.group.orders))
-        return RationalAngle.of(total, den)
+        return sum(a * e * (den // n)
+                   for a, e, n in zip(self.exponents, g.exponents, self.group.orders)) % den
 
     @property
     def is_trivial(self) -> bool:
@@ -499,12 +445,6 @@ class Character:
 
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
-
-    def as_element(self) -> GroupElement:
-        return GroupElement(self.group, self.exponents)
-
-    def sort_key(self) -> tuple[int, ...]:
-        return self.exponents
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.exponents)) + ")"
@@ -707,10 +647,6 @@ class Subgroup:
 
     def __or__(self, other: "Subgroup") -> "Subgroup":
         return self.sum(other)
-
-    def structure(self) -> "QuotientStructure":
-        """Decomposition of this subgroup into independent cyclic factors."""
-        return subgroup_quotient(self, self.ambient.trivial_subgroup())
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements, in the order of :meth:`_element_tuples`."""

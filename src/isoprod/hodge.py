@@ -44,12 +44,13 @@ so the cost depends on the number of classes (the order of the subgroup of
 order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
 totals are checked against ``hodge_diamond``, an independent count.
 
-The integer walk over all of ``Ann(K_i)`` (``_factor_walk``) remains only
-where a caller needs every character: the table views ``_packed`` and
-``tables``, built with their own per-character checks on first read (by
-``isotypic_decomposition``, the API or the tests), and
-``aut0.verify_generator``'s independent pre-admissible sets.  A report
-makes no walk.
+The full tables over ``Ann(K_i)``, the views ``_packed`` and ``tables``
+that ``isotypic_decomposition`` and the API read, are the checked classes
+expanded on first read: every character of ``rep + A_i`` gets the class's
+``f``, and the trivial character ``f + 1``.  The integer walk over all of
+``Ann(K_i)`` (``_factor_walk``) serves only ``aut0.verify_generator``,
+whose pre-admissible sets must not come from the classes, and the tests'
+reference.  A report makes no walk.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
@@ -86,11 +87,11 @@ class _FactorClasses:
 class EigenDimTable:
     """For each factor, the map ``chi -> dim W_i^chi`` over characters of G.
 
-    The table holds each factor's Chevalley-Weil classes (``_classes``) and
-    its sorted packed pre-admissible set (``_pre``).  The full annihilator
-    support, zero entries included, is a view built by the walk on first
-    read: keyed by packed characters (``_packed``) or by ``Character``
-    (``tables``).
+    The table holds each factor's checked Chevalley-Weil classes
+    (``_classes``) and its sorted packed pre-admissible set (``_pre``).  The
+    full annihilator support, zero entries included, is a view that expands
+    the classes on first read: keyed by packed characters (``_packed``) or
+    by ``Character`` (``tables``).
     """
 
     datum: AlgebraicDatum
@@ -100,18 +101,20 @@ class EigenDimTable:
     @cached_property
     def _packed(self) -> tuple[dict[int, int], ...]:
         codec = PackedCharacters(self.datum.group)
-        return tuple(_walk_table(self.datum, i, codec) for i in range(3))
+        out = []
+        for classes in self._classes:
+            members = _packed_box(codec, classes.rows)
+            table = {}
+            for rep, f in zip(classes.reps, classes.dims):
+                table.update(dict.fromkeys(codec.sums([codec.pack(rep)], members), f))
+            table[0] += 1
+            out.append(table)
+        return tuple(out)
 
     @cached_property
     def tables(self) -> tuple[dict[Character, int], ...]:
         codec = PackedCharacters(self.datum.group)
         return tuple({codec.character(x): dim for x, dim in t.items()} for t in self._packed)
-
-    def dimension(self, i: int, chi: Character) -> int:
-        return self.tables[i].get(chi, 0)
-
-    def support(self, i: int) -> Iterator[Character]:
-        return iter(self.tables[i])
 
 
 def _branch_lifts(datum: AlgebraicDatum, i: int) -> tuple[GroupElement, ...]:
@@ -136,41 +139,13 @@ def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
     (packed, in annihilator order) its values ``(v_1, ..., v_r)`` on the
     branch lifts, each a dot product scaled to ``e = exponent(G)`` and
     reduced mod ``e``, so that ``v_j / e = k_j / m_j``.  The pre-admissible
-    characters are those with some ``v_j != 0`` (``_pre_admissible``).
+    characters are those with some ``v_j != 0`` (``aut0._pre_admissible_set``).
     """
     den = datum.group.exponent
     scaled = _scaled_lifts(datum, i)
     return {codec.pack(chi): tuple(sum(a * v for a, v in zip(chi, lift)) % den
                                    for lift in scaled)
             for chi in datum.kernels[i].annihilator()._element_tuples()}
-
-
-def _pre_admissible(values: dict[int, tuple[int, ...]]) -> list[int]:
-    """The sorted packed characters of a ``_factor_walk`` with a nonzero value."""
-    return sorted(x for x, v in values.items() if any(v))
-
-
-def _walk_table(datum: AlgebraicDatum, i: int, codec: PackedCharacters) -> dict[int, int]:
-    """The i-th factor's dimension of every character of ``Ann(K_i)``, from
-    ``_factor_walk``: ``e dim W_i^chi = (g' - 1) e + sum_j v_j + [chi = 0] e``
-    must divide to a nonnegative integer, and the dimensions must sum to
-    the genus."""
-    vector = datum.vectors[i]
-    den = datum.group.exponent
-    table = {}
-    for x, vals in _factor_walk(datum, i, codec).items():
-        total = (vector.g_prime - 1) * den + sum(vals) + (0 if x else den)
-        if total % den or total < 0:
-            raise ConsistencyError(
-                f"factor {i + 1}: eigenspace dimension {total}/{den} for character "
-                f"{codec.character(x)} is not a nonnegative integer")
-        table[x] = total // den
-    g = genus(vector)
-    if sum(table.values()) != g:
-        raise ConsistencyError(
-            f"factor {i + 1}: eigenspace dimensions sum to {sum(table.values())}, "
-            f"genus is {g}")
-    return table
 
 
 def _class_lattice(datum: AlgebraicDatum, i: int,
@@ -194,14 +169,19 @@ def _class_lattice(datum: AlgebraicDatum, i: int,
     return a_basis, reps
 
 
+def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> list[int]:
+    """The packed elements of ``A_i``, from the Hermite box of its basis."""
+    orders = codec.group.orders
+    return [codec.pack(a) for a in _hermite_box(
+        a_basis, orders, [n // row[j] for j, (n, row) in enumerate(zip(orders, a_basis))])]
+
+
 def _pre_from_classes(codec: PackedCharacters, a_basis: Sequence[Sequence[int]],
                       reps: Sequence[tuple[int, ...]]) -> list[int]:
     """The sorted packed pre-admissible set: ``Ann(K_i)`` outside ``A_i``,
     the nonzero classes of ``_class_lattice`` translated by ``A_i``."""
-    orders = codec.group.orders
-    members = [codec.pack(a) for a in _hermite_box(
-        a_basis, orders, [n // row[j] for j, (n, row) in enumerate(zip(orders, a_basis))])]
-    return sorted(codec.sums([codec.pack(rep) for rep in reps[1:]], members))
+    return sorted(codec.sums([codec.pack(rep) for rep in reps[1:]],
+                             _packed_box(codec, a_basis)))
 
 
 def _pre_admissible_classes(datum: AlgebraicDatum, i: int, codec: PackedCharacters,

@@ -277,13 +277,18 @@ def _brute_eigendims(datum: AlgebraicDatum, i: int,
         return m
 
     branch = [(rep, order_mod(rep)) for rep in spec.branch]
+    den = g.exponent
     table: dict[Exponents, int] = {}
     for chi in g.characters():
-        if not all(chi.pairing(k).is_zero for k in kernel):
+        if any(chi.pairing(k) for k in kernel):
             continue
         total = Fraction(spec.g_prime - 1)
         for rep, m in branch:
-            total += Fraction(chi.pairing(rep).scaled_numerator(m), m)
+            # chi kills K_i, so its value on rep is an m-th root of unity.
+            k, r = divmod(chi.pairing(rep) * m, den)
+            if r:
+                raise ConsistencyError(f"{chi} is no {m}-th root of unity on {rep}")
+            total += Fraction(k, m)
         if chi.is_trivial:
             total += 1
         if total.denominator != 1 or total < 0:

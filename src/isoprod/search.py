@@ -176,8 +176,7 @@ def _kernel_triples(spec: SearchSpec, group: AbelianGroup) -> list[tuple[Subgrou
 def _branch_multisets(quotient: AbelianGroup, max_r: int,
                       order_bound: int | None) -> list[tuple[GroupElement, ...]]:
     """Nondecreasing tuples of nontrivial elements with trivial product."""
-    pool = sorted((g for g in quotient.elements() if not g.is_zero),
-                  key=lambda g: g.sort_key())
+    pool = [g for g in quotient.elements() if not g.is_zero]  # lexicographic
     if order_bound is not None:
         pool = [g for g in pool if g.order <= order_bound]
     out = []
@@ -218,10 +217,9 @@ def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup], group: Abelian
                   if _riemann_hurwitz(q.group.order, spec.g_primes[i], b) >= 2]
         key = (q.group, spec.g_primes[i])
         if key not in handles:
-            # The product of a sorted list runs in sorted order.
-            handles[key] = list(itertools.product(
-                sorted(q.group.elements(), key=lambda g: g.sort_key()),
-                repeat=2 * spec.g_primes[i]))
+            # The product of the lexicographic element list runs in sorted order.
+            handles[key] = list(itertools.product(q.group.elements(),
+                                                  repeat=2 * spec.g_primes[i]))
         spaces.append(_FactorSpace(q, branch, handles[key]))
     return spaces
 

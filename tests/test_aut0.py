@@ -131,10 +131,11 @@ class TestAdmissibleSets:
     def test_components_sum_to_zero(self):
         for factory in (example1, example2a, example2b, example4,
                         lambda: example3(2)):
-            first, second = admissible_characters(factory())
+            d = factory()
+            first, second = admissible_characters(d)
             for adm in first + second:
-                total = sum((c.as_element() for c in adm.components),
-                            factory().group.zero)
+                total = sum((d.group.element(c.exponents) for c in adm.components),
+                            d.group.zero)
                 assert total.is_zero
 
 
@@ -179,6 +180,18 @@ class TestOneEnumeration:
         assert calls == {"admissible_characters": 1, "_k_delta": 1}
         assert result.kernel.basis == representation_kernel(example1(), 3, 0).basis
 
+    def test_lone_call_goes_through_the_memo(self):
+        # Without ``pre`` the sets come from the classes, and the work is
+        # filed in the memo under them like any other caller's.
+        d = example2b()
+        pieces = aut0_module._kernel_pieces(d)
+        result = aut0(d, kernel_pieces=pieces)
+        codec = PackedCharacters(d.group)
+        pre = tuple(tuple(_pre_admissible_set(d, i, codec)) for i in range(3))
+        assert list(pieces.memo) == [pre]
+        assert pieces.memo[pre].kernel == result.kernel
+        assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
+
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
         d = example1()
         trivial = d.group.trivial_character
@@ -186,7 +199,7 @@ class TestOneEnumeration:
         bogus = AdmissibleCharacter(AdmissibleKind.FIRST,
                                     (d.group.character((1, 0, 0)), trivial, trivial))
         monkeypatch.setattr(aut0_module, "admissible_characters",
-                            lambda datum: ([bogus], []))
+                            lambda datum, pre=None: ([bogus], []))
         with pytest.raises(ConsistencyError, match=r"\(3,0\) kernel"):
             aut0(d)
 

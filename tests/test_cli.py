@@ -93,6 +93,38 @@ class TestExitCodes:
         assert report["aut0"]["status"] == "Proven"
         assert report["aut0"]["invariant_factors"] == [2, 2, 2, 2]
 
+    # Vector 1 breaks the product relation: Chevalley-Weil gives no integral
+    # dimensions, so there is no Hodge diamond, but the datum is reported.
+    BROKEN_VECTOR = {
+        "group": [2, 2, 2], "kernels": [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]],
+        "vectors": [{"g_prime": 1, "branch": [[0, 0, 1]], "eta": [[0, 1, 0], [0, 0, 1]]},
+                    {"g_prime": 1, "branch": [[1, 0, 0], [1, 0, 0]],
+                     "eta": [[1, 0, 0], [0, 0, 1]]},
+                    {"g_prime": 1, "branch": [[0, 1, 0], [0, 1, 0]],
+                     "eta": [[1, 0, 0], [0, 1, 0]]}]}
+
+    @pytest.mark.parametrize("args", [["report", "--format", "json"], ["report"],
+                                      ["hodge", "--format", "json"], ["hodge"],
+                                      ["report", "--oracle", "--format", "json"]])
+    def test_invalid_vector_has_no_diamond_and_exits_one(self, tmp_path, args):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(self.BROKEN_VECTOR))
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 1
+        assert "error" not in result.output and "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        if "json" not in args:
+            assert "hodge diamond: undefined" in result.output
+            return
+        report = json.loads(result.output)
+        assert report["validation"]["vectors"][0] and not report["validation"]["ok"]
+        assert report["hodge"] is None
+        if "--oracle" in args:
+            assert report["oracle"]["hodge"].startswith("skipped: ")
+            assert report["oracle"]["kernel"] == report["oracle"]["quotient"] == "agree"
+        if "report" in args:
+            assert report["aut0"]["status"] == "Proven"
+
     def test_missing_file_is_a_usage_error(self):
         result = runner.invoke(main, ["report", "no-such-file.json"])
         assert result.exit_code == 2

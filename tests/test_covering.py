@@ -12,13 +12,18 @@ from conftest import random_element, random_group
 from isoprod.covering import (
     GeneratingVector,
     cw_dimension,
-    cw_table,
     genus,
     stabilizer_union,
     validate_generating_vector,
 )
 from isoprod.errors import ParentMismatchError
 from isoprod.groups import AbelianGroup
+
+
+def dimension_sum(v):
+    """The eigenspace dimensions of every character, summed; Chevalley-Weil
+    and Riemann-Hurwitz are independent, so this must be the genus."""
+    return sum(cw_dimension(v, chi) for chi in v.quotient_group.characters())
 
 
 def vector(orders, g_prime, branch, eta=()):
@@ -131,12 +136,12 @@ class TestEigenspaceDimensions:
         # Factor 1 of the smallest worked example: branch (e2', e2') over
         # Z2 x Z2 with elliptic base.
         v = vector([2, 2], 1, [(0, 1), (0, 1)], [(1, 0), (0, 1)])
-        table = {chi.exponents: d for chi, d in cw_table(v).items()}
+        table = {chi.exponents: cw_dimension(v, chi) for chi in v.quotient_group.characters()}
         assert table == {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}
 
     @given(closed_vectors())
     def test_table_sums_to_genus(self, v):
-        assert sum(cw_table(v).values()) == genus(v)
+        assert dimension_sum(v) == genus(v)
 
     @given(closed_vectors())
     def test_nonvanishing_criterion(self, v):
@@ -151,7 +156,7 @@ class TestEigenspaceDimensions:
             if v.g_prime >= 2:
                 assert d > 0
             else:
-                detects = any(not chi.pairing(s).is_zero for s in union)
+                detects = any(chi.pairing(s) for s in union)
                 assert (d > 0) == detects
 
     def test_branch_permutation_invariance(self):
@@ -159,8 +164,8 @@ class TestEigenspaceDimensions:
         tables = set()
         for perm in itertools.permutations(base):
             v = vector([2, 2], 1, list(perm), [(1, 0), (0, 1)])
-            tables.add(tuple(sorted((chi.exponents, d)
-                                    for chi, d in cw_table(v).items())))
+            tables.add(tuple((chi.exponents, cw_dimension(v, chi))
+                             for chi in v.quotient_group.characters()))
         assert len(tables) == 1
 
     def test_random_vectors_integrality(self):
@@ -178,4 +183,4 @@ class TestEigenspaceDimensions:
                 branch.append(-total)
             v = GeneratingVector(q, 1, tuple(branch),
                                  (random_element(rng, q), random_element(rng, q)))
-            assert sum(cw_table(v).values()) == genus(v)
+            assert dimension_sum(v) == genus(v)

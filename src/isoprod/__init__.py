@@ -74,4 +74,31 @@ from .search import SearchSpec, SurveyResult, enumerate_data, estimate_space, su
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # aut0
+    "AdmissibleCharacter", "AdmissibleKind", "Aut0Result", "Aut0Status",
+    "admissible_characters", "aut0", "representation_kernel", "verify_generator",
+    # covering
+    "GeneratingVector", "ValidationOutcome", "cw_dimension", "genus", "stabilizer_union",
+    "validate_generating_vector",
+    # datum
+    "AlgebraicDatum", "DatumReport", "NumericalInvariants", "RigidityClass", "VectorSpec",
+    "invariants", "rigidity_class", "validate_datum",
+    # docio
+    "datum_document", "dumps", "loads", "parse_datum_document",
+    # errors
+    "ConsistencyError", "IsoprodError", "OracleScaleError", "OverflowLimitError",
+    "ParentMismatchError", "SchemaError", "SearchCapError", "StructuralError",
+    "TheoremViolationError", "UnsupportedDatumError",
+    # examples
+    "build_example", "example1", "example2a", "example2b", "example3", "example4",
+    # groups
+    "AbelianGroup", "Character", "GroupElement", "InvariantFactors", "QuotientStructure",
+    "Subgroup", "diagonal_subgroup", "direct_product", "left_kernel", "quotient_structure",
+    "smith_normal_form", "subgroup_quotient",
+    # hodge
+    "EigenDimTable", "HodgeDiamond", "eigendim_table", "hodge_diamond",
+    "isotypic_decomposition",
+    # search
+    "SearchSpec", "SurveyResult", "enumerate_data", "estimate_space", "survey",
+]

@@ -16,33 +16,34 @@ report makes (``hodge_diamond`` counts classes instead).
 
 Every admissible character lies in the sum-zero plane
 ``c_1 + c_2 + c_3 = 0``, so it is fixed by ``(c_1, c_2)`` and vanishes on
-``Delta_G``.  ``_annihilated_kernel`` therefore Hermite-reduces the rows
-``(c_1, c_2)`` at width ``2r`` rather than ``3r``, and the kernel is the
-Hermite dual of that span in ``G^2``, placed in the first two slots, plus
-``Delta_G``.  Each generator coset is written with trivial third component
-and reduced once, top-down, against the Hermite basis of the remaining
-adjustment subgroup; the result is the lexicographically least such
-representative.
+``Delta_G``.  ``_admissible_span`` therefore Hermite-reduces the rows
+``(c_1, c_2)`` at width ``2r`` rather than ``3r``, and the kernel
+(``_span_kernel``) is the Hermite dual of that span in ``G^2``, placed in
+the first two slots, plus ``Delta_G``.  Each generator coset is written
+with trivial third component and reduced once, top-down, against the
+Hermite basis of the remaining adjustment subgroup; the result is the
+lexicographically least such representative.
 
 ``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
-and forms the ``(3,0)`` kernel from that list through
-``_annihilated_kernel``, the routine behind ``representation_kernel``.  A
-caller that holds the pieces passes them in: the three pre-admissible sets
-(``pre``) and the ``_KernelPieces`` of the kernel triple (``G^3``,
-``K Delta_G`` and the adjustment subgroup).  The survey computes the first
-once per factor branch and the second once per kernel triple; a report
-(``cli._Analysis``) reads the sets off its eigenspace table.
+and forms the ``(3,0)`` kernel from that list, as ``representation_kernel``
+does.  A caller that holds the pieces passes them in: the three
+pre-admissible sets (``pre``) and the ``_KernelPieces`` of the kernel
+triple (``G^3``, ``K Delta_G`` and the adjustment subgroup).  The survey
+computes the first once per factor branch and the second once per kernel
+triple; a report (``cli._Analysis``) reads the sets off its eigenspace
+table.
 
 Within one kernel triple the rest depends only on the three sets, so
 ``aut0`` keeps it in ``_KernelPieces.memo`` under them, as a ``_Solved``:
 the admissible characters, the annihilator, the quotient by ``K Delta_G``
-and the canonical generators.  A survey reuses the lattice work across
-branch triples; a report's kernels and oracle sections read the admissible
-characters and the ``(3,0)`` kernel there (``_solved``).  The enumeration,
-the status and the theorem bounds still run on every ``aut0`` call.
-``verify_generator`` enumerates again from scratch on purpose: it is the
-survey's independent re-check, so it takes its pre-admissible sets from
-the walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes.
+and the canonical generators.  The last three depend only on the
+admissible span, so a memo miss forms the span and builds them only when
+it is new to ``_KernelPieces.spans``.  A report's kernels and oracle
+sections read the memo (``_solved``).  The enumeration, the status and
+the theorem bounds run on every ``aut0`` call.  ``verify_generator``
+enumerates again on purpose: it is the survey's independent re-check, so
+its pre-admissible sets come from the walk over ``Ann(K_i)``
+(``_pre_admissible_set``), not from the classes.
 """
 
 from __future__ import annotations
@@ -227,24 +228,39 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
 def _annihilated_kernel(cube: AbelianGroup, characters: list[AdmissibleCharacter],
                         k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
     """The subgroup of ``G^3`` on which every given character vanishes,
-    checked to contain ``K Delta_G``.
+    checked to contain ``K Delta_G``: ``_span_kernel`` of the characters'
+    ``_admissible_span``."""
+    return _span_kernel(cube, _admissible_span(cube, characters), k_delta, pq)
+
+
+def _admissible_span(cube: AbelianGroup, characters: list[AdmissibleCharacter],
+                     ) -> tuple[tuple[int, ...], ...]:
+    """The Hermite basis, at width ``2r``, of the rows ``(c_1, c_2)`` of the
+    given characters plus the relations of ``G^2``.
 
     Every admissible character has ``c_1 + c_2 + c_3 = 0``, so it maps
-    ``(g_1, g_2, g_3)`` to ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)``: the kernel
-    is ``(Ann_{G^2}(S) x 0) + Delta_G`` for the span ``S`` of the rows
-    ``(c_1, c_2)``.  Those rows are Hermite-reduced at width ``2r``, and the
-    Hermite dual of the result, with the ``r`` diagonal rows, generates the
-    kernel.
+    ``(g_1, g_2, g_3)`` to ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)`` and is
+    fixed by its row.  The basis is canonical, so equal spans give equal
+    tuples.
     """
     r = cube.rank // 3
     plane = cube.orders[: 2 * r]
     rows = [psi.components[0].exponents + psi.components[1].exponents for psi in characters]
     relations = [[n if c == j else 0 for c in range(2 * r)] for j, n in enumerate(plane)]
-    span = row_hermite(rows + relations, 2 * r)
+    return row_hermite(rows + relations, 2 * r)
+
+
+def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
+                 k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
+    """The kernel ``(Ann_{G^2}(S) x 0) + Delta_G`` of the characters whose
+    ``_admissible_span`` is ``span``, checked to contain ``K Delta_G``: the
+    Hermite dual of the span, placed in the first two slots, with the ``r``
+    diagonal rows."""
+    r = cube.rank // 3
     diagonal = [tuple(int(c == j) for c in range(r)) * 3 for j in range(r)]
     kernel = Subgroup(cube, tuple(
         GroupElement(cube, row) for row in
-        [dual + (0,) * r for dual in _hermite_dual(span, plane)] + diagonal))
+        [dual + (0,) * r for dual in _hermite_dual(span, cube.orders[: 2 * r])] + diagonal))
     if not k_delta.is_subgroup_of(kernel):
         p, q = pq
         raise ConsistencyError(
@@ -253,15 +269,23 @@ def _annihilated_kernel(cube: AbelianGroup, characters: list[AdmissibleCharacter
     return kernel
 
 
-def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
+def verify_generator(datum: AlgebraicDatum, rep: GroupElement,
+                     walked: Sequence[list[int]] | None = None) -> bool:
     """Independent check that a triple is numerically trivial: every
-    admissible character must vanish on it.  No annihilator machinery."""
+    admissible character must vanish on it.  No annihilator machinery.
+
+    The characters are enumerated afresh from the three packed sets of
+    the walk over ``Ann(K_i)`` (``_pre_admissible_set``), which a caller
+    may pass as ``walked``; sets from the classes would make the check
+    depend on what it checks.
+    """
     cube = direct_product([datum.group] * 3)
     if rep.group != cube:
         rep = cube.element(rep.exponents)
-    codec = PackedCharacters(datum.group)
-    first, second = admissible_characters(
-        datum, [_pre_admissible_set(datum, i, codec) for i in range(3)])
+    if walked is None:
+        codec = PackedCharacters(datum.group)
+        walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
+    first, second = admissible_characters(datum, walked)
     return all(psi.on_cube(cube).pairing(rep) == 0 for psi in first + second)
 
 
@@ -284,13 +308,17 @@ class _KernelPieces:
 
     ``memo`` holds the rest of ``aut0``'s work, which within one kernel
     triple depends only on the pre-admissible sets: it maps the tuple of
-    the three packed sets to their ``_Solved``.
+    the three packed sets to their ``_Solved``.  ``spans`` maps each
+    ``_admissible_span`` to the kernel, quotient and generators that the
+    triples of that span share.
     """
 
     cube: AbelianGroup
     k_delta: Subgroup
     adjustment: Subgroup
     memo: dict[tuple, _Solved] = field(default_factory=dict, compare=False, repr=False)
+    spans: dict[tuple, tuple[Subgroup, QuotientStructure, tuple[GroupElement, ...]]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces, pre: Sequence[list[int]],
@@ -348,7 +376,7 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     Each is computed here when not given.  The admissible characters,
     kernel, quotient and generators are looked up in, or added to,
     ``kernel_pieces.memo`` under ``pre``, where the caller can read them
-    afterwards.
+    afterwards; on a miss the last three come from ``kernel_pieces.spans``.
     """
     if report is None:
         report = validate_datum(datum)
@@ -372,11 +400,15 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
                           counts, cube, None, None, None)
 
     if solved.kernel is None:
-        solved.kernel = _annihilated_kernel(cube, first + second, k_delta, (3, 0))
-        solved.quotient = subgroup_quotient(solved.kernel, k_delta)
-        solved.generators = tuple(
-            _canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
-            for gen in solved.quotient.generators)
+        span = _admissible_span(cube, first + second)
+        lattice = kernel_pieces.spans.get(span)
+        if lattice is None:
+            kernel = _span_kernel(cube, span, k_delta, (3, 0))
+            quotient = subgroup_quotient(kernel, k_delta)
+            lattice = kernel_pieces.spans[span] = (kernel, quotient, tuple(
+                _canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
+                for gen in quotient.generators))
+        solved.kernel, solved.quotient, solved.generators = lattice
     kernel, quotient, generators = solved.kernel, solved.quotient, solved.generators
 
     if not report.freeness_ok:

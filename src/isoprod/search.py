@@ -19,18 +19,23 @@ Each check runs once at the level it depends on:
   per ``survey`` call: the handle tuples completing it (``_generating_etas``);
 - per factor branch, inside one kernel triple (``_Branch``): the lifted
   ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
-  genus and stabilizer preimage, and, from the first valid datum on, its
-  packed pre-admissible set;
-- per distinct pre-admissible triple, inside one kernel triple: ``aut0``'s
-  annihilator, quotient by ``K Delta_G`` and canonical generators, memoized
-  in the ``_KernelPieces.memo`` of the kernel triple and keyed by the three
-  packed pre-admissible sets.  ``_candidates`` builds the
-  ``_KernelTriple`` objects afresh, so each memo belongs to one ``survey``
-  call;
+  genus and stabilizer preimage, from the first valid datum on its packed
+  pre-admissible set, and from the first datum with generators the same
+  set from the walk over ``Ann(K_i)`` (``aut0._pre_admissible_set``), which
+  the independent re-check reads;
+- per distinct pre-admissible triple, inside one kernel triple: the
+  Hermite span of the admissible characters (``aut0``'s lookup key), which
+  the ``_KernelPieces.memo`` of the kernel triple, keyed by the three
+  packed pre-admissible sets, skips on a repeat;
+- per distinct admissible span, inside one kernel triple: ``aut0``'s
+  annihilator, quotient by ``K Delta_G`` and canonical generators, kept in
+  ``_KernelPieces.spans``.  ``_candidates`` builds the ``_KernelTriple``
+  objects afresh, so both memos belong to one ``survey`` call;
 - per branch triple: only the three-way freeness intersection
   (``validate_datum``), the admissible convolution, the memo lookup, the
   status and theorem bounds (``aut0``), and the independent
-  ``verify_generator``.
+  ``verify_generator`` of each generator, which enumerates the admissible
+  characters afresh from the walked sets.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
@@ -48,7 +53,7 @@ from functools import cached_property
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .aut0 import Aut0Result, _kernel_pieces, aut0, verify_generator
+from .aut0 import Aut0Result, _kernel_pieces, _pre_admissible_set, aut0, verify_generator
 from .covering import GeneratingVector, _riemann_hurwitz
 from .datum import (
     AlgebraicDatum,
@@ -278,7 +283,9 @@ class _Branch:
     """One branch multiset of one factor inside one kernel triple, with the
     pieces computed from it once: the completing handle tuples, the vector
     and lifted ``VectorSpec`` with the first of them, its validation checks,
-    and (filled by ``_KernelTriple.aut0``) its packed pre-admissible set."""
+    and its packed pre-admissible set from the classes (``pre``, filled by
+    ``_KernelTriple.aut0``) and from the walk (``walked``, filled by
+    ``_KernelTriple.walked``)."""
 
     def __init__(self, group: AbelianGroup, kernel: Subgroup, q: QuotientStructure,
                  g_prime: int, branch: tuple[GroupElement, ...],
@@ -289,6 +296,7 @@ class _Branch:
         self.vector, self.raw = self._vector(etas[0])
         self.checks = _factor_checks(group, kernel, q, self.vector)
         self.pre: list[int] | None = None
+        self.walked: list[int] | None = None
 
     def _vector(self, eta: tuple[GroupElement, ...]) -> tuple[GeneratingVector, VectorSpec]:
         q = self._q
@@ -333,6 +341,14 @@ class _KernelTriple:
             if b.pre is None:
                 b.pre = _pre_admissible_classes(datum, i, self._codec)
         return aut0(datum, report, self._pieces, [b.pre for b in branches])
+
+    def walked(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> list[list[int]]:
+        """The three packed pre-admissible sets of the walk over ``Ann(K_i)``,
+        for ``verify_generator``; each branch walks once."""
+        for i, b in enumerate(branches):
+            if b.walked is None:
+                b.walked = _pre_admissible_set(datum, i, self._codec)
+        return [b.walked for b in branches]
 
 
 def _candidates(spec: SearchSpec, group: AbelianGroup,
@@ -420,8 +436,9 @@ def survey(spec: SearchSpec) -> SurveyResult:
         if not report.ok:
             continue
         result = triple.aut0(datum, report, branches)
+        walked = triple.walked(datum, branches) if result.generators else None
         for gen in result.generators:
-            if not verify_generator(datum, gen):
+            if not verify_generator(datum, gen, walked):
                 raise TheoremViolationError(
                     "survey generator failed independent re-verification")
         key = tuple(result.invariant_factors)

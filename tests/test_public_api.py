@@ -1,26 +1,27 @@
 """The public surface of the package, pinned: adding or removing an export
-changes this list on purpose."""
+changes this list on purpose.  The list is explicit, so the submodules
+(``isoprod.search`` and the rest) stay importable but are not exported."""
 
 from __future__ import annotations
 
 import isoprod
 
 PUBLIC = [
-    "AbelianGroup", "AdmissibleCharacter", "AdmissibleKind", "AlgebraicDatum", "Aut0Result",
-    "Aut0Status", "Character", "ConsistencyError", "DatumReport", "EigenDimTable",
-    "GeneratingVector", "GroupElement", "HodgeDiamond", "InvariantFactors", "IsoprodError",
-    "NumericalInvariants", "OracleScaleError", "OverflowLimitError", "ParentMismatchError",
-    "QuotientStructure", "RigidityClass", "SchemaError", "SearchCapError", "SearchSpec",
-    "StructuralError", "Subgroup", "SurveyResult", "TheoremViolationError",
-    "UnsupportedDatumError", "ValidationOutcome", "VectorSpec", "admissible_characters",
-    "aut0", "build_example", "covering", "cw_dimension", "datum", "datum_document",
-    "diagonal_subgroup", "direct_product", "docio", "dumps", "eigendim_table",
-    "enumerate_data", "errors", "estimate_space", "example1", "example2a", "example2b",
-    "example3", "example4", "examples", "genus", "groups", "hodge", "hodge_diamond",
-    "invariants", "isotypic_decomposition", "left_kernel", "loads", "parse_datum_document",
-    "quotient_structure", "representation_kernel", "rigidity_class", "search",
-    "smith_normal_form", "stabilizer_union", "subgroup_quotient", "survey", "validate_datum",
-    "validate_generating_vector", "verify_generator",
+    "AbelianGroup", "AdmissibleCharacter", "AdmissibleKind", "AlgebraicDatum",
+    "Aut0Result", "Aut0Status", "Character", "ConsistencyError", "DatumReport",
+    "EigenDimTable", "GeneratingVector", "GroupElement", "HodgeDiamond",
+    "InvariantFactors", "IsoprodError", "NumericalInvariants", "OracleScaleError",
+    "OverflowLimitError", "ParentMismatchError", "QuotientStructure", "RigidityClass",
+    "SchemaError", "SearchCapError", "SearchSpec", "StructuralError", "Subgroup",
+    "SurveyResult", "TheoremViolationError", "UnsupportedDatumError",
+    "ValidationOutcome", "VectorSpec", "admissible_characters", "aut0", "build_example",
+    "cw_dimension", "datum_document", "diagonal_subgroup", "direct_product", "dumps",
+    "eigendim_table", "enumerate_data", "estimate_space", "example1", "example2a",
+    "example2b", "example3", "example4", "genus", "hodge_diamond", "invariants",
+    "isotypic_decomposition", "left_kernel", "loads", "parse_datum_document",
+    "quotient_structure", "representation_kernel", "rigidity_class",
+    "smith_normal_form", "stabilizer_union", "subgroup_quotient", "survey",
+    "validate_datum", "validate_generating_vector", "verify_generator",
 ]
 
 

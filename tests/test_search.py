@@ -187,6 +187,9 @@ class TestFactorized:
 
     SPACES = {
         "basis_r3": spec_with(max_branch=3),
+        # 41 pre-admissible triples over 5 admissible spans: most lattice
+        # work is read from a span that another triple built.
+        "basis_r4": spec_with(max_branch=4),
         "z2xz4_mixed": SearchSpec(group_orders=(2, 4), kernels=(MIXED_KERNELS,),
                                   max_branch=3),
         # Equal quotients and equal branch multisets under two kernel
@@ -213,35 +216,81 @@ class TestFactorized:
             assert got.invariant_factors == want.invariant_factors
             assert got.generators == want.generators
             assert got.admissible_counts == want.admissible_counts
+            assert got.kernel == want.kernel
         assert valid and invalid
 
-    def test_aut0_lattice_work_once_per_pre_admissible_triple(self, monkeypatch):
+    @staticmethod
+    def spy(monkeypatch, calls, module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_aut0_lattice_work_once_per_admissible_span(self, monkeypatch):
         # At r <= 4 the 208 valid branch triples have 41 distinct
-        # pre-admissible triples (at r <= 3 all 14 are distinct).
+        # pre-admissible triples (at r <= 3 all 14 are distinct) but only 5
+        # distinct (3,0) kernels.  The kernel is the annihilator of the
+        # admissible span and determines it by duality, so the survey builds
+        # one kernel, quotient and set of generators per kernel.
         spec = spec_with(max_branch=4)
         group = AbelianGroup(spec.group_orders)
         codec = PackedCharacters(group)
-        valid, distinct = 0, set()
+        valid, pre_triples, kernels = 0, set(), set()
         for triple, branches in _candidates(spec, group):
             datum = triple.datum(branches)
             if validate_datum(datum).ok:
                 valid += 1
+                bases = tuple(k.basis for k in triple.kernels)
                 pre = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))
-                distinct.add((tuple(k.basis for k in triple.kernels), pre))
+                pre_triples.add((bases, pre))
+                kernels.add((bases, aut0(datum).kernel))
 
         calls = Counter()
-
-        def spy(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        spy(search_module, "aut0")
-        spy(aut0_module, "_annihilated_kernel")
+        self.spy(monkeypatch, calls, search_module, "aut0")
+        self.spy(monkeypatch, calls, aut0_module, "_span_kernel")
+        self.spy(monkeypatch, calls, aut0_module, "subgroup_quotient")
         survey(spec)
-        assert calls["aut0"] == valid
-        assert calls["_annihilated_kernel"] == len(distinct) < valid
+        assert calls["aut0"] == valid == 208
+        assert len(pre_triples) == 41
+        assert calls["_span_kernel"] == calls["subgroup_quotient"] == len(kernels) == 5
+
+    def test_survey_walks_each_factor_branch_once(self, monkeypatch):
+        # verify_generator's pre-admissible sets come from the walk over
+        # Ann(K_i); the survey walks each factor branch of a datum with
+        # generators once (18 branches) instead of three times per generator
+        # check (240 walks).
+        spec = spec_with(max_branch=4)
+        group = AbelianGroup(spec.group_orders)
+        used = set()
+        for triple, branches in _candidates(spec, group):
+            datum = triple.datum(branches)
+            if validate_datum(datum).ok and aut0(datum).generators:
+                used.update((triple, i, b) for i, b in enumerate(branches))
+
+        calls = Counter()
+        self.spy(monkeypatch, calls, aut0_module, "_factor_walk")
+        survey(spec)
+        assert calls["_factor_walk"] == len(used) == 18
+
+
+class TestWalkedSets:
+    """``verify_generator`` with the walk's pre-admissible sets passed in
+    gives the verdict it gives when it walks itself."""
+
+    def test_extremal_generators_and_an_element_outside_the_kernel(self):
+        result = survey(spec_with(max_branch=3))
+        checked = 0
+        for _, datum, r in result.extremal:
+            codec = PackedCharacters(datum.group)
+            walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
+            for gen in r.generators:
+                assert verify_generator(datum, gen, walked) is verify_generator(datum, gen) \
+                    is True
+                checked += 1
+            outside = next(g for g in r.cube.elements() if not r.kernel.contains(g))
+            assert verify_generator(datum, outside, walked) is \
+                verify_generator(datum, outside) is False
+        assert checked

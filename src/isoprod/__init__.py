@@ -8,8 +8,6 @@ explicit finite abelian group.  All arithmetic is exact.
 """
 
 from .aut0 import (
-    AdmissibleCharacter,
-    AdmissibleKind,
     Aut0Result,
     Aut0Status,
     admissible_characters,
@@ -76,8 +74,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # aut0
-    "AdmissibleCharacter", "AdmissibleKind", "Aut0Result", "Aut0Status",
-    "admissible_characters", "aut0", "representation_kernel", "verify_generator",
+    "Aut0Result", "Aut0Status", "admissible_characters", "aut0", "representation_kernel",
+    "verify_generator",
     # covering
     "GeneratingVector", "ValidationOutcome", "cw_dimension", "genus", "stabilizer_union",
     "validate_generating_vector",

@@ -12,17 +12,20 @@ The admissible characters are enumerated on packed characters (see
 factor, which comes from its Chevalley-Weil classes
 (``hodge._pre_admissible_classes``, also behind the eigenspace table); the
 first kind is one packed convolution of the three sets, the only one a
-report makes (``hodge_diamond`` counts classes instead).
+report makes (``hodge_diamond`` counts classes instead).  Each admissible
+character is a plain character of ``G^3``, built from its triple of
+packed characters (``PackedCharacters.cube_characters``); its kind is the
+list it is in.
 
 Every admissible character lies in the sum-zero plane
-``c_1 + c_2 + c_3 = 0``, so it is fixed by ``(c_1, c_2)`` and vanishes on
-``Delta_G``.  ``_admissible_span`` therefore Hermite-reduces the rows
-``(c_1, c_2)`` at width ``2r`` rather than ``3r``, and the kernel
-(``_span_kernel``) is the Hermite dual of that span in ``G^2``, placed in
-the first two slots, plus ``Delta_G``.  Each generator coset is written
-with trivial third component and reduced once, top-down, against the
-Hermite basis of the remaining adjustment subgroup; the result is the
-lexicographically least such representative.
+``c_1 + c_2 + c_3 = 0``, so it is fixed by ``(c_1, c_2)``, its first
+``2r`` exponents, and vanishes on ``Delta_G``.  ``_admissible_span``
+therefore Hermite-reduces those rows at width ``2r`` rather than ``3r``,
+and the kernel (``_span_kernel``) is the Hermite dual of that span in
+``G^2``, placed in the first two slots, plus ``Delta_G``.  Each generator
+coset is written with trivial third component and reduced once, top-down,
+against the Hermite basis of the remaining adjustment subgroup; the result
+is the lexicographically least such representative.
 
 ``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
 and forms the ``(3,0)`` kernel from that list, as ``representation_kernel``
@@ -73,29 +76,6 @@ from .groups import (
     subgroup_quotient,
 )
 from .hodge import _factor_walk, _pre_admissible_classes
-
-class AdmissibleKind(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
-@dataclass(frozen=True)
-class AdmissibleCharacter:
-    """Character triple on ``G^3`` vanishing on ``K Delta_G``.
-
-    First kind: every component pre-admissible.  Second kind: exactly one
-    component trivial, the other two pre-admissible and conjugate.
-    """
-
-    kind: AdmissibleKind
-    components: tuple[Character, Character, Character]
-
-    def on_cube(self, cube: AbelianGroup) -> Character:
-        return cube.character(self._cube_exponents())
-
-    def _cube_exponents(self) -> tuple[int, ...]:
-        """The components' exponents, concatenated: a character of ``G^3``."""
-        return tuple(e for c in self.components for e in c.exponents)
 
 
 class Aut0Status(enum.Enum):
@@ -155,14 +135,18 @@ def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) 
 
 
 def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None = None,
-                          ) -> tuple[list[AdmissibleCharacter], list[AdmissibleCharacter]]:
-    """Complete enumeration of the admissible characters of both kinds.
+                          ) -> tuple[list[Character], list[Character]]:
+    """Complete enumeration of the admissible characters: the lists of the
+    first and of the second kind, each of characters of ``G^3`` sorted by
+    exponent tuple.
 
-    Both kinds are found on packed characters; one character object is
-    built per distinct component of the hits.  ``pre`` holds the three
-    packed pre-admissible sets when the caller has them already; otherwise
-    they come from each factor's Chevalley-Weil classes
-    (``hodge._pre_admissible_classes``).
+    First kind: every component pre-admissible.  Second kind: exactly one
+    component trivial, the other two pre-admissible and conjugate.  Both
+    kinds are found on triples of packed characters, which
+    ``PackedCharacters.cube_characters`` sorts and turns into characters of
+    ``G^3``.  ``pre`` holds the three packed pre-admissible sets when the
+    caller has them already; otherwise they come from each factor's
+    Chevalley-Weil classes (``hodge._pre_admissible_classes``).
     """
     codec = PackedCharacters(datum.group)
     neg = codec.neg
@@ -171,29 +155,15 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
     pre = [dict.fromkeys(p, 1) for p in pre]
     # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
     terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
-    first_keys = sorted((c1, c2, neg(s)) for c1, c2, s, _ in terms)
-    second_keys = []
+    second = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         for chi in pre[i]:
             if neg(chi) in pre[j]:
                 comps = [0, 0, 0]
                 comps[i], comps[j] = chi, neg(chi)
-                second_keys.append(tuple(comps))
-
-    characters: dict[int, Character] = {}
-
-    def character(x: int) -> Character:
-        chi = characters.get(x)
-        if chi is None:
-            chi = characters[x] = codec.character(x)
-        return chi
-
-    def build(kind: AdmissibleKind, keys: list) -> list[AdmissibleCharacter]:
-        return [AdmissibleCharacter(kind, (character(c1), character(c2), character(c3)))
-                for c1, c2, c3 in keys]
-
-    return (build(AdmissibleKind.FIRST, first_keys),
-            build(AdmissibleKind.SECOND, sorted(second_keys)))
+                second.append(tuple(comps))
+    return (codec.cube_characters((c1, c2, neg(s)) for c1, c2, s, _ in terms),
+            codec.cube_characters(second))
 
 
 def _k_delta(datum: AlgebraicDatum) -> Subgroup:
@@ -225,7 +195,7 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     return _annihilated_kernel(cube, characters, _k_delta(datum), (p, q))
 
 
-def _annihilated_kernel(cube: AbelianGroup, characters: list[AdmissibleCharacter],
+def _annihilated_kernel(cube: AbelianGroup, characters: list[Character],
                         k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
     """The subgroup of ``G^3`` on which every given character vanishes,
     checked to contain ``K Delta_G``: ``_span_kernel`` of the characters'
@@ -233,7 +203,7 @@ def _annihilated_kernel(cube: AbelianGroup, characters: list[AdmissibleCharacter
     return _span_kernel(cube, _admissible_span(cube, characters), k_delta, pq)
 
 
-def _admissible_span(cube: AbelianGroup, characters: list[AdmissibleCharacter],
+def _admissible_span(cube: AbelianGroup, characters: list[Character],
                      ) -> tuple[tuple[int, ...], ...]:
     """The Hermite basis, at width ``2r``, of the rows ``(c_1, c_2)`` of the
     given characters plus the relations of ``G^2``.
@@ -245,7 +215,7 @@ def _admissible_span(cube: AbelianGroup, characters: list[AdmissibleCharacter],
     """
     r = cube.rank // 3
     plane = cube.orders[: 2 * r]
-    rows = [psi.components[0].exponents + psi.components[1].exponents for psi in characters]
+    rows = [psi.exponents[: 2 * r] for psi in characters]
     relations = [[n if c == j else 0 for c in range(2 * r)] for j, n in enumerate(plane)]
     return row_hermite(rows + relations, 2 * r)
 
@@ -286,7 +256,7 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement,
         codec = PackedCharacters(datum.group)
         walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
     first, second = admissible_characters(datum, walked)
-    return all(psi.on_cube(cube).pairing(rep) == 0 for psi in first + second)
+    return all(psi.pairing(rep) == 0 for psi in first + second)
 
 
 @dataclass
@@ -294,7 +264,7 @@ class _Solved:
     """``aut0``'s work on one pre-admissible triple: the admissible characters
     and, once formed, the (3,0) kernel, its quotient and generators."""
 
-    admissible: tuple[list[AdmissibleCharacter], list[AdmissibleCharacter]]
+    admissible: tuple[list[Character], list[Character]]
     kernel: Subgroup | None = None
     quotient: QuotientStructure | None = None
     generators: tuple[GroupElement, ...] = ()

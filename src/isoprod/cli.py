@@ -81,10 +81,9 @@ class _Analysis:
     come from the classes alone.
     """
 
-    def __init__(self, datum: AlgebraicDatum, with_table: bool):
+    def __init__(self, datum: AlgebraicDatum):
         self.datum = datum
         self.report = validate_datum(datum)
-        self.with_table = with_table and self.report.vectors_ok
 
     @cached_property
     def diamond(self):
@@ -98,7 +97,7 @@ class _Analysis:
 
     @cached_property
     def pre(self) -> list[list[int]]:
-        if self.with_table:
+        if self.report.vectors_ok:
             return list(self.table._pre)
         codec = PackedCharacters(self.datum.group)
         return [_pre_admissible_classes(self.datum, i, codec) for i in range(3)]
@@ -177,7 +176,7 @@ def _oracle_section(a: _Analysis) -> dict:
 
 def build_report(datum: AlgebraicDatum, sections: tuple[str, ...],
                  oracle: bool = False, header: str | None = None) -> dict:
-    a = _Analysis(datum, with_table="hodge" in sections or oracle)
+    a = _Analysis(datum)
     out: dict = {}
     if header:
         out["note"] = header

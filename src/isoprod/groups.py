@@ -450,6 +450,15 @@ class Character:
         return "(" + ",".join(map(str, self.exponents)) + ")"
 
 
+def _reduced_character(group: AbelianGroup, exponents: tuple[int, ...]) -> Character:
+    # The exponents are reduced already, so ``Character``'s reduction is
+    # skipped.
+    chi = object.__new__(Character)
+    object.__setattr__(chi, "group", group)
+    object.__setattr__(chi, "exponents", exponents)
+    return chi
+
+
 class PackedCharacters:
     """Characters of one group packed into single integers.
 
@@ -483,12 +492,17 @@ class PackedCharacters:
         return tuple((packed >> s) & mask for s in self.shifts)
 
     def character(self, packed: int) -> Character:
-        # ``unpack`` yields a reduced tuple, so ``Character``'s reduction
-        # is skipped.
-        chi = object.__new__(Character)
-        object.__setattr__(chi, "group", self.group)
-        object.__setattr__(chi, "exponents", self.unpack(packed))
-        return chi
+        return _reduced_character(self.group, self.unpack(packed))
+
+    def cube_characters(self, triples: Iterable[tuple[int, int, int]]) -> list[Character]:
+        """The characters ``(x, y, z)`` of ``G^3`` of the given triples of
+        packed characters of ``G``, sorted by exponent tuple (integer order
+        on packed characters is lexicographic order).  Each distinct
+        component is unpacked once."""
+        cube = direct_product([self.group] * 3)
+        keys = sorted(triples)
+        parts = {x: self.unpack(x) for x in {x for key in keys for x in key}}
+        return [_reduced_character(cube, parts[x] + parts[y] + parts[z]) for x, y, z in keys]
 
     def neg(self, x: int) -> int:
         # Field j of n_j - x holds n_j exactly where x_j = 0; reduce it to 0.

@@ -64,7 +64,7 @@ from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key,
-                     _hermite_box, _hermite_dual, direct_product, row_hermite)
+                     _hermite_box, _hermite_dual, row_hermite)
 
 
 @dataclass(frozen=True)
@@ -429,9 +429,9 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
     for key, dim in _kunneth_pieces(codec, tables, p, q):
         acc[key] = acc.get(key, 0) + dim
 
-    cube = direct_product([datum.group] * 3)
-    out = [(cube.character(codec.unpack(x) + codec.unpack(y) + codec.unpack(z)), dim)
-           for (x, y, z), dim in sorted(acc.items()) if dim]
+    # ``cube_characters`` sorts in the same (triple) order.
+    keys = sorted(key for key, dim in acc.items() if dim)
+    out = list(zip(codec.cube_characters(keys), (acc[key] for key in keys)))
     total = sum(dim for _, dim in out)
     expected = hodge_diamond(datum, table, report)[p, q]
     if total != expected:

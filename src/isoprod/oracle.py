@@ -30,7 +30,7 @@ from operator import add, mod, mul
 
 from .datum import AlgebraicDatum
 from .errors import ConsistencyError, OracleScaleError, ParentMismatchError
-from .groups import AbelianGroup, GroupElement, InvariantFactors, Subgroup
+from .groups import AbelianGroup, Character, GroupElement, InvariantFactors, Subgroup
 from .hodge import HodgeDiamond
 
 SUBGROUP_CAP = 2 ** 18
@@ -210,12 +210,10 @@ def brute_quotient(numerator: AbelianGroup | Subgroup, denominator: Subgroup,
     return _invariant_factors_from_census(census, len(cosets))
 
 
-def brute_kernel(datum: AlgebraicDatum, characters: list, cap: int = SUBGROUP_CAP,
+def brute_kernel(datum: AlgebraicDatum, characters: list[Character], cap: int = SUBGROUP_CAP,
                  ) -> ElementSet:
-    """Scan every triple of ``G^3`` against every supplied character.
-
-    Characters may be given on ``G^3`` directly or as admissible triples
-    with an ``on_cube`` method.  A character ``a`` kills ``x`` when
+    """Scan every triple of ``G^3`` against every supplied character of
+    ``G^3`` (such as the admissible ones).  A character ``a`` kills ``x`` when
     ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``.  The sum
     splits over the three ``G``-slices of ``G^3``, so each slice gets a
     table of value vectors, one value per character.  The third slice is
@@ -231,8 +229,7 @@ def brute_kernel(datum: AlgebraicDatum, characters: list, cap: int = SUBGROUP_CA
     orders = cube.orders
     den = cube.exponent
     weights = []
-    for psi in characters:
-        chi = psi.on_cube(cube) if hasattr(psi, "on_cube") else psi
+    for chi in characters:
         if chi.group != cube:
             raise ParentMismatchError("character and element over different groups")
         weights.append(tuple(a * (den // n) for a, n in zip(chi.exponents, orders)))

@@ -146,7 +146,7 @@ def test_criterion_4_non_cyclic_kernel_fixture():
     budget = Budget(1)
     d = example4()
     first, second = admissible_characters(d)
-    got = sorted([c.exponents for c in adm.components] for adm in first + second)
+    got = sorted([adm.exponents[k:k + 4] for k in (0, 4, 8)] for adm in first + second)
     assert got == sorted([
         [(1, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0)],
         [(1, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 0)],

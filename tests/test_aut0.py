@@ -13,8 +13,6 @@ import pytest
 from conftest import random_element, random_group, random_subgroup
 
 from isoprod.aut0 import (
-    AdmissibleCharacter,
-    AdmissibleKind,
     Aut0Status,
     admissible_characters,
     aut0,
@@ -45,6 +43,12 @@ def triple(datum, cube, exps1, exps2, exps3):
     g = datum.group
     return product_element(cube, [g.element(exps1), g.element(exps2),
                                   g.element(exps3)])
+
+
+def thirds(psi):
+    """The three components of a character of ``G^3``, as exponent tuples."""
+    r = len(psi.exponents) // 3
+    return [psi.exponents[k * r:(k + 1) * r] for k in range(3)]
 
 
 class TestPreAdmissible:
@@ -83,8 +87,7 @@ class TestAdmissibleSets:
     def test_smallest_case_single_character(self):
         first, second = admissible_characters(example1())
         assert len(first) == 1 and len(second) == 0
-        assert [c.exponents for c in first[0].components] == \
-            [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        assert thirds(first[0]) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
     def test_general_parameters_all_odd_exponents(self):
         # Membership rule for the first family: every component exponent odd.
@@ -92,7 +95,7 @@ class TestAdmissibleSets:
         first, second = admissible_characters(d)
         assert (len(first), len(second)) == (2 * 1 * 3, 0)
         for adm in first:
-            c1, c2, c3 = (c.exponents for c in adm.components)
+            c1, c2, c3 = thirds(adm)
             assert c1[0] == c2[1] == c3[2] == 0
             assert all(e % 2 == 1 for e in (c1[1], c1[2], c2[0], c2[2],
                                             c3[0], c3[1]))
@@ -102,7 +105,7 @@ class TestAdmissibleSets:
         d = example2a(2, 2, 2)
         first, second = admissible_characters(d)
         for adm in first:
-            c1, c2, c3 = (c.exponents for c in adm.components)
+            c1, c2, c3 = thirds(adm)
             assert c2[0] % 2 == 1        # phi_1 exponent odd
             assert c3[1] % 2 == 0        # phi_2 exponent even on slot 3
         assert second  # the second kind is nonempty for this family
@@ -112,16 +115,14 @@ class TestAdmissibleSets:
             first, second = admissible_characters(example3(n))
             assert first == []
             assert len(second) == 2 * n  # k_2, k_3 odd; two trivial-slot shapes
-            shapes = {tuple(c.is_trivial for c in adm.components)
-                      for adm in second}
+            shapes = {tuple(not any(c) for c in thirds(adm)) for adm in second}
             assert shapes == {(False, False, True), (False, True, False)}
-            for adm in second:
-                assert adm.kind is AdmissibleKind.SECOND
+            for adm in first + second:
+                assert (adm in second) == any(not any(c) for c in thirds(adm))
 
     def test_non_cyclic_kernel_example_exact_set(self):
         first, second = admissible_characters(example4())
-        got = sorted([c.exponents for c in adm.components]
-                     for adm in first + second)
+        got = sorted(thirds(adm) for adm in first + second)
         assert got == sorted([
             [(1, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, 0)],
             [(1, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 0)],
@@ -134,8 +135,7 @@ class TestAdmissibleSets:
             d = factory()
             first, second = admissible_characters(d)
             for adm in first + second:
-                total = sum((d.group.element(c.exponents) for c in adm.components),
-                            d.group.zero)
+                total = sum((d.group.element(c) for c in thirds(adm)), d.group.zero)
                 assert total.is_zero
 
 
@@ -194,10 +194,9 @@ class TestOneEnumeration:
 
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
         d = example1()
-        trivial = d.group.trivial_character
-        # Nonzero on K_1 = <(1,0,0)>, so its kernel misses K Delta_G.
-        bogus = AdmissibleCharacter(AdmissibleKind.FIRST,
-                                    (d.group.character((1, 0, 0)), trivial, trivial))
+        # Nonzero on K_1 = <(1,0,0)> in the first slot, so its kernel misses
+        # K Delta_G.
+        bogus = direct_product([d.group] * 3).character((1, 0, 0) + (0, 0, 0) * 2)
         monkeypatch.setattr(aut0_module, "admissible_characters",
                             lambda datum, pre=None: ([bogus], []))
         with pytest.raises(ConsistencyError, match=r"\(3,0\) kernel"):

@@ -370,8 +370,22 @@ class TestClassesWithoutWalk:
             first, second = admissible_characters(d)
             for characters, pq in ((first + second, (3, 0)), (second, (2, 0))):
                 reference = cube.subgroup(
-                    [cube.element(psi._cube_exponents()) for psi in characters]).annihilator()
+                    [cube.element(psi.exponents) for psi in characters]).annihilator()
                 assert _annihilated_kernel(cube, characters, _k_delta(d), pq) == reference
+
+    @pytest.mark.parametrize("name", CLASS_DATA)
+    def test_admissible_lists_are_sorted_characters_of_the_cube(self, name):
+        # Each kind is a strictly increasing list of characters of G^3, and
+        # every one vanishes on K Delta_G.
+        for d in _class_data(name):
+            cube = direct_product([d.group] * 3)
+            k_delta = _k_delta(d).generators
+            for characters in admissible_characters(d):
+                keys = [psi.exponents for psi in characters]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                for psi in characters:
+                    assert psi.group == cube
+                    assert all(psi.pairing(gen) == 0 for gen in k_delta)
 
     @pytest.mark.parametrize("factory", [lambda: example1(2, 1, 3), example2b, example4])
     def test_branch_lifts_shifted_by_kernel_elements(self, factory):

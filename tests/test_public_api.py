@@ -7,9 +7,9 @@ from __future__ import annotations
 import isoprod
 
 PUBLIC = [
-    "AbelianGroup", "AdmissibleCharacter", "AdmissibleKind", "AlgebraicDatum",
-    "Aut0Result", "Aut0Status", "Character", "ConsistencyError", "DatumReport",
-    "EigenDimTable", "GeneratingVector", "GroupElement", "HodgeDiamond",
+    "AbelianGroup", "AlgebraicDatum", "Aut0Result", "Aut0Status", "Character",
+    "ConsistencyError", "DatumReport", "EigenDimTable", "GeneratingVector",
+    "GroupElement", "HodgeDiamond",
     "InvariantFactors", "IsoprodError", "NumericalInvariants", "OracleScaleError",
     "OverflowLimitError", "ParentMismatchError", "QuotientStructure", "RigidityClass",
     "SchemaError", "SearchCapError", "SearchSpec", "StructuralError", "Subgroup",

@@ -7,52 +7,57 @@ annihilator call on the subgroup of the dual generated by the admissible
 characters), and the quotient by ``K Delta_G`` is reported through its
 invariant factors and explicit generator cosets.
 
-The admissible characters are enumerated on packed characters (see
-``groups.PackedCharacters``) from the packed pre-admissible set of each
-factor, which comes from its Chevalley-Weil classes
-(``hodge._pre_admissible_classes``, also behind the eigenspace table); the
-first kind is one packed convolution of the three sets, the only one a
-report makes (``hodge_diamond`` counts classes instead).  Each admissible
-character is a plain character of ``G^3``, built from its triple of
-packed characters (``PackedCharacters.cube_characters``); its kind is the
-list it is in.
-
 Every admissible character lies in the sum-zero plane
 ``c_1 + c_2 + c_3 = 0``, so it is fixed by ``(c_1, c_2)``, its first
-``2r`` exponents, and vanishes on ``Delta_G``.  ``_admissible_span``
-therefore Hermite-reduces those rows at width ``2r`` rather than ``3r``,
-and the kernel (``_span_kernel``) is the Hermite dual of that span in
-``G^2``, placed in the first two slots, plus ``Delta_G``.  Each generator
-coset is written with trivial third component and reduced once, top-down,
-against the Hermite basis of the remaining adjustment subgroup; the result
-is the lexicographically least such representative.
+``2r`` exponents, and vanishes on ``Delta_G``.  What ``aut0`` needs of the
+characters is their two counts and their span at width ``2r``, the
+canonical Hermite basis of those rows (``_admissible_span``).  The kernel
+(``_span_kernel``) is the Hermite dual of the span in ``G^2``, placed in
+the first two slots, plus ``Delta_G``.  Each generator coset is written
+with trivial third component and reduced once, top-down, against the
+Hermite basis of the remaining adjustment subgroup; the result is the
+lexicographically least such representative.
 
-``admissible_characters`` owns the enumeration.  ``aut0`` calls it once
-and forms the ``(3,0)`` kernel from that list, as ``representation_kernel``
-does.  A caller that holds the pieces passes them in: the three
-pre-admissible sets (``pre``) and the ``_KernelPieces`` of the kernel
-triple (``G^3``, ``K Delta_G`` and the adjustment subgroup).  The survey
-computes the first once per factor branch and the second once per kernel
-triple; a report (``cli._Analysis``) reads the sets off its eigenspace
-table.
+The counts and spans come by one of two routes, chosen by one rule on the
+size of the listing (``LISTING_PAIRS``):
 
-Within one kernel triple the rest depends only on the three sets, so
-``aut0`` keeps it in ``_KernelPieces.memo`` under them, as a ``_Solved``:
-the admissible characters, the annihilator, the quotient by ``K Delta_G``
-and the canonical generators.  The last three depend only on the
-admissible span, so a memo miss forms the span and builds them only when
-it is new to ``_KernelPieces.spans``.  A report's kernels and oracle
-sections read the memo (``_solved``).  The enumeration, the status and
-the theorem bounds run on every ``aut0`` call.  ``verify_generator``
-enumerates again on purpose: it is the survey's independent re-check, so
-its pre-admissible sets come from the walk over ``Ann(K_i)``
-(``_pre_admissible_set``), not from the classes.
+- small data list the characters (``admissible_characters``): the
+  pre-admissible set of each factor, packed (see
+  ``groups.PackedCharacters``) and read off its Chevalley-Weil classes
+  (``hodge._pre_from_classes``), and one packed convolution of the three
+  sets for the first kind.  Each character is a plain character of
+  ``G^3`` (``PackedCharacters.cube_characters``), and its kind is the list
+  it is in;
+- large data read the counts and spans off the classes ``x + A_i`` of
+  ``Ann(K_i) / A_i`` themselves (``_admissible_from_classes``), with no
+  listing and no pre-admissible set.
+
+A caller that holds the pieces passes them in: the three pre-admissible
+sets (``pre``) or the three factors' classes (``classes``), and the
+``_KernelPieces`` of the kernel triple (``G^3``, ``K Delta_G`` and the
+adjustment subgroup).  The survey computes the sets once per factor
+branch and the pieces once per kernel triple; a report (``cli._Analysis``)
+passes the classes of its eigenspace table.
+
+Within one kernel triple the rest depends only on the sets (or on the
+``A_i``, which fix them), so ``aut0`` keeps it in ``_KernelPieces.memo``
+under them, as a ``_Solved``: the counts, the lists or the spans, the
+annihilator, the quotient by ``K Delta_G`` and the canonical generators.
+The last three depend only on the ``(3,0)`` span, so both routes build
+them only when it is new to ``_KernelPieces.spans``.  A report's kernels
+and oracle sections read the memo (``_solved``).  On the listing route the
+enumeration, and on both the status and the theorem bounds, run on every
+``aut0`` call.  ``verify_generator`` enumerates on purpose: it is the
+survey's independent re-check, so its pre-admissible sets come from the
+walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
+from math import prod
 from typing import Sequence
 
 from .covering import stabilizer_union
@@ -66,7 +71,9 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
+    _coset_key,
     _hermite_dual,
+    _hermite_order,
     diagonal_subgroup,
     direct_product,
     product_element,
@@ -75,7 +82,14 @@ from .groups import (
     split_element,
     subgroup_quotient,
 )
-from .hodge import _factor_walk, _pre_admissible_classes
+from .hodge import _class_lattice, _factor_walk, _pre_admissible_classes, _pre_from_classes
+
+# The listing route runs while the first-kind convolution visits at most
+# this many pairs ``|P_1| |P_2|``; above it the counts and spans come from
+# the classes.  Timed on 88 data of the example families with up to 5,184
+# pairs, listing was the faster route on 55 of the 60 data up to 256
+# pairs and the classes on 26 of the 28 above, both near 0.75 ms there.
+LISTING_PAIRS = 256
 
 
 class Aut0Status(enum.Enum):
@@ -214,10 +228,12 @@ def _admissible_span(cube: AbelianGroup, characters: list[Character],
     tuples.
     """
     r = cube.rank // 3
-    plane = cube.orders[: 2 * r]
     rows = [psi.exponents[: 2 * r] for psi in characters]
-    relations = [[n if c == j else 0 for c in range(2 * r)] for j, n in enumerate(plane)]
-    return row_hermite(rows + relations, 2 * r)
+    return row_hermite(rows + _relations(cube.orders[: 2 * r]), 2 * r)
+
+
+def _relations(orders: Sequence[int]) -> list[list[int]]:
+    return [[n if c == j else 0 for c in range(len(orders))] for j, n in enumerate(orders)]
 
 
 def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
@@ -239,6 +255,101 @@ def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
     return kernel
 
 
+def _listing_pairs(group: AbelianGroup, pre: Sequence[list[int]] | None,
+                   classes: Sequence[tuple] | None) -> int:
+    """The pairs ``|P_1| |P_2|`` that the first-kind convolution of the
+    listing visits, from the pre-admissible sets or, with
+    ``|P_i| = (#classes - 1) |A_i|``, from the classes."""
+    if pre is not None:
+        return len(pre[0]) * len(pre[1])
+    return prod((len(reps) - 1) * _hermite_order(group, a) for a, reps in classes[:2])
+
+
+def _admissible_from_classes(group: AbelianGroup, classes: Sequence[tuple],
+                             ) -> tuple[tuple[int, int], tuple, tuple]:
+    """The admissible counts ``(first, second)``, and the
+    ``_admissible_span`` of both kinds and of the second kind alone, read
+    off each factor's classes without listing a character.  ``classes``
+    holds, per factor, the Hermite basis of ``A_i`` and one representative
+    per class of ``Ann(K_i) / A_i``, zero first (``hodge._class_lattice``).
+
+    The pre-admissible set is the union of the nonzero classes.  A class
+    triple is feasible when ``x_1 + x_2 + x_3`` lies in
+    ``A_1 + A_2 + A_3``; its first-kind characters are then one coset of
+    the sum-zero part ``L`` of ``A_1 x A_2 x A_3``, of order
+    ``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|``.  A class pair ``(i, j)`` is
+    feasible when ``x_i + x_j`` lies in ``A_i + A_j`` and then holds
+    ``|A_i meet A_j|`` second-kind characters.
+
+    The characters of the first kind span ``W meet Z``, where ``Z`` is the
+    sum-zero plane and ``W`` is generated by the feasible class triples
+    and ``A_1 x A_2 x A_3``: each triple is a character up to an element of
+    ``A_1 x A_2 x A_3``, and the span holds ``L``, the difference of two
+    characters of one class triple.  The second-kind characters of slots
+    ``(i, j)`` span the same with the feasible pairs and ``A_i x A_j``.
+    Each such piece is found apart (intersecting with ``Z`` does not
+    distribute over sums), and the pieces add up at width ``2r``.  Since
+    ``Ann(Z) = Delta_G`` and a character of ``Z`` maps ``g`` to
+    ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)``, ``Ann_{G^2}`` of a piece's span
+    is the image of ``Ann_{G^3}(W)`` under
+    ``(g_1, g_2, g_3) -> (g_1 - g_3, g_2 - g_3)`` (``_plane_span``).
+    """
+    r = group.rank
+    bases = [a for a, _ in classes]
+    nonzero = [reps[1:] for _, reps in classes]
+    sizes = [_hermite_order(group, a) for a in bases]
+    zero = (0,) * r
+
+    def placed(slots: dict[int, Sequence[int]]) -> tuple[int, ...]:
+        return tuple(e for s in range(3) for e in slots.get(s, zero))
+
+    def feasible(idx: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
+        # The feasible class tuples in the slots ``idx``, placed in G^3,
+        # and the order of the sum of their A_i.  A tuple is feasible when
+        # the key of the sum of all but its last entry is the key of the
+        # negated last entry.
+        basis = row_hermite([row for i in idx for row in bases[i]], r)
+        last: dict[tuple[int, ...], list] = {}
+        for z in nonzero[idx[-1]]:
+            last.setdefault(_coset_key(basis, [-e for e in z]), []).append(z)
+        rows = []
+        for head in itertools.product(*(nonzero[i] for i in idx[:-1])):
+            key = _coset_key(basis, [sum(col) for col in zip(*head)])
+            for z in last.get(key, ()):
+                rows.append(placed(dict(zip(idx, (*head, z)))))
+        return rows, _hermite_order(group, basis)
+
+    def span(rows: list[tuple[int, ...]], idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if not rows:
+            return []
+        return list(_plane_span(group.orders, rows + [placed({i: a}) for i in idx
+                                                      for a in bases[i]]))
+
+    triples, order = feasible((0, 1, 2))
+    first = len(triples) * prod(sizes) // order
+    second, pair_rows = 0, []
+    for idx in ((0, 1), (0, 2), (1, 2)):
+        pairs, order = feasible(idx)
+        second += len(pairs) * sizes[idx[0]] * sizes[idx[1]] // order
+        pair_rows += span(pairs, idx)
+    span20 = row_hermite(pair_rows + _relations(group.orders * 2), 2 * r)
+    span30 = row_hermite([*span20, *span(triples, (0, 1, 2))], 2 * r)
+    return (first, second), span30, span20
+
+
+def _plane_span(orders: tuple[int, ...], rows: list[tuple[int, ...]],
+                ) -> tuple[tuple[int, ...], ...]:
+    """The Hermite basis, at width ``2r``, of the rows ``(c_1, c_2)`` of
+    ``W meet Z`` for the subgroup ``W`` of the dual of ``G^3`` generated by
+    ``rows``: the dual of the image of ``Ann_{G^3}(W)`` in ``G^2``."""
+    r = len(orders)
+    w = row_hermite(rows + _relations(orders * 3), 3 * r)
+    images = [tuple(g[c] - g[2 * r + c % r] for c in range(2 * r))
+              for g in _hermite_dual(w, orders * 3)]
+    kernel = row_hermite(images + _relations(orders * 2), 2 * r)
+    return row_hermite(_hermite_dual(kernel, orders * 2), 2 * r)
+
+
 def verify_generator(datum: AlgebraicDatum, rep: GroupElement,
                      walked: Sequence[list[int]] | None = None) -> bool:
     """Independent check that a triple is numerically trivial: every
@@ -249,25 +360,42 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement,
     may pass as ``walked``; sets from the classes would make the check
     depend on what it checks.
     """
+    return _verify_generators(datum, [rep], walked)
+
+
+def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
+                       walked: Sequence[list[int]] | None = None) -> bool:
+    """``verify_generator`` of every triple in ``reps`` on one enumeration."""
     cube = direct_product([datum.group] * 3)
-    if rep.group != cube:
-        rep = cube.element(rep.exponents)
+    reps = [rep if rep.group == cube else cube.element(rep.exponents) for rep in reps]
     if walked is None:
         codec = PackedCharacters(datum.group)
         walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
     first, second = admissible_characters(datum, walked)
-    return all(psi.pairing(rep) == 0 for psi in first + second)
+    return all(psi.pairing(rep) == 0 for psi in first + second for rep in reps)
 
 
 @dataclass
 class _Solved:
-    """``aut0``'s work on one pre-admissible triple: the admissible characters
-    and, once formed, the (3,0) kernel, its quotient and generators."""
+    """``aut0``'s work on one triple of factors: the admissible counts, the
+    characters themselves (listing route) or the spans of the (3,0) and
+    (2,0) kernels (class route), and, once formed, the (3,0) kernel, its
+    quotient and generators."""
 
-    admissible: tuple[list[Character], list[Character]]
+    counts: tuple[int, int]
+    admissible: tuple[list[Character], list[Character]] | None = None
+    spans: tuple[tuple, tuple] | None = None
     kernel: Subgroup | None = None
     quotient: QuotientStructure | None = None
     generators: tuple[GroupElement, ...] = ()
+
+    def span(self, cube: AbelianGroup, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+        """The ``_admissible_span`` of the characters of the ``(3,0)`` or the
+        ``(2,0)`` kernel: both kinds, or the second alone."""
+        if self.spans is not None:
+            return self.spans[pq != (3, 0)]
+        first, second = self.admissible
+        return _admissible_span(cube, first + second if pq == (3, 0) else second)
 
 
 @dataclass(frozen=True)
@@ -291,13 +419,38 @@ class _KernelPieces:
         default_factory=dict, compare=False, repr=False)
 
 
-def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces, pre: Sequence[list[int]],
+def _route(datum: AlgebraicDatum, pre: Sequence[list[int]] | None,
+           classes: Sequence[tuple] | None) -> tuple[Sequence[list[int]] | None,
+                                                     Sequence[tuple] | None]:
+    """The selection rule: ``(pre, None)`` for the listing route while the
+    listing visits at most ``LISTING_PAIRS`` pairs, else ``(None, classes)``.
+    Whichever the caller lacks is made from the other or from the datum."""
+    if pre is None and classes is None:
+        classes = [_class_lattice(datum, i) for i in range(3)]
+    if _listing_pairs(datum.group, pre, classes) <= LISTING_PAIRS:
+        if pre is None:
+            codec = PackedCharacters(datum.group)
+            pre = [_pre_from_classes(codec, *c) for c in classes]
+        return pre, None
+    return None, classes or [_class_lattice(datum, i) for i in range(3)]
+
+
+def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
+            pre: Sequence[list[int]] | None = None, classes: Sequence[tuple] | None = None,
             admissible: tuple | None = None) -> _Solved:
-    """The memo entry of ``pre``, made on a miss from ``admissible`` or else
-    from a new enumeration."""
-    memo, key = kernel_pieces.memo, tuple(tuple(p) for p in pre)
+    """The memo entry of the datum's factors, as ``_route`` gave them, made
+    on a miss.  The listing route files it under the pre-admissible sets,
+    from ``admissible`` or else a new enumeration; the class route files it
+    under the ``A_i`` bases, which fix the sets within a kernel triple."""
+    memo = kernel_pieces.memo
+    key = tuple(tuple(p) for p in pre) if classes is None else tuple(a for a, _ in classes)
     if key not in memo:
-        memo[key] = _Solved(admissible or admissible_characters(datum, pre))
+        if classes is None:
+            admissible = admissible or admissible_characters(datum, pre)
+            memo[key] = _Solved((len(admissible[0]), len(admissible[1])), admissible)
+        else:
+            counts, *spans = _admissible_from_classes(datum.group, classes)
+            memo[key] = _Solved(counts, spans=tuple(spans))
     return memo[key]
 
 
@@ -335,18 +488,21 @@ def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
          kernel_pieces: _KernelPieces | None = None,
-         pre: Sequence[list[int]] | None = None) -> Aut0Result:
+         pre: Sequence[list[int]] | None = None,
+         classes: Sequence[tuple] | None = None) -> Aut0Result:
     """The group of numerically trivial automorphisms (or the kernel
     quotient standing in for it), with generators and a proof status.
 
     A caller that holds the datum's pieces already passes them in: its
     ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
-    ``K Delta_G`` and the adjustment subgroup) and the three packed
-    pre-admissible sets ``pre`` (else read off the Chevalley-Weil classes).
-    Each is computed here when not given.  The admissible characters,
-    kernel, quotient and generators are looked up in, or added to,
-    ``kernel_pieces.memo`` under ``pre``, where the caller can read them
-    afterwards; on a miss the last three come from ``kernel_pieces.spans``.
+    ``K Delta_G`` and the adjustment subgroup), and either the three packed
+    pre-admissible sets ``pre`` or the three factors' classes ``classes``
+    (``hodge._class_lattice``; else made here).  ``_route`` picks the
+    route: small data list the admissible characters on every call, large
+    data read the counts and the span off the classes.  The result is
+    looked up in, or added to, ``kernel_pieces.memo``, where the caller can
+    read it afterwards; on a miss the kernel, quotient and generators come
+    from ``kernel_pieces.spans``.
     """
     if report is None:
         report = validate_datum(datum)
@@ -358,19 +514,17 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     if kernel_pieces is None:
         kernel_pieces = _kernel_pieces(datum)
     cube, k_delta = kernel_pieces.cube, kernel_pieces.k_delta
-    if pre is None:
-        codec = PackedCharacters(datum.group)
-        pre = [_pre_admissible_classes(datum, i, codec) for i in range(3)]
-    first, second = admissible_characters(datum, pre)
-    solved = _solved(datum, kernel_pieces, pre, (first, second))
-    counts = (len(first), len(second))
+    pre, classes = _route(datum, pre, classes)
+    admissible = admissible_characters(datum, pre) if classes is None else None
+    solved = _solved(datum, kernel_pieces, pre, classes, admissible)
+    counts = solved.counts
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
     if solved.kernel is None:
-        span = _admissible_span(cube, first + second)
+        span = solved.span(cube, (3, 0))
         lattice = kernel_pieces.spans.get(span)
         if lattice is None:
             kernel = _span_kernel(cube, span, k_delta, (3, 0))

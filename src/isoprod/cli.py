@@ -18,7 +18,7 @@ from typing import NoReturn
 import click
 
 from . import docio
-from .aut0 import _annihilated_kernel, _kernel_pieces, _solved
+from .aut0 import _kernel_pieces, _route, _solved, _span_kernel, admissible_characters
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
@@ -30,8 +30,8 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .examples import EXAMPLE_NAMES, build_example
-from .groups import PackedCharacters, Subgroup, subgroup_quotient
-from .hodge import _pre_admissible_classes, eigendim_table, hodge_diamond
+from .groups import Subgroup, subgroup_quotient
+from .hodge import _class_lattice, eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient
 from .search import SearchSpec, survey
 
@@ -72,13 +72,17 @@ def _invariants_section(datum: AlgebraicDatum, report) -> dict:
 
 class _Analysis:
     """What a report computes for one datum, each piece once, when a section
-    first reads it.  The kernels and oracle sections read the admissible
-    characters and ``(3,0)`` kernel that ``aut0`` left in ``pieces.memo``,
-    and compute them only where ``aut0`` did not run or stopped early.
+    first reads it.  ``aut0``, the kernels and the oracle sections share
+    one entry of ``pieces.memo`` (``aut0._solved``): the admissible
+    counts with the listed characters on small data, or with the spans of
+    the ``(3,0)`` and ``(2,0)`` kernels read off the classes on large data
+    (``aut0._route``), and the ``(3,0)`` kernel once ``aut0`` formed it.
+    The kernels section forms the kernels from those spans where ``aut0``
+    did not run or stopped early.
 
     Chevalley-Weil needs valid generating vectors: without them there is no
-    eigenspace table and no diamond (``None``), and the pre-admissible sets
-    come from the classes alone.
+    eigenspace table and no diamond (``None``), and the classes come from
+    the bare class lattice.
     """
 
     def __init__(self, datum: AlgebraicDatum):
@@ -96,11 +100,14 @@ class _Analysis:
         return eigendim_table(self.datum)
 
     @cached_property
-    def pre(self) -> list[list[int]]:
+    def route(self) -> tuple:
+        """``aut0._route`` of the classes: the pre-admissible sets or the
+        classes, whichever route the datum takes."""
         if self.report.vectors_ok:
-            return list(self.table._pre)
-        codec = PackedCharacters(self.datum.group)
-        return [_pre_admissible_classes(self.datum, i, codec) for i in range(3)]
+            classes = [(c.rows, c.reps) for c in self.table._classes]
+        else:
+            classes = [_class_lattice(self.datum, i) for i in range(3)]
+        return _route(self.datum, None, classes)
 
     @cached_property
     def pieces(self):
@@ -108,23 +115,29 @@ class _Analysis:
 
     @cached_property
     def solved(self):
-        return _solved(self.datum, self.pieces, self.pre)
+        return _solved(self.datum, self.pieces, *self.route)
+
+    @cached_property
+    def admissible(self) -> tuple:
+        """The admissible characters: listed once, by ``aut0`` on small data."""
+        return self.solved.admissible or admissible_characters(self.datum)
+
+    def kernel(self, pq: tuple[int, int]) -> Subgroup:
+        return _span_kernel(self.pieces.cube, self.solved.span(self.pieces.cube, pq),
+                            self.pieces.k_delta, pq)
 
     @cached_property
     def h30(self) -> Subgroup:
-        first, second = self.solved.admissible
-        return self.solved.kernel or _annihilated_kernel(
-            self.pieces.cube, first + second, self.pieces.k_delta, (3, 0))
+        return self.solved.kernel or self.kernel((3, 0))
 
     @cached_property
     def h20(self) -> Subgroup:
-        return _annihilated_kernel(self.pieces.cube, self.solved.admissible[1],
-                                   self.pieces.k_delta, (2, 0))
+        return self.kernel((2, 0))
 
 
 def _aut0_section(a: _Analysis) -> dict:
     try:
-        result = compute_aut0(a.datum, a.report, a.pieces, a.pre)
+        result = compute_aut0(a.datum, a.report, a.pieces, *a.route)
     except UnsupportedDatumError as exc:
         return {"status": "Unsupported", "detail": str(exc)}
     return {
@@ -156,7 +169,7 @@ def _oracle_section(a: _Analysis) -> dict:
     except OracleScaleError as exc:
         agreement["hodge"] = f"skipped: {exc}"
     try:
-        first, second = a.solved.admissible
+        first, second = a.admissible
         fast_kernel, k_delta = a.h30, a.pieces.k_delta
         slow_kernel = brute_kernel(a.datum, first + second)
         kernels_match = set(fast_kernel._element_tuples()) == set(slow_kernel.members)

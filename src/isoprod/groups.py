@@ -215,6 +215,12 @@ def _coset_key(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int,
     return tuple(v)
 
 
+def _hermite_order(group: "AbelianGroup", basis: Sequence[Sequence[int]]) -> int:
+    """The order of the subgroup of ``group`` whose lattice has the
+    upper-triangular Hermite ``basis``: ``|G|`` over the lattice's index."""
+    return group.order // prod(row[j] for j, row in enumerate(basis))
+
+
 def _hermite_box(basis: Sequence[Sequence[int]], orders: Sequence[int],
                  counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The points ``sum c_j basis[j]`` with ``0 <= c_j < counts[j]``, reduced
@@ -477,11 +483,12 @@ class PackedCharacters:
     def __init__(self, group: AbelianGroup):
         self.group = group
         self.width = max(group.orders, default=1).bit_length() + 1
-        self.shifts = tuple(self.width * (group.rank - 1 - j) for j in range(group.rank))
+        self.shifts = tuple(range(self.width * (group.rank - 1), -1, -self.width))
         top = 1 << (self.width - 1)
         self._guard = sum(top << s for s in self.shifts)
-        self._offset = sum((top - n) << s for n, s in zip(group.orders, self.shifts))
         self._moduli = sum(n << s for n, s in zip(group.orders, self.shifts))
+        # Field by field, the offset is ``top - n_j``: no field borrows.
+        self._offset = self._guard - self._moduli
 
     def pack(self, exponents: Iterable[int]) -> int:
         """Pack a reduced exponent tuple."""

@@ -16,9 +16,12 @@ Hermite bases ``B`` of ``Ann(K_i)`` and ``A`` of ``A_i``, the box
 ``sum c_j B_j``, ``0 <= c_j < A[j][j] / B[j][j]``, meets every class once,
 and its first point is zero.  ``eigendim_table`` reads one integer ``f``
 per class off its representative's values (``_FactorClasses``, checked in
-integers, without ``Fraction``); the pre-admissible set that ``aut0``, the
-CLI report and the survey read is ``Ann(K_i)`` minus ``A_i``, the nonzero
-classes translated by the elements of ``A_i`` (``_pre_admissible_classes``).
+integers, without ``Fraction``).  The pre-admissible set is ``Ann(K_i)``
+minus ``A_i``, the nonzero classes translated by the elements of ``A_i``
+(``_pre_from_classes``).  ``aut0`` lists the admissible characters from
+these sets on small data, the survey's among them; on large data it reads
+the admissible counts and spans off the classes themselves
+(``aut0._admissible_from_classes``), by the class sums below.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
 fibre size
@@ -44,11 +47,12 @@ so the cost depends on the number of classes (the order of the subgroup of
 order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
 totals are checked against ``hodge_diamond``, an independent count.
 
-The full tables over ``Ann(K_i)``, the views ``_packed`` and ``tables``
-that ``isotypic_decomposition`` and the API read, are the checked classes
-expanded on first read: every character of ``rep + A_i`` gets the class's
-``f``, and the trivial character ``f + 1``.  The integer walk over all of
-``Ann(K_i)`` (``_factor_walk``) serves only ``aut0.verify_generator``,
+The views of the eigenspace table expand the checked classes on first
+read: the pre-admissible sets (``_pre``), and the full tables over
+``Ann(K_i)`` (``_packed`` and ``tables``, which ``isotypic_decomposition``
+and the API read), where every character of ``rep + A_i`` gets the
+class's ``f`` and the trivial character ``f + 1``.  The integer walk over
+all of ``Ann(K_i)`` (``_factor_walk``) serves only ``aut0.verify_generator``,
 whose pre-admissible sets must not come from the classes, and the tests'
 reference.  A report makes no walk.
 """
@@ -64,7 +68,7 @@ from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key,
-                     _hermite_box, _hermite_dual, row_hermite)
+                     _hermite_box, _hermite_dual, _hermite_order, row_hermite)
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,19 @@ class EigenDimTable:
     """For each factor, the map ``chi -> dim W_i^chi`` over characters of G.
 
     The table holds each factor's checked Chevalley-Weil classes
-    (``_classes``) and its sorted packed pre-admissible set (``_pre``).  The
-    full annihilator support, zero entries included, is a view that expands
-    the classes on first read: keyed by packed characters (``_packed``) or
-    by ``Character`` (``tables``).
+    (``_classes``).  Views expand them on first read: each factor's sorted
+    packed pre-admissible set (``_pre``), and the full annihilator support,
+    zero entries included, keyed by packed characters (``_packed``) or by
+    ``Character`` (``tables``).
     """
 
     datum: AlgebraicDatum
-    _pre: tuple[list[int], ...]
     _classes: tuple[_FactorClasses, ...]
+
+    @cached_property
+    def _pre(self) -> tuple[list[int], ...]:
+        codec = PackedCharacters(self.datum.group)
+        return tuple(_pre_from_classes(codec, c.rows, c.reps) for c in self._classes)
 
     @cached_property
     def _packed(self) -> tuple[dict[int, int], ...]:
@@ -192,7 +200,7 @@ def _pre_admissible_classes(datum: AlgebraicDatum, i: int, codec: PackedCharacte
 
 
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
-    """The Chevalley-Weil classes and pre-admissible sets of each factor.
+    """The Chevalley-Weil classes of each factor.
 
     Chevalley-Weil in integers on one representative per class, with its
     values ``v_j`` on the branch lifts scaled to ``e = exponent(G)``:
@@ -202,12 +210,11 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
     dimensions must sum to the genus: ``sum f |A_i| + 1 = g``.
     """
     group = datum.group
-    codec = PackedCharacters(group)
     den = group.exponent
-    pre, classes = [], []
+    classes = []
     for i, vector in enumerate(datum.vectors):
         a_basis, reps = _class_lattice(datum, i)
-        order = group.order // prod(row[j] for j, row in enumerate(a_basis))
+        order = _hermite_order(group, a_basis)
         scaled = _scaled_lifts(datum, i)
         dims, seen = [], set()
         for c, rep in enumerate(reps):
@@ -231,9 +238,8 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
             raise ConsistencyError(
                 f"factor {i + 1}: {len(reps)} Chevalley-Weil classes of |Ann(T)| = {order} "
                 f"give dimensions summing to {sum(dims) * order + 1}, genus is {g}")
-        pre.append(_pre_from_classes(codec, a_basis, reps))
         classes.append(_FactorClasses(a_basis, order, tuple(reps), tuple(dims)))
-    return EigenDimTable(datum, tuple(pre), tuple(classes))
+    return EigenDimTable(datum, tuple(classes))
 
 
 @dataclass(frozen=True)
@@ -330,7 +336,7 @@ def _class_counts(group: AbelianGroup, classes: Sequence[_FactorClasses],
     def summed(*idx: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         # The Hermite basis of A_i + A_j (+ A_l) and the order of the sum.
         basis = row_hermite([row for i in idx for row in classes[i].rows], group.rank)
-        return basis, group.order // prod(row[j] for j, row in enumerate(basis))
+        return basis, _hermite_order(group, basis)
 
     def buckets(i: int, basis: tuple, sign: int) -> dict[tuple[int, ...], int]:
         out: dict[tuple[int, ...], int] = {}

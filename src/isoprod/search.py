@@ -33,9 +33,10 @@ Each check runs once at the level it depends on:
   objects afresh, so both memos belong to one ``survey`` call;
 - per branch triple: only the three-way freeness intersection
   (``validate_datum``), the admissible convolution, the memo lookup, the
-  status and theorem bounds (``aut0``), and the independent
-  ``verify_generator`` of each generator, which enumerates the admissible
-  characters afresh from the walked sets.
+  status and theorem bounds (``aut0``), and the independent re-check of
+  the generators (``aut0._verify_generators``, ``verify_generator`` of
+  all of them at once), which enumerates the admissible characters
+  afresh from the walked sets, once per datum.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
@@ -53,7 +54,7 @@ from functools import cached_property
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .aut0 import Aut0Result, _kernel_pieces, _pre_admissible_set, aut0, verify_generator
+from .aut0 import Aut0Result, _kernel_pieces, _pre_admissible_set, _verify_generators, aut0
 from .covering import GeneratingVector, _riemann_hurwitz
 from .datum import (
     AlgebraicDatum,
@@ -344,7 +345,7 @@ class _KernelTriple:
 
     def walked(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> list[list[int]]:
         """The three packed pre-admissible sets of the walk over ``Ann(K_i)``,
-        for ``verify_generator``; each branch walks once."""
+        for the generator re-check; each branch walks once."""
         for i, b in enumerate(branches):
             if b.walked is None:
                 b.walked = _pre_admissible_set(datum, i, self._codec)
@@ -436,11 +437,10 @@ def survey(spec: SearchSpec) -> SurveyResult:
         if not report.ok:
             continue
         result = triple.aut0(datum, report, branches)
-        walked = triple.walked(datum, branches) if result.generators else None
-        for gen in result.generators:
-            if not verify_generator(datum, gen, walked):
-                raise TheoremViolationError(
-                    "survey generator failed independent re-verification")
+        if result.generators and not _verify_generators(
+                datum, result.generators, triple.walked(datum, branches)):
+            raise TheoremViolationError(
+                "survey generator failed independent re-verification")
         key = tuple(result.invariant_factors)
         if result.status.value == "Proven" and key not in ((), (2,), (2, 2)):
             raise TheoremViolationError(

@@ -203,6 +203,48 @@ class TestOneEnumeration:
             aut0(d)
 
 
+class TestClassRoute:
+    """Above ``LISTING_PAIRS`` pairs ``aut0`` reads its counts and span off
+    the classes instead of listing the admissible characters."""
+
+    def test_the_rule_splits_the_examples(self):
+        pairs = [aut0_module._listing_pairs(d.group, None, [
+            aut0_module._class_lattice(d, i) for i in range(3)])
+            for d in (example1(), example1(2, 2, 2), example1(4, 4, 4), example1(8, 8, 8))]
+        assert pairs == [4, 64, 1024, 16384]
+        assert pairs[1] <= aut0_module.LISTING_PAIRS < pairs[2]
+
+    def test_large_datum_lists_nothing(self, monkeypatch):
+        calls = Counter()
+        TestOneEnumeration().spy(monkeypatch, calls, "admissible_characters")
+        d = example1(8, 8, 8)
+        pieces = aut0_module._kernel_pieces(d)
+        result = aut0(d, kernel_pieces=pieces)
+        assert calls["admissible_characters"] == 0
+        assert result.admissible_counts == (512, 0)
+        assert list(result.invariant_factors) == [2, 2]
+        # Filed under the A_i bases, with the spans instead of the lists.
+        (key, solved), = pieces.memo.items()
+        assert key == tuple(aut0_module._class_lattice(d, i)[0] for i in range(3))
+        assert solved.admissible is None and solved.kernel == result.kernel
+        assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
+
+    def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
+        d = example1(8, 8, 8)
+        real = aut0_module._admissible_from_classes
+        # The row (c_1, c_2) of a character nonzero on K_1 = <(1,0,0)> in the
+        # first slot, so its kernel misses K Delta_G.
+        bogus = (1, 0, 0, 0, 0, 0)
+
+        def with_bogus_row(group, classes):
+            counts, span30, span20 = real(group, classes)
+            return counts, aut0_module.row_hermite([bogus, *span30], 6), span20
+
+        monkeypatch.setattr(aut0_module, "_admissible_from_classes", with_bogus_row)
+        with pytest.raises(ConsistencyError, match=r"\(3,0\) kernel"):
+            aut0(d)
+
+
 class TestExampleAut0:
     def test_first_family_all_parameters(self):
         for n1, n2, n3 in itertools.product((1, 2, 3), repeat=3):

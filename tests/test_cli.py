@@ -16,7 +16,7 @@ from isoprod.aut0 import representation_kernel
 from isoprod.cli import build_report, main
 from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.docio import datum_document, dumps
-from isoprod.examples import example1, example3
+from isoprod.examples import example1, example2b, example3, example4
 from isoprod.groups import AbelianGroup
 
 runner = CliRunner()
@@ -267,6 +267,35 @@ class TestOnePassPerDatum:
         _spy_everywhere(monkeypatch, "isoprod.hodge", "_factor_walk", calls)
         build_report(example1(8), ("invariants", "hodge", "aut0", "kernels"))
         assert calls["_factor_walk"] == 0
+
+    def test_large_report_lists_no_admissible_character(self, monkeypatch):
+        # Above the listing threshold the counts and spans come from the
+        # classes: no enumeration and no pre-admissible set.
+        calls = Counter()
+        _spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
+        _spy_everywhere(monkeypatch, "isoprod.hodge", "_pre_from_classes", calls)
+        datum = example1(8, 8, 8)
+        report = build_report(datum, ("invariants", "hodge", "aut0", "kernels"))
+        assert calls == {}
+        assert report["aut0"]["admissible_first"] == 512
+        assert [report["kernels"][k]["order"] for k in ("h30", "h20")] == \
+            [representation_kernel(datum, 3, 0).order, representation_kernel(datum, 2, 0).order]
+
+    @pytest.mark.parametrize("case", [
+        "example1", "example2b", "example3_n2", "example4", "trivial_by_rigidity",
+        "unsupported", "broken_product_relation"])
+    def test_both_routes_give_the_same_report(self, case, monkeypatch):
+        # With the threshold below every pair count, each datum takes the
+        # class route, and the oracle section lists on its own.
+        datum = {"example1": example1, "example2b": example2b, "example4": example4,
+                 "example3_n2": lambda: example3(2)}.get(case, lambda: _off_path_datum(case))()
+        sections = ("invariants", "hodge", "aut0", "kernels")
+        listed = build_report(datum, sections, oracle=True)
+        monkeypatch.setattr(importlib.import_module("isoprod.aut0"), "LISTING_PAIRS", -1)
+        calls = Counter()
+        _spy_everywhere(monkeypatch, "isoprod.aut0", "_admissible_from_classes", calls)
+        assert build_report(datum, sections, oracle=True) == listed
+        assert calls["_admissible_from_classes"] == 1
 
     @pytest.mark.parametrize("case,status", [
         ("trivial_by_rigidity", "TrivialByRigidity"), ("unsupported", "Unsupported"),

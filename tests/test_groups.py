@@ -409,6 +409,20 @@ class TestPackedCharacters:
             assert got == [tuple(codec.pack(chi.exponents) for chi in term[:3]) + term[3:]
                            for term in want]
 
+    @pytest.mark.parametrize("orders", [(5,), (2, 4, 8), (2, 3, 4, 5, 6, 7, 8, 9, 10)])
+    def test_fields_equal_the_per_field_formulas(self, orders):
+        # Ranks 1, 3 and 9: the shifts run down from the top field, and the
+        # offset is ``top - n_j`` in every field.
+        group = AbelianGroup(orders)
+        codec = PackedCharacters(group)
+        width, rank = codec.width, group.rank
+        shifts = tuple(width * (rank - 1 - j) for j in range(rank))
+        top = 1 << (width - 1)
+        assert tuple(codec.shifts) == shifts
+        assert codec._guard == sum(top << s for s in shifts)
+        assert codec._offset == sum((top - n) << s for n, s in zip(orders, shifts))
+        assert codec._moduli == sum(n << s for n, s in zip(orders, shifts))
+
 
 class TestAnnihilator:
     @given(groups_with_subgroup())

@@ -3,13 +3,15 @@ against the convolution, and isotypic pieces."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
 
 from isoprod import hodge as hodge_module
 from isoprod import docio
-from isoprod.aut0 import _annihilated_kernel, _k_delta, admissible_characters, pre_admissible
+from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _annihilated_kernel, _k_delta,
+                          admissible_characters, pre_admissible)
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
@@ -20,19 +22,23 @@ from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_
 from isoprod.search import SearchSpec, _candidates
 
 
-def _non_elliptic_data():
+# The spaces below are built once per session: several test classes walk
+# the same data, and no test changes them.
+@functools.cache
+def _non_elliptic_data() -> tuple[AlgebraicDatum, ...]:
     """One datum per branch triple of the ``g' = (2,1,1)`` basis-kernel space
     over Z2^3 at ``r <= 4``, valid or not."""
     spec = SearchSpec(group_orders=(2, 2, 2), max_branch=4, g_primes=(2, 1, 1),
                       kernels=((((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)),))
-    return [triple.datum(branches)
-            for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders))]
+    return tuple(triple.datum(branches)
+                 for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)))
 
 
-def _valid_data(spec: SearchSpec) -> list[AlgebraicDatum]:
+@functools.cache
+def _valid_data(spec: SearchSpec) -> tuple[AlgebraicDatum, ...]:
     data = (triple.datum(branches)
             for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)))
-    return [d for d in data if validate_datum(d).ok]
+    return tuple(d for d in data if validate_datum(d).ok)
 
 
 BASIS_KERNELS = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
@@ -239,7 +245,7 @@ class TestClassCounting:
     def test_non_elliptic_space(self):
         # g' = (2,1,1): the class of the trivial character of the first
         # factor has f = g' - 1 = 1, so the pair terms carry it.
-        data = [d for d in _non_elliptic_data() if validate_datum(d).ok]
+        data = _class_data("non_elliptic")
         assert len(data) == 208
         assert all(eigendim_table(d)._classes[0].dims[0] == 1 for d in data)
         for d in data:
@@ -316,15 +322,16 @@ ORACLE_EXAMPLES = (
 CLASS_DATA = ("examples", "non_elliptic", "z7", *sorted(FROZEN_SPACES))
 
 
-def _class_data(name: str) -> list[AlgebraicDatum]:
+@functools.cache
+def _class_data(name: str) -> tuple[AlgebraicDatum, ...]:
     """The ladder and oracle examples, the valid data of the ``g' = (2,1,1)``
     space, the six orders of the Z7 datum, or a frozen survey space."""
     if name == "examples":
-        return [build_example(n, p) for n, p in EXAMPLE_LADDER + ORACLE_EXAMPLES]
+        return tuple(build_example(n, p) for n, p in EXAMPLE_LADDER + ORACLE_EXAMPLES)
     if name == "non_elliptic":
-        return [d for d in _non_elliptic_data() if validate_datum(d).ok]
+        return tuple(d for d in _non_elliptic_data() if validate_datum(d).ok)
     if name == "z7":
-        return _z7_orders()
+        return tuple(_z7_orders())
     return _valid_data(FROZEN_SPACES[name])
 
 
@@ -386,6 +393,22 @@ class TestClassesWithoutWalk:
                 for psi in characters:
                     assert psi.group == cube
                     assert all(psi.pairing(gen) == 0 for gen in k_delta)
+
+    @pytest.mark.parametrize("name", CLASS_DATA + ("large",))
+    def test_class_route_equals_the_listing(self, name):
+        # The counts and both spans read off the classes equal those of the
+        # listed characters, on every datum whatever route it takes; "large"
+        # adds class-route examples with second-kind characters.
+        data = _class_data(name) if name != "large" else (
+            example2a(4, 4, 4), example2b(6, 3, 3), example1(5, 5, 5), example3(3))
+        for d in data:
+            cube = direct_product([d.group] * 3)
+            first, second = admissible_characters(d)
+            classes = [hodge_module._class_lattice(d, i) for i in range(3)]
+            counts, span30, span20 = _admissible_from_classes(d.group, classes)
+            assert counts == (len(first), len(second))
+            assert span30 == _admissible_span(cube, first + second)
+            assert span20 == _admissible_span(cube, second)
 
     @pytest.mark.parametrize("factory", [lambda: example1(2, 1, 3), example2b, example4])
     def test_branch_lifts_shifted_by_kernel_elements(self, factory):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
@@ -38,6 +39,20 @@ def spec_with(**kw):
     base = dict(group_orders=(2, 2, 2), kernels=(BASIS_KERNELS,))
     base.update(kw)
     return SearchSpec(**base)
+
+
+@functools.cache
+def _basis_r4_valid() -> tuple:
+    """The valid data of ``spec_with(max_branch=4)``, each as its kernel
+    triple, branches, datum and lone-datum ``aut0`` result: built once for
+    the tests that then spy on a survey of that space."""
+    spec = spec_with(max_branch=4)
+    out = []
+    for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)):
+        datum = triple.datum(branches)
+        if validate_datum(datum).ok:
+            out.append((triple, branches, datum, aut0(datum)))
+    return tuple(out)
 
 
 class TestSpecParsing:
@@ -236,17 +251,14 @@ class TestFactorized:
         # admissible span and determines it by duality, so the survey builds
         # one kernel, quotient and set of generators per kernel.
         spec = spec_with(max_branch=4)
-        group = AbelianGroup(spec.group_orders)
-        codec = PackedCharacters(group)
+        codec = PackedCharacters(AbelianGroup(spec.group_orders))
         valid, pre_triples, kernels = 0, set(), set()
-        for triple, branches in _candidates(spec, group):
-            datum = triple.datum(branches)
-            if validate_datum(datum).ok:
-                valid += 1
-                bases = tuple(k.basis for k in triple.kernels)
-                pre = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))
-                pre_triples.add((bases, pre))
-                kernels.add((bases, aut0(datum).kernel))
+        for triple, _, datum, result in _basis_r4_valid():
+            valid += 1
+            bases = tuple(k.basis for k in triple.kernels)
+            pre = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))
+            pre_triples.add((bases, pre))
+            kernels.add((bases, result.kernel))
 
         calls = Counter()
         self.spy(monkeypatch, calls, search_module, "aut0")
@@ -263,17 +275,29 @@ class TestFactorized:
         # generators once (18 branches) instead of three times per generator
         # check (240 walks).
         spec = spec_with(max_branch=4)
-        group = AbelianGroup(spec.group_orders)
         used = set()
-        for triple, branches in _candidates(spec, group):
-            datum = triple.datum(branches)
-            if validate_datum(datum).ok and aut0(datum).generators:
+        for triple, branches, _, result in _basis_r4_valid():
+            if result.generators:
                 used.update((triple, i, b) for i, b in enumerate(branches))
 
         calls = Counter()
         self.spy(monkeypatch, calls, aut0_module, "_factor_walk")
         survey(spec)
         assert calls["_factor_walk"] == len(used) == 18
+
+    def test_survey_enumerates_once_per_datum_with_generators(self, monkeypatch):
+        # aut0 lists once per valid datum, and the re-check of a datum's
+        # generators lists once more, from the walked sets (64 data with
+        # generators; 80 enumerations when each generator listed anew).
+        spec = spec_with(max_branch=4)
+        data = _basis_r4_valid()
+        valid, with_generators = len(data), sum(bool(r.generators) for *_, r in data)
+
+        calls = Counter()
+        self.spy(monkeypatch, calls, aut0_module, "admissible_characters")
+        survey(spec)
+        assert (valid, with_generators) == (208, 64)
+        assert calls["admissible_characters"] == valid + with_generators
 
 
 class TestWalkedSets:

@@ -74,10 +74,8 @@ from .groups import (
     _coset_key,
     _hermite_dual,
     _hermite_order,
-    diagonal_subgroup,
     direct_product,
     product_element,
-    product_subgroup,
     row_hermite,
     split_element,
     subgroup_quotient,
@@ -181,8 +179,13 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
 
 
 def _k_delta(datum: AlgebraicDatum) -> Subgroup:
-    return product_subgroup(list(datum.kernels)).sum(
-        diagonal_subgroup(datum.group, 3))
+    """``K Delta_G`` as one subgroup of ``G^3``: the kernels, then the diagonal."""
+    g = datum.group
+    cube = direct_product([g] * 3)
+    slots = [(g.zero,) * i + (k,) + (g.zero,) * (2 - i)
+             for i, h in enumerate(datum.kernels) for k in h.generators]
+    slots += [(g.basis_element(j),) * 3 for j in range(g.rank)]
+    return cube.subgroup(product_element(cube, parts) for parts in slots)
 
 
 def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:

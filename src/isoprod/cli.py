@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import cached_property
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import click
 
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .examples import EXAMPLE_NAMES, build_example
-from .groups import Subgroup, subgroup_quotient
+from .groups import Character, Subgroup, subgroup_quotient
 from .hodge import _class_lattice, eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient
 from .search import SearchSpec, survey
@@ -117,10 +117,10 @@ class _Analysis:
     def solved(self):
         return _solved(self.datum, self.pieces, *self.route)
 
-    @cached_property
-    def admissible(self) -> tuple:
-        """The admissible characters: listed once, by ``aut0`` on small data."""
-        return self.solved.admissible or admissible_characters(self.datum)
+    def admissible(self) -> Iterator[Character]:
+        """Both kinds of admissible characters, listed at the first read."""
+        first, second = self.solved.admissible or admissible_characters(self.datum)
+        yield from first + second
 
     def kernel(self, pq: tuple[int, int]) -> Subgroup:
         return _span_kernel(self.pieces.cube, self.solved.span(self.pieces.cube, pq),
@@ -169,9 +169,8 @@ def _oracle_section(a: _Analysis) -> dict:
     except OracleScaleError as exc:
         agreement["hodge"] = f"skipped: {exc}"
     try:
-        first, second = a.admissible
         fast_kernel, k_delta = a.h30, a.pieces.k_delta
-        slow_kernel = brute_kernel(a.datum, first + second)
+        slow_kernel = brute_kernel(a.datum, a.admissible())
         kernels_match = set(fast_kernel._element_tuples()) == set(slow_kernel.members)
         quotient = a.solved.quotient or subgroup_quotient(fast_kernel, k_delta)
         fast_factors = list(quotient.invariant_factors)

@@ -4,13 +4,14 @@ A group is presented as a direct sum of cyclic groups ``Z_{n_1} + ... +
 Z_{n_k}``; elements and characters are exponent tuples.  Subgroups are
 represented by a canonical Hermite-reduced basis of the corresponding
 integer lattice in ``Z^k`` (the lattice always contains the relation
-lattice ``diag(n_1, ..., n_k) Z^k``).  The Hermite basis alone answers
-membership, order, exponent and cyclicity, coset minima, and element
-listing (H. Cohen, *A Course in Computational Algebraic Number Theory*,
-2.4), and its dual basis, found by exact forward substitution, generates
-the annihilator.  The Smith normal form is used for quotients ``A / B``,
-whose elimination carries ``V^{-1}`` alongside ``V``, and for the integer
-kernels behind intersections.  No rational arithmetic is involved.
+lattice ``diag(n_1, ..., n_k) Z^k``), built by inserting the rows one at
+a time.  The Hermite basis alone answers membership, order, exponent and
+cyclicity, coset minima, and element listing (H. Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4), and its dual basis, found by
+exact forward substitution, generates the annihilator.  Intersections are
+dual to sums: ``H_1 & H_2 = Ann(Ann H_1 + Ann H_2)``.  Smith forms serve
+``left_kernel``, ``unimodular_inverse`` and quotients ``A / B``, whose
+elimination carries ``V^{-1}`` along.  No rational arithmetic is involved.
 
 All values are immutable after construction.  The lazily cached values
 are a subgroup's annihilator and exponent, stored on the instance by their
@@ -155,32 +156,38 @@ def row_hermite(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, .
     The input lattice must have rank ``width`` (guaranteed here because the
     ambient relation rows ``diag(n_j)`` are always stacked in).  Pivots are
     positive and entries above each pivot are reduced into ``[0, pivot)``.
+
+    Each row is pushed down a basis of at most one row per column; at a
+    taken column, Euclid's algorithm on the two rows leaves the gcd in the
+    basis row and a zero in the pushed one, which moves on (H. Cohen, 2.4).
+    Signs and entries above the pivots are reduced last, bottom row first.
     """
-    mat = [list(r) for r in rows]
-    pivot_row = 0
-    for col in range(width):
-        while True:
-            nz = [i for i in range(pivot_row, len(mat)) if mat[i][col]]
-            if not nz:
-                raise ConsistencyError("lattice not of full rank")
-            i0 = min(nz, key=lambda i: abs(mat[i][col]))
-            mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
-            if len(nz) == 1:
+    basis: list[list[int] | None] = [None] * width
+    for row in rows:
+        v = list(row)
+        for col in range(width):
+            if not v[col]:
+                continue
+            b = basis[col]
+            if b is None:
+                basis[col] = v
                 break
-            p = mat[pivot_row][col]
-            for i in range(pivot_row + 1, len(mat)):
-                if mat[i][col]:
-                    q = mat[i][col] // p
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[pivot_row])]
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-x for x in mat[pivot_row]]
-        p = mat[pivot_row][col]
-        for i in range(pivot_row):
-            q = mat[i][col] // p
+            while v[col]:
+                q = v[col] // b[col]
+                v = [s - q * t for s, t in zip(v, b)]
+                if v[col]:
+                    b, v = v, b
+            basis[col] = b
+    if None in basis:
+        raise ConsistencyError("lattice not of full rank")
+    for j in range(width - 1, -1, -1):
+        row = basis[j] if basis[j][j] > 0 else [-x for x in basis[j]]
+        for c in range(j + 1, width):
+            q = row[c] // basis[c][c]
             if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pivot_row])]
-        pivot_row += 1
-    return tuple(tuple(row) for row in mat[:pivot_row])
+                row = [s - q * t for s, t in zip(row, basis[c])]
+        basis[j] = row
+    return tuple(map(tuple, basis))
 
 
 def solve_upper(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
@@ -580,10 +587,7 @@ class Subgroup:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", generators)
         rows = [list(g.exponents) for g in generators] + ambient.relation_rows()
-        if ambient.rank == 0:
-            object.__setattr__(self, "basis", ())
-        else:
-            object.__setattr__(self, "basis", row_hermite(rows, ambient.rank))
+        object.__setattr__(self, "basis", row_hermite(rows, ambient.rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -616,8 +620,6 @@ class Subgroup:
     def contains(self, g: GroupElement) -> bool:
         if g.group != self.ambient:
             raise ParentMismatchError("element from a different group")
-        if self.ambient.rank == 0:
-            return True
         return solve_upper(self.basis, g.exponents) is not None
 
     def __contains__(self, g: GroupElement) -> bool:
@@ -643,20 +645,14 @@ class Subgroup:
         return all(other.contains(GroupElement(self.ambient, row)) for row in self.basis)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
+        """``Ann(Ann H_1 + Ann H_2)``: the Hermite dual of the Hermite basis
+        of the two annihilator bases, which are cached on the instances."""
         if self.ambient != other.ambient:
             raise ParentMismatchError("subgroups of different groups")
-        k = self.ambient.rank
-        if k == 0:
-            return self
-        stacked = [list(r) for r in self.basis] + [[-x for x in r] for r in other.basis]
-        gens = []
-        for coeffs in left_kernel(stacked):
-            vec = [0] * k
-            for c, row in zip(coeffs[: len(self.basis)], self.basis):
-                for j in range(k):
-                    vec[j] += c * row[j]
-            gens.append(GroupElement(self.ambient, tuple(vec)))
-        return Subgroup(self.ambient, tuple(gens))
+        amb = self.ambient
+        joined = row_hermite(self.annihilator().basis + other.annihilator().basis, amb.rank)
+        return Subgroup(amb, tuple(GroupElement(amb, row)
+                                   for row in _hermite_dual(joined, amb.orders)))
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:

@@ -27,6 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import prod
 from operator import add, mod, mul
+from typing import Iterable
 
 from .datum import AlgebraicDatum
 from .errors import ConsistencyError, OracleScaleError, ParentMismatchError
@@ -210,15 +211,16 @@ def brute_quotient(numerator: AbelianGroup | Subgroup, denominator: Subgroup,
     return _invariant_factors_from_census(census, len(cosets))
 
 
-def brute_kernel(datum: AlgebraicDatum, characters: list[Character], cap: int = SUBGROUP_CAP,
-                 ) -> ElementSet:
+def brute_kernel(datum: AlgebraicDatum, characters: Iterable[Character],
+                 cap: int = SUBGROUP_CAP) -> ElementSet:
     """Scan every triple of ``G^3`` against every supplied character of
-    ``G^3`` (such as the admissible ones).  A character ``a`` kills ``x`` when
-    ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``.  The sum
-    splits over the three ``G``-slices of ``G^3``, so each slice gets a
-    table of value vectors, one value per character.  The third slice is
-    bucketed by its vector, and each pair ``(x1, x2)`` reads off the bucket
-    of the negated partial sums.
+    ``G^3`` (such as the admissible ones), read once after the cap check,
+    so a lazy iterable lists nothing over the cap.  A character ``a`` kills
+    ``x`` when ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``.
+    The sum splits over the three ``G``-slices of ``G^3``, so each slice
+    gets a table of value vectors, one value per character.  The third
+    slice is bucketed by its vector, and each pair ``(x1, x2)`` reads off
+    the bucket of the negated partial sums.
     """
     from .groups import direct_product
 

@@ -16,6 +16,19 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# The report ladder and the oracle cross-check set of the benchmark, as
+# ``isoprod example`` parameters.
+EXAMPLE_LADDER = (
+    ("example1", {"n": 1}), ("example1", {"n": 2}), ("example1", {"n": 4}),
+    ("example1", {"n": 8}), ("example2a", {"n": 4}),
+    ("example2b", {"n1": 4, "n2": 2, "n3": 2}), ("example3", {"n": 4}), ("example4", {}),
+)
+ORACLE_EXAMPLES = (
+    ("example1", {"n": 1}), ("example1", {"n1": 2, "n2": 1, "n3": 1}),
+    ("example2a", {"n1": 2, "n2": 1, "n3": 1}), ("example2a", {"n1": 1, "n2": 1, "n3": 2}),
+    ("example2b", {}), ("example3", {"n": 1}), ("example4", {}),
+)
+
 
 @st.composite
 def abelian_groups(draw, max_rank: int = 3, max_order: int = 256) -> AbelianGroup:

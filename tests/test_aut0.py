@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_element, random_group, random_subgroup
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, random_element, random_group,
+                      random_subgroup)
 
 from isoprod.aut0 import (
     Aut0Status,
@@ -25,12 +26,14 @@ from isoprod.aut0 import (
 )
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
 from isoprod.errors import ConsistencyError, TheoremViolationError, UnsupportedDatumError
-from isoprod.examples import example1, example2a, example2b, example3, example4
+from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import (
     AbelianGroup,
     PackedCharacters,
+    diagonal_subgroup,
     direct_product,
     product_element,
+    product_subgroup,
     split_element,
 )
 from isoprod.oracle import enumerate_subgroup
@@ -160,6 +163,18 @@ class TestRepresentationKernel:
     def test_unsupported_summand(self):
         with pytest.raises(ValueError):
             representation_kernel(example1(), 1, 0)
+
+
+class TestKDelta:
+    @pytest.mark.parametrize("name,params", EXAMPLE_LADDER + ORACLE_EXAMPLES)
+    def test_equals_the_product_plus_the_diagonal(self, name, params):
+        # One subgroup of the stacked rows, with the same generators in the
+        # same order as the sum of the two subgroups.
+        d = build_example(name, params)
+        reference = product_subgroup(list(d.kernels)).sum(diagonal_subgroup(d.group, 3))
+        k_delta = _k_delta(d)
+        assert k_delta == reference
+        assert k_delta.generators == reference.generators
 
 
 class TestOneEnumeration:

@@ -281,6 +281,19 @@ class TestOnePassPerDatum:
         assert [report["kernels"][k]["order"] for k in ("h30", "h20")] == \
             [representation_kernel(datum, 3, 0).order, representation_kernel(datum, 2, 0).order]
 
+    def test_oracle_over_its_cap_lists_no_admissible_character(self, monkeypatch):
+        # The oracle checks |G|^3 against its cap before it reads the
+        # characters, so a class-route datum over the cap lists none, and
+        # the report is the recorded one.
+        calls = Counter()
+        _spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
+        result = runner.invoke(main, ["example", "example1", "--param", "n=32", "--oracle",
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        assert calls == {}
+        golden = Path(__file__).resolve().parent / "golden" / "example_example1_n32_oracle_json.out"
+        assert result.stdout == golden.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("case", [
         "example1", "example2b", "example3_n2", "example4", "trivial_by_rigidity",
         "unsupported", "broken_product_relation"])

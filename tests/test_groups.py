@@ -70,6 +70,51 @@ def check_snf(a):
     return s, u, v
 
 
+def reference_row_hermite(rows, width):
+    """The Hermite basis by Euclid on the least entry of each column over
+    all remaining rows, the reference for ``row_hermite``'s insertion."""
+    mat = [list(r) for r in rows]
+    pivot_row = 0
+    for col in range(width):
+        while True:
+            nz = [i for i in range(pivot_row, len(mat)) if mat[i][col]]
+            if not nz:
+                raise ConsistencyError("lattice not of full rank")
+            i0 = min(nz, key=lambda i: abs(mat[i][col]))
+            mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
+            if len(nz) == 1:
+                break
+            p = mat[pivot_row][col]
+            for i in range(pivot_row + 1, len(mat)):
+                if mat[i][col]:
+                    q = mat[i][col] // p
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[pivot_row])]
+        if mat[pivot_row][col] < 0:
+            mat[pivot_row] = [-x for x in mat[pivot_row]]
+        p = mat[pivot_row][col]
+        for i in range(pivot_row):
+            q = mat[i][col] // p
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pivot_row])]
+        pivot_row += 1
+    return tuple(tuple(row) for row in mat[:pivot_row])
+
+
+@st.composite
+def hermite_inputs(draw):
+    """``(width, rows)``: random rows of width 1-12 with negative entries,
+    zero rows and duplicates, stacked with the relation rows of a group and
+    shuffled."""
+    group = draw(abelian_groups(max_rank=12, max_order=9 ** 12))
+    width, bound = group.rank, 3 * max(group.orders)
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=width,
+                                  max_size=width), max_size=8))
+    rows += [[0] * width] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return width, draw(st.permutations(rows + group.relation_rows()))
+
+
 class TestSmithNormalForm:
     def test_known_2x2(self):
         s, _, _ = check_snf([[2, 4], [6, 8]])
@@ -161,6 +206,25 @@ class TestHermite:
         for i in range(len(h)):
             for j in range(i + 1, len(h)):
                 assert 0 <= h[i][j] < h[j][j]
+
+    @given(hermite_inputs())
+    def test_insertion_matches_the_reference(self, case):
+        width, rows = case
+        basis = row_hermite(rows, width)
+        assert basis == reference_row_hermite(rows, width)
+        assert len(basis) == width
+
+    @given(hermite_inputs(), st.data())
+    def test_rank_deficient_input_raises(self, case, data):
+        # Zeroing one column, or keeping fewer rows than the width, leaves
+        # a lattice of rank below the width.
+        width, rows = case
+        col = data.draw(st.integers(0, width - 1))
+        for deficient in ([[0 if j == col else x for j, x in enumerate(r)] for r in rows],
+                          rows[:width - 1]):
+            for hermite in (row_hermite, reference_row_hermite):
+                with pytest.raises(ConsistencyError, match="lattice not of full rank"):
+                    hermite(deficient, width)
 
     def test_solve_upper_roundtrip(self):
         basis = row_hermite([[4, 0], [0, 4], [2, 2]], 2)
@@ -287,6 +351,27 @@ class TestSubgroups:
         regenerated = group.subgroup(list(h.elements()))
         assert regenerated == h
         assert hash(regenerated) == hash(h)
+
+
+class TestIntersection:
+    """``H_1 & H_2 = Ann(Ann H_1 + Ann H_2)`` against the closure oracle."""
+
+    @given(groups_with_subgroup(), st.data())
+    def test_matches_the_intersection_of_the_closures(self, pair, data):
+        group, a = pair
+        b = group.subgroup(data.draw(st.lists(group_elements(group), max_size=3)))
+        meet = a & b
+        expected = sorted(set(enumerate_subgroup(a).members)
+                          & set(enumerate_subgroup(b).members))
+        assert list(enumerate_subgroup(meet).members) == expected
+        assert sorted(meet._element_tuples()) == expected
+
+    def test_rank_zero_group(self):
+        g = AbelianGroup(())
+        meet = g.full_subgroup() & g.trivial_subgroup()
+        assert meet.ambient == g and meet.basis == () and meet.order == 1
+        assert g.zero in meet and meet == g.full_subgroup()
+        assert list(enumerate_subgroup(meet).members) == [()]
 
 
 # Random subgroups of these groups exercise high rank, a prime power

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES
 from isoprod import hodge as hodge_module
 from isoprod import docio
 from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _annihilated_kernel, _k_delta,
@@ -54,12 +55,6 @@ FROZEN_SPACES = {
     "z2^2_cyclic_g113": SearchSpec.from_document(
         {"group": [2, 2], "kernels": "cyclic", "max_branch": 3, "g_primes": [1, 1, 3]}),
 }
-# The report ladder of the benchmark, as ``isoprod example`` parameters.
-EXAMPLE_LADDER = (
-    ("example1", {"n": 1}), ("example1", {"n": 2}), ("example1", {"n": 4}),
-    ("example1", {"n": 8}), ("example2a", {"n": 4}),
-    ("example2b", {"n1": 4, "n2": 2, "n3": 2}), ("example3", {"n": 4}), ("example4", {}),
-)
 # Z7 covers of P^1 with branch types (1,2,4), (1,1,5), (1,3,3): not free;
 # the eigentables differ from factor to factor and from their negations.
 Z7_DOCUMENT = {"group": [7], "kernels": [[], [], []],
@@ -313,12 +308,6 @@ class TestClassCounting:
         assert len(calls) == 1
 
 
-# The oracle cross-check set of the benchmark, as ``isoprod example`` parameters.
-ORACLE_EXAMPLES = (
-    ("example1", {"n": 1}), ("example1", {"n1": 2, "n2": 1, "n3": 1}),
-    ("example2a", {"n1": 2, "n2": 1, "n3": 1}), ("example2a", {"n1": 1, "n2": 1, "n3": 2}),
-    ("example2b", {}), ("example3", {"n": 1}), ("example4", {}),
-)
 CLASS_DATA = ("examples", "non_elliptic", "z7", *sorted(FROZEN_SPACES))
 
 

@@ -32,7 +32,7 @@ from .errors import (
 from .examples import EXAMPLE_NAMES, build_example
 from .groups import Character, Subgroup, subgroup_quotient
 from .hodge import _class_lattice, eigendim_table, hodge_diamond
-from .oracle import brute_hodge, brute_kernel, brute_quotient
+from .oracle import brute_hodge, brute_kernel, brute_quotient, enumerate_subgroup
 from .search import SearchSpec, survey
 
 EXIT_OK = 0
@@ -171,13 +171,13 @@ def _oracle_section(a: _Analysis) -> dict:
     try:
         fast_kernel, k_delta = a.h30, a.pieces.k_delta
         slow_kernel = brute_kernel(a.datum, a.admissible())
-        kernels_match = set(fast_kernel._element_tuples()) == set(slow_kernel.members)
+        # One oracle closure of the fast kernel serves both checks below.
+        closure = enumerate_subgroup(fast_kernel)
+        kernels_match = closure.members == slow_kernel.members
         quotient = a.solved.quotient or subgroup_quotient(fast_kernel, k_delta)
-        fast_factors = list(quotient.invariant_factors)
-        slow_factors = list(brute_quotient(fast_kernel, k_delta))
+        factors_match = quotient.invariant_factors == brute_quotient(closure, k_delta)
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"
-        agreement["quotient"] = ("agree" if fast_factors == slow_factors
-                                 else "DISAGREE")
+        agreement["quotient"] = "agree" if factors_match else "DISAGREE"
     except OracleScaleError as exc:
         agreement.setdefault("kernel", f"skipped: {exc}")
         agreement.setdefault("quotient", f"skipped: {exc}")

@@ -149,7 +149,7 @@ def _kernel_checks(kernels: Sequence[Subgroup]) -> _KernelChecks:
     """Minimality (the first pair of kernels meeting nontrivially, if any)
     and cyclicity of the three kernels."""
     witness = next(((i + 1, j + 1) for i in range(3) for j in range(i + 1, 3)
-                    if not (kernels[i] & kernels[j]).is_trivial), None)
+                    if not kernels[i]._meets_trivially(kernels[j])), None)
     return _KernelChecks(witness, all(k.is_cyclic for k in kernels))
 
 

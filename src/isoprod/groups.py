@@ -654,6 +654,13 @@ class Subgroup:
         return Subgroup(amb, tuple(GroupElement(amb, row)
                                    for row in _hermite_dual(joined, amb.orders)))
 
+    def _meets_trivially(self, other: "Subgroup") -> bool:
+        """Whether ``self & other`` is trivial, without forming it: its order
+        is the product of the pivots of the joined basis of ``intersection``."""
+        joined = row_hermite(self.annihilator().basis + other.annihilator().basis,
+                             self.ambient.rank)
+        return all(row[j] == 1 for j, row in enumerate(joined))
+
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
             raise ParentMismatchError("subgroups of different groups")

@@ -173,7 +173,7 @@ def _kernel_triples(spec: SearchSpec, group: AbelianGroup) -> list[tuple[Subgrou
             for triple in spec.kernels)
     out = []
     for triple in triples:
-        if all((triple[i] & triple[j]).is_trivial
+        if all(triple[i]._meets_trivially(triple[j])
                for i in range(3) for j in range(i + 1, 3)):
             out.append(triple)
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -12,12 +13,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import ORACLE_EXAMPLES
+from isoprod import cli
 from isoprod.aut0 import representation_kernel
 from isoprod.cli import build_report, main
 from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.docio import datum_document, dumps
-from isoprod.examples import example1, example2b, example3, example4
-from isoprod.groups import AbelianGroup
+from isoprod.errors import ConsistencyError
+from isoprod.examples import build_example, example1, example2b, example3, example4
+from isoprod.groups import AbelianGroup, Subgroup, subgroup_quotient
 
 runner = CliRunner()
 
@@ -211,12 +215,16 @@ class TestSubcommands:
         assert "aut0" not in doc
 
 
-def _spy_everywhere(monkeypatch, module_name: str, name: str, calls: Counter) -> None:
-    """Count the calls of ``module.name`` under every isoprod name bound to it."""
+def _spy_everywhere(monkeypatch, module_name: str, name: str, calls: Counter,
+                    first_args: list | None = None) -> None:
+    """Count the calls of ``module.name`` under every isoprod name bound to it,
+    and keep their first arguments in ``first_args`` if it is given."""
     real = getattr(importlib.import_module(module_name), name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
+        if first_args is not None:
+            first_args.append(args[0])
         return real(*args, **kwargs)
 
     for mod_name, module in list(sys.modules.items()):
@@ -294,6 +302,26 @@ class TestOnePassPerDatum:
         golden = Path(__file__).resolve().parent / "golden" / "example_example1_n32_oracle_json.out"
         assert result.stdout == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("name,params", ORACLE_EXAMPLES)
+    def test_oracle_closes_the_fast_kernel_once(self, name, params, monkeypatch):
+        # The kernel and quotient checks share one oracle closure of the
+        # (3,0) kernel, and its Hermite box lists nothing for them.
+        datum = build_example(name, params)
+        kernel = cli._Analysis(datum).h30
+        calls, closed, listed = Counter(), [], []
+        _spy_everywhere(monkeypatch, "isoprod.oracle", "enumerate_subgroup", calls, closed)
+        real = Subgroup._element_tuples
+
+        def element_tuples(self):
+            listed.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Subgroup, "_element_tuples", element_tuples)
+        report = build_report(datum, ("invariants", "hodge", "aut0", "kernels"), oracle=True)
+        assert set(report["oracle"].values()) == {"agree"}
+        assert closed.count(kernel) == 1
+        assert kernel not in listed
+
     @pytest.mark.parametrize("case", [
         "example1", "example2b", "example3_n2", "example4", "trivial_by_rigidity",
         "unsupported", "broken_product_relation"])
@@ -321,6 +349,56 @@ class TestOnePassPerDatum:
                     representation_kernel(datum, 2, 0).order)
         assert [report["kernels"][k]["order"] for k in ("h30", "h21", "h20", "h11")] == \
             [h30, h30, h20, h20]
+
+
+class TestOracleCatchesErrors:
+    """A wrong fast (3,0) kernel or quotient makes the oracle section raise,
+    and the CLI exit 3."""
+
+    @staticmethod
+    def wrong_kernel(monkeypatch) -> None:
+        # The true kernel plus a basis element of G^3 outside it: still a
+        # subgroup containing K Delta_G, so the fast path's own checks pass.
+        real = cli._Analysis.h30.func
+
+        def h30(self):
+            kernel = real(self)
+            cube = kernel.ambient
+            extra = next(e for e in map(cube.basis_element, range(cube.rank))
+                         if e not in kernel)
+            wrong = kernel.sum(cube.subgroup([extra]))
+            assert self.pieces.k_delta.is_subgroup_of(wrong)
+            return wrong
+
+        monkeypatch.setattr(cli._Analysis, "h30", property(h30))
+
+    @staticmethod
+    def wrong_quotient(monkeypatch) -> None:
+        # G^3 / K Delta_G in place of the (3,0) kernel's quotient.
+        real = cli._Analysis.solved.func
+
+        def solved(self):
+            cube, k_delta = self.pieces.cube, self.pieces.k_delta
+            return dataclasses.replace(
+                real(self), quotient=subgroup_quotient(cube.full_subgroup(), k_delta))
+
+        monkeypatch.setattr(cli._Analysis, "solved", property(solved))
+
+    EXPECTED = {"kernel": "'kernel': 'DISAGREE'",
+                "quotient": "'kernel': 'agree', 'quotient': 'DISAGREE'"}
+
+    @pytest.mark.parametrize("check", ["kernel", "quotient"])
+    def test_report_raises(self, check, monkeypatch):
+        getattr(self, f"wrong_{check}")(monkeypatch)
+        with pytest.raises(ConsistencyError, match=self.EXPECTED[check]):
+            build_report(example1(), ("aut0",), oracle=True)
+
+    @pytest.mark.parametrize("check", ["kernel", "quotient"])
+    def test_cli_exits_three(self, check, monkeypatch, example1_file):
+        getattr(self, f"wrong_{check}")(monkeypatch)
+        result = runner.invoke(main, ["report", "--oracle", example1_file])
+        assert result.exit_code == 3
+        assert self.EXPECTED[check] in result.output
 
 
 class TestExampleCommand:

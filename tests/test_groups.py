@@ -373,6 +373,21 @@ class TestIntersection:
         assert g.zero in meet and meet == g.full_subgroup()
         assert list(enumerate_subgroup(meet).members) == [()]
 
+    @given(abelian_groups(), st.data())
+    def test_trivial_meet_without_the_intersection(self, group, data):
+        # At most two generators each, so that both verdicts come up.
+        a, b = (group.subgroup(data.draw(st.lists(group_elements(group), max_size=2)))
+                for _ in range(2))
+        assert a._meets_trivially(b) == b._meets_trivially(a) == (a & b).is_trivial
+
+    def test_both_verdicts_of_the_meet_check(self):
+        g = AbelianGroup([2, 4])
+        a, b, c = (g.subgroup([g.element(e)]) for e in ((1, 0), (0, 1), (1, 1)))
+        assert a._meets_trivially(b) and a._meets_trivially(g.trivial_subgroup())
+        assert not b._meets_trivially(c) and not a._meets_trivially(g.full_subgroup())
+        rank_zero = AbelianGroup(())
+        assert rank_zero.full_subgroup()._meets_trivially(rank_zero.trivial_subgroup())
+
 
 # Random subgroups of these groups exercise high rank, a prime power
 # ambient and mixed coprime orders.

@@ -6,12 +6,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_element, random_group, random_subgroup
+from conftest import (ORACLE_EXAMPLES, abelian_groups, random_element, random_group,
+                      random_subgroup, subgroups)
 from isoprod import docio, oracle
 from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta
+from isoprod.cli import _Analysis
 from isoprod.errors import ConsistencyError, OracleScaleError
-from isoprod.examples import example1, example2a, example2b, example3, example4
+from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import (
     AbelianGroup,
     diagonal_subgroup,
@@ -172,6 +175,32 @@ class TestBruteQuotient:
             brute_quotient(a, b)
         with pytest.raises(ConsistencyError):
             brute_quotient(g.trivial_subgroup(), b)
+
+
+class TestElementSetNumerator:
+    """An explicit ``ElementSet`` numerator, such as the closure that the
+    CLI shares between its kernel and quotient checks, gives the factors of
+    the ``Subgroup`` it closes."""
+
+    @pytest.mark.parametrize("name,params", ORACLE_EXAMPLES)
+    def test_fast_kernel_over_k_delta(self, name, params):
+        a = _Analysis(build_example(name, params))
+        kernel, k_delta = a.h30, a.pieces.k_delta
+        assert brute_quotient(enumerate_subgroup(kernel), k_delta) == \
+            brute_quotient(kernel, k_delta)
+
+    @given(abelian_groups(), st.data())
+    def test_matches_the_subgroup_numerator(self, group, data):
+        top = data.draw(subgroups(group))
+        bottom = top & data.draw(subgroups(group))
+        assert brute_quotient(enumerate_subgroup(top), bottom) == brute_quotient(top, bottom)
+
+    def test_denominator_outside_numerator_raises(self):
+        g = AbelianGroup([4, 2])
+        b = g.subgroup([g.element((0, 1))])
+        for top in (g.subgroup([g.element((1, 0))]), g.trivial_subgroup()):
+            with pytest.raises(ConsistencyError):
+                brute_quotient(enumerate_subgroup(top), b)
 
 
 class TestBruteKernel:

@@ -18,38 +18,42 @@ with trivial third component and reduced once, top-down, against the
 Hermite basis of the remaining adjustment subgroup; the result is the
 lexicographically least such representative.
 
-The counts and spans come by one of two routes, chosen by one rule on the
-size of the listing (``LISTING_PAIRS``):
+``aut0``'s one input is each factor's Chevalley-Weil classes: the Hermite
+basis of ``A_i`` and one representative per class of ``Ann(K_i) / A_i``
+(``hodge._class_lattice``).  The counts and spans come by one of two
+routes, chosen by one rule on the size of the listing (``LISTING_PAIRS``):
 
 - small data list the characters (``admissible_characters``): the
   pre-admissible set of each factor, packed (see
-  ``groups.PackedCharacters``) and read off its Chevalley-Weil classes
+  ``groups.PackedCharacters``) and read off its classes
   (``hodge._pre_from_classes``), and one packed convolution of the three
   sets for the first kind.  Each character is a plain character of
   ``G^3`` (``PackedCharacters.cube_characters``), and its kind is the list
   it is in;
-- large data read the counts and spans off the classes ``x + A_i`` of
-  ``Ann(K_i) / A_i`` themselves (``_admissible_from_classes``), with no
-  listing and no pre-admissible set.
+- large data read the counts and spans off the classes ``x + A_i``
+  themselves (``_admissible_from_classes``), with no listing and no
+  pre-admissible set.
 
-A caller that holds the pieces passes them in: the three pre-admissible
-sets (``pre``) or the three factors' classes (``classes``), and the
-``_KernelPieces`` of the kernel triple (``G^3``, ``K Delta_G`` and the
-adjustment subgroup).  The survey computes the sets once per factor
-branch and the pieces once per kernel triple; a report (``cli._Analysis``)
-passes the classes of its eigenspace table.
+A caller that holds the pieces passes them in: the three factors'
+classes, and the ``_KernelPieces`` of the kernel triple (``G^3``,
+``K Delta_G`` and the adjustment subgroup).  The survey computes the
+classes once per factor branch and the pieces once per kernel triple; a
+report (``cli._Analysis``) passes the classes of its eigenspace table.
 
-Within one kernel triple the rest depends only on the sets (or on the
-``A_i``, which fix them), so ``aut0`` keeps it in ``_KernelPieces.memo``
-under them, as a ``_Solved``: the counts, the lists or the spans, the
-annihilator, the quotient by ``K Delta_G`` and the canonical generators.
-The last three depend only on the ``(3,0)`` span, so both routes build
-them only when it is new to ``_KernelPieces.spans``.  A report's kernels
-and oracle sections read the memo (``_solved``).  On the listing route the
-enumeration, and on both the status and the theorem bounds, run on every
-``aut0`` call.  ``verify_generator`` enumerates on purpose: it is the
-survey's independent re-check, so its pre-admissible sets come from the
-walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes.
+Within one kernel triple ``A_i`` fixes the pre-admissible set
+``Ann(K_i) \\ A_i``, so ``aut0`` keeps the rest of its work in
+``_KernelPieces.memo`` under the three ``A_i`` bases, as a ``_Solved``:
+the counts, the lists or the spans, the annihilator, the quotient by
+``K Delta_G`` and the canonical generators.  The last three depend only
+on the ``(3,0)`` span, so both routes build them only when it is new to
+``_KernelPieces.spans``.  The characters are listed at most once per memo
+miss, from pre-admissible sets that the pieces keep per factor and
+``A_i``.  A report's kernels and oracle sections and
+``representation_kernel`` read the memo (``_solved``); the status and the
+theorem bounds run on every ``aut0`` call.  ``verify_generator``
+enumerates on purpose: it is the survey's independent re-check, so its
+pre-admissible sets come from the walk over ``Ann(K_i)``
+(``_pre_admissible_set``), not from the classes.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ from .groups import (
     split_element,
     subgroup_quotient,
 )
-from .hodge import _class_lattice, _factor_walk, _pre_admissible_classes, _pre_from_classes
+from .hodge import _class_lattice, _factor_walk, _pre_from_classes
 
 # The listing route runs while the first-kind convolution visits at most
 # this many pairs ``|P_1| |P_2|``; above it the counts and spans come from
@@ -158,12 +162,12 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
     ``PackedCharacters.cube_characters`` sorts and turns into characters of
     ``G^3``.  ``pre`` holds the three packed pre-admissible sets when the
     caller has them already; otherwise they come from each factor's
-    Chevalley-Weil classes (``hodge._pre_admissible_classes``).
+    Chevalley-Weil classes (``hodge._pre_from_classes``).
     """
     codec = PackedCharacters(datum.group)
     neg = codec.neg
     if pre is None:
-        pre = [_pre_admissible_classes(datum, i, codec) for i in range(3)]
+        pre = [_pre_from_classes(codec, *_class_lattice(datum, i)) for i in range(3)]
     pre = [dict.fromkeys(p, 1) for p in pre]
     # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
     terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
@@ -202,22 +206,16 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     annihilator.  Hence the two kernel equalities hold at the level of
     character sets, and the CLI's kernels section reads ``(2,1)`` from the
     ``(3,0)`` kernel and ``(1,1)`` from the ``(2,0)`` kernel.
+
+    The span of those characters is ``aut0``'s, from the datum's classes
+    (``_solved``), so large data list nothing here either.
     """
     if (p, q) not in {(3, 0), (2, 1), (2, 0), (1, 1)}:
         raise ValueError(f"representation kernel supported for (3,0),(2,1),(2,0),(1,1); "
                          f"got ({p},{q})")
-    first, second = admissible_characters(datum)
-    characters = first + second if p + q == 3 else second
-    cube = direct_product([datum.group] * 3)
-    return _annihilated_kernel(cube, characters, _k_delta(datum), (p, q))
-
-
-def _annihilated_kernel(cube: AbelianGroup, characters: list[Character],
-                        k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
-    """The subgroup of ``G^3`` on which every given character vanishes,
-    checked to contain ``K Delta_G``: ``_span_kernel`` of the characters'
-    ``_admissible_span``."""
-    return _span_kernel(cube, _admissible_span(cube, characters), k_delta, pq)
+    pieces = _kernel_pieces(datum)
+    solved = _solved(datum, pieces, [_class_lattice(datum, i) for i in range(3)])
+    return _span_kernel(pieces.cube, solved.span(pieces.cube, (p, q)), pieces.k_delta, (p, q))
 
 
 def _admissible_span(cube: AbelianGroup, characters: list[Character],
@@ -258,13 +256,9 @@ def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
     return kernel
 
 
-def _listing_pairs(group: AbelianGroup, pre: Sequence[list[int]] | None,
-                   classes: Sequence[tuple] | None) -> int:
+def _listing_pairs(group: AbelianGroup, classes: Sequence[tuple]) -> int:
     """The pairs ``|P_1| |P_2|`` that the first-kind convolution of the
-    listing visits, from the pre-admissible sets or, with
-    ``|P_i| = (#classes - 1) |A_i|``, from the classes."""
-    if pre is not None:
-        return len(pre[0]) * len(pre[1])
+    listing visits, with ``|P_i| = (#classes - 1) |A_i|``."""
     return prod((len(reps) - 1) * _hermite_order(group, a) for a, reps in classes[:2])
 
 
@@ -393,12 +387,13 @@ class _Solved:
     generators: tuple[GroupElement, ...] = ()
 
     def span(self, cube: AbelianGroup, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-        """The ``_admissible_span`` of the characters of the ``(3,0)`` or the
-        ``(2,0)`` kernel: both kinds, or the second alone."""
+        """The ``_admissible_span`` of the characters of the ``(p,q)`` kernel:
+        both kinds for ``p + q = 3``, the second alone for ``p + q = 2``."""
+        both = sum(pq) == 3
         if self.spans is not None:
-            return self.spans[pq != (3, 0)]
+            return self.spans[not both]
         first, second = self.admissible
-        return _admissible_span(cube, first + second if pq == (3, 0) else second)
+        return _admissible_span(cube, first + second if both else second)
 
 
 @dataclass(frozen=True)
@@ -408,10 +403,12 @@ class _KernelPieces:
     representatives.
 
     ``memo`` holds the rest of ``aut0``'s work, which within one kernel
-    triple depends only on the pre-admissible sets: it maps the tuple of
-    the three packed sets to their ``_Solved``.  ``spans`` maps each
+    triple depends only on the ``A_i``: it maps the tuple of the three
+    ``A_i`` bases to their ``_Solved``.  ``spans`` maps each
     ``_admissible_span`` to the kernel, quotient and generators that the
-    triples of that span share.
+    triples of that span share.  ``_pre`` keeps the packed pre-admissible
+    set of each factor index and ``A_i`` basis for the listings of memo
+    misses: ``Ann(K_i)`` differs between the factors.
     """
 
     cube: AbelianGroup
@@ -420,36 +417,31 @@ class _KernelPieces:
     memo: dict[tuple, _Solved] = field(default_factory=dict, compare=False, repr=False)
     spans: dict[tuple, tuple[Subgroup, QuotientStructure, tuple[GroupElement, ...]]] = field(
         default_factory=dict, compare=False, repr=False)
+    _pre: dict[tuple, list[int]] = field(default_factory=dict, compare=False, repr=False)
 
-
-def _route(datum: AlgebraicDatum, pre: Sequence[list[int]] | None,
-           classes: Sequence[tuple] | None) -> tuple[Sequence[list[int]] | None,
-                                                     Sequence[tuple] | None]:
-    """The selection rule: ``(pre, None)`` for the listing route while the
-    listing visits at most ``LISTING_PAIRS`` pairs, else ``(None, classes)``.
-    Whichever the caller lacks is made from the other or from the datum."""
-    if pre is None and classes is None:
-        classes = [_class_lattice(datum, i) for i in range(3)]
-    if _listing_pairs(datum.group, pre, classes) <= LISTING_PAIRS:
-        if pre is None:
-            codec = PackedCharacters(datum.group)
-            pre = [_pre_from_classes(codec, *c) for c in classes]
-        return pre, None
-    return None, classes or [_class_lattice(datum, i) for i in range(3)]
+    def pre_admissible(self, group: AbelianGroup, classes: Sequence[tuple]) -> list[list[int]]:
+        """The three factors' packed pre-admissible sets, each made from its
+        classes (``hodge._pre_from_classes``) once per ``A_i``."""
+        codec = PackedCharacters(group)
+        for i, (a, reps) in enumerate(classes):
+            if (i, a) not in self._pre:
+                self._pre[i, a] = _pre_from_classes(codec, a, reps)
+        return [self._pre[i, a] for i, (a, _) in enumerate(classes)]
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
-            pre: Sequence[list[int]] | None = None, classes: Sequence[tuple] | None = None,
-            admissible: tuple | None = None) -> _Solved:
-    """The memo entry of the datum's factors, as ``_route`` gave them, made
-    on a miss.  The listing route files it under the pre-admissible sets,
-    from ``admissible`` or else a new enumeration; the class route files it
-    under the ``A_i`` bases, which fix the sets within a kernel triple."""
+            classes: Sequence[tuple]) -> _Solved:
+    """The memo entry of the datum's classes, filed under the ``A_i`` bases,
+    which fix the pre-admissible sets within a kernel triple.  A miss lists
+    the admissible characters while the listing visits at most
+    ``LISTING_PAIRS`` pairs, and reads the counts and spans off the classes
+    above."""
     memo = kernel_pieces.memo
-    key = tuple(tuple(p) for p in pre) if classes is None else tuple(a for a, _ in classes)
+    key = tuple(a for a, _ in classes)
     if key not in memo:
-        if classes is None:
-            admissible = admissible or admissible_characters(datum, pre)
+        if _listing_pairs(datum.group, classes) <= LISTING_PAIRS:
+            admissible = admissible_characters(
+                datum, kernel_pieces.pre_admissible(datum.group, classes))
             memo[key] = _Solved((len(admissible[0]), len(admissible[1])), admissible)
         else:
             counts, *spans = _admissible_from_classes(datum.group, classes)
@@ -491,21 +483,19 @@ def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
          kernel_pieces: _KernelPieces | None = None,
-         pre: Sequence[list[int]] | None = None,
          classes: Sequence[tuple] | None = None) -> Aut0Result:
     """The group of numerically trivial automorphisms (or the kernel
     quotient standing in for it), with generators and a proof status.
 
     A caller that holds the datum's pieces already passes them in: its
     ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
-    ``K Delta_G`` and the adjustment subgroup), and either the three packed
-    pre-admissible sets ``pre`` or the three factors' classes ``classes``
-    (``hodge._class_lattice``; else made here).  ``_route`` picks the
-    route: small data list the admissible characters on every call, large
-    data read the counts and the span off the classes.  The result is
-    looked up in, or added to, ``kernel_pieces.memo``, where the caller can
-    read it afterwards; on a miss the kernel, quotient and generators come
-    from ``kernel_pieces.spans``.
+    ``K Delta_G`` and the adjustment subgroup), and the three factors'
+    ``classes`` (``hodge._class_lattice``; else made here).  The counts and
+    the span are looked up in, or added to, ``kernel_pieces.memo`` under
+    the ``A_i`` bases (``_solved``), where the caller can read them
+    afterwards: on a miss small data list the admissible characters and
+    large data read the counts and the span off the classes.  The kernel,
+    quotient and generators come from ``kernel_pieces.spans``.
     """
     if report is None:
         report = validate_datum(datum)
@@ -517,9 +507,9 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     if kernel_pieces is None:
         kernel_pieces = _kernel_pieces(datum)
     cube, k_delta = kernel_pieces.cube, kernel_pieces.k_delta
-    pre, classes = _route(datum, pre, classes)
-    admissible = admissible_characters(datum, pre) if classes is None else None
-    solved = _solved(datum, kernel_pieces, pre, classes, admissible)
+    if classes is None:
+        classes = [_class_lattice(datum, i) for i in range(3)]
+    solved = _solved(datum, kernel_pieces, classes)
     counts = solved.counts
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:

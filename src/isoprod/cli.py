@@ -18,7 +18,7 @@ from typing import Iterator, NoReturn
 import click
 
 from . import docio
-from .aut0 import _kernel_pieces, _route, _solved, _span_kernel, admissible_characters
+from .aut0 import _kernel_pieces, _solved, _span_kernel, admissible_characters
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
@@ -72,13 +72,14 @@ def _invariants_section(datum: AlgebraicDatum, report) -> dict:
 
 class _Analysis:
     """What a report computes for one datum, each piece once, when a section
-    first reads it.  ``aut0``, the kernels and the oracle sections share
-    one entry of ``pieces.memo`` (``aut0._solved``): the admissible
-    counts with the listed characters on small data, or with the spans of
-    the ``(3,0)`` and ``(2,0)`` kernels read off the classes on large data
-    (``aut0._route``), and the ``(3,0)`` kernel once ``aut0`` formed it.
-    The kernels section forms the kernels from those spans where ``aut0``
-    did not run or stopped early.
+    first reads it.  ``aut0``, the kernels and the oracle sections pass the
+    same ``classes`` and share one entry of ``pieces.memo``, filed under the
+    ``A_i`` bases (``aut0._solved``): the admissible counts with the
+    characters, listed once, on small data, or with the spans of the
+    ``(3,0)`` and ``(2,0)`` kernels read off the classes on large data, and
+    the ``(3,0)`` kernel once ``aut0`` formed it.  The kernels section
+    forms the kernels from those spans where ``aut0`` did not run or
+    stopped early.
 
     Chevalley-Weil needs valid generating vectors: without them there is no
     eigenspace table and no diamond (``None``), and the classes come from
@@ -100,14 +101,12 @@ class _Analysis:
         return eigendim_table(self.datum)
 
     @cached_property
-    def route(self) -> tuple:
-        """``aut0._route`` of the classes: the pre-admissible sets or the
-        classes, whichever route the datum takes."""
+    def classes(self) -> list[tuple]:
+        """Each factor's ``A_i`` basis and class representatives, from the
+        eigenspace table or, without valid vectors, the class lattice."""
         if self.report.vectors_ok:
-            classes = [(c.rows, c.reps) for c in self.table._classes]
-        else:
-            classes = [_class_lattice(self.datum, i) for i in range(3)]
-        return _route(self.datum, None, classes)
+            return [(c.rows, c.reps) for c in self.table._classes]
+        return [_class_lattice(self.datum, i) for i in range(3)]
 
     @cached_property
     def pieces(self):
@@ -115,7 +114,7 @@ class _Analysis:
 
     @cached_property
     def solved(self):
-        return _solved(self.datum, self.pieces, *self.route)
+        return _solved(self.datum, self.pieces, self.classes)
 
     def admissible(self) -> Iterator[Character]:
         """Both kinds of admissible characters, listed at the first read."""
@@ -137,7 +136,7 @@ class _Analysis:
 
 def _aut0_section(a: _Analysis) -> dict:
     try:
-        result = compute_aut0(a.datum, a.report, a.pieces, *a.route)
+        result = compute_aut0(a.datum, a.report, a.pieces, a.classes)
     except UnsupportedDatumError as exc:
         return {"status": "Unsupported", "detail": str(exc)}
     return {

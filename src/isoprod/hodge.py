@@ -18,9 +18,10 @@ and its first point is zero.  ``eigendim_table`` reads one integer ``f``
 per class off its representative's values (``_FactorClasses``, checked in
 integers, without ``Fraction``).  The pre-admissible set is ``Ann(K_i)``
 minus ``A_i``, the nonzero classes translated by the elements of ``A_i``
-(``_pre_from_classes``).  ``aut0`` lists the admissible characters from
-these sets on small data, the survey's among them; on large data it reads
-the admissible counts and spans off the classes themselves
+(``_pre_from_classes``).  The classes are ``aut0``'s one input: on a miss
+of its memo, keyed by the ``A_i``, it lists the admissible characters from
+these sets on small data, the survey's among them, and on large data it
+reads the admissible counts and spans off the classes themselves
 (``aut0._admissible_from_classes``), by the class sums below.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
@@ -48,13 +49,12 @@ order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
 totals are checked against ``hodge_diamond``, an independent count.
 
 The views of the eigenspace table expand the checked classes on first
-read: the pre-admissible sets (``_pre``), and the full tables over
-``Ann(K_i)`` (``_packed`` and ``tables``, which ``isotypic_decomposition``
-and the API read), where every character of ``rep + A_i`` gets the
-class's ``f`` and the trivial character ``f + 1``.  The integer walk over
-all of ``Ann(K_i)`` (``_factor_walk``) serves only ``aut0.verify_generator``,
-whose pre-admissible sets must not come from the classes, and the tests'
-reference.  A report makes no walk.
+read into the full tables over ``Ann(K_i)`` (``_packed`` and ``tables``,
+which ``isotypic_decomposition`` and the API read), where every character
+of ``rep + A_i`` gets the class's ``f`` and the trivial character
+``f + 1``.  The integer walk over all of ``Ann(K_i)`` (``_factor_walk``)
+serves only ``aut0.verify_generator``, whose pre-admissible sets must not
+come from the classes, and the tests' reference.  A report makes no walk.
 """
 
 from __future__ import annotations
@@ -92,19 +92,13 @@ class EigenDimTable:
     """For each factor, the map ``chi -> dim W_i^chi`` over characters of G.
 
     The table holds each factor's checked Chevalley-Weil classes
-    (``_classes``).  Views expand them on first read: each factor's sorted
-    packed pre-admissible set (``_pre``), and the full annihilator support,
-    zero entries included, keyed by packed characters (``_packed``) or by
-    ``Character`` (``tables``).
+    (``_classes``).  Views expand them on first read into the full
+    annihilator support, zero entries included, keyed by packed characters
+    (``_packed``) or by ``Character`` (``tables``).
     """
 
     datum: AlgebraicDatum
     _classes: tuple[_FactorClasses, ...]
-
-    @cached_property
-    def _pre(self) -> tuple[list[int], ...]:
-        codec = PackedCharacters(self.datum.group)
-        return tuple(_pre_from_classes(codec, c.rows, c.reps) for c in self._classes)
 
     @cached_property
     def _packed(self) -> tuple[dict[int, int], ...]:
@@ -190,13 +184,6 @@ def _pre_from_classes(codec: PackedCharacters, a_basis: Sequence[Sequence[int]],
     the nonzero classes of ``_class_lattice`` translated by ``A_i``."""
     return sorted(codec.sums([codec.pack(rep) for rep in reps[1:]],
                              _packed_box(codec, a_basis)))
-
-
-def _pre_admissible_classes(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
-                            ) -> list[int]:
-    """The i-th factor's sorted packed pre-admissible set from its classes,
-    without the checks of ``eigendim_table``."""
-    return _pre_from_classes(codec, *_class_lattice(datum, i))
 
 
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:

@@ -19,24 +19,27 @@ Each check runs once at the level it depends on:
   per ``survey`` call: the handle tuples completing it (``_generating_etas``);
 - per factor branch, inside one kernel triple (``_Branch``): the lifted
   ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
-  genus and stabilizer preimage, from the first valid datum on its packed
-  pre-admissible set, and from the first datum with generators the same
-  set from the walk over ``Ann(K_i)`` (``aut0._pre_admissible_set``), which
-  the independent re-check reads;
-- per distinct pre-admissible triple, inside one kernel triple: the
-  Hermite span of the admissible characters (``aut0``'s lookup key), which
-  the ``_KernelPieces.memo`` of the kernel triple, keyed by the three
-  packed pre-admissible sets, skips on a repeat;
+  genus and stabilizer preimage, from the first valid datum on its
+  Chevalley-Weil classes (``hodge._class_lattice``), and from the first
+  datum with generators its packed pre-admissible set from the walk over
+  ``Ann(K_i)`` (``aut0._pre_admissible_set``), which the independent
+  re-check reads;
+- per factor and distinct ``A_i``, inside one kernel triple: the packed
+  pre-admissible set that a listing reads (``_KernelPieces``);
+- per distinct triple of ``A_i``, inside one kernel triple: the admissible
+  counts and the Hermite span of the admissible characters, listed or read
+  off the classes, which the ``_KernelPieces.memo`` of the kernel triple,
+  keyed by the three ``A_i`` bases, skips on a repeat;
 - per distinct admissible span, inside one kernel triple: ``aut0``'s
   annihilator, quotient by ``K Delta_G`` and canonical generators, kept in
   ``_KernelPieces.spans``.  ``_candidates`` builds the ``_KernelTriple``
-  objects afresh, so both memos belong to one ``survey`` call;
+  objects afresh, so these memos belong to one ``survey`` call;
 - per branch triple: only the three-way freeness intersection
-  (``validate_datum``), the admissible convolution, the memo lookup, the
-  status and theorem bounds (``aut0``), and the independent re-check of
-  the generators (``aut0._verify_generators``, ``verify_generator`` of
-  all of them at once), which enumerates the admissible characters
-  afresh from the walked sets, once per datum.
+  (``validate_datum``), the memo lookup, the status and theorem bounds
+  (``aut0``), and the independent re-check of the generators
+  (``aut0._verify_generators``, ``verify_generator`` of all of them at
+  once), which enumerates the admissible characters afresh from the
+  walked sets, once per datum.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
@@ -66,7 +69,7 @@ from .datum import (
     validate_datum,
 )
 from .errors import SearchCapError, StructuralError, TheoremViolationError
-from .hodge import _pre_admissible_classes
+from .hodge import _class_lattice
 from .groups import (
     AbelianGroup,
     GroupElement,
@@ -77,6 +80,7 @@ from .groups import (
 )
 
 DEFAULT_CAP = 2_000_000
+_SPEC_KEYS = {"group", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap"}
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,16 @@ class SearchSpec:
     def from_document(doc: dict) -> "SearchSpec":
         if not isinstance(doc, dict) or "group" not in doc:
             raise StructuralError('search spec must be an object with a "group" key')
+        extra = set(doc) - _SPEC_KEYS
+        if extra:
+            raise StructuralError(f"unknown keys {sorted(extra)}")
         orders = doc["group"]
         if not isinstance(orders, list) or not orders:
             raise StructuralError('"group" must be a nonempty list of positive integers')
         orders = tuple(_integer(n, "group order", 1) for n in orders)
+        if 1 in orders:
+            raise StructuralError(f'"group" entry {orders.index(1) + 1} has order 1; '
+                                  'leave out trivial factors')
         g_primes = doc.get("g_primes", [1, 1, 1])
         if not isinstance(g_primes, list) or len(g_primes) != 3:
             raise StructuralError("g_primes must list three base genera")
@@ -284,9 +294,9 @@ class _Branch:
     """One branch multiset of one factor inside one kernel triple, with the
     pieces computed from it once: the completing handle tuples, the vector
     and lifted ``VectorSpec`` with the first of them, its validation checks,
-    and its packed pre-admissible set from the classes (``pre``, filled by
-    ``_KernelTriple.aut0``) and from the walk (``walked``, filled by
-    ``_KernelTriple.walked``)."""
+    its Chevalley-Weil classes (``classes``, filled by
+    ``_KernelTriple.aut0``) and its packed pre-admissible set from the walk
+    (``walked``, filled by ``_KernelTriple.walked``)."""
 
     def __init__(self, group: AbelianGroup, kernel: Subgroup, q: QuotientStructure,
                  g_prime: int, branch: tuple[GroupElement, ...],
@@ -296,7 +306,7 @@ class _Branch:
         self._lifted = tuple(q.lift(b) for b in branch)
         self.vector, self.raw = self._vector(etas[0])
         self.checks = _factor_checks(group, kernel, q, self.vector)
-        self.pre: list[int] | None = None
+        self.classes: tuple | None = None
         self.walked: list[int] | None = None
 
     def _vector(self, eta: tuple[GroupElement, ...]) -> tuple[GeneratingVector, VectorSpec]:
@@ -339,9 +349,9 @@ class _KernelTriple:
         if self._pieces is None:
             self._pieces = _kernel_pieces(datum)
         for i, b in enumerate(branches):
-            if b.pre is None:
-                b.pre = _pre_admissible_classes(datum, i, self._codec)
-        return aut0(datum, report, self._pieces, [b.pre for b in branches])
+            if b.classes is None:
+                b.classes = _class_lattice(datum, i)
+        return aut0(datum, report, self._pieces, [b.classes for b in branches])
 
     def walked(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> list[list[int]]:
         """The three packed pre-admissible sets of the walk over ``Ann(K_i)``,

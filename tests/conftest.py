@@ -6,7 +6,8 @@ import random
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from isoprod.groups import AbelianGroup, GroupElement, Subgroup
+from isoprod.aut0 import _admissible_span, _k_delta, _span_kernel, admissible_characters
+from isoprod.groups import AbelianGroup, GroupElement, Subgroup, direct_product
 
 settings.register_profile(
     "suite",
@@ -63,6 +64,16 @@ def subgroups(draw, group: AbelianGroup, max_gens: int = 3) -> Subgroup:
 def groups_with_subgroup(draw):
     group = draw(abelian_groups())
     return group, draw(subgroups(group))
+
+
+def listed_kernel(datum, p: int, q: int) -> Subgroup:
+    """The ``(p,q)`` kernel of the listed admissible characters
+    (``admissible_characters``): a reference for ``representation_kernel``
+    and the report's kernels, which read the classes on large data."""
+    cube = direct_product([datum.group] * 3)
+    first, second = admissible_characters(datum)
+    characters = first + second if p + q == 3 else second
+    return _span_kernel(cube, _admissible_span(cube, characters), _k_delta(datum), (p, q))
 
 
 def random_group(rng: random.Random, max_rank: int = 3, max_order: int = 256) -> AbelianGroup:

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, random_element, random_group,
-                      random_subgroup)
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, listed_kernel, random_element,
+                      random_group, random_subgroup)
 
 from isoprod.aut0 import (
     Aut0Status,
@@ -164,6 +164,24 @@ class TestRepresentationKernel:
         with pytest.raises(ValueError):
             representation_kernel(example1(), 1, 0)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_equals_the_listing_on_both_routes(self, n):
+        # example1 n=2 lists (64 pairs) and n=4 reads the classes (1,024
+        # pairs, see TestClassRoute); either way the kernel is that of the
+        # listed characters.
+        d = example1(n, n, n)
+        for p, q in ((3, 0), (2, 1), (2, 0), (1, 1)):
+            assert representation_kernel(d, p, q) == listed_kernel(d, p, q)
+
+    def test_large_datum_lists_nothing(self, monkeypatch):
+        calls = Counter()
+        for name in ("admissible_characters", "_pre_from_classes"):
+            TestOneEnumeration().spy(monkeypatch, calls, name)
+        d = example1(8, 8, 8)
+        orders = [representation_kernel(d, p, q).order for p, q in ((3, 0), (2, 0))]
+        assert calls == {}
+        assert orders == [2 ** 26, 2 ** 36]
+
 
 class TestKDelta:
     @pytest.mark.parametrize("name,params", EXAMPLE_LADDER + ORACLE_EXAMPLES)
@@ -196,16 +214,31 @@ class TestOneEnumeration:
         assert result.kernel.basis == representation_kernel(example1(), 3, 0).basis
 
     def test_lone_call_goes_through_the_memo(self):
-        # Without ``pre`` the sets come from the classes, and the work is
-        # filed in the memo under them like any other caller's.
+        # Without ``classes`` they come from the class lattice, and the work
+        # is filed in the memo under the A_i bases like any other caller's,
+        # on the listing route too.
         d = example2b()
         pieces = aut0_module._kernel_pieces(d)
         result = aut0(d, kernel_pieces=pieces)
-        codec = PackedCharacters(d.group)
-        pre = tuple(tuple(_pre_admissible_set(d, i, codec)) for i in range(3))
-        assert list(pieces.memo) == [pre]
-        assert pieces.memo[pre].kernel == result.kernel
+        key = tuple(aut0_module._class_lattice(d, i)[0] for i in range(3))
+        assert list(pieces.memo) == [key]
+        assert pieces.memo[key].admissible is not None
+        assert pieces.memo[key].kernel == result.kernel
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
+
+    @pytest.mark.parametrize("factory", [example2b, lambda: example1(8, 8, 8)])
+    def test_memo_hit_lists_nothing(self, factory, monkeypatch):
+        # A second call on the same classes and pieces reads the memo: no
+        # listing and no pre-admissible set, whichever route the miss took.
+        d = factory()
+        pieces = aut0_module._kernel_pieces(d)
+        classes = [aut0_module._class_lattice(d, i) for i in range(3)]
+        result = aut0(d, kernel_pieces=pieces, classes=classes)
+        calls = Counter()
+        for name in ("admissible_characters", "_pre_from_classes", "_admissible_from_classes"):
+            self.spy(monkeypatch, calls, name)
+        assert aut0(d, kernel_pieces=pieces, classes=classes) == result
+        assert calls == {}
 
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
         d = example1()
@@ -223,7 +256,7 @@ class TestClassRoute:
     the classes instead of listing the admissible characters."""
 
     def test_the_rule_splits_the_examples(self):
-        pairs = [aut0_module._listing_pairs(d.group, None, [
+        pairs = [aut0_module._listing_pairs(d.group, [
             aut0_module._class_lattice(d, i) for i in range(3)])
             for d in (example1(), example1(2, 2, 2), example1(4, 4, 4), example1(8, 8, 8))]
         assert pairs == [4, 64, 1024, 16384]

@@ -1,0 +1,106 @@
+"""Fuzzed inputs: the document parsers and the report raise nothing but
+``IsoprodError`` on any small JSON-like value or small-group datum."""
+
+from __future__ import annotations
+
+from math import prod
+
+from hypothesis import given, settings, strategies as st
+
+from isoprod.cli import build_report
+from isoprod.docio import parse_datum_document
+from isoprod.errors import IsoprodError
+from isoprod.search import SearchSpec
+
+DATUM_KEYS = ["group", "kernels", "vectors", "g_prime", "branch", "eta", "extra"]
+SPEC_KEYS = ["group", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap", "extra"]
+SECTIONS = ("invariants", "hodge", "aut0", "kernels")
+
+leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(0, 2),
+                   st.sampled_from(["", "cyclic", "basis"]))
+
+
+def json_values(keys: list[str]) -> st.SearchStrategy:
+    """Nested lists and objects of a few leaves, with keys from ``keys``."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(keys), inner, max_size=4)), max_leaves=12)
+
+
+@st.composite
+def datum_documents(draw, max_order: int = 64, least_order: int = 1,
+                    least_exponent: int = -1) -> dict:
+    """Documents of the datum schema over small groups.  Each branch list
+    closes with the negated sum of the others, so that the product relation
+    often holds and the later checks run; exponents may leave their range."""
+    orders = draw(st.lists(st.integers(least_order, 8), min_size=1, max_size=3)
+                  .filter(lambda o: prod(o) <= max_order))
+    element = st.tuples(*(st.integers(least_exponent, n) for n in orders)).map(list)
+    kernels = [draw(st.lists(element, max_size=2)) for _ in range(3)]
+    vectors = []
+    for _ in range(3):
+        g_prime = draw(st.sampled_from([1, 1, 0, 2]))
+        branch = draw(st.lists(element, min_size=g_prime == 0, max_size=3))
+        if branch:
+            branch.append([-sum(col) % n for col, n in zip(zip(*branch), orders)])
+        vectors.append({"g_prime": g_prime, "branch": branch,
+                        "eta": draw(st.lists(element, min_size=2 * g_prime,
+                                             max_size=2 * g_prime))})
+    return {"group": orders, "kernels": kernels, "vectors": vectors}
+
+
+@st.composite
+def broken_documents(draw) -> dict:
+    """A datum document with one entry, at any depth, replaced by a leaf or
+    a short list: a value under a key, or a list or object inside a list."""
+    doc = draw(datum_documents())
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+            elif isinstance(node, list):
+                continue
+            slots.append((node, key))
+    node, key = draw(st.sampled_from(slots))
+    node[key] = draw(shallow)
+    return doc
+
+
+# Objects with a "group" list and some of the other spec keys, each
+# holding a leaf or a short list of leaves and integer lists.
+shallow = st.one_of(leaves, st.lists(st.one_of(leaves, st.lists(st.integers(-1, 3), max_size=3)),
+                                     max_size=3))
+spec_documents = st.fixed_dictionaries(
+    {"group": st.lists(st.integers(-1, 9), max_size=3)},
+    optional={key: shallow for key in SPEC_KEYS[1:]})
+
+
+def typed_errors_only(call, *args) -> None:
+    try:
+        call(*args)
+    except IsoprodError:
+        pass
+
+
+@settings(max_examples=100)
+@given(st.one_of(json_values(DATUM_KEYS), datum_documents(), broken_documents()))
+def test_datum_documents_raise_typed_errors_only(doc):
+    typed_errors_only(parse_datum_document, doc)
+
+
+@settings(max_examples=100)
+@given(st.one_of(json_values(SPEC_KEYS), spec_documents))
+def test_search_specs_raise_typed_errors_only(doc):
+    typed_errors_only(SearchSpec.from_document, doc)
+
+
+@settings(max_examples=60)
+@given(datum_documents(max_order=8, least_order=2, least_exponent=0), st.booleans())
+def test_small_group_reports_raise_typed_errors_only(doc, oracle):
+    # Every section of the report on |G| <= 8, with and without the oracles.
+    def report() -> None:
+        build_report(parse_datum_document(doc), SECTIONS, oracle=oracle)
+
+    typed_errors_only(report)

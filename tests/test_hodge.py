@@ -11,7 +11,7 @@ import pytest
 from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES
 from isoprod import hodge as hodge_module
 from isoprod import docio
-from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _annihilated_kernel, _k_delta,
+from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _span_kernel,
                           admissible_characters, pre_admissible)
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
@@ -193,8 +193,10 @@ class TestEigendimTables:
                 assert not any(r for _, r in scaled)
                 induced = q.group.character(k for k, _ in scaled)
                 assert table.tables[i][chi] == cw_dimension(d.vectors[i], induced)
-            assert table._pre[i] == [codec.pack(chi.exponents) for chi in d.group.characters()
-                                     if pre_admissible(d, i, chi)]
+            classes = table._classes[i]
+            assert hodge_module._pre_from_classes(codec, classes.rows, classes.reps) == \
+                [codec.pack(chi.exponents) for chi in d.group.characters()
+                 if pre_admissible(d, i, chi)]
 
     @pytest.mark.parametrize("broken", ["product_relation", "rational_base"])
     def test_walk_rejects_malformed_vectors(self, broken):
@@ -356,8 +358,9 @@ class TestClassesWithoutWalk:
             assert {_coset_key(classes.rows, rep): f
                     for rep, f in zip(classes.reps, classes.dims)} == walk
             pre = sorted(x for x, v in values.items() if any(v))
-            assert table._pre[i] == pre
-            assert hodge_module._pre_admissible_classes(d, i, codec) == pre
+            assert hodge_module._pre_from_classes(codec, classes.rows, classes.reps) == pre
+            assert hodge_module._pre_from_classes(
+                codec, *hodge_module._class_lattice(d, i)) == pre
 
     @pytest.mark.parametrize("name", CLASS_DATA)
     def test_kernels_in_the_sum_zero_plane(self, name):
@@ -367,7 +370,8 @@ class TestClassesWithoutWalk:
             for characters, pq in ((first + second, (3, 0)), (second, (2, 0))):
                 reference = cube.subgroup(
                     [cube.element(psi.exponents) for psi in characters]).annihilator()
-                assert _annihilated_kernel(cube, characters, _k_delta(d), pq) == reference
+                span = _admissible_span(cube, characters)
+                assert _span_kernel(cube, span, _k_delta(d), pq) == reference
 
     @pytest.mark.parametrize("name", CLASS_DATA)
     def test_admissible_lists_are_sorted_characters_of_the_cube(self, name):
@@ -411,7 +415,7 @@ class TestClassesWithoutWalk:
         assert all(hodge_module._branch_lifts(shifted, i) != hodge_module._branch_lifts(d, i)
                    for i in range(3))
         table, moved = eigendim_table(d), eigendim_table(shifted)
-        assert moved._classes == table._classes and moved._pre == table._pre
+        assert moved._classes == table._classes
         assert moved._packed == table._packed
         assert hodge_diamond(shifted) == hodge_diamond(d)
 

@@ -15,6 +15,7 @@ from isoprod.datum import validate_datum
 from isoprod.errors import SearchCapError, StructuralError
 from isoprod.examples import example1
 from isoprod.groups import AbelianGroup, PackedCharacters
+from isoprod.hodge import _class_lattice
 from test_acceptance import Budget
 from isoprod.search import (
     SearchSpec,
@@ -75,6 +76,9 @@ class TestSpecParsing:
         {"group": [2, 2], "kernels": [[[[1, 0]], [[0, 1]]]]},
         {"group": [2, 2], "kernels": [[[[1]], [[0, 1]], [[0, 0]]]]},
         {"group": [2, 2], "max_branch": "lots"},
+        {"group": [2, 2], "max_branches": 2},
+        {"group": [1]},
+        {"group": [1, 2]},
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(StructuralError):
@@ -286,18 +290,23 @@ class TestFactorized:
         assert calls["_factor_walk"] == len(used) == 18
 
     def test_survey_enumerates_once_per_datum_with_generators(self, monkeypatch):
-        # aut0 lists once per valid datum, and the re-check of a datum's
-        # generators lists once more, from the walked sets (64 data with
-        # generators; 80 enumerations when each generator listed anew).
+        # aut0 lists once per memo miss, that is once per distinct triple of
+        # A_i (41 among the 208 valid data; 208 listings when every aut0 call
+        # listed), and the re-check of a datum's generators lists once more,
+        # from the walked sets (64 data with generators).  The listings read
+        # one pre-admissible set per factor and distinct A_i.
         spec = spec_with(max_branch=4)
         data = _basis_r4_valid()
         valid, with_generators = len(data), sum(bool(r.generators) for *_, r in data)
+        bases = {tuple(_class_lattice(datum, i)[0] for i in range(3)) for _, _, datum, _ in data}
 
         calls = Counter()
         self.spy(monkeypatch, calls, aut0_module, "admissible_characters")
+        self.spy(monkeypatch, calls, aut0_module, "_pre_from_classes")
         survey(spec)
-        assert (valid, with_generators) == (208, 64)
-        assert calls["admissible_characters"] == valid + with_generators
+        assert (valid, with_generators, len(bases)) == (208, 64, 41)
+        assert calls["admissible_characters"] == len(bases) + with_generators == 105
+        assert calls["_pre_from_classes"] == len({(i, a[i]) for a in bases for i in range(3)})
 
 
 class TestWalkedSets:

@@ -56,7 +56,6 @@ from .groups import (
     Subgroup,
     diagonal_subgroup,
     direct_product,
-    left_kernel,
     quotient_structure,
     smith_normal_form,
     subgroup_quotient,
@@ -92,7 +91,7 @@ __all__ = [
     "build_example", "example1", "example2a", "example2b", "example3", "example4",
     # groups
     "AbelianGroup", "Character", "GroupElement", "InvariantFactors", "QuotientStructure",
-    "Subgroup", "diagonal_subgroup", "direct_product", "left_kernel", "quotient_structure",
+    "Subgroup", "diagonal_subgroup", "direct_product", "quotient_structure",
     "smith_normal_form", "subgroup_quotient",
     # hodge
     "EigenDimTable", "HodgeDiamond", "eigendim_table", "hodge_diamond",

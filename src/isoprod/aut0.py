@@ -41,15 +41,15 @@ classes once per factor branch and the pieces once per kernel triple; a
 report (``cli._Analysis``) passes the classes of its eigenspace table.
 
 Within one kernel triple ``A_i`` fixes the pre-admissible set
-``Ann(K_i) \\ A_i``, so ``aut0`` keeps the rest of its work in
-``_KernelPieces.memo`` under the three ``A_i`` bases, as a ``_Solved``:
-the counts, the lists or the spans, the annihilator, the quotient by
-``K Delta_G`` and the canonical generators.  The last three depend only
-on the ``(3,0)`` span, so both routes build them only when it is new to
-``_KernelPieces.spans``.  The characters are listed at most once per memo
-miss, from pre-admissible sets that the pieces keep per factor and
-``A_i``.  A report's kernels and oracle sections and
-``representation_kernel`` read the memo (``_solved``); the status and the
+``Ann(K_i) \\ A_i``, so ``aut0`` keeps the counts and the lists or the
+spans in ``_KernelPieces.memo`` under the three ``A_i`` bases, as a
+``_Solved``.  The characters are listed at most once per memo miss, from
+pre-admissible sets that the pieces keep per factor and ``A_i``.  The
+lattice depends only on a span, and ``_KernelPieces`` is the one place
+that forms it: ``kernel`` the kernel of a span, and ``lattice`` its
+quotient by ``K Delta_G`` and canonical generators, each once per span.
+A report's kernels and oracle sections and ``representation_kernel`` read
+the same memo (``_solved``) and the same two methods; the status and the
 theorem bounds run on every ``aut0`` call.  ``verify_generator``
 enumerates on purpose: it is the survey's independent re-check, so its
 pre-admissible sets come from the walk over ``Ann(K_i)``
@@ -81,7 +81,6 @@ from .groups import (
     direct_product,
     product_element,
     row_hermite,
-    split_element,
     subgroup_quotient,
 )
 from .hodge import _class_lattice, _factor_walk, _pre_from_classes
@@ -215,7 +214,7 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
                          f"got ({p},{q})")
     pieces = _kernel_pieces(datum)
     solved = _solved(datum, pieces, [_class_lattice(datum, i) for i in range(3)])
-    return _span_kernel(pieces.cube, solved.span(pieces.cube, (p, q)), pieces.k_delta, (p, q))
+    return pieces.kernel(solved.span(pieces.cube, (p, q)), (p, q))
 
 
 def _admissible_span(cube: AbelianGroup, characters: list[Character],
@@ -372,50 +371,49 @@ def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
     return all(psi.pairing(rep) == 0 for psi in first + second for rep in reps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Solved:
-    """``aut0``'s work on one triple of factors: the admissible counts, the
-    characters themselves (listing route) or the spans of the (3,0) and
-    (2,0) kernels (class route), and, once formed, the (3,0) kernel, its
-    quotient and generators."""
+    """``aut0``'s work on one triple of factors: the admissible counts, and
+    either the characters themselves (listing route) or the spans of the
+    (3,0) and (2,0) kernels read off the classes (class route).  ``spans``
+    maps ``p + q`` to the ``_admissible_span`` of the ``(p,q)`` kernel; a
+    listing fills it at the first read of each kind."""
 
     counts: tuple[int, int]
     admissible: tuple[list[Character], list[Character]] | None = None
-    spans: tuple[tuple, tuple] | None = None
-    kernel: Subgroup | None = None
-    quotient: QuotientStructure | None = None
-    generators: tuple[GroupElement, ...] = ()
+    spans: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
 
     def span(self, cube: AbelianGroup, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
         """The ``_admissible_span`` of the characters of the ``(p,q)`` kernel:
         both kinds for ``p + q = 3``, the second alone for ``p + q = 2``."""
-        both = sum(pq) == 3
-        if self.spans is not None:
-            return self.spans[not both]
-        first, second = self.admissible
-        return _admissible_span(cube, first + second if both else second)
+        kind = sum(pq)
+        if kind not in self.spans:
+            first, second = self.admissible
+            self.spans[kind] = _admissible_span(cube, first + second if kind == 3 else second)
+        return self.spans[kind]
 
 
 @dataclass(frozen=True)
 class _KernelPieces:
     """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
     ``K Delta_G``, and the adjustment subgroup of the canonical
-    representatives.
+    representatives; and the one place where a span's lattice is formed.
 
     ``memo`` holds the rest of ``aut0``'s work, which within one kernel
     triple depends only on the ``A_i``: it maps the tuple of the three
-    ``A_i`` bases to their ``_Solved``.  ``spans`` maps each
-    ``_admissible_span`` to the kernel, quotient and generators that the
-    triples of that span share.  ``_pre`` keeps the packed pre-admissible
-    set of each factor index and ``A_i`` basis for the listings of memo
-    misses: ``Ann(K_i)`` differs between the factors.
+    ``A_i`` bases to their ``_Solved``.  ``kernel`` forms the kernel of
+    each ``_admissible_span`` once, and ``lattice`` its quotient by
+    ``K Delta_G`` and canonical generators once.  ``_pre`` keeps the packed
+    pre-admissible set of each factor index and ``A_i`` basis for the
+    listings of memo misses: ``Ann(K_i)`` differs between the factors.
     """
 
     cube: AbelianGroup
     k_delta: Subgroup
     adjustment: Subgroup
     memo: dict[tuple, _Solved] = field(default_factory=dict, compare=False, repr=False)
-    spans: dict[tuple, tuple[Subgroup, QuotientStructure, tuple[GroupElement, ...]]] = field(
+    _kernels: dict[tuple, Subgroup] = field(default_factory=dict, compare=False, repr=False)
+    _lattices: dict[tuple, tuple[QuotientStructure, tuple[GroupElement, ...]]] = field(
         default_factory=dict, compare=False, repr=False)
     _pre: dict[tuple, list[int]] = field(default_factory=dict, compare=False, repr=False)
 
@@ -427,6 +425,32 @@ class _KernelPieces:
             if (i, a) not in self._pre:
                 self._pre[i, a] = _pre_from_classes(codec, a, reps)
         return [self._pre[i, a] for i, (a, _) in enumerate(classes)]
+
+    def kernel(self, span: tuple[tuple[int, ...], ...], pq: tuple[int, int]) -> Subgroup:
+        """The kernel of the characters whose ``_admissible_span`` is
+        ``span`` (``_span_kernel``), formed once per span; ``pq`` names it
+        if it fails its check."""
+        if span not in self._kernels:
+            self._kernels[span] = _span_kernel(self.cube, span, self.k_delta, pq)
+        return self._kernels[span]
+
+    def lattice(self, span: tuple[tuple[int, ...], ...],
+                ) -> tuple[QuotientStructure, tuple[GroupElement, ...]]:
+        """The quotient of the (3,0) kernel of ``span`` by ``K Delta_G`` and
+        the canonical representatives of its generators, formed once per
+        span."""
+        if span not in self._lattices:
+            quotient = subgroup_quotient(self.kernel(span, (3, 0)), self.k_delta)
+            self._lattices[span] = quotient, tuple(map(self.canonical, quotient.generators))
+        return self._lattices[span]
+
+    def canonical(self, rep: GroupElement) -> GroupElement:
+        """Normalize the third component to the identity, then pick the
+        lexicographically least representative of the coset."""
+        r = self.cube.rank // 3
+        e = rep.exponents
+        moved = tuple(x - e[2 * r + j % r] for j, x in enumerate(e[: 2 * r])) + (0,) * r
+        return self.adjustment.coset_minimum(GroupElement(self.cube, moved))
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
@@ -444,8 +468,8 @@ def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
                 datum, kernel_pieces.pre_admissible(datum.group, classes))
             memo[key] = _Solved((len(admissible[0]), len(admissible[1])), admissible)
         else:
-            counts, *spans = _admissible_from_classes(datum.group, classes)
-            memo[key] = _Solved(counts, spans=tuple(spans))
+            counts, span30, span20 = _admissible_from_classes(datum.group, classes)
+            memo[key] = _Solved(counts, spans={3: span30, 2: span20})
     return memo[key]
 
 
@@ -457,28 +481,10 @@ def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
 def _adjustment_subgroup(datum: AlgebraicDatum, cube: AbelianGroup) -> Subgroup:
     """The freedom left once a coset representative has trivial third
     component: the triples ``(k1 - k3, k2 - k3, 0)``."""
-    g = datum.group
-    gens = []
-    for k in datum.kernels[0].generators:
-        gens.append(product_element(cube, (k, g.zero, g.zero)))
-    for k in datum.kernels[1].generators:
-        gens.append(product_element(cube, (g.zero, k, g.zero)))
-    for k in datum.kernels[2].generators:
-        gens.append(product_element(cube, (-k, -k, g.zero)))
-    return cube.subgroup(gens)
-
-
-def _canonical_representative(datum: AlgebraicDatum, rep: GroupElement,
-                              cube: AbelianGroup,
-                              adjustment: Subgroup | None = None) -> GroupElement:
-    """Normalize the third component to the identity, then pick the
-    lexicographically least representative of the coset."""
-    g = datum.group
-    parts = split_element(rep, [g, g, g])
-    rep = product_element(cube, (parts[0] - parts[2], parts[1] - parts[2], g.zero))
-    if adjustment is None:
-        adjustment = _adjustment_subgroup(datum, cube)
-    return adjustment.coset_minimum(rep)
+    z = datum.group.zero
+    k1, k2, k3 = (k.generators for k in datum.kernels)
+    parts = [(k, z, z) for k in k1] + [(z, k, z) for k in k2] + [(-k, -k, z) for k in k3]
+    return cube.subgroup(product_element(cube, p) for p in parts)
 
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
@@ -495,7 +501,8 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     the ``A_i`` bases (``_solved``), where the caller can read them
     afterwards: on a miss small data list the admissible characters and
     large data read the counts and the span off the classes.  The kernel,
-    quotient and generators come from ``kernel_pieces.spans``.
+    quotient and generators come from ``kernel_pieces.kernel`` and
+    ``lattice``, once per span.
     """
     if report is None:
         report = validate_datum(datum)
@@ -516,17 +523,9 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
-    if solved.kernel is None:
-        span = solved.span(cube, (3, 0))
-        lattice = kernel_pieces.spans.get(span)
-        if lattice is None:
-            kernel = _span_kernel(cube, span, k_delta, (3, 0))
-            quotient = subgroup_quotient(kernel, k_delta)
-            lattice = kernel_pieces.spans[span] = (kernel, quotient, tuple(
-                _canonical_representative(datum, gen, cube, kernel_pieces.adjustment)
-                for gen in quotient.generators))
-        solved.kernel, solved.quotient, solved.generators = lattice
-    kernel, quotient, generators = solved.kernel, solved.quotient, solved.generators
+    span = solved.span(cube, (3, 0))
+    kernel = kernel_pieces.kernel(span, (3, 0))
+    quotient, generators = kernel_pieces.lattice(span)
 
     if not report.freeness_ok:
         status = Aut0Status.NON_FREE_KERNEL_ONLY

@@ -18,7 +18,7 @@ from typing import Iterator, NoReturn
 import click
 
 from . import docio
-from .aut0 import _kernel_pieces, _solved, _span_kernel, admissible_characters
+from .aut0 import _kernel_pieces, _solved, admissible_characters
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .examples import EXAMPLE_NAMES, build_example
-from .groups import Character, Subgroup, subgroup_quotient
+from .groups import Character, Subgroup
 from .hodge import _class_lattice, eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient, enumerate_subgroup
 from .search import SearchSpec, survey
@@ -76,10 +76,10 @@ class _Analysis:
     same ``classes`` and share one entry of ``pieces.memo``, filed under the
     ``A_i`` bases (``aut0._solved``): the admissible counts with the
     characters, listed once, on small data, or with the spans of the
-    ``(3,0)`` and ``(2,0)`` kernels read off the classes on large data, and
-    the ``(3,0)`` kernel once ``aut0`` formed it.  The kernels section
-    forms the kernels from those spans where ``aut0`` did not run or
-    stopped early.
+    ``(3,0)`` and ``(2,0)`` kernels read off the classes on large data.
+    Every kernel, quotient and set of generators comes from
+    ``pieces.kernel`` and ``pieces.lattice``, which form each once per
+    span, whichever section reads it first.
 
     Chevalley-Weil needs valid generating vectors: without them there is no
     eigenspace table and no diamond (``None``), and the classes come from
@@ -121,17 +121,11 @@ class _Analysis:
         first, second = self.solved.admissible or admissible_characters(self.datum)
         yield from first + second
 
+    def span(self, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+        return self.solved.span(self.pieces.cube, pq)
+
     def kernel(self, pq: tuple[int, int]) -> Subgroup:
-        return _span_kernel(self.pieces.cube, self.solved.span(self.pieces.cube, pq),
-                            self.pieces.k_delta, pq)
-
-    @cached_property
-    def h30(self) -> Subgroup:
-        return self.solved.kernel or self.kernel((3, 0))
-
-    @cached_property
-    def h20(self) -> Subgroup:
-        return self.kernel((2, 0))
+        return self.pieces.kernel(self.span(pq), pq)
 
 
 def _aut0_section(a: _Analysis) -> dict:
@@ -151,9 +145,9 @@ def _aut0_section(a: _Analysis) -> dict:
 
 def _kernels_section(a: _Analysis) -> dict:
     # The (2,1) and (1,1) kernels equal the (3,0) and (2,0) ones.
-    return {key: {"order": kernel.order, "quotient_rank": len(kernel.generators)}
-            for key, kernel in (("h30", a.h30), ("h21", a.h30), ("h20", a.h20),
-                                ("h11", a.h20))}
+    h30, h20 = a.kernel((3, 0)).order, a.kernel((2, 0)).order
+    return {key: {"order": order}
+            for key, order in (("h30", h30), ("h21", h30), ("h20", h20), ("h11", h20))}
 
 
 def _oracle_section(a: _Analysis) -> dict:
@@ -168,12 +162,12 @@ def _oracle_section(a: _Analysis) -> dict:
     except OracleScaleError as exc:
         agreement["hodge"] = f"skipped: {exc}"
     try:
-        fast_kernel, k_delta = a.h30, a.pieces.k_delta
+        fast_kernel, k_delta = a.kernel((3, 0)), a.pieces.k_delta
         slow_kernel = brute_kernel(a.datum, a.admissible())
         # One oracle closure of the fast kernel serves both checks below.
         closure = enumerate_subgroup(fast_kernel)
         kernels_match = closure.members == slow_kernel.members
-        quotient = a.solved.quotient or subgroup_quotient(fast_kernel, k_delta)
+        quotient, _ = a.pieces.lattice(a.span((3, 0)))
         factors_match = quotient.invariant_factors == brute_quotient(closure, k_delta)
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"
         agreement["quotient"] = "agree" if factors_match else "DISAGREE"

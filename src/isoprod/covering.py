@@ -98,7 +98,8 @@ def genus(vector: GeneratingVector) -> int:
         raise ConsistencyError(f"Riemann-Hurwitz value 2g-2 = {total} is not an even integer")
     g = (total + 2) // 2
     if g < 0:
-        raise ConsistencyError(f"negative genus {g}")
+        raise ConsistencyError(
+            f"Riemann-Hurwitz value 2g-2 = {total} gives the negative genus {g}")
     return g
 
 

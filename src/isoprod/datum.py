@@ -114,7 +114,7 @@ class DatumReport:
     freeness_ok: bool
     freeness_witness: GroupElement | None
     vector_outcomes: tuple[ValidationOutcome, ValidationOutcome, ValidationOutcome]
-    genera: tuple[int, int, int]
+    genera: tuple[int | None, int | None, int | None]
     irregularity: int
     all_kernels_cyclic: bool
     all_bases_elliptic: bool
@@ -159,14 +159,22 @@ class _FactorChecks:
     and its stabilizer preimage in G as reduced exponent tuples."""
 
     outcome: ValidationOutcome
-    genus: int
+    genus: int | None
     preimage: frozenset[tuple[int, ...]]
 
 
 def _factor_checks(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
                    vector: GeneratingVector) -> _FactorChecks:
-    return _FactorChecks(vector.validate(), genus(vector),
-                         _stabilizer_preimage(group, kernel, quotient, vector))
+    """The factor's checks.  An invalid vector may give no genus: that is one
+    more violation, and its genus is ``None``.  A valid vector gives one."""
+    outcome, g = vector.validate(), None
+    try:
+        g = genus(vector)
+    except ConsistencyError as exc:
+        if outcome.ok:
+            raise
+        outcome = ValidationOutcome(outcome.violations + (str(exc),))
+    return _FactorChecks(outcome, g, _stabilizer_preimage(group, kernel, quotient, vector))
 
 
 def _common_fixed_point(group: AbelianGroup, preimages: Sequence[frozenset[tuple[int, ...]]],
@@ -203,7 +211,7 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
         irregularity=sum(g_primes),
         all_kernels_cyclic=kernel_checks.all_cyclic,
         all_bases_elliptic=all(gp == 1 for gp in g_primes),
-        all_genera_at_least_two=all(g >= 2 for g in genera),
+        all_genera_at_least_two=all(g is not None and g >= 2 for g in genera),
     )
 
 

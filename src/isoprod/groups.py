@@ -10,8 +10,8 @@ cyclicity, coset minima, and element listing (H. Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4), and its dual basis, found by
 exact forward substitution, generates the annihilator.  Intersections are
 dual to sums: ``H_1 & H_2 = Ann(Ann H_1 + Ann H_2)``.  Smith forms serve
-``left_kernel``, ``unimodular_inverse`` and quotients ``A / B``, whose
-elimination carries ``V^{-1}`` along.  No rational arithmetic is involved.
+``unimodular_inverse`` and quotients ``A / B``, whose elimination carries
+``V^{-1}`` along.  No rational arithmetic is involved.
 
 All values are immutable after construction.  The lazily cached values
 are a subgroup's annihilator and exponent, stored on the instance by their
@@ -141,13 +141,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
     """
     s, u, v, _ = _smith(a)
     return s, u, v
-
-
-def left_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of ``{x in Z^m : x A = 0}`` as rows."""
-    m = len(a)
-    s, u, _ = smith_normal_form(a)
-    return [u[i] for i in range(m) if all(x == 0 for x in s[i])]
 
 
 def row_hermite(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
@@ -861,17 +854,6 @@ def product_element(product: AbelianGroup, parts: Sequence[GroupElement]) -> Gro
     for p in parts:
         exps.extend(p.exponents)
     return product.element(exps)
-
-
-def split_element(g: GroupElement, groups: Sequence[AbelianGroup]) -> tuple[GroupElement, ...]:
-    parts = []
-    pos = 0
-    for grp in groups:
-        parts.append(grp.element(g.exponents[pos:pos + grp.rank]))
-        pos += grp.rank
-    if pos != len(g.exponents):
-        raise ParentMismatchError("element width does not match the factor list")
-    return tuple(parts)
 
 
 def diagonal_subgroup(group: AbelianGroup, copies: int) -> Subgroup:

@@ -31,9 +31,10 @@ Each check runs once at the level it depends on:
   off the classes, which the ``_KernelPieces.memo`` of the kernel triple,
   keyed by the three ``A_i`` bases, skips on a repeat;
 - per distinct admissible span, inside one kernel triple: ``aut0``'s
-  annihilator, quotient by ``K Delta_G`` and canonical generators, kept in
-  ``_KernelPieces.spans``.  ``_candidates`` builds the ``_KernelTriple``
-  objects afresh, so these memos belong to one ``survey`` call;
+  kernel (``_KernelPieces.kernel``), and its quotient by ``K Delta_G`` and
+  canonical generators (``_KernelPieces.lattice``).  ``_candidates``
+  builds the ``_KernelTriple`` objects afresh, so these memos belong to
+  one ``survey`` call;
 - per branch triple: only the three-way freeness intersection
   (``validate_datum``), the memo lookup, the status and theorem bounds
   (``aut0``), and the independent re-check of the generators

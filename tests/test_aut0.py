@@ -20,8 +20,8 @@ from isoprod.aut0 import (
     pre_admissible,
     representation_kernel,
     verify_generator,
-    _canonical_representative,
     _k_delta,
+    _kernel_pieces,
     _pre_admissible_set,
 )
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
@@ -34,7 +34,6 @@ from isoprod.groups import (
     direct_product,
     product_element,
     product_subgroup,
-    split_element,
 )
 from isoprod.oracle import enumerate_subgroup
 
@@ -223,7 +222,7 @@ class TestOneEnumeration:
         key = tuple(aut0_module._class_lattice(d, i)[0] for i in range(3))
         assert list(pieces.memo) == [key]
         assert pieces.memo[key].admissible is not None
-        assert pieces.memo[key].kernel == result.kernel
+        assert pieces.kernel(pieces.memo[key].span(pieces.cube, (3, 0)), (3, 0)) is result.kernel
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
     @pytest.mark.parametrize("factory", [example2b, lambda: example1(8, 8, 8)])
@@ -274,7 +273,8 @@ class TestClassRoute:
         # Filed under the A_i bases, with the spans instead of the lists.
         (key, solved), = pieces.memo.items()
         assert key == tuple(aut0_module._class_lattice(d, i)[0] for i in range(3))
-        assert solved.admissible is None and solved.kernel == result.kernel
+        assert solved.admissible is None
+        assert pieces.kernel(solved.span(pieces.cube, (3, 0)), (3, 0)) is result.kernel
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
@@ -366,7 +366,8 @@ class TestCanonicalRepresentative:
     @staticmethod
     def brute_minimum(datum, rep):
         g = datum.group
-        a, b, c = (part.exponents for part in split_element(rep, [g, g, g]))
+        r = g.rank
+        a, b, c = (rep.exponents[s * r:(s + 1) * r] for s in range(3))
         k1s, k2s, k3s = (enumerate_subgroup(k).members for k in datum.kernels)
         tail = (0,) * g.rank
 
@@ -385,7 +386,7 @@ class TestCanonicalRepresentative:
                 group=group, kernels=tuple(random_subgroup(rng, group) for _ in range(3)))
             cube = direct_product([group] * 3)
             rep = random_element(rng, cube)
-            got = _canonical_representative(datum, rep, cube)
+            got = _kernel_pieces(datum).canonical(rep)
             assert got.exponents == self.brute_minimum(datum, rep)
 
     def test_adjustment_subgroup_beyond_two_to_the_sixteen(self):
@@ -394,7 +395,7 @@ class TestCanonicalRepresentative:
         d = example1(21, 21, 21)
         cube = direct_product([d.group] * 3)
         rep = triple(d, cube, (5, 3, 1), (2, 7, 4), (1, 1, 1))
-        got = _canonical_representative(d, rep, cube)
+        got = _kernel_pieces(d).canonical(rep)
         assert got.exponents == self.brute_minimum(d, rep)
         assert got.exponents[0] == 0
 

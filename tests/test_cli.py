@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import json
 import sys
@@ -15,6 +14,7 @@ from click.testing import CliRunner
 
 from conftest import ORACLE_EXAMPLES, listed_kernel
 from isoprod import cli
+from isoprod.aut0 import _KernelPieces
 from isoprod.cli import build_report, main
 from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.docio import datum_document, dumps
@@ -78,6 +78,33 @@ class TestExitCodes:
         assert "error [document-schema]" in result.output
         assert '"group" entry 1 has order 1' in result.output
         assert "parent-mismatch" not in result.output
+
+    NO_GENUS = {
+        # No vector generates Z7, and Riemann-Hurwitz gives genus -6.
+        "negative": ({"group": [7], "kernels": [[], [], []], "vectors": [
+            {"g_prime": 0, "branch": [], "eta": []}] * 3}, [None, None, None],
+            "gives the negative genus -6"),
+        # Vector 1 breaks the product relation, and 2g-2 = 1 is odd.
+        "odd": ({"group": [2, 2], "kernels": [[[1, 0]], [[0, 1]], [[1, 1]]], "vectors": [
+            {"g_prime": 1, "branch": [[0, 1]], "eta": [[0, 1], [0, 1]]},
+            {"g_prime": 1, "branch": [], "eta": [[1, 0], [1, 0]]},
+            {"g_prime": 1, "branch": [], "eta": [[1, 0], [1, 0]]}]}, [None, 1, 1],
+            "2g-2 = 1 is not an even integer"),
+    }
+
+    @pytest.mark.parametrize("case", ["negative", "odd"])
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_vector_without_a_genus_exits_one(self, case, command, tmp_path):
+        # The vector already fails its checks; the missing genus is one more
+        # violation, not an internal error.
+        doc, genera, violation = self.NO_GENUS[case]
+        path = tmp_path / "no_genus.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--format", "json", str(path)])
+        assert result.exit_code == 1, result.output
+        report = json.loads(result.stdout)
+        assert report["validation"]["genera"] == genera
+        assert any(violation in v for v in report["validation"]["vectors"][0])
 
     def test_invalid_datum_outside_the_theorem_exits_one(self, tmp_path):
         # Genera (3, 1, 1): not a valid datum, so its quotient of order 16
@@ -258,6 +285,7 @@ class TestOnePassPerDatum:
         for module_name, name in (("isoprod.datum", "validate_datum"),
                                   ("isoprod.hodge", "eigendim_table"),
                                   ("isoprod.aut0", "admissible_characters"),
+                                  ("isoprod.aut0", "_admissible_span"),
                                   ("isoprod.aut0", "_span_kernel")):
             _spy_everywhere(monkeypatch, module_name, name, calls)
         report = build_report(example1(), ("invariants", "hodge", "aut0", "kernels"),
@@ -265,7 +293,21 @@ class TestOnePassPerDatum:
         assert set(report["oracle"].values()) == {"agree"}
         assert calls["validate_datum"] == calls["eigendim_table"] == 1
         assert calls["admissible_characters"] == 1
-        assert calls["_span_kernel"] <= 2
+        # One span and one kernel per kind: every section reads them from
+        # the memos.
+        assert calls["_admissible_span"] == calls["_span_kernel"] == 2
+
+    @pytest.mark.parametrize("datum,kernels", [
+        (example3(1), 1), (example3(4), 1), (example1(), 2)], ids=["ex3_n1", "ex3_n4", "ex1"])
+    def test_coinciding_spans_form_one_kernel(self, datum, kernels, monkeypatch):
+        # example3 has no first-kind characters, so its (3,0) and (2,0)
+        # kernels have one span, and the report forms one kernel for both
+        # (listing route at n=1, class route at n=4).
+        calls = Counter()
+        _spy_everywhere(monkeypatch, "isoprod.aut0", "_span_kernel", calls)
+        report = build_report(datum, ("invariants", "hodge", "aut0", "kernels"), oracle=True)
+        assert (report["aut0"]["admissible_first"] == 0) == (kernels == 1)
+        assert calls["_span_kernel"] == kernels
 
     def test_report_makes_no_walk_over_the_annihilators(self, monkeypatch):
         # The classes and pre-admissible sets come from the Hermite box of
@@ -306,7 +348,7 @@ class TestOnePassPerDatum:
         # The kernel and quotient checks share one oracle closure of the
         # (3,0) kernel, and its Hermite box lists nothing for them.
         datum = build_example(name, params)
-        kernel = cli._Analysis(datum).h30
+        kernel = cli._Analysis(datum).kernel((3, 0))
         calls, closed, listed = Counter(), [], []
         _spy_everywhere(monkeypatch, "isoprod.oracle", "enumerate_subgroup", calls, closed)
         real = Subgroup._element_tuples
@@ -351,36 +393,36 @@ class TestOnePassPerDatum:
 
 class TestOracleCatchesErrors:
     """A wrong fast (3,0) kernel or quotient makes the oracle section raise,
-    and the CLI exit 3."""
+    and the CLI exit 3.  The report runs no ``aut0`` section: it reads the
+    same memos, and its theorem check would stop the wrong lattice first."""
 
     @staticmethod
     def wrong_kernel(monkeypatch) -> None:
         # The true kernel plus a basis element of G^3 outside it: still a
         # subgroup containing K Delta_G, so the fast path's own checks pass.
-        real = cli._Analysis.h30.func
+        real = _KernelPieces.kernel
 
-        def h30(self):
-            kernel = real(self)
+        def kernel(self, span, pq):
+            kernel = real(self, span, pq)
             cube = kernel.ambient
             extra = next(e for e in map(cube.basis_element, range(cube.rank))
                          if e not in kernel)
             wrong = kernel.sum(cube.subgroup([extra]))
-            assert self.pieces.k_delta.is_subgroup_of(wrong)
+            assert self.k_delta.is_subgroup_of(wrong)
             return wrong
 
-        monkeypatch.setattr(cli._Analysis, "h30", property(h30))
+        monkeypatch.setattr(_KernelPieces, "kernel", kernel)
 
     @staticmethod
     def wrong_quotient(monkeypatch) -> None:
         # G^3 / K Delta_G in place of the (3,0) kernel's quotient.
-        real = cli._Analysis.solved.func
+        real = _KernelPieces.lattice
 
-        def solved(self):
-            cube, k_delta = self.pieces.cube, self.pieces.k_delta
-            return dataclasses.replace(
-                real(self), quotient=subgroup_quotient(cube.full_subgroup(), k_delta))
+        def lattice(self, span):
+            _, generators = real(self, span)
+            return subgroup_quotient(self.cube.full_subgroup(), self.k_delta), generators
 
-        monkeypatch.setattr(cli._Analysis, "solved", property(solved))
+        monkeypatch.setattr(_KernelPieces, "lattice", lattice)
 
     EXPECTED = {"kernel": "'kernel': 'DISAGREE'",
                 "quotient": "'kernel': 'agree', 'quotient': 'DISAGREE'"}
@@ -389,12 +431,12 @@ class TestOracleCatchesErrors:
     def test_report_raises(self, check, monkeypatch):
         getattr(self, f"wrong_{check}")(monkeypatch)
         with pytest.raises(ConsistencyError, match=self.EXPECTED[check]):
-            build_report(example1(), ("aut0",), oracle=True)
+            build_report(example1(), ("hodge",), oracle=True)
 
     @pytest.mark.parametrize("check", ["kernel", "quotient"])
     def test_cli_exits_three(self, check, monkeypatch, example1_file):
         getattr(self, f"wrong_{check}")(monkeypatch)
-        result = runner.invoke(main, ["report", "--oracle", example1_file])
+        result = runner.invoke(main, ["hodge", "--oracle", example1_file])
         assert result.exit_code == 3
         assert self.EXPECTED[check] in result.output
 

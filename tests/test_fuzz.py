@@ -1,13 +1,17 @@
-"""Fuzzed inputs: the document parsers and the report raise nothing but
-``IsoprodError`` on any small JSON-like value or small-group datum."""
+"""Fuzzed inputs: the document parsers raise nothing but ``IsoprodError``
+on any small JSON-like value, the report raises nothing on a parsed
+small-group datum, and ``isoprod report`` exits 0, 1 or 2 without a
+traceback on any such document."""
 
 from __future__ import annotations
 
+import json
 from math import prod
 
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from isoprod.cli import build_report
+from isoprod.cli import build_report, main
 from isoprod.docio import parse_datum_document
 from isoprod.errors import IsoprodError
 from isoprod.search import SearchSpec
@@ -50,10 +54,10 @@ def datum_documents(draw, max_order: int = 64, least_order: int = 1,
 
 
 @st.composite
-def broken_documents(draw) -> dict:
+def broken_documents(draw, max_order: int = 64) -> dict:
     """A datum document with one entry, at any depth, replaced by a leaf or
     a short list: a value under a key, or a list or object inside a list."""
-    doc = draw(datum_documents())
+    doc = draw(datum_documents(max_order))
     slots, stack = [], [doc]
     while stack:
         node = stack.pop()
@@ -98,9 +102,28 @@ def test_search_specs_raise_typed_errors_only(doc):
 
 @settings(max_examples=60)
 @given(datum_documents(max_order=8, least_order=2, least_exponent=0), st.booleans())
-def test_small_group_reports_raise_typed_errors_only(doc, oracle):
-    # Every section of the report on |G| <= 8, with and without the oracles.
-    def report() -> None:
-        build_report(parse_datum_document(doc), SECTIONS, oracle=oracle)
+def test_small_group_reports_raise_nothing(doc, oracle):
+    # Every section of the report on |G| <= 8, with and without the oracles:
+    # a datum that parses gets a report, whatever its vectors break.
+    try:
+        datum = parse_datum_document(doc)
+    except IsoprodError:
+        return
+    build_report(datum, SECTIONS, oracle=oracle)
 
-    typed_errors_only(report)
+
+@settings(max_examples=60)
+@given(st.one_of(datum_documents(max_order=8, least_order=2, least_exponent=0),
+                 broken_documents(max_order=8),
+                 json_values(DATUM_KEYS).map(json.dumps), st.text(max_size=12)))
+def test_report_command_exits_with_a_documented_code(doc):
+    # 0 success, 1 an invalid datum, 2 a schema error; 3 (internal) and a
+    # traceback are never the answer to a user's document.
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("datum.json", "w", encoding="utf-8") as fh:
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
+        result = runner.invoke(main, ["report", "--format", "json", "datum.json"])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None)))
+    assert "Traceback" not in result.output

@@ -21,14 +21,12 @@ from isoprod.groups import (
     diagonal_subgroup,
     direct_product,
     embed_factor,
-    left_kernel,
     product_element,
     product_subgroup,
     quotient_structure,
     row_hermite,
     smith_normal_form,
     solve_upper,
-    split_element,
     subgroup_quotient,
     unimodular_inverse,
 )
@@ -172,20 +170,6 @@ class TestSmithNormalForm:
             s, _, _ = smith_normal_form(a)
             expected = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
             assert [s[i][i] for i in range(min(m, n))] == [int(d) for d in expected]
-
-
-class TestKernels:
-    def test_left_kernel_annihilates(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            for x in left_kernel(a):
-                assert all(sum(x[i] * a[i][j] for i in range(m)) == 0
-                           for j in range(n))
-
-    def test_full_rank_has_trivial_kernel(self):
-        assert left_kernel([[2, 0], [0, 3]]) == []
 
 
 class TestHermite:
@@ -686,7 +670,7 @@ class TestProducts:
         x = a.element((1, 3))
         y = b.element((2,))
         joined = product_element(p, [x, y])
-        assert split_element(joined, [a, b]) == (x, y)
+        assert joined.exponents == x.exponents + y.exponents
         assert embed_factor(p, [a, b], 0, x) == product_element(p, [x, b.zero])
 
     def test_diagonal_and_product_subgroup(self):

@@ -185,7 +185,7 @@ class TestElementSetNumerator:
     @pytest.mark.parametrize("name,params", ORACLE_EXAMPLES)
     def test_fast_kernel_over_k_delta(self, name, params):
         a = _Analysis(build_example(name, params))
-        kernel, k_delta = a.h30, a.pieces.k_delta
+        kernel, k_delta = a.kernel((3, 0)), a.pieces.k_delta
         assert brute_quotient(enumerate_subgroup(kernel), k_delta) == \
             brute_quotient(kernel, k_delta)
 

@@ -18,7 +18,7 @@ PUBLIC = [
     "cw_dimension", "datum_document", "diagonal_subgroup", "direct_product", "dumps",
     "eigendim_table", "enumerate_data", "estimate_space", "example1", "example2a",
     "example2b", "example3", "example4", "genus", "hodge_diamond", "invariants",
-    "isotypic_decomposition", "left_kernel", "loads", "parse_datum_document",
+    "isotypic_decomposition", "loads", "parse_datum_document",
     "quotient_structure", "representation_kernel", "rigidity_class",
     "smith_normal_form", "stabilizer_union", "subgroup_quotient", "survey",
     "validate_datum", "validate_generating_vector", "verify_generator",

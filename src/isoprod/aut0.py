@@ -18,42 +18,33 @@ with trivial third component and reduced once, top-down, against the
 Hermite basis of the remaining adjustment subgroup; the result is the
 lexicographically least such representative.
 
-``aut0``'s one input is each factor's Chevalley-Weil classes: the Hermite
-basis of ``A_i`` and one representative per class of ``Ann(K_i) / A_i``
-(``hodge._class_lattice``).  The counts and spans come by one of two
-routes, chosen by one rule on the size of the listing (``LISTING_PAIRS``):
+``aut0``'s one input is each factor's Chevalley-Weil classes
+(``hodge._ClassLattice``).  Within one kernel triple ``A_i`` fixes the
+pre-admissible set ``Ann(K_i) \\ A_i``, so ``aut0`` keeps its work in
+``_KernelPieces.memo`` under the three ``A_i`` bases as a ``_Solved``: the
+two counts and the spans of the (3,0) and (2,0) kernels, no characters.
+A miss fills it by one of two routes, chosen by one rule on the size of
+the listing (``LISTING_PAIRS``):
 
-- small data list the characters (``admissible_characters``): the
-  pre-admissible set of each factor, packed (see
-  ``groups.PackedCharacters``) and read off its classes
-  (``hodge._pre_from_classes``), and one packed convolution of the three
-  sets for the first kind.  Each character is a plain character of
-  ``G^3`` (``PackedCharacters.cube_characters``), and its kind is the list
-  it is in;
+- small data list the characters (``admissible_characters``) from the
+  packed pre-admissible sets (``groups.PackedCharacters``), which the
+  pieces read off the classes (``hodge._pre_from_classes``) once per
+  factor and ``A_i``, by one packed convolution for the first kind;
 - large data read the counts and spans off the classes ``x + A_i``
-  themselves (``_admissible_from_classes``), with no listing and no
-  pre-admissible set.
+  themselves (``_admissible_from_classes``), by the matching rule of the
+  Hodge sums (``hodge._class_matches``).
 
-A caller that holds the pieces passes them in: the three factors'
-classes, and the ``_KernelPieces`` of the kernel triple (``G^3``,
-``K Delta_G`` and the adjustment subgroup).  The survey computes the
-classes once per factor branch and the pieces once per kernel triple; a
-report (``cli._Analysis``) passes the classes of its eigenspace table.
-
-Within one kernel triple ``A_i`` fixes the pre-admissible set
-``Ann(K_i) \\ A_i``, so ``aut0`` keeps the counts and the lists or the
-spans in ``_KernelPieces.memo`` under the three ``A_i`` bases, as a
-``_Solved``.  The characters are listed at most once per memo miss, from
-pre-admissible sets that the pieces keep per factor and ``A_i``.  The
-lattice depends only on a span, and ``_KernelPieces`` is the one place
+The lattice depends only on a span, and ``_KernelPieces`` is the one place
 that forms it: ``kernel`` the kernel of a span, and ``lattice`` its
 quotient by ``K Delta_G`` and canonical generators, each once per span.
-A report's kernels and oracle sections and ``representation_kernel`` read
-the same memo (``_solved``) and the same two methods; the status and the
-theorem bounds run on every ``aut0`` call.  ``verify_generator``
-enumerates on purpose: it is the survey's independent re-check, so its
-pre-admissible sets come from the walk over ``Ann(K_i)``
-(``_pre_admissible_set``), not from the classes.
+The survey passes the classes once per factor branch and the pieces once
+per kernel triple; a report (``cli._Analysis``) passes the classes of its
+eigenspace table, and its kernels section and ``representation_kernel``
+read the same memo (``_solved``).  The status and the theorem bounds run
+on every ``aut0`` call.  ``verify_generator`` lists on purpose: it is the
+survey's independent re-check, so its pre-admissible sets come from the
+walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes,
+and the report's oracle lists the same way.
 """
 
 from __future__ import annotations
@@ -75,15 +66,13 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
-    _coset_key,
     _hermite_dual,
-    _hermite_order,
     direct_product,
     product_element,
     row_hermite,
     subgroup_quotient,
 )
-from .hodge import _class_lattice, _factor_walk, _pre_from_classes
+from .hodge import _class_lattice, _class_matches, _ClassLattice, _factor_walk, _pre_from_classes
 
 # The listing route runs while the first-kind convolution visits at most
 # this many pairs ``|P_1| |P_2|``; above it the counts and spans come from
@@ -166,7 +155,7 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
     codec = PackedCharacters(datum.group)
     neg = codec.neg
     if pre is None:
-        pre = [_pre_from_classes(codec, *_class_lattice(datum, i)) for i in range(3)]
+        pre = [_pre_from_classes(codec, _class_lattice(datum, i)) for i in range(3)]
     pre = [dict.fromkeys(p, 1) for p in pre]
     # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
     terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
@@ -214,7 +203,7 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
                          f"got ({p},{q})")
     pieces = _kernel_pieces(datum)
     solved = _solved(datum, pieces, [_class_lattice(datum, i) for i in range(3)])
-    return pieces.kernel(solved.span(pieces.cube, (p, q)), (p, q))
+    return pieces.kernel(solved.span((p, q)), (p, q))
 
 
 def _admissible_span(cube: AbelianGroup, characters: list[Character],
@@ -255,19 +244,18 @@ def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
     return kernel
 
 
-def _listing_pairs(group: AbelianGroup, classes: Sequence[tuple]) -> int:
+def _listing_pairs(classes: Sequence[_ClassLattice]) -> int:
     """The pairs ``|P_1| |P_2|`` that the first-kind convolution of the
     listing visits, with ``|P_i| = (#classes - 1) |A_i|``."""
-    return prod((len(reps) - 1) * _hermite_order(group, a) for a, reps in classes[:2])
+    return prod((len(c.reps) - 1) * c.order for c in classes[:2])
 
 
-def _admissible_from_classes(group: AbelianGroup, classes: Sequence[tuple],
+def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattice],
                              ) -> tuple[tuple[int, int], tuple, tuple]:
     """The admissible counts ``(first, second)``, and the
     ``_admissible_span`` of both kinds and of the second kind alone, read
-    off each factor's classes without listing a character.  ``classes``
-    holds, per factor, the Hermite basis of ``A_i`` and one representative
-    per class of ``Ann(K_i) / A_i``, zero first (``hodge._class_lattice``).
+    off each factor's classes (``hodge._class_lattice``) without listing a
+    character.
 
     The pre-admissible set is the union of the nonzero classes.  A class
     triple is feasible when ``x_1 + x_2 + x_3`` lies in
@@ -275,7 +263,8 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[tuple],
     the sum-zero part ``L`` of ``A_1 x A_2 x A_3``, of order
     ``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|``.  A class pair ``(i, j)`` is
     feasible when ``x_i + x_j`` lies in ``A_i + A_j`` and then holds
-    ``|A_i meet A_j|`` second-kind characters.
+    ``|A_i meet A_j|`` second-kind characters.  ``hodge._class_matches``
+    finds both, with weight 1 on each nonzero class, as for the Hodge sums.
 
     The characters of the first kind span ``W meet Z``, where ``Z`` is the
     sum-zero plane and ``W`` is generated by the feasible class triples
@@ -291,42 +280,36 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[tuple],
     ``(g_1, g_2, g_3) -> (g_1 - g_3, g_2 - g_3)`` (``_plane_span``).
     """
     r = group.rank
-    bases = [a for a, _ in classes]
-    nonzero = [reps[1:] for _, reps in classes]
-    sizes = [_hermite_order(group, a) for a in bases]
     zero = (0,) * r
 
     def placed(slots: dict[int, Sequence[int]]) -> tuple[int, ...]:
         return tuple(e for s in range(3) for e in slots.get(s, zero))
 
-    def feasible(idx: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int]:
-        # The feasible class tuples in the slots ``idx``, placed in G^3,
-        # and the order of the sum of their A_i.  A tuple is feasible when
-        # the key of the sum of all but its last entry is the key of the
-        # negated last entry.
-        basis = row_hermite([row for i in idx for row in bases[i]], r)
-        last: dict[tuple[int, ...], list] = {}
-        for z in nonzero[idx[-1]]:
-            last.setdefault(_coset_key(basis, [-e for e in z]), []).append(z)
-        rows = []
-        for head in itertools.product(*(nonzero[i] for i in idx[:-1])):
-            key = _coset_key(basis, [sum(col) for col in zip(*head)])
-            for z in last.get(key, ()):
-                rows.append(placed(dict(zip(idx, (*head, z)))))
-        return rows, _hermite_order(group, basis)
+    def feasible(idx: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+        # The characters of the feasible class tuples in the slots ``idx``
+        # (the zero class has weight 0): their number, and the class tuples
+        # placed in G^3.
+        chosen = [classes[i] for i in idx]
+        fibre, (found,) = _class_matches(group, chosen, [[0] + [1] * (len(c.reps) - 1)
+                                                         for c in chosen], [(1,) * len(idx)])
+        count, rows = 0, []
+        for buckets in found:
+            count += prod(w for w, _ in buckets)
+            rows += (placed(dict(zip(idx, reps)))
+                     for reps in itertools.product(*(reps for _, reps in buckets)))
+        return count * fibre, rows
 
     def span(rows: list[tuple[int, ...]], idx: tuple[int, ...]) -> list[tuple[int, ...]]:
         if not rows:
             return []
         return list(_plane_span(group.orders, rows + [placed({i: a}) for i in idx
-                                                      for a in bases[i]]))
+                                                      for a in classes[i].rows]))
 
-    triples, order = feasible((0, 1, 2))
-    first = len(triples) * prod(sizes) // order
+    first, triples = feasible((0, 1, 2))
     second, pair_rows = 0, []
     for idx in ((0, 1), (0, 2), (1, 2)):
-        pairs, order = feasible(idx)
-        second += len(pairs) * sizes[idx[0]] * sizes[idx[1]] // order
+        count, pairs = feasible(idx)
+        second += count
         pair_rows += span(pairs, idx)
     span20 = row_hermite(pair_rows + _relations(group.orders * 2), 2 * r)
     span30 = row_hermite([*span20, *span(triples, (0, 1, 2))], 2 * r)
@@ -373,24 +356,17 @@ def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
 
 @dataclass(frozen=True)
 class _Solved:
-    """``aut0``'s work on one triple of factors: the admissible counts, and
-    either the characters themselves (listing route) or the spans of the
-    (3,0) and (2,0) kernels read off the classes (class route).  ``spans``
-    maps ``p + q`` to the ``_admissible_span`` of the ``(p,q)`` kernel; a
-    listing fills it at the first read of each kind."""
+    """``aut0``'s work on one triple of factors: the admissible counts and
+    the ``_admissible_span`` of the characters of the (3,0) kernel (both
+    kinds) and of the (2,0) kernel (the second kind alone)."""
 
     counts: tuple[int, int]
-    admissible: tuple[list[Character], list[Character]] | None = None
-    spans: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    span30: tuple[tuple[int, ...], ...]
+    span20: tuple[tuple[int, ...], ...]
 
-    def span(self, cube: AbelianGroup, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-        """The ``_admissible_span`` of the characters of the ``(p,q)`` kernel:
-        both kinds for ``p + q = 3``, the second alone for ``p + q = 2``."""
-        kind = sum(pq)
-        if kind not in self.spans:
-            first, second = self.admissible
-            self.spans[kind] = _admissible_span(cube, first + second if kind == 3 else second)
-        return self.spans[kind]
+    def span(self, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+        """The span of the ``(p,q)`` kernel's characters."""
+        return self.span30 if sum(pq) == 3 else self.span20
 
 
 @dataclass(frozen=True)
@@ -417,32 +393,36 @@ class _KernelPieces:
         default_factory=dict, compare=False, repr=False)
     _pre: dict[tuple, list[int]] = field(default_factory=dict, compare=False, repr=False)
 
-    def pre_admissible(self, group: AbelianGroup, classes: Sequence[tuple]) -> list[list[int]]:
+    def pre_admissible(self, group: AbelianGroup, classes: Sequence[_ClassLattice],
+                       ) -> list[list[int]]:
         """The three factors' packed pre-admissible sets, each made from its
         classes (``hodge._pre_from_classes``) once per ``A_i``."""
         codec = PackedCharacters(group)
-        for i, (a, reps) in enumerate(classes):
-            if (i, a) not in self._pre:
-                self._pre[i, a] = _pre_from_classes(codec, a, reps)
-        return [self._pre[i, a] for i, (a, _) in enumerate(classes)]
+        for i, c in enumerate(classes):
+            if (i, c.rows) not in self._pre:
+                self._pre[i, c.rows] = _pre_from_classes(codec, c)
+        return [self._pre[i, c.rows] for i, c in enumerate(classes)]
 
     def kernel(self, span: tuple[tuple[int, ...], ...], pq: tuple[int, int]) -> Subgroup:
         """The kernel of the characters whose ``_admissible_span`` is
         ``span`` (``_span_kernel``), formed once per span; ``pq`` names it
         if it fails its check."""
-        if span not in self._kernels:
-            self._kernels[span] = _span_kernel(self.cube, span, self.k_delta, pq)
-        return self._kernels[span]
+        kernel = self._kernels.get(span)
+        if kernel is None:
+            kernel = self._kernels[span] = _span_kernel(self.cube, span, self.k_delta, pq)
+        return kernel
 
     def lattice(self, span: tuple[tuple[int, ...], ...],
                 ) -> tuple[QuotientStructure, tuple[GroupElement, ...]]:
         """The quotient of the (3,0) kernel of ``span`` by ``K Delta_G`` and
         the canonical representatives of its generators, formed once per
         span."""
-        if span not in self._lattices:
+        lattice = self._lattices.get(span)
+        if lattice is None:
             quotient = subgroup_quotient(self.kernel(span, (3, 0)), self.k_delta)
-            self._lattices[span] = quotient, tuple(map(self.canonical, quotient.generators))
-        return self._lattices[span]
+            lattice = self._lattices[span] = (
+                quotient, tuple(map(self.canonical, quotient.generators)))
+        return lattice
 
     def canonical(self, rep: GroupElement) -> GroupElement:
         """Normalize the third component to the identity, then pick the
@@ -454,23 +434,27 @@ class _KernelPieces:
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
-            classes: Sequence[tuple]) -> _Solved:
+            classes: Sequence[_ClassLattice]) -> _Solved:
     """The memo entry of the datum's classes, filed under the ``A_i`` bases,
     which fix the pre-admissible sets within a kernel triple.  A miss lists
     the admissible characters while the listing visits at most
     ``LISTING_PAIRS`` pairs, and reads the counts and spans off the classes
-    above."""
+    above; either way it keeps only the counts and the two spans."""
     memo = kernel_pieces.memo
-    key = tuple(a for a, _ in classes)
-    if key not in memo:
-        if _listing_pairs(datum.group, classes) <= LISTING_PAIRS:
-            admissible = admissible_characters(
+    key = tuple(c.rows for c in classes)
+    solved = memo.get(key)
+    if solved is None:
+        if _listing_pairs(classes) <= LISTING_PAIRS:
+            first, second = admissible_characters(
                 datum, kernel_pieces.pre_admissible(datum.group, classes))
-            memo[key] = _Solved((len(admissible[0]), len(admissible[1])), admissible)
+            cube = kernel_pieces.cube
+            solved = _Solved((len(first), len(second)),
+                             _admissible_span(cube, first + second),
+                             _admissible_span(cube, second))
         else:
-            counts, span30, span20 = _admissible_from_classes(datum.group, classes)
-            memo[key] = _Solved(counts, spans={3: span30, 2: span20})
-    return memo[key]
+            solved = _Solved(*_admissible_from_classes(datum.group, classes))
+        memo[key] = solved
+    return solved
 
 
 def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
@@ -489,7 +473,7 @@ def _adjustment_subgroup(datum: AlgebraicDatum, cube: AbelianGroup) -> Subgroup:
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
          kernel_pieces: _KernelPieces | None = None,
-         classes: Sequence[tuple] | None = None) -> Aut0Result:
+         classes: Sequence[_ClassLattice] | None = None) -> Aut0Result:
     """The group of numerically trivial automorphisms (or the kernel
     quotient standing in for it), with generators and a proof status.
 
@@ -497,12 +481,9 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
     ``K Delta_G`` and the adjustment subgroup), and the three factors'
     ``classes`` (``hodge._class_lattice``; else made here).  The counts and
-    the span are looked up in, or added to, ``kernel_pieces.memo`` under
-    the ``A_i`` bases (``_solved``), where the caller can read them
-    afterwards: on a miss small data list the admissible characters and
-    large data read the counts and the span off the classes.  The kernel,
-    quotient and generators come from ``kernel_pieces.kernel`` and
-    ``lattice``, once per span.
+    spans are looked up in, or added to, ``kernel_pieces.memo`` (``_solved``),
+    where the caller can read them afterwards; the kernel, quotient and
+    generators come from ``kernel_pieces.kernel`` and ``lattice``.
     """
     if report is None:
         report = validate_datum(datum)
@@ -523,9 +504,8 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
                           counts, cube, None, None, None)
 
-    span = solved.span(cube, (3, 0))
-    kernel = kernel_pieces.kernel(span, (3, 0))
-    quotient, generators = kernel_pieces.lattice(span)
+    kernel = kernel_pieces.kernel(solved.span30, (3, 0))
+    quotient, generators = kernel_pieces.lattice(solved.span30)
 
     if not report.freeness_ok:
         status = Aut0Status.NON_FREE_KERNEL_ONLY

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import sys
 from functools import cached_property
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, Sequence
 
 import click
 
 from . import docio
-from .aut0 import _kernel_pieces, _solved, admissible_characters
+from .aut0 import _kernel_pieces, _pre_admissible_set, _solved, admissible_characters
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
@@ -30,8 +30,8 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .examples import EXAMPLE_NAMES, build_example
-from .groups import Character, Subgroup
-from .hodge import _class_lattice, eigendim_table, hodge_diamond
+from .groups import Character, PackedCharacters, Subgroup
+from .hodge import _class_lattice, _ClassLattice, eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient, enumerate_subgroup
 from .search import SearchSpec, survey
 
@@ -74,12 +74,12 @@ class _Analysis:
     """What a report computes for one datum, each piece once, when a section
     first reads it.  ``aut0``, the kernels and the oracle sections pass the
     same ``classes`` and share one entry of ``pieces.memo``, filed under the
-    ``A_i`` bases (``aut0._solved``): the admissible counts with the
-    characters, listed once, on small data, or with the spans of the
-    ``(3,0)`` and ``(2,0)`` kernels read off the classes on large data.
-    Every kernel, quotient and set of generators comes from
-    ``pieces.kernel`` and ``pieces.lattice``, which form each once per
-    span, whichever section reads it first.
+    ``A_i`` bases (``aut0._solved``): the admissible counts and the spans
+    of the ``(3,0)`` and ``(2,0)`` kernels.  Every kernel, quotient and set
+    of generators comes from ``pieces.kernel`` and ``pieces.lattice``,
+    which form each once per span, whichever section reads it first.  The
+    oracle's kernel check lists the admissible characters for itself
+    (``admissible``).
 
     Chevalley-Weil needs valid generating vectors: without them there is no
     eigenspace table and no diamond (``None``), and the classes come from
@@ -101,11 +101,11 @@ class _Analysis:
         return eigendim_table(self.datum)
 
     @cached_property
-    def classes(self) -> list[tuple]:
-        """Each factor's ``A_i`` basis and class representatives, from the
-        eigenspace table or, without valid vectors, the class lattice."""
+    def classes(self) -> Sequence[_ClassLattice]:
+        """Each factor's classes, from the eigenspace table or, without
+        valid vectors, the class lattice."""
         if self.report.vectors_ok:
-            return [(c.rows, c.reps) for c in self.table._classes]
+            return self.table._classes
         return [_class_lattice(self.datum, i) for i in range(3)]
 
     @cached_property
@@ -117,15 +117,16 @@ class _Analysis:
         return _solved(self.datum, self.pieces, self.classes)
 
     def admissible(self) -> Iterator[Character]:
-        """Both kinds of admissible characters, listed at the first read."""
-        first, second = self.solved.admissible or admissible_characters(self.datum)
+        """Both kinds of admissible characters, listed at the first read
+        from the walk over each ``Ann(K_i)``, as ``verify_generator`` lists
+        them: the oracle's check shares no listing with the fast path."""
+        codec = PackedCharacters(self.datum.group)
+        first, second = admissible_characters(
+            self.datum, [_pre_admissible_set(self.datum, i, codec) for i in range(3)])
         yield from first + second
 
-    def span(self, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-        return self.solved.span(self.pieces.cube, pq)
-
     def kernel(self, pq: tuple[int, int]) -> Subgroup:
-        return self.pieces.kernel(self.span(pq), pq)
+        return self.pieces.kernel(self.solved.span(pq), pq)
 
 
 def _aut0_section(a: _Analysis) -> dict:
@@ -167,7 +168,7 @@ def _oracle_section(a: _Analysis) -> dict:
         # One oracle closure of the fast kernel serves both checks below.
         closure = enumerate_subgroup(fast_kernel)
         kernels_match = closure.members == slow_kernel.members
-        quotient, _ = a.pieces.lattice(a.span((3, 0)))
+        quotient, _ = a.pieces.lattice(a.solved.span30)
         factors_match = quotient.invariant_factors == brute_quotient(closure, k_delta)
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"
         agreement["quotient"] = "agree" if factors_match else "DISAGREE"

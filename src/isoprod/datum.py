@@ -7,7 +7,7 @@ elements are supplied as representatives in ``G`` and reduced to the
 quotients internally.
 
 Validation is built from two private pieces.  ``_KernelChecks`` holds what
-reads the kernels alone (minimality with its witness, cyclicity);
+reads the kernels alone (minimality with its witness);
 ``_FactorChecks`` holds what reads one factor alone (the vector outcome,
 the genus and the stabilizer preimage in ``G`` as reduced exponent
 tuples).  ``validate_datum`` computes both for a lone datum; a caller that
@@ -116,7 +116,6 @@ class DatumReport:
     vector_outcomes: tuple[ValidationOutcome, ValidationOutcome, ValidationOutcome]
     genera: tuple[int | None, int | None, int | None]
     irregularity: int
-    all_kernels_cyclic: bool
     all_bases_elliptic: bool
     all_genera_at_least_two: bool
 
@@ -142,15 +141,12 @@ class _KernelChecks:
     """The checks that read the kernel triple alone."""
 
     minimality_witness: tuple[int, int] | None
-    all_cyclic: bool
 
 
 def _kernel_checks(kernels: Sequence[Subgroup]) -> _KernelChecks:
-    """Minimality (the first pair of kernels meeting nontrivially, if any)
-    and cyclicity of the three kernels."""
-    witness = next(((i + 1, j + 1) for i in range(3) for j in range(i + 1, 3)
-                    if not kernels[i]._meets_trivially(kernels[j])), None)
-    return _KernelChecks(witness, all(k.is_cyclic for k in kernels))
+    """Minimality: the first pair of kernels meeting nontrivially, if any."""
+    return _KernelChecks(next(((i + 1, j + 1) for i in range(3) for j in range(i + 1, 3)
+                               if not kernels[i]._meets_trivially(kernels[j])), None))
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,6 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
         vector_outcomes=tuple(f.outcome for f in factors),
         genera=genera,
         irregularity=sum(g_primes),
-        all_kernels_cyclic=kernel_checks.all_cyclic,
         all_bases_elliptic=all(gp == 1 for gp in g_primes),
         all_genera_at_least_two=all(g is not None and g >= 2 for g in genera),
     )

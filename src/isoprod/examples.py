@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .datum import AlgebraicDatum, VectorSpec
 from .errors import StructuralError
-from .groups import AbelianGroup, GroupElement
+from .groups import AbelianGroup, GroupElement, quotient_structure
 
 EXAMPLE_NAMES = ("example1", "example2a", "example2b", "example3", "example4")
 
@@ -31,13 +31,7 @@ def _two_torsion_family(n1: int, n2: int, n3: int,
 
 
 def _order_mod(g: GroupElement, kernel_gen: GroupElement, group: AbelianGroup) -> int:
-    sub = group.subgroup([kernel_gen])
-    acc = g
-    order = 1
-    while not sub.contains(acc):
-        acc = acc + g
-        order += 1
-    return order
+    return quotient_structure(group, group.subgroup([kernel_gen])).project(g).order
 
 
 def _family_group(n1: int, n2: int, n3: int) -> AbelianGroup:

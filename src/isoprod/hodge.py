@@ -18,11 +18,10 @@ and its first point is zero.  ``eigendim_table`` reads one integer ``f``
 per class off its representative's values (``_FactorClasses``, checked in
 integers, without ``Fraction``).  The pre-admissible set is ``Ann(K_i)``
 minus ``A_i``, the nonzero classes translated by the elements of ``A_i``
-(``_pre_from_classes``).  The classes are ``aut0``'s one input: on a miss
-of its memo, keyed by the ``A_i``, it lists the admissible characters from
-these sets on small data, the survey's among them, and on large data it
-reads the admissible counts and spans off the classes themselves
-(``aut0._admissible_from_classes``), by the class sums below.
+(``_pre_from_classes``).  A factor's classes are one record
+(``_ClassLattice``: the basis and order of ``A_i`` and the
+representatives), which the table keeps with each class's ``f`` and
+``aut0`` takes as its one input.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
 fibre size
@@ -39,10 +38,13 @@ fibre size
 - ``h^{2,0}`` and ``h^{1,1}``: pair counts of ``F_i(c) F_j(-c)`` and of
   ``F_i(c) F_j(c)``, with the same trivial-character terms.
 
-``_class_counts`` builds each of the four sum subgroups once and compares
-classes by their canonical coset representative against its Hermite basis,
-so the cost depends on the number of classes (the order of the subgroup of
-``G / K_i`` that the branch points generate), not on ``|G|``.
+``_class_matches`` is the one rule that matches classes: per sum subgroup
+it forms the Hermite basis and the fibre size once and buckets classes by
+their canonical coset representative against that basis, so the cost
+depends on the number of classes (the order of the subgroup of ``G / K_i``
+that the branch points generate), not on ``|G|``.  ``_class_counts`` folds
+the matched buckets into the sums above, weighted by ``f``, and
+``aut0._admissible_from_classes`` into the admissible counts and spans.
 
 ``isotypic_decomposition`` lists the pieces themselves, whose number is of
 order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
@@ -53,8 +55,10 @@ read into the full tables over ``Ann(K_i)`` (``_packed`` and ``tables``,
 which ``isotypic_decomposition`` and the API read), where every character
 of ``rep + A_i`` gets the class's ``f`` and the trivial character
 ``f + 1``.  The integer walk over all of ``Ann(K_i)`` (``_factor_walk``)
-serves only ``aut0.verify_generator``, whose pre-admissible sets must not
-come from the classes, and the tests' reference.  A report makes no walk.
+serves only the listings that check the fast path (``aut0.verify_generator``
+and the report's oracle), whose pre-admissible sets must not come from the
+classes, and the tests' reference.  A report without the oracle makes no
+walk.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .covering import genus
@@ -72,18 +77,24 @@ from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _c
 
 
 @dataclass(frozen=True)
-class _FactorClasses:
+class _ClassLattice:
     """One factor's characters up to the branch points: ``A = Ann(T)`` for
-    ``T = K_i + <lifts of the branch points>``, given by its order and by
-    the upper-triangular Hermite basis of its lattice (``rows``); one
-    character per class of ``Ann(K_i) / A`` (exponent tuples from the box of
-    ``_class_lattice``; the first is the class of zero); and the integer
-    ``f = (g' - 1) + sum_j k_j / m_j`` shared by its members.
+    ``T = K_i + <lifts of the branch points>``, given by the
+    upper-triangular Hermite basis of its lattice (``rows``) and its order;
+    and one character per class of ``Ann(K_i) / A`` (exponent tuples from
+    the box of ``_class_lattice``; the first is the class of zero).
     """
 
     rows: tuple[tuple[int, ...], ...]
     order: int
     reps: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class _FactorClasses(_ClassLattice):
+    """The checked classes of a factor, with the integer
+    ``f = (g' - 1) + sum_j k_j / m_j`` shared by the members of each."""
+
     dims: tuple[int, ...]
 
 
@@ -145,15 +156,13 @@ def _factor_walk(datum: AlgebraicDatum, i: int, codec: PackedCharacters,
     """
     den = datum.group.exponent
     scaled = _scaled_lifts(datum, i)
-    return {codec.pack(chi): tuple(sum(a * v for a, v in zip(chi, lift)) % den
-                                   for lift in scaled)
+    return {codec.pack(chi): tuple(sum(map(mul, chi, lift)) % den for lift in scaled)
             for chi in datum.kernels[i].annihilator()._element_tuples()}
 
 
-def _class_lattice(datum: AlgebraicDatum, i: int,
-                   ) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
-    """The Hermite basis of ``A_i = Ann(T_i)`` and one character per class
-    of ``Ann(K_i) / A_i``, the class of zero first.
+def _class_lattice(datum: AlgebraicDatum, i: int) -> _ClassLattice:
+    """The Hermite basis and order of ``A_i = Ann(T_i)`` and one character
+    per class of ``Ann(K_i) / A_i``, the class of zero first.
 
     ``A_i`` is the Hermite dual of ``T_i``'s basis.  Its lattice lies in
     that of ``Ann(K_i)``, whose stored Hermite basis ``B`` has pivots
@@ -166,9 +175,9 @@ def _class_lattice(datum: AlgebraicDatum, i: int,
                            *(lift.exponents for lift in _branch_lifts(datum, i))], group.rank)
     a_basis = row_hermite(_hermite_dual(t_basis, group.orders), group.rank)
     b_basis = datum.kernels[i].annihilator().basis
-    reps = list(_hermite_box(b_basis, group.orders,
-                             [a[j] // b[j] for j, (a, b) in enumerate(zip(a_basis, b_basis))]))
-    return a_basis, reps
+    reps = _hermite_box(b_basis, group.orders,
+                        [a[j] // b[j] for j, (a, b) in enumerate(zip(a_basis, b_basis))])
+    return _ClassLattice(a_basis, _hermite_order(group, a_basis), tuple(reps))
 
 
 def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> list[int]:
@@ -178,12 +187,11 @@ def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> li
         a_basis, orders, [n // row[j] for j, (n, row) in enumerate(zip(orders, a_basis))])]
 
 
-def _pre_from_classes(codec: PackedCharacters, a_basis: Sequence[Sequence[int]],
-                      reps: Sequence[tuple[int, ...]]) -> list[int]:
+def _pre_from_classes(codec: PackedCharacters, classes: _ClassLattice) -> list[int]:
     """The sorted packed pre-admissible set: ``Ann(K_i)`` outside ``A_i``,
     the nonzero classes of ``_class_lattice`` translated by ``A_i``."""
-    return sorted(codec.sums([codec.pack(rep) for rep in reps[1:]],
-                             _packed_box(codec, a_basis)))
+    return sorted(codec.sums([codec.pack(rep) for rep in classes.reps[1:]],
+                             _packed_box(codec, classes.rows)))
 
 
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
@@ -200,8 +208,8 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
     den = group.exponent
     classes = []
     for i, vector in enumerate(datum.vectors):
-        a_basis, reps = _class_lattice(datum, i)
-        order = _hermite_order(group, a_basis)
+        lattice = _class_lattice(datum, i)
+        order, reps = lattice.order, lattice.reps
         scaled = _scaled_lifts(datum, i)
         dims, seen = [], set()
         for c, rep in enumerate(reps):
@@ -225,7 +233,7 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
             raise ConsistencyError(
                 f"factor {i + 1}: {len(reps)} Chevalley-Weil classes of |Ann(T)| = {order} "
                 f"give dimensions summing to {sum(dims) * order + 1}, genus is {g}")
-        classes.append(_FactorClasses(a_basis, order, tuple(reps), tuple(dims)))
+        classes.append(_FactorClasses(lattice.rows, order, reps, tuple(dims)))
     return EigenDimTable(datum, tuple(classes))
 
 
@@ -308,60 +316,77 @@ def _kunneth_pieces(codec: PackedCharacters, tables: Sequence[dict[int, int]], p
     return pieces
 
 
+def _class_matches(group: AbelianGroup, classes: Sequence[_ClassLattice],
+                   weights: Sequence[Sequence[int]], patterns: Sequence[Sequence[int]],
+                   ) -> tuple[int, list[list[tuple[list, ...]]]]:
+    """The matches of the classes ``x_k + A_k`` of two or three factors:
+    the fibre ``prod |A_k| / |sum A_k|``, and per sign pattern ``s`` the
+    tuples of buckets, one per factor, with ``sum_k s_k x_k in sum_k A_k``;
+    each such class tuple has ``fibre`` solutions of ``sum_k s_k c_k = 0``.
+
+    A bucket ``[w, reps]`` holds the classes of nonzero weight
+    (``weights[k]``, one per class) of one factor whose signed
+    representatives have one key, the canonical coset representative
+    against the Hermite basis of the sum (``groups._coset_key``), and
+    their summed weight.  A tuple matches when the key of the sum of its
+    leading keys is the key of its last entry negated.
+    """
+    basis = row_hermite([row for c in classes for row in c.rows], group.rank)
+    fibre = prod(c.order for c in classes) // _hermite_order(group, basis)
+    buckets: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+
+    def bucketed(k: int, sign: int) -> dict[tuple[int, ...], list]:
+        out = buckets.get((k, sign))
+        if out is None:
+            out = buckets[k, sign] = {}
+            for rep, w in zip(classes[k].reps, weights[k]):
+                if w:
+                    bucket = out.setdefault(_coset_key(basis, [sign * e for e in rep]), [0, []])
+                    bucket[0] += w
+                    bucket[1].append(rep)
+        return out
+
+    matches = []
+    for signs in patterns:
+        head, last = bucketed(0, signs[0]), bucketed(len(signs) - 1, -signs[-1])
+        if len(signs) == 2:
+            matches.append([(b, last[key]) for key, b in head.items() if key in last])
+            continue
+        found = []
+        for k2, b2 in bucketed(1, signs[1]).items():
+            for k1, b1 in head.items():
+                key = _coset_key(basis, [x + y for x, y in zip(k1, k2)])
+                if key in last:
+                    found.append((b1, b2, last[key]))
+        matches.append(found)
+    return fibre, matches
+
+
 def _class_counts(group: AbelianGroup, classes: Sequence[_FactorClasses],
                   ) -> tuple[int, int, int, int]:
     """The sums of ``F_1 F_2 F_3`` and ``F_i F_j`` that the Hodge numbers
-    need, by class: ``(t30, t21, same, opp)``.
+    need, by class (``_class_matches``, weighted by ``f``):
+    ``(t30, t21, same, opp)``.
 
     ``t30`` sums ``F_1(x_1) F_2(x_2) F_3(x_3)`` over ``x_1 + x_2 + x_3 = 0``
     and ``t21`` the three such sums with one slot conjugated; ``same`` sums
     ``F_i(x) F_j(-x)`` and ``opp`` sums ``F_i(x) F_j(x)`` over the three
-    pairs.  Classes are bucketed by their canonical coset representative
-    against the Hermite basis of each sum subgroup, so the condition
-    ``x_1 + x_2 + x_3 in A_1 + A_2 + A_3`` is an equality of keys.
+    pairs.
     """
-    def summed(*idx: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-        # The Hermite basis of A_i + A_j (+ A_l) and the order of the sum.
-        basis = row_hermite([row for i in idx for row in classes[i].rows], group.rank)
-        return basis, _hermite_order(group, basis)
+    def total(fibre: int, found: list[tuple[list, ...]]) -> int:
+        return fibre * sum(prod(w for w, _ in buckets) for buckets in found)
 
-    def buckets(i: int, basis: tuple, sign: int) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for rep, f in zip(classes[i].reps, classes[i].dims):
-            if f:
-                key = _coset_key(basis, [sign * e for e in rep])
-                out[key] = out.get(key, 0) + f
-        return out
-
-    basis, order = summed(0, 1, 2)
-    fibre = prod(c.order for c in classes) // order
-    (p1, n1), (p2, n2), (p3, n3) = ((buckets(i, basis, 1), buckets(i, basis, -1))
-                                    for i in range(3))
-
-    def matched(left: dict, right: dict) -> int:
-        return sum(w * right.get(k, 0) for k, w in left.items())
-
-    def threefold(one: dict, two: dict, three: dict) -> int:
-        # x_1 + x_2 + x_3 lies in the sum exactly when the key of x_1 + x_2
-        # is the key of -x_3; each such class triple has ``fibre`` solutions.
-        acc = 0
-        for k1, w1 in one.items():
-            for k2, w2 in two.items():
-                acc += w1 * w2 * three.get(_coset_key(basis, [x + y for x, y in zip(k1, k2)]), 0)
-        return acc * fibre
-
-    t30 = threefold(p1, p2, n3)
-    t21 = threefold(n1, p2, n3) + threefold(p1, n2, n3) + threefold(p1, p2, p3)
+    fibre, (t30, *t21) = _class_matches(group, classes, [c.dims for c in classes],
+                                        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     same = opp = 0
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        # x_i + x_j (x_i - x_j) lies in A_i + A_j exactly when the key of
-        # x_i is the key of -x_j (x_j); each class pair has |A_i meet A_j|.
-        pair, order = summed(i, j)
-        meet = classes[i].order * classes[j].order // order
-        left = buckets(i, pair, 1)
-        same += meet * matched(left, buckets(j, pair, -1))
-        opp += meet * matched(left, buckets(j, pair, 1))
-    return t30, t21, same, opp
+        # x_i + x_j (x_i - x_j) in A_i + A_j; each class pair has
+        # |A_i meet A_j| = meet solutions.
+        meet, (plus, minus) = _class_matches(group, (classes[i], classes[j]),
+                                             (classes[i].dims, classes[j].dims), [(1, 1), (1, -1)])
+        same += total(meet, plus)
+        opp += total(meet, minus)
+    return total(fibre, t30), sum(total(fibre, found) for found in t21), same, opp
 
 
 def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,

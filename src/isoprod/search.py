@@ -11,25 +11,25 @@ handle choices by multiplicity.
 
 Each check runs once at the level it depends on:
 
-- per kernel triple (``_KernelTriple``): minimality with its witness and
-  kernel cyclicity, and, from the first valid datum on, ``G^3``,
-  ``K Delta_G`` and the adjustment subgroup of the canonical
-  representatives (``aut0._KernelPieces``);
+- per kernel triple (``_KernelTriple``): minimality with its witness,
+  and, from the first valid datum on, ``G^3``, ``K Delta_G`` and the
+  adjustment subgroup of the canonical representatives
+  (``aut0._KernelPieces``);
 - per subgroup that a branch multiset generates, and per base genus, once
   per ``survey`` call: the handle tuples completing it (``_generating_etas``);
 - per factor branch, inside one kernel triple (``_Branch``): the lifted
   ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
   genus and stabilizer preimage, from the first valid datum on its
-  Chevalley-Weil classes (``hodge._class_lattice``), and from the first
-  datum with generators its packed pre-admissible set from the walk over
-  ``Ann(K_i)`` (``aut0._pre_admissible_set``), which the independent
-  re-check reads;
+  Chevalley-Weil classes (``hodge._class_lattice``, one record passed as
+  it is), and from the first datum with generators its packed
+  pre-admissible set from the walk over ``Ann(K_i)``
+  (``aut0._pre_admissible_set``), which the independent re-check reads;
 - per factor and distinct ``A_i``, inside one kernel triple: the packed
   pre-admissible set that a listing reads (``_KernelPieces``);
 - per distinct triple of ``A_i``, inside one kernel triple: the admissible
-  counts and the Hermite span of the admissible characters, listed or read
-  off the classes, which the ``_KernelPieces.memo`` of the kernel triple,
-  keyed by the three ``A_i`` bases, skips on a repeat;
+  counts and the spans of the (3,0) and (2,0) kernels, listed or read off
+  the classes, which the ``_KernelPieces.memo`` of the kernel triple,
+  keyed by the three ``A_i`` bases, keeps;
 - per distinct admissible span, inside one kernel triple: ``aut0``'s
   kernel (``_KernelPieces.kernel``), and its quotient by ``K Delta_G`` and
   canonical generators (``_KernelPieces.lattice``).  ``_candidates``
@@ -45,9 +45,10 @@ Each check runs once at the level it depends on:
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
 
-Before any work, ``_candidates`` refuses a space whose estimated branch
-triples (``estimate_space``) or whose handle tuples times branch multisets
-of one factor (``|Q_i|^(2 g'_i)`` each) exceed the cap.
+Before any other work, ``_candidates`` forms the kernel triples once and
+refuses a space whose estimated branch triples (``estimate_space``) or
+whose handle tuples times branch multisets of one factor
+(``|Q_i|^(2 g'_i)`` each) exceed the cap.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .datum import (
     validate_datum,
 )
 from .errors import SearchCapError, StructuralError, TheoremViolationError
-from .hodge import _class_lattice
+from .hodge import _class_lattice, _ClassLattice
 from .groups import (
     AbelianGroup,
     GroupElement,
@@ -247,13 +248,14 @@ def estimate_space(spec: SearchSpec) -> int:
     never iterated jointly, so they do not enter this estimate; the cap on
     them is per factor (``_check_handle_work``)."""
     group = AbelianGroup(spec.group_orders)
-    total = 0
-    for kernels in _kernel_triples(spec, group):
-        per_factor = 1
-        for kernel in kernels:
-            per_factor *= _multiset_bound(group.order // kernel.order, spec.max_branch)
-        total += per_factor
-    return total
+    return _estimate(spec, group, _kernel_triples(spec, group))
+
+
+def _estimate(spec: SearchSpec, group: AbelianGroup,
+              triples: Sequence[tuple[Subgroup, ...]]) -> int:
+    """``estimate_space`` over the given kernel triples."""
+    return sum(prod(_multiset_bound(group.order // kernel.order, spec.max_branch)
+                    for kernel in kernels) for kernels in triples)
 
 
 def _multiset_bound(q_order: int, max_branch: int) -> int:
@@ -307,7 +309,7 @@ class _Branch:
         self._lifted = tuple(q.lift(b) for b in branch)
         self.vector, self.raw = self._vector(etas[0])
         self.checks = _factor_checks(group, kernel, q, self.vector)
-        self.classes: tuple | None = None
+        self.classes: _ClassLattice | None = None
         self.walked: list[int] | None = None
 
     def _vector(self, eta: tuple[GroupElement, ...]) -> tuple[GeneratingVector, VectorSpec]:
@@ -373,11 +375,11 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
     Raises ``SearchCapError`` before any work when the estimated space, or
     the handle tuples of one factor, exceed the cap.
     """
-    estimate = estimate_space(spec)
+    triples = _kernel_triples(spec, group)
+    estimate = _estimate(spec, group, triples)
     if estimate > spec.cap:
         raise SearchCapError(
             f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
-    triples = _kernel_triples(spec, group)
     _check_handle_work(spec, group, triples)
     kept: dict[int, dict] = {}
     handles: dict = {}

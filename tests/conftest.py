@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -95,3 +96,42 @@ def random_element(rng: random.Random, group: AbelianGroup) -> GroupElement:
 def random_subgroup(rng: random.Random, group: AbelianGroup, max_gens: int = 3) -> Subgroup:
     gens = [random_element(rng, group) for _ in range(rng.randint(0, max_gens))]
     return group.subgroup(gens)
+
+
+def random_automorphism(orders: list[int], rng: random.Random):
+    """Scale coordinate ``j`` by a unit mod ``n_j`` and move it to a
+    coordinate of the same order."""
+    perm = list(range(len(orders)))
+    classes: dict[int, list[int]] = {}
+    for j, n in enumerate(orders):
+        classes.setdefault(n, []).append(j)
+    for members in classes.values():
+        targets = members[:]
+        rng.shuffle(targets)
+        for j, t in zip(members, targets):
+            perm[j] = t
+    units = [rng.choice([u for u in range(1, n) if gcd(u, n) == 1]) for n in orders]
+
+    def apply(exps: list[int]) -> list[int]:
+        out = [0] * len(orders)
+        for j, x in enumerate(exps):
+            out[perm[j]] = units[j] * x % orders[j]
+        return out
+
+    return apply
+
+
+def relabel_document(doc: dict, rng: random.Random) -> dict:
+    """A datum document under a random coordinate automorphism of its
+    group and a random permutation of the three factors: the same 3-fold,
+    labelled otherwise."""
+    phi = random_automorphism(doc["group"], rng)
+    order = [0, 1, 2]
+    rng.shuffle(order)
+    kernels = [[phi(g) for g in gens] for gens in doc["kernels"]]
+    vectors = [{"g_prime": v["g_prime"],
+                "branch": [phi(g) for g in v["branch"]],
+                "eta": [phi(g) for g in v["eta"]]} for v in doc["vectors"]]
+    return {"group": doc["group"],
+            "kernels": [kernels[i] for i in order],
+            "vectors": [vectors[i] for i in order]}

@@ -215,14 +215,18 @@ class TestOneEnumeration:
     def test_lone_call_goes_through_the_memo(self):
         # Without ``classes`` they come from the class lattice, and the work
         # is filed in the memo under the A_i bases like any other caller's,
-        # on the listing route too.
+        # on the listing route too: the counts and the spans of the listed
+        # characters, not the characters.
         d = example2b()
         pieces = aut0_module._kernel_pieces(d)
         result = aut0(d, kernel_pieces=pieces)
-        key = tuple(aut0_module._class_lattice(d, i)[0] for i in range(3))
+        key = tuple(aut0_module._class_lattice(d, i).rows for i in range(3))
         assert list(pieces.memo) == [key]
-        assert pieces.memo[key].admissible is not None
-        assert pieces.kernel(pieces.memo[key].span(pieces.cube, (3, 0)), (3, 0)) is result.kernel
+        first, second = admissible_characters(d)
+        assert pieces.memo[key] == aut0_module._Solved(
+            (len(first), len(second)), aut0_module._admissible_span(pieces.cube, first + second),
+            aut0_module._admissible_span(pieces.cube, second))
+        assert pieces.kernel(pieces.memo[key].span30, (3, 0)) is result.kernel
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
     @pytest.mark.parametrize("factory", [example2b, lambda: example1(8, 8, 8)])
@@ -255,7 +259,7 @@ class TestClassRoute:
     the classes instead of listing the admissible characters."""
 
     def test_the_rule_splits_the_examples(self):
-        pairs = [aut0_module._listing_pairs(d.group, [
+        pairs = [aut0_module._listing_pairs([
             aut0_module._class_lattice(d, i) for i in range(3)])
             for d in (example1(), example1(2, 2, 2), example1(4, 4, 4), example1(8, 8, 8))]
         assert pairs == [4, 64, 1024, 16384]
@@ -270,11 +274,10 @@ class TestClassRoute:
         assert calls["admissible_characters"] == 0
         assert result.admissible_counts == (512, 0)
         assert list(result.invariant_factors) == [2, 2]
-        # Filed under the A_i bases, with the spans instead of the lists.
+        # Filed under the A_i bases.
         (key, solved), = pieces.memo.items()
-        assert key == tuple(aut0_module._class_lattice(d, i)[0] for i in range(3))
-        assert solved.admissible is None
-        assert pieces.kernel(solved.span(pieces.cube, (3, 0)), (3, 0)) is result.kernel
+        assert key == tuple(aut0_module._class_lattice(d, i).rows for i in range(3))
+        assert pieces.kernel(solved.span30, (3, 0)) is result.kernel
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):

@@ -1,24 +1,30 @@
 """Fuzzed inputs: the document parsers raise nothing but ``IsoprodError``
 on any small JSON-like value, the report raises nothing on a parsed
-small-group datum, and ``isoprod report`` exits 0, 1 or 2 without a
-traceback on any such document."""
+small-group datum, and ``isoprod report``, ``aut0`` and ``kernels``, with
+and without the oracles, exit 0, 1 or 2 without a traceback on any such
+document.  Relabelled example data reach exit 0, where the theorem bounds
+and the oracle checks run, and keep the example's exit code and values."""
 
 from __future__ import annotations
 
 import json
 from math import prod
 
-from click.testing import CliRunner
+from click.testing import CliRunner, Result
 from hypothesis import given, settings, strategies as st
 
+from conftest import ORACLE_EXAMPLES, relabel_document
 from isoprod.cli import build_report, main
-from isoprod.docio import parse_datum_document
+from isoprod.docio import datum_document, parse_datum_document
 from isoprod.errors import IsoprodError
+from isoprod.examples import build_example
 from isoprod.search import SearchSpec
 
 DATUM_KEYS = ["group", "kernels", "vectors", "g_prime", "branch", "eta", "extra"]
 SPEC_KEYS = ["group", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap", "extra"]
 SECTIONS = ("invariants", "hodge", "aut0", "kernels")
+# The subcommands that read a datum file, with the oracles where they take them.
+COMMANDS = (("report",), ("report", "--oracle"), ("aut0",), ("aut0", "--oracle"), ("kernels",))
 
 leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(0, 2),
                    st.sampled_from(["", "cyclic", "basis"]))
@@ -72,6 +78,15 @@ def broken_documents(draw, max_order: int = 64) -> dict:
     return doc
 
 
+@st.composite
+def relabelled_examples(draw) -> tuple[dict, dict]:
+    """A small example datum (``ORACLE_EXAMPLES``, six valid and one not
+    free) as a document, and its image under a drawn coordinate
+    automorphism and permutation of the factors: the same 3-fold."""
+    doc = datum_document(build_example(*draw(st.sampled_from(ORACLE_EXAMPLES))))
+    return doc, relabel_document(doc, draw(st.randoms(use_true_random=False)))
+
+
 # Objects with a "group" list and some of the other spec keys, each
 # holding a leaf or a short list of leaves and integer lists.
 shallow = st.one_of(leaves, st.lists(st.one_of(leaves, st.lists(st.integers(-1, 3), max_size=3)),
@@ -112,18 +127,45 @@ def test_small_group_reports_raise_nothing(doc, oracle):
     build_report(datum, SECTIONS, oracle=oracle)
 
 
-@settings(max_examples=60)
-@given(st.one_of(datum_documents(max_order=8, least_order=2, least_exponent=0),
-                 broken_documents(max_order=8),
-                 json_values(DATUM_KEYS).map(json.dumps), st.text(max_size=12)))
-def test_report_command_exits_with_a_documented_code(doc):
-    # 0 success, 1 an invalid datum, 2 a schema error; 3 (internal) and a
-    # traceback are never the answer to a user's document.
+def invoke(command: tuple[str, ...], doc) -> Result:
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("datum.json", "w", encoding="utf-8") as fh:
             fh.write(doc if isinstance(doc, str) else json.dumps(doc))
-        result = runner.invoke(main, ["report", "--format", "json", "datum.json"])
+        return runner.invoke(main, [*command, "--format", "json", "datum.json"])
+
+
+def labelling_free(report: dict) -> dict:
+    """The parts of a report that no relabelling changes."""
+    validation, aut0 = report["validation"], report.get("aut0", {})
+    return {"ok": validation["ok"], "genera": sorted(validation["genera"]),
+            "hodge": report.get("hodge"), "kernels": report.get("kernels"),
+            "oracle": report.get("oracle"),
+            "aut0": [aut0.get(key) for key in ("status", "invariant_factors", "order",
+                                               "admissible_first", "admissible_second")]}
+
+
+@settings(max_examples=60)
+@given(st.one_of(datum_documents(max_order=8, least_order=2, least_exponent=0),
+                 broken_documents(max_order=8), relabelled_examples().map(lambda pair: pair[1]),
+                 json_values(DATUM_KEYS).map(json.dumps), st.text(max_size=12)),
+       st.sampled_from(COMMANDS))
+def test_report_command_exits_with_a_documented_code(doc, command):
+    # 0 success, 1 an invalid datum, 2 a schema error; 3 (internal) and a
+    # traceback are never the answer to a user's document.
+    result = invoke(command, doc)
     assert result.exit_code in (0, 1, 2), result.output
     assert isinstance(result.exception, (SystemExit, type(None)))
     assert "Traceback" not in result.output
+
+
+@settings(max_examples=40)
+@given(relabelled_examples(), st.sampled_from(COMMANDS))
+def test_relabelled_examples_keep_their_exit_code_and_values(pair, command):
+    # A valid example exits 0 after its theorem bounds (and oracle checks)
+    # ran, the non-free one 1, and the labelling-free values stay.
+    original, image = (invoke(command, doc) for doc in pair)
+    want = json.loads(original.stdout)
+    assert original.exit_code == (0 if want["validation"]["ok"] else 1)
+    assert image.exit_code == original.exit_code, image.output
+    assert labelling_free(json.loads(image.stdout)) == labelling_free(want)

@@ -194,7 +194,7 @@ class TestEigendimTables:
                 induced = q.group.character(k for k, _ in scaled)
                 assert table.tables[i][chi] == cw_dimension(d.vectors[i], induced)
             classes = table._classes[i]
-            assert hodge_module._pre_from_classes(codec, classes.rows, classes.reps) == \
+            assert hodge_module._pre_from_classes(codec, classes) == \
                 [codec.pack(chi.exponents) for chi in d.group.characters()
                  if pre_admissible(d, i, chi)]
 
@@ -358,9 +358,9 @@ class TestClassesWithoutWalk:
             assert {_coset_key(classes.rows, rep): f
                     for rep, f in zip(classes.reps, classes.dims)} == walk
             pre = sorted(x for x, v in values.items() if any(v))
-            assert hodge_module._pre_from_classes(codec, classes.rows, classes.reps) == pre
+            assert hodge_module._pre_from_classes(codec, classes) == pre
             assert hodge_module._pre_from_classes(
-                codec, *hodge_module._class_lattice(d, i)) == pre
+                codec, hodge_module._class_lattice(d, i)) == pre
 
     @pytest.mark.parametrize("name", CLASS_DATA)
     def test_kernels_in_the_sum_zero_plane(self, name):

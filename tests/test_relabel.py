@@ -11,10 +11,10 @@ which exercises the carries of the packed character arithmetic.
 from __future__ import annotations
 
 import random
-from math import gcd
 
 import pytest
 
+from conftest import relabel_document
 from isoprod import docio
 from isoprod.aut0 import aut0, representation_kernel
 from isoprod.examples import example1, example2b, example4
@@ -29,42 +29,8 @@ DATA = {
 RELABELLINGS = 4
 
 
-def random_automorphism(orders: list[int], rng: random.Random):
-    """Scale coordinate ``j`` by a unit mod ``n_j`` and move it to a
-    coordinate of the same order."""
-    perm = list(range(len(orders)))
-    classes: dict[int, list[int]] = {}
-    for j, n in enumerate(orders):
-        classes.setdefault(n, []).append(j)
-    for members in classes.values():
-        targets = members[:]
-        rng.shuffle(targets)
-        for j, t in zip(members, targets):
-            perm[j] = t
-    units = [rng.choice([u for u in range(1, n) if gcd(u, n) == 1]) for n in orders]
-
-    def apply(exps: list[int]) -> list[int]:
-        out = [0] * len(orders)
-        for j, x in enumerate(exps):
-            out[perm[j]] = units[j] * x % orders[j]
-        return out
-
-    return apply
-
-
 def relabel(datum, rng: random.Random):
-    doc = docio.datum_document(datum)
-    phi = random_automorphism(doc["group"], rng)
-    order = [0, 1, 2]
-    rng.shuffle(order)
-    kernels = [[phi(g) for g in gens] for gens in doc["kernels"]]
-    vectors = [{"g_prime": v["g_prime"],
-                "branch": [phi(g) for g in v["branch"]],
-                "eta": [phi(g) for g in v["eta"]]} for v in doc["vectors"]]
-    return docio.parse_datum_document({
-        "group": doc["group"],
-        "kernels": [kernels[i] for i in order],
-        "vectors": [vectors[i] for i in order]})
+    return docio.parse_datum_document(relabel_document(docio.datum_document(datum), rng))
 
 
 def labelling_free_values(datum) -> dict:

@@ -298,7 +298,7 @@ class TestFactorized:
         spec = spec_with(max_branch=4)
         data = _basis_r4_valid()
         valid, with_generators = len(data), sum(bool(r.generators) for *_, r in data)
-        bases = {tuple(_class_lattice(datum, i)[0] for i in range(3)) for _, _, datum, _ in data}
+        bases = {tuple(_class_lattice(datum, i).rows for i in range(3)) for _, _, datum, _ in data}
 
         calls = Counter()
         self.spy(monkeypatch, calls, aut0_module, "admissible_characters")

@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, OverflowLimitError, ParentMismatchError
@@ -363,7 +364,7 @@ def _reduce(exps: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
     if len(exps) != len(orders):
         raise ParentMismatchError(
             f"exponent width {len(exps)} does not match group rank {len(orders)}")
-    return tuple(e % n for e, n in zip(exps, orders))
+    return tuple(map(mod, exps, orders))
 
 
 @dataclass(frozen=True)

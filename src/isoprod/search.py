@@ -3,7 +3,8 @@
 The candidate space is: a set of kernel triples (all cyclic subgroups, or
 an explicit list), and per factor all branch multisets with trivial
 product plus all handle tuples.  Enumeration is deterministic, prunes in
-cost order (product relation, generation, freeness), and the survey
+cost order (product relation, generation, freeness from the stabilizer
+preimages, before any datum is built), and the survey
 aggregates the distribution of the numerically trivial automorphism
 groups.  The automorphism computation only depends on the kernels and the
 branch multisets, so the survey runs it once per branch triple and counts
@@ -35,12 +36,14 @@ Each check runs once at the level it depends on:
   canonical generators (``_KernelPieces.lattice``).  ``_candidates``
   builds the ``_KernelTriple`` objects afresh, so these memos belong to
   one ``survey`` call;
-- per branch triple: only the three-way freeness intersection
-  (``validate_datum``), the memo lookup, the status and theorem bounds
-  (``aut0``), and the independent re-check of the generators
-  (``aut0._verify_generators``, ``verify_generator`` of all of them at
-  once), which enumerates the admissible characters afresh from the
-  walked sets, once per datum.
+- per branch triple: first the three-way freeness intersection of the
+  branches' preimages (``_free``), which rejects a non-free triple with no
+  datum, validation or ``aut0``.  Only a free triple gets its datum, the
+  full ``validate_datum`` (freeness again among its checks), the memo
+  lookup, the status and theorem bounds (``aut0``), and the independent
+  re-check of the generators (``aut0._verify_generators``,
+  ``verify_generator`` of all of them at once), which enumerates the
+  admissible characters afresh from the walked sets, once per datum.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
@@ -401,6 +404,13 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
             yield triple, branches
 
 
+def _free(group: AbelianGroup, branches: Sequence[_Branch]) -> bool:
+    """Whether ``G`` acts freely on the product of the three branches'
+    curves: no nontrivial element lies in all three stabilizer preimages.
+    It reads the preimages alone, so it runs before any datum is built."""
+    return _common_fixed_point(group, [b.checks.preimage for b in branches]) is None
+
+
 def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     """Stream exactly the valid data of the space in canonical order.
 
@@ -409,7 +419,7 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     """
     group = AbelianGroup(spec.group_orders)
     for triple, branches in _candidates(spec, group):
-        if _common_fixed_point(group, [b.checks.preimage for b in branches]) is not None:
+        if not _free(group, branches):
             continue
         for vectors in itertools.product(*(b.vectors for b in branches)):
             yield triple.datum(branches, vectors)
@@ -437,7 +447,8 @@ def survey(spec: SearchSpec) -> SurveyResult:
 
     The automorphism result of a datum does not depend on its handle
     elements, so each branch triple is computed once and weighted by the
-    number of handle tuples completing it to a generating vector.
+    number of handle tuples completing it to a generating vector.  A
+    branch triple that is not free is skipped before its datum is built.
     """
     group = AbelianGroup(spec.group_orders)
     histogram: dict[tuple[int, ...], int] = {}
@@ -445,6 +456,8 @@ def survey(spec: SearchSpec) -> SurveyResult:
     count = 0
     extremal: dict[tuple[int, ...], tuple[AlgebraicDatum, Aut0Result]] = {}
     for triple, branches in _candidates(spec, group):
+        if not _free(group, branches):
+            continue
         datum = triple.datum(branches)
         report = triple.validate(datum, branches)
         if not report.ok:

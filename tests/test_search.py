@@ -221,11 +221,14 @@ class TestFactorized:
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_factorized_verdicts_equal_the_lone_datum_ones(self, name):
         spec = self.SPACES[name]
+        group = AbelianGroup(spec.group_orders)
         valid = invalid = 0
-        for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)):
+        for triple, branches in _candidates(spec, group):
             datum = triple.datum(branches)
             report = triple.validate(datum, branches)
             assert report == validate_datum(datum)
+            # The survey's pre-check, read off the preimages alone.
+            assert search_module._free(group, branches) == report.freeness_ok
             if not report.ok:
                 invalid += 1
                 continue
@@ -272,6 +275,17 @@ class TestFactorized:
         assert calls["aut0"] == valid == 208
         assert len(pre_triples) == 41
         assert calls["_span_kernel"] == calls["subgroup_quotient"] == len(kernels) == 5
+
+    def test_survey_validates_only_free_triples(self, monkeypatch):
+        # 792 of the 1,000 branch triples are not free.  The survey rejects
+        # them from the factor preimages, so it builds and validates a datum
+        # only for the 208 free ones (1,000 when every triple was validated),
+        # and each of those is valid and gets aut0.
+        calls = Counter()
+        self.spy(monkeypatch, calls, search_module, "validate_datum")
+        self.spy(monkeypatch, calls, search_module, "aut0")
+        survey(spec_with(max_branch=4))
+        assert calls["validate_datum"] == calls["aut0"] == 208
 
     def test_survey_walks_each_factor_branch_once(self, monkeypatch):
         # verify_generator's pre-admissible sets come from the walk over

@@ -207,9 +207,11 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
 
 
 def _admissible_span(cube: AbelianGroup, characters: list[Character],
+                     within: tuple[tuple[int, ...], ...] = (),
                      ) -> tuple[tuple[int, ...], ...]:
     """The Hermite basis, at width ``2r``, of the rows ``(c_1, c_2)`` of the
-    given characters plus the relations of ``G^2``.
+    given characters plus the relations of ``G^2``, or plus the rows of an
+    ``_admissible_span`` ``within``, which holds those relations.
 
     Every admissible character has ``c_1 + c_2 + c_3 = 0``, so it maps
     ``(g_1, g_2, g_3)`` to ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)`` and is
@@ -218,6 +220,8 @@ def _admissible_span(cube: AbelianGroup, characters: list[Character],
     """
     r = cube.rank // 3
     rows = [psi.exponents[: 2 * r] for psi in characters]
+    if within:
+        return row_hermite([*within, *rows], 2 * r)
     return row_hermite(rows + _relations(cube.orders[: 2 * r]), 2 * r)
 
 
@@ -448,9 +452,11 @@ def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
             first, second = admissible_characters(
                 datum, kernel_pieces.pre_admissible(datum.group, classes))
             cube = kernel_pieces.cube
+            # The (3,0) span adds the first kind to the (2,0) span, so each
+            # character enters one Hermite basis.
+            span20 = _admissible_span(cube, second)
             solved = _Solved((len(first), len(second)),
-                             _admissible_span(cube, first + second),
-                             _admissible_span(cube, second))
+                             _admissible_span(cube, first, span20), span20)
         else:
             solved = _Solved(*_admissible_from_classes(datum.group, classes))
         memo[key] = solved

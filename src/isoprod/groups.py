@@ -591,8 +591,10 @@ class Subgroup:
     def __hash__(self) -> int:
         return hash((self.ambient, self.basis))
 
-    @property
+    @cached_property
     def order(self) -> int:
+        """The ambient order over the product of the Hermite pivots; stored
+        on the instance by the first read."""
         det = prod(self.basis[j][j] for j in range(len(self.basis)))
         return self.ambient.order // det
 
@@ -607,7 +609,7 @@ class Subgroup:
         orders = self.ambient.orders
         return lcm(1, *(n // gcd(x, n) for row in self.basis for x, n in zip(row, orders)))
 
-    @property
+    @cached_property
     def is_cyclic(self) -> bool:
         return self.exponent == self.order
 

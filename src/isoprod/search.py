@@ -20,7 +20,8 @@ Each check runs once at the level it depends on:
   per ``survey`` call: the handle tuples completing it (``_generating_etas``);
 - per factor branch, inside one kernel triple (``_Branch``): the lifted
   ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
-  genus and stabilizer preimage, from the first valid datum on its
+  genus and stabilizer preimage with the preimage's nontrivial elements
+  (``fixing``), from the first valid datum on its
   Chevalley-Weil classes (``hodge._class_lattice``, one record passed as
   it is), and from the first datum with generators its packed
   pre-admissible set from the walk over ``Ann(K_i)``
@@ -33,17 +34,21 @@ Each check runs once at the level it depends on:
   keyed by the three ``A_i`` bases, keeps;
 - per distinct admissible span, inside one kernel triple: ``aut0``'s
   kernel (``_KernelPieces.kernel``), and its quotient by ``K Delta_G`` and
-  canonical generators (``_KernelPieces.lattice``).  ``_candidates``
-  builds the ``_KernelTriple`` objects afresh, so these memos belong to
-  one ``survey`` call;
-- per branch triple: first the three-way freeness intersection of the
-  branches' preimages (``_free``), which rejects a non-free triple with no
-  datum, validation or ``aut0``.  Only a free triple gets its datum, the
-  full ``validate_datum`` (freeness again among its checks), the memo
-  lookup, the status and theorem bounds (``aut0``), and the independent
-  re-check of the generators (``aut0._verify_generators``,
+  canonical generators (``_KernelPieces.lattice``);
+- per distinct walked sets and generators, inside one kernel triple: the
+  verdict of the independent re-check of the generators
+  (``_KernelTriple.verify``: ``aut0._verify_generators``, that is
   ``verify_generator`` of all of them at once), which enumerates the
-  admissible characters afresh from the walked sets, once per datum.
+  admissible characters afresh from the three walked sets and, given
+  them, reads only ``G``.  ``_candidates`` builds the ``_KernelTriple``
+  objects afresh, so these memos belong to one ``survey`` call;
+- per branch triple: first whether the three branches' ``fixing`` sets
+  share an element (``_free``, with no witness), which rejects a non-free
+  triple with no datum, validation or ``aut0``.  Only a free triple gets
+  its datum, the full ``validate_datum`` (freeness again, with its
+  witness), the memo lookup, the status and theorem bounds (``aut0``), and
+  the re-check verdict of its generators on its own walked sets, listed
+  when that pair of walked sets and generators is new.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
@@ -68,7 +73,6 @@ from .datum import (
     AlgebraicDatum,
     DatumReport,
     VectorSpec,
-    _common_fixed_point,
     _factor_checks,
     _kernel_checks,
     validate_datum,
@@ -299,10 +303,11 @@ def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
 class _Branch:
     """One branch multiset of one factor inside one kernel triple, with the
     pieces computed from it once: the completing handle tuples, the vector
-    and lifted ``VectorSpec`` with the first of them, its validation checks,
-    its Chevalley-Weil classes (``classes``, filled by
+    and lifted ``VectorSpec`` with the first of them, its validation checks
+    and the nontrivial elements of their stabilizer preimage (``fixing``,
+    read by ``_free``), its Chevalley-Weil classes (``classes``, filled by
     ``_KernelTriple.aut0``) and its packed pre-admissible set from the walk
-    (``walked``, filled by ``_KernelTriple.walked``)."""
+    (``walked``, filled by ``_KernelTriple.verify``)."""
 
     def __init__(self, group: AbelianGroup, kernel: Subgroup, q: QuotientStructure,
                  g_prime: int, branch: tuple[GroupElement, ...],
@@ -312,8 +317,9 @@ class _Branch:
         self._lifted = tuple(q.lift(b) for b in branch)
         self.vector, self.raw = self._vector(etas[0])
         self.checks = _factor_checks(group, kernel, q, self.vector)
+        self.fixing = frozenset(t for t in self.checks.preimage if any(t))
         self.classes: _ClassLattice | None = None
-        self.walked: list[int] | None = None
+        self.walked: tuple[int, ...] | None = None
 
     def _vector(self, eta: tuple[GroupElement, ...]) -> tuple[GeneratingVector, VectorSpec]:
         q = self._q
@@ -328,7 +334,9 @@ class _Branch:
 
 class _KernelTriple:
     """One kernel triple with the pieces computed from it once: its quotients
-    and kernel checks, and (filled by ``aut0``) its ``_KernelPieces``."""
+    and kernel checks, (filled by ``aut0``) its ``_KernelPieces``, and
+    (filled by ``verify``) the re-check verdict of each distinct triple of
+    walked sets and generators."""
 
     def __init__(self, group: AbelianGroup, kernels: tuple[Subgroup, ...],
                  quotients: tuple[QuotientStructure, ...]):
@@ -336,6 +344,7 @@ class _KernelTriple:
         self.checks = _kernel_checks(kernels)
         self._codec = PackedCharacters(group)
         self._pieces = None
+        self._verdicts: dict[tuple, bool] = {}
 
     def datum(self, branches: Sequence[_Branch],
               vectors: Sequence[tuple[GeneratingVector, VectorSpec]] | None = None,
@@ -359,13 +368,22 @@ class _KernelTriple:
                 b.classes = _class_lattice(datum, i)
         return aut0(datum, report, self._pieces, [b.classes for b in branches])
 
-    def walked(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> list[list[int]]:
-        """The three packed pre-admissible sets of the walk over ``Ann(K_i)``,
-        for the generator re-check; each branch walks once."""
+    def verify(self, datum: AlgebraicDatum, generators: Sequence[GroupElement],
+               branches: Sequence[_Branch]) -> bool:
+        """The independent re-check of ``generators`` (``_verify_generators``)
+        on the three packed pre-admissible sets of the walk over
+        ``Ann(K_i)``; each branch walks once.  Given the walked sets, the
+        check reads only ``G``, so its verdict is kept per distinct walked
+        sets and generators."""
         for i, b in enumerate(branches):
             if b.walked is None:
-                b.walked = _pre_admissible_set(datum, i, self._codec)
-        return [b.walked for b in branches]
+                b.walked = tuple(_pre_admissible_set(datum, i, self._codec))
+        walked = tuple(b.walked for b in branches)
+        key = (walked, tuple(g.exponents for g in generators))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = _verify_generators(datum, generators, walked)
+        return verdict
 
 
 def _candidates(spec: SearchSpec, group: AbelianGroup,
@@ -404,11 +422,13 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
             yield triple, branches
 
 
-def _free(group: AbelianGroup, branches: Sequence[_Branch]) -> bool:
+def _free(branches: Sequence[_Branch]) -> bool:
     """Whether ``G`` acts freely on the product of the three branches'
     curves: no nontrivial element lies in all three stabilizer preimages.
-    It reads the preimages alone, so it runs before any datum is built."""
-    return _common_fixed_point(group, [b.checks.preimage for b in branches]) is None
+    It reads the preimages alone, so it runs before any datum is built;
+    ``validate_datum`` names a witness, this only asks whether one exists."""
+    a, b, c = (branch.fixing for branch in branches)
+    return a.isdisjoint(b & c)
 
 
 def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
@@ -419,7 +439,7 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     """
     group = AbelianGroup(spec.group_orders)
     for triple, branches in _candidates(spec, group):
-        if not _free(group, branches):
+        if not _free(branches):
             continue
         for vectors in itertools.product(*(b.vectors for b in branches)):
             yield triple.datum(branches, vectors)
@@ -449,6 +469,9 @@ def survey(spec: SearchSpec) -> SurveyResult:
     elements, so each branch triple is computed once and weighted by the
     number of handle tuples completing it to a generating vector.  A
     branch triple that is not free is skipped before its datum is built.
+    The generators of each valid datum are re-checked on the sets of the
+    walk over its ``Ann(K_i)``; the verdict is listed once per distinct
+    walked sets and generators within a kernel triple.
     """
     group = AbelianGroup(spec.group_orders)
     histogram: dict[tuple[int, ...], int] = {}
@@ -456,15 +479,14 @@ def survey(spec: SearchSpec) -> SurveyResult:
     count = 0
     extremal: dict[tuple[int, ...], tuple[AlgebraicDatum, Aut0Result]] = {}
     for triple, branches in _candidates(spec, group):
-        if not _free(group, branches):
+        if not _free(branches):
             continue
         datum = triple.datum(branches)
         report = triple.validate(datum, branches)
         if not report.ok:
             continue
         result = triple.aut0(datum, report, branches)
-        if result.generators and not _verify_generators(
-                datum, result.generators, triple.walked(datum, branches)):
+        if result.generators and not triple.verify(datum, result.generators, branches):
             raise TheoremViolationError(
                 "survey generator failed independent re-verification")
         key = tuple(result.invariant_factors)

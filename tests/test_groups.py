@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -30,7 +32,7 @@ from isoprod.groups import (
     subgroup_quotient,
     unimodular_inverse,
 )
-from isoprod.oracle import enumerate_subgroup
+from isoprod.oracle import _invariant_factors_from_census, enumerate_subgroup
 
 
 def matmul(a, b):
@@ -335,6 +337,29 @@ class TestSubgroups:
         regenerated = group.subgroup(list(h.elements()))
         assert regenerated == h
         assert hash(regenerated) == hash(h)
+
+
+class TestCachedInvariants:
+    """``Subgroup.order`` and ``is_cyclic`` are stored on the instance by
+    the first read."""
+
+    @pytest.mark.parametrize("orders", [(2, 2, 2), (2, 4), (3, 9)])
+    def test_two_generator_subgroups_against_the_oracle(self, orders):
+        group = AbelianGroup(orders)
+        generators = {}
+        for pair in itertools.combinations_with_replacement(list(group.elements()), 2):
+            generators.setdefault(group.subgroup(pair).basis, pair)
+        for pair in generators.values():
+            h, twin = group.subgroup(pair), group.subgroup(pair)
+            members = enumerate_subgroup(twin).elements()
+            census = Counter(g.order for g in members)
+            cyclic = len(_invariant_factors_from_census(census, len(members)).factors) <= 1
+            before = hash(h)
+            assert (h.order, h.is_cyclic) == (len(members), cyclic)
+            assert {"order", "is_cyclic"} <= vars(h).keys()
+            assert (h.order, h.is_cyclic) == (len(members), cyclic)
+            assert h == twin and hash(h) == before == hash(twin)
+        assert len(generators) > 1
 
 
 class TestIntersection:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -12,7 +13,7 @@ import pytest
 
 from isoprod.aut0 import _pre_admissible_set, aut0, verify_generator
 from isoprod.datum import validate_datum
-from isoprod.errors import SearchCapError, StructuralError
+from isoprod.errors import SearchCapError, StructuralError, TheoremViolationError
 from isoprod.examples import example1
 from isoprod.groups import AbelianGroup, PackedCharacters
 from isoprod.hodge import _class_lattice
@@ -228,7 +229,7 @@ class TestFactorized:
             report = triple.validate(datum, branches)
             assert report == validate_datum(datum)
             # The survey's pre-check, read off the preimages alone.
-            assert search_module._free(group, branches) == report.freeness_ok
+            assert search_module._free(branches) == report.freeness_ok
             if not report.ok:
                 invalid += 1
                 continue
@@ -306,21 +307,56 @@ class TestFactorized:
     def test_survey_enumerates_once_per_datum_with_generators(self, monkeypatch):
         # aut0 lists once per memo miss, that is once per distinct triple of
         # A_i (41 among the 208 valid data; 208 listings when every aut0 call
-        # listed), and the re-check of a datum's generators lists once more,
-        # from the walked sets (64 data with generators).  The listings read
-        # one pre-admissible set per factor and distinct A_i.
+        # listed).  The re-check of generators lists from the walked sets
+        # once per distinct walked sets and generators within a kernel
+        # triple: 8 among the 64 data with generators (64 listings when
+        # every datum was re-listed).  The listings read one pre-admissible
+        # set per factor and distinct A_i.
         spec = spec_with(max_branch=4)
+        codec = PackedCharacters(AbelianGroup(spec.group_orders))
         data = _basis_r4_valid()
         valid, with_generators = len(data), sum(bool(r.generators) for *_, r in data)
         bases = {tuple(_class_lattice(datum, i).rows for i in range(3)) for _, _, datum, _ in data}
+        rechecks = {(tuple(k.basis for k in triple.kernels),
+                     tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3)),
+                     tuple(g.exponents for g in result.generators))
+                    for triple, _, datum, result in data if result.generators}
 
         calls = Counter()
         self.spy(monkeypatch, calls, aut0_module, "admissible_characters")
         self.spy(monkeypatch, calls, aut0_module, "_pre_from_classes")
         survey(spec)
-        assert (valid, with_generators, len(bases)) == (208, 64, 41)
-        assert calls["admissible_characters"] == len(bases) + with_generators == 105
+        assert (valid, with_generators, len(bases), len(rechecks)) == (208, 64, 41, 8)
+        assert calls["admissible_characters"] == len(bases) + len(rechecks) == 49
         assert calls["_pre_from_classes"] == len({(i, a[i]) for a in bases for i in range(3)})
+
+    def test_recheck_refuses_a_wrong_generator_on_verified_walked_sets(self, monkeypatch):
+        # The re-check keeps a verdict per walked sets and generators, so a
+        # datum whose walked sets were verified with other generators is
+        # listed again: a wrong generator planted there must still stop the
+        # survey.
+        codec = PackedCharacters(AbelianGroup((2, 2, 2)))
+        real = search_module._KernelTriple.aut0
+        verified, planted = {}, []
+
+        def planting(triple, datum, report, branches):
+            result = real(triple, datum, report, branches)
+            if not result.generators:
+                return result
+            walked = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))
+            if walked not in verified:
+                verified[walked] = result.generators
+                return result
+            wrong = next(g for g in result.cube.elements() if not result.kernel.contains(g))
+            generators = result.generators[:-1] + (wrong,)
+            assert generators != verified[walked]
+            planted.append(generators)
+            return dataclasses.replace(result, generators=generators)
+
+        monkeypatch.setattr(search_module._KernelTriple, "aut0", planting)
+        with pytest.raises(TheoremViolationError, match="re-verification"):
+            survey(spec_with(max_branch=4))
+        assert len(planted) == 1
 
 
 class TestWalkedSets:

@@ -167,7 +167,7 @@ def _oracle_section(a: _Analysis) -> dict:
         slow_kernel = brute_kernel(a.datum, a.admissible())
         # One oracle closure of the fast kernel serves both checks below.
         closure = enumerate_subgroup(fast_kernel)
-        kernels_match = closure.members == slow_kernel.members
+        kernels_match = closure.codes == slow_kernel.codes
         quotient, _ = a.pieces.lattice(a.solved.span30)
         factors_match = quotient.invariant_factors == brute_quotient(closure, k_delta)
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"

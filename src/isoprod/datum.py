@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .covering import GeneratingVector, ValidationOutcome, _stabilizer_tuples, genus
@@ -123,7 +124,8 @@ class DatumReport:
     def vectors_ok(self) -> bool:
         return all(v.ok for v in self.vector_outcomes)
 
-    @property
+    # The report is frozen, so the verdict is read once and kept.
+    @cached_property
     def ok(self) -> bool:
         """Full validity: minimal, free, valid vectors, fibre genera >= 2."""
         return (self.minimality_ok and self.freeness_ok and self.vectors_ok

@@ -5,30 +5,31 @@ lists and shares no code with the Smith/Hermite fast paths: subgroups are
 closed out coset by coset, quotients are built as literal coset tables
 with invariant factors read off the element-order census, kernels are
 found by scanning ``G^3``, and Hodge numbers come from loops over pairs of
-characters on an explicit addition table.  Used only by tests and the
-CLI's ``--oracle`` cross-check mode.
+characters on an explicit addition table.  Elements are packed into
+integers by the oracle's own codec (``_Codec``).  Used only by tests and
+the CLI's ``--oracle`` cross-check mode.
 
-Costs, in additions or dot products of exponent tuples:
+Costs, in packed additions (each member of a shifted coset counts one):
 
 - ``enumerate_subgroup``: O(|H|), at most ``2|H|`` additions;
 - ``brute_quotient``: O(|A|) for ``A / B`` after the closures (each coset
   is visited once); an ``ElementSet`` numerator is taken as listed, so the
   CLI closes its fast ``(3,0)`` kernel once for the kernel and quotient checks;
-- ``brute_kernel``: O(|G|^2 * #characters) to scan ``G^3``, plus one step
-  per member of the kernel;
+- ``brute_kernel``: O(|G| * #characters) dot products for the three
+  slices, one addition per pair of ``G^2``, plus one step per member of
+  the kernel;
 - ``brute_hodge``: O(|G|^2) table lookups over pairs of characters.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from operator import add, mod, mul
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 from .datum import AlgebraicDatum
 from .errors import ConsistencyError, OracleScaleError, ParentMismatchError
@@ -41,35 +42,92 @@ HODGE_GROUP_CAP = 64
 Exponents = tuple[int, ...]
 
 
+class _Codec:
+    """Reduced exponent tuples over ``orders`` packed into integers.
+
+    Coordinate ``j`` is a bit field, the first coordinate the most
+    significant, so integer order is lexicographic order.  The top bit of
+    each field is a guard above every ``n_j``: the sum of two reduced
+    tuples carries into no other field, and adding ``guard - n_j`` to a
+    field sets its guard exactly when the field reached ``n_j``.
+    """
+
+    def __init__(self, orders: Sequence[int]):
+        self.orders = tuple(orders)
+        self.width = width = max(self.orders, default=1).bit_length() + 1
+        self.shifts = tuple(range(width * (len(self.orders) - 1), -1, -width))
+        self._low = width - 1
+        self._spread = (1 << width) - 1
+        self._guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self._moduli = sum(n << s for n, s in zip(self.orders, self.shifts))
+        self._offset = self._guard - self._moduli
+
+    def pack(self, exponents: Iterable[int]) -> int:
+        return sum(e << s for e, s in zip(exponents, self.shifts))
+
+    def unpack(self, code: int) -> Exponents:
+        return tuple((code >> s) & self._spread for s in self.shifts)
+
+    def every(self) -> list[int]:
+        """Every element of the group, in increasing order."""
+        codes = [0]
+        for n, s in zip(self.orders, self.shifts):
+            codes = [c + (k << s) for c in codes for k in range(n)]
+        return codes
+
+    def _reduce(self, s: int) -> int:
+        # Subtract ``n_j`` from each field that reached it.
+        return s - ((((s + self._offset) & self._guard) >> self._low) * self._spread
+                    & self._moduli)
+
+    def add(self, a: int, b: int) -> int:
+        return self._reduce(a + b)
+
+    def neg(self, a: int) -> int:
+        # Field j of ``n_j - a`` is ``n_j`` exactly where ``a_j = 0``.
+        return self._reduce(self._moduli - a)
+
+    def shift(self, codes: Iterable[int], x: int) -> list[int]:
+        """``c + x`` for every ``c`` in ``codes``, in the same order."""
+        xo, guard, moduli = x + self._offset, self._guard, self._moduli
+        low, spread = self._low, self._spread
+        return [c + x - ((((xo + c) & guard) >> low) * spread & moduli) for c in codes]
+
+
 @dataclass(frozen=True)
 class ElementSet:
-    """An explicit subset of a group: sorted canonical exponent tuples."""
+    """An explicit subset of a group: the sorted codes of its members."""
 
     ambient: AbelianGroup
-    members: tuple[Exponents, ...]
+    codes: tuple[int, ...]
 
     @staticmethod
     def of(ambient: AbelianGroup, elements: object) -> "ElementSet":
-        exps = {e.exponents if isinstance(e, GroupElement) else tuple(e)
-                for e in elements}
-        return ElementSet(ambient, tuple(sorted(exps)))
-
-    def __len__(self) -> int:
-        return len(self.members)
+        pack = _Codec(ambient.orders).pack
+        return ElementSet(ambient, tuple(sorted({
+            pack(e.exponents if isinstance(e, GroupElement) else e) for e in elements})))
 
     @cached_property
-    def _member_set(self) -> frozenset[Exponents]:
-        return frozenset(self.members)
+    def codec(self) -> _Codec:
+        return _Codec(self.ambient.orders)
+
+    @cached_property
+    def members(self) -> tuple[Exponents, ...]:
+        """The members as exponent tuples, in lexicographic order."""
+        return tuple(map(self.codec.unpack, self.codes))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def _code_set(self) -> frozenset[int]:
+        return frozenset(self.codes)
 
     def __contains__(self, element: GroupElement) -> bool:
-        return element.exponents in self._member_set
+        return self.codec.pack(element.exponents) in self._code_set
 
     def elements(self) -> list[GroupElement]:
         return [self.ambient.element(e) for e in self.members]
-
-
-def _add(orders: tuple[int, ...], a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(mod, map(add, a, b), orders))
 
 
 def enumerate_subgroup(subgroup: Subgroup, cap: int = SUBGROUP_CAP) -> ElementSet:
@@ -77,32 +135,29 @@ def enumerate_subgroup(subgroup: Subgroup, cap: int = SUBGROUP_CAP) -> ElementSe
 
     A generator ``g`` already in the closure ``S`` adds nothing.  Otherwise
     ``S`` gains the cosets ``S + g, S + 2g, ...`` until a multiple of ``g``
-    falls back into ``S``; each coset is the previous one shifted by ``g``.
-    Every new element costs one addition and every generator outside ``S``
-    one more, for the multiple that returns, so the closure of ``H`` takes
-    at most ``2|H|`` additions.
+    falls back into ``S``.  The coset ``S + kg`` is ``S`` shifted by ``kg``:
+    one addition per new element, and one more for the next multiple of
+    ``g``, so the closure of ``H`` takes at most ``2|H|`` additions.
     """
     ambient = subgroup.ambient
-    orders = ambient.orders
-    zero = tuple([0] * len(orders))
-    closure = [zero]
-    seen = {zero}
-    for g in (gen.exponents for gen in subgroup.generators):
+    codec = _Codec(ambient.orders)
+    closure = [0]
+    seen = {0}
+    for g in (codec.pack(gen.exponents) for gen in subgroup.generators):
         if g in seen:
             continue
-        size = len(closure)
-        coset = closure[:]
-        # ``closure[0]`` is zero, so ``coset[0]`` is ``k*g`` for ``S + k*g``.
-        step = _add(orders, coset[0], g)
+        base = closure[:]
+        step = g
         while step not in seen:
-            if len(closure) + size > cap:
+            if len(closure) + len(base) > cap:
                 raise OracleScaleError(
                     f"subgroup closure exceeds the oracle cap of {cap} elements")
-            coset = [step] + [_add(orders, x, g) for x in coset[1:]]
+            coset = codec.shift(base, step)
             closure.extend(coset)
             seen.update(coset)
-            step = _add(orders, coset[0], g)
-    return ElementSet(ambient, tuple(sorted(closure)))
+            step = codec.add(step, g)
+    closure.sort()
+    return ElementSet(ambient, tuple(closure))
 
 
 def _invariant_factors_from_census(census: Counter[int], order: int) -> InvariantFactors:
@@ -176,37 +231,34 @@ def brute_quotient(numerator: AbelianGroup | Subgroup | ElementSet, denominator:
     if isinstance(numerator, AbelianGroup):
         if numerator.order > cap:
             raise OracleScaleError(f"group of order {numerator.order} exceeds the oracle cap")
-        numerator = ElementSet(numerator, tuple(
-            itertools.product(*(range(n) for n in numerator.orders))))
+        numerator = ElementSet(numerator, tuple(_Codec(numerator.orders).every()))
     elif isinstance(numerator, Subgroup):
         numerator = enumerate_subgroup(numerator, cap)
-    ambient, top = numerator.ambient, numerator.members
-    bottom = enumerate_subgroup(denominator, cap).members
-    orders = ambient.orders
+    codec, top = numerator.codec, numerator.codes
+    bottom = enumerate_subgroup(denominator, cap).codes
 
     in_top = set(top)
-    rep_of: dict[Exponents, Exponents] = {}
+    coset_of: dict[int, int] = {}
     cosets = []
     for x in top:
-        if x in rep_of:
+        if x in coset_of:
             continue
+        coset = codec.shift(bottom, x)
+        if not in_top.issuperset(coset):
+            y = next(y for y in coset if y not in in_top)
+            raise ConsistencyError(
+                f"coset member {codec.unpack(y)} lies outside the numerator")
+        coset_of.update(dict.fromkeys(coset, len(cosets)))
         cosets.append(x)
-        for h in bottom:
-            y = _add(orders, x, h)
-            if y not in in_top:
-                raise ConsistencyError(
-                    f"coset member {y} lies outside the numerator")
-            rep_of[y] = x
     if len(cosets) * len(bottom) != len(top):
         raise ConsistencyError("coset table does not tile the numerator")
 
-    zero = tuple([0] * len(orders))
     census: Counter[int] = Counter()
     for r in cosets:
         acc = r
         k = 1
-        while rep_of[acc] != rep_of[zero]:
-            acc = _add(orders, acc, r)
+        while coset_of[acc] != coset_of[0]:
+            acc = codec.add(acc, r)
             k += 1
         census[k] += 1
     return _invariant_factors_from_census(census, len(cosets))
@@ -219,9 +271,9 @@ def brute_kernel(datum: AlgebraicDatum, characters: Iterable[Character],
     so a lazy iterable lists nothing over the cap.  A character ``a`` kills
     ``x`` when ``sum a_j x_j e / n_j`` is divisible by ``e = exponent(G^3)``.
     The sum splits over the three ``G``-slices of ``G^3``, so each slice
-    gets a table of value vectors, one value per character.  The third
-    slice is bucketed by its vector, and each pair ``(x1, x2)`` reads off
-    the bucket of the negated partial sums.
+    gets a table of value vectors in ``(Z_e)^m``, one value per character,
+    packed.  The third slice is bucketed by its negated vector, and each
+    pair ``(x1, x2)`` reads off the bucket of its summed vectors.
     """
     from .groups import direct_product
 
@@ -237,64 +289,74 @@ def brute_kernel(datum: AlgebraicDatum, characters: Iterable[Character],
             raise ParentMismatchError("character and element over different groups")
         weights.append(tuple(a * (den // n) for a, n in zip(chi.exponents, orders)))
     rank = g.rank
-    elements = list(itertools.product(*(range(n) for n in g.orders)))
+    codec = _Codec(g.orders)
+    elements = codec.every()
+    exponents = list(map(codec.unpack, elements))
+    values_codec = _Codec((den,) * len(weights))
 
-    def values(s: int) -> list[tuple[int, ...]]:
-        return [tuple(sum(map(mul, w[s * rank:(s + 1) * rank], x)) % den for w in weights)
-                for x in elements]
+    def values(s: int) -> list[int]:
+        return [values_codec.pack([sum(map(mul, w[s * rank:(s + 1) * rank], x)) % den
+                                   for w in weights]) for x in exponents]
 
     first, second, third = values(0), values(1), values(2)
-    buckets: dict[tuple[int, ...], list[Exponents]] = {}
+    buckets: dict[int, list[int]] = {}
     for x, v in zip(elements, third):
-        buckets.setdefault(v, []).append(x)
-    # Slices, pairs and buckets all run in lexicographic order, so the
-    # members come sorted.
+        buckets.setdefault(values_codec.neg(v), []).append(x)
+    # ``G`` and ``G^3`` have the same field width, so a member of ``G^3``
+    # is its three slices side by side.  Slices, pairs and buckets all run
+    # in increasing order, so the members come sorted.
+    width = codec.width * rank
     members = []
     for x1, v1 in zip(elements, first):
-        for x2, v2 in zip(elements, second):
-            bucket = buckets.get(tuple((-a - b) % den for a, b in zip(v1, v2)))
+        high = x1 << 2 * width
+        for x2, key in zip(elements, values_codec.shift(second, v1)):
+            bucket = buckets.get(key)
             if bucket:
-                head = x1 + x2
-                members.extend(head + x3 for x3 in bucket)
+                head = high | (x2 << width)
+                members.extend([head | x3 for x3 in bucket])
     return ElementSet(cube, tuple(members))
 
 
-def _brute_eigendims(datum: AlgebraicDatum, i: int,
-                     kernel_sets: list[ElementSet]) -> dict[Exponents, int]:
-    """Eigenspace dimensions of factor i, indexed by characters of G that
-    kill K_i, from the raw branch representatives in G."""
+def _brute_eigendims(datum: AlgebraicDatum, i: int, kernel_sets: list[ElementSet],
+                     chars: list[Exponents]) -> list[int]:
+    """Eigenspace dimensions of factor i, one per character of ``chars``
+    (zero unless it kills K_i), from the raw branch representatives in G."""
     g = datum.group
     spec = datum.raw_vectors[i]
-    members = set(kernel_sets[i].members)
-    kernel = kernel_sets[i].elements()
+    codec, members = kernel_sets[i].codec, kernel_sets[i]._code_set
+    kernel = kernel_sets[i].members
+    den = g.exponent
+    scale = tuple(den // n for n in g.orders)
 
     def order_mod(rep: GroupElement) -> int:
-        acc = rep
+        step = acc = codec.pack(rep.exponents)
         m = 1
-        while acc.exponents not in members:
-            acc = acc + rep
+        while acc not in members:
+            acc = codec.add(acc, step)
             m += 1
         return m
 
-    branch = [(rep, order_mod(rep)) for rep in spec.branch]
-    den = g.exponent
-    table: dict[Exponents, int] = {}
-    for chi in g.characters():
-        if any(chi.pairing(k) for k in kernel):
+    branch = [(rep.exponents, order_mod(rep)) for rep in spec.branch]
+    dims = []
+    for chi in chars:
+        w = tuple(map(mul, chi, scale))
+        if any(sum(map(mul, w, k)) % den for k in kernel):
+            dims.append(0)
             continue
         total = Fraction(spec.g_prime - 1)
         for rep, m in branch:
             # chi kills K_i, so its value on rep is an m-th root of unity.
-            k, r = divmod(chi.pairing(rep) * m, den)
+            k, r = divmod(sum(map(mul, w, rep)) % den * m, den)
             if r:
-                raise ConsistencyError(f"{chi} is no {m}-th root of unity on {rep}")
+                raise ConsistencyError(
+                    f"character {chi} is no {m}-th root of unity on {rep}")
             total += Fraction(k, m)
-        if chi.is_trivial:
+        if not any(chi):
             total += 1
         if total.denominator != 1 or total < 0:
             raise ConsistencyError(f"non-integral eigenspace dimension {total}")
-        table[chi.exponents] = int(total)
-    return table
+        dims.append(int(total))
+    return dims
 
 
 def brute_hodge(datum: AlgebraicDatum) -> HodgeDiamond:
@@ -308,21 +370,20 @@ def brute_hodge(datum: AlgebraicDatum) -> HodgeDiamond:
     if g.order > HODGE_GROUP_CAP:
         raise OracleScaleError(
             f"|G| = {g.order} exceeds the Hodge oracle cap of {HODGE_GROUP_CAP}")
+    codec = _Codec(g.orders)
+    codes = codec.every()
+    chars = list(map(codec.unpack, codes))
     kernel_sets = [enumerate_subgroup(k) for k in datum.kernels]
-    dims = [_brute_eigendims(datum, i, kernel_sets) for i in range(3)]
-    chars = [chi.exponents for chi in g.characters()]
-    orders = g.orders
-    zero = tuple([0] * len(orders))
-    index = {chi: j for j, chi in enumerate(chars)}
-    n = len(chars)
+    d0, d1, d2 = (_brute_eigendims(datum, i, kernel_sets, chars) for i in range(3))
+    index = {c: j for j, c in enumerate(codes)}
+    n = len(codes)
     # Addition is commutative: each unordered pair is added once.
     plus = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            plus[i][j] = plus[j][i] = index[_add(orders, chars[i], chars[j])]
-    origin = index[zero]
+        for j, c in enumerate(codec.shift(codes[i:], codes[i]), start=i):
+            plus[i][j] = plus[j][i] = index[c]
+    origin = index[0]
     neg = [row.index(origin) for row in plus]
-    d0, d1, d2 = ([dims[i].get(chi, 0) for chi in chars] for i in range(3))
 
     h20 = h30 = h11 = h21 = 0
     for a in range(n):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,15 +93,22 @@ class TestEnumerateSubgroup:
 
 
 def spy_on_add(monkeypatch) -> list[int]:
-    """Count the calls to the oracle's own tuple addition."""
+    """Count the oracle codec's packed additions: one per ``add`` and one
+    per member of a coset that ``shift`` moves."""
     calls = [0]
-    plain = oracle._add
+    add, shift = oracle._Codec.add, oracle._Codec.shift
 
-    def counted(orders, a, b):
+    def counted_add(codec, a, b):
         calls[0] += 1
-        return plain(orders, a, b)
+        return add(codec, a, b)
 
-    monkeypatch.setattr(oracle, "_add", counted)
+    def counted_shift(codec, codes, x):
+        moved = shift(codec, codes, x)
+        calls[0] += len(moved)
+        return moved
+
+    monkeypatch.setattr(oracle._Codec, "add", counted_add)
+    monkeypatch.setattr(oracle._Codec, "shift", counted_shift)
     return calls
 
 
@@ -113,6 +123,7 @@ class TestWorkBounds:
             calls[0] = 0
             closed = enumerate_subgroup(h)
             assert calls[0] <= 2 * len(closed)
+            assert (calls[0] > 0) == (len(closed) > 1)
 
     @pytest.mark.parametrize("factory", [example1, example4,
                                          lambda: example2b(2, 2, 1)])
@@ -291,3 +302,63 @@ class TestElementSet:
         assert g.element((2,)) in s
         assert g.element((1,)) not in s
         assert [e.exponents for e in s.elements()] == [(0,), (2,)]
+
+
+def codec_groups():
+    """Groups and their cubes, with the trivial group and a mixed ``Z4+Z2+Z2``."""
+    base = st.one_of(st.just(AbelianGroup([])), st.just(AbelianGroup([4, 2, 2])),
+                     abelian_groups())
+    return st.builds(lambda g, cube: direct_product([g, g, g]) if cube else g,
+                     base, st.booleans())
+
+
+class TestCodec:
+    """The oracle's packed codec against the tuple arithmetic it encodes."""
+
+    @given(codec_groups(), st.data())
+    def test_matches_tuple_arithmetic(self, group, data):
+        orders = group.orders
+        codec = oracle._Codec(orders)
+        tuples = st.tuples(*(st.integers(0, n - 1) for n in orders))
+        x, y = data.draw(tuples), data.draw(tuples)
+        coset = data.draw(st.lists(tuples, max_size=8))
+        a, b = codec.pack(x), codec.pack(y)
+        assert codec.unpack(a) == x
+        assert (a < b) == (x < y) and (a == b) == (x == y)
+        assert codec.unpack(codec.add(a, b)) == tuple(
+            (p + q) % n for p, q, n in zip(x, y, orders))
+        assert codec.unpack(codec.neg(a)) == tuple(-p % n for p, n in zip(x, orders))
+        packed = [codec.pack(z) for z in coset]
+        assert codec.shift(packed, a) == [codec.add(z, a) for z in packed]
+
+    @given(codec_groups().filter(lambda g: g.order <= 4096))
+    def test_every_lists_the_group_in_order(self, group):
+        codec = oracle._Codec(group.orders)
+        assert list(map(codec.unpack, codec.every())) == list(
+            itertools.product(*(range(n) for n in group.orders)))
+
+
+def _defined_in(name: str) -> set[str]:
+    # ``isoprod.aut0`` is also the name of a function, so import by path.
+    module = importlib.import_module(name)
+    return {key for key, value in vars(module).items()
+            if getattr(value, "__module__", None) == name}
+
+
+def test_oracle_shares_no_code_with_the_fast_paths():
+    # The oracle checks the Hermite/Smith lattice, the packed characters
+    # and the Chevalley-Weil classes, so it may use none of them.
+    fast = ({"PackedCharacters", "row_hermite", "smith_normal_form", "subgroup_quotient",
+             "_hermite_dual", "quotient_structure"}
+            | _defined_in("isoprod.aut0") | (_defined_in("isoprod.hodge") - {"HodgeDiamond"}))
+    assert {"admissible_characters", "_class_lattice", "hodge_diamond"} <= fast
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(n for a in node.names for n in (a.name, a.asname) if n)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names & fast == set()

@@ -54,7 +54,6 @@ from .groups import (
     InvariantFactors,
     QuotientStructure,
     Subgroup,
-    diagonal_subgroup,
     direct_product,
     quotient_structure,
     smith_normal_form,
@@ -91,7 +90,7 @@ __all__ = [
     "build_example", "example1", "example2a", "example2b", "example3", "example4",
     # groups
     "AbelianGroup", "Character", "GroupElement", "InvariantFactors", "QuotientStructure",
-    "Subgroup", "diagonal_subgroup", "direct_product", "quotient_structure",
+    "Subgroup", "direct_product", "quotient_structure",
     "smith_normal_form", "subgroup_quotient",
     # hodge
     "EigenDimTable", "HodgeDiamond", "eigendim_table", "hodge_diamond",

@@ -10,8 +10,10 @@ cyclicity, coset minima, and element listing (H. Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4), and its dual basis, found by
 exact forward substitution, generates the annihilator.  Intersections are
 dual to sums: ``H_1 & H_2 = Ann(Ann H_1 + Ann H_2)``.  Smith forms serve
-``unimodular_inverse`` and quotients ``A / B``, whose elimination carries
-``V^{-1}`` along.  No rational arithmetic is involved.
+quotients ``A / B``, whose elimination carries ``V^{-1}`` along.  No
+rational arithmetic is involved.  ``unimodular_inverse`` and the
+``smith_normal_form`` it reads have no other caller in the package; both
+stay as API because ``bench/tracing.py`` patches them by name.
 
 All values are immutable after construction.  The lazily cached values
 are a subgroup's annihilator and exponent, stored on the instance by their
@@ -843,36 +845,9 @@ def direct_product(groups: Sequence[AbelianGroup]) -> AbelianGroup:
     return AbelianGroup(orders)
 
 
-def embed_factor(product: AbelianGroup, groups: Sequence[AbelianGroup],
-                 index: int, g: GroupElement) -> GroupElement:
-    """Embed an element of ``groups[index]`` into the direct product."""
-    exps: list[int] = []
-    for i, grp in enumerate(groups):
-        exps.extend(g.exponents if i == index else (0,) * grp.rank)
-    return product.element(exps)
-
-
 def product_element(product: AbelianGroup, parts: Sequence[GroupElement]) -> GroupElement:
     exps: list[int] = []
     for p in parts:
         exps.extend(p.exponents)
     return product.element(exps)
 
-
-def diagonal_subgroup(group: AbelianGroup, copies: int) -> Subgroup:
-    product = direct_product([group] * copies)
-    gens = []
-    for j in range(group.rank):
-        e = group.basis_element(j)
-        gens.append(product_element(product, [e] * copies))
-    return Subgroup(product, tuple(gens))
-
-
-def product_subgroup(subgroups: Sequence[Subgroup]) -> Subgroup:
-    groups = [h.ambient for h in subgroups]
-    product = direct_product(groups)
-    gens = []
-    for i, h in enumerate(subgroups):
-        for g in h.generators:
-            gens.append(embed_factor(product, groups, i, g))
-    return Subgroup(product, tuple(gens))

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -343,19 +342,22 @@ def _brute_eigendims(datum: AlgebraicDatum, i: int, kernel_sets: list[ElementSet
         if any(sum(map(mul, w, k)) % den for k in kernel):
             dims.append(0)
             continue
-        total = Fraction(spec.g_prime - 1)
+        # The dimension times e: the value exp(2 pi i v / e) of chi on a
+        # branch element adds v / e = k / m.
+        total = (spec.g_prime - 1) * den
         for rep, m in branch:
             # chi kills K_i, so its value on rep is an m-th root of unity.
-            k, r = divmod(sum(map(mul, w, rep)) % den * m, den)
-            if r:
+            v = sum(map(mul, w, rep)) % den
+            if v * m % den:
                 raise ConsistencyError(
                     f"character {chi} is no {m}-th root of unity on {rep}")
-            total += Fraction(k, m)
+            total += v
         if not any(chi):
-            total += 1
-        if total.denominator != 1 or total < 0:
-            raise ConsistencyError(f"non-integral eigenspace dimension {total}")
-        dims.append(int(total))
+            total += den
+        dim, r = divmod(total, den)
+        if r or dim < 0:
+            raise ConsistencyError(f"non-integral eigenspace dimension {total}/{den}")
+        dims.append(dim)
     return dims
 
 

@@ -17,7 +17,8 @@ Each check runs once at the level it depends on:
   adjustment subgroup of the canonical representatives
   (``aut0._KernelPieces``);
 - per subgroup that a branch multiset generates, and per base genus, once
-  per ``survey`` call: the handle tuples completing it (``_generating_etas``);
+  per ``survey`` call: the number of handle tuples completing it
+  (``_handle_count``) and the first of them (``_completions``);
 - per factor branch, inside one kernel triple (``_Branch``): the lifted
   ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
   genus and stabilizer preimage with the preimage's nontrivial elements
@@ -54,16 +55,14 @@ Each check runs once at the level it depends on:
 exactly what they would compute for a lone datum.
 
 Before any other work, ``_candidates`` forms the kernel triples once and
-refuses a space whose estimated branch triples (``estimate_space``) or
-whose handle tuples times branch multisets of one factor
-(``|Q_i|^(2 g'_i)`` each) exceed the cap.
+refuses a space whose estimated branch triples (``estimate_space``) exceed
+the cap; ``enumerate_data`` also refuses too many handle tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -224,14 +223,11 @@ def _branch_multisets(quotient: AbelianGroup, max_r: int,
 class _FactorSpace:
     quotient_structure: object
     branch_sets: list[tuple[GroupElement, ...]]
-    eta_tuples: list[tuple[GroupElement, ...]]
 
 
-def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup], group: AbelianGroup,
-                   handles: dict) -> list[_FactorSpace]:
-    """The three factor spaces of a kernel triple.  The sorted handle tuples
-    depend only on the quotient group and ``g'``; ``handles`` holds them
-    under that pair for the whole space."""
+def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
+                   group: AbelianGroup) -> list[_FactorSpace]:
+    """The three factor spaces of a kernel triple."""
     spaces = []
     for i, kernel in enumerate(kernels):
         q = quotient_structure(group, kernel)
@@ -240,20 +236,14 @@ def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup], group: Abelian
         branch = [b for b in _branch_multisets(q.group, spec.max_branch,
                                                spec.branch_order_bound)
                   if _riemann_hurwitz(q.group.order, spec.g_primes[i], b) >= 2]
-        key = (q.group, spec.g_primes[i])
-        if key not in handles:
-            # The product of the lexicographic element list runs in sorted order.
-            handles[key] = list(itertools.product(q.group.elements(),
-                                                  repeat=2 * spec.g_primes[i]))
-        spaces.append(_FactorSpace(q, branch, handles[key]))
+        spaces.append(_FactorSpace(q, branch))
     return spaces
 
 
 def estimate_space(spec: SearchSpec) -> int:
     """Upper bound on the number of branch triples to be examined, computed
-    before any validation work.  Handle tuples are weighted by counting and
-    never iterated jointly, so they do not enter this estimate; the cap on
-    them is per factor (``_check_handle_work``)."""
+    before any validation work.  The survey counts handle tuples without
+    listing them, so they do not enter this estimate."""
     group = AbelianGroup(spec.group_orders)
     return _estimate(spec, group, _kernel_triples(spec, group))
 
@@ -274,8 +264,8 @@ def _multiset_bound(q_order: int, max_branch: int) -> int:
 
 def _check_handle_work(spec: SearchSpec, group: AbelianGroup,
                        triples: Sequence[tuple[Subgroup, ...]]) -> None:
-    """Refuse a factor whose ``|Q|^(2g')`` handle tuples, each filtered once
-    per branch multiset, exceed the cap; ``estimate_space`` leaves them out."""
+    """Refuse a factor whose ``|Q|^(2g')`` handle tuples, each scanned once
+    per branch multiset, exceed the cap; ``enumerate_data`` lists them."""
     for kernels in triples:
         for kernel, g_prime in zip(kernels, spec.g_primes):
             q_order = group.order // kernel.order
@@ -286,36 +276,45 @@ def _check_handle_work(spec: SearchSpec, group: AbelianGroup,
                     f"|Q| = {q_order} and g' = {g_prime} exceed the cap of {spec.cap}")
 
 
-def _generating_etas(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
-                     eta_tuples: list[tuple[GroupElement, ...]], kept: dict) -> list:
-    """The handle tuples completing ``branch`` to a generating vector.  They
-    depend only on the subgroup the branch generates, under which ``kept``
-    holds them for one handle count."""
-    base = quotient.subgroup(branch)
-    if base.order == quotient.order:
-        return eta_tuples
-    if base not in kept:
-        kept[base] = [eta for eta in eta_tuples
-                      if quotient.subgroup(branch + eta).order == quotient.order]
-    return kept[base]
+def _handle_count(quotient: AbelianGroup, base: Subgroup, g_prime: int) -> int:
+    """The ``k = 2 g'``-tuples completing ``base`` to all of ``Q`` (P. Hall,
+    1936): ``|Q|^k prod_p prod_{i < d_p} (p^k - p^i) / p^(k d_p)``, where
+    ``d_p`` counts the invariant factors of ``Q / base`` divisible by ``p``."""
+    k = 2 * g_prime
+    factors = quotient_structure(quotient, base).invariant_factors.factors
+    count = quotient.order ** k
+    for p in range(2, max(factors, default=1) + 1):
+        if factors[-1] % p == 0 and all(p % r for r in range(2, p)):
+            d = sum(f % p == 0 for f in factors)
+            count = count * prod(p ** k - p ** i for i in range(d)) // p ** (k * d)
+    return count
+
+
+def _completions(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
+                 g_prime: int) -> Iterator[tuple[GroupElement, ...]]:
+    """The handle tuples completing ``branch`` to a generating vector, lazily
+    and in sorted order (the product of the lexicographic element list)."""
+    return (eta for eta in itertools.product(quotient.elements(), repeat=2 * g_prime)
+            if quotient.subgroup(branch + eta).order == quotient.order)
 
 
 class _Branch:
     """One branch multiset of one factor inside one kernel triple, with the
-    pieces computed from it once: the completing handle tuples, the vector
-    and lifted ``VectorSpec`` with the first of them, its validation checks
-    and the nontrivial elements of their stabilizer preimage (``fixing``,
-    read by ``_free``), its Chevalley-Weil classes (``classes``, filled by
-    ``_KernelTriple.aut0``) and its packed pre-admissible set from the walk
-    (``walked``, filled by ``_KernelTriple.verify``)."""
+    pieces computed from it once: the number of completing handle tuples
+    (``count``), the vector and lifted ``VectorSpec`` with the first of
+    them, its validation checks and the nontrivial elements of their
+    stabilizer preimage (``fixing``, read by ``_free``), its Chevalley-Weil
+    classes (``classes``, filled by ``_KernelTriple.aut0``) and its packed
+    pre-admissible set from the walk (``walked``, filled by
+    ``_KernelTriple.verify``)."""
 
     def __init__(self, group: AbelianGroup, kernel: Subgroup, q: QuotientStructure,
-                 g_prime: int, branch: tuple[GroupElement, ...],
-                 etas: list[tuple[GroupElement, ...]]):
-        self.etas = etas
+                 g_prime: int, branch: tuple[GroupElement, ...], count: int,
+                 eta: tuple[GroupElement, ...]):
+        self.count = count
         self._q, self._g_prime, self._branch = q, g_prime, branch
         self._lifted = tuple(q.lift(b) for b in branch)
-        self.vector, self.raw = self._vector(etas[0])
+        self.vector, self.raw = self._vector(eta)
         self.checks = _factor_checks(group, kernel, q, self.vector)
         self.fixing = frozenset(t for t in self.checks.preimage if any(t))
         self.classes: _ClassLattice | None = None
@@ -326,10 +325,9 @@ class _Branch:
         return (GeneratingVector(q.group, self._g_prime, self._branch, eta),
                 VectorSpec(self._g_prime, self._lifted, tuple(q.lift(e) for e in eta)))
 
-    @cached_property
-    def vectors(self) -> list[tuple[GeneratingVector, VectorSpec]]:
+    def vectors(self) -> Iterator[tuple[GeneratingVector, VectorSpec]]:
         """The vector and lifted spec for every completing handle tuple."""
-        return [(self.vector, self.raw)] + [self._vector(eta) for eta in self.etas[1:]]
+        return map(self._vector, _completions(self._q.group, self._branch, self._g_prime))
 
 
 class _KernelTriple:
@@ -393,30 +391,31 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
     branches.  The branches and their pieces are built once per kernel
     triple.
 
-    Raises ``SearchCapError`` before any work when the estimated space, or
-    the handle tuples of one factor, exceed the cap.
+    Raises ``SearchCapError`` before any work when the estimated space
+    exceeds the cap.
     """
     triples = _kernel_triples(spec, group)
     estimate = _estimate(spec, group, triples)
     if estimate > spec.cap:
         raise SearchCapError(
             f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
-    _check_handle_work(spec, group, triples)
-    kept: dict[int, dict] = {}
     handles: dict = {}
     for kernels in triples:
-        spaces = _factor_spaces(spec, kernels, group, handles)
+        spaces = _factor_spaces(spec, kernels, group)
         triple = _KernelTriple(group, kernels, tuple(s.quotient_structure for s in spaces))
         factors = []
         for i, space in enumerate(spaces):
-            q = space.quotient_structure
+            q, g_prime = space.quotient_structure, spec.g_primes[i]
             branches = []
             for branch in space.branch_sets:
-                etas = _generating_etas(q.group, branch, space.eta_tuples,
-                                        kept.setdefault(spec.g_primes[i], {}))
-                if etas:
-                    branches.append(_Branch(group, kernels[i], q, spec.g_primes[i],
-                                            branch, etas))
+                key = (q.group.subgroup(branch), g_prime)
+                if key not in handles:
+                    count = _handle_count(q.group, key[0], g_prime)
+                    eta = next(_completions(q.group, branch, g_prime)) if count else None
+                    handles[key] = count, eta
+                count, eta = handles[key]
+                if count:
+                    branches.append(_Branch(group, kernels[i], q, g_prime, branch, count, eta))
             factors.append(branches)
         for branches in itertools.product(*factors):
             yield triple, branches
@@ -438,10 +437,11 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     permutation dedup; every emitted datum passes the full validation.
     """
     group = AbelianGroup(spec.group_orders)
+    _check_handle_work(spec, group, _kernel_triples(spec, group))
     for triple, branches in _candidates(spec, group):
         if not _free(branches):
             continue
-        for vectors in itertools.product(*(b.vectors for b in branches)):
+        for vectors in itertools.product(*(b.vectors() for b in branches)):
             yield triple.datum(branches, vectors)
 
 
@@ -494,7 +494,7 @@ def survey(spec: SearchSpec) -> SurveyResult:
             raise TheoremViolationError(
                 f"proven result with factors {list(key)} on datum "
                 f"{[tuple(b.exponents for b in v.branch) for v in datum.vectors]}")
-        weight = prod(len(b.etas) for b in branches)
+        weight = prod(b.count for b in branches)
         count += weight
         histogram[key] = histogram.get(key, 0) + weight
         status_counts[result.status.value] = \

@@ -8,7 +8,7 @@ from math import gcd
 from hypothesis import HealthCheck, settings, strategies as st
 
 from isoprod.aut0 import _admissible_span, _k_delta, _span_kernel, admissible_characters
-from isoprod.groups import AbelianGroup, GroupElement, Subgroup, direct_product
+from isoprod.groups import AbelianGroup, GroupElement, Subgroup, direct_product, product_element
 
 settings.register_profile(
     "suite",
@@ -75,6 +75,32 @@ def listed_kernel(datum, p: int, q: int) -> Subgroup:
     first, second = admissible_characters(datum)
     characters = first + second if p + q == 3 else second
     return _span_kernel(cube, _admissible_span(cube, characters), _k_delta(datum), (p, q))
+
+
+# References for ``aut0._k_delta``: ``K_1 x K_2 x K_3`` and the diagonal
+# ``Delta_G``, built generator by generator in the product.
+
+
+def embed_factor(product: AbelianGroup, groups: list[AbelianGroup],
+                 index: int, g: GroupElement) -> GroupElement:
+    """Embed an element of ``groups[index]`` into the direct product."""
+    exps: list[int] = []
+    for i, grp in enumerate(groups):
+        exps.extend(g.exponents if i == index else (0,) * grp.rank)
+    return product.element(exps)
+
+
+def diagonal_subgroup(group: AbelianGroup, copies: int) -> Subgroup:
+    product = direct_product([group] * copies)
+    return product.subgroup(product_element(product, [group.basis_element(j)] * copies)
+                            for j in range(group.rank))
+
+
+def product_subgroup(subgroups: list[Subgroup]) -> Subgroup:
+    groups = [h.ambient for h in subgroups]
+    product = direct_product(groups)
+    return product.subgroup(embed_factor(product, groups, i, g)
+                            for i, h in enumerate(subgroups) for g in h.generators)
 
 
 def random_group(rng: random.Random, max_rank: int = 3, max_order: int = 256) -> AbelianGroup:

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, listed_kernel, random_element,
-                      random_group, random_subgroup)
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, diagonal_subgroup, listed_kernel,
+                      product_subgroup, random_element, random_group, random_subgroup)
 
 from isoprod.aut0 import (
     Aut0Status,
@@ -30,10 +30,8 @@ from isoprod.examples import build_example, example1, example2a, example2b, exam
 from isoprod.groups import (
     AbelianGroup,
     PackedCharacters,
-    diagonal_subgroup,
     direct_product,
     product_element,
-    product_subgroup,
 )
 from isoprod.oracle import enumerate_subgroup
 

@@ -10,8 +10,9 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (abelian_groups, group_elements, groups_with_subgroup, random_group,
-                      random_subgroup, subgroups)
+from conftest import (abelian_groups, diagonal_subgroup, embed_factor, group_elements,
+                      groups_with_subgroup, product_subgroup, random_group, random_subgroup,
+                      subgroups)
 from isoprod.errors import ConsistencyError, ParentMismatchError
 from isoprod.groups import (
     AbelianGroup,
@@ -20,11 +21,8 @@ from isoprod.groups import (
     PackedCharacters,
     Subgroup,
     _smith,
-    diagonal_subgroup,
     direct_product,
-    embed_factor,
     product_element,
-    product_subgroup,
     quotient_structure,
     row_hermite,
     smith_normal_form,

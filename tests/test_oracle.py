@@ -11,19 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (ORACLE_EXAMPLES, abelian_groups, random_element, random_group,
-                      random_subgroup, subgroups)
+from conftest import (ORACLE_EXAMPLES, abelian_groups, diagonal_subgroup, random_element,
+                      random_group, random_subgroup, subgroups)
 from isoprod import docio, oracle
 from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta
 from isoprod.cli import _Analysis
 from isoprod.errors import ConsistencyError, OracleScaleError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
-from isoprod.groups import (
-    AbelianGroup,
-    diagonal_subgroup,
-    direct_product,
-    subgroup_quotient,
-)
+from isoprod.groups import AbelianGroup, direct_product, subgroup_quotient
 from isoprod.hodge import hodge_diamond
 from isoprod.oracle import (
     ElementSet,

@@ -23,7 +23,7 @@ PUBLIC = [
     "SchemaError", "SearchCapError", "SearchSpec", "StructuralError", "Subgroup",
     "SurveyResult", "TheoremViolationError", "UnsupportedDatumError",
     "ValidationOutcome", "VectorSpec", "admissible_characters", "aut0", "build_example",
-    "cw_dimension", "datum_document", "diagonal_subgroup", "direct_product", "dumps",
+    "cw_dimension", "datum_document", "direct_product", "dumps",
     "eigendim_table", "enumerate_data", "estimate_space", "example1", "example2a",
     "example2b", "example3", "example4", "genus", "hodge_diamond", "invariants",
     "isotypic_decomposition", "loads", "parse_datum_document",

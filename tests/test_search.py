@@ -8,19 +8,25 @@ import importlib
 import itertools
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import abelian_groups, group_elements
 from isoprod.aut0 import _pre_admissible_set, aut0, verify_generator
 from isoprod.datum import validate_datum
 from isoprod.errors import SearchCapError, StructuralError, TheoremViolationError
 from isoprod.examples import example1
 from isoprod.groups import AbelianGroup, PackedCharacters
 from isoprod.hodge import _class_lattice
+from isoprod.oracle import enumerate_subgroup
 from test_acceptance import Budget
 from isoprod.search import (
     SearchSpec,
     _candidates,
+    _completions,
+    _handle_count,
     enumerate_data,
     estimate_space,
     survey,
@@ -99,6 +105,15 @@ class TestEstimate:
         with pytest.raises(SearchCapError):
             survey(spec)
 
+    def test_enumeration_counts_handle_tuples_against_the_cap(self):
+        # enumerate_data lists every completing handle tuple, so the 4^10
+        # of the trivial kernel's factor are refused before the first datum;
+        # the survey of the same space counts them (tests/test_cli.py).
+        spec = SearchSpec.from_document({"group": [2, 2], "kernels": "cyclic",
+                                         "g_primes": [1, 1, 5], "max_branch": 3})
+        with pytest.raises(SearchCapError, match="handle tuples"):
+            next(enumerate_data(spec))
+
     def test_estimate_dominates_branch_triples(self):
         # The estimate counts branch multisets before genus/validity cuts.
         spec = spec_with(max_branch=2)
@@ -172,16 +187,34 @@ class TestSurvey:
         assert result.status_counts == {"Proven": 138240}
 
     def test_handle_tuples_once_per_generated_subgroup(self):
-        # 117 branch multisets of this space do not generate their quotient,
-        # and each filtered all 4,096 handle tuples of the g' = 3 factor
-        # afresh (5 s or more); the kept tuples depend only on the subgroup
-        # the branch generates and on g'.
+        # 117 branch multisets of this space do not generate their quotient.
+        # The g' = 3 factor has 4,096 handle tuples; the survey counts the
+        # completing ones and finds the first of them once per subgroup that
+        # a branch generates and per g', instead of listing them per branch.
         budget = Budget(3)
         result = survey(SearchSpec.from_document(
             {"group": [2, 2], "kernels": "cyclic", "max_branch": 3, "g_primes": [1, 1, 3]}))
         assert result.count == 33896448
         assert result.as_document()["histogram"] == {"[]": 33896448}
         assert result.status_counts == {"TrivialByRigidity": 33896448}
+        budget.check()
+
+    @pytest.mark.parametrize("doc, count", [
+        # 4^8 handle tuples for the trivial kernel's factor.
+        ({"group": [2, 2], "g_primes": [1, 1, 4], "max_branch": 3}, 546103296),
+        # p = 3.
+        ({"group": [3, 3], "g_primes": [1, 1, 2], "max_branch": 2}, 2438802432),
+        # The count multiplies over p = 2 and p = 3.
+        ({"group": [6], "g_primes": [1, 2, 1], "max_branch": 3}, 165571776),
+        # d_2 = 2: a branch generating <(0, 2)> leaves Z2 x Z2.
+        ({"group": [2, 4], "g_primes": [2, 1, 1], "max_branch": 2}, 1265246208),
+    ], ids=["z2^2_g114_r3", "z3^2_g112_r2", "z6_g121_r3", "z2xz4_g211_r2"])
+    def test_handle_counts_frozen(self, doc, count):
+        # Frozen from the code that listed and filtered every handle tuple.
+        budget = Budget(3)
+        result = survey(SearchSpec.from_document(dict(doc, kernels="cyclic")))
+        assert result.as_document() == {"count": count, "histogram": {"[]": count},
+                                        "statuses": {"TrivialByRigidity": count}}
         budget.check()
 
     def test_extremal_witnesses_reverify(self):
@@ -199,6 +232,29 @@ class TestSurvey:
         doc2 = survey(spec_with(max_branch=2)).as_document()
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
         assert doc1["histogram"] == {"[]": 10368, "[2]": 10368, "[2,2]": 3456}
+
+
+class TestHandleCount:
+    """Hall's count of the completing handle tuples and the lazy scan for
+    the first of them, against closures by the oracle, which shares no
+    Hermite code with them."""
+
+    @settings(max_examples=100)
+    @given(st.integers(min_value=0, max_value=2), st.data())
+    def test_count_and_first_tuple_against_closure(self, g_prime, data):
+        k = 2 * g_prime
+        # |Q|^k <= 4096 keeps the listing small.
+        quotient = data.draw(abelian_groups(max_order={0: 256, 2: 64, 4: 8}[k]))
+        branch = tuple(data.draw(st.lists(group_elements(quotient), max_size=3)))
+        # The closure reads only the generators, so no Subgroup (and no
+        # Hermite basis) is built for it.
+        complete = [eta for eta in itertools.product(quotient.elements(), repeat=k)
+                    if len(enumerate_subgroup(SimpleNamespace(
+                        ambient=quotient, generators=branch + eta))) == quotient.order]
+        assert _handle_count(quotient, quotient.subgroup(branch), g_prime) == len(complete)
+        first = next(_completions(quotient, branch, g_prime), None)
+        assert first == min(complete, key=lambda eta: [e.exponents for e in eta],
+                            default=None)
 
 
 class TestFactorized:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
 
@@ -66,7 +65,9 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
+    _Frozen,
     _hermite_dual,
+    _set,
     direct_product,
     product_element,
     row_hermite,
@@ -89,16 +90,22 @@ class Aut0Status(enum.Enum):
     NON_FREE_KERNEL_ONLY = "NonFreeKernelOnly"
 
 
-@dataclass(frozen=True)
-class Aut0Result:
-    status: Aut0Status
-    invariant_factors: InvariantFactors
-    generators: tuple[GroupElement, ...]
-    admissible_counts: tuple[int, int]
-    cube: AbelianGroup
-    kernel: Subgroup | None
-    k_delta: Subgroup | None
-    quotient: QuotientStructure | None
+class Aut0Result(_Frozen):
+    _fields = ("status", "invariant_factors", "generators", "admissible_counts", "cube",
+               "kernel", "k_delta", "quotient")
+
+    def __init__(self, status: Aut0Status, invariant_factors: InvariantFactors,
+                 generators: tuple[GroupElement, ...], admissible_counts: tuple[int, int],
+                 cube: AbelianGroup, kernel: Subgroup | None, k_delta: Subgroup | None,
+                 quotient: QuotientStructure | None):
+        _set(self, "status", status)
+        _set(self, "invariant_factors", invariant_factors)
+        _set(self, "generators", generators)
+        _set(self, "admissible_counts", admissible_counts)
+        _set(self, "cube", cube)
+        _set(self, "kernel", kernel)
+        _set(self, "k_delta", k_delta)
+        _set(self, "quotient", quotient)
 
     @property
     def order(self) -> int:
@@ -358,23 +365,25 @@ def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
     return all(psi.pairing(rep) == 0 for psi in first + second for rep in reps)
 
 
-@dataclass(frozen=True)
-class _Solved:
+class _Solved(_Frozen):
     """``aut0``'s work on one triple of factors: the admissible counts and
     the ``_admissible_span`` of the characters of the (3,0) kernel (both
     kinds) and of the (2,0) kernel (the second kind alone)."""
 
-    counts: tuple[int, int]
-    span30: tuple[tuple[int, ...], ...]
-    span20: tuple[tuple[int, ...], ...]
+    _fields = ("counts", "span30", "span20")
+
+    def __init__(self, counts: tuple[int, int], span30: tuple[tuple[int, ...], ...],
+                 span20: tuple[tuple[int, ...], ...]):
+        _set(self, "counts", counts)
+        _set(self, "span30", span30)
+        _set(self, "span20", span20)
 
     def span(self, pq: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
         """The span of the ``(p,q)`` kernel's characters."""
         return self.span30 if sum(pq) == 3 else self.span20
 
 
-@dataclass(frozen=True)
-class _KernelPieces:
+class _KernelPieces(_Frozen):
     """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
     ``K Delta_G``, and the adjustment subgroup of the canonical
     representatives; and the one place where a span's lattice is formed.
@@ -385,17 +394,20 @@ class _KernelPieces:
     each ``_admissible_span`` once, and ``lattice`` its quotient by
     ``K Delta_G`` and canonical generators once.  ``_pre`` keeps the packed
     pre-admissible set of each factor index and ``A_i`` basis for the
-    listings of memo misses: ``Ann(K_i)`` differs between the factors.
+    listings of memo misses: ``Ann(K_i)`` differs between the factors.  The
+    four dicts take no part in ``==``, ``hash`` or ``repr``.
     """
 
-    cube: AbelianGroup
-    k_delta: Subgroup
-    adjustment: Subgroup
-    memo: dict[tuple, _Solved] = field(default_factory=dict, compare=False, repr=False)
-    _kernels: dict[tuple, Subgroup] = field(default_factory=dict, compare=False, repr=False)
-    _lattices: dict[tuple, tuple[QuotientStructure, tuple[GroupElement, ...]]] = field(
-        default_factory=dict, compare=False, repr=False)
-    _pre: dict[tuple, list[int]] = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("cube", "k_delta", "adjustment")
+
+    def __init__(self, cube: AbelianGroup, k_delta: Subgroup, adjustment: Subgroup):
+        _set(self, "cube", cube)
+        _set(self, "k_delta", k_delta)
+        _set(self, "adjustment", adjustment)
+        _set(self, "memo", {})
+        _set(self, "_kernels", {})
+        _set(self, "_lattices", {})
+        _set(self, "_pre", {})
 
     def pre_admissible(self, group: AbelianGroup, classes: Sequence[_ClassLattice],
                        ) -> list[list[int]]:

@@ -12,25 +12,24 @@ the exact dimension of a character eigenspace of the space of holomorphic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ConsistencyError, ParentMismatchError
-from .groups import AbelianGroup, Character, GroupElement
+from .groups import AbelianGroup, Character, GroupElement, _Frozen, _set
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
-    violations: tuple[str, ...]
+class ValidationOutcome(_Frozen):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...]):
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(_Frozen):
     """Presentation ``(sigma_1..sigma_r; eta_1..eta_{2g'})`` of a cover.
 
     Branch elements keep their input order.  The eta elements only
@@ -38,10 +37,7 @@ class GeneratingVector:
     round-trip.
     """
 
-    quotient_group: AbelianGroup
-    g_prime: int
-    branch: tuple[GroupElement, ...]
-    eta: tuple[GroupElement, ...]
+    _fields = ("quotient_group", "g_prime", "branch", "eta")
 
     def __init__(self, quotient_group: AbelianGroup, g_prime: int,
                  branch: tuple[GroupElement, ...], eta: tuple[GroupElement, ...]):
@@ -50,10 +46,10 @@ class GeneratingVector:
         for g in tuple(branch) + tuple(eta):
             if g.group != quotient_group:
                 raise ParentMismatchError("vector entry outside the acting group")
-        object.__setattr__(self, "quotient_group", quotient_group)
-        object.__setattr__(self, "g_prime", int(g_prime))
-        object.__setattr__(self, "branch", tuple(branch))
-        object.__setattr__(self, "eta", tuple(eta))
+        _set(self, "quotient_group", quotient_group)
+        _set(self, "g_prime", int(g_prime))
+        _set(self, "branch", tuple(branch))
+        _set(self, "eta", tuple(eta))
 
     def validate(self) -> ValidationOutcome:
         return validate_generating_vector(self)
@@ -127,18 +123,19 @@ def cw_dimension(vector: GeneratingVector, chi: Character) -> int:
     Abelian eigenspace count: ``(g' - 1) + sum_j k_j / m_j``, plus one for
     the trivial character, where ``chi(sigma_j)`` is the ``k_j``-th power of
     the primitive ``m_j``-th root of unity, that is ``k_j / m_j = v_j / e``
-    for ``v_j = chi.pairing(sigma_j)`` and ``e = exponent(Q)``.
+    for ``v_j = chi.pairing(sigma_j)`` and ``e = exponent(Q)``.  Summed in
+    integers scaled by ``e``, the total must divide to a nonnegative
+    integer.
     """
     if chi.group != vector.quotient_group:
         raise ParentMismatchError("character over a different group")
     den = vector.quotient_group.exponent
-    total = Fraction(vector.g_prime - 1)
-    for sigma in vector.branch:
-        total += Fraction(chi.pairing(sigma), den)
+    total = (vector.g_prime - 1) * den + sum(chi.pairing(sigma) for sigma in vector.branch)
     if chi.is_trivial:
-        total += 1
-    if total.denominator != 1 or total < 0:
+        total += den
+    if total % den or total < 0:
         raise ConsistencyError(
-            f"eigenspace dimension {total} for character {chi} is not a nonnegative integer")
-    return int(total)
+            f"eigenspace dimension {total}/{den} for character {chi} "
+            "is not a nonnegative integer")
+    return total // den
 

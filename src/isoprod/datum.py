@@ -20,7 +20,6 @@ intersection is left to do.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -31,26 +30,36 @@ from .groups import (
     GroupElement,
     QuotientStructure,
     Subgroup,
+    _Frozen,
+    _set,
     quotient_structure,
 )
 
 
-@dataclass(frozen=True)
-class VectorSpec:
+class VectorSpec(_Frozen):
     """Raw input for one generating vector: representatives in the ambient group."""
 
-    g_prime: int
-    branch: tuple[GroupElement, ...]
-    eta: tuple[GroupElement, ...]
+    _fields = ("g_prime", "branch", "eta")
+
+    def __init__(self, g_prime: int, branch: tuple[GroupElement, ...],
+                 eta: tuple[GroupElement, ...]):
+        _set(self, "g_prime", g_prime)
+        _set(self, "branch", branch)
+        _set(self, "eta", eta)
 
 
-@dataclass(frozen=True)
-class AlgebraicDatum:
-    group: AbelianGroup
-    kernels: tuple[Subgroup, Subgroup, Subgroup]
-    vectors: tuple[GeneratingVector, GeneratingVector, GeneratingVector]
-    quotients: tuple[QuotientStructure, QuotientStructure, QuotientStructure]
-    raw_vectors: tuple[VectorSpec, VectorSpec, VectorSpec]
+class AlgebraicDatum(_Frozen):
+    _fields = ("group", "kernels", "vectors", "quotients", "raw_vectors")
+
+    def __init__(self, group: AbelianGroup, kernels: tuple[Subgroup, Subgroup, Subgroup],
+                 vectors: tuple[GeneratingVector, GeneratingVector, GeneratingVector],
+                 quotients: tuple[QuotientStructure, QuotientStructure, QuotientStructure],
+                 raw_vectors: tuple[VectorSpec, VectorSpec, VectorSpec]):
+        _set(self, "group", group)
+        _set(self, "kernels", kernels)
+        _set(self, "vectors", vectors)
+        _set(self, "quotients", quotients)
+        _set(self, "raw_vectors", raw_vectors)
 
     @staticmethod
     def build(group: AbelianGroup,
@@ -108,17 +117,25 @@ class RigidityClass(enum.Enum):
     UNSUPPORTED = "Unsupported"
 
 
-@dataclass(frozen=True)
-class DatumReport:
-    minimality_ok: bool
-    minimality_witness: tuple[int, int] | None
-    freeness_ok: bool
-    freeness_witness: GroupElement | None
-    vector_outcomes: tuple[ValidationOutcome, ValidationOutcome, ValidationOutcome]
-    genera: tuple[int | None, int | None, int | None]
-    irregularity: int
-    all_bases_elliptic: bool
-    all_genera_at_least_two: bool
+class DatumReport(_Frozen):
+    _fields = ("minimality_ok", "minimality_witness", "freeness_ok", "freeness_witness",
+               "vector_outcomes", "genera", "irregularity", "all_bases_elliptic",
+               "all_genera_at_least_two")
+
+    def __init__(self, minimality_ok: bool, minimality_witness: tuple[int, int] | None,
+                 freeness_ok: bool, freeness_witness: GroupElement | None,
+                 vector_outcomes: tuple[ValidationOutcome, ValidationOutcome, ValidationOutcome],
+                 genera: tuple[int | None, int | None, int | None], irregularity: int,
+                 all_bases_elliptic: bool, all_genera_at_least_two: bool):
+        _set(self, "minimality_ok", minimality_ok)
+        _set(self, "minimality_witness", minimality_witness)
+        _set(self, "freeness_ok", freeness_ok)
+        _set(self, "freeness_witness", freeness_witness)
+        _set(self, "vector_outcomes", vector_outcomes)
+        _set(self, "genera", genera)
+        _set(self, "irregularity", irregularity)
+        _set(self, "all_bases_elliptic", all_bases_elliptic)
+        _set(self, "all_genera_at_least_two", all_genera_at_least_two)
 
     @property
     def vectors_ok(self) -> bool:
@@ -138,11 +155,13 @@ class DatumReport:
                 and self.all_genera_at_least_two and not self.freeness_ok)
 
 
-@dataclass(frozen=True)
-class _KernelChecks:
+class _KernelChecks(_Frozen):
     """The checks that read the kernel triple alone."""
 
-    minimality_witness: tuple[int, int] | None
+    _fields = ("minimality_witness",)
+
+    def __init__(self, minimality_witness: tuple[int, int] | None):
+        _set(self, "minimality_witness", minimality_witness)
 
 
 def _kernel_checks(kernels: Sequence[Subgroup]) -> _KernelChecks:
@@ -151,14 +170,17 @@ def _kernel_checks(kernels: Sequence[Subgroup]) -> _KernelChecks:
                                if not kernels[i]._meets_trivially(kernels[j])), None))
 
 
-@dataclass(frozen=True)
-class _FactorChecks:
+class _FactorChecks(_Frozen):
     """The checks that read one factor alone: its vector outcome, its genus
     and its stabilizer preimage in G as reduced exponent tuples."""
 
-    outcome: ValidationOutcome
-    genus: int | None
-    preimage: frozenset[tuple[int, ...]]
+    _fields = ("outcome", "genus", "preimage")
+
+    def __init__(self, outcome: ValidationOutcome, genus: int | None,
+                 preimage: frozenset[tuple[int, ...]]):
+        _set(self, "outcome", outcome)
+        _set(self, "genus", genus)
+        _set(self, "preimage", preimage)
 
 
 def _factor_checks(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
@@ -212,12 +234,15 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
     )
 
 
-@dataclass(frozen=True)
-class NumericalInvariants:
-    genera: tuple[int, int, int]
-    chi_structure_sheaf: int
-    euler_number: int
-    canonical_cube: int
+class NumericalInvariants(_Frozen):
+    _fields = ("genera", "chi_structure_sheaf", "euler_number", "canonical_cube")
+
+    def __init__(self, genera: tuple[int, int, int], chi_structure_sheaf: int,
+                 euler_number: int, canonical_cube: int):
+        _set(self, "genera", genera)
+        _set(self, "chi_structure_sheaf", chi_structure_sheaf)
+        _set(self, "euler_number", euler_number)
+        _set(self, "canonical_cube", canonical_cube)
 
 
 def invariants(datum: AlgebraicDatum) -> NumericalInvariants:

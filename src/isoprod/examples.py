@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .datum import AlgebraicDatum, VectorSpec
 from .errors import StructuralError
-from .groups import AbelianGroup, GroupElement, quotient_structure
+from .groups import AbelianGroup, GroupElement
 
 EXAMPLE_NAMES = ("example1", "example2a", "example2b", "example3", "example4")
 
@@ -23,15 +23,20 @@ def _two_torsion_family(n1: int, n2: int, n3: int,
     kernels = [[e[0]], [e[1]], [e[2]]]
     specs = []
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
-        quotient_order = _order_mod(sigmas[i], e[i], group)
+        quotient_order = _order_mod(sigmas[i], i)
         specs.append(VectorSpec(g_prime=1,
                                 branch=tuple([sigmas[i]] * quotient_order),
                                 eta=(e[j], e[k])))
     return AlgebraicDatum.build(group, kernels, specs)
 
 
-def _order_mod(g: GroupElement, kernel_gen: GroupElement, group: AbelianGroup) -> int:
-    return quotient_structure(group, group.subgroup([kernel_gen])).project(g).order
+def _order_mod(g: GroupElement, i: int) -> int:
+    """The order of ``g + <e_i>`` in ``G / <e_i>``: that of ``g`` with
+    coordinate ``i`` cleared, since ``<e_i>`` is the whole of coordinate
+    ``i``."""
+    exps = list(g.exponents)
+    exps[i] = 0
+    return GroupElement(g.group, exps).order
 
 
 def _family_group(n1: int, n2: int, n3: int) -> AbelianGroup:

@@ -15,17 +15,22 @@ rational arithmetic is involved.  ``unimodular_inverse`` and the
 ``smith_normal_form`` it reads have no other caller in the package; both
 stay as API because ``bench/tracing.py`` patches them by name.
 
-All values are immutable after construction.  The lazily cached values
-are a subgroup's annihilator and exponent, stored on the instance by their
-first read; instances stay safe to share between threads, because each
-value is a pure function of the instance and a racing first read writes an
-equal value.
+All values are immutable after construction: the value types derive from
+``_Frozen``, whose ``__setattr__`` and ``__delattr__`` raise
+``AttributeError``, and each ``__init__`` sets its fields once through
+``object.__setattr__``.  ``_Record`` gives them ``==`` and ``hash`` over
+the fields named in ``_fields`` and a ``repr`` of the public ones; the
+classes are written out, so importing the package generates no code.  The
+lazily cached values are a subgroup's annihilator, order, exponent and
+cyclicity, stored in the instance ``__dict__`` by their first read;
+instances stay safe to share between threads, because each value is a
+pure function of the instance and a racing first read writes an equal
+value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mod
@@ -38,6 +43,43 @@ from .errors import ConsistencyError, OverflowLimitError, ParentMismatchError
 MAX_GROUP_ORDER = 2 ** 62
 
 Matrix = list[list[int]]
+
+# Sets a field of a ``_Frozen`` instance in its ``__init__``.
+_set = object.__setattr__
+
+
+class _Record:
+    """Value semantics over the fields named in ``_fields``: ``==`` between
+    instances of one class, ``hash`` of the tuple of the values, and a
+    ``repr`` of the fields whose names do not start with ``_``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Frozen(_Record):
+    """A ``_Record`` that refuses assignment after ``__init__``."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +324,14 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Frozen):
     """Finite abelian group ``Z_{n_1} + ... + Z_{n_k}``.
 
     Order-1 factors are dropped on construction (normalization is
     idempotent); the trivial group has an empty order tuple.
     """
 
+    _fields = ("orders",)
     orders: tuple[int, ...]
 
     def __init__(self, orders: Iterable[int]):
@@ -300,11 +342,21 @@ class AbelianGroup:
                 raise ValueError(f"cyclic order must be >= 1, got {n}")
             if n > 1:
                 cleaned.append(n)
-        object.__setattr__(self, "orders", tuple(cleaned))
+        _set(self, "orders", tuple(cleaned))
         if prod(cleaned) > MAX_GROUP_ORDER:
             raise OverflowLimitError(
                 f"group order {prod(cleaned)} exceeds the supported scale "
                 f"(|G| <= {MAX_GROUP_ORDER})")
+
+    # Groups are compared wherever two objects must share one; these skip
+    # the generic field tuple.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.orders == other.orders
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.orders,))
 
     @property
     def rank(self) -> int:
@@ -369,16 +421,30 @@ def _reduce(exps: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(mod, exps, orders))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of an :class:`AbelianGroup`, stored in canonical reduced form."""
+class _Exponents(_Frozen):
+    """An exponent tuple over ``group``, reduced on construction: what an
+    element and a character share.  An element never equals a character."""
 
-    group: AbelianGroup
-    exponents: tuple[int, ...]
+    _fields = ("group", "exponents")
 
     def __init__(self, group: AbelianGroup, exponents: tuple[int, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "exponents", _reduce(tuple(exponents), group.orders))
+        _set(self, "group", group)
+        _set(self, "exponents", _reduce(tuple(exponents), group.orders))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents and self.group == other.group
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.exponents))
+
+    def __str__(self) -> str:
+        return "(" + ",".join(map(str, self.exponents)) + ")"
+
+
+class GroupElement(_Exponents):
+    """Element of an :class:`AbelianGroup`, stored in canonical reduced form."""
 
     def _check(self, other: "GroupElement") -> None:
         if self.group != other.group:
@@ -410,25 +476,14 @@ class GroupElement:
             return 1
         return lcm(*(n // gcd(e, n) for e, n in zip(self.exponents, self.group.orders)))
 
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.exponents)) + ")"
 
-
-@dataclass(frozen=True)
-class Character:
+class Character(_Exponents):
     """Character of an :class:`AbelianGroup`, written additively.
 
     The dual group is identified coordinate-wise with the group itself: the
     character with exponents ``(a_1, ..., a_k)`` maps ``g`` to
     ``exp(2*pi*i * sum a_j g_j / n_j)``.
     """
-
-    group: AbelianGroup
-    exponents: tuple[int, ...]
-
-    def __init__(self, group: AbelianGroup, exponents: tuple[int, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "exponents", _reduce(tuple(exponents), group.orders))
 
     def pairing(self, g: GroupElement) -> int:
         """The integer ``v = sum a_j g_j e / n_j mod e``, ``0 <= v < e``, with
@@ -455,16 +510,13 @@ class Character:
     def __sub__(self, other: "Character") -> "Character":
         return self + (-other)
 
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.exponents)) + ")"
-
 
 def _reduced_character(group: AbelianGroup, exponents: tuple[int, ...]) -> Character:
     # The exponents are reduced already, so ``Character``'s reduction is
     # skipped.
     chi = object.__new__(Character)
-    object.__setattr__(chi, "group", group)
-    object.__setattr__(chi, "exponents", exponents)
+    _set(chi, "group", group)
+    _set(chi, "exponents", exponents)
     return chi
 
 
@@ -563,27 +615,26 @@ class PackedCharacters:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """Subgroup of a finite abelian group with canonical lattice basis.
 
     Two subgroups with the same element set have identical bases, so
-    equality of representations is equality of subgroups.
+    equality of representations is equality of subgroups: ``==`` and
+    ``hash`` read the ambient group and the basis, not the generators.
     """
 
-    ambient: AbelianGroup
-    generators: tuple[GroupElement, ...]
-    basis: tuple[tuple[int, ...], ...] = field(init=False, compare=True)
+    _fields = ("ambient", "generators", "basis")
+    basis: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient: AbelianGroup, generators: tuple[GroupElement, ...]):
         generators = tuple(generators)
         for g in generators:
             if g.group != ambient:
                 raise ParentMismatchError("generator not in the ambient group")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators", generators)
+        _set(self, "ambient", ambient)
+        _set(self, "generators", generators)
         rows = [list(g.exponents) for g in generators] + ambient.relation_rows()
-        object.__setattr__(self, "basis", row_hermite(rows, ambient.rank))
+        _set(self, "basis", row_hermite(rows, ambient.rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -711,7 +762,7 @@ class Subgroup:
         amb = self.ambient
         result = Subgroup(amb, tuple(GroupElement(amb, row)
                                      for row in _hermite_dual(self.basis, amb.orders)))
-        object.__setattr__(self, "_annihilator", result)
+        _set(self, "_annihilator", result)
         return result
 
 
@@ -720,13 +771,13 @@ class Subgroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(_Frozen):
     """Divisibility chain ``d_1 | d_2 | ...`` with every ``d_i >= 2``.
 
     The empty chain denotes the trivial group.
     """
 
+    _fields = ("factors",)
     factors: tuple[int, ...]
 
     def __init__(self, factors: Iterable[int]):
@@ -737,7 +788,7 @@ class InvariantFactors:
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain {factors}")
-        object.__setattr__(self, "factors", factors)
+        _set(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -753,8 +804,7 @@ class InvariantFactors:
         return "[" + ", ".join(map(str, self.factors)) + "]"
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
+class QuotientStructure(_Frozen):
     """The quotient ``A / B`` of nested subgroups, with explicit generators.
 
     ``generators[i]`` is a representative in the ambient group whose coset
@@ -763,12 +813,17 @@ class QuotientStructure:
     representatives and exponent tuples of the abstract quotient group.
     """
 
-    numerator: Subgroup
-    denominator: Subgroup
-    invariant_factors: InvariantFactors
-    generators: tuple[GroupElement, ...]
-    group: AbelianGroup
-    _proj: tuple = field(repr=False)
+    _fields = ("numerator", "denominator", "invariant_factors", "generators", "group", "_proj")
+
+    def __init__(self, numerator: Subgroup, denominator: Subgroup,
+                 invariant_factors: InvariantFactors, generators: tuple[GroupElement, ...],
+                 group: AbelianGroup, _proj: tuple):
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
+        _set(self, "invariant_factors", invariant_factors)
+        _set(self, "generators", generators)
+        _set(self, "group", group)
+        _set(self, "_proj", _proj)
 
     def project(self, g: GroupElement) -> GroupElement:
         basis, v_mat, diags, kept = self._proj

@@ -63,7 +63,6 @@ walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import mul
@@ -72,12 +71,11 @@ from typing import Sequence
 from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
 from .errors import ConsistencyError
-from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key,
-                     _hermite_box, _hermite_dual, _hermite_order, row_hermite)
+from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key, _Frozen,
+                     _hermite_box, _hermite_dual, _hermite_order, _set, row_hermite)
 
 
-@dataclass(frozen=True)
-class _ClassLattice:
+class _ClassLattice(_Frozen):
     """One factor's characters up to the branch points: ``A = Ann(T)`` for
     ``T = K_i + <lifts of the branch points>``, given by the
     upper-triangular Hermite basis of its lattice (``rows``) and its order;
@@ -85,21 +83,28 @@ class _ClassLattice:
     the box of ``_class_lattice``; the first is the class of zero).
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    order: int
-    reps: tuple[tuple[int, ...], ...]
+    _fields = ("rows", "order", "reps")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], order: int,
+                 reps: tuple[tuple[int, ...], ...]):
+        _set(self, "rows", rows)
+        _set(self, "order", order)
+        _set(self, "reps", reps)
 
 
-@dataclass(frozen=True)
 class _FactorClasses(_ClassLattice):
     """The checked classes of a factor, with the integer
     ``f = (g' - 1) + sum_j k_j / m_j`` shared by the members of each."""
 
-    dims: tuple[int, ...]
+    _fields = ("rows", "order", "reps", "dims")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], order: int,
+                 reps: tuple[tuple[int, ...], ...], dims: tuple[int, ...]):
+        super().__init__(rows, order, reps)
+        _set(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class EigenDimTable:
+class EigenDimTable(_Frozen):
     """For each factor, the map ``chi -> dim W_i^chi`` over characters of G.
 
     The table holds each factor's checked Chevalley-Weil classes
@@ -108,8 +113,11 @@ class EigenDimTable:
     (``_packed``) or by ``Character`` (``tables``).
     """
 
-    datum: AlgebraicDatum
-    _classes: tuple[_FactorClasses, ...]
+    _fields = ("datum", "_classes")
+
+    def __init__(self, datum: AlgebraicDatum, _classes: tuple[_FactorClasses, ...]):
+        _set(self, "datum", datum)
+        _set(self, "_classes", _classes)
 
     @cached_property
     def _packed(self) -> tuple[dict[int, int], ...]:
@@ -237,11 +245,13 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
     return EigenDimTable(datum, tuple(classes))
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(_Frozen):
     """Hodge numbers ``h[p][q]`` for ``0 <= p, q <= 3``."""
 
-    h: tuple[tuple[int, int, int, int], ...]
+    _fields = ("h",)
+
+    def __init__(self, h: tuple[tuple[int, int, int, int], ...]):
+        _set(self, "h", h)
 
     def __getitem__(self, pq: tuple[int, int]) -> int:
         return self.h[pq[0]][pq[1]]

@@ -24,7 +24,6 @@ Costs, in packed additions (each member of a shifted coset counts one):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import mul
@@ -32,7 +31,8 @@ from typing import Iterable, Sequence
 
 from .datum import AlgebraicDatum
 from .errors import ConsistencyError, OracleScaleError, ParentMismatchError
-from .groups import AbelianGroup, Character, GroupElement, InvariantFactors, Subgroup
+from .groups import (AbelianGroup, Character, GroupElement, InvariantFactors, Subgroup, _Frozen,
+                     _set)
 from .hodge import HodgeDiamond
 
 SUBGROUP_CAP = 2 ** 18
@@ -93,12 +93,14 @@ class _Codec:
         return [c + x - ((((xo + c) & guard) >> low) * spread & moduli) for c in codes]
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class ElementSet(_Frozen):
     """An explicit subset of a group: the sorted codes of its members."""
 
-    ambient: AbelianGroup
-    codes: tuple[int, ...]
+    _fields = ("ambient", "codes")
+
+    def __init__(self, ambient: AbelianGroup, codes: tuple[int, ...]):
+        _set(self, "ambient", ambient)
+        _set(self, "codes", codes)
 
     @staticmethod
     def of(ambient: AbelianGroup, elements: object) -> "ElementSet":

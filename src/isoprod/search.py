@@ -62,7 +62,6 @@ the cap; ``enumerate_data`` also refuses too many handle tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -84,6 +83,9 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
+    _Frozen,
+    _Record,
+    _set,
     quotient_structure,
 )
 
@@ -91,8 +93,7 @@ DEFAULT_CAP = 2_000_000
 _SPEC_KEYS = {"group", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap"}
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Frozen):
     """Finite description of a search space.
 
     ``kernels`` is either the policy string ``"cyclic"`` (all cyclic
@@ -100,12 +101,17 @@ class SearchSpec:
     generator exponent lists.
     """
 
-    group_orders: tuple[int, ...]
-    kernels: object = "cyclic"
-    g_primes: tuple[int, int, int] = (1, 1, 1)
-    max_branch: int = 4
-    branch_order_bound: int | None = None
-    cap: int = DEFAULT_CAP
+    _fields = ("group_orders", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap")
+
+    def __init__(self, group_orders: tuple[int, ...], kernels: object = "cyclic",
+                 g_primes: tuple[int, int, int] = (1, 1, 1), max_branch: int = 4,
+                 branch_order_bound: int | None = None, cap: int = DEFAULT_CAP):
+        _set(self, "group_orders", group_orders)
+        _set(self, "kernels", kernels)
+        _set(self, "g_primes", g_primes)
+        _set(self, "max_branch", max_branch)
+        _set(self, "branch_order_bound", branch_order_bound)
+        _set(self, "cap", cap)
 
     @staticmethod
     def from_document(doc: dict) -> "SearchSpec":
@@ -219,10 +225,10 @@ def _branch_multisets(quotient: AbelianGroup, max_r: int,
     return out
 
 
-@dataclass
 class _FactorSpace:
-    quotient_structure: object
-    branch_sets: list[tuple[GroupElement, ...]]
+    def __init__(self, quotient_structure: QuotientStructure,
+                 branch_sets: list[tuple[GroupElement, ...]]):
+        self.quotient_structure, self.branch_sets = quotient_structure, branch_sets
 
 
 def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
@@ -293,9 +299,13 @@ def _handle_count(quotient: AbelianGroup, base: Subgroup, g_prime: int) -> int:
 def _completions(quotient: AbelianGroup, branch: tuple[GroupElement, ...],
                  g_prime: int) -> Iterator[tuple[GroupElement, ...]]:
     """The handle tuples completing ``branch`` to a generating vector, lazily
-    and in sorted order (the product of the lexicographic element list)."""
-    return (eta for eta in itertools.product(quotient.elements(), repeat=2 * g_prime)
-            if quotient.subgroup(branch + eta).order == quotient.order)
+    and in sorted order (the product of the lexicographic element list).
+    Every tuple completes a branch that generates ``Q`` alone, so then none
+    is tested."""
+    etas = itertools.product(quotient.elements(), repeat=2 * g_prime)
+    if quotient.subgroup(branch).order == quotient.order:
+        return etas
+    return (eta for eta in etas if quotient.subgroup(branch + eta).order == quotient.order)
 
 
 class _Branch:
@@ -304,9 +314,10 @@ class _Branch:
     (``count``), the vector and lifted ``VectorSpec`` with the first of
     them, its validation checks and the nontrivial elements of their
     stabilizer preimage (``fixing``, read by ``_free``), its Chevalley-Weil
-    classes (``classes``, filled by ``_KernelTriple.aut0``) and its packed
+    classes (``classes``, filled by ``_KernelTriple.aut0``), its packed
     pre-admissible set from the walk (``walked``, filled by
-    ``_KernelTriple.verify``)."""
+    ``_KernelTriple.verify``) and the vector and spec of every completing
+    handle tuple (``vectors``, listed at its first call)."""
 
     def __init__(self, group: AbelianGroup, kernel: Subgroup, q: QuotientStructure,
                  g_prime: int, branch: tuple[GroupElement, ...], count: int,
@@ -319,15 +330,20 @@ class _Branch:
         self.fixing = frozenset(t for t in self.checks.preimage if any(t))
         self.classes: _ClassLattice | None = None
         self.walked: tuple[int, ...] | None = None
+        self._vectors: list[tuple[GeneratingVector, VectorSpec]] | None = None
 
     def _vector(self, eta: tuple[GroupElement, ...]) -> tuple[GeneratingVector, VectorSpec]:
         q = self._q
         return (GeneratingVector(q.group, self._g_prime, self._branch, eta),
                 VectorSpec(self._g_prime, self._lifted, tuple(q.lift(e) for e in eta)))
 
-    def vectors(self) -> Iterator[tuple[GeneratingVector, VectorSpec]]:
-        """The vector and lifted spec for every completing handle tuple."""
-        return map(self._vector, _completions(self._q.group, self._branch, self._g_prime))
+    def vectors(self) -> list[tuple[GeneratingVector, VectorSpec]]:
+        """The vector and lifted spec for every completing handle tuple,
+        listed once per branch; only ``enumerate_data`` reads them."""
+        if self._vectors is None:
+            self._vectors = list(map(self._vector, _completions(
+                self._q.group, self._branch, self._g_prime)))
+        return self._vectors
 
 
 class _KernelTriple:
@@ -445,13 +461,16 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
             yield triple.datum(branches, vectors)
 
 
-@dataclass
-class SurveyResult:
-    count: int
-    histogram: dict[tuple[int, ...], int]
-    status_counts: dict[str, int]
-    extremal: list[tuple[tuple[int, ...], AlgebraicDatum, Aut0Result]] = field(
-        default_factory=list)
+class SurveyResult(_Record):
+    _fields = ("count", "histogram", "status_counts", "extremal")
+    # Mutable, so unhashable.
+    __hash__ = None
+
+    def __init__(self, count: int, histogram: dict[tuple[int, ...], int],
+                 status_counts: dict[str, int],
+                 extremal: list[tuple[tuple[int, ...], AlgebraicDatum, Aut0Result]] | None = None):
+        self.count, self.histogram, self.status_counts = count, histogram, status_counts
+        self.extremal = [] if extremal is None else extremal
 
     def as_document(self) -> dict:
         return {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from isoprod.covering import (
     stabilizer_union,
     validate_generating_vector,
 )
-from isoprod.errors import ParentMismatchError
+from isoprod.errors import ConsistencyError, ParentMismatchError
 from isoprod.groups import AbelianGroup
 
 
@@ -138,6 +139,17 @@ class TestEigenspaceDimensions:
         v = vector([2, 2], 1, [(0, 1), (0, 1)], [(1, 0), (0, 1)])
         table = {chi.exponents: cw_dimension(v, chi) for chi in v.quotient_group.characters()}
         assert table == {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}
+
+    @pytest.mark.parametrize("g_prime, branch, message", [
+        # Without the product relation the sum is 1/2.
+        (1, [(1,)], "dimension 1/2 for character (1) is not"),
+        # A rational base without branch points gives -1.
+        (0, [], "dimension -2/2 for character (1) is not"),
+    ], ids=["non_integral", "negative"])
+    def test_dimension_that_is_no_nonnegative_integer(self, g_prime, branch, message):
+        v = vector([2], g_prime, branch)
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            cw_dimension(v, v.quotient_group.character((1,)))
 
     @given(closed_vectors())
     def test_table_sums_to_genus(self, v):

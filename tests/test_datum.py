@@ -14,6 +14,7 @@ from isoprod.datum import (
 )
 from isoprod.errors import StructuralError
 from isoprod.examples import (
+    _order_mod,
     build_example,
     example1,
     example2a,
@@ -21,7 +22,7 @@ from isoprod.examples import (
     example3,
     example4,
 )
-from isoprod.groups import AbelianGroup
+from isoprod.groups import AbelianGroup, quotient_structure
 
 
 def two_torsion_datum(sigmas, orders=(2, 2, 2)):
@@ -162,3 +163,13 @@ class TestExampleConstructors:
     def test_example3_uses_single_parameter(self):
         d = build_example("example3", {"n": 3})
         assert d.group.orders == (6, 6, 6)
+
+    @pytest.mark.parametrize("orders", [(4, 2, 2), (2, 6, 4)])
+    def test_order_mod_is_the_order_in_the_quotient(self, orders):
+        # The families read each branch order in G / <e_i> without a Smith
+        # form; the quotient structure is the reference.
+        g = AbelianGroup(orders)
+        for i in range(3):
+            quotient = quotient_structure(g, g.subgroup([g.basis_element(i)]))
+            for x in g.elements():
+                assert _order_mod(x, i) == quotient.project(x).order

@@ -1,16 +1,39 @@
 """The public surface of the package, pinned: adding or removing an export
 changes this list on purpose.  The list is explicit, so the submodules
 (``isoprod.search`` and the rest) stay importable but are not exported.
-Every module-level import of a package module is used in that module."""
+Every module-level import of a package module is used in that module, and
+no package module imports ``dataclasses``: the value types are written out,
+and each keeps equality, hashing, immutability and a readable ``repr``."""
 
 from __future__ import annotations
 
 import ast
+import enum
 from pathlib import Path
 
 import pytest
 
 import isoprod
+from isoprod import (
+    AbelianGroup,
+    AlgebraicDatum,
+    Aut0Result,
+    Aut0Status,
+    DatumReport,
+    EigenDimTable,
+    GeneratingVector,
+    HodgeDiamond,
+    InvariantFactors,
+    NumericalInvariants,
+    QuotientStructure,
+    SearchSpec,
+    SurveyResult,
+    ValidationOutcome,
+    VectorSpec,
+    eigendim_table,
+    example1,
+    quotient_structure,
+)
 
 MODULES = sorted(Path(isoprod.__file__).resolve().parent.glob("*.py"))
 
@@ -56,3 +79,92 @@ def test_every_module_level_import_is_used(path):
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # ``@dataclass`` generates and compiles its methods at import time, which
+    # every short ``isoprod`` process pays for.
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
+
+
+Z2xZ4 = AbelianGroup((2, 4))
+E1 = example1()
+Q = quotient_structure(Z2xZ4, Z2xZ4.trivial_subgroup())
+OUTCOME = ValidationOutcome(())
+
+# Each public value type: a construction from an integer ``k`` (equal for
+# equal ``k``; ``k = 1`` changes one field against ``k = 0``) and a field
+# to assign.
+VALUE_TYPES = {
+    "AbelianGroup": (lambda k: AbelianGroup((2, 4 + 2 * k)), "orders"),
+    "GroupElement": (lambda k: Z2xZ4.element((1, k)), "exponents"),
+    "Character": (lambda k: Z2xZ4.character((1, k)), "exponents"),
+    "Subgroup": (lambda k: Z2xZ4.subgroup([Z2xZ4.element((0, 1 + k))]), "basis"),
+    "InvariantFactors": (lambda k: InvariantFactors((2, 4 + 4 * k)), "factors"),
+    "QuotientStructure": (lambda k: QuotientStructure(
+        Q.numerator, Q.denominator, Q.invariant_factors, Q.generators[::1 - 2 * k], Q.group,
+        Q._proj), "generators"),
+    "VectorSpec": (lambda k: VectorSpec(1 + k, E1.raw_vectors[0].branch, ()), "g_prime"),
+    "GeneratingVector": (lambda k: GeneratingVector(Z2xZ4, k, (Z2xZ4.element((0, 2)),) * 2, ()),
+                         "g_prime"),
+    "ValidationOutcome": (lambda k: ValidationOutcome(("broken",) * k), "violations"),
+    "AlgebraicDatum": (lambda k: AlgebraicDatum(E1.group, E1.kernels, E1.vectors, E1.quotients,
+                                                E1.raw_vectors[::1 - 2 * k]), "raw_vectors"),
+    "DatumReport": (lambda k: DatumReport(True, None, True, None, (OUTCOME,) * 3, (5, 5, 5),
+                                          3 + k, True, True), "irregularity"),
+    "NumericalInvariants": (lambda k: NumericalInvariants((5, 5, 5), -8, 0, -384 + k),
+                            "canonical_cube"),
+    "EigenDimTable": (lambda k: EigenDimTable(example1(1 + k), eigendim_table(E1)._classes),
+                      "datum"),
+    "HodgeDiamond": (lambda k: HodgeDiamond(((1, 3 + k),)), "h"),
+    "Aut0Result": (lambda k: Aut0Result(Aut0Status.PROVEN, InvariantFactors(()), (), (k, 0),
+                                        Z2xZ4, None, None, None), "admissible_counts"),
+    "SearchSpec": (lambda k: SearchSpec((2, 2), max_branch=3 + k), "max_branch"),
+    "SurveyResult": (lambda k: SurveyResult(k, {}, {}), "count"),
+}
+
+
+# A quotient's projection data holds lists, so the quotient, and the datum
+# and the table that hold quotients, have no hash.
+UNHASHABLE = {"AlgebraicDatum", "EigenDimTable", "QuotientStructure"}
+
+
+def test_every_public_class_is_a_value_type():
+    classes = {name for name in PUBLIC
+               if isinstance(getattr(isoprod, name), type)
+               and not issubclass(getattr(isoprod, name), (Exception, enum.Enum))}
+    assert classes == set(VALUE_TYPES)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_type(name):
+    build, field = VALUE_TYPES[name]
+    a, b, other = build(0), build(0), build(1)
+    assert type(a) is getattr(isoprod, name)
+    assert a is not b and a == b and not a != b
+    assert a != other and not a == other
+    assert repr(a).startswith(name + "(")
+    if name == "SurveyResult":
+        # The one mutable result: unhashable, and its fields can be set.
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, field, 1)
+        assert a == other
+        return
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import importlib
 import itertools
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abelian_groups, group_elements
-from isoprod.aut0 import _pre_admissible_set, aut0, verify_generator
+from isoprod.aut0 import Aut0Result, _pre_admissible_set, aut0, verify_generator
 from isoprod.datum import validate_datum
 from isoprod.errors import SearchCapError, StructuralError, TheoremViolationError
 from isoprod.examples import example1
@@ -217,6 +216,21 @@ class TestSurvey:
                                         "statuses": {"TrivialByRigidity": count}}
         budget.check()
 
+    def test_odd_group_survey_frozen(self):
+        # Z3^3 with the basis kernel triple at r <= 3, the first frozen
+        # survey over an odd group.  The estimate (3,796,416 branch triples)
+        # is over the default cap, so the space is refused unless the spec
+        # raises it; with the cap raised every datum is Proven trivial.
+        doc = {"group": [3, 3, 3], "kernels": [[[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]],
+               "max_branch": 3}
+        with pytest.raises(SearchCapError, match="estimated candidate space of 3796416"):
+            survey(SearchSpec.from_document(doc))
+        budget = Budget(3)
+        result = survey(SearchSpec.from_document(dict(doc, cap=10_000_000)))
+        assert result.as_document() == {"count": 774722880, "histogram": {"[]": 774722880},
+                                        "statuses": {"Proven": 774722880}}
+        budget.check()
+
     def test_extremal_witnesses_reverify(self):
         result = survey(spec_with(max_branch=3))
         assert {key for key, _, _ in result.extremal} == set(result.histogram)
@@ -307,6 +321,20 @@ class TestFactorized:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_enumeration_lists_each_branch_once(self, name, monkeypatch):
+        # _candidates scans for the first completing handle tuple once per
+        # subgroup that a branch generates and per g', as often as it calls
+        # _handle_count; enumerate_data lists a branch's tuples once, however
+        # many free triples hold the branch (basis_r4 scanned 628 times for
+        # 30 branches when each triple listed them afresh).
+        calls = Counter()
+        self.spy(monkeypatch, calls, search_module, "_completions")
+        self.spy(monkeypatch, calls, search_module, "_handle_count")
+        self.spy(monkeypatch, calls, search_module._Branch, "__init__")
+        assert sum(1 for _ in enumerate_data(self.SPACES[name]))
+        assert calls["_completions"] <= calls["_handle_count"] + calls["__init__"]
 
     def test_aut0_lattice_work_once_per_admissible_span(self, monkeypatch):
         # At r <= 4 the 208 valid branch triples have 41 distinct
@@ -407,7 +435,9 @@ class TestFactorized:
             generators = result.generators[:-1] + (wrong,)
             assert generators != verified[walked]
             planted.append(generators)
-            return dataclasses.replace(result, generators=generators)
+            return Aut0Result(result.status, result.invariant_factors, generators,
+                              result.admissible_counts, result.cube, result.kernel,
+                              result.k_delta, result.quotient)
 
         monkeypatch.setattr(search_module._KernelTriple, "aut0", planting)
         with pytest.raises(TheoremViolationError, match="re-verification"):

@@ -65,6 +65,7 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
+    _diagonal,
     _Frozen,
     _hermite_dual,
     _set,
@@ -143,6 +144,18 @@ def _pre_admissible_set(datum: AlgebraicDatum, i: int, codec: PackedCharacters) 
     from the integer walk over ``Ann(K_i)`` (``hodge._factor_walk``), which
     shares no code with the classes of ``hodge._class_lattice``."""
     return sorted(x for x, v in _factor_walk(datum, i, codec).items() if any(v))
+
+
+def _walked_admissible(datum: AlgebraicDatum, walked: Sequence[list[int]] | None = None,
+                       ) -> list[Character]:
+    """Both kinds of admissible characters, listed from the three packed sets
+    of the walk over ``Ann(K_i)`` (``walked``, else made here), never from
+    the classes: the listing of the checks of the fast path."""
+    if walked is None:
+        codec = PackedCharacters(datum.group)
+        walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
+    first, second = admissible_characters(datum, walked)
+    return first + second
 
 
 def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None = None,
@@ -229,11 +242,7 @@ def _admissible_span(cube: AbelianGroup, characters: list[Character],
     rows = [psi.exponents[: 2 * r] for psi in characters]
     if within:
         return row_hermite([*within, *rows], 2 * r)
-    return row_hermite(rows + _relations(cube.orders[: 2 * r]), 2 * r)
-
-
-def _relations(orders: Sequence[int]) -> list[list[int]]:
-    return [[n if c == j else 0 for c in range(len(orders))] for j, n in enumerate(orders)]
+    return row_hermite(rows + _diagonal(cube.orders[: 2 * r]), 2 * r)
 
 
 def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
@@ -322,7 +331,7 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
         count, pairs = feasible(idx)
         second += count
         pair_rows += span(pairs, idx)
-    span20 = row_hermite(pair_rows + _relations(group.orders * 2), 2 * r)
+    span20 = row_hermite(pair_rows + _diagonal(group.orders * 2), 2 * r)
     span30 = row_hermite([*span20, *span(triples, (0, 1, 2))], 2 * r)
     return (first, second), span30, span20
 
@@ -333,10 +342,10 @@ def _plane_span(orders: tuple[int, ...], rows: list[tuple[int, ...]],
     ``W meet Z`` for the subgroup ``W`` of the dual of ``G^3`` generated by
     ``rows``: the dual of the image of ``Ann_{G^3}(W)`` in ``G^2``."""
     r = len(orders)
-    w = row_hermite(rows + _relations(orders * 3), 3 * r)
+    w = row_hermite(rows + _diagonal(orders * 3), 3 * r)
     images = [tuple(g[c] - g[2 * r + c % r] for c in range(2 * r))
               for g in _hermite_dual(w, orders * 3)]
-    kernel = row_hermite(images + _relations(orders * 2), 2 * r)
+    kernel = row_hermite(images + _diagonal(orders * 2), 2 * r)
     return row_hermite(_hermite_dual(kernel, orders * 2), 2 * r)
 
 
@@ -358,11 +367,7 @@ def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
     """``verify_generator`` of every triple in ``reps`` on one enumeration."""
     cube = direct_product([datum.group] * 3)
     reps = [rep if rep.group == cube else cube.element(rep.exponents) for rep in reps]
-    if walked is None:
-        codec = PackedCharacters(datum.group)
-        walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
-    first, second = admissible_characters(datum, walked)
-    return all(psi.pairing(rep) == 0 for psi in first + second for rep in reps)
+    return all(psi.pairing(rep) == 0 for psi in _walked_admissible(datum, walked) for rep in reps)
 
 
 class _Solved(_Frozen):

@@ -18,7 +18,7 @@ from typing import Iterator, NoReturn, Sequence
 import click
 
 from . import docio
-from .aut0 import _kernel_pieces, _pre_admissible_set, _solved, admissible_characters
+from .aut0 import _kernel_pieces, _solved, _walked_admissible
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDatumError,
 )
 from .examples import EXAMPLE_NAMES, build_example
-from .groups import Character, PackedCharacters, Subgroup
+from .groups import Character, Subgroup
 from .hodge import _class_lattice, _ClassLattice, eigendim_table, hodge_diamond
 from .oracle import brute_hodge, brute_kernel, brute_quotient, enumerate_subgroup
 from .search import SearchSpec, survey
@@ -117,13 +117,9 @@ class _Analysis:
         return _solved(self.datum, self.pieces, self.classes)
 
     def admissible(self) -> Iterator[Character]:
-        """Both kinds of admissible characters, listed at the first read
-        from the walk over each ``Ann(K_i)``, as ``verify_generator`` lists
-        them: the oracle's check shares no listing with the fast path."""
-        codec = PackedCharacters(self.datum.group)
-        first, second = admissible_characters(
-            self.datum, [_pre_admissible_set(self.datum, i, codec) for i in range(3)])
-        yield from first + second
+        """The admissible characters of the walk over each ``Ann(K_i)``
+        (``aut0._walked_admissible``), listed at the first read."""
+        yield from _walked_admissible(self.datum)
 
     def kernel(self, pq: tuple[int, int]) -> Subgroup:
         return self.pieces.kernel(self.solved.span(pq), pq)
@@ -368,17 +364,18 @@ def hodge(file: str, fmt: str, oracle: bool) -> None:
     _run(_file_source(file), ("invariants", "hodge"), fmt, oracle)
 
 
-def _parse_params(text: str | None) -> dict[str, int]:
-    if not text:
-        return {}
+def _parse_params(texts: Sequence[str]) -> dict[str, int]:
+    """The parameters of every ``--param`` option, merged; no name twice."""
     params = {}
-    for part in text.split(","):
+    for part in (part for text in texts if text for part in text.split(",")):
         if "=" not in part:
             raise SchemaError(f"malformed parameter {part!r}; expected name=value")
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in {"n", "n1", "n2", "n3"}:
             raise SchemaError(f"unknown parameter {key!r}")
+        if key in params:
+            raise SchemaError(f"parameter {key} is given twice")
         try:
             params[key] = int(value)
         except ValueError as exc:
@@ -388,18 +385,18 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 @main.command()
 @click.argument("name", type=click.Choice(EXAMPLE_NAMES))
-@click.option("--param", "param", default=None,
-              help="Family parameters, e.g. n1=2,n2=1,n3=1 or n=2.")
+@click.option("--param", "params", multiple=True,
+              help="Family parameters, e.g. n1=2,n2=1,n3=1 or n=2; repeatable.")
 @format_option
 @oracle_option
-def example(name: str, param: str | None, fmt: str, oracle: bool) -> None:
+def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
     """Run the full report on a built-in example family."""
     header = ("corrected fixture: the third handle pair is (e2, e4); the "
               "originally printed datum does not generate G/K3"
               if name == "example4" else None)
 
     def source() -> AlgebraicDatum:
-        return build_example(name, _parse_params(param))
+        return build_example(name, _parse_params(params))
 
     _run(source, ("invariants", "hodge", "aut0"), fmt, oracle, header=header)
 

@@ -6,13 +6,14 @@ generating vector over each quotient ``G/K_i``.  Branch and handle
 elements are supplied as representatives in ``G`` and reduced to the
 quotients internally.
 
-Validation is built from two private pieces.  ``_KernelChecks`` holds what
-reads the kernels alone (minimality with its witness);
-``_FactorChecks`` holds what reads one factor alone (the vector outcome,
-the genus and the stabilizer preimage in ``G`` as reduced exponent
-tuples).  ``validate_datum`` computes both for a lone datum; a caller that
-holds them already, such as the survey, which computes them once per
-kernel triple and once per factor branch, passes them in as
+Validation is built from two private pieces, the one place for each of
+their facts.  ``_kernel_checks`` decides minimality with its witness; the
+survey filters its kernel triples with it.  ``_factor_checks`` reads one
+factor alone: the vector outcome, the genus and ``fixing``, the nontrivial
+elements of the stabilizer preimage in ``G`` as reduced exponent tuples,
+which both freeness checks read.  ``validate_datum`` computes both for a
+lone datum; a caller that holds them already, such as the survey (once
+per kernel triple and once per factor branch), passes them in as
 ``kernel_checks`` and ``factors``, and only the three-way freeness
 intersection is left to do.
 """
@@ -92,22 +93,22 @@ class AlgebraicDatum(_Frozen):
     def stabilizer_preimage(self, i: int) -> frozenset[GroupElement]:
         """Elements of G acting with a fixed point on the i-th curve: the
         full preimage of the stabilizer union of V_i, which contains K_i."""
-        return frozenset(GroupElement(self.group, t) for t in _stabilizer_preimage(
-            self.group, self.kernels[i], self.quotients[i], self.vectors[i]))
+        fixing = _fixing(self.group, self.kernels[i], self.quotients[i], self.vectors[i])
+        return frozenset(GroupElement(self.group, t) for t in fixing) | {self.group.zero}
 
 
-def _stabilizer_preimage(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
-                         vector: GeneratingVector) -> frozenset[tuple[int, ...]]:
-    """The stabilizer preimage of one factor as reduced exponent tuples of
-    G: every lifted element of the stabilizer union plus every element of
-    the kernel, reduced once."""
+def _fixing(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
+            vector: GeneratingVector) -> frozenset[tuple[int, ...]]:
+    """The nontrivial elements of one factor's stabilizer preimage as
+    reduced exponent tuples of G: every lifted element of the stabilizer
+    union plus every element of the kernel, reduced once, less zero."""
     orders = group.orders
     gens = [g.exponents for g in quotient.generators]
     lifts = [[sum(c * gen[j] for c, gen in zip(s, gens)) for j in range(len(orders))]
              for s in _stabilizer_tuples(vector)]
     kernel_elements = list(kernel._element_tuples())
     return frozenset(tuple((a + b) % n for a, b, n in zip(lift, k, orders))
-                     for lift in lifts for k in kernel_elements)
+                     for lift in lifts for k in kernel_elements) - {(0,) * len(orders)}
 
 
 class RigidityClass(enum.Enum):
@@ -166,21 +167,24 @@ class _KernelChecks(_Frozen):
 
 def _kernel_checks(kernels: Sequence[Subgroup]) -> _KernelChecks:
     """Minimality: the first pair of kernels meeting nontrivially, if any."""
-    return _KernelChecks(next(((i + 1, j + 1) for i in range(3) for j in range(i + 1, 3)
-                               if not kernels[i]._meets_trivially(kernels[j])), None))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if not kernels[i]._meets_trivially(kernels[j]):
+            return _KernelChecks((i + 1, j + 1))
+    return _KernelChecks(None)
 
 
 class _FactorChecks(_Frozen):
     """The checks that read one factor alone: its vector outcome, its genus
-    and its stabilizer preimage in G as reduced exponent tuples."""
+    and the nontrivial elements of its stabilizer preimage in G as reduced
+    exponent tuples (``fixing``)."""
 
-    _fields = ("outcome", "genus", "preimage")
+    _fields = ("outcome", "genus", "fixing")
 
     def __init__(self, outcome: ValidationOutcome, genus: int | None,
-                 preimage: frozenset[tuple[int, ...]]):
+                 fixing: frozenset[tuple[int, ...]]):
         _set(self, "outcome", outcome)
         _set(self, "genus", genus)
-        _set(self, "preimage", preimage)
+        _set(self, "fixing", fixing)
 
 
 def _factor_checks(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
@@ -194,14 +198,13 @@ def _factor_checks(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStru
         if outcome.ok:
             raise
         outcome = ValidationOutcome(outcome.violations + (str(exc),))
-    return _FactorChecks(outcome, g, _stabilizer_preimage(group, kernel, quotient, vector))
+    return _FactorChecks(outcome, g, _fixing(group, kernel, quotient, vector))
 
 
-def _common_fixed_point(group: AbelianGroup, preimages: Sequence[frozenset[tuple[int, ...]]],
+def _common_fixed_point(group: AbelianGroup, fixing: Sequence[frozenset[tuple[int, ...]]],
                         ) -> GroupElement | None:
-    """The least nontrivial element in all three stabilizer preimages."""
-    common = preimages[0] & preimages[1] & preimages[2]
-    least = min((t for t in common if any(t)), default=None)
+    """The least element in all three ``fixing`` sets."""
+    least = min(fixing[0] & fixing[1] & fixing[2], default=None)
     return None if least is None else GroupElement(group, least)
 
 
@@ -218,7 +221,7 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
     if factors is None:
         factors = [_factor_checks(datum.group, datum.kernels[i], datum.quotients[i],
                                   datum.vectors[i]) for i in range(3)]
-    witness = _common_fixed_point(datum.group, [f.preimage for f in factors])
+    witness = _common_fixed_point(datum.group, [f.fixing for f in factors])
     genera = tuple(f.genus for f in factors)
     g_primes = [v.g_prime for v in datum.vectors]
     return DatumReport(

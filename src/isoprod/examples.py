@@ -13,11 +13,8 @@ from .datum import AlgebraicDatum, VectorSpec
 from .errors import StructuralError
 from .groups import AbelianGroup, GroupElement
 
-EXAMPLE_NAMES = ("example1", "example2a", "example2b", "example3", "example4")
 
-
-def _two_torsion_family(n1: int, n2: int, n3: int,
-                        sigmas: tuple[GroupElement, GroupElement, GroupElement],
+def _two_torsion_family(sigmas: tuple[GroupElement, GroupElement, GroupElement],
                         group: AbelianGroup) -> AlgebraicDatum:
     e = [group.basis_element(j) for j in range(3)]
     kernels = [[e[0]], [e[1]], [e[2]]]
@@ -50,15 +47,14 @@ def example1(n1: int = 1, n2: int = 1, n3: int = 1) -> AlgebraicDatum:
     """sigma = (e3^n3, e1^n1, e2^n2): two independent order-2 symmetries."""
     g = _family_group(n1, n2, n3)
     e = [g.basis_element(j) for j in range(3)]
-    return _two_torsion_family(n1, n2, n3, (n3 * e[2], n1 * e[0], n2 * e[1]), g)
+    return _two_torsion_family((n3 * e[2], n1 * e[0], n2 * e[1]), g)
 
 
 def example2a(n1: int = 1, n2: int = 1, n3: int = 1) -> AlgebraicDatum:
     """sigma = (e3^n3, e1^n1, e1^n1 e2^n2): a single order-2 symmetry."""
     g = _family_group(n1, n2, n3)
     e = [g.basis_element(j) for j in range(3)]
-    return _two_torsion_family(n1, n2, n3,
-                               (n3 * e[2], n1 * e[0], n1 * e[0] + n2 * e[1]), g)
+    return _two_torsion_family((n3 * e[2], n1 * e[0], n1 * e[0] + n2 * e[1]), g)
 
 
 def example2b(n1: int = 2, n2: int = 1, n3: int = 1) -> AlgebraicDatum:
@@ -69,7 +65,7 @@ def example2b(n1: int = 2, n2: int = 1, n3: int = 1) -> AlgebraicDatum:
             "becomes trivial in G/K2")
     g = _family_group(n1, n2, n3)
     e = [g.basis_element(j) for j in range(3)]
-    return _two_torsion_family(n1, n2, n3, (n3 * e[2], 2 * e[0], n2 * e[1]), g)
+    return _two_torsion_family((n3 * e[2], 2 * e[0], n2 * e[1]), g)
 
 
 def example3(n: int = 1) -> AlgebraicDatum:
@@ -77,8 +73,7 @@ def example3(n: int = 1) -> AlgebraicDatum:
     kernel quotient is cyclic of order 2n."""
     g = _family_group(n, n, n)
     e = [g.basis_element(j) for j in range(3)]
-    return _two_torsion_family(n, n, n,
-                               (n * e[1] + n * e[2], n * e[2], n * e[1]), g)
+    return _two_torsion_family((n * e[1] + n * e[2], n * e[2], n * e[1]), g)
 
 
 def example4() -> AlgebraicDatum:
@@ -101,27 +96,26 @@ def example4() -> AlgebraicDatum:
     return AlgebraicDatum.build(g, kernels, specs)
 
 
+_BUILDERS = {"example1": example1, "example2a": example2a, "example2b": example2b,
+             "example3": example3, "example4": example4}
+EXAMPLE_NAMES = tuple(_BUILDERS)
+
+
 def build_example(name: str, params: dict[str, int] | None = None) -> AlgebraicDatum:
     """Instantiate a built-in example from its name and CLI parameters."""
+    if name not in _BUILDERS:
+        raise StructuralError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
     params = dict(params or {})
     if "n" in params:
         n = params.pop("n")
-        params.setdefault("n1", n)
-        params.setdefault("n2", n)
-        params.setdefault("n3", n)
-    if name == "example1":
-        return example1(**{k: params[k] for k in ("n1", "n2", "n3") if k in params})
-    if name == "example2a":
-        return example2a(**{k: params[k] for k in ("n1", "n2", "n3") if k in params})
-    if name == "example2b":
-        return example2b(**{k: params[k] for k in ("n1", "n2", "n3") if k in params})
+        for key in ("n1", "n2", "n3"):
+            params.setdefault(key, n)
+    kwargs = {k: params[k] for k in ("n1", "n2", "n3") if k in params}
     if name == "example3":
-        values = {params.get(k) for k in ("n1", "n2", "n3") if k in params}
+        values = set(kwargs.values())
         if len(values) > 1:
             raise StructuralError("example3 takes a single parameter n")
-        return example3(values.pop()) if values else example3()
-    if name == "example4":
-        if params:
-            raise StructuralError("example4 takes no parameters")
-        return example4()
-    raise StructuralError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
+        kwargs = {"n": values.pop()} if values else {}
+    elif name == "example4" and params:
+        raise StructuralError("example4 takes no parameters")
+    return _BUILDERS[name](**kwargs)

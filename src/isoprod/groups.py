@@ -22,10 +22,10 @@ All values are immutable after construction: the value types derive from
 the fields named in ``_fields`` and a ``repr`` of the public ones; the
 classes are written out, so importing the package generates no code.  The
 lazily cached values are a subgroup's annihilator, order, exponent and
-cyclicity, stored in the instance ``__dict__`` by their first read;
-instances stay safe to share between threads, because each value is a
-pure function of the instance and a racing first read writes an equal
-value.
+cyclicity, and its verdicts on meeting other subgroups trivially, stored
+in the instance ``__dict__`` by their first read; instances stay safe to
+share between threads, because each value is a pure function of the
+instance and a racing first read writes an equal value.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ class _Frozen(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _diagonal(entries: Sequence[int]) -> Matrix:
+    """The rows of ``diag(entries)``; for the orders of a group, its relations."""
+    return [[n if c == j else 0 for c in range(len(entries))] for j, n in enumerate(entries)]
 
 
 def _smith(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, Matrix]:
@@ -103,9 +104,9 @@ def _smith(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     for row in s:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    u = _identity(m)
-    v = _identity(n)
-    v_inv = _identity(n)
+    u = _diagonal([1] * m)
+    v = _diagonal([1] * n)
+    v_inv = _diagonal([1] * n)
 
     def row_sub(i: int, j: int, q: int) -> None:
         s[i] = [x - q * y for x, y in zip(s[i], s[j])]
@@ -267,7 +268,7 @@ def _hermite_order(group: "AbelianGroup", basis: Sequence[Sequence[int]]) -> int
 
 
 def _hermite_box(basis: Sequence[Sequence[int]], orders: Sequence[int],
-                 counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+                 counts: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
     """The points ``sum c_j basis[j]`` with ``0 <= c_j < counts[j]``, reduced
     mod ``orders``, zero first.
 
@@ -276,9 +277,11 @@ def _hermite_box(basis: Sequence[Sequence[int]], orders: Sequence[int],
     ``p_j / basis[j][j]`` give one point per coset of ``M`` in ``L``: two
     points in one coset differ by ``sum d_j basis[j]`` with
     ``|d_j| < counts[j]``, and reading the triangular basis column by column
-    forces every ``d_j = 0``.  With ``M = diag(orders)`` the box lists the
-    subgroup of ``L`` once per element.
+    forces every ``d_j = 0``.  With ``M = diag(orders)``, the default
+    counts, the box lists the subgroup of ``L`` once per element.
     """
+    if counts is None:
+        counts = [n // row[j] for j, (n, row) in enumerate(zip(orders, basis))]
     multiples = [[tuple(c * x for x in row) for c in range(count)]
                  for row, count in zip(basis, counts) if count > 1]
     zero = (0,) * len(orders)
@@ -401,8 +404,7 @@ class AbelianGroup(_Frozen):
             yield Character(self, exps)
 
     def relation_rows(self) -> Matrix:
-        return [[self.orders[i] if i == j else 0 for j in range(self.rank)]
-                for i in range(self.rank)]
+        return _diagonal(self.orders)
 
     def subgroup(self, generators: Iterable["GroupElement"]) -> "Subgroup":
         return Subgroup(self, tuple(generators))
@@ -646,10 +648,8 @@ class Subgroup(_Frozen):
 
     @cached_property
     def order(self) -> int:
-        """The ambient order over the product of the Hermite pivots; stored
-        on the instance by the first read."""
-        det = prod(self.basis[j][j] for j in range(len(self.basis)))
-        return self.ambient.order // det
+        """``_hermite_order``, stored on the instance by the first read."""
+        return _hermite_order(self.ambient, self.basis)
 
     @property
     def is_trivial(self) -> bool:
@@ -705,10 +705,16 @@ class Subgroup(_Frozen):
 
     def _meets_trivially(self, other: "Subgroup") -> bool:
         """Whether ``self & other`` is trivial, without forming it: its order
-        is the product of the pivots of the joined basis of ``intersection``."""
-        joined = row_hermite(self.annihilator().basis + other.annihilator().basis,
-                             self.ambient.rank)
-        return all(row[j] == 1 for j, row in enumerate(joined))
+        is the product of the pivots of the joined basis of ``intersection``.
+        Each verdict is stored on the instance, keyed by what ``==`` reads."""
+        verdicts = self.__dict__.setdefault("_meets", {})
+        key = (other.ambient.orders, other.basis)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            joined = row_hermite(self.annihilator().basis + other.annihilator().basis,
+                                 self.ambient.rank)
+            verdict = verdicts[key] = all(row[j] == 1 for j, row in enumerate(joined))
+        return verdict
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
@@ -727,13 +733,8 @@ class Subgroup(_Frozen):
             yield GroupElement(self.ambient, exps)
 
     def _element_tuples(self) -> Iterator[tuple[int, ...]]:
-        """All elements as reduced exponent tuples: the Hermite box
-        ``sum c_j b_j`` with ``0 <= c_j < n_j / b_j[j]`` (``_hermite_box``),
-        which has ``|H|`` points and lists each element exactly once.
-        """
-        orders = self.ambient.orders
-        return _hermite_box(self.basis, orders,
-                            [n // row[j] for j, (n, row) in enumerate(zip(orders, self.basis))])
+        """All elements as reduced exponent tuples, each once (``_hermite_box``)."""
+        return _hermite_box(self.basis, self.ambient.orders)
 
     def annihilator(self) -> "Subgroup":
         """Characters vanishing on this subgroup, as a subgroup of the dual.
@@ -866,8 +867,8 @@ def subgroup_quotient(a: Subgroup, b: Subgroup) -> QuotientStructure:
             raise ParentMismatchError("denominator is not contained in the numerator")
         rel.append(coeffs)
     s, _, v, v_inv = _smith(rel)
-    diags = [s[j][j] for j in range(k)]
-    kept = [j for j in range(k) if diags[j] > 1]
+    diags = tuple(s[j][j] for j in range(k))
+    kept = tuple(j for j in range(k) if diags[j] > 1)
     factors = InvariantFactors(diags[j] for j in kept)
     gens = []
     for j in kept:
@@ -878,7 +879,7 @@ def subgroup_quotient(a: Subgroup, b: Subgroup) -> QuotientStructure:
         raise ConsistencyError(
             f"quotient order {group.order} != |A|/|B| = {a.order // b.order}")
     return QuotientStructure(a, b, factors, tuple(gens), group,
-                             (a.basis, v, diags, kept))
+                             (a.basis, tuple(map(tuple, v)), diags, kept))
 
 
 def quotient_structure(group: AbelianGroup, h: Subgroup) -> QuotientStructure:

@@ -190,9 +190,7 @@ def _class_lattice(datum: AlgebraicDatum, i: int) -> _ClassLattice:
 
 def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> list[int]:
     """The packed elements of ``A_i``, from the Hermite box of its basis."""
-    orders = codec.group.orders
-    return [codec.pack(a) for a in _hermite_box(
-        a_basis, orders, [n // row[j] for j, (n, row) in enumerate(zip(orders, a_basis))])]
+    return [codec.pack(a) for a in _hermite_box(a_basis, codec.group.orders)]
 
 
 def _pre_from_classes(codec: PackedCharacters, classes: _ClassLattice) -> list[int]:

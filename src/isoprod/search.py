@@ -12,20 +12,20 @@ handle choices by multiplicity.
 
 Each check runs once at the level it depends on:
 
-- per kernel triple (``_KernelTriple``): minimality with its witness,
-  and, from the first valid datum on, ``G^3``, ``K Delta_G`` and the
-  adjustment subgroup of the canonical representatives
-  (``aut0._KernelPieces``);
+- per kernel triple (``_KernelTriple``): minimality with its witness
+  (``datum._kernel_checks``, which also filters the kernel triples and
+  decides each pair of kernels once), and, from the first valid datum on,
+  ``G^3``, ``K Delta_G`` and the adjustment subgroup of the canonical
+  representatives (``aut0._KernelPieces``);
 - per subgroup that a branch multiset generates, and per base genus, once
   per ``survey`` call: the number of handle tuples completing it
   (``_handle_count``) and the first of them (``_completions``);
 - per factor branch, inside one kernel triple (``_Branch``): the lifted
-  ``VectorSpec`` and the ``GeneratingVector``, its validation outcome, its
-  genus and stabilizer preimage with the preimage's nontrivial elements
-  (``fixing``), from the first valid datum on its
-  Chevalley-Weil classes (``hodge._class_lattice``, one record passed as
-  it is), and from the first datum with generators its packed
-  pre-admissible set from the walk over ``Ann(K_i)``
+  ``VectorSpec`` and the ``GeneratingVector``, its checks
+  (``datum._factor_checks``: outcome, genus and ``fixing``), from the
+  first valid datum on its Chevalley-Weil classes (``hodge._class_lattice``,
+  one record passed as it is), and from the first datum with generators
+  its packed pre-admissible set from the walk over ``Ann(K_i)``
   (``aut0._pre_admissible_set``), which the independent re-check reads;
 - per factor and distinct ``A_i``, inside one kernel triple: the packed
   pre-admissible set that a listing reads (``_KernelPieces``);
@@ -54,9 +54,10 @@ Each check runs once at the level it depends on:
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
 exactly what they would compute for a lone datum.
 
-Before any other work, ``_candidates`` forms the kernel triples once and
-refuses a space whose estimated branch triples (``estimate_space``) exceed
-the cap; ``enumerate_data`` also refuses too many handle tuples.
+Before any other work, the kernel triples are formed once and
+``_candidates`` refuses a space whose estimated branch triples
+(``estimate_space``) exceed the cap; ``enumerate_data`` first refuses too
+many handle tuples on the same triples.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ def _cyclic_subgroups(group: AbelianGroup) -> list[Subgroup]:
 
 
 def _kernel_triples(spec: SearchSpec, group: AbelianGroup) -> list[tuple[Subgroup, ...]]:
+    """The minimal kernel triples of the space (``datum._kernel_checks``)."""
     if spec.kernels == "cyclic":
         cyclic = _cyclic_subgroups(group)
         triples = itertools.product(cyclic, repeat=3)
@@ -195,12 +197,7 @@ def _kernel_triples(spec: SearchSpec, group: AbelianGroup) -> list[tuple[Subgrou
             tuple(group.subgroup([group.element(gen) for gen in gens])
                   for gens in triple)
             for triple in spec.kernels)
-    out = []
-    for triple in triples:
-        if all(triple[i]._meets_trivially(triple[j])
-               for i in range(3) for j in range(i + 1, 3)):
-            out.append(triple)
-    return out
+    return [triple for triple in triples if _kernel_checks(triple).minimality_witness is None]
 
 
 def _branch_multisets(quotient: AbelianGroup, max_r: int,
@@ -256,9 +253,11 @@ def estimate_space(spec: SearchSpec) -> int:
 
 def _estimate(spec: SearchSpec, group: AbelianGroup,
               triples: Sequence[tuple[Subgroup, ...]]) -> int:
-    """``estimate_space`` over the given kernel triples."""
-    return sum(prod(_multiset_bound(group.order // kernel.order, spec.max_branch)
-                    for kernel in kernels) for kernels in triples)
+    """``estimate_space`` over the given kernel triples, with one
+    ``_multiset_bound`` per kernel order."""
+    bound = {d: _multiset_bound(group.order // d, spec.max_branch)
+             for d in {kernel.order for kernels in triples for kernel in kernels}}
+    return sum(prod(bound[kernel.order] for kernel in kernels) for kernels in triples)
 
 
 def _multiset_bound(q_order: int, max_branch: int) -> int:
@@ -312,8 +311,8 @@ class _Branch:
     """One branch multiset of one factor inside one kernel triple, with the
     pieces computed from it once: the number of completing handle tuples
     (``count``), the vector and lifted ``VectorSpec`` with the first of
-    them, its validation checks and the nontrivial elements of their
-    stabilizer preimage (``fixing``, read by ``_free``), its Chevalley-Weil
+    them, its validation checks (whose ``fixing`` ``_free`` reads), its
+    Chevalley-Weil
     classes (``classes``, filled by ``_KernelTriple.aut0``), its packed
     pre-admissible set from the walk (``walked``, filled by
     ``_KernelTriple.verify``) and the vector and spec of every completing
@@ -327,7 +326,6 @@ class _Branch:
         self._lifted = tuple(q.lift(b) for b in branch)
         self.vector, self.raw = self._vector(eta)
         self.checks = _factor_checks(group, kernel, q, self.vector)
-        self.fixing = frozenset(t for t in self.checks.preimage if any(t))
         self.classes: _ClassLattice | None = None
         self.walked: tuple[int, ...] | None = None
         self._vectors: list[tuple[GeneratingVector, VectorSpec]] | None = None
@@ -401,16 +399,18 @@ class _KernelTriple:
 
 
 def _candidates(spec: SearchSpec, group: AbelianGroup,
+                triples: Sequence[tuple[Subgroup, ...]] | None = None,
                 ) -> Iterator[tuple[_KernelTriple, tuple[_Branch, _Branch, _Branch]]]:
     """Every branch triple that some handle tuples complete to generating
     vectors, in canonical order, as its kernel triple and its three
     branches.  The branches and their pieces are built once per kernel
-    triple.
+    triple.  A caller that has formed the kernel ``triples`` passes them.
 
     Raises ``SearchCapError`` before any work when the estimated space
     exceeds the cap.
     """
-    triples = _kernel_triples(spec, group)
+    if triples is None:
+        triples = _kernel_triples(spec, group)
     estimate = _estimate(spec, group, triples)
     if estimate > spec.cap:
         raise SearchCapError(
@@ -442,7 +442,7 @@ def _free(branches: Sequence[_Branch]) -> bool:
     curves: no nontrivial element lies in all three stabilizer preimages.
     It reads the preimages alone, so it runs before any datum is built;
     ``validate_datum`` names a witness, this only asks whether one exists."""
-    a, b, c = (branch.fixing for branch in branches)
+    a, b, c = (branch.checks.fixing for branch in branches)
     return a.isdisjoint(b & c)
 
 
@@ -453,8 +453,9 @@ def enumerate_data(spec: SearchSpec) -> Iterator[AlgebraicDatum]:
     permutation dedup; every emitted datum passes the full validation.
     """
     group = AbelianGroup(spec.group_orders)
-    _check_handle_work(spec, group, _kernel_triples(spec, group))
-    for triple, branches in _candidates(spec, group):
+    triples = _kernel_triples(spec, group)
+    _check_handle_work(spec, group, triples)
+    for triple, branches in _candidates(spec, group, triples):
         if not _free(branches):
             continue
         for vectors in itertools.product(*(b.vectors() for b in branches)):

@@ -14,13 +14,14 @@ from click.testing import CliRunner
 
 from conftest import ORACLE_EXAMPLES, listed_kernel
 from isoprod import cli
-from isoprod.aut0 import _KernelPieces
+from isoprod.aut0 import Aut0Result, Aut0Status, _KernelPieces, aut0
 from isoprod.cli import build_report, main
 from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.docio import datum_document, dumps
-from isoprod.errors import ConsistencyError
+from isoprod.errors import ConsistencyError, TheoremViolationError
 from isoprod.examples import build_example, example1, example2b, example3, example4
-from isoprod.groups import AbelianGroup, Subgroup, subgroup_quotient
+from isoprod.groups import AbelianGroup, InvariantFactors, Subgroup, subgroup_quotient
+from isoprod.search import SearchSpec, survey
 
 runner = CliRunner()
 
@@ -443,6 +444,54 @@ class TestOracleCatchesErrors:
         assert self.EXPECTED[check] in result.output
 
 
+class TestTheoremChecksCatchErrors:
+    """A wrong (3,0) quotient on valid data trips the theorem bounds of
+    ``aut0``: ``TheoremViolationError``, and the CLI exits 3.  The planted
+    quotient is ``G^3 / K Delta_G``, of order 8 on example1 (Proven) and 16
+    on example4 (KernelOnly)."""
+
+    BASIS_R2 = {"group": [2, 2, 2], "kernels": [[[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]],
+                "max_branch": 2}
+
+    @pytest.mark.parametrize("datum, message", [
+        (example1(), r"cyclic-kernel hypotheses but the quotient is \[2, 2, 2\]"),
+        (example4(), "kernel quotient of order 16 > 4"),
+    ])
+    def test_aut0_raises(self, datum, message, monkeypatch, tmp_path):
+        TestOracleCatchesErrors.wrong_quotient(monkeypatch)
+        with pytest.raises(TheoremViolationError, match=message):
+            aut0(datum)
+        path = tmp_path / "datum.json"
+        path.write_text(dumps(datum_document(datum)))
+        result = runner.invoke(main, ["aut0", str(path)])
+        assert result.exit_code == 3
+        assert "error [theorem-violation]" in result.output
+
+    def test_survey_raises(self, monkeypatch, tmp_path):
+        TestOracleCatchesErrors.wrong_quotient(monkeypatch)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.BASIS_R2))
+        result = runner.invoke(main, ["search", str(path)])
+        assert result.exit_code == 3
+        assert "cyclic-kernel hypotheses" in result.output
+
+    def test_survey_checks_proven_factors(self, monkeypatch, tmp_path):
+        # aut0's own bound stops a planted quotient first, so the survey's
+        # check is reached with a planted aut0 result.
+        def planted(datum, report, pieces, classes):
+            return Aut0Result(Aut0Status.PROVEN, InvariantFactors((4,)), (), (0, 0),
+                              pieces.cube, None, None, None)
+
+        monkeypatch.setattr(importlib.import_module("isoprod.search"), "aut0", planted)
+        with pytest.raises(TheoremViolationError, match=r"proven result with factors \[4\]"):
+            survey(SearchSpec.from_document(self.BASIS_R2))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.BASIS_R2))
+        result = runner.invoke(main, ["search", str(path)])
+        assert result.exit_code == 3
+        assert "error [theorem-violation]: proven result with factors [4]" in result.output
+
+
 class TestExampleCommand:
     def test_smallest_case(self):
         result = runner.invoke(
@@ -480,6 +529,20 @@ class TestExampleCommand:
         result = runner.invoke(
             main, ["example", "example2b", "--param", "n1=1"])
         assert result.exit_code == 2
+
+    def test_repeated_parameters_merge(self):
+        result = runner.invoke(
+            main, ["example", "example2a", "--param", "n1=3", "--param", "n2=1",
+                   "--param", "n3=2", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["datum"]["group"] == [6, 2, 4]
+
+    @pytest.mark.parametrize("params", [["n1=2,n1=3"], ["n1=2", "n1=3"]])
+    def test_rejects_a_parameter_given_twice(self, params):
+        args = [arg for p in params for arg in ("--param", p)]
+        result = runner.invoke(main, ["example", "example2a", *args])
+        assert result.exit_code == 2
+        assert "error [document-schema]: parameter n1 is given twice" in result.output
 
 
 class TestSearchCommand:

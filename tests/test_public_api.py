@@ -131,11 +131,6 @@ VALUE_TYPES = {
 }
 
 
-# A quotient's projection data holds lists, so the quotient, and the datum
-# and the table that hold quotients, have no hash.
-UNHASHABLE = {"AlgebraicDatum", "EigenDimTable", "QuotientStructure"}
-
-
 def test_every_public_class_is_a_value_type():
     classes = {name for name in PUBLIC
                if isinstance(getattr(isoprod, name), type)
@@ -158,13 +153,17 @@ def test_value_type(name):
         setattr(a, field, 1)
         assert a == other
         return
-    if name in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(other, field))
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
+
+
+def test_values_built_twice_hash_equal():
+    # Two separate constructions share no object, so the quotients'
+    # projection data are compared and hashed by value.
+    assert hash(example1()) == hash(example1())
+    assert hash(eigendim_table(example1())) == hash(eigendim_table(example1()))
+    assert len({example1(), example1(), example1(2)}) == 2

@@ -113,6 +113,24 @@ class TestEstimate:
         with pytest.raises(SearchCapError, match="handle tuples"):
             next(enumerate_data(spec))
 
+    def test_cyclic_refusal_decides_each_kernel_pair_once(self, monkeypatch):
+        # Z_4^3 has 36 cyclic subgroups: 64 Hermite forms list them, 36 form
+        # their annihilators and one per ordered pair decides minimality
+        # (datum._kernel_checks), 1,396 in all; deciding it per kernel
+        # triple formed 122,043.
+        groups_module = importlib.import_module("isoprod.groups")
+        real, calls = groups_module.row_hermite, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groups_module, "row_hermite", counted)
+        with pytest.raises(SearchCapError, match="estimated candidate space of 528704053248"):
+            survey(SearchSpec.from_document(
+                {"group": [4, 4, 4], "kernels": "cyclic", "max_branch": 2}))
+        assert len(calls) <= 1500
+
     def test_estimate_dominates_branch_triples(self):
         # The estimate counts branch multisets before genus/validity cuts.
         spec = spec_with(max_branch=2)
@@ -184,6 +202,15 @@ class TestSurvey:
         assert result.count == 138240
         assert result.histogram == {(): 124416, (2,): 13824}
         assert result.status_counts == {"Proven": 138240}
+
+    def test_branch_order_bound_survey_frozen(self):
+        # The family above with branch points of order <= 2 only: the bound
+        # drops the order-4 elements of Z_4 from the branch pool.
+        result = survey(SearchSpec.from_document(
+            {"group": [2, 4], "kernels": [[[], [[1, 0]], [[0, 2]]]], "max_branch": 3,
+             "branch_order_bound": 2}))
+        assert result.count == 27648
+        assert result.as_document()["histogram"] == {"[]": 13824, "[2]": 13824}
 
     def test_handle_tuples_once_per_generated_subgroup(self):
         # 117 branch multisets of this space do not generate their quotient.

@@ -41,10 +41,10 @@ The survey passes the classes once per factor branch and the pieces once
 per kernel triple; a report (``cli._Analysis``) passes the classes of its
 eigenspace table, and its kernels section and ``representation_kernel``
 read the same memo (``_solved``).  The status and the theorem bounds run
-on every ``aut0`` call.  ``verify_generator`` lists on purpose: it is the
-survey's independent re-check, so its pre-admissible sets come from the
-walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes,
-and the report's oracle lists the same way.
+on every ``aut0`` call, and nowhere else.  ``verify_generator`` lists on
+purpose: it is the survey's independent re-check, so its pre-admissible
+sets come from the walk over ``Ann(K_i)`` (``_pre_admissible_set``), not
+from the classes, and the report's oracle lists the same way.
 """
 
 from __future__ import annotations
@@ -388,10 +388,11 @@ class _Solved(_Frozen):
         return self.span30 if sum(pq) == 3 else self.span20
 
 
-class _KernelPieces(_Frozen):
+class _KernelPieces:
     """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
     ``K Delta_G``, and the adjustment subgroup of the canonical
     representatives; and the one place where a span's lattice is formed.
+    It is a cache of one kernel triple's work, not a value.
 
     ``memo`` holds the rest of ``aut0``'s work, which within one kernel
     triple depends only on the ``A_i``: it maps the tuple of the three
@@ -399,20 +400,15 @@ class _KernelPieces(_Frozen):
     each ``_admissible_span`` once, and ``lattice`` its quotient by
     ``K Delta_G`` and canonical generators once.  ``_pre`` keeps the packed
     pre-admissible set of each factor index and ``A_i`` basis for the
-    listings of memo misses: ``Ann(K_i)`` differs between the factors.  The
-    four dicts take no part in ``==``, ``hash`` or ``repr``.
+    listings of memo misses: ``Ann(K_i)`` differs between the factors.
     """
 
-    _fields = ("cube", "k_delta", "adjustment")
-
     def __init__(self, cube: AbelianGroup, k_delta: Subgroup, adjustment: Subgroup):
-        _set(self, "cube", cube)
-        _set(self, "k_delta", k_delta)
-        _set(self, "adjustment", adjustment)
-        _set(self, "memo", {})
-        _set(self, "_kernels", {})
-        _set(self, "_lattices", {})
-        _set(self, "_pre", {})
+        self.cube, self.k_delta, self.adjustment = cube, k_delta, adjustment
+        self.memo: dict[tuple, _Solved] = {}
+        self._kernels: dict[tuple, Subgroup] = {}
+        self._lattices: dict[tuple, tuple[QuotientStructure, tuple[GroupElement, ...]]] = {}
+        self._pre: dict[tuple, list[int]] = {}
 
     def pre_admissible(self, group: AbelianGroup, classes: Sequence[_ClassLattice],
                        ) -> list[list[int]]:

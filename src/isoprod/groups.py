@@ -13,7 +13,9 @@ dual to sums: ``H_1 & H_2 = Ann(Ann H_1 + Ann H_2)``.  Smith forms serve
 quotients ``A / B``, whose elimination carries ``V^{-1}`` along.  No
 rational arithmetic is involved.  ``unimodular_inverse`` and the
 ``smith_normal_form`` it reads have no other caller in the package; both
-stay as API because ``bench/tracing.py`` patches them by name.
+stay as API because ``bench/tracing.py`` patches them by name.  The size
+bound ``MAX_GROUP_ORDER`` holds for input groups (``AbelianGroup``);
+``direct_product`` builds ``G^3`` of a checked ``G`` without checking.
 
 All values are immutable after construction: the value types derive from
 ``_Frozen``, whose ``__setattr__`` and ``__delattr__`` raise
@@ -38,8 +40,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, OverflowLimitError, ParentMismatchError
 
-# Guard against accidental astronomically-sized ambients; exhaustive scans
-# carry their own much smaller caps (canonicalization, oracles).
+# Guard against accidental astronomically-sized input groups; exhaustive
+# scans carry their own much smaller caps (canonicalization, oracles).
 MAX_GROUP_ORDER = 2 ** 62
 
 Matrix = list[list[int]]
@@ -895,10 +897,10 @@ def quotient_structure(group: AbelianGroup, h: Subgroup) -> QuotientStructure:
 
 
 def direct_product(groups: Sequence[AbelianGroup]) -> AbelianGroup:
-    orders: list[int] = []
-    for g in groups:
-        orders.extend(g.orders)
-    return AbelianGroup(orders)
+    """The product of checked groups, not normalized or bounded again."""
+    product = object.__new__(AbelianGroup)
+    _set(product, "orders", tuple(n for g in groups for n in g.orders))
+    return product
 
 
 def product_element(product: AbelianGroup, parts: Sequence[GroupElement]) -> GroupElement:

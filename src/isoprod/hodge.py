@@ -15,12 +15,12 @@ representative per class without visiting the other characters: with the
 Hermite bases ``B`` of ``Ann(K_i)`` and ``A`` of ``A_i``, the box
 ``sum c_j B_j``, ``0 <= c_j < A[j][j] / B[j][j]``, meets every class once,
 and its first point is zero.  ``eigendim_table`` reads one integer ``f``
-per class off its representative's values (``_FactorClasses``, checked in
-integers, without ``Fraction``).  The pre-admissible set is ``Ann(K_i)``
-minus ``A_i``, the nonzero classes translated by the elements of ``A_i``
+per class off its representative's values, checked in integers, without
+``Fraction``.  The pre-admissible set is ``Ann(K_i)`` minus ``A_i``, the
+nonzero classes translated by the elements of ``A_i``
 (``_pre_from_classes``).  A factor's classes are one record
-(``_ClassLattice``: the basis and order of ``A_i`` and the
-representatives), which the table keeps with each class's ``f`` and
+(``_ClassLattice``: the basis and order of ``A_i``, the representatives
+and, once checked, each class's ``f``), which the table keeps and
 ``aut0`` takes as its one input.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
@@ -79,28 +79,20 @@ class _ClassLattice(_Frozen):
     """One factor's characters up to the branch points: ``A = Ann(T)`` for
     ``T = K_i + <lifts of the branch points>``, given by the
     upper-triangular Hermite basis of its lattice (``rows``) and its order;
-    and one character per class of ``Ann(K_i) / A`` (exponent tuples from
-    the box of ``_class_lattice``; the first is the class of zero).
+    one character per class of ``Ann(K_i) / A`` (exponent tuples from the
+    box of ``_class_lattice``; the first is the class of zero); and, once
+    ``eigendim_table`` has checked them, the integer
+    ``f = (g' - 1) + sum_j k_j / m_j`` shared by the members of each class
+    (``dims``, empty for a bare lattice).
     """
-
-    _fields = ("rows", "order", "reps")
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...], order: int,
-                 reps: tuple[tuple[int, ...], ...]):
-        _set(self, "rows", rows)
-        _set(self, "order", order)
-        _set(self, "reps", reps)
-
-
-class _FactorClasses(_ClassLattice):
-    """The checked classes of a factor, with the integer
-    ``f = (g' - 1) + sum_j k_j / m_j`` shared by the members of each."""
 
     _fields = ("rows", "order", "reps", "dims")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], order: int,
-                 reps: tuple[tuple[int, ...], ...], dims: tuple[int, ...]):
-        super().__init__(rows, order, reps)
+                 reps: tuple[tuple[int, ...], ...], dims: tuple[int, ...] = ()):
+        _set(self, "rows", rows)
+        _set(self, "order", order)
+        _set(self, "reps", reps)
         _set(self, "dims", dims)
 
 
@@ -115,7 +107,7 @@ class EigenDimTable(_Frozen):
 
     _fields = ("datum", "_classes")
 
-    def __init__(self, datum: AlgebraicDatum, _classes: tuple[_FactorClasses, ...]):
+    def __init__(self, datum: AlgebraicDatum, _classes: tuple[_ClassLattice, ...]):
         _set(self, "datum", datum)
         _set(self, "_classes", _classes)
 
@@ -239,7 +231,7 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
             raise ConsistencyError(
                 f"factor {i + 1}: {len(reps)} Chevalley-Weil classes of |Ann(T)| = {order} "
                 f"give dimensions summing to {sum(dims) * order + 1}, genus is {g}")
-        classes.append(_FactorClasses(lattice.rows, order, reps, tuple(dims)))
+        classes.append(_ClassLattice(lattice.rows, order, reps, tuple(dims)))
     return EigenDimTable(datum, tuple(classes))
 
 
@@ -370,7 +362,7 @@ def _class_matches(group: AbelianGroup, classes: Sequence[_ClassLattice],
     return fibre, matches
 
 
-def _class_counts(group: AbelianGroup, classes: Sequence[_FactorClasses],
+def _class_counts(group: AbelianGroup, classes: Sequence[_ClassLattice],
                   ) -> tuple[int, int, int, int]:
     """The sums of ``F_1 F_2 F_3`` and ``F_i F_j`` that the Hodge numbers
     need, by class (``_class_matches``, weighted by ``f``):

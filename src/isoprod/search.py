@@ -52,7 +52,11 @@ Each check runs once at the level it depends on:
   when that pair of walked sets and generators is new.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
-exactly what they would compute for a lone datum.
+exactly what they would compute for a lone datum.  The checks above pass
+only valid data, so an invalid datum is an internal error, not a skip.  A
+``ConsistencyError`` or ``TheoremViolationError`` from a datum's work ends
+with ``; datum`` and its canonical document on one line, which
+``isoprod report`` replays.
 
 Before any other work, the kernel triples are formed once and
 ``_candidates`` refuses a space whose estimated branch triples
@@ -63,6 +67,7 @@ many handle tuples on the same triples.
 from __future__ import annotations
 
 import itertools
+import json
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -76,7 +81,8 @@ from .datum import (
     _kernel_checks,
     validate_datum,
 )
-from .errors import SearchCapError, StructuralError, TheoremViolationError
+from .docio import datum_document
+from .errors import ConsistencyError, SearchCapError, StructuralError, TheoremViolationError
 from .hodge import _class_lattice, _ClassLattice
 from .groups import (
     AbelianGroup,
@@ -488,10 +494,11 @@ def survey(spec: SearchSpec) -> SurveyResult:
     The automorphism result of a datum does not depend on its handle
     elements, so each branch triple is computed once and weighted by the
     number of handle tuples completing it to a generating vector.  A
-    branch triple that is not free is skipped before its datum is built.
-    The generators of each valid datum are re-checked on the sets of the
-    walk over its ``Ann(K_i)``; the verdict is listed once per distinct
-    walked sets and generators within a kernel triple.
+    branch triple that is not free is skipped before its datum is built;
+    every other datum must pass validation.  The generators of each datum
+    are re-checked on the sets of the walk over its ``Ann(K_i)``; the
+    verdict is listed once per distinct walked sets and generators within a
+    kernel triple.  A violation names its datum (see the module notes).
     """
     group = AbelianGroup(spec.group_orders)
     histogram: dict[tuple[int, ...], int] = {}
@@ -502,18 +509,18 @@ def survey(spec: SearchSpec) -> SurveyResult:
         if not _free(branches):
             continue
         datum = triple.datum(branches)
-        report = triple.validate(datum, branches)
-        if not report.ok:
-            continue
-        result = triple.aut0(datum, report, branches)
-        if result.generators and not triple.verify(datum, result.generators, branches):
-            raise TheoremViolationError(
-                "survey generator failed independent re-verification")
+        try:
+            report = triple.validate(datum, branches)
+            if not report.ok:
+                raise ConsistencyError("survey datum passed the survey's checks but is not valid")
+            result = triple.aut0(datum, report, branches)
+            if result.generators and not triple.verify(datum, result.generators, branches):
+                raise TheoremViolationError(
+                    "survey generator failed independent re-verification")
+        except (ConsistencyError, TheoremViolationError) as exc:
+            doc = json.dumps(datum_document(datum), separators=(",", ":"))
+            raise type(exc)(f"{exc}; datum {doc}") from exc
         key = tuple(result.invariant_factors)
-        if result.status.value == "Proven" and key not in ((), (2,), (2, 2)):
-            raise TheoremViolationError(
-                f"proven result with factors {list(key)} on datum "
-                f"{[tuple(b.exponents for b in v.branch) for v in datum.vectors]}")
         weight = prod(b.count for b in branches)
         count += weight
         histogram[key] = histogram.get(key, 0) + weight

@@ -13,14 +13,14 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import ORACLE_EXAMPLES, listed_kernel
-from isoprod import cli
-from isoprod.aut0 import Aut0Result, Aut0Status, _KernelPieces, aut0
+from isoprod import cli, docio
+from isoprod.aut0 import _KernelPieces, aut0
 from isoprod.cli import build_report, main
-from isoprod.datum import AlgebraicDatum, VectorSpec
+from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
 from isoprod.docio import datum_document, dumps
 from isoprod.errors import ConsistencyError, TheoremViolationError
 from isoprod.examples import build_example, example1, example2b, example3, example4
-from isoprod.groups import AbelianGroup, InvariantFactors, Subgroup, subgroup_quotient
+from isoprod.groups import AbelianGroup, Subgroup, subgroup_quotient
 from isoprod.search import SearchSpec, survey
 
 runner = CliRunner()
@@ -211,6 +211,53 @@ class TestReport:
         result = runner.invoke(main, ["hodge", str(path), "--oracle"])
         assert result.exit_code == 0
         assert "oracle hodge: skipped" in result.output
+
+
+class TestSizeBound:
+    """``|G| <= 2^62`` bounds the groups a user gives, not the cube ``G^3``
+    built from them: example1 at n=64 (``|G| = 2^21``, ``|G^3| = 2^63``)
+    reports, and an input group over the bound exits 2."""
+
+    N64_AUT0 = {"status": "Proven", "invariant_factors": [2, 2], "order": 4,
+                "generators": [[0, 64, 0, 0, 0, 64, 0, 0, 0], [0, 64, 0, 64, 0, 0, 0, 0, 0]],
+                "admissible_first": 262144, "admissible_second": 0}
+
+    @pytest.mark.parametrize("command, doc", [
+        ("report", {"group": [2 ** 32, 2 ** 32], "kernels": [[], [], []],
+                    "vectors": [{"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]}] * 3}),
+        ("search", {"group": [2 ** 32, 2 ** 32]}),
+    ])
+    def test_input_group_over_the_bound_exits_two(self, command, doc, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error [arithmetic-overflow]: group order "
+                                        "18446744073709551616 exceeds the supported scale")
+
+    def test_example_over_the_bound_exits_two(self):
+        result = runner.invoke(main, ["example", "example1", "--param", "n=1048576"])
+        assert result.exit_code == 2
+        assert "error [arithmetic-overflow]" in result.stderr
+
+    def test_cube_over_the_bound_reports(self):
+        start = time.monotonic()
+        result = runner.invoke(main, ["example", "example1", "--param", "n=64",
+                                      "--format", "json"])
+        assert time.monotonic() - start < 30
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["hodge"][3][0] == 262145
+        assert doc["aut0"] == self.N64_AUT0
+
+    def test_cube_over_the_bound_skips_every_oracle(self):
+        result = runner.invoke(main, ["example", "example1", "--param", "n=64",
+                                      "--oracle", "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["aut0"] == self.N64_AUT0
+        assert set(doc["oracle"]) == {"hodge", "kernel", "quotient"}
+        assert all(v.startswith("skipped:") for v in doc["oracle"].values())
 
 
 class TestSubcommands:
@@ -448,7 +495,8 @@ class TestTheoremChecksCatchErrors:
     """A wrong (3,0) quotient on valid data trips the theorem bounds of
     ``aut0``: ``TheoremViolationError``, and the CLI exits 3.  The planted
     quotient is ``G^3 / K Delta_G``, of order 8 on example1 (Proven) and 16
-    on example4 (KernelOnly)."""
+    on example4 (KernelOnly).  A survey adds the datum's canonical document
+    to any violation, which ``isoprod report`` replays."""
 
     BASIS_R2 = {"group": [2, 2, 2], "kernels": [[[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]],
                 "max_branch": 2}
@@ -475,21 +523,54 @@ class TestTheoremChecksCatchErrors:
         assert result.exit_code == 3
         assert "cyclic-kernel hypotheses" in result.output
 
-    def test_survey_checks_proven_factors(self, monkeypatch, tmp_path):
-        # aut0's own bound stops a planted quotient first, so the survey's
-        # check is reached with a planted aut0 result.
-        def planted(datum, report, pieces, classes):
-            return Aut0Result(Aut0Status.PROVEN, InvariantFactors((4,)), (), (0, 0),
-                              pieces.cube, None, None, None)
+    @staticmethod
+    def named_datum(stderr: str, tmp_path) -> tuple[AlgebraicDatum, str]:
+        """The datum that a survey error names, parsed, and written back as
+        a document file."""
+        (line,) = stderr.splitlines()
+        doc = line.split("; datum ", 1)[1]
+        path = tmp_path / "named.json"
+        path.write_text(doc)
+        return docio.loads(doc), str(path)
 
-        monkeypatch.setattr(importlib.import_module("isoprod.search"), "aut0", planted)
-        with pytest.raises(TheoremViolationError, match=r"proven result with factors \[4\]"):
+    def test_survey_names_the_datum(self, monkeypatch, tmp_path):
+        TestOracleCatchesErrors.wrong_quotient(monkeypatch)
+        with pytest.raises(TheoremViolationError, match="; datum {"):
             survey(SearchSpec.from_document(self.BASIS_R2))
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(self.BASIS_R2))
-        result = runner.invoke(main, ["search", str(path)])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.BASIS_R2))
+        result = runner.invoke(main, ["search", str(spec)])
         assert result.exit_code == 3
-        assert "error [theorem-violation]: proven result with factors [4]" in result.output
+        message = result.stderr.split("; datum ")[0]
+        assert message.startswith("error [theorem-violation]: datum satisfies the cyclic")
+        datum, path = self.named_datum(result.stderr, tmp_path)
+        # The named datum reproduces the violation under the same plant,
+        # and is a valid datum with a sound report without it.
+        replay = runner.invoke(main, ["report", path])
+        assert replay.exit_code == 3
+        assert replay.stderr.strip() == message
+        monkeypatch.undo()
+        assert validate_datum(datum).ok
+        assert runner.invoke(main, ["report", path]).exit_code == 0
+
+    def test_survey_raises_on_an_invalid_datum(self, monkeypatch, tmp_path):
+        # Every branch triple counts as free, so a triple whose action is
+        # not free reaches validation: the survey stops there instead of
+        # skipping it.
+        monkeypatch.setattr(importlib.import_module("isoprod.search"), "_free",
+                            lambda branches: True)
+        with pytest.raises(ConsistencyError, match="is not valid; datum {"):
+            survey(SearchSpec.from_document(self.BASIS_R2))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.BASIS_R2))
+        result = runner.invoke(main, ["search", str(spec)])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error [internal-consistency]: survey datum passed")
+        datum, path = self.named_datum(result.stderr, tmp_path)
+        assert not validate_datum(datum).freeness_ok
+        replay = runner.invoke(main, ["validate", path])
+        assert replay.exit_code == 1
+        assert "action is not free" in replay.output
 
 
 class TestExampleCommand:

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from conftest import (abelian_groups, diagonal_subgroup, embed_factor, group_elements,
                       groups_with_subgroup, product_subgroup, random_group, random_subgroup,
                       subgroups)
-from isoprod.errors import ConsistencyError, ParentMismatchError
+from isoprod.errors import ConsistencyError, OverflowLimitError, ParentMismatchError
 from isoprod.groups import (
     AbelianGroup,
     Character,
@@ -695,6 +695,19 @@ class TestProducts:
         joined = product_element(p, [x, y])
         assert joined.exponents == x.exponents + y.exponents
         assert embed_factor(p, [a, b], 0, x) == product_element(p, [x, b.zero])
+
+    def test_size_bound_holds_for_input_groups_only(self):
+        # The product of checked groups is not bounded again: G^3 of a
+        # group of order 2^21 has order 2^63, over the bound of 2^62.
+        g = AbelianGroup([2 ** 7] * 3)
+        cube = direct_product([g] * 3)
+        assert cube.orders == (2 ** 7,) * 9 and cube.order == 2 ** 63
+        assert cube.element([1] * 9).order == 2 ** 7
+        with pytest.raises(OverflowLimitError, match="exceeds the supported scale"):
+            AbelianGroup(cube.orders)
+        with pytest.raises(OverflowLimitError):
+            AbelianGroup([2 ** 31, 2 ** 32])
+        assert AbelianGroup([2 ** 31, 2 ** 31]).order == 2 ** 62
 
     def test_diagonal_and_product_subgroup(self):
         g = AbelianGroup([2, 2, 2])

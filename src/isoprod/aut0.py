@@ -541,6 +541,7 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
             raise TheoremViolationError(
                 f"datum satisfies the cyclic-kernel hypotheses but the quotient is "
                 f"{factors}; expected a 2-elementary group of order <= 4")
+    # The engine's own bound, stricter than the paper's |Aut_0| <= 6 (README).
     if report.ok and status is Aut0Status.KERNEL_ONLY and factors.order > 4:
         raise TheoremViolationError(
             f"free datum with irregularity 3 has kernel quotient of order "

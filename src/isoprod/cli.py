@@ -1,39 +1,28 @@
-"""Command-line front end.
+"""Reports: one machine-readable report object per datum, and its text
+rendering, which is never computed separately.
 
-Every subcommand builds one machine-readable report object; the text
-format is rendered from that object and never computed separately.  Exit
-codes: 0 success, 1 datum validation failure (the report is still
-emitted, with a null Hodge diamond when a generating vector is invalid),
-2 parse/schema error, 3 internal consistency or theorem
-violation, or any other unexpected error.
+``build_report`` loads neither click nor the oracle: the oracle is imported
+when a report first asks for its cross-check, and the command line
+(``isoprod._commands``) when ``main`` is first read from this module, as
+the ``isoprod`` console script does.  Exit codes of the command line: 0
+success, 1 datum validation failure (the report is still emitted, with a
+null Hodge diamond when a generating vector is invalid), 2 parse/schema
+error, 3 internal consistency or theorem violation, or any other
+unexpected error.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from functools import cached_property
-from typing import Iterator, NoReturn, Sequence
-
-import click
+from typing import Iterator, Sequence
 
 from . import docio
 from .aut0 import _kernel_pieces, _solved, _walked_admissible
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
-from .errors import (
-    ConsistencyError,
-    IsoprodError,
-    OracleScaleError,
-    SchemaError,
-    TheoremViolationError,
-    UnsupportedDatumError,
-)
-from .examples import EXAMPLE_NAMES, build_example
+from .errors import ConsistencyError, OracleScaleError, UnsupportedDatumError
 from .groups import Character, Subgroup
 from .hodge import _class_lattice, _ClassLattice, eigendim_table, hodge_diamond
-from .oracle import brute_hodge, brute_kernel, brute_quotient, enumerate_subgroup
-from .search import SearchSpec, survey
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -148,6 +137,8 @@ def _kernels_section(a: _Analysis) -> dict:
 
 
 def _oracle_section(a: _Analysis) -> dict:
+    from .oracle import brute_hodge, brute_kernel, brute_quotient, enumerate_subgroup
+
     agreement = {}
     try:
         fast = a.diamond
@@ -262,160 +253,15 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(report, indent=2))
-    else:
-        click.echo(render_text(report), nl=False)
-
-
-def _exit_code(report: dict) -> int:
-    if "validation" in report and not report["validation"]["ok"]:
-        return EXIT_INVALID
-    return EXIT_OK
-
-
-def _run(datum_source, sections: tuple[str, ...], fmt: str, oracle: bool,
-         header: str | None = None) -> None:
-    try:
-        datum = datum_source()
-        report = build_report(datum, sections, oracle=oracle, header=header)
-    except Exception as exc:
-        _fail(exc)
-    _emit(report, fmt)
-    sys.exit(_exit_code(report))
-
-
-def _fail(exc: Exception) -> NoReturn:
-    """Report an error on one line, without a traceback, and exit with its
-    code: consistency and theorem violations are internal, the other typed
-    errors and undecodable JSON are schema errors, and any failure outside
-    the typed errors is a bug, reported as internal."""
-    if isinstance(exc, json.JSONDecodeError):
-        click.echo(f"error [{SchemaError.code}]: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    if isinstance(exc, IsoprodError):
-        click.echo(f"error [{exc.code}]: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL if isinstance(exc, (ConsistencyError, TheoremViolationError))
-                 else EXIT_SCHEMA)
-    click.echo(f"error [internal]: {type(exc).__name__}: {exc}", err=True)
-    sys.exit(EXIT_INTERNAL)
-
-
-format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                             default="text", show_default=True)
-oracle_option = click.option("--oracle", is_flag=True,
-                             help="Cross-check against the brute-force oracles.")
-
-
-@click.group()
-def main() -> None:
-    """Exact invariants and numerically trivial automorphisms of 3-folds
-    isogenous to a product of curves (abelian, unmixed type)."""
-
-
-def _file_source(path: str):
-    def source() -> AlgebraicDatum:
-        with open(path, "r", encoding="utf-8") as fh:
-            return docio.loads(fh.read())
-    return source
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-def validate(file: str, fmt: str) -> None:
-    """Check a datum document and report violations."""
-    _run(_file_source(file), (), fmt, oracle=False)
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-@oracle_option
-def report(file: str, fmt: str, oracle: bool) -> None:
-    """Full report: validation, invariants, Hodge diamond, Aut_0."""
-    _run(_file_source(file), ("invariants", "hodge", "aut0"), fmt, oracle)
-
-
-@main.command(name="aut0")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-@oracle_option
-def aut0_command(file: str, fmt: str, oracle: bool) -> None:
-    """Numerically trivial automorphisms of the datum's 3-fold."""
-    _run(_file_source(file), ("aut0",), fmt, oracle)
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-def kernels(file: str, fmt: str) -> None:
-    """Orders of the cohomology representation kernels."""
-    _run(_file_source(file), ("kernels",), fmt, oracle=False)
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-@oracle_option
-def hodge(file: str, fmt: str, oracle: bool) -> None:
-    """Hodge diamond and numerical invariants."""
-    _run(_file_source(file), ("invariants", "hodge"), fmt, oracle)
-
-
-def _parse_params(texts: Sequence[str]) -> dict[str, int]:
-    """The parameters of every ``--param`` option, merged; no name twice."""
-    params = {}
-    for part in (part for text in texts if text for part in text.split(",")):
-        if "=" not in part:
-            raise SchemaError(f"malformed parameter {part!r}; expected name=value")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in {"n", "n1", "n2", "n3"}:
-            raise SchemaError(f"unknown parameter {key!r}")
-        if key in params:
-            raise SchemaError(f"parameter {key} is given twice")
-        try:
-            params[key] = int(value)
-        except ValueError as exc:
-            raise SchemaError(f"parameter {key} needs an integer, got {value!r}") from exc
-    return params
-
-
-@main.command()
-@click.argument("name", type=click.Choice(EXAMPLE_NAMES))
-@click.option("--param", "params", multiple=True,
-              help="Family parameters, e.g. n1=2,n2=1,n3=1 or n=2; repeatable.")
-@format_option
-@oracle_option
-def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
-    """Run the full report on a built-in example family."""
-    header = ("corrected fixture: the third handle pair is (e2, e4); the "
-              "originally printed datum does not generate G/K3"
-              if name == "example4" else None)
-
-    def source() -> AlgebraicDatum:
-        return build_example(name, _parse_params(params))
-
-    _run(source, ("invariants", "hodge", "aut0"), fmt, oracle, header=header)
-
-
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True, dir_okay=False))
-@format_option
-def search(specfile: str, fmt: str) -> None:
-    """Survey the automorphism groups over a bounded search space."""
-    try:
-        with open(specfile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        spec = SearchSpec.from_document(doc)
-        result = survey(spec)
-    except Exception as exc:
-        _fail(exc)
-    _emit({"survey": result.as_document()}, fmt)
-    sys.exit(EXIT_OK)
+def __getattr__(name: str):
+    # ``main``, the click group, is built on first read, so that a report
+    # alone never imports click.
+    if name == "main":
+        from ._commands import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
+    from ._commands import main
     main()

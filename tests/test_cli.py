@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -699,7 +701,7 @@ class TestRobustness:
         def broken(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr("isoprod.cli.build_report", broken)
+        monkeypatch.setattr("isoprod._commands.build_report", broken)
         result = runner.invoke(main, ["report", example1_file])
         assert result.exit_code == 3
         assert "error [internal]: RuntimeError: injected failure" in result.output
@@ -710,10 +712,43 @@ class TestRobustness:
         def broken(spec):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr("isoprod.cli.survey", broken)
+        monkeypatch.setattr("isoprod._commands.survey", broken)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(TestSearchCommand.SPEC))
         result = runner.invoke(main, ["search", str(path)])
         assert result.exit_code == 3
         assert "error [internal]: RuntimeError: injected failure" in result.output
         assert isinstance(result.exception, SystemExit)
+
+
+class TestFootprint:
+    """A report loads neither click nor the oracle; ``--oracle`` loads the
+    oracle only; reading ``main`` still gives the click group.  Run in a
+    fresh interpreter, since this one has loaded both."""
+
+    SCRIPT = """
+import json, sys
+from isoprod.cli import build_report
+from isoprod.examples import example1
+sections = ("invariants", "hodge", "aut0", "kernels")
+loaded = lambda: {name: name in sys.modules for name in ("click", "isoprod.oracle")}
+steps = {}
+build_report(example1(), sections)
+steps["report"] = loaded()
+build_report(example1(), sections, oracle=True)
+steps["oracle"] = loaded()
+from isoprod.cli import main
+steps["main"] = type(main).__module__ + "." + type(main).__name__
+print(json.dumps(steps))
+"""
+
+    def test_report_loads_neither_click_nor_the_oracle(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+        assert json.loads(out) == {
+            "report": {"click": False, "isoprod.oracle": False},
+            "oracle": {"click": False, "isoprod.oracle": True},
+            "main": "click.core.Group",
+        }

@@ -94,6 +94,31 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported
 
 
+def _module_level_imports(path: Path) -> set[str]:
+    """The modules a file imports at its top level, as written: ``.oracle``
+    for ``from .oracle import x`` and for ``from . import oracle``."""
+    imported = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add("." * node.level + node.module)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update("." * node.level + a.name for a in node.names)
+    return imported
+
+
+def test_only_the_command_line_imports_click_or_the_oracle_eagerly():
+    # A report (``isoprod.cli.build_report``) loads neither click nor the
+    # oracle: click belongs to the command module, and the report imports
+    # the oracle when its cross-check is first asked for.
+    clicking = {path.name for path in MODULES
+                if any(m.split(".")[0] == "click" for m in _module_level_imports(path))}
+    assert clicking == {"_commands.py"}
+    cli = next(path for path in MODULES if path.name == "cli.py")
+    assert not {".oracle", "isoprod.oracle"} & _module_level_imports(cli)
+
+
 Z2xZ4 = AbelianGroup((2, 4))
 E1 = example1()
 Q = quotient_structure(Z2xZ4, Z2xZ4.trivial_subgroup())

@@ -37,9 +37,9 @@ def _run(datum_source, sections: tuple[str, ...], fmt: str, oracle: bool,
     try:
         datum = datum_source()
         report = build_report(datum, sections, oracle=oracle, header=header)
+        _emit(report, fmt)
     except Exception as exc:
         _fail(exc)
-    _emit(report, fmt)
     sys.exit(_exit_code(report))
 
 
@@ -167,8 +167,7 @@ def search(specfile: str, fmt: str) -> None:
         with open(specfile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         spec = SearchSpec.from_document(doc)
-        result = survey(spec)
+        _emit({"survey": survey(spec).as_document()}, fmt)
     except Exception as exc:
         _fail(exc)
-    _emit({"survey": result.as_document()}, fmt)
     sys.exit(EXIT_OK)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .covering import GeneratingVector, ValidationOutcome, _stabilizer_tuples, genus
-from .errors import ConsistencyError, StructuralError
+from .errors import ConsistencyError, SchemaError
 from .groups import (
     AbelianGroup,
     GroupElement,
@@ -67,21 +67,21 @@ class AlgebraicDatum(_Frozen):
               kernel_generators: Sequence[Sequence[GroupElement]],
               vector_specs: Sequence[VectorSpec]) -> "AlgebraicDatum":
         if len(kernel_generators) != 3:
-            raise StructuralError(f"expected 3 kernels, got {len(kernel_generators)}")
+            raise SchemaError(f"expected 3 kernels, got {len(kernel_generators)}")
         if len(vector_specs) != 3:
-            raise StructuralError(f"expected 3 generating vectors, got {len(vector_specs)}")
+            raise SchemaError(f"expected 3 generating vectors, got {len(vector_specs)}")
         kernels = []
         for i, gens in enumerate(kernel_generators):
             for g in gens:
                 if g.group != group:
-                    raise StructuralError(f"kernel {i + 1} generator outside the ambient group")
+                    raise SchemaError(f"kernel {i + 1} generator outside the ambient group")
             kernels.append(group.subgroup(gens))
         quotients = tuple(quotient_structure(group, k) for k in kernels)
         vectors = []
         for i, spec in enumerate(vector_specs):
             for g in spec.branch + spec.eta:
                 if g.group != group:
-                    raise StructuralError(f"vector {i + 1} entry outside the ambient group")
+                    raise SchemaError(f"vector {i + 1} entry outside the ambient group")
             q = quotients[i]
             vectors.append(GeneratingVector(
                 q.group, spec.g_prime,

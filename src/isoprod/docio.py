@@ -9,6 +9,9 @@ ambient group (branch and handle entries included — they are reduced to
 the quotients internally).  Serialization is canonical: fixed key order,
 integers only, two-space indent, trailing newline; parse/serialize
 round-trips bit-exactly.
+
+A search spec (``search.SearchSpec``) is read through the same shape
+checks, so every malformed document of either kind raises ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .datum import AlgebraicDatum, VectorSpec
 from .errors import SchemaError
 from .groups import AbelianGroup, GroupElement
 
+_DATUM_KEYS = ("group", "kernels", "vectors")
 _VECTOR_KEYS = {"g_prime", "branch", "eta"}
 
 
@@ -29,39 +33,61 @@ def _exponents(value: object, rank: int, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def parse_datum_document(doc: object) -> AlgebraicDatum:
-    """Validate a parsed JSON object against the schema and build the datum."""
+def _object(doc: object, keys: tuple[str, ...], required: tuple[str, ...]) -> dict:
+    """The root object of a document, with no key outside ``keys`` and
+    every key of ``required``."""
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
-    extra = set(doc) - {"group", "kernels", "vectors"}
+    extra = set(doc) - set(keys)
     if extra:
         raise SchemaError(f"unknown keys {sorted(extra)}")
-    for key in ("group", "kernels", "vectors"):
+    for key in required:
         if key not in doc:
             raise SchemaError(f"missing key {key!r}")
+    return doc
 
-    orders = doc["group"]
-    if (not isinstance(orders, list) or not orders
-            or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                       for n in orders)):
+
+def _integer(value: object, name: str, minimum: int) -> int:
+    """A JSON integer (not a boolean) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise SchemaError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _group_orders(value: object) -> tuple[int, ...]:
+    """The ``"group"`` orders: a nonempty list, every order at least 2."""
+    if not isinstance(value, list) or not value:
         raise SchemaError('"group" must be a nonempty list of positive integers')
+    orders = tuple(_integer(n, "group order", 1) for n in value)
     if 1 in orders:
         raise SchemaError(f'"group" entry {orders.index(1) + 1} has order 1; '
                           'leave out trivial factors')
+    return orders
+
+
+def _kernel_triple(value: object, rank: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Three kernels, each a list of generators given as exponent lists."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 3
+            or not all(isinstance(gens, (list, tuple)) for gens in value)):
+        raise SchemaError("a kernel triple must list generators for exactly 3 kernels")
+    return tuple(tuple(_exponents(g, rank, f"kernel {i + 1}") for g in gens)
+                 for i, gens in enumerate(value))
+
+
+def parse_datum_document(doc: object) -> AlgebraicDatum:
+    """Validate a parsed JSON object against the schema and build the datum."""
+    doc = _object(doc, _DATUM_KEYS, _DATUM_KEYS)
+    orders = _group_orders(doc["group"])
     group = AbelianGroup(orders)
     rank = len(orders)
 
     def element(value: object, where: str) -> GroupElement:
         return group.element(_exponents(value, rank, where))
 
-    kernels = doc["kernels"]
-    if not isinstance(kernels, list) or len(kernels) != 3:
-        raise SchemaError('"kernels" must list generators for exactly 3 kernels')
-    kernel_gens = []
-    for i, gens in enumerate(kernels):
-        if not isinstance(gens, list):
-            raise SchemaError(f"kernel {i + 1}: expected a list of generators")
-        kernel_gens.append([element(g, f"kernel {i + 1}") for g in gens])
+    kernel_gens = [[group.element(g) for g in gens]
+                   for gens in _kernel_triple(doc["kernels"], rank)]
 
     vectors = doc["vectors"]
     if not isinstance(vectors, list) or len(vectors) != 3:
@@ -71,9 +97,7 @@ def parse_datum_document(doc: object) -> AlgebraicDatum:
         where = f"vector {i + 1}"
         if not isinstance(v, dict) or set(v) != _VECTOR_KEYS:
             raise SchemaError(f"{where}: expected keys g_prime, branch, eta")
-        g_prime = v["g_prime"]
-        if not isinstance(g_prime, int) or isinstance(g_prime, bool) or g_prime < 0:
-            raise SchemaError(f"{where}: g_prime must be a nonnegative integer")
+        g_prime = _integer(v["g_prime"], f"{where} g_prime", 0)
         if not isinstance(v["branch"], list) or not isinstance(v["eta"], list):
             raise SchemaError(f"{where}: branch and eta must be lists")
         specs.append(VectorSpec(

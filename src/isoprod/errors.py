@@ -26,15 +26,14 @@ class OverflowLimitError(IsoprodError):
 
 
 class SchemaError(IsoprodError):
-    """A datum or search document does not match the JSON schema."""
+    """Malformed input: a datum document or search spec off its schema, or a
+    datum or example built with wrong widths, counts or parameters."""
 
     code = "document-schema"
 
 
-class StructuralError(IsoprodError):
-    """Malformed input data (wrong widths, bad schema, missing fields)."""
-
-    code = "structural"
+# The older name of the same class.
+StructuralError = SchemaError
 
 
 class ConsistencyError(IsoprodError):
@@ -63,6 +62,6 @@ class OracleScaleError(IsoprodError):
 
 
 class SearchCapError(IsoprodError):
-    """An enumeration request exceeds the configured search-space cap."""
+    """An enumeration request exceeds the search-space cap or Python's digit limit."""
 
     code = "search-cap"

@@ -10,7 +10,7 @@ fixed datum over ``Z_2^4`` with a non-cyclic kernel.
 from __future__ import annotations
 
 from .datum import AlgebraicDatum, VectorSpec
-from .errors import StructuralError
+from .errors import SchemaError
 from .groups import AbelianGroup, GroupElement
 
 
@@ -39,7 +39,7 @@ def _order_mod(g: GroupElement, i: int) -> int:
 def _family_group(n1: int, n2: int, n3: int) -> AbelianGroup:
     for n in (n1, n2, n3):
         if n < 1:
-            raise StructuralError("family parameters must be positive integers")
+            raise SchemaError("family parameters must be positive integers")
     return AbelianGroup([2 * n1, 2 * n2, 2 * n3])
 
 
@@ -60,7 +60,7 @@ def example2a(n1: int = 1, n2: int = 1, n3: int = 1) -> AlgebraicDatum:
 def example2b(n1: int = 2, n2: int = 1, n3: int = 1) -> AlgebraicDatum:
     """sigma = (e3^n3, e1^2, e2^n2); needs n1 >= 2 so that e1^2 is not in K2."""
     if n1 < 2:
-        raise StructuralError(
+        raise SchemaError(
             "example2b requires n1 >= 2: for n1 = 1 the branch element e1^2 "
             "becomes trivial in G/K2")
     g = _family_group(n1, n2, n3)
@@ -104,7 +104,7 @@ EXAMPLE_NAMES = tuple(_BUILDERS)
 def build_example(name: str, params: dict[str, int] | None = None) -> AlgebraicDatum:
     """Instantiate a built-in example from its name and CLI parameters."""
     if name not in _BUILDERS:
-        raise StructuralError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
+        raise SchemaError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
     params = dict(params or {})
     if "n" in params:
         n = params.pop("n")
@@ -114,8 +114,8 @@ def build_example(name: str, params: dict[str, int] | None = None) -> AlgebraicD
     if name == "example3":
         values = set(kwargs.values())
         if len(values) > 1:
-            raise StructuralError("example3 takes a single parameter n")
+            raise SchemaError("example3 takes a single parameter n")
         kwargs = {"n": values.pop()} if values else {}
     elif name == "example4" and params:
-        raise StructuralError("example4 takes no parameters")
+        raise SchemaError("example4 takes no parameters")
     return _BUILDERS[name](**kwargs)

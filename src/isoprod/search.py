@@ -61,14 +61,16 @@ with ``; datum`` and its canonical document on one line, which
 Before any other work, the kernel triples are formed once and
 ``_candidates`` refuses a space whose estimated branch triples
 (``estimate_space``) exceed the cap; ``enumerate_data`` first refuses too
-many handle tuples on the same triples.
+many handle tuples on the same triples.  The ``"cyclic"`` policy refuses a
+group of more elements than the cap before it lists them.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from math import comb, prod
+import sys
+from math import comb, log10, prod
 from typing import Iterator, Sequence
 
 from .aut0 import Aut0Result, _kernel_pieces, _pre_admissible_set, _verify_generators, aut0
@@ -81,8 +83,8 @@ from .datum import (
     _kernel_checks,
     validate_datum,
 )
-from .docio import datum_document
-from .errors import ConsistencyError, SearchCapError, StructuralError, TheoremViolationError
+from .docio import _group_orders, _integer, _kernel_triple, _object, datum_document
+from .errors import ConsistencyError, SchemaError, SearchCapError, TheoremViolationError
 from .hodge import _class_lattice, _ClassLattice
 from .groups import (
     AbelianGroup,
@@ -97,7 +99,7 @@ from .groups import (
 )
 
 DEFAULT_CAP = 2_000_000
-_SPEC_KEYS = {"group", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap"}
+_SPEC_KEYS = ("group", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap")
 
 
 class SearchSpec(_Frozen):
@@ -122,67 +124,25 @@ class SearchSpec(_Frozen):
 
     @staticmethod
     def from_document(doc: dict) -> "SearchSpec":
-        if not isinstance(doc, dict) or "group" not in doc:
-            raise StructuralError('search spec must be an object with a "group" key')
-        extra = set(doc) - _SPEC_KEYS
-        if extra:
-            raise StructuralError(f"unknown keys {sorted(extra)}")
-        orders = doc["group"]
-        if not isinstance(orders, list) or not orders:
-            raise StructuralError('"group" must be a nonempty list of positive integers')
-        orders = tuple(_integer(n, "group order", 1) for n in orders)
-        if 1 in orders:
-            raise StructuralError(f'"group" entry {orders.index(1) + 1} has order 1; '
-                                  'leave out trivial factors')
+        doc = _object(doc, _SPEC_KEYS, ("group",))
+        orders = _group_orders(doc["group"])
+        kernels = doc.get("kernels", "cyclic")
+        if kernels != "cyclic":
+            if not isinstance(kernels, (list, tuple)):
+                raise SchemaError('kernels must be "cyclic" or a list of kernel triples')
+            kernels = tuple(_kernel_triple(triple, len(orders)) for triple in kernels)
         g_primes = doc.get("g_primes", [1, 1, 1])
         if not isinstance(g_primes, list) or len(g_primes) != 3:
-            raise StructuralError("g_primes must list three base genera")
+            raise SchemaError("g_primes must list three base genera")
         bound = doc.get("branch_order_bound")
         return SearchSpec(
             group_orders=orders,
-            kernels=_parse_kernel_policy(doc.get("kernels", "cyclic"), len(orders)),
+            kernels=kernels,
             g_primes=tuple(_integer(g, "g_prime", 0) for g in g_primes),
             max_branch=_integer(doc.get("max_branch", 4), "max_branch", 0),
             branch_order_bound=(None if bound is None
                                 else _integer(bound, "branch_order_bound", 1)),
             cap=_integer(doc.get("cap", DEFAULT_CAP), "cap", 0))
-
-
-def _integer(value: object, name: str, minimum: int) -> int:
-    """A JSON integer (not a boolean) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise StructuralError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise StructuralError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
-def _parse_kernel_policy(value: object, rank: int) -> object:
-    """``"cyclic"`` or a list of kernel triples, each kernel a list of
-    generator exponent lists of the ambient rank."""
-    if value == "cyclic":
-        return "cyclic"
-    if not isinstance(value, (list, tuple)):
-        raise StructuralError('kernels must be "cyclic" or a list of kernel triples')
-    triples = []
-    for triple in value:
-        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-            raise StructuralError(f"kernel triple must list 3 kernels, got {triple!r}")
-        parsed = []
-        for gens in triple:
-            if not isinstance(gens, (list, tuple)):
-                raise StructuralError(f"kernel generators must be a list, got {gens!r}")
-            kernel = []
-            for gen in gens:
-                if (not isinstance(gen, (list, tuple)) or len(gen) != rank
-                        or not all(isinstance(x, int) and not isinstance(x, bool)
-                                   for x in gen)):
-                    raise StructuralError(
-                        f"generator must be a list of {rank} integers, got {gen!r}")
-                kernel.append(tuple(gen))
-            parsed.append(tuple(kernel))
-        triples.append(tuple(parsed))
-    return tuple(triples)
 
 
 def _cyclic_subgroups(group: AbelianGroup) -> list[Subgroup]:
@@ -196,6 +156,9 @@ def _cyclic_subgroups(group: AbelianGroup) -> list[Subgroup]:
 def _kernel_triples(spec: SearchSpec, group: AbelianGroup) -> list[tuple[Subgroup, ...]]:
     """The minimal kernel triples of the space (``datum._kernel_checks``)."""
     if spec.kernels == "cyclic":
+        if group.order > spec.cap:
+            raise SearchCapError(f"listing the cyclic subgroups of a group of order "
+                                 f"{group.order} exceeds the cap of {spec.cap}")
         cyclic = _cyclic_subgroups(group)
         triples = itertools.product(cyclic, repeat=3)
     else:
@@ -208,23 +171,20 @@ def _kernel_triples(spec: SearchSpec, group: AbelianGroup) -> list[tuple[Subgrou
 
 def _branch_multisets(quotient: AbelianGroup, max_r: int,
                       order_bound: int | None) -> list[tuple[GroupElement, ...]]:
-    """Nondecreasing tuples of nontrivial elements with trivial product."""
+    """Nondecreasing tuples of nontrivial elements with trivial product, in
+    lexicographic order, walked with an explicit stack instead of recursion."""
     pool = [g for g in quotient.elements() if not g.is_zero]  # lexicographic
     if order_bound is not None:
         pool = [g for g in pool if g.order <= order_bound]
     out = []
-
-    def extend(start: int, chosen: list[GroupElement], total: GroupElement) -> None:
+    stack = [((), quotient.zero, 0)]
+    while stack:
+        chosen, total, start = stack.pop()
         if len(chosen) >= 2 and total.is_zero:
-            out.append(tuple(chosen))
-        if len(chosen) == max_r:
-            return
-        for idx in range(start, len(pool)):
-            chosen.append(pool[idx])
-            extend(idx, chosen, total + pool[idx])
-            chosen.pop()
-
-    extend(0, [], quotient.zero)
+            out.append(chosen)
+        if len(chosen) < max_r:
+            stack.extend((chosen + (pool[i],), total + pool[i], i)
+                         for i in reversed(range(start, len(pool))))
     return out
 
 
@@ -254,16 +214,17 @@ def estimate_space(spec: SearchSpec) -> int:
     before any validation work.  The survey counts handle tuples without
     listing them, so they do not enter this estimate."""
     group = AbelianGroup(spec.group_orders)
-    return _estimate(spec, group, _kernel_triples(spec, group))
+    return sum(_triple_bounds(spec, group, _kernel_triples(spec, group)))
 
 
-def _estimate(spec: SearchSpec, group: AbelianGroup,
-              triples: Sequence[tuple[Subgroup, ...]]) -> int:
-    """``estimate_space`` over the given kernel triples, with one
-    ``_multiset_bound`` per kernel order."""
+def _triple_bounds(spec: SearchSpec, group: AbelianGroup,
+                   triples: Sequence[tuple[Subgroup, ...]]) -> list[int]:
+    """Per kernel triple, the product of its factors' ``_multiset_bound``,
+    with one bound per kernel order; 0 exactly when a factor has no branch
+    multiset (a trivial quotient, or ``max_branch`` below 2)."""
     bound = {d: _multiset_bound(group.order // d, spec.max_branch)
              for d in {kernel.order for kernels in triples for kernel in kernels}}
-    return sum(prod(bound[kernel.order] for kernel in kernels) for kernels in triples)
+    return [prod(bound[kernel.order] for kernel in kernels) for kernels in triples]
 
 
 def _multiset_bound(q_order: int, max_branch: int) -> int:
@@ -413,16 +374,31 @@ def _candidates(spec: SearchSpec, group: AbelianGroup,
     triple.  A caller that has formed the kernel ``triples`` passes them.
 
     Raises ``SearchCapError`` before any work when the estimated space
-    exceeds the cap.
+    exceeds the cap, or when the count could have more digits than Python
+    prints.  A kernel triple with no branch triple is skipped unlisted.
     """
     if triples is None:
         triples = _kernel_triples(spec, group)
-    estimate = _estimate(spec, group, triples)
+    sizes = _triple_bounds(spec, group, triples)
+    estimate = sum(sizes)
     if estimate > spec.cap:
         raise SearchCapError(
             f"estimated candidate space of {estimate} exceeds the cap of {spec.cap}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and estimate:
+        # A branch triple has at most prod |Q_i|^(2 g'_i) handle tuples; a
+        # g' of 2 * limit alone puts that over 10^limit.
+        digits = log10(estimate) + max(
+            sum(2 * min(g, 2 * limit) * log10(group.order // kernel.order)
+                for kernel, g in zip(kernels, spec.g_primes))
+            for kernels, size in zip(triples, sizes) if size)
+        if digits >= limit:
+            raise SearchCapError(f"the survey count could have more than {limit} "
+                                 "digits, Python's limit for an integer")
     handles: dict = {}
-    for kernels in triples:
+    for kernels, size in zip(triples, sizes):
+        if not size:
+            continue
         spaces = _factor_spaces(spec, kernels, group)
         triple = _KernelTriple(group, kernels, tuple(s.quotient_structure for s in spaces))
         factors = []

@@ -694,7 +694,47 @@ class TestRobustness:
         path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["search", str(path)])
         assert result.exit_code == 2
-        assert "error [structural]" in result.output
+        assert "error [document-schema]" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("doc, code, output", [
+        # A kernel triple whose first quotient is trivial has no branch
+        # triple, so its other two factors are never listed.
+        ({"group": [64], "kernels": [[[[1]], [], []]], "max_branch": 5}, 0,
+         "survey: 0 data\n"),
+        # The "cyclic" policy would form one subgroup per element of G.
+        ({"group": [4611686018427387904], "kernels": "cyclic", "max_branch": 2}, 2,
+         "error [search-cap]: listing the cyclic subgroups"),
+        # Counts of more than 4,300 digits, which Python does not print;
+        # the second space would also run for minutes.
+        ({"group": [2, 2], "kernels": "cyclic", "max_branch": 2,
+          "g_primes": [4000, 1, 1]}, 2, "error [search-cap]: the survey count"),
+        ({"group": [2, 2], "kernels": "cyclic", "max_branch": 2,
+          "g_primes": [100000000, 1, 1]}, 2, "error [search-cap]: the survey count"),
+    ])
+    def test_oversized_search_spec_ends_at_once(self, tmp_path, doc, code, output):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        start = time.monotonic()
+        result = runner.invoke(main, ["search", str(path)])
+        assert time.monotonic() - start < 5
+        assert result.exit_code == code
+        assert result.output.startswith(output)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["report", "search"])
+    def test_error_while_printing_exits_three(self, tmp_path, example1_file, monkeypatch,
+                                              command):
+        def broken(report):
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+        monkeypatch.setattr("isoprod._commands.render_text", broken)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(TestSearchCommand.SPEC))
+        source = example1_file if command == "report" else str(path)
+        result = runner.invoke(main, [command, source])
+        assert result.exit_code == 3
+        assert result.output.startswith("error [internal]: ValueError: Exceeds the limit")
         assert isinstance(result.exception, SystemExit)
 
     def test_unexpected_report_error_exits_three(self, example1_file, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from isoprod.docio import datum_document, dumps, loads, parse_datum_document
 from isoprod.errors import SchemaError
 from isoprod.examples import example1, example2b, example3, example4
+from isoprod.search import SearchSpec
 
 
 def doc_of(datum):
@@ -82,6 +83,16 @@ class TestSchemaErrors:
             exps[:] = [e + [0] for e in exps]
         with pytest.raises(SchemaError, match='"group" entry 4 has order 1'):
             parse_datum_document(doc)
+
+    @pytest.mark.parametrize("group", [[], [0], [True, 2], [1, 2]])
+    def test_search_spec_shares_the_group_check(self, group):
+        doc = json.loads(json.dumps(self.base()))
+        doc["group"] = group
+        with pytest.raises(SchemaError) as datum_error:
+            parse_datum_document(doc)
+        with pytest.raises(SchemaError) as spec_error:
+            SearchSpec.from_document({"group": group})
+        assert str(spec_error.value) == str(datum_error.value)
 
     def test_root_must_be_object(self):
         with pytest.raises(SchemaError):

@@ -23,6 +23,7 @@ from isoprod.oracle import enumerate_subgroup
 from test_acceptance import Budget
 from isoprod.search import (
     SearchSpec,
+    _branch_multisets,
     _candidates,
     _completions,
     _handle_count,
@@ -89,6 +90,27 @@ class TestSpecParsing:
     def test_malformed_documents(self, doc):
         with pytest.raises(StructuralError):
             SearchSpec.from_document(doc)
+
+
+class TestBranchMultisets:
+    @pytest.mark.parametrize("orders, max_r, bound", [
+        ((2, 2), 4, None), ((2, 2, 2), 4, None), ((4, 2), 4, None), ((3, 3), 4, None),
+        ((6,), 5, None), ((2, 4), 5, 2), ((8,), 5, None),
+    ])
+    def test_sorted_index_tuples_with_trivial_sum(self, orders, max_r, bound):
+        quotient = AbelianGroup(orders)
+        pool = [g for g in quotient.elements()
+                if not g.is_zero and (bound is None or g.order <= bound)]
+        expected = sorted(
+            t for r in range(2, max_r + 1)
+            for t in itertools.combinations_with_replacement(range(len(pool)), r)
+            if sum((pool[i] for i in t), quotient.zero).is_zero)
+        assert _branch_multisets(quotient, max_r, bound) == \
+            [tuple(pool[i] for i in t) for t in expected]
+
+    def test_many_branch_points_need_no_recursion(self):
+        out = _branch_multisets(AbelianGroup([2]), 1500, None)
+        assert [len(t) for t in out] == list(range(2, 1501, 2))
 
 
 class TestEstimate:

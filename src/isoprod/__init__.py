@@ -66,7 +66,6 @@ from .hodge import (
     hodge_diamond,
     isotypic_decomposition,
 )
-from .search import SearchSpec, SurveyResult, enumerate_data, estimate_space, survey
 
 __version__ = "0.1.0"
 
@@ -98,3 +97,14 @@ __all__ = [
     # search
     "SearchSpec", "SurveyResult", "enumerate_data", "estimate_space", "survey",
 ]
+
+_SEARCH_NAMES = ("SearchSpec", "SurveyResult", "enumerate_data", "estimate_space", "survey")
+
+
+def __getattr__(name: str):
+    # The survey names load ``isoprod.search`` on first read, so that a
+    # report process never imports it; they are not stored here.
+    if name in _SEARCH_NAMES:
+        from . import search
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,11 +46,8 @@ def _run(datum_source, sections: tuple[str, ...], fmt: str, oracle: bool,
 def _fail(exc: Exception) -> NoReturn:
     """Report an error on one line, without a traceback, and exit with its
     code: consistency and theorem violations are internal, the other typed
-    errors and undecodable JSON are schema errors, and any failure outside
-    the typed errors is a bug, reported as internal."""
-    if isinstance(exc, json.JSONDecodeError):
-        click.echo(f"error [{SchemaError.code}]: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
+    errors are schema errors, and any failure outside the typed errors is a
+    bug, reported as internal."""
     if isinstance(exc, IsoprodError):
         click.echo(f"error [{exc.code}]: {exc}", err=True)
         sys.exit(EXIT_INTERNAL if isinstance(exc, (ConsistencyError, TheoremViolationError))
@@ -165,8 +162,7 @@ def search(specfile: str, fmt: str) -> None:
     """Survey the automorphism groups over a bounded search space."""
     try:
         with open(specfile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        spec = SearchSpec.from_document(doc)
+            spec = SearchSpec.from_document(docio.parse_json(fh.read()))
         _emit({"survey": survey(spec).as_document()}, fmt)
     except Exception as exc:
         _fail(exc)

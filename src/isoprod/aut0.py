@@ -13,10 +13,10 @@ Every admissible character lies in the sum-zero plane
 characters is their two counts and their span at width ``2r``, the
 canonical Hermite basis of those rows (``_admissible_span``).  The kernel
 (``_span_kernel``) is the Hermite dual of the span in ``G^2``, placed in
-the first two slots, plus ``Delta_G``.  Each generator coset is written
-with trivial third component and reduced once, top-down, against the
-Hermite basis of the remaining adjustment subgroup; the result is the
-lexicographically least such representative.
+the first two slots, plus ``Delta_G``.  Each generator coset is reduced
+once, top-down, against the Hermite basis of ``K Delta_G`` read in slot
+order (3, 1, 2): ``Delta_G`` zeroes the third component, and the result is
+the lexicographically least representative with trivial third component.
 
 ``aut0``'s one input is each factor's Chevalley-Weil classes
 (``hodge._ClassLattice``).  Within one kernel triple ``A_i`` fixes the
@@ -65,6 +65,7 @@ from .groups import (
     PackedCharacters,
     QuotientStructure,
     Subgroup,
+    _coset_key,
     _diagonal,
     _Frozen,
     _hermite_dual,
@@ -389,10 +390,11 @@ class _Solved(_Frozen):
 
 
 class _KernelPieces:
-    """What ``aut0`` reads of the kernel triple alone: the cube ``G^3``,
-    ``K Delta_G``, and the adjustment subgroup of the canonical
-    representatives; and the one place where a span's lattice is formed.
-    It is a cache of one kernel triple's work, not a value.
+    """What ``aut0`` reads of the kernel triple alone: ``K Delta_G``, its
+    ambient cube ``G^3``, and its Hermite basis in slot order (3, 1, 2) for
+    the canonical representatives; and the one place where a span's
+    lattice is formed.  It is a cache of one kernel triple's work, not a
+    value.
 
     ``memo`` holds the rest of ``aut0``'s work, which within one kernel
     triple depends only on the ``A_i``: it maps the tuple of the three
@@ -403,8 +405,11 @@ class _KernelPieces:
     listings of memo misses: ``Ann(K_i)`` differs between the factors.
     """
 
-    def __init__(self, cube: AbelianGroup, k_delta: Subgroup, adjustment: Subgroup):
-        self.cube, self.k_delta, self.adjustment = cube, k_delta, adjustment
+    def __init__(self, k_delta: Subgroup):
+        self.cube, self.k_delta = k_delta.ambient, k_delta
+        r = self.cube.rank // 3
+        self._rotated = row_hermite([row[2 * r:] + row[: 2 * r] for row in k_delta.basis],
+                                    3 * r)
         self.memo: dict[tuple, _Solved] = {}
         self._kernels: dict[tuple, Subgroup] = {}
         self._lattices: dict[tuple, tuple[QuotientStructure, tuple[GroupElement, ...]]] = {}
@@ -442,12 +447,13 @@ class _KernelPieces:
         return lattice
 
     def canonical(self, rep: GroupElement) -> GroupElement:
-        """Normalize the third component to the identity, then pick the
-        lexicographically least representative of the coset."""
+        """The least member of ``rep + K Delta_G`` read in slot order
+        (3, 1, 2): ``Delta_G`` gives every third component, so its pivots
+        are 1 and the third component is the identity."""
         r = self.cube.rank // 3
         e = rep.exponents
-        moved = tuple(x - e[2 * r + j % r] for j, x in enumerate(e[: 2 * r])) + (0,) * r
-        return self.adjustment.coset_minimum(GroupElement(self.cube, moved))
+        key = _coset_key(self._rotated, e[2 * r:] + e[: 2 * r])
+        return GroupElement(self.cube, key[r:] + key[:r])
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
@@ -477,17 +483,7 @@ def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
 
 
 def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
-    cube = direct_product([datum.group] * 3)
-    return _KernelPieces(cube, _k_delta(datum), _adjustment_subgroup(datum, cube))
-
-
-def _adjustment_subgroup(datum: AlgebraicDatum, cube: AbelianGroup) -> Subgroup:
-    """The freedom left once a coset representative has trivial third
-    component: the triples ``(k1 - k3, k2 - k3, 0)``."""
-    z = datum.group.zero
-    k1, k2, k3 = (k.generators for k in datum.kernels)
-    parts = [(k, z, z) for k in k1] + [(z, k, z) for k in k2] + [(-k, -k, z) for k in k3]
-    return cube.subgroup(product_element(cube, p) for p in parts)
+    return _KernelPieces(_k_delta(datum))
 
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
@@ -497,9 +493,9 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     quotient standing in for it), with generators and a proof status.
 
     A caller that holds the datum's pieces already passes them in: its
-    ``report``, the ``kernel_pieces`` of its kernel triple (``G^3``,
-    ``K Delta_G`` and the adjustment subgroup), and the three factors'
-    ``classes`` (``hodge._class_lattice``; else made here).  The counts and
+    ``report``, the ``kernel_pieces`` of its kernel triple (built from
+    ``K Delta_G`` alone), and the three factors' ``classes``
+    (``hodge._class_lattice``; else made here).  The counts and
     spans are looked up in, or added to, ``kernel_pieces.memo`` (``_solved``),
     where the caller can read them afterwards; the kernel, quotient and
     generators come from ``kernel_pieces.kernel`` and ``lattice``.

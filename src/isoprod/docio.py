@@ -10,8 +10,9 @@ the quotients internally).  Serialization is canonical: fixed key order,
 integers only, two-space indent, trailing newline; parse/serialize
 round-trips bit-exactly.
 
-A search spec (``search.SearchSpec``) is read through the same shape
-checks, so every malformed document of either kind raises ``SchemaError``.
+A search spec (``search.SearchSpec``) is read through the same JSON reader
+(``parse_json``) and shape checks, so every malformed document of either
+kind raises ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -128,9 +129,15 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def loads(text: str) -> AlgebraicDatum:
+def parse_json(text: str) -> object:
+    """The value of a JSON text.  Undecodable text and integers of more
+    digits than Python converts both raise ``ValueError``, which becomes
+    ``SchemaError``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    return parse_datum_document(doc)
+
+
+def loads(text: str) -> AlgebraicDatum:
+    return parse_datum_document(parse_json(text))

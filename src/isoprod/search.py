@@ -15,8 +15,8 @@ Each check runs once at the level it depends on:
 - per kernel triple (``_KernelTriple``): minimality with its witness
   (``datum._kernel_checks``, which also filters the kernel triples and
   decides each pair of kernels once), and, from the first valid datum on,
-  ``G^3``, ``K Delta_G`` and the adjustment subgroup of the canonical
-  representatives (``aut0._KernelPieces``);
+  ``K Delta_G`` with its cube ``G^3`` and the Hermite basis of the
+  canonical representatives (``aut0._KernelPieces``);
 - per subgroup that a branch multiset generates, and per base genus, once
   per ``survey`` call: the number of handle tuples completing it
   (``_handle_count``) and the first of them (``_completions``);
@@ -237,14 +237,20 @@ def _multiset_bound(q_order: int, max_branch: int) -> int:
 def _check_handle_work(spec: SearchSpec, group: AbelianGroup,
                        triples: Sequence[tuple[Subgroup, ...]]) -> None:
     """Refuse a factor whose ``|Q|^(2g')`` handle tuples, each scanned once
-    per branch multiset, exceed the cap; ``enumerate_data`` lists them."""
+    per branch multiset, exceed the cap; ``enumerate_data`` lists them.
+    ``|Q|^(2g')`` is at least ``2^(2g' (b - 1))`` for the bit length ``b``
+    of ``|Q|``, which refuses a huge power without forming it; below that
+    the work is compared exactly.  The message names no count, which could
+    have more digits than Python prints."""
     for kernels in triples:
         for kernel, g_prime in zip(kernels, spec.g_primes):
             q_order = group.order // kernel.order
-            work = q_order ** (2 * g_prime) * _multiset_bound(q_order, spec.max_branch)
-            if work > spec.cap:
+            multisets = _multiset_bound(q_order, spec.max_branch)
+            if multisets and (
+                    2 * g_prime * (q_order.bit_length() - 1) >= spec.cap.bit_length()
+                    or q_order ** (2 * g_prime) * multisets > spec.cap):
                 raise SearchCapError(
-                    f"{work} handle tuples times branch multisets of a factor with "
+                    f"the |Q|^(2g') handle tuples times branch multisets of a factor with "
                     f"|Q| = {q_order} and g' = {g_prime} exceed the cap of {spec.cap}")
 
 

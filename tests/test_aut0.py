@@ -391,8 +391,9 @@ class TestCanonicalRepresentative:
             assert got.exponents == self.brute_minimum(datum, rep)
 
     def test_adjustment_subgroup_beyond_two_to_the_sixteen(self):
-        # K_i = <e_i> of order 42: the adjustment subgroup has 42^3 = 74,088
-        # elements, and the least representative has first coordinate 0.
+        # K_i = <e_i> of order 42: the triples (k1 - k3, k2 - k3, 0) of
+        # K Delta_G number 42^3 = 74,088, and the least representative has
+        # first coordinate 0.
         d = example1(21, 21, 21)
         cube = direct_product([d.group] * 3)
         rep = triple(d, cube, (5, 3, 1), (2, 7, 4), (1, 1, 1))

@@ -697,6 +697,54 @@ class TestRobustness:
         assert "error [document-schema]" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_undecodable_search_spec_names_the_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("{broken")
+        result = runner.invoke(main, ["search", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error [document-schema]: invalid JSON: ")
+
+    @pytest.mark.parametrize("command", ["search", "validate"])
+    def test_integer_over_the_digit_limit_exits_two(self, tmp_path, command):
+        # A cap, or a group order, of 5,000 digits: more than Python turns
+        # into an integer, so the JSON reader refuses the document.
+        huge = "9" * 5000
+        if command == "search":
+            text = '{"group": [2, 2], "kernels": "cyclic", "max_branch": 2, "cap": %s}' % huge
+        else:
+            doc = datum_document(example1())
+            doc["group"][0] = "HUGE"
+            text = json.dumps(doc).replace('"HUGE"', huge)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error [document-schema]: invalid JSON: Exceeds the limit")
+        assert isinstance(result.exception, SystemExit)
+
+    def test_huge_kernel_is_refused_under_a_time_limit(self, tmp_path):
+        # |K_1| = 2^40: the stabilizer preimage is refused before it is
+        # listed.  A child process under a 1 GB address-space limit, so that
+        # a listing would end in MemoryError rather than take the machine.
+        a = 2 ** 40
+        doc = {"group": [a, 2], "kernels": [[[1, 0]], [[0, 1]], []],
+               "vectors": [{"g_prime": 1, "branch": [[0, 1], [0, 1]], "eta": [[0, 1], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
+        path = tmp_path / "big_kernel.json"
+        path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+
+        def limit_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        result = subprocess.run([sys.executable, "-m", "isoprod.cli", "validate", str(path)],
+                                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                                text=True, timeout=30, preexec_fn=limit_memory)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [arithmetic-overflow]: the stabilizer preimage")
+
     @pytest.mark.parametrize("doc, code, output", [
         # A kernel triple whose first quotient is trivial has no branch
         # triple, so its other two factors are never listed.
@@ -762,16 +810,17 @@ class TestRobustness:
 
 
 class TestFootprint:
-    """A report loads neither click nor the oracle; ``--oracle`` loads the
-    oracle only; reading ``main`` still gives the click group.  Run in a
-    fresh interpreter, since this one has loaded both."""
+    """A report loads neither click, the oracle nor the survey; ``--oracle``
+    loads the oracle only; reading ``main`` still gives the click group.
+    Run in a fresh interpreter, since this one has loaded all three."""
 
     SCRIPT = """
 import json, sys
 from isoprod.cli import build_report
 from isoprod.examples import example1
 sections = ("invariants", "hodge", "aut0", "kernels")
-loaded = lambda: {name: name in sys.modules for name in ("click", "isoprod.oracle")}
+loaded = lambda: {name: name in sys.modules
+                  for name in ("click", "isoprod.oracle", "isoprod.search")}
 steps = {}
 build_report(example1(), sections)
 steps["report"] = loaded()
@@ -788,7 +837,7 @@ print(json.dumps(steps))
                              env={**os.environ, "PYTHONPATH": str(src)},
                              capture_output=True, text=True, timeout=60, check=True).stdout
         assert json.loads(out) == {
-            "report": {"click": False, "isoprod.oracle": False},
-            "oracle": {"click": False, "isoprod.oracle": True},
+            "report": {"click": False, "isoprod.oracle": False, "isoprod.search": False},
+            "oracle": {"click": False, "isoprod.oracle": True, "isoprod.search": False},
             "main": "click.core.Group",
         }

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+from isoprod.covering import stabilizer_union
 from isoprod.datum import (
     AlgebraicDatum,
     RigidityClass,
@@ -12,7 +15,7 @@ from isoprod.datum import (
     rigidity_class,
     validate_datum,
 )
-from isoprod.errors import StructuralError
+from isoprod.errors import OverflowLimitError, StructuralError
 from isoprod.examples import (
     _order_mod,
     build_example,
@@ -88,6 +91,23 @@ class TestValidation:
         assert validate_datum(example1(2, 1, 3)).genera == (7, 13, 5)
         assert validate_datum(example2b()).genera == (3, 5, 5)
         assert validate_datum(example4()).genera == (5, 5, 3)
+
+
+class TestFixingBound:
+    """The stabilizer preimage lists ``|K_i| |stabilizer union|`` sums; a
+    factor over ``MAX_FIXING`` is refused before any is listed.  The 2^40
+    kernel of ``tests/test_cli.py`` runs in a child process under a memory
+    limit, never here."""
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        d = example1(4, 4, 4)
+        most = max(k.order * len(stabilizer_union(v)) for k, v in zip(d.kernels, d.vectors))
+        datum_module = importlib.import_module("isoprod.datum")
+        monkeypatch.setattr(datum_module, "MAX_FIXING", most)
+        assert validate_datum(d).ok
+        monkeypatch.setattr(datum_module, "MAX_FIXING", most - 1)
+        with pytest.raises(OverflowLimitError, match=f"exceeds the listing bound of {most - 1}"):
+            validate_datum(d)
 
 
 class TestInvariants:

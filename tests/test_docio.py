@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from isoprod import docio
 from isoprod.docio import datum_document, dumps, loads, parse_datum_document
 from isoprod.errors import SchemaError
 from isoprod.examples import example1, example2b, example3, example4
@@ -48,6 +49,14 @@ class TestSchemaErrors:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             loads("{not json")
+
+    @pytest.mark.parametrize("text", ["{not json", "[" + "9" * 5000 + "]"],
+                             ids=["undecodable", "digit-limit"])
+    def test_one_reader_for_undecodable_text(self, text):
+        # A JSON integer of more digits than Python converts raises a
+        # ValueError that is no JSONDecodeError; both are schema errors.
+        with pytest.raises(SchemaError, match="^invalid JSON: "):
+            docio.parse_json(text)
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("group"),

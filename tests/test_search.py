@@ -6,6 +6,7 @@ import functools
 import importlib
 import itertools
 import json
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -134,6 +135,37 @@ class TestEstimate:
                                          "g_primes": [1, 1, 5], "max_branch": 3})
         with pytest.raises(SearchCapError, match="handle tuples"):
             next(enumerate_data(spec))
+
+    def test_huge_handle_power_is_refused_without_forming_it(self):
+        # 4^(2 * 10^8) has 120 million digits; its bit length alone refuses.
+        start = time.monotonic()
+        with pytest.raises(SearchCapError, match="handle tuples"):
+            next(enumerate_data(SearchSpec((2, 2), g_primes=(100_000_000, 1, 1),
+                                           max_branch=2)))
+        assert time.monotonic() - start < 1
+
+    def test_handle_work_refusal_is_exact_near_the_cap(self):
+        # Just below, at and above every work figure and power of two, the
+        # refusal is that of the exact product, whichever test decides it.
+        group = AbelianGroup([2, 2])
+        triples = search_module._kernel_triples(SearchSpec((2, 2)), group)
+
+        def works(g_primes):
+            return [(group.order // k.order) ** (2 * g)
+                    * search_module._multiset_bound(group.order // k.order, 3)
+                    for kernels in triples for k, g in zip(kernels, g_primes)]
+
+        for g_prime in range(6):
+            g_primes = (g_prime, 1, 1)
+            near = set(works(g_primes)) | {2 ** j for j in range(40)}
+            for cap in {c + d for c in near for d in (-1, 0, 1)}:
+                spec = SearchSpec((2, 2), g_primes=g_primes, max_branch=3, cap=cap)
+                try:
+                    search_module._check_handle_work(spec, group, triples)
+                    refused = False
+                except SearchCapError:
+                    refused = True
+                assert refused == (max(works(g_primes)) > cap), (g_prime, cap)
 
     def test_cyclic_refusal_decides_each_kernel_pair_once(self, monkeypatch):
         # Z_4^3 has 36 cyclic subgroups: 64 Hermite forms list them, 36 form

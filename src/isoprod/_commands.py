@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 from typing import NoReturn, Sequence
 
 import click
 
 from . import docio
 from .cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_SCHEMA, build_report, render_text
-from .datum import AlgebraicDatum
 from .errors import ConsistencyError, IsoprodError, SchemaError, TheoremViolationError
 from .examples import EXAMPLE_NAMES, build_example
 from .search import SearchSpec, survey
@@ -69,10 +69,7 @@ def main() -> None:
 
 
 def _file_source(path: str):
-    def source() -> AlgebraicDatum:
-        with open(path, "r", encoding="utf-8") as fh:
-            return docio.loads(fh.read())
-    return source
+    return lambda: docio.loads(Path(path).read_bytes())
 
 
 @main.command()
@@ -148,11 +145,8 @@ def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
     header = ("corrected fixture: the third handle pair is (e2, e4); the "
               "originally printed datum does not generate G/K3"
               if name == "example4" else None)
-
-    def source() -> AlgebraicDatum:
-        return build_example(name, _parse_params(params))
-
-    _run(source, ("invariants", "hodge", "aut0"), fmt, oracle, header=header)
+    _run(lambda: build_example(name, _parse_params(params)), ("invariants", "hodge", "aut0"),
+         fmt, oracle, header=header)
 
 
 @main.command()
@@ -161,8 +155,7 @@ def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
 def search(specfile: str, fmt: str) -> None:
     """Survey the automorphism groups over a bounded search space."""
     try:
-        with open(specfile, "r", encoding="utf-8") as fh:
-            spec = SearchSpec.from_document(docio.parse_json(fh.read()))
+        spec = SearchSpec.from_document(docio.parse_json(Path(specfile).read_bytes()))
         _emit({"survey": survey(spec).as_document()}, fmt)
     except Exception as exc:
         _fail(exc)

@@ -103,17 +103,19 @@ def stabilizer_union(vector: GeneratingVector) -> frozenset[GroupElement]:
     """All elements acting with a fixed point: the union of the cyclic
     groups generated by the branch elements, identity included."""
     q = vector.quotient_group
-    return frozenset(GroupElement(q, t) for t in _stabilizer_tuples(vector))
+    steps = [(s.exponents, s.order) for s in set(vector.branch)]
+    return frozenset(GroupElement(q, t) for t in _cyclic_union([q.zero.exponents], steps, q.orders))
 
 
-def _stabilizer_tuples(vector: GeneratingVector) -> set[tuple[int, ...]]:
-    """The stabilizer union as reduced exponent tuples of the acting group."""
-    orders = vector.quotient_group.orders
-    out = {(0,) * len(orders)}
-    for sigma in vector.branch:
-        exps = sigma.exponents
-        for c in range(1, sigma.order):
-            out.add(tuple(c * x % n for x, n in zip(exps, orders)))
+def _cyclic_union(base: list[tuple[int, ...]], steps: list[tuple[tuple[int, ...], int]],
+                  orders: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """``base`` and its sums ``b + c g`` for each ``(g, m)`` of ``steps`` and
+    ``0 < c < m``, reduced: ``len(base) (1 + sum(m - 1))`` sums in all."""
+    out = set(base)
+    for g, m in steps:
+        for c in range(1, m):
+            step = tuple(c * x % n for x, n in zip(g, orders))
+            out.update(tuple((a + b) % n for a, b, n in zip(k, step, orders)) for k in base)
     return out
 
 

@@ -24,7 +24,7 @@ import enum
 from functools import cached_property
 from typing import Sequence
 
-from .covering import GeneratingVector, ValidationOutcome, _stabilizer_tuples, genus
+from .covering import GeneratingVector, ValidationOutcome, _cyclic_union, genus
 from .errors import ConsistencyError, OverflowLimitError, SchemaError
 from .groups import (
     AbelianGroup,
@@ -36,7 +36,7 @@ from .groups import (
     quotient_structure,
 )
 
-# The most sums ``|K_i| |stabilizer union|`` that one factor's stabilizer
+# The most sums ``|K_i| (1 + sum(m_j - 1))`` that one factor's stabilizer
 # preimage lists (``_fixing``).  No tested or benchmarked datum lists more
 # than 256: example1 at n = 64, 128 kernel elements times 2.
 MAX_FIXING = 2 ** 20
@@ -105,20 +105,19 @@ class AlgebraicDatum(_Frozen):
 def _fixing(group: AbelianGroup, kernel: Subgroup, quotient: QuotientStructure,
             vector: GeneratingVector) -> frozenset[tuple[int, ...]]:
     """The nontrivial elements of one factor's stabilizer preimage as
-    reduced exponent tuples of G: every lifted element of the stabilizer
-    union plus every element of the kernel, reduced once, less zero.
-    Refuses a preimage of more than ``MAX_FIXING`` sums before listing it."""
-    orders = group.orders
-    gens = [g.exponents for g in quotient.generators]
-    lifts = [[sum(c * gen[j] for c, gen in zip(s, gens)) for j in range(len(orders))]
-             for s in _stabilizer_tuples(vector)]
-    if kernel.order * len(lifts) > MAX_FIXING:
+    reduced exponent tuples of G: ``K`` and the cosets ``K + c l`` for the
+    lift ``l`` of each distinct branch element, of order ``m``, and
+    ``0 < c < m``.  Refuses when those sums exceed ``MAX_FIXING``, before
+    listing any."""
+    branch = {sigma: sigma.order for sigma in set(vector.branch)}
+    multiples = 1 + sum(m - 1 for m in branch.values())
+    if kernel.order * multiples > MAX_FIXING:
         raise OverflowLimitError(
             f"the stabilizer preimage of {kernel.order} kernel elements times "
-            f"{len(lifts)} stabilizer elements exceeds the listing bound of {MAX_FIXING}")
-    kernel_elements = list(kernel._element_tuples())
-    return frozenset(tuple((a + b) % n for a, b, n in zip(lift, k, orders))
-                     for lift in lifts for k in kernel_elements) - {(0,) * len(orders)}
+            f"{multiples} branch multiples exceeds the listing bound of {MAX_FIXING}")
+    steps = [(quotient.lift(sigma).exponents, m) for sigma, m in branch.items()]
+    return frozenset(_cyclic_union(list(kernel._element_tuples()), steps, group.orders)
+                     - {group.zero.exponents})
 
 
 class RigidityClass(enum.Enum):

@@ -129,15 +129,15 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_json(text: str) -> object:
-    """The value of a JSON text.  Undecodable text and integers of more
-    digits than Python converts both raise ``ValueError``, which becomes
-    ``SchemaError``."""
+def parse_json(text: str | bytes) -> object:
+    """The value of a JSON text or of its UTF-8 bytes, never UTF-16 or 32.
+    Bytes that are not UTF-8, undecodable text and integers of more digits
+    than Python converts raise ``ValueError``, which becomes ``SchemaError``."""
     try:
-        return json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except ValueError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def loads(text: str) -> AlgebraicDatum:
+def loads(text: str | bytes) -> AlgebraicDatum:
     return parse_datum_document(parse_json(text))

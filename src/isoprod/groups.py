@@ -33,6 +33,7 @@ instance and a racing first read writes an equal value.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mod
@@ -348,10 +349,12 @@ class AbelianGroup(_Frozen):
             if n > 1:
                 cleaned.append(n)
         _set(self, "orders", tuple(cleaned))
-        if prod(cleaned) > MAX_GROUP_ORDER:
+        order = prod(cleaned)
+        if order > MAX_GROUP_ORDER:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            shown = f"of {order.bit_length()} bits" if limit and order >= 10 ** limit else order
             raise OverflowLimitError(
-                f"group order {prod(cleaned)} exceeds the supported scale "
-                f"(|G| <= {MAX_GROUP_ORDER})")
+                f"group order {shown} exceeds the supported scale (|G| <= {MAX_GROUP_ORDER})")
 
     # Groups are compared wherever two objects must share one; these skip
     # the generic field tuple.

@@ -722,16 +722,12 @@ class TestRobustness:
         assert result.output.startswith("error [document-schema]: invalid JSON: Exceeds the limit")
         assert isinstance(result.exception, SystemExit)
 
-    def test_huge_kernel_is_refused_under_a_time_limit(self, tmp_path):
-        # |K_1| = 2^40: the stabilizer preimage is refused before it is
-        # listed.  A child process under a 1 GB address-space limit, so that
-        # a listing would end in MemoryError rather than take the machine.
-        a = 2 ** 40
-        doc = {"group": [a, 2], "kernels": [[[1, 0]], [[0, 1]], []],
-               "vectors": [{"g_prime": 1, "branch": [[0, 1], [0, 1]], "eta": [[0, 1], [0, 0]]},
-                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
-                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
-        path = tmp_path / "big_kernel.json"
+    @staticmethod
+    def _validate_in_a_child(doc: dict, tmp_path) -> subprocess.CompletedProcess:
+        """``isoprod validate`` on ``doc`` in a child process under a 1 GB
+        address-space limit, so that a listing would end in MemoryError
+        rather than take the machine, and a 30 s time limit."""
+        path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         src = Path(__file__).resolve().parent.parent / "src"
 
@@ -739,11 +735,60 @@ class TestRobustness:
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
-        result = subprocess.run([sys.executable, "-m", "isoprod.cli", "validate", str(path)],
-                                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-                                text=True, timeout=30, preexec_fn=limit_memory)
+        return subprocess.run([sys.executable, "-m", "isoprod.cli", "validate", str(path)],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=30, preexec_fn=limit_memory)
+
+    def test_huge_kernel_is_refused_under_a_time_limit(self, tmp_path):
+        # |K_1| = 2^40: the stabilizer preimage is refused before it is
+        # listed.
+        a = 2 ** 40
+        doc = {"group": [a, 2], "kernels": [[[1, 0]], [[0, 1]], []],
+               "vectors": [{"g_prime": 1, "branch": [[0, 1], [0, 1]], "eta": [[0, 1], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
+        result = self._validate_in_a_child(doc, tmp_path)
         assert result.returncode == 2
         assert result.stderr.startswith("error [arithmetic-overflow]: the stabilizer preimage")
+
+    def test_branch_element_of_huge_order_is_refused_under_a_time_limit(self, tmp_path):
+        # |K_1| = 2 and two branch elements of order 2^40 in Q_1 = Z_{2^40}:
+        # their multiples are counted, not listed, before the bound is read.
+        a = 2 ** 40
+        doc = {"group": [a, 2], "kernels": [[[0, 1]], [], []],
+               "vectors": [{"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
+        result = self._validate_in_a_child(doc, tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [arithmetic-overflow]: the stabilizer preimage")
+
+    def test_group_order_over_the_digit_limit_exits_two(self, tmp_path):
+        # Two orders of 3,999 digits, each one Python reads; their product
+        # has more digits than it prints, so the message names its bits.
+        huge = 10 ** 3999 - 1
+        doc = {"group": [huge, huge], "kernels": [[], [], []],
+               "vectors": [{"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]}] * 3}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output == (f"error [arithmetic-overflow]: group order of "
+                                 f"{(huge * huge).bit_length()} bits exceeds the supported "
+                                 f"scale (|G| <= {2 ** 62})\n")
+
+    @pytest.mark.parametrize("command", ["validate", "search"])
+    @pytest.mark.parametrize("data", [b"\xff", '{"group": [2, 2]}'.encode("utf-16")],
+                             ids=["byte_0xff", "utf16"])
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, command, data):
+        # Files are read as bytes and decoded as UTF-8 alone: json.loads,
+        # which would guess UTF-16 from the bytes, never sees them.
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error [document-schema]: invalid JSON: 'utf-8' codec")
+        assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("doc, code, output", [
         # A kernel triple whose first quotient is trivial has no branch

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import random
 
 import pytest
 
+from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, relabel_document
 from isoprod.covering import stabilizer_union
 from isoprod.datum import (
     AlgebraicDatum,
@@ -15,6 +17,7 @@ from isoprod.datum import (
     rigidity_class,
     validate_datum,
 )
+from isoprod.docio import datum_document, parse_datum_document
 from isoprod.errors import OverflowLimitError, StructuralError
 from isoprod.examples import (
     _order_mod,
@@ -26,6 +29,7 @@ from isoprod.examples import (
     example4,
 )
 from isoprod.groups import AbelianGroup, quotient_structure
+from isoprod.search import SearchSpec, _candidates
 
 
 def two_torsion_datum(sigmas, orders=(2, 2, 2)):
@@ -94,8 +98,10 @@ class TestValidation:
 
 
 class TestFixingBound:
-    """The stabilizer preimage lists ``|K_i| |stabilizer union|`` sums; a
-    factor over ``MAX_FIXING`` is refused before any is listed.  The 2^40
+    """The stabilizer preimage lists ``|K_i| (1 + sum(m_j - 1))`` sums over
+    the orders ``m_j`` of the distinct branch elements, which is
+    ``|K_i| |stabilizer union|`` for example1's one distinct branch element
+    per factor; a factor over ``MAX_FIXING`` is refused before any is listed.  The 2^40
     kernel of ``tests/test_cli.py`` runs in a child process under a memory
     limit, never here."""
 
@@ -108,6 +114,57 @@ class TestFixingBound:
         monkeypatch.setattr(datum_module, "MAX_FIXING", most - 1)
         with pytest.raises(OverflowLimitError, match=f"exceeds the listing bound of {most - 1}"):
             validate_datum(d)
+
+
+def _reference_preimage(datum, i: int) -> frozenset:
+    """The i-th stabilizer preimage element by element: the lift of every
+    element of the stabilizer union plus every kernel element."""
+    quotient, kernel = datum.quotients[i], datum.kernels[i]
+    return frozenset(quotient.lift(s) + k for s in stabilizer_union(datum.vectors[i])
+                     for k in kernel.elements())
+
+
+def _unbranched_datum():
+    """Z2^3 with the basis kernels and no branch element: each preimage is
+    its kernel alone."""
+    g = AbelianGroup((2, 2, 2))
+    e = [g.basis_element(i) for i in range(3)]
+    specs = [VectorSpec(1, (), (e[j], e[k])) for j, k in ((1, 2), (0, 2), (0, 1))]
+    return AlgebraicDatum.build(g, [[e[0]], [e[1]], [e[2]]], specs)
+
+
+def _relabelled_examples():
+    """Every example family, ``example3`` (not free) at n = 1..4 among them,
+    each as built and under three random relabellings, and a datum with no
+    branch element."""
+    yield _unbranched_datum()
+    rng = random.Random("stabilizer-preimage")
+    cases = EXAMPLE_LADDER + ORACLE_EXAMPLES + (("example3", {"n": 2}), ("example3", {"n": 3}))
+    for name, params in cases:
+        doc = datum_document(build_example(name, params))
+        yield parse_datum_document(doc)
+        for _ in range(3):
+            yield parse_datum_document(relabel_document(doc, rng))
+
+
+def _basis_r4_data():
+    """Every candidate datum of Z2^3 with the basis kernel triple at r <= 4."""
+    spec = SearchSpec(group_orders=(2, 2, 2), max_branch=4,
+                      kernels=((((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)),))
+    for triple, branches in _candidates(spec, AbelianGroup(spec.group_orders)):
+        yield triple.datum(branches)
+
+
+class TestStabilizerPreimage:
+    @pytest.mark.parametrize("data", [_relabelled_examples, _basis_r4_data],
+                             ids=["examples_relabelled", "basis_r4"])
+    def test_equals_the_lifted_stabilizer_union_plus_the_kernel(self, data):
+        checked = 0
+        for datum in data():
+            for i in range(3):
+                assert datum.stabilizer_preimage(i) == _reference_preimage(datum, i)
+                checked += 1
+        assert checked >= 3 * 40
 
 
 class TestInvariants:

@@ -16,7 +16,6 @@ from . import docio
 from .cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_SCHEMA, build_report, render_text
 from .errors import ConsistencyError, IsoprodError, SchemaError, TheoremViolationError
 from .examples import EXAMPLE_NAMES, build_example
-from .search import SearchSpec, survey
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -154,6 +153,8 @@ def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
 @format_option
 def search(specfile: str, fmt: str) -> None:
     """Survey the automorphism groups over a bounded search space."""
+    from .search import SearchSpec, survey
+
     try:
         spec = SearchSpec.from_document(docio.parse_json(Path(specfile).read_bytes()))
         _emit({"survey": survey(spec).as_document()}, fmt)

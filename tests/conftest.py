@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -30,6 +35,19 @@ ORACLE_EXAMPLES = (
     ("example2a", {"n1": 2, "n2": 1, "n3": 1}), ("example2a", {"n1": 1, "n2": 1, "n3": 2}),
     ("example2b", {}), ("example3", {"n": 1}), ("example4", {}),
 )
+
+
+def run_fresh(script: str, *args: str):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``, with
+    ``args`` as its ``sys.argv[1:]``; returns the JSON of its last line of
+    output.  For what an import loads, since this interpreter has loaded
+    every module."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @st.composite

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import ORACLE_EXAMPLES, listed_kernel
+from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh
 from isoprod import cli, docio
 from isoprod.aut0 import _KernelPieces, aut0
 from isoprod.cli import build_report, main
@@ -845,7 +845,7 @@ class TestRobustness:
         def broken(spec):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr("isoprod._commands.survey", broken)
+        monkeypatch.setattr("isoprod.search.survey", broken)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(TestSearchCommand.SPEC))
         result = runner.invoke(main, ["search", str(path)])
@@ -877,12 +877,20 @@ print(json.dumps(steps))
 """
 
     def test_report_loads_neither_click_nor_the_oracle(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        out = subprocess.run([sys.executable, "-c", self.SCRIPT],
-                             env={**os.environ, "PYTHONPATH": str(src)},
-                             capture_output=True, text=True, timeout=60, check=True).stdout
-        assert json.loads(out) == {
+        assert run_fresh(self.SCRIPT) == {
             "report": {"click": False, "isoprod.oracle": False, "isoprod.search": False},
             "oracle": {"click": False, "isoprod.oracle": True, "isoprod.search": False},
             "main": "click.core.Group",
         }
+
+    def test_report_command_loads_neither_the_survey_nor_the_oracle(self, example1_file):
+        script = """
+import json, sys
+from isoprod.cli import main
+try:
+    main(["report", "--format", "json", sys.argv[1]])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted({"isoprod.oracle", "isoprod.search"} & set(sys.modules))]))
+"""
+        assert run_fresh(script, example1_file) == [0, []]

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import isoprod
+from conftest import run_fresh
 from isoprod import (
     AbelianGroup,
     AlgebraicDatum,
@@ -63,8 +64,8 @@ def test_public_surface_is_pinned():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     # No linter runs on the package, so an import left behind by a change
-    # shows up here.  A name counts as used when the module reads it or
-    # exports it through ``__all__``.
+    # shows up here.  A name counts as used when the module reads it; the
+    # package imports nothing to re-export it.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in tree.body:
@@ -74,10 +75,6 @@ def test_every_module_level_import_is_used(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update((a.asname or a.name, node.lineno) for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
@@ -117,6 +114,62 @@ def test_only_the_command_line_imports_click_or_the_oracle_eagerly():
     assert clicking == {"_commands.py"}
     cli = next(path for path in MODULES if path.name == "cli.py")
     assert not {".oracle", "isoprod.oracle"} & _module_level_imports(cli)
+
+
+class TestLazyNamespace:
+    """``import isoprod`` loads no package module, and each public name
+    loads its home module on first read.  Each check runs in a fresh
+    interpreter, since this one has loaded every module."""
+
+    def test_import_loads_no_package_module(self):
+        assert run_fresh("import json, sys, isoprod\n"
+                         "print(json.dumps([m for m in sys.modules if m.startswith('isoprod.')]))"
+                         ) == []
+
+    def test_a_document_loads_no_later_layer(self):
+        script = """
+import json, sys
+from isoprod import datum_document, example1
+datum_document(example1())
+print(json.dumps([m for m in ("aut0", "hodge", "search", "cli", "oracle")
+                  if "isoprod." + m in sys.modules]))
+"""
+        assert run_fresh(script) == []
+
+    @pytest.mark.parametrize("cli_first", [True, False])
+    def test_aut0_is_the_function_whatever_is_imported_first(self, cli_first):
+        script = """
+import importlib, json, sys, types
+if sys.argv[1] == "True":
+    import isoprod.cli
+import isoprod
+from isoprod import aut0
+seen = [isoprod.aut0, aut0]
+import isoprod.cli
+from isoprod import aut0
+seen += [isoprod.aut0, aut0]
+module = importlib.import_module("isoprod.aut0")
+print(json.dumps([isinstance(module, types.ModuleType) and module.__name__,
+                  all(f is module.aut0 for f in seen)]))
+"""
+        assert run_fresh(script, str(cli_first)) == ["isoprod.aut0", True]
+
+    def test_every_name_is_the_object_of_its_home_module(self):
+        script = """
+import importlib, json, isoprod
+star = {}
+exec("from isoprod import *", star)
+wrong = [name for name in isoprod.__all__
+         if not (name in star and star[name].__module__.startswith("isoprod.")
+                 and getattr(importlib.import_module(star[name].__module__), name)
+                 is star[name] is getattr(isoprod, name))]
+print(json.dumps([wrong, sorted(set(isoprod.__all__) - set(dir(isoprod)))]))
+"""
+        assert run_fresh(script) == [[], []]
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="^module 'isoprod' has no attribute 'nope'$"):
+            isoprod.nope  # noqa: B018
 
 
 Z2xZ4 = AbelianGroup((2, 4))

@@ -21,12 +21,12 @@ _NAMES = {
     "aut0": ("Aut0Result", "Aut0Status", "admissible_characters", "aut0",
              "representation_kernel", "verify_generator"),
     "covering": ("GeneratingVector", "ValidationOutcome", "cw_dimension", "genus",
-                 "stabilizer_union", "validate_generating_vector"),
+                 "stabilizer_union"),
     "datum": ("AlgebraicDatum", "DatumReport", "NumericalInvariants", "RigidityClass",
               "VectorSpec", "invariants", "rigidity_class", "validate_datum"),
     "docio": ("datum_document", "dumps", "loads", "parse_datum_document"),
     "errors": ("ConsistencyError", "IsoprodError", "OracleScaleError", "OverflowLimitError",
-               "ParentMismatchError", "SchemaError", "SearchCapError", "StructuralError",
+               "ParentMismatchError", "SchemaError", "SearchCapError",
                "TheoremViolationError", "UnsupportedDatumError"),
     "examples": ("build_example", "example1", "example2a", "example2b", "example3", "example4"),
     "groups": ("AbelianGroup", "Character", "GroupElement", "InvariantFactors",

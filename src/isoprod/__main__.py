@@ -1,6 +1,11 @@
-"""The ``isoprod`` command line: a click group whose subcommands read a
-datum document, a built-in example or a search spec, and print the report
-that ``isoprod.cli`` builds.  Exit codes are those of ``isoprod.cli``.
+"""The ``isoprod`` command line, also run as ``python -m isoprod``: a click
+group whose subcommands read a datum document, a built-in example or a
+search spec, and print the report that ``isoprod.cli`` builds.
+
+Exit codes: 0 success, 1 datum validation failure (the report is still
+emitted, with a null Hodge diamond when a generating vector is invalid), 2
+parse/schema error, 3 internal consistency or theorem violation, or any
+other unexpected error.
 """
 
 from __future__ import annotations
@@ -8,14 +13,19 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import click
 
 from . import docio
-from .cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_SCHEMA, build_report, render_text
+from .cli import build_report, render_text
 from .errors import ConsistencyError, IsoprodError, SchemaError, TheoremViolationError
 from .examples import EXAMPLE_NAMES, build_example
+
+EXIT_OK = 0
+EXIT_INVALID = 1
+EXIT_SCHEMA = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -31,11 +41,11 @@ def _exit_code(report: dict) -> int:
     return EXIT_OK
 
 
-def _run(datum_source, sections: tuple[str, ...], fmt: str, oracle: bool,
-         header: str | None = None) -> None:
+def _run(build: Callable[[], dict], fmt: str) -> NoReturn:
+    """Print the report that ``build`` returns and exit with its code; any
+    error ends in ``_fail``."""
     try:
-        datum = datum_source()
-        report = build_report(datum, sections, oracle=oracle, header=header)
+        report = build()
         _emit(report, fmt)
     except Exception as exc:
         _fail(exc)
@@ -67,8 +77,10 @@ def main() -> None:
     isogenous to a product of curves (abelian, unmixed type)."""
 
 
-def _file_source(path: str):
-    return lambda: docio.loads(Path(path).read_bytes())
+def _file_report(path: str, sections: tuple[str, ...], oracle: bool = False) -> Callable[[], dict]:
+    """The report of the datum document at ``path``, built when ``_run``
+    calls it."""
+    return lambda: build_report(docio.loads(Path(path).read_bytes()), sections, oracle=oracle)
 
 
 @main.command()
@@ -76,7 +88,7 @@ def _file_source(path: str):
 @format_option
 def validate(file: str, fmt: str) -> None:
     """Check a datum document and report violations."""
-    _run(_file_source(file), (), fmt, oracle=False)
+    _run(_file_report(file, ()), fmt)
 
 
 @main.command()
@@ -85,7 +97,7 @@ def validate(file: str, fmt: str) -> None:
 @oracle_option
 def report(file: str, fmt: str, oracle: bool) -> None:
     """Full report: validation, invariants, Hodge diamond, Aut_0."""
-    _run(_file_source(file), ("invariants", "hodge", "aut0"), fmt, oracle)
+    _run(_file_report(file, ("invariants", "hodge", "aut0"), oracle), fmt)
 
 
 @main.command(name="aut0")
@@ -94,7 +106,7 @@ def report(file: str, fmt: str, oracle: bool) -> None:
 @oracle_option
 def aut0_command(file: str, fmt: str, oracle: bool) -> None:
     """Numerically trivial automorphisms of the datum's 3-fold."""
-    _run(_file_source(file), ("aut0",), fmt, oracle)
+    _run(_file_report(file, ("aut0",), oracle), fmt)
 
 
 @main.command()
@@ -102,7 +114,7 @@ def aut0_command(file: str, fmt: str, oracle: bool) -> None:
 @format_option
 def kernels(file: str, fmt: str) -> None:
     """Orders of the cohomology representation kernels."""
-    _run(_file_source(file), ("kernels",), fmt, oracle=False)
+    _run(_file_report(file, ("kernels",)), fmt)
 
 
 @main.command()
@@ -111,7 +123,7 @@ def kernels(file: str, fmt: str) -> None:
 @oracle_option
 def hodge(file: str, fmt: str, oracle: bool) -> None:
     """Hodge diamond and numerical invariants."""
-    _run(_file_source(file), ("invariants", "hodge"), fmt, oracle)
+    _run(_file_report(file, ("invariants", "hodge"), oracle), fmt)
 
 
 def _parse_params(texts: Sequence[str]) -> dict[str, int]:
@@ -144,8 +156,8 @@ def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
     header = ("corrected fixture: the third handle pair is (e2, e4); the "
               "originally printed datum does not generate G/K3"
               if name == "example4" else None)
-    _run(lambda: build_example(name, _parse_params(params)), ("invariants", "hodge", "aut0"),
-         fmt, oracle, header=header)
+    _run(lambda: build_report(build_example(name, _parse_params(params)),
+                              ("invariants", "hodge", "aut0"), oracle=oracle, header=header), fmt)
 
 
 @main.command()
@@ -153,11 +165,15 @@ def example(name: str, params: tuple[str, ...], fmt: str, oracle: bool) -> None:
 @format_option
 def search(specfile: str, fmt: str) -> None:
     """Survey the automorphism groups over a bounded search space."""
-    from .search import SearchSpec, survey
 
-    try:
+    def build() -> dict:
+        from .search import SearchSpec, survey
+
         spec = SearchSpec.from_document(docio.parse_json(Path(specfile).read_bytes()))
-        _emit({"survey": survey(spec).as_document()}, fmt)
-    except Exception as exc:
-        _fail(exc)
-    sys.exit(EXIT_OK)
+        return {"survey": survey(spec).as_document()}
+
+    _run(build, fmt)
+
+
+if __name__ == "__main__":
+    main()

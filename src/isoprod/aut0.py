@@ -127,6 +127,7 @@ class Aut0Result(_Frozen):
         return sub.order == self.quotient.group.order
 
 
+# The tests' per-character reference for the packed pre-admissible sets.
 def pre_admissible(datum: AlgebraicDatum, i: int, chi: Character) -> bool:
     """Does ``chi`` vanish on ``K_i`` and act nontrivially on some element
     with a fixed point on the i-th curve?"""
@@ -350,22 +351,22 @@ def _plane_span(orders: tuple[int, ...], rows: list[tuple[int, ...]],
     return row_hermite(_hermite_dual(kernel, orders * 2), 2 * r)
 
 
-def verify_generator(datum: AlgebraicDatum, rep: GroupElement,
-                     walked: Sequence[list[int]] | None = None) -> bool:
+def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
     """Independent check that a triple is numerically trivial: every
     admissible character must vanish on it.  No annihilator machinery.
 
     The characters are enumerated afresh from the three packed sets of
-    the walk over ``Ann(K_i)`` (``_pre_admissible_set``), which a caller
-    may pass as ``walked``; sets from the classes would make the check
-    depend on what it checks.
+    the walk over ``Ann(K_i)`` (``_pre_admissible_set``); sets from the
+    classes would make the check depend on what it checks.
     """
-    return _verify_generators(datum, [rep], walked)
+    return _verify_generators(datum, [rep])
 
 
 def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
                        walked: Sequence[list[int]] | None = None) -> bool:
-    """``verify_generator`` of every triple in ``reps`` on one enumeration."""
+    """``verify_generator`` of every triple in ``reps`` on one enumeration,
+    from the walk's three packed sets (``walked``, which the survey keeps
+    per branch, else made here)."""
     cube = direct_product([datum.group] * 3)
     reps = [rep if rep.group == cube else cube.element(rep.exponents) for rep in reps]
     return all(psi.pairing(rep) == 0 for psi in _walked_admissible(datum, walked) for rep in reps)

@@ -2,13 +2,8 @@
 rendering, which is never computed separately.
 
 ``build_report`` loads neither click nor the oracle: the oracle is imported
-when a report first asks for its cross-check, and the command line
-(``isoprod._commands``) when ``main`` is first read from this module, as
-the ``isoprod`` console script does.  Exit codes of the command line: 0
-success, 1 datum validation failure (the report is still emitted, with a
-null Hodge diamond when a generating vector is invalid), 2 parse/schema
-error, 3 internal consistency or theorem violation, or any other
-unexpected error.
+when a report first asks for its cross-check, and click only by the
+command line (``isoprod.__main__``), which prints these reports.
 """
 
 from __future__ import annotations
@@ -23,11 +18,6 @@ from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import ConsistencyError, OracleScaleError, UnsupportedDatumError
 from .groups import Character, Subgroup
 from .hodge import _class_lattice, _ClassLattice, eigendim_table, hodge_diamond
-
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_SCHEMA = 2
-EXIT_INTERNAL = 3
 
 
 def _validation_section(datum: AlgebraicDatum, report) -> dict:
@@ -252,16 +242,3 @@ def render_text(report: dict) -> str:
             lines.append(f"  status {key}: {cnt}")
     return "\n".join(lines) + "\n"
 
-
-def __getattr__(name: str):
-    # ``main``, the click group, is built on first read, so that a report
-    # alone never imports click.
-    if name == "main":
-        from ._commands import main
-        return main
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-if __name__ == "__main__":
-    from ._commands import main
-    main()

@@ -38,7 +38,8 @@ from .groups import (
 
 # The most sums ``|K_i| (1 + sum(m_j - 1))`` that one factor's stabilizer
 # preimage lists (``_fixing``).  No tested or benchmarked datum lists more
-# than 256: example1 at n = 64, 128 kernel elements times 2.
+# than 256: example1 at n = 64, 128 kernel elements times 2.  The same bound
+# holds one factor's Chevalley-Weil classes (``hodge._class_lattice``).
 MAX_FIXING = 2 ** 20
 
 
@@ -95,6 +96,7 @@ class AlgebraicDatum(_Frozen):
         return AlgebraicDatum(group, tuple(kernels), tuple(vectors),
                               quotients, tuple(vector_specs))
 
+    # Validation reads ``_fixing``; the tests and ``bench/tracing.py`` read this.
     def stabilizer_preimage(self, i: int) -> frozenset[GroupElement]:
         """Elements of G acting with a fixed point on the i-th curve: the
         full preimage of the stabilizer union of V_i, which contains K_i."""

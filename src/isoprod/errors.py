@@ -32,10 +32,6 @@ class SchemaError(IsoprodError):
     code = "document-schema"
 
 
-# The older name of the same class.
-StructuralError = SchemaError
-
-
 class ConsistencyError(IsoprodError):
     """Two independent internal computations disagree; indicates a bug."""
 

@@ -11,11 +11,9 @@ Computational Algebraic Number Theory*, 2.4), and its dual basis, found by
 exact forward substitution, generates the annihilator.  Intersections are
 dual to sums: ``H_1 & H_2 = Ann(Ann H_1 + Ann H_2)``.  Smith forms serve
 quotients ``A / B``, whose elimination carries ``V^{-1}`` along.  No
-rational arithmetic is involved.  ``unimodular_inverse`` and the
-``smith_normal_form`` it reads have no other caller in the package; both
-stay as API because ``bench/tracing.py`` patches them by name.  The size
-bound ``MAX_GROUP_ORDER`` holds for input groups (``AbelianGroup``);
-``direct_product`` builds ``G^3`` of a checked ``G`` without checking.
+rational arithmetic is involved.  The size bound ``MAX_GROUP_ORDER`` holds
+for input groups (``AbelianGroup``); ``direct_product`` builds ``G^3`` of a
+checked ``G`` without checking.
 
 All values are immutable after construction: the value types derive from
 ``_Frozen``, whose ``__setattr__`` and ``__delattr__`` raise
@@ -182,6 +180,7 @@ def _smith(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     return s, u, v, v_inv
 
 
+# Public; in the package only ``unimodular_inverse`` reads it, and the bench times it by name.
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     """Return ``(S, U, V)`` with ``U @ A @ V = S``.
 
@@ -311,6 +310,7 @@ def _hermite_dual(basis: Sequence[Sequence[int]], orders: Sequence[int]) -> list
     return list(zip(*cols))
 
 
+# No caller in the package: kept because ``bench/tracing.py`` times it by name.
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of a unimodular integer matrix.
 
@@ -407,9 +407,6 @@ class AbelianGroup(_Frozen):
     def characters(self) -> Iterator["Character"]:
         for exps in itertools.product(*(range(n) for n in self.orders)):
             yield Character(self, exps)
-
-    def relation_rows(self) -> Matrix:
-        return _diagonal(self.orders)
 
     def subgroup(self, generators: Iterable["GroupElement"]) -> "Subgroup":
         return Subgroup(self, tuple(generators))
@@ -640,7 +637,7 @@ class Subgroup(_Frozen):
                 raise ParentMismatchError("generator not in the ambient group")
         _set(self, "ambient", ambient)
         _set(self, "generators", generators)
-        rows = [list(g.exponents) for g in generators] + ambient.relation_rows()
+        rows = [list(g.exponents) for g in generators] + _diagonal(ambient.orders)
         _set(self, "basis", row_hermite(rows, ambient.rank))
 
     def __eq__(self, other: object) -> bool:

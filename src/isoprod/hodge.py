@@ -42,9 +42,11 @@ fibre size
 it forms the Hermite basis and the fibre size once and buckets classes by
 their canonical coset representative against that basis, so the cost
 depends on the number of classes (the order of the subgroup of ``G / K_i``
-that the branch points generate), not on ``|G|``.  ``_class_counts`` folds
-the matched buckets into the sums above, weighted by ``f``, and
-``aut0._admissible_from_classes`` into the admissible counts and spans.
+that the branch points generate), not on ``|G|``.  A triple sum pairs the
+buckets of two factors, so class matching grows with the square of the
+number of classes.  ``_class_counts`` folds the matched buckets into the
+sums above, weighted by ``f``, and ``aut0._admissible_from_classes`` into
+the admissible counts and spans.
 
 ``isotypic_decomposition`` lists the pieces themselves, whose number is of
 order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
@@ -69,8 +71,8 @@ from operator import mul
 from typing import Sequence
 
 from .covering import genus
-from .datum import AlgebraicDatum, DatumReport, invariants, validate_datum
-from .errors import ConsistencyError
+from .datum import MAX_FIXING, AlgebraicDatum, DatumReport, invariants, validate_datum
+from .errors import ConsistencyError, OverflowLimitError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key, _Frozen,
                      _hermite_box, _hermite_dual, _hermite_order, _set, row_hermite)
 
@@ -124,6 +126,7 @@ class EigenDimTable(_Frozen):
             out.append(table)
         return tuple(out)
 
+    # No package code reads it: the tests and ``bench/tracing.py`` do.
     @cached_property
     def tables(self) -> tuple[dict[Character, int], ...]:
         codec = PackedCharacters(self.datum.group)
@@ -168,15 +171,20 @@ def _class_lattice(datum: AlgebraicDatum, i: int) -> _ClassLattice:
     that of ``Ann(K_i)``, whose stored Hermite basis ``B`` has pivots
     dividing those of ``A_i``'s, so the box ``sum c_j B_j`` with
     ``0 <= c_j < A[j][j] / B[j][j]`` holds one point per class
-    (``groups._hermite_box``).  No character outside the box is visited.
+    (``groups._hermite_box``).  No character outside the box is visited,
+    and a box of more than ``MAX_FIXING`` classes is refused before any is
+    listed: validation bounds the stabilizer preimage, not this count.
     """
     group = datum.group
     t_basis = row_hermite([*datum.kernels[i].basis,
                            *(lift.exponents for lift in _branch_lifts(datum, i))], group.rank)
     a_basis = row_hermite(_hermite_dual(t_basis, group.orders), group.rank)
     b_basis = datum.kernels[i].annihilator().basis
-    reps = _hermite_box(b_basis, group.orders,
-                        [a[j] // b[j] for j, (a, b) in enumerate(zip(a_basis, b_basis))])
+    counts = [a[j] // b[j] for j, (a, b) in enumerate(zip(a_basis, b_basis))]
+    if prod(counts) > MAX_FIXING:
+        raise OverflowLimitError(f"factor {i + 1}: {prod(counts)} Chevalley-Weil classes "
+                                 f"exceed the listing bound of {MAX_FIXING}")
+    reps = _hermite_box(b_basis, group.orders, counts)
     return _ClassLattice(a_basis, _hermite_order(group, a_basis), tuple(reps))
 
 

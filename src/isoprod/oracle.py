@@ -157,6 +157,7 @@ def enumerate_subgroup(subgroup: Subgroup, cap: int = SUBGROUP_CAP) -> ElementSe
             closure.extend(coset)
             seen.update(coset)
             step = codec.add(step, g)
+    # ``ElementSet`` codes are sorted: the report's oracle compares kernels by ``codes``.
     closure.sort()
     return ElementSet(ambient, tuple(closure))
 

@@ -188,12 +188,14 @@ def _branch_multisets(quotient: AbelianGroup, max_r: int,
     return out
 
 
+# Its own class for ``bench/tracing.py``, which counts ``branch_sets`` of each space.
 class _FactorSpace:
     def __init__(self, quotient_structure: QuotientStructure,
                  branch_sets: list[tuple[GroupElement, ...]]):
         self.quotient_structure, self.branch_sets = quotient_structure, branch_sets
 
 
+# Its own function because ``bench/tracing.py`` patches it by name for its triple counts.
 def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
                    group: AbelianGroup) -> list[_FactorSpace]:
     """The three factor spaces of a kernel triple."""
@@ -209,6 +211,7 @@ def _factor_spaces(spec: SearchSpec, kernels: Sequence[Subgroup],
     return spaces
 
 
+# Public; ``_candidates`` sums ``_triple_bounds`` itself, so the tests and the bench call it.
 def estimate_space(spec: SearchSpec) -> int:
     """Upper bound on the number of branch triples to be examined, computed
     before any validation work.  The survey counts handle tuples without

@@ -50,6 +50,20 @@ def run_fresh(script: str, *args: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def run_limited(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` on this checkout's ``src`` in a child process under a
+    1 GB address-space limit, so that a listing would end in MemoryError
+    rather than take the machine, and a 30 s time limit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit_memory)
+
+
 @st.composite
 def abelian_groups(draw, max_rank: int = 3, max_order: int = 256) -> AbelianGroup:
     rank = draw(st.integers(min_value=1, max_value=max_rank))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,10 +13,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh
+from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh, run_limited
 from isoprod import cli, docio
+from isoprod.__main__ import main
 from isoprod.aut0 import _KernelPieces, aut0
-from isoprod.cli import build_report, main
+from isoprod.cli import build_report
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
 from isoprod.docio import datum_document, dumps
 from isoprod.errors import ConsistencyError, TheoremViolationError
@@ -724,20 +724,11 @@ class TestRobustness:
 
     @staticmethod
     def _validate_in_a_child(doc: dict, tmp_path) -> subprocess.CompletedProcess:
-        """``isoprod validate`` on ``doc`` in a child process under a 1 GB
-        address-space limit, so that a listing would end in MemoryError
-        rather than take the machine, and a 30 s time limit."""
+        """``python -m isoprod validate`` on ``doc`` in a child process under
+        the limits of ``conftest.run_limited``."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        src = Path(__file__).resolve().parent.parent / "src"
-
-        def limit_memory():
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-        return subprocess.run([sys.executable, "-m", "isoprod.cli", "validate", str(path)],
-                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-                              text=True, timeout=30, preexec_fn=limit_memory)
+        return run_limited("-m", "isoprod", "validate", str(path))
 
     def test_huge_kernel_is_refused_under_a_time_limit(self, tmp_path):
         # |K_1| = 2^40: the stabilizer preimage is refused before it is
@@ -821,7 +812,7 @@ class TestRobustness:
         def broken(report):
             raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
 
-        monkeypatch.setattr("isoprod._commands.render_text", broken)
+        monkeypatch.setattr("isoprod.__main__.render_text", broken)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(TestSearchCommand.SPEC))
         source = example1_file if command == "report" else str(path)
@@ -834,7 +825,7 @@ class TestRobustness:
         def broken(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr("isoprod._commands.build_report", broken)
+        monkeypatch.setattr("isoprod.__main__.build_report", broken)
         result = runner.invoke(main, ["report", example1_file])
         assert result.exit_code == 3
         assert "error [internal]: RuntimeError: injected failure" in result.output
@@ -856,7 +847,7 @@ class TestRobustness:
 
 class TestFootprint:
     """A report loads neither click, the oracle nor the survey; ``--oracle``
-    loads the oracle only; reading ``main`` still gives the click group.
+    loads the oracle only; the command module's ``main`` is the click group.
     Run in a fresh interpreter, since this one has loaded all three."""
 
     SCRIPT = """
@@ -871,7 +862,7 @@ build_report(example1(), sections)
 steps["report"] = loaded()
 build_report(example1(), sections, oracle=True)
 steps["oracle"] = loaded()
-from isoprod.cli import main
+from isoprod.__main__ import main
 steps["main"] = type(main).__module__ + "." + type(main).__name__
 print(json.dumps(steps))
 """
@@ -886,7 +877,7 @@ print(json.dumps(steps))
     def test_report_command_loads_neither_the_survey_nor_the_oracle(self, example1_file):
         script = """
 import json, sys
-from isoprod.cli import main
+from isoprod.__main__ import main
 try:
     main(["report", "--format", "json", sys.argv[1]])
 except SystemExit as exc:
@@ -894,3 +885,16 @@ except SystemExit as exc:
 print(json.dumps([code, sorted({"isoprod.oracle", "isoprod.search"} & set(sys.modules))]))
 """
         assert run_fresh(script, example1_file) == [0, []]
+
+    def test_python_m_isoprod_loads_the_report_module_once(self):
+        # ``python -m isoprod`` runs the command module as ``__main__``; it
+        # prints the recorded report, and ``isoprod.cli`` is imported once.
+        root = Path(__file__).resolve().parent.parent
+        proc = run_limited("-X", "importtime", "-m", "isoprod", "report",
+                           str(root / "docs" / "sample_example1.json"))
+        assert proc.returncode == 0, proc.stderr
+        golden = root / "tests" / "golden" / "report_sample_example1_text.out"
+        assert proc.stdout == golden.read_text(encoding="utf-8")
+        imports = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert imports.count("isoprod.cli") == 1
+        assert "isoprod.__main__" not in imports

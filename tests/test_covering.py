@@ -15,7 +15,6 @@ from isoprod.covering import (
     cw_dimension,
     genus,
     stabilizer_union,
-    validate_generating_vector,
 )
 from isoprod.errors import ConsistencyError, ParentMismatchError
 from isoprod.groups import AbelianGroup

@@ -18,7 +18,7 @@ from isoprod.datum import (
     validate_datum,
 )
 from isoprod.docio import datum_document, parse_datum_document
-from isoprod.errors import OverflowLimitError, StructuralError
+from isoprod.errors import OverflowLimitError, SchemaError
 from isoprod.examples import (
     _order_mod,
     build_example,
@@ -44,7 +44,7 @@ def two_torsion_datum(sigmas, orders=(2, 2, 2)):
 class TestBuild:
     def test_wrong_counts(self):
         g = AbelianGroup([2, 2, 2])
-        with pytest.raises(StructuralError):
+        with pytest.raises(SchemaError):
             AlgebraicDatum.build(g, [[g.basis_element(0)]], [])
 
     def test_vectors_live_in_quotients(self):
@@ -224,17 +224,17 @@ class TestRigidityClass:
 
 class TestExampleConstructors:
     def test_example2b_rejects_n1_equal_1(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(SchemaError):
             example2b(1, 1, 1)
 
     def test_build_example_dispatch(self):
         assert build_example("example1", {"n": 2}).group.orders == (4, 4, 4)
         assert build_example("example3", {"n1": 2}).group.orders == (4, 4, 4)
-        with pytest.raises(StructuralError):
+        with pytest.raises(SchemaError):
             build_example("example3", {"n1": 1, "n2": 2})
-        with pytest.raises(StructuralError):
+        with pytest.raises(SchemaError):
             build_example("example4", {"n1": 2})
-        with pytest.raises(StructuralError):
+        with pytest.raises(SchemaError):
             build_example("nope")
 
     def test_example3_uses_single_parameter(self):

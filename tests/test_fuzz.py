@@ -14,7 +14,8 @@ from click.testing import CliRunner, Result
 from hypothesis import given, settings, strategies as st
 
 from conftest import ORACLE_EXAMPLES, relabel_document
-from isoprod.cli import build_report, main
+from isoprod.__main__ import main
+from isoprod.cli import build_report
 from isoprod.docio import datum_document, parse_datum_document
 from isoprod.errors import IsoprodError
 from isoprod.examples import build_example

@@ -4,7 +4,7 @@ recorded files in ``tests/golden/``.
 Each case in ``tests/golden/cases.json`` names its arguments (paths are
 relative to the repository root), its exit code and its stdout file.  To
 re-record after an intended output change, run each case through
-``python -m isoprod.cli`` from the repository root and write stdout to
+``python -m isoprod`` from the repository root and write stdout to
 ``tests/golden/<name>.out``.
 """
 
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from isoprod.cli import main
+from isoprod.__main__ import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -20,6 +20,7 @@ from isoprod.groups import (
     InvariantFactors,
     PackedCharacters,
     Subgroup,
+    _diagonal,
     _smith,
     direct_product,
     product_element,
@@ -110,7 +111,7 @@ def hermite_inputs(draw):
     rows += [[0] * width] * draw(st.integers(0, 2))
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
-    return width, draw(st.permutations(rows + group.relation_rows()))
+    return width, draw(st.permutations(rows + _diagonal(group.orders)))
 
 
 class TestSmithNormalForm:

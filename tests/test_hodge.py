@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 
 import pytest
 
-from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES
+from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, run_limited
 from isoprod import hodge as hodge_module
 from isoprod import docio
 from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _span_kernel,
@@ -474,3 +475,38 @@ class TestNonFree:
         hd = hodge_diamond(example3(1))
         hd.check_symmetries()
         assert hd[1, 0] == 3
+
+
+class TestHugeClassCount:
+    def test_each_listing_is_refused_under_a_memory_limit(self):
+        # The datum of test_branch_element_of_huge_order_is_refused_under_a_time_limit,
+        # parsed without validation: each factor has 2^40 Chevalley-Weil
+        # classes, which the class lattice counts before it lists any.
+        a = 2 ** 40
+        doc = {"group": [a, 2], "kernels": [[[0, 1]], [], []],
+               "vectors": [{"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
+        script = """
+import json, sys
+from isoprod import (admissible_characters, eigendim_table, hodge_diamond, loads,
+                     representation_kernel)
+from isoprod.errors import OverflowLimitError
+datum = loads(sys.argv[1])
+out = {}
+for name, call in (("eigendim_table", eigendim_table), ("hodge_diamond", hodge_diamond),
+                   ("admissible_characters", admissible_characters),
+                   ("representation_kernel", lambda d: representation_kernel(d, 3, 0))):
+    try:
+        call(datum)
+        out[name] = "returned"
+    except OverflowLimitError as exc:
+        out[name] = str(exc)
+print(json.dumps(out))
+"""
+        proc = run_limited("-c", script, json.dumps(doc))
+        assert proc.returncode == 0, proc.stderr
+        refused = f"factor 1: {a} Chevalley-Weil classes exceed the listing bound of {2 ** 20}"
+        assert json.loads(proc.stdout) == dict.fromkeys(
+            ["eigendim_table", "hodge_diamond", "admissible_characters",
+             "representation_kernel"], refused)

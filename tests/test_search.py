@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abelian_groups, group_elements
-from isoprod.aut0 import Aut0Result, _pre_admissible_set, aut0, verify_generator
+from isoprod.aut0 import (Aut0Result, _pre_admissible_set, _verify_generators, aut0,
+                          verify_generator)
 from isoprod.datum import validate_datum
-from isoprod.errors import SearchCapError, StructuralError, TheoremViolationError
+from isoprod.errors import SchemaError, SearchCapError, TheoremViolationError
 from isoprod.examples import example1
 from isoprod.groups import AbelianGroup, PackedCharacters
 from isoprod.hodge import _class_lattice
@@ -89,7 +90,7 @@ class TestSpecParsing:
         {"group": [1, 2]},
     ])
     def test_malformed_documents(self, doc):
-        with pytest.raises(StructuralError):
+        with pytest.raises(SchemaError):
             SearchSpec.from_document(doc)
 
 
@@ -227,6 +228,16 @@ class TestEnumeration:
         second = [tuple(x.exponents for v in d.vectors for x in v.branch + v.eta)
                   for d in itertools.islice(enumerate_data(spec), 50)]
         assert first == second
+
+
+class TestBranchOrderBound:
+    def test_bound_keeps_exactly_the_data_of_small_branch_orders(self):
+        # The mixed Z_2 x Z_4 space at r <= 3 (138,240 data): a bound of 2
+        # drops each datum with a branch element of order 4, and only those.
+        space = dict(group_orders=(2, 4), kernels=(MIXED_KERNELS,), max_branch=3)
+        small = sum(all(sigma.order <= 2 for v in d.vectors for sigma in v.branch)
+                    for d in enumerate_data(SearchSpec(**space)))
+        assert survey(SearchSpec(**space, branch_order_bound=2)).count == small == 27648
 
 
 class TestSurvey:
@@ -527,8 +538,9 @@ class TestFactorized:
 
 
 class TestWalkedSets:
-    """``verify_generator`` with the walk's pre-admissible sets passed in
-    gives the verdict it gives when it walks itself."""
+    """The survey's re-check (``_verify_generators``) with the walk's
+    pre-admissible sets passed in gives the verdict that
+    ``verify_generator`` gives when it walks itself."""
 
     def test_extremal_generators_and_an_element_outside_the_kernel(self):
         result = survey(spec_with(max_branch=3))
@@ -537,10 +549,10 @@ class TestWalkedSets:
             codec = PackedCharacters(datum.group)
             walked = [_pre_admissible_set(datum, i, codec) for i in range(3)]
             for gen in r.generators:
-                assert verify_generator(datum, gen, walked) is verify_generator(datum, gen) \
-                    is True
+                assert _verify_generators(datum, [gen], walked) is \
+                    verify_generator(datum, gen) is True
                 checked += 1
             outside = next(g for g in r.cube.elements() if not r.kernel.contains(g))
-            assert verify_generator(datum, outside, walked) is \
+            assert _verify_generators(datum, [outside], walked) is \
                 verify_generator(datum, outside) is False
         assert checked

@@ -29,7 +29,8 @@ the listing (``LISTING_PAIRS``):
 - small data list the characters (``admissible_characters``) from the
   packed pre-admissible sets (``groups.PackedCharacters``), which the
   pieces read off the classes (``hodge._pre_from_classes``) once per
-  factor and ``A_i``, by one packed convolution for the first kind;
+  factor and ``A_i``, as the (3,0) and (2,0) Kunneth pieces of their 0/1
+  tables (``hodge._kunneth_pieces``);
 - large data read the counts and spans off the classes ``x + A_i``
   themselves (``_admissible_from_classes``), by the matching rule of the
   Hodge sums (``hodge._class_matches``).
@@ -75,7 +76,8 @@ from .groups import (
     row_hermite,
     subgroup_quotient,
 )
-from .hodge import _class_lattice, _class_matches, _ClassLattice, _factor_walk, _pre_from_classes
+from .hodge import (_class_lattice, _class_matches, _ClassLattice, _factor_walk, _kunneth_pieces,
+                    _pre_from_classes, _refuse_over)
 
 # The listing route runs while the first-kind convolution visits at most
 # this many pairs ``|P_1| |P_2|``; above it the counts and spans come from
@@ -167,29 +169,20 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
     exponent tuple.
 
     First kind: every component pre-admissible.  Second kind: exactly one
-    component trivial, the other two pre-admissible and conjugate.  Both
-    kinds are found on triples of packed characters, which
-    ``PackedCharacters.cube_characters`` sorts and turns into characters of
-    ``G^3``.  ``pre`` holds the three packed pre-admissible sets when the
-    caller has them already; otherwise they come from each factor's
-    Chevalley-Weil classes (``hodge._pre_from_classes``).
+    component trivial, the other two pre-admissible and conjugate.  These
+    are the Kunneth pieces of ``H^{3,0}`` and ``H^{2,0}`` of the 0/1
+    tables of the three packed pre-admissible sets
+    (``hodge._kunneth_pieces``), which ``PackedCharacters.cube_characters``
+    sorts and turns into characters of ``G^3``.  ``pre`` holds those sets
+    when the caller has them already; otherwise they come from each
+    factor's Chevalley-Weil classes (``hodge._pre_from_classes``).
     """
     codec = PackedCharacters(datum.group)
-    neg = codec.neg
     if pre is None:
         pre = [_pre_from_classes(codec, _class_lattice(datum, i)) for i in range(3)]
-    pre = [dict.fromkeys(p, 1) for p in pre]
-    # First kind: c1 + c2 + c3 = 0, so c1 + c2 must be the negative of some c3.
-    terms = codec.convolve(pre[0], pre[1], {neg(c3): 1 for c3 in pre[2]})
-    second = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for chi in pre[i]:
-            if neg(chi) in pre[j]:
-                comps = [0, 0, 0]
-                comps[i], comps[j] = chi, neg(chi)
-                second.append(tuple(comps))
-    return (codec.cube_characters((c1, c2, neg(s)) for c1, c2, s, _ in terms),
-            codec.cube_characters(second))
+    tables = [dict.fromkeys(p, 1) for p in pre]
+    return tuple(codec.cube_characters(key for key, _ in _kunneth_pieces(codec, tables, *pq))
+                 for pq in ((3, 0), (2, 0)))
 
 
 def _k_delta(datum: AlgebraicDatum) -> Subgroup:
@@ -279,14 +272,10 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
     off each factor's classes (``hodge._class_lattice``) without listing a
     character.
 
-    The pre-admissible set is the union of the nonzero classes.  A class
-    triple is feasible when ``x_1 + x_2 + x_3`` lies in
-    ``A_1 + A_2 + A_3``; its first-kind characters are then one coset of
-    the sum-zero part ``L`` of ``A_1 x A_2 x A_3``, of order
-    ``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|``.  A class pair ``(i, j)`` is
-    feasible when ``x_i + x_j`` lies in ``A_i + A_j`` and then holds
-    ``|A_i meet A_j|`` second-kind characters.  ``hodge._class_matches``
-    finds both, with weight 1 on each nonzero class, as for the Hodge sums.
+    The pre-admissible set is the union of the nonzero classes, so with
+    weight 1 on each the totals of ``hodge._class_matches`` count both
+    kinds.  The first-kind characters of a feasible class triple are one
+    coset of the sum-zero part ``L`` of ``A_1 x A_2 x A_3``.
 
     The characters of the first kind span ``W meet Z``, where ``Z`` is the
     sum-zero plane and ``W`` is generated by the feasible class triples
@@ -307,35 +296,26 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
     def placed(slots: dict[int, Sequence[int]]) -> tuple[int, ...]:
         return tuple(e for s in range(3) for e in slots.get(s, zero))
 
-    def feasible(idx: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    def feasible(idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # The characters of the feasible class tuples in the slots ``idx``
-        # (the zero class has weight 0): their number, and the class tuples
-        # placed in G^3.
+        # (the zero class has weight 0): their number, and the span of the
+        # tuples placed in G^3, refused over ``MAX_FIXING`` tuples.
         chosen = [classes[i] for i in idx]
-        fibre, (found,) = _class_matches(group, chosen, [[0] + [1] * (len(c.reps) - 1)
-                                                         for c in chosen], [(1,) * len(idx)])
-        count, rows = 0, []
-        for buckets in found:
-            count += prod(w for w, _ in buckets)
-            rows += (placed(dict(zip(idx, reps)))
-                     for reps in itertools.product(*(reps for _, reps in buckets)))
-        return count * fibre, rows
+        ((count, found),) = _class_matches(group, chosen, [[0] + [1] * (len(c.reps) - 1)
+                                                           for c in chosen], [(1,) * len(idx)])
+        _refuse_over(sum(prod(len(reps) for _, reps in buckets) for buckets in found),
+                     "Chevalley-Weil class tuples")
+        if not found:
+            return count, ()
+        rows = [placed(dict(zip(idx, reps))) for buckets in found
+                for reps in itertools.product(*(reps for _, reps in buckets))]
+        return count, _plane_span(group.orders, rows + [placed({i: a}) for i in idx
+                                                        for a in classes[i].rows])
 
-    def span(rows: list[tuple[int, ...]], idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if not rows:
-            return []
-        return list(_plane_span(group.orders, rows + [placed({i: a}) for i in idx
-                                                      for a in classes[i].rows]))
-
-    first, triples = feasible((0, 1, 2))
-    second, pair_rows = 0, []
-    for idx in ((0, 1), (0, 2), (1, 2)):
-        count, pairs = feasible(idx)
-        second += count
-        pair_rows += span(pairs, idx)
-    span20 = row_hermite(pair_rows + _diagonal(group.orders * 2), 2 * r)
-    span30 = row_hermite([*span20, *span(triples, (0, 1, 2))], 2 * r)
-    return (first, second), span30, span20
+    (first, rows30), *pairs = (feasible(idx) for idx in ((0, 1, 2), (0, 1), (0, 2), (1, 2)))
+    span20 = row_hermite([row for _, rows in pairs for row in rows]
+                         + _diagonal(group.orders * 2), 2 * r)
+    return (first, sum(count for count, _ in pairs)), row_hermite([*span20, *rows30], 2 * r), span20
 
 
 def _plane_span(orders: tuple[int, ...], rows: list[tuple[int, ...]],

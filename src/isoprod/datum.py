@@ -39,7 +39,8 @@ from .groups import (
 # The most sums ``|K_i| (1 + sum(m_j - 1))`` that one factor's stabilizer
 # preimage lists (``_fixing``).  No tested or benchmarked datum lists more
 # than 256: example1 at n = 64, 128 kernel elements times 2.  The same bound
-# holds one factor's Chevalley-Weil classes (``hodge._class_lattice``).
+# holds one factor's Chevalley-Weil classes (``hodge._class_lattice``), the
+# pairs and tuples of class matching, and the pairs of each convolution.
 MAX_FIXING = 2 ** 20
 
 

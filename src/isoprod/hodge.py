@@ -15,20 +15,18 @@ representative per class without visiting the other characters: with the
 Hermite bases ``B`` of ``Ann(K_i)`` and ``A`` of ``A_i``, the box
 ``sum c_j B_j``, ``0 <= c_j < A[j][j] / B[j][j]``, meets every class once,
 and its first point is zero.  ``eigendim_table`` reads one integer ``f``
-per class off its representative's values, checked in integers, without
-``Fraction``.  The pre-admissible set is ``Ann(K_i)`` minus ``A_i``, the
-nonzero classes translated by the elements of ``A_i``
-(``_pre_from_classes``).  A factor's classes are one record
-(``_ClassLattice``: the basis and order of ``A_i``, the representatives
-and, once checked, each class's ``f``), which the table keeps and
-``aut0`` takes as its one input.
+per class off its representative's values, checked in integers.  The
+pre-admissible set is ``Ann(K_i)`` minus ``A_i``, the nonzero classes
+translated by the elements of ``A_i`` (``_pre_from_classes``).  A
+factor's classes are one record (``_ClassLattice``), which the table
+keeps and ``aut0`` takes as its one input.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
-fibre size
-``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|`` when ``x_1 + x_2 + x_3`` lies in
-``A_1 + A_2 + A_3``, and none otherwise; the pairs ``c_i + c_j = 0`` number
-``|A_i meet A_j| = |A_i| |A_j| / |A_i + A_j|`` when ``x_i + x_j`` lies in
-``A_i + A_j``.  Hence, with ``h^{1,0} = sum g'_i``:
+fibre size ``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|`` when
+``x_1 + x_2 + x_3`` lies in ``A_1 + A_2 + A_3``, and none otherwise; the
+pairs ``c_i + c_j = 0`` number ``|A_i meet A_j| = |A_i| |A_j| / |A_i + A_j|``
+when ``x_i + x_j`` lies in ``A_i + A_j``.  Hence, with
+``h^{1,0} = sum g'_i``:
 
 - ``h^{3,0}``: the sum of ``F_1 F_2 F_3`` over ``c_1 + c_2 + c_3 = 0``, the
   three sums of ``F_i(c) F_j(-c)``, and ``sum F_i(0) + 1`` from the
@@ -39,28 +37,26 @@ fibre size
   ``F_i(c) F_j(c)``, with the same trivial-character terms.
 
 ``_class_matches`` is the one rule that matches classes: per sum subgroup
-it forms the Hermite basis and the fibre size once and buckets classes by
-their canonical coset representative against that basis, so the cost
-depends on the number of classes (the order of the subgroup of ``G / K_i``
-that the branch points generate), not on ``|G|``.  A triple sum pairs the
-buckets of two factors, so class matching grows with the square of the
-number of classes.  ``_class_counts`` folds the matched buckets into the
-sums above, weighted by ``f``, and ``aut0._admissible_from_classes`` into
-the admissible counts and spans.
+it forms the Hermite basis and the fibre size once, buckets classes by
+their canonical coset representative against that basis, and folds each
+sign pattern's matches into a weighted total.  The cost depends on the
+number of classes (the order of the subgroup of ``G / K_i`` that the
+branch points generate), not on ``|G|``, but a triple sum pairs the
+buckets of two factors: it grows with the square of the number of
+classes.  ``_class_counts`` reads the sums above off the totals, with
+weights ``f``, and ``aut0._admissible_from_classes`` the admissible
+counts and spans, with weight 1.
 
-``isotypic_decomposition`` lists the pieces themselves, whose number is of
-order ``|G|^2``: ``_kunneth_pieces`` convolves the packed tables, and the
-totals are checked against ``hodge_diamond``, an independent count.
+``_kunneth_pieces`` convolves packed tables into the pieces themselves,
+whose number is of order ``|G|^2``: ``isotypic_decomposition`` those of
+the dimension tables, checked against ``hodge_diamond``, an independent
+count, and ``aut0.admissible_characters`` the (3,0) and (2,0) pieces of
+0/1 tables of the pre-admissible sets.  Class matching and each
+convolution refuse more than ``MAX_FIXING`` pairs before they start.
 
-The views of the eigenspace table expand the checked classes on first
-read into the full tables over ``Ann(K_i)`` (``_packed`` and ``tables``,
-which ``isotypic_decomposition`` and the API read), where every character
-of ``rep + A_i`` gets the class's ``f`` and the trivial character
-``f + 1``.  The integer walk over all of ``Ann(K_i)`` (``_factor_walk``)
-serves only the listings that check the fast path (``aut0.verify_generator``
-and the report's oracle), whose pre-admissible sets must not come from the
-classes, and the tests' reference.  A report without the oracle makes no
-walk.
+The integer walk over ``Ann(K_i)`` (``_factor_walk``) serves only the
+listings that check the fast path (``aut0.verify_generator`` and the
+report's oracle) and the tests' reference.
 """
 
 from __future__ import annotations
@@ -181,11 +177,15 @@ def _class_lattice(datum: AlgebraicDatum, i: int) -> _ClassLattice:
     a_basis = row_hermite(_hermite_dual(t_basis, group.orders), group.rank)
     b_basis = datum.kernels[i].annihilator().basis
     counts = [a[j] // b[j] for j, (a, b) in enumerate(zip(a_basis, b_basis))]
-    if prod(counts) > MAX_FIXING:
-        raise OverflowLimitError(f"factor {i + 1}: {prod(counts)} Chevalley-Weil classes "
-                                 f"exceed the listing bound of {MAX_FIXING}")
+    _refuse_over(prod(counts), "Chevalley-Weil classes", f"factor {i + 1}: ")
     reps = _hermite_box(b_basis, group.orders, counts)
     return _ClassLattice(a_basis, _hermite_order(group, a_basis), tuple(reps))
+
+
+def _refuse_over(count: int, what: str, where: str = "") -> None:
+    """Refuse a listing of ``count`` items (``what``) over ``MAX_FIXING``."""
+    if count > MAX_FIXING:
+        raise OverflowLimitError(f"{where}{count} {what} exceed the listing bound of {MAX_FIXING}")
 
 
 def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> list[int]:
@@ -293,20 +293,30 @@ def _kunneth_pieces(codec: PackedCharacters, tables: Sequence[dict[int, int]], p
     (2,0), (1,1)``, as (packed character triple summing to zero, dimension).
 
     A triple may repeat; the constant terms sit at the trivial triple.
+    ``(3,0)`` and ``(2,0)`` add none, and only their trivial triple can
+    repeat, so on 0/1 tables of the pre-admissible sets their keys are the
+    admissible characters of the first and of the second kind
+    (``aut0.admissible_characters``).  A convolution of more than
+    ``MAX_FIXING`` pairs ``len(a) * len(b)`` is refused before it runs.
     """
     d1, d2, d3 = tables
     neg = codec.neg
+
+    def convolve(a: dict, b: dict, c: dict) -> list:
+        _refuse_over(len(a) * len(b), "character pairs")
+        return codec.convolve(a, b, c)
+
     if (p, q) == (3, 0):
         return [((x, y, neg(s)), dim)
-                for x, y, s, dim in codec.convolve(d1, d2, {neg(z): d for z, d in d3.items()})]
+                for x, y, s, dim in convolve(d1, d2, {neg(z): d for z, d in d3.items()})]
     if (p, q) == (2, 1):
         # Conjugating one slot: a piece bar(W_1^chi) (x) W_2^c2 (x) W_3^c3
         # survives when chi = c2 + c3, with character (-chi, c2, c3).  The
         # three fibration classes add 2 per base 1-form.
         return ([((0, 0, 0), 2 * sum(t.get(0, 0) for t in tables))]
-                + [((neg(s), y, z), dim) for y, z, s, dim in codec.convolve(d2, d3, d1)]
-                + [((x, neg(s), z), dim) for x, z, s, dim in codec.convolve(d1, d3, d2)]
-                + [((x, y, neg(s)), dim) for x, y, s, dim in codec.convolve(d1, d2, d3)])
+                + [((neg(s), y, z), dim) for y, z, s, dim in convolve(d2, d3, d1)]
+                + [((x, neg(s), z), dim) for x, z, s, dim in convolve(d1, d3, d2)]
+                + [((x, y, neg(s)), dim) for x, y, s, dim in convolve(d1, d2, d3)])
     # H^{2,0} pairs chi with -chi; H^{1,1} pairs chi with chi and carries
     # both orderings of the conjugate pair.
     h20 = (p, q) == (2, 0)
@@ -326,27 +336,30 @@ def _kunneth_pieces(codec: PackedCharacters, tables: Sequence[dict[int, int]], p
 
 def _class_matches(group: AbelianGroup, classes: Sequence[_ClassLattice],
                    weights: Sequence[Sequence[int]], patterns: Sequence[Sequence[int]],
-                   ) -> tuple[int, list[list[tuple[list, ...]]]]:
-    """The matches of the classes ``x_k + A_k`` of two or three factors:
-    the fibre ``prod |A_k| / |sum A_k|``, and per sign pattern ``s`` the
-    tuples of buckets, one per factor, with ``sum_k s_k x_k in sum_k A_k``;
-    each such class tuple has ``fibre`` solutions of ``sum_k s_k c_k = 0``.
+                   ) -> list[tuple[int, list[tuple[list, ...]]]]:
+    """The matches of the classes ``x_k + A_k`` of two or three factors,
+    per sign pattern ``s``: the total ``fibre * sum prod w`` and the tuples
+    of buckets, one per factor, with ``sum_k s_k x_k in sum_k A_k``.  Each
+    class tuple has ``fibre = prod |A_k| / |sum A_k|`` solutions of
+    ``sum_k s_k c_k = 0``.
 
     A bucket ``[w, reps]`` holds the classes of nonzero weight
     (``weights[k]``, one per class) of one factor whose signed
     representatives have one key, the canonical coset representative
     against the Hermite basis of the sum (``groups._coset_key``), and
     their summed weight.  A tuple matches when the key of the sum of its
-    leading keys is the key of its last entry negated.
+    leading keys is the key of its last entry negated.  A triple sum
+    visits every pair of buckets of its first two factors, and more than
+    ``MAX_FIXING`` pairs are refused before it starts.
     """
     basis = row_hermite([row for c in classes for row in c.rows], group.rank)
     fibre = prod(c.order for c in classes) // _hermite_order(group, basis)
-    buckets: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+    by_sign: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
 
     def bucketed(k: int, sign: int) -> dict[tuple[int, ...], list]:
-        out = buckets.get((k, sign))
+        out = by_sign.get((k, sign))
         if out is None:
-            out = buckets[k, sign] = {}
+            out = by_sign[k, sign] = {}
             for rep, w in zip(classes[k].reps, weights[k]):
                 if w:
                     bucket = out.setdefault(_coset_key(basis, [sign * e for e in rep]), [0, []])
@@ -358,22 +371,24 @@ def _class_matches(group: AbelianGroup, classes: Sequence[_ClassLattice],
     for signs in patterns:
         head, last = bucketed(0, signs[0]), bucketed(len(signs) - 1, -signs[-1])
         if len(signs) == 2:
-            matches.append([(b, last[key]) for key, b in head.items() if key in last])
-            continue
-        found = []
-        for k2, b2 in bucketed(1, signs[1]).items():
-            for k1, b1 in head.items():
-                key = _coset_key(basis, [x + y for x, y in zip(k1, k2)])
-                if key in last:
-                    found.append((b1, b2, last[key]))
-        matches.append(found)
-    return fibre, matches
+            found = [(b, last[key]) for key, b in head.items() if key in last]
+        else:
+            middle = bucketed(1, signs[1])
+            _refuse_over(len(head) * len(middle), "Chevalley-Weil class pairs")
+            found = []
+            for k2, b2 in middle.items():
+                for k1, b1 in head.items():
+                    key = _coset_key(basis, [x + y for x, y in zip(k1, k2)])
+                    if key in last:
+                        found.append((b1, b2, last[key]))
+        matches.append((fibre * sum(prod(w for w, _ in buckets) for buckets in found), found))
+    return matches
 
 
 def _class_counts(group: AbelianGroup, classes: Sequence[_ClassLattice],
                   ) -> tuple[int, int, int, int]:
     """The sums of ``F_1 F_2 F_3`` and ``F_i F_j`` that the Hodge numbers
-    need, by class (``_class_matches``, weighted by ``f``):
+    need, as the totals of ``_class_matches`` weighted by ``f``:
     ``(t30, t21, same, opp)``.
 
     ``t30`` sums ``F_1(x_1) F_2(x_2) F_3(x_3)`` over ``x_1 + x_2 + x_3 = 0``
@@ -381,20 +396,17 @@ def _class_counts(group: AbelianGroup, classes: Sequence[_ClassLattice],
     ``F_i(x) F_j(-x)`` and ``opp`` sums ``F_i(x) F_j(x)`` over the three
     pairs.
     """
-    def total(fibre: int, found: list[tuple[list, ...]]) -> int:
-        return fibre * sum(prod(w for w, _ in buckets) for buckets in found)
-
-    fibre, (t30, *t21) = _class_matches(group, classes, [c.dims for c in classes],
-                                        [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+    (t30, _), *t21 = _class_matches(group, classes, [c.dims for c in classes],
+                                    [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)])
     same = opp = 0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    for pair in ((classes[0], classes[1]), (classes[0], classes[2]), (classes[1], classes[2])):
         # x_i + x_j (x_i - x_j) in A_i + A_j; each class pair has
-        # |A_i meet A_j| = meet solutions.
-        meet, (plus, minus) = _class_matches(group, (classes[i], classes[j]),
-                                             (classes[i].dims, classes[j].dims), [(1, 1), (1, -1)])
-        same += total(meet, plus)
-        opp += total(meet, minus)
-    return total(fibre, t30), sum(total(fibre, found) for found in t21), same, opp
+        # |A_i meet A_j| solutions.
+        (plus, _), (minus, _) = _class_matches(group, pair, [c.dims for c in pair],
+                                               [(1, 1), (1, -1)])
+        same += plus
+        opp += minus
+    return t30, sum(t for t, _ in t21), same, opp
 
 
 def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,

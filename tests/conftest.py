@@ -64,6 +64,18 @@ def run_limited(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=30, preexec_fn=limit_memory)
 
 
+def z2_classes_document(k: int) -> dict:
+    """A datum document over ``Z2^k`` with ``K_i = <e_i>`` and ``g' = 1``,
+    whose i-th branch is the other ``k - 1`` basis vectors and their sum:
+    ``A_i`` is trivial, so each factor has ``2^(k-1)`` Chevalley-Weil
+    classes, and matching them visits ``(2^(k-1) - 1)^2`` class pairs."""
+    basis = [[int(c == j) for c in range(k)] for j in range(k)]
+    vectors = [{"g_prime": 1,
+                "branch": [basis[j] for j in range(k) if j != i] + [[int(c != i) for c in range(k)]],
+                "eta": [[0] * k, [0] * k]} for i in range(3)]
+    return {"group": [2] * k, "kernels": [[basis[i]] for i in range(3)], "vectors": vectors}
+
+
 @st.composite
 def abelian_groups(draw, max_rank: int = 3, max_order: int = 256) -> AbelianGroup:
     rank = draw(st.integers(min_value=1, max_value=max_rank))

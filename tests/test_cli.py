@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh, run_limited
+from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh, run_limited, z2_classes_document
 from isoprod import cli, docio
 from isoprod.__main__ import main
 from isoprod.aut0 import _KernelPieces, aut0
@@ -753,6 +753,17 @@ class TestRobustness:
         result = self._validate_in_a_child(doc, tmp_path)
         assert result.returncode == 2
         assert result.stderr.startswith("error [arithmetic-overflow]: the stabilizer preimage")
+
+    def test_many_classes_are_refused_under_a_time_limit(self, tmp_path):
+        # Z2^12: 2^11 Chevalley-Weil classes per factor; matching them would
+        # visit 2047^2 class pairs, more than the listing bound, so the report
+        # is refused before it matches any.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(z2_classes_document(12)))
+        result = run_limited("-m", "isoprod", "report", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [arithmetic-overflow]: 4190209 Chevalley-Weil "
+                                        "class pairs exceed the listing bound")
 
     def test_group_order_over_the_digit_limit_exits_two(self, tmp_path):
         # Two orders of 3,999 digits, each one Python reads; their product

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, run_limited
+from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, run_limited, z2_classes_document
 from isoprod import hodge as hodge_module
 from isoprod import docio
 from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _span_kernel,
@@ -17,7 +17,7 @@ from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, 
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
-from isoprod.errors import ConsistencyError
+from isoprod.errors import ConsistencyError, OverflowLimitError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import AbelianGroup, PackedCharacters, Subgroup, _coset_key, direct_product
 from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_decomposition
@@ -388,6 +388,27 @@ class TestClassesWithoutWalk:
                     assert psi.group == cube
                     assert all(psi.pairing(gen) == 0 for gen in k_delta)
 
+    @pytest.mark.parametrize("name", CLASS_DATA)
+    def test_admissible_characters_match_the_definition(self, name):
+        # Every sum-zero triple of characters of G^3, each component tested
+        # with the per-character pre_admissible: the first kind has three
+        # pre-admissible components, the second exactly one trivial one and
+        # two pre-admissible ones.
+        for d in _class_data(name):
+            if d.group.order > 64:
+                continue
+            chars = list(d.group.characters())
+            pre = [{chi for chi in chars if pre_admissible(d, i, chi)} for i in range(3)]
+            first, second = [], []
+            for c1, c2 in itertools.product(chars, repeat=2):
+                comps = (c1, c2, -(c1 + c2))
+                trivial = sum(c.is_trivial for c in comps)
+                if all(c in p or c.is_trivial for c, p in zip(comps, pre)) and trivial < 2:
+                    (second if trivial else first).append(
+                        tuple(e for c in comps for e in c.exponents))
+            assert [[psi.exponents for psi in kind] for kind in admissible_characters(d)] \
+                == [sorted(first), sorted(second)]
+
     @pytest.mark.parametrize("name", CLASS_DATA + ("large",))
     def test_class_route_equals_the_listing(self, name):
         # The counts and both spans read off the classes equal those of the
@@ -478,16 +499,9 @@ class TestNonFree:
 
 
 class TestHugeClassCount:
-    def test_each_listing_is_refused_under_a_memory_limit(self):
-        # The datum of test_branch_element_of_huge_order_is_refused_under_a_time_limit,
-        # parsed without validation: each factor has 2^40 Chevalley-Weil
-        # classes, which the class lattice counts before it lists any.
-        a = 2 ** 40
-        doc = {"group": [a, 2], "kernels": [[[0, 1]], [], []],
-               "vectors": [{"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
-                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]},
-                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
-        script = """
+    # Each public routine on the datum of argv[1], parsed without
+    # validation: "returned", or the message of its OverflowLimitError.
+    SCRIPT = """
 import json, sys
 from isoprod import (admissible_characters, eigendim_table, hodge_diamond, loads,
                      representation_kernel)
@@ -504,9 +518,56 @@ for name, call in (("eigendim_table", eigendim_table), ("hodge_diamond", hodge_d
         out[name] = str(exc)
 print(json.dumps(out))
 """
-        proc = run_limited("-c", script, json.dumps(doc))
+
+    def test_each_listing_is_refused_under_a_memory_limit(self):
+        # The datum of test_branch_element_of_huge_order_is_refused_under_a_time_limit,
+        # parsed without validation: each factor has 2^40 Chevalley-Weil
+        # classes, which the class lattice counts before it lists any.
+        a = 2 ** 40
+        doc = {"group": [a, 2], "kernels": [[[0, 1]], [], []],
+               "vectors": [{"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]},
+                           {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
+        proc = run_limited("-c", self.SCRIPT, json.dumps(doc))
         assert proc.returncode == 0, proc.stderr
         refused = f"factor 1: {a} Chevalley-Weil classes exceed the listing bound of {2 ** 20}"
         assert json.loads(proc.stdout) == dict.fromkeys(
             ["eigendim_table", "hodge_diamond", "admissible_characters",
              "representation_kernel"], refused)
+
+    def test_class_pairs_are_refused_under_a_memory_limit(self):
+        # Z2^12: 2^11 classes per factor, within the bound, but matching the
+        # nonzero ones of two factors, or convolving two pre-admissible
+        # sets, would visit 2047^2 pairs.
+        proc = run_limited("-c", self.SCRIPT, json.dumps(z2_classes_document(12)))
+        assert proc.returncode == 0, proc.stderr
+        over = f"{2047 ** 2} {{}} exceed the listing bound of {2 ** 20}"
+        assert json.loads(proc.stdout) == {
+            "eigendim_table": "returned",
+            "hodge_diamond": over.format("Chevalley-Weil class pairs"),
+            "admissible_characters": over.format("character pairs"),
+            "representation_kernel": over.format("Chevalley-Weil class pairs")}
+
+    @pytest.mark.parametrize("call, what", [(hodge_diamond, "Chevalley-Weil class pairs"),
+                                            (admissible_characters, "character pairs")])
+    def test_pair_bound_is_sharp(self, monkeypatch, call, what):
+        # Z2^6: 31 nonzero classes, and 31 pre-admissible characters, per
+        # factor, so 961 pairs.
+        d = docio.loads(json.dumps(z2_classes_document(6)))
+        monkeypatch.setattr(hodge_module, "MAX_FIXING", 961)
+        call(d)
+        monkeypatch.setattr(hodge_module, "MAX_FIXING", 960)
+        with pytest.raises(OverflowLimitError, match=f"^961 {what} exceed the listing bound of 960$"):
+            call(d)
+
+    def test_class_tuples_are_counted_before_they_are_placed(self, monkeypatch):
+        # example2b(6,3,3) matches one bucket pair of its first two factors,
+        # and the matched buckets hold 5 class triples of 18 characters each.
+        d = example2b(6, 3, 3)
+        classes = [hodge_module._class_lattice(d, i) for i in range(3)]
+        monkeypatch.setattr(hodge_module, "MAX_FIXING", 5)
+        assert _admissible_from_classes(d.group, classes)[0] == (90, 0)
+        monkeypatch.setattr(hodge_module, "MAX_FIXING", 4)
+        with pytest.raises(OverflowLimitError,
+                           match="^5 Chevalley-Weil class tuples exceed the listing bound of 4$"):
+            _admissible_from_classes(d.group, classes)

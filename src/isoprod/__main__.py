@@ -20,7 +20,7 @@ import click
 from . import docio
 from .cli import build_report, render_text
 from .errors import ConsistencyError, IsoprodError, SchemaError, TheoremViolationError
-from .examples import EXAMPLE_NAMES, build_example
+from .examples import EXAMPLE_NAMES, _check_parameter, build_example
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -28,28 +28,18 @@ EXIT_SCHEMA = 2
 EXIT_INTERNAL = 3
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(report, indent=2))
-    else:
-        click.echo(render_text(report), nl=False)
-
-
-def _exit_code(report: dict) -> int:
-    if "validation" in report and not report["validation"]["ok"]:
-        return EXIT_INVALID
-    return EXIT_OK
-
-
 def _run(build: Callable[[], dict], fmt: str) -> NoReturn:
-    """Print the report that ``build`` returns and exit with its code; any
-    error ends in ``_fail``."""
+    """Print the report that ``build`` returns and exit with its code, 1 when
+    its datum fails validation; any error ends in ``_fail``."""
     try:
         report = build()
-        _emit(report, fmt)
+        if fmt == "json":
+            click.echo(json.dumps(report, indent=2))
+        else:
+            click.echo(render_text(report), nl=False)
     except Exception as exc:
         _fail(exc)
-    sys.exit(_exit_code(report))
+    sys.exit(EXIT_INVALID if "validation" in report and not report["validation"]["ok"] else EXIT_OK)
 
 
 def _fail(exc: Exception) -> NoReturn:
@@ -77,53 +67,33 @@ def main() -> None:
     isogenous to a product of curves (abelian, unmixed type)."""
 
 
-def _file_report(path: str, sections: tuple[str, ...], oracle: bool = False) -> Callable[[], dict]:
-    """The report of the datum document at ``path``, built when ``_run``
-    calls it."""
-    return lambda: build_report(docio.loads(Path(path).read_bytes()), sections, oracle=oracle)
+# Each datum command: name, report sections, whether it takes --oracle, summary.
+_DATUM_COMMANDS = (
+    ("validate", (), False, "Check a datum document and report violations."),
+    ("report", ("invariants", "hodge", "aut0"), True,
+     "Full report: validation, invariants, Hodge diamond, Aut_0."),
+    ("aut0", ("aut0",), True, "Numerically trivial automorphisms of the datum's 3-fold."),
+    ("kernels", ("kernels",), False, "Orders of the cohomology representation kernels."),
+    ("hodge", ("invariants", "hodge"), True, "Hodge diamond and numerical invariants."),
+)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-def validate(file: str, fmt: str) -> None:
-    """Check a datum document and report violations."""
-    _run(_file_report(file, ()), fmt)
+def _datum_command(name: str, sections: tuple[str, ...], takes_oracle: bool, summary: str) -> None:
+    """Register a command that prints ``sections`` of a datum document's report."""
+
+    def command(file: str, fmt: str, oracle: bool = False) -> None:
+        _run(lambda: build_report(docio.loads(Path(file).read_bytes()), sections,
+                                  oracle=oracle), fmt)
+
+    if takes_oracle:
+        command = oracle_option(command)
+    command = format_option(command)
+    command = click.argument("file", type=click.Path(exists=True, dir_okay=False))(command)
+    main.command(name=name, help=summary)(command)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-@oracle_option
-def report(file: str, fmt: str, oracle: bool) -> None:
-    """Full report: validation, invariants, Hodge diamond, Aut_0."""
-    _run(_file_report(file, ("invariants", "hodge", "aut0"), oracle), fmt)
-
-
-@main.command(name="aut0")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-@oracle_option
-def aut0_command(file: str, fmt: str, oracle: bool) -> None:
-    """Numerically trivial automorphisms of the datum's 3-fold."""
-    _run(_file_report(file, ("aut0",), oracle), fmt)
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-def kernels(file: str, fmt: str) -> None:
-    """Orders of the cohomology representation kernels."""
-    _run(_file_report(file, ("kernels",)), fmt)
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@format_option
-@oracle_option
-def hodge(file: str, fmt: str, oracle: bool) -> None:
-    """Hodge diamond and numerical invariants."""
-    _run(_file_report(file, ("invariants", "hodge"), oracle), fmt)
+for _command in _DATUM_COMMANDS:
+    _datum_command(*_command)
 
 
 def _parse_params(texts: Sequence[str]) -> dict[str, int]:
@@ -134,14 +104,13 @@ def _parse_params(texts: Sequence[str]) -> dict[str, int]:
             raise SchemaError(f"malformed parameter {part!r}; expected name=value")
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in {"n", "n1", "n2", "n3"}:
-            raise SchemaError(f"unknown parameter {key!r}")
+        _check_parameter(key)
         if key in params:
             raise SchemaError(f"parameter {key} is given twice")
         try:
             params[key] = int(value)
-        except ValueError as exc:
-            raise SchemaError(f"parameter {key} needs an integer, got {value!r}") from exc
+        except ValueError:
+            _check_parameter(key, value)  # raises: the text is not an integer
     return params
 
 

@@ -19,7 +19,8 @@ order (3, 1, 2): ``Delta_G`` zeroes the third component, and the result is
 the lexicographically least representative with trivial third component.
 
 ``aut0``'s one input is each factor's Chevalley-Weil classes
-(``hodge._ClassLattice``).  Within one kernel triple ``A_i`` fixes the
+(``hodge._ClassLattice``; its ``support`` is the rule for the
+pre-admissible ones).  Within one kernel triple ``A_i`` fixes the
 pre-admissible set ``Ann(K_i) \\ A_i``, so ``aut0`` keeps its work in
 ``_KernelPieces.memo`` under the three ``A_i`` bases as a ``_Solved``: the
 two counts and the spans of the (3,0) and (2,0) kernels, no characters.
@@ -207,8 +208,8 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     pre-admissible components.  Likewise ``H^{1,1}`` and ``H^{2,0}`` both
     see exactly the second kind up to negation, which does not change the
     annihilator.  Hence the two kernel equalities hold at the level of
-    character sets, and the CLI's kernels section reads ``(2,1)`` from the
-    ``(3,0)`` kernel and ``(1,1)`` from the ``(2,0)`` kernel.
+    character sets, and ``_Solved.span`` gives ``(2,1)`` the ``(3,0)``
+    span and ``(1,1)`` the ``(2,0)`` one.
 
     The span of those characters is ``aut0``'s, from the datum's classes
     (``_solved``), so large data list nothing here either.
@@ -261,8 +262,8 @@ def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
 
 def _listing_pairs(classes: Sequence[_ClassLattice]) -> int:
     """The pairs ``|P_1| |P_2|`` that the first-kind convolution of the
-    listing visits, with ``|P_i| = (#classes - 1) |A_i|``."""
-    return prod((len(c.reps) - 1) * c.order for c in classes[:2])
+    listing visits, with ``|P_i| = |A_i|`` times the classes in the support."""
+    return prod(sum(c.support) * c.order for c in classes[:2])
 
 
 def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattice],
@@ -272,8 +273,8 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
     off each factor's classes (``hodge._class_lattice``) without listing a
     character.
 
-    The pre-admissible set is the union of the nonzero classes, so with
-    weight 1 on each the totals of ``hodge._class_matches`` count both
+    The pre-admissible set is the union of the classes in the ``support``,
+    so with it as weights the totals of ``hodge._class_matches`` count both
     kinds.  The first-kind characters of a feasible class triple are one
     coset of the sum-zero part ``L`` of ``A_1 x A_2 x A_3``.
 
@@ -297,12 +298,12 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
         return tuple(e for s in range(3) for e in slots.get(s, zero))
 
     def feasible(idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        # The characters of the feasible class tuples in the slots ``idx``
-        # (the zero class has weight 0): their number, and the span of the
-        # tuples placed in G^3, refused over ``MAX_FIXING`` tuples.
+        # The characters of the feasible class tuples in the slots ``idx``:
+        # their number, and the span of the tuples placed in G^3, refused
+        # over ``MAX_FIXING`` tuples.
         chosen = [classes[i] for i in idx]
-        ((count, found),) = _class_matches(group, chosen, [[0] + [1] * (len(c.reps) - 1)
-                                                           for c in chosen], [(1,) * len(idx)])
+        ((count, found),) = _class_matches(group, chosen, [c.support for c in chosen],
+                                           [(1,) * len(idx)])
         _refuse_over(sum(prod(len(reps) for _, reps in buckets) for buckets in found),
                      "Chevalley-Weil class tuples")
         if not found:

@@ -97,7 +97,9 @@ class _Analysis:
 
     def admissible(self) -> Iterator[Character]:
         """The admissible characters of the walk over each ``Ann(K_i)``
-        (``aut0._walked_admissible``), listed at the first read."""
+        (``aut0._walked_admissible``), listed at the first read.  It stays a
+        generator so that ``brute_kernel`` checks ``|G^3|`` against its cap
+        before any character is listed."""
         yield from _walked_admissible(self.datum)
 
     def kernel(self, pq: tuple[int, int]) -> Subgroup:
@@ -120,10 +122,8 @@ def _aut0_section(a: _Analysis) -> dict:
 
 
 def _kernels_section(a: _Analysis) -> dict:
-    # The (2,1) and (1,1) kernels equal the (3,0) and (2,0) ones.
-    h30, h20 = a.kernel((3, 0)).order, a.kernel((2, 0)).order
-    return {key: {"order": order}
-            for key, order in (("h30", h30), ("h21", h30), ("h20", h20), ("h11", h20))}
+    return {f"h{p}{q}": {"order": a.kernel((p, q)).order}
+            for p, q in ((3, 0), (2, 1), (2, 0), (1, 1))}
 
 
 def _oracle_section(a: _Analysis) -> dict:

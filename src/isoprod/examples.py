@@ -99,6 +99,15 @@ def example4() -> AlgebraicDatum:
 _BUILDERS = {"example1": example1, "example2a": example2a, "example2b": example2b,
              "example3": example3, "example4": example4}
 EXAMPLE_NAMES = tuple(_BUILDERS)
+_PARAMETERS = ("n", "n1", "n2", "n3")
+
+
+def _check_parameter(key: str, value: object = 0) -> None:
+    """Refuse an unknown name, and a value that is not an integer (a bool is not)."""
+    if key not in _PARAMETERS:
+        raise SchemaError(f"unknown parameter {key!r}")
+    if type(value) is not int:
+        raise SchemaError(f"parameter {key} needs an integer, got {value!r}")
 
 
 def build_example(name: str, params: dict[str, int] | None = None) -> AlgebraicDatum:
@@ -106,16 +115,17 @@ def build_example(name: str, params: dict[str, int] | None = None) -> AlgebraicD
     if name not in _BUILDERS:
         raise SchemaError(f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
     params = dict(params or {})
+    for key, value in params.items():
+        _check_parameter(key, value)
     if "n" in params:
         n = params.pop("n")
         for key in ("n1", "n2", "n3"):
             params.setdefault(key, n)
-    kwargs = {k: params[k] for k in ("n1", "n2", "n3") if k in params}
     if name == "example3":
-        values = set(kwargs.values())
+        values = set(params.values())
         if len(values) > 1:
             raise SchemaError("example3 takes a single parameter n")
-        kwargs = {"n": values.pop()} if values else {}
+        params = {"n": values.pop()} if values else {}
     elif name == "example4" and params:
         raise SchemaError("example4 takes no parameters")
-    return _BUILDERS[name](**kwargs)
+    return _BUILDERS[name](**params)

@@ -16,9 +16,9 @@ Hermite bases ``B`` of ``Ann(K_i)`` and ``A`` of ``A_i``, the box
 ``sum c_j B_j``, ``0 <= c_j < A[j][j] / B[j][j]``, meets every class once,
 and its first point is zero.  ``eigendim_table`` reads one integer ``f``
 per class off its representative's values, checked in integers.  The
-pre-admissible set is ``Ann(K_i)`` minus ``A_i``, the nonzero classes
-translated by the elements of ``A_i`` (``_pre_from_classes``).  A
-factor's classes are one record (``_ClassLattice``), which the table
+pre-admissible set is ``Ann(K_i)`` minus ``A_i``, the classes of
+``_ClassLattice.support`` translated by ``A_i`` (``_pre_from_classes``).
+A factor's classes are one record (``_ClassLattice``), which the table
 keeps and ``aut0`` takes as its one input.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
@@ -45,7 +45,7 @@ branch points generate), not on ``|G|``, but a triple sum pairs the
 buckets of two factors: it grows with the square of the number of
 classes.  ``_class_counts`` reads the sums above off the totals, with
 weights ``f``, and ``aut0._admissible_from_classes`` the admissible
-counts and spans, with weight 1.
+counts and spans, with the weights ``support``.
 
 ``_kunneth_pieces`` convolves packed tables into the pieces themselves,
 whose number is of order ``|G|^2``: ``isotypic_decomposition`` those of
@@ -92,6 +92,11 @@ class _ClassLattice(_Frozen):
         _set(self, "order", order)
         _set(self, "reps", reps)
         _set(self, "dims", dims)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """1 on each class that holds pre-admissible characters: all but that of zero."""
+        return (0,) + (1,) * (len(self.reps) - 1)
 
 
 class EigenDimTable(_Frozen):
@@ -194,10 +199,10 @@ def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> li
 
 
 def _pre_from_classes(codec: PackedCharacters, classes: _ClassLattice) -> list[int]:
-    """The sorted packed pre-admissible set: ``Ann(K_i)`` outside ``A_i``,
-    the nonzero classes of ``_class_lattice`` translated by ``A_i``."""
-    return sorted(codec.sums([codec.pack(rep) for rep in classes.reps[1:]],
-                             _packed_box(codec, classes.rows)))
+    """The sorted packed pre-admissible set: the classes of
+    ``_ClassLattice.support`` translated by ``A_i``."""
+    reps = [codec.pack(rep) for rep, s in zip(classes.reps, classes.support) if s]
+    return sorted(codec.sums(reps, _packed_box(codec, classes.rows)))
 
 
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:

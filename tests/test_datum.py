@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import re
 
 import pytest
 
@@ -236,6 +237,13 @@ class TestExampleConstructors:
             build_example("example4", {"n1": 2})
         with pytest.raises(SchemaError):
             build_example("nope")
+        # An unknown name, a boolean and a string are refused, not ignored
+        # or read as integers.
+        for params, message in (({"x": 5, "n": 2}, "unknown parameter 'x'"),
+                                ({"n1": True}, "parameter n1 needs an integer, got True"),
+                                ({"n1": "2"}, "parameter n1 needs an integer, got '2'")):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                build_example("example1", params)
 
     def test_example3_uses_single_parameter(self):
         d = build_example("example3", {"n": 3})

@@ -5,7 +5,11 @@ Each case in ``tests/golden/cases.json`` names its arguments (paths are
 relative to the repository root), its exit code and its stdout file.  To
 re-record after an intended output change, run each case through
 ``python -m isoprod`` from the repository root and write stdout to
-``tests/golden/<name>.out``.
+``tests/golden/<name>.out``.  The ``help_*`` cases pin the ``--help`` text
+of the group and of every subcommand as click's test runner prints it:
+the program is named ``isoprod``, and the runner wraps at 80 columns,
+where a terminal wraps at 78, so record them with
+``CliRunner().invoke(main, args, prog_name="isoprod")``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case, monkeypatch):
     monkeypatch.chdir(ROOT)
-    result = CliRunner().invoke(main, case["args"])
+    result = CliRunner().invoke(main, case["args"], prog_name="isoprod")
     assert result.exit_code == case["exit_code"]
     expected = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
     assert result.stdout == expected

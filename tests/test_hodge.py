@@ -12,8 +12,9 @@ import pytest
 from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, run_limited, z2_classes_document
 from isoprod import hodge as hodge_module
 from isoprod import docio
-from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _span_kernel,
-                          admissible_characters, pre_admissible)
+from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _listing_pairs,
+                          _pre_admissible_set, _span_kernel, admissible_characters,
+                          pre_admissible)
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
@@ -362,6 +363,9 @@ class TestClassesWithoutWalk:
             assert hodge_module._pre_from_classes(codec, classes) == pre
             assert hodge_module._pre_from_classes(
                 codec, hodge_module._class_lattice(d, i)) == pre
+        # The route rule counts the pairs of the walk's first two sets.
+        first, second = (_pre_admissible_set(d, i, codec) for i in range(2))
+        assert _listing_pairs(table._classes) == len(first) * len(second)
 
     @pytest.mark.parametrize("name", CLASS_DATA)
     def test_kernels_in_the_sum_zero_plane(self, name):

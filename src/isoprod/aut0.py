@@ -57,7 +57,8 @@ from math import prod
 from typing import Sequence
 
 from .covering import stabilizer_union
-from .datum import AlgebraicDatum, DatumReport, RigidityClass, rigidity_class, validate_datum
+from .datum import (AlgebraicDatum, DatumReport, RigidityClass, _refuse_over, rigidity_class,
+                    validate_datum)
 from .errors import ConsistencyError, TheoremViolationError, UnsupportedDatumError
 from .groups import (
     AbelianGroup,
@@ -78,7 +79,7 @@ from .groups import (
     subgroup_quotient,
 )
 from .hodge import (_class_lattice, _class_matches, _ClassLattice, _factor_walk, _kunneth_pieces,
-                    _pre_from_classes, _refuse_over)
+                    _pre_from_classes)
 
 # The listing route runs while the first-kind convolution visits at most
 # this many pairs ``|P_1| |P_2|``; above it the counts and spans come from
@@ -285,22 +286,29 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
     characters of one class triple.  The second-kind characters of slots
     ``(i, j)`` span the same with the feasible pairs and ``A_i x A_j``.
     Each such piece is found apart (intersecting with ``Z`` does not
-    distribute over sums), and the pieces add up at width ``2r``.  Since
-    ``Ann(Z) = Delta_G`` and a character of ``Z`` maps ``g`` to
-    ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)``, ``Ann_{G^2}`` of a piece's span
-    is the image of ``Ann_{G^3}(W)`` under
-    ``(g_1, g_2, g_3) -> (g_1 - g_3, g_2 - g_3)`` (``_plane_span``).
+    distribute over sums), and the pieces add up at width ``2r``.
+
+    ``placed`` writes each row in the coordinates
+    ``(c_1 + c_2 + c_3, c_1, c_2)``, the sum left unreduced: a unimodular
+    change that maps the relations ``diag(n)^3`` onto themselves.  In the
+    upper-triangular Hermite basis of ``W`` and those relations, the
+    members whose first ``r`` coordinates are 0 are the combinations of
+    the rows after the first ``r``.  The relations of the first block make
+    a sum that is 0 modulo the orders one that is 0, so those members are
+    ``W meet Z``, and the rows cut to their last ``2r`` columns are the
+    canonical Hermite basis of its ``(c_1, c_2)`` (H. Cohen, 2.4).
     """
     r = group.rank
     zero = (0,) * r
 
     def placed(slots: dict[int, Sequence[int]]) -> tuple[int, ...]:
-        return tuple(e for s in range(3) for e in slots.get(s, zero))
+        c = [slots.get(s, zero) for s in range(3)]
+        return (*map(sum, zip(*c)), *c[0], *c[1])
 
     def feasible(idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # The characters of the feasible class tuples in the slots ``idx``:
-        # their number, and the span of the tuples placed in G^3, refused
-        # over ``MAX_FIXING`` tuples.
+        # their number, and the span of the tuples ``placed``, refused over
+        # ``MAX_FIXING`` tuples.
         chosen = [classes[i] for i in idx]
         ((count, found),) = _class_matches(group, chosen, [c.support for c in chosen],
                                            [(1,) * len(idx)])
@@ -310,26 +318,14 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
             return count, ()
         rows = [placed(dict(zip(idx, reps))) for buckets in found
                 for reps in itertools.product(*(reps for _, reps in buckets))]
-        return count, _plane_span(group.orders, rows + [placed({i: a}) for i in idx
-                                                        for a in classes[i].rows])
+        rows += [placed({i: a}) for i in idx for a in classes[i].rows]
+        return count, tuple(row[r:] for row in row_hermite(rows + _diagonal(group.orders * 3),
+                                                            3 * r)[r:])
 
     (first, rows30), *pairs = (feasible(idx) for idx in ((0, 1, 2), (0, 1), (0, 2), (1, 2)))
     span20 = row_hermite([row for _, rows in pairs for row in rows]
                          + _diagonal(group.orders * 2), 2 * r)
     return (first, sum(count for count, _ in pairs)), row_hermite([*span20, *rows30], 2 * r), span20
-
-
-def _plane_span(orders: tuple[int, ...], rows: list[tuple[int, ...]],
-                ) -> tuple[tuple[int, ...], ...]:
-    """The Hermite basis, at width ``2r``, of the rows ``(c_1, c_2)`` of
-    ``W meet Z`` for the subgroup ``W`` of the dual of ``G^3`` generated by
-    ``rows``: the dual of the image of ``Ann_{G^3}(W)`` in ``G^2``."""
-    r = len(orders)
-    w = row_hermite(rows + _diagonal(orders * 3), 3 * r)
-    images = [tuple(g[c] - g[2 * r + c % r] for c in range(2 * r))
-              for g in _hermite_dual(w, orders * 3)]
-    kernel = row_hermite(images + _diagonal(orders * 2), 2 * r)
-    return row_hermite(_hermite_dual(kernel, orders * 2), 2 * r)
 
 
 def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:

@@ -44,6 +44,12 @@ from .groups import (
 MAX_FIXING = 2 ** 20
 
 
+def _refuse_over(count: int, what: str, where: str = "") -> None:
+    """Refuse a listing of ``count`` items (``what``) over ``MAX_FIXING``."""
+    if count > MAX_FIXING:
+        raise OverflowLimitError(f"{where}{count} {what} exceed the listing bound of {MAX_FIXING}")
+
+
 class VectorSpec(_Frozen):
     """Raw input for one generating vector: representatives in the ambient group."""
 

@@ -58,8 +58,8 @@ def _integer(value: object, name: str, minimum: int) -> int:
 
 
 def _group_orders(value: object) -> tuple[int, ...]:
-    """The ``"group"`` orders: a nonempty list, every order at least 2."""
-    if not isinstance(value, list) or not value:
+    """The ``"group"`` orders: a nonempty list or tuple, every order at least 2."""
+    if not isinstance(value, (list, tuple)) or not value:
         raise SchemaError('"group" must be a nonempty list of positive integers')
     orders = tuple(_integer(n, "group order", 1) for n in value)
     if 1 in orders:

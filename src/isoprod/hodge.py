@@ -67,8 +67,8 @@ from operator import mul
 from typing import Sequence
 
 from .covering import genus
-from .datum import MAX_FIXING, AlgebraicDatum, DatumReport, invariants, validate_datum
-from .errors import ConsistencyError, OverflowLimitError
+from .datum import AlgebraicDatum, DatumReport, _refuse_over, invariants, validate_datum
+from .errors import ConsistencyError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key, _Frozen,
                      _hermite_box, _hermite_dual, _hermite_order, _set, row_hermite)
 
@@ -185,12 +185,6 @@ def _class_lattice(datum: AlgebraicDatum, i: int) -> _ClassLattice:
     _refuse_over(prod(counts), "Chevalley-Weil classes", f"factor {i + 1}: ")
     reps = _hermite_box(b_basis, group.orders, counts)
     return _ClassLattice(a_basis, _hermite_order(group, a_basis), tuple(reps))
-
-
-def _refuse_over(count: int, what: str, where: str = "") -> None:
-    """Refuse a listing of ``count`` items (``what``) over ``MAX_FIXING``."""
-    if count > MAX_FIXING:
-        raise OverflowLimitError(f"{where}{count} {what} exceed the listing bound of {MAX_FIXING}")
 
 
 def _packed_box(codec: PackedCharacters, a_basis: Sequence[Sequence[int]]) -> list[int]:

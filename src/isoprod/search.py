@@ -107,42 +107,34 @@ class SearchSpec(_Frozen):
 
     ``kernels`` is either the policy string ``"cyclic"`` (all cyclic
     subgroups, minimality-filtered) or an explicit list of triples of
-    generator exponent lists.
+    generator exponent lists.  The constructor checks every field, with the
+    ``SchemaError`` messages of a search document.
     """
 
     _fields = ("group_orders", "kernels", "g_primes", "max_branch", "branch_order_bound", "cap")
 
-    def __init__(self, group_orders: tuple[int, ...], kernels: object = "cyclic",
-                 g_primes: tuple[int, int, int] = (1, 1, 1), max_branch: int = 4,
+    def __init__(self, group_orders: Sequence[int], kernels: object = "cyclic",
+                 g_primes: Sequence[int] = (1, 1, 1), max_branch: int = 4,
                  branch_order_bound: int | None = None, cap: int = DEFAULT_CAP):
-        _set(self, "group_orders", group_orders)
-        _set(self, "kernels", kernels)
-        _set(self, "g_primes", g_primes)
-        _set(self, "max_branch", max_branch)
-        _set(self, "branch_order_bound", branch_order_bound)
-        _set(self, "cap", cap)
-
-    @staticmethod
-    def from_document(doc: dict) -> "SearchSpec":
-        doc = _object(doc, _SPEC_KEYS, ("group",))
-        orders = _group_orders(doc["group"])
-        kernels = doc.get("kernels", "cyclic")
+        orders = _group_orders(group_orders)
         if kernels != "cyclic":
             if not isinstance(kernels, (list, tuple)):
                 raise SchemaError('kernels must be "cyclic" or a list of kernel triples')
             kernels = tuple(_kernel_triple(triple, len(orders)) for triple in kernels)
-        g_primes = doc.get("g_primes", [1, 1, 1])
-        if not isinstance(g_primes, list) or len(g_primes) != 3:
+        if not isinstance(g_primes, (list, tuple)) or len(g_primes) != 3:
             raise SchemaError("g_primes must list three base genera")
-        bound = doc.get("branch_order_bound")
-        return SearchSpec(
-            group_orders=orders,
-            kernels=kernels,
-            g_primes=tuple(_integer(g, "g_prime", 0) for g in g_primes),
-            max_branch=_integer(doc.get("max_branch", 4), "max_branch", 0),
-            branch_order_bound=(None if bound is None
-                                else _integer(bound, "branch_order_bound", 1)),
-            cap=_integer(doc.get("cap", DEFAULT_CAP), "cap", 0))
+        _set(self, "group_orders", orders)
+        _set(self, "kernels", kernels)
+        _set(self, "g_primes", tuple(_integer(g, "g_prime", 0) for g in g_primes))
+        _set(self, "max_branch", _integer(max_branch, "max_branch", 0))
+        _set(self, "branch_order_bound", None if branch_order_bound is None
+             else _integer(branch_order_bound, "branch_order_bound", 1))
+        _set(self, "cap", _integer(cap, "cap", 0))
+
+    @staticmethod
+    def from_document(doc: dict) -> "SearchSpec":
+        doc = _object(doc, _SPEC_KEYS, ("group",))
+        return SearchSpec(doc["group"], **{key: doc[key] for key in _SPEC_KEYS[1:] if key in doc})
 
 
 def _cyclic_subgroups(group: AbelianGroup) -> list[Subgroup]:

@@ -211,6 +211,23 @@ class TestHermite:
                 with pytest.raises(ConsistencyError, match="lattice not of full rank"):
                     hermite(deficient, width)
 
+    @given(abelian_groups(max_rank=4, max_order=128), st.data())
+    def test_trailing_rows_span_the_members_with_leading_zeros(self, group, data):
+        # Cut to their last columns, the rows after the first t of a
+        # full-rank Hermite basis are the Hermite basis of the members
+        # whose first t coordinates are 0: the relations of those
+        # coordinates turn "0 modulo the orders" into 0.
+        orders, width = group.orders, group.rank
+        rows = data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=width,
+                                           max_size=width), max_size=4))
+        t = data.draw(st.integers(0, width))
+        basis = row_hermite(rows + _diagonal(orders), width)
+        sub = group.subgroup([group.element([x % n for x, n in zip(row, orders)])
+                              for row in rows])
+        members = [e.exponents[t:] for e in sub.elements() if not any(e.exponents[:t])]
+        assert tuple(row[t:] for row in basis[t:]) == \
+            row_hermite(members + _diagonal(orders[t:]), width - t)
+
     def test_solve_upper_roundtrip(self):
         basis = row_hermite([[4, 0], [0, 4], [2, 2]], 2)
         for vec, expect_in in (((2, 2), True), ((1, 1), False), ((0, 4), True)):

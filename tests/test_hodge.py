@@ -10,6 +10,7 @@ import json
 import pytest
 
 from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, run_limited, z2_classes_document
+from isoprod import datum as datum_module
 from isoprod import hodge as hodge_module
 from isoprod import docio
 from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _listing_pairs,
@@ -558,9 +559,9 @@ print(json.dumps(out))
         # Z2^6: 31 nonzero classes, and 31 pre-admissible characters, per
         # factor, so 961 pairs.
         d = docio.loads(json.dumps(z2_classes_document(6)))
-        monkeypatch.setattr(hodge_module, "MAX_FIXING", 961)
+        monkeypatch.setattr(datum_module, "MAX_FIXING", 961)
         call(d)
-        monkeypatch.setattr(hodge_module, "MAX_FIXING", 960)
+        monkeypatch.setattr(datum_module, "MAX_FIXING", 960)
         with pytest.raises(OverflowLimitError, match=f"^961 {what} exceed the listing bound of 960$"):
             call(d)
 
@@ -569,9 +570,9 @@ print(json.dumps(out))
         # and the matched buckets hold 5 class triples of 18 characters each.
         d = example2b(6, 3, 3)
         classes = [hodge_module._class_lattice(d, i) for i in range(3)]
-        monkeypatch.setattr(hodge_module, "MAX_FIXING", 5)
+        monkeypatch.setattr(datum_module, "MAX_FIXING", 5)
         assert _admissible_from_classes(d.group, classes)[0] == (90, 0)
-        monkeypatch.setattr(hodge_module, "MAX_FIXING", 4)
+        monkeypatch.setattr(datum_module, "MAX_FIXING", 4)
         with pytest.raises(OverflowLimitError,
                            match="^5 Chevalley-Weil class tuples exceed the listing bound of 4$"):
             _admissible_from_classes(d.group, classes)

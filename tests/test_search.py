@@ -68,6 +68,7 @@ def _basis_r4_valid() -> tuple:
 class TestSpecParsing:
     def test_from_document_defaults(self):
         spec = SearchSpec.from_document({"group": [2, 2]})
+        assert spec == SearchSpec([2, 2]) == SearchSpec((2, 2))
         assert spec.group_orders == (2, 2)
         assert spec.kernels == "cyclic"
         assert spec.max_branch == 4
@@ -92,6 +93,16 @@ class TestSpecParsing:
     def test_malformed_documents(self, doc):
         with pytest.raises(SchemaError):
             SearchSpec.from_document(doc)
+
+    @pytest.mark.parametrize("orders, kwargs, message", [
+        ((2, 2, 2), {"kernels": "basis"}, 'kernels must be "cyclic"'),
+        ((2, 2), {"g_primes": (1, 1)}, "g_primes must list three base genera"),
+        ((1, 2, 2), {}, '"group" entry 1 has order 1'),
+        ((2, 2), {"max_branch": -1}, "max_branch must be at least 0, got -1"),
+    ], ids=["kernels", "g_primes", "group", "max_branch"])
+    def test_malformed_constructor_fields(self, orders, kwargs, message):
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            SearchSpec(orders, **kwargs)
 
 
 class TestBranchMultisets:

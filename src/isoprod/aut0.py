@@ -2,21 +2,18 @@
 
 The automorphisms descended from the product form ``G^3 / K Delta_G``; an
 element is numerically trivial iff every admissible character of ``G^3``
-vanishes on it.  The intersection of those kernels is computed dually (one
-annihilator call on the subgroup of the dual generated by the admissible
-characters), and the quotient by ``K Delta_G`` is reported through its
-invariant factors and explicit generator cosets.
+vanishes on it.  The intersection of those kernels is the Hermite dual of
+the characters' span, and its quotient by ``K Delta_G`` is reported
+through its invariant factors and explicit generator cosets.
 
 Every admissible character lies in the sum-zero plane
-``c_1 + c_2 + c_3 = 0``, so it is fixed by ``(c_1, c_2)``, its first
-``2r`` exponents, and vanishes on ``Delta_G``.  What ``aut0`` needs of the
-characters is their two counts and their span at width ``2r``, the
-canonical Hermite basis of those rows (``_admissible_span``).  The kernel
-(``_span_kernel``) is the Hermite dual of the span in ``G^2``, placed in
-the first two slots, plus ``Delta_G``.  Each generator coset is reduced
-once, top-down, against the Hermite basis of ``K Delta_G`` read in slot
-order (3, 1, 2): ``Delta_G`` zeroes the third component, and the result is
-the lexicographically least representative with trivial third component.
+``c_1 + c_2 + c_3 = 0``, so it vanishes on ``Delta_G``, and ``aut0`` works
+on the slice ``x_1 = 0`` of ``G^3 / Delta_G``, which is ``G^2``
+(``_KernelPieces``).  It needs of the characters their two counts and the
+canonical Hermite basis of their rows ``(c_2, c_3)``
+(``_admissible_span``).  ``G^3`` is formed only where it is asked for:
+``representation_kernel`` and the report's oracle lift a kernel
+(``_lifted``).
 
 ``aut0``'s one input is each factor's Chevalley-Weil classes
 (``hodge._ClassLattice``; its ``support`` is the rule for the
@@ -37,16 +34,15 @@ the listing (``LISTING_PAIRS``):
   Hodge sums (``hodge._class_matches``).
 
 The lattice depends only on a span, and ``_KernelPieces`` is the one place
-that forms it: ``kernel`` the kernel of a span, and ``lattice`` its
-quotient by ``K Delta_G`` and canonical generators, each once per span.
-The survey passes the classes once per factor branch and the pieces once
-per kernel triple; a report (``cli._Analysis``) passes the classes of its
-eigenspace table, and its kernels section and ``representation_kernel``
-read the same memo (``_solved``).  The status and the theorem bounds run
-on every ``aut0`` call, and nowhere else.  ``verify_generator`` lists on
-purpose: it is the survey's independent re-check, so its pre-admissible
-sets come from the walk over ``Ann(K_i)`` (``_pre_admissible_set``), not
-from the classes, and the report's oracle lists the same way.
+that forms it, once per span.  The survey passes the classes once per
+factor branch and the pieces once per kernel triple; a report
+(``cli._Analysis``) passes the classes of its eigenspace table, and its
+kernels section and ``representation_kernel`` read the same memo
+(``_solved``).  The status and the theorem bounds run on every ``aut0``
+call, and nowhere else.  ``verify_generator`` lists on purpose: it is the
+survey's independent re-check, so its pre-admissible sets come from the
+walk over ``Ann(K_i)`` (``_pre_admissible_set``), not from the classes,
+and the report's oracle lists the same way.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from .groups import (
     GroupElement,
     InvariantFactors,
     PackedCharacters,
-    QuotientStructure,
     Subgroup,
     _coset_key,
     _diagonal,
@@ -97,38 +92,18 @@ class Aut0Status(enum.Enum):
 
 
 class Aut0Result(_Frozen):
-    _fields = ("status", "invariant_factors", "generators", "admissible_counts", "cube",
-               "kernel", "k_delta", "quotient")
+    _fields = ("status", "invariant_factors", "generators", "admissible_counts")
 
     def __init__(self, status: Aut0Status, invariant_factors: InvariantFactors,
-                 generators: tuple[GroupElement, ...], admissible_counts: tuple[int, int],
-                 cube: AbelianGroup, kernel: Subgroup | None, k_delta: Subgroup | None,
-                 quotient: QuotientStructure | None):
+                 generators: tuple[GroupElement, ...], admissible_counts: tuple[int, int]):
         _set(self, "status", status)
         _set(self, "invariant_factors", invariant_factors)
         _set(self, "generators", generators)
         _set(self, "admissible_counts", admissible_counts)
-        _set(self, "cube", cube)
-        _set(self, "kernel", kernel)
-        _set(self, "k_delta", k_delta)
-        _set(self, "quotient", quotient)
 
     @property
     def order(self) -> int:
         return self.invariant_factors.order
-
-    def same_coset(self, rep_a: GroupElement, rep_b: GroupElement) -> bool:
-        if self.k_delta is None:
-            return rep_a == rep_b
-        return self.k_delta.contains(rep_a - rep_b)
-
-    def cosets_generate(self, reps: list[GroupElement]) -> bool:
-        """Do the given representatives generate the whole quotient?"""
-        if self.quotient is None:
-            return not self.invariant_factors.factors
-        images = [self.quotient.project(r) for r in reps]
-        sub = self.quotient.group.subgroup(images)
-        return sub.order == self.quotient.group.order
 
 
 # The tests' per-character reference for the packed pre-admissible sets.
@@ -197,6 +172,15 @@ def _k_delta(datum: AlgebraicDatum) -> Subgroup:
     return cube.subgroup(product_element(cube, parts) for parts in slots)
 
 
+def _lifted(group: AbelianGroup, kernel: Subgroup) -> Subgroup:
+    """The subgroup ``(0, kernel) + Delta_G`` of ``G^3`` for a ``kernel`` on
+    the slice ``x_1 = 0`` (``_KernelPieces.kernel``)."""
+    cube = direct_product([group] * 3)
+    return cube.subgroup([cube.element((0,) * group.rank + y.exponents) for y in kernel.generators]
+                         + [product_element(cube, [group.basis_element(j)] * 3)
+                            for j in range(group.rank)])
+
+
 def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     """Kernel in ``G^3`` of the action on ``H^{p,q}``: the annihilator of
     the dual subgroup generated by the characters appearing in that summand.
@@ -213,52 +197,34 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     span and ``(1,1)`` the ``(2,0)`` one.
 
     The span of those characters is ``aut0``'s, from the datum's classes
-    (``_solved``), so large data list nothing here either.
+    (``_solved``), so large data list nothing here either; the kernel is
+    lifted from the slice (``_lifted``).
     """
     if (p, q) not in {(3, 0), (2, 1), (2, 0), (1, 1)}:
         raise ValueError(f"representation kernel supported for (3,0),(2,1),(2,0),(1,1); "
                          f"got ({p},{q})")
-    pieces = _kernel_pieces(datum)
+    pieces = _KernelPieces(datum)
     solved = _solved(datum, pieces, [_class_lattice(datum, i) for i in range(3)])
-    return pieces.kernel(solved.span((p, q)), (p, q))
+    return _lifted(datum.group, pieces.kernel(solved.span((p, q)), (p, q)))
 
 
-def _admissible_span(cube: AbelianGroup, characters: list[Character],
+def _admissible_span(group: AbelianGroup, characters: list[Character],
                      within: tuple[tuple[int, ...], ...] = (),
                      ) -> tuple[tuple[int, ...], ...]:
-    """The Hermite basis, at width ``2r``, of the rows ``(c_1, c_2)`` of the
+    """The Hermite basis, at width ``2r``, of the rows ``(c_2, c_3)`` of the
     given characters plus the relations of ``G^2``, or plus the rows of an
     ``_admissible_span`` ``within``, which holds those relations.
 
-    Every admissible character has ``c_1 + c_2 + c_3 = 0``, so it maps
-    ``(g_1, g_2, g_3)`` to ``c_1 (g_1 - g_3) + c_2 (g_2 - g_3)`` and is
-    fixed by its row.  The basis is canonical, so equal spans give equal
-    tuples.
+    Every admissible character has ``c_1 + c_2 + c_3 = 0``, so it vanishes
+    on ``Delta_G``, maps the slice point ``(0, y_2, y_3)`` to
+    ``c_2 y_2 + c_3 y_3`` and is fixed by its row.  The basis is canonical,
+    so equal spans give equal tuples.
     """
-    r = cube.rank // 3
-    rows = [psi.exponents[: 2 * r] for psi in characters]
+    r = group.rank
+    rows = [psi.exponents[r:] for psi in characters]
     if within:
         return row_hermite([*within, *rows], 2 * r)
-    return row_hermite(rows + _diagonal(cube.orders[: 2 * r]), 2 * r)
-
-
-def _span_kernel(cube: AbelianGroup, span: tuple[tuple[int, ...], ...],
-                 k_delta: Subgroup, pq: tuple[int, int]) -> Subgroup:
-    """The kernel ``(Ann_{G^2}(S) x 0) + Delta_G`` of the characters whose
-    ``_admissible_span`` is ``span``, checked to contain ``K Delta_G``: the
-    Hermite dual of the span, placed in the first two slots, with the ``r``
-    diagonal rows."""
-    r = cube.rank // 3
-    diagonal = [tuple(int(c == j) for c in range(r)) * 3 for j in range(r)]
-    kernel = Subgroup(cube, tuple(
-        GroupElement(cube, row) for row in
-        [dual + (0,) * r for dual in _hermite_dual(span, cube.orders[: 2 * r])] + diagonal))
-    if not k_delta.is_subgroup_of(kernel):
-        p, q = pq
-        raise ConsistencyError(
-            f"K Delta_G is not contained in the ({p},{q}) kernel; "
-            "the admissible enumeration is inconsistent")
-    return kernel
+    return row_hermite(rows + _diagonal(group.orders * 2), 2 * r)
 
 
 def _listing_pairs(classes: Sequence[_ClassLattice]) -> int:
@@ -289,21 +255,21 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
     distribute over sums), and the pieces add up at width ``2r``.
 
     ``placed`` writes each row in the coordinates
-    ``(c_1 + c_2 + c_3, c_1, c_2)``, the sum left unreduced: a unimodular
+    ``(c_1 + c_2 + c_3, c_2, c_3)``, the sum left unreduced: a unimodular
     change that maps the relations ``diag(n)^3`` onto themselves.  In the
     upper-triangular Hermite basis of ``W`` and those relations, the
     members whose first ``r`` coordinates are 0 are the combinations of
     the rows after the first ``r``.  The relations of the first block make
     a sum that is 0 modulo the orders one that is 0, so those members are
     ``W meet Z``, and the rows cut to their last ``2r`` columns are the
-    canonical Hermite basis of its ``(c_1, c_2)`` (H. Cohen, 2.4).
+    canonical Hermite basis of its ``(c_2, c_3)`` (H. Cohen, 2.4).
     """
     r = group.rank
     zero = (0,) * r
 
     def placed(slots: dict[int, Sequence[int]]) -> tuple[int, ...]:
         c = [slots.get(s, zero) for s in range(3)]
-        return (*map(sum, zip(*c)), *c[0], *c[1])
+        return (*map(sum, zip(*c)), *c[1], *c[2])
 
     def feasible(idx: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # The characters of the feasible class tuples in the slots ``idx``:
@@ -368,70 +334,97 @@ class _Solved(_Frozen):
 
 
 class _KernelPieces:
-    """What ``aut0`` reads of the kernel triple alone: ``K Delta_G``, its
-    ambient cube ``G^3``, and its Hermite basis in slot order (3, 1, 2) for
-    the canonical representatives; and the one place where a span's
-    lattice is formed.  It is a cache of one kernel triple's work, not a
-    value.
+    """What ``aut0`` reads of the kernel triple alone, on the slice
+    ``x_1 = 0`` of ``G^3 / Delta_G``, which is ``G^2``: ``K Delta_G`` meets
+    it in ``k = <(-k_1, -k_1), (k_2, 0), (0, k_3)>``; the Hermite basis of
+    its image on ``x_3 = 0`` serves the canonical representatives.  It is
+    the one place where a span's lattice is formed, and a cache of one
+    kernel triple's work, not a value.
 
     ``memo`` holds the rest of ``aut0``'s work, which within one kernel
     triple depends only on the ``A_i``: it maps the tuple of the three
     ``A_i`` bases to their ``_Solved``.  ``kernel`` forms the kernel of
-    each ``_admissible_span`` once, and ``lattice`` its quotient by
-    ``K Delta_G`` and canonical generators once.  ``_pre`` keeps the packed
+    each ``_admissible_span`` once, and ``lattice`` its quotient by ``k``
+    and canonical generators once.  ``_pre`` keeps the packed
     pre-admissible set of each factor index and ``A_i`` basis for the
     listings of memo misses: ``Ann(K_i)`` differs between the factors.
     """
 
-    def __init__(self, k_delta: Subgroup):
-        self.cube, self.k_delta = k_delta.ambient, k_delta
-        r = self.cube.rank // 3
-        self._rotated = row_hermite([row[2 * r:] + row[: 2 * r] for row in k_delta.basis],
-                                    3 * r)
+    def __init__(self, datum: AlgebraicDatum):
+        self.group = g = datum.group
+        self.plane = plane = direct_product([g, g])
+        zero = (0,) * g.rank
+        k1, k2, k3 = ([h.exponents for h in k.generators] for k in datum.kernels)
+        # (k_1, 0, 0), (0, k_2, 0) and (0, 0, k_3) read on x_1 = 0 and on x_3 = 0.
+        self.k = plane.subgroup(map(plane.element, [tuple(-x for x in h) * 2 for h in k1]
+                                    + [h + zero for h in k2] + [zero + h for h in k3]))
+        self._image = row_hermite([h + zero for h in k1] + [zero + h for h in k2]
+                                  + [tuple(-x for x in h) * 2 for h in k3]
+                                  + _diagonal(plane.orders), 2 * g.rank)
         self.memo: dict[tuple, _Solved] = {}
         self._kernels: dict[tuple, Subgroup] = {}
-        self._lattices: dict[tuple, tuple[QuotientStructure, tuple[GroupElement, ...]]] = {}
+        self._lattices: dict[tuple, tuple[InvariantFactors, tuple[GroupElement, ...]]] = {}
         self._pre: dict[tuple, list[int]] = {}
 
-    def pre_admissible(self, group: AbelianGroup, classes: Sequence[_ClassLattice],
-                       ) -> list[list[int]]:
+    def pre_admissible(self, classes: Sequence[_ClassLattice]) -> list[list[int]]:
         """The three factors' packed pre-admissible sets, each made from its
         classes (``hodge._pre_from_classes``) once per ``A_i``."""
-        codec = PackedCharacters(group)
+        codec = PackedCharacters(self.group)
         for i, c in enumerate(classes):
             if (i, c.rows) not in self._pre:
                 self._pre[i, c.rows] = _pre_from_classes(codec, c)
         return [self._pre[i, c.rows] for i, c in enumerate(classes)]
 
     def kernel(self, span: tuple[tuple[int, ...], ...], pq: tuple[int, int]) -> Subgroup:
-        """The kernel of the characters whose ``_admissible_span`` is
-        ``span`` (``_span_kernel``), formed once per span; ``pq`` names it
-        if it fails its check."""
+        """The kernel on the slice of the characters whose
+        ``_admissible_span`` is ``span``, its Hermite dual, checked to
+        contain ``k`` and formed once per span; ``pq`` names it if it fails
+        its check."""
         kernel = self._kernels.get(span)
         if kernel is None:
-            kernel = self._kernels[span] = _span_kernel(self.cube, span, self.k_delta, pq)
+            kernel = self.plane.subgroup(map(self.plane.element,
+                                             _hermite_dual(span, self.plane.orders)))
+            if not self.k.is_subgroup_of(kernel):
+                p, q = pq
+                raise ConsistencyError(
+                    f"K Delta_G is not contained in the ({p},{q}) kernel; "
+                    "the admissible enumeration is inconsistent")
+            self._kernels[span] = kernel
         return kernel
 
     def lattice(self, span: tuple[tuple[int, ...], ...],
-                ) -> tuple[QuotientStructure, tuple[GroupElement, ...]]:
-        """The quotient of the (3,0) kernel of ``span`` by ``K Delta_G`` and
-        the canonical representatives of its generators, formed once per
-        span."""
+                ) -> tuple[InvariantFactors, tuple[GroupElement, ...]]:
+        """The invariant factors of the (3,0) kernel of ``span`` modulo
+        ``K Delta_G``, and the canonical representatives of its generators,
+        formed once per span from the quotient on the slice.
+
+        They are those of the quotient in ``G^3``.  Both lattices there
+        contain ``Delta_G``, so their Hermite bases have pivot 1 in each of
+        the first ``r`` columns, and their other rows are the Hermite bases
+        of the slice lattices: the relation matrix is ``[[T, X], [0, R]]``,
+        ``T`` unit upper triangular and ``R`` that of the slice.
+        ``groups._smith`` takes those unit pivots first, each the first
+        minimal entry it scans; it clears ``X`` by column operations, which
+        change only the first ``r`` rows of ``V^{-1}``; then it runs on
+        ``R`` as it would alone.  So the generators in ``G^3`` are ``(0, y)``
+        for the slice generators ``y``.
+        """
         lattice = self._lattices.get(span)
         if lattice is None:
-            quotient = subgroup_quotient(self.kernel(span, (3, 0)), self.k_delta)
-            lattice = self._lattices[span] = (
-                quotient, tuple(map(self.canonical, quotient.generators)))
+            quotient = subgroup_quotient(self.kernel(span, (3, 0)), self.k)
+            cube = direct_product([self.group] * 3)
+            lattice = self._lattices[span] = (quotient.invariant_factors, tuple(
+                self.canonical(cube.element((0,) * self.group.rank + y.exponents))
+                for y in quotient.generators))
         return lattice
 
     def canonical(self, rep: GroupElement) -> GroupElement:
-        """The least member of ``rep + K Delta_G`` read in slot order
-        (3, 1, 2): ``Delta_G`` gives every third component, so its pivots
-        are 1 and the third component is the identity."""
-        r = self.cube.rank // 3
-        e = rep.exponents
-        key = _coset_key(self._rotated, e[2 * r:] + e[: 2 * r])
-        return GroupElement(self.cube, key[r:] + key[:r])
+        """The least member of ``rep + K Delta_G`` with trivial third
+        component: ``Delta_G`` takes ``rep`` to ``(x_1 - x_3, x_2 - x_3, 0)``,
+        reduced against the Hermite basis of ``K``'s image on ``x_3 = 0``."""
+        e, r = rep.exponents, self.group.rank
+        key = _coset_key(self._image, [a - b for a, b in zip(e[:2 * r], e[2 * r:] * 2)])
+        return GroupElement(rep.group, key + (0,) * r)
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
@@ -446,22 +439,16 @@ def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
     solved = memo.get(key)
     if solved is None:
         if _listing_pairs(classes) <= LISTING_PAIRS:
-            first, second = admissible_characters(
-                datum, kernel_pieces.pre_admissible(datum.group, classes))
-            cube = kernel_pieces.cube
+            first, second = admissible_characters(datum, kernel_pieces.pre_admissible(classes))
             # The (3,0) span adds the first kind to the (2,0) span, so each
             # character enters one Hermite basis.
-            span20 = _admissible_span(cube, second)
+            span20 = _admissible_span(datum.group, second)
             solved = _Solved((len(first), len(second)),
-                             _admissible_span(cube, first, span20), span20)
+                             _admissible_span(datum.group, first, span20), span20)
         else:
             solved = _Solved(*_admissible_from_classes(datum.group, classes))
         memo[key] = solved
     return solved
-
-
-def _kernel_pieces(datum: AlgebraicDatum) -> _KernelPieces:
-    return _KernelPieces(_k_delta(datum))
 
 
 def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
@@ -471,12 +458,12 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     quotient standing in for it), with generators and a proof status.
 
     A caller that holds the datum's pieces already passes them in: its
-    ``report``, the ``kernel_pieces`` of its kernel triple (built from
-    ``K Delta_G`` alone), and the three factors' ``classes``
+    ``report``, the ``kernel_pieces`` of its kernel triple (built from the
+    kernels alone), and the three factors' ``classes``
     (``hodge._class_lattice``; else made here).  The counts and
     spans are looked up in, or added to, ``kernel_pieces.memo`` (``_solved``),
-    where the caller can read them afterwards; the kernel, quotient and
-    generators come from ``kernel_pieces.kernel`` and ``lattice``.
+    where the caller can read them afterwards; the quotient and its
+    generators come from ``kernel_pieces.lattice``.
     """
     if report is None:
         report = validate_datum(datum)
@@ -486,19 +473,16 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
             "the classification needs irregularity 3 with no rational base curve "
             "(or irregularity >= 4)")
     if kernel_pieces is None:
-        kernel_pieces = _kernel_pieces(datum)
-    cube, k_delta = kernel_pieces.cube, kernel_pieces.k_delta
+        kernel_pieces = _KernelPieces(datum)
     if classes is None:
         classes = [_class_lattice(datum, i) for i in range(3)]
     solved = _solved(datum, kernel_pieces, classes)
     counts = solved.counts
 
     if report.freeness_ok and klass is RigidityClass.TRIVIAL_BY_RIGIDITY:
-        return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (),
-                          counts, cube, None, None, None)
+        return Aut0Result(Aut0Status.TRIVIAL_BY_RIGIDITY, InvariantFactors(()), (), counts)
 
-    kernel = kernel_pieces.kernel(solved.span30, (3, 0))
-    quotient, generators = kernel_pieces.lattice(solved.span30)
+    factors, generators = kernel_pieces.lattice(solved.span30)
 
     if not report.freeness_ok:
         status = Aut0Status.NON_FREE_KERNEL_ONLY
@@ -507,7 +491,6 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
     else:
         status = Aut0Status.KERNEL_ONLY
 
-    factors = quotient.invariant_factors
     # The theorem speaks of valid data only: an invalid datum keeps its
     # status, and its quotient goes unchecked.
     if report.ok and status is Aut0Status.PROVEN:
@@ -520,4 +503,4 @@ def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
         raise TheoremViolationError(
             f"free datum with irregularity 3 has kernel quotient of order "
             f"{factors.order} > 4")
-    return Aut0Result(status, factors, generators, counts, cube, kernel, k_delta, quotient)
+    return Aut0Result(status, factors, generators, counts)

@@ -4,6 +4,9 @@ rendering, which is never computed separately.
 ``build_report`` loads neither click nor the oracle: the oracle is imported
 when a report first asks for its cross-check, and click only by the
 command line (``isoprod.__main__``), which prints these reports.
+
+Kernels and quotients live in ``G^3 / Delta_G = G^2``
+(``aut0._KernelPieces``); only the oracle lifts one to ``G^3``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import docio
-from .aut0 import _kernel_pieces, _solved, _walked_admissible
+from .aut0 import _k_delta, _KernelPieces, _lifted, _solved, _walked_admissible
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import ConsistencyError, OracleScaleError, UnsupportedDatumError
@@ -89,7 +92,7 @@ class _Analysis:
 
     @cached_property
     def pieces(self):
-        return _kernel_pieces(self.datum)
+        return _KernelPieces(self.datum)
 
     @cached_property
     def solved(self):
@@ -122,7 +125,8 @@ def _aut0_section(a: _Analysis) -> dict:
 
 
 def _kernels_section(a: _Analysis) -> dict:
-    return {f"h{p}{q}": {"order": a.kernel((p, q)).order}
+    # In G^3 the kernel is the slice's plus Delta_G, which meet trivially.
+    return {f"h{p}{q}": {"order": a.datum.group.order * a.kernel((p, q)).order}
             for p, q in ((3, 0), (2, 1), (2, 0), (1, 1))}
 
 
@@ -140,13 +144,13 @@ def _oracle_section(a: _Analysis) -> dict:
     except OracleScaleError as exc:
         agreement["hodge"] = f"skipped: {exc}"
     try:
-        fast_kernel, k_delta = a.kernel((3, 0)), a.pieces.k_delta
+        fast_kernel = _lifted(a.datum.group, a.kernel((3, 0)))
         slow_kernel = brute_kernel(a.datum, a.admissible())
         # One oracle closure of the fast kernel serves both checks below.
         closure = enumerate_subgroup(fast_kernel)
         kernels_match = closure.codes == slow_kernel.codes
-        quotient, _ = a.pieces.lattice(a.solved.span30)
-        factors_match = quotient.invariant_factors == brute_quotient(closure, k_delta)
+        factors, _ = a.pieces.lattice(a.solved.span30)
+        factors_match = factors == brute_quotient(closure, _k_delta(a.datum))
         agreement["kernel"] = "agree" if kernels_match else "DISAGREE"
         agreement["quotient"] = "agree" if factors_match else "DISAGREE"
     except OracleScaleError as exc:

@@ -15,7 +15,7 @@ Each check runs once at the level it depends on:
 - per kernel triple (``_KernelTriple``): minimality with its witness
   (``datum._kernel_checks``, which also filters the kernel triples and
   decides each pair of kernels once), and, from the first valid datum on,
-  ``K Delta_G`` with its cube ``G^3`` and the Hermite basis of the
+  ``K``'s image in ``G^3 / Delta_G = G^2`` and the Hermite basis of the
   canonical representatives (``aut0._KernelPieces``);
 - per subgroup that a branch multiset generates, and per base genus, once
   per ``survey`` call: the number of handle tuples completing it
@@ -35,7 +35,7 @@ Each check runs once at the level it depends on:
   keyed by the three ``A_i`` bases, keeps;
 - per distinct admissible span, inside one kernel triple: ``aut0``'s
   kernel (``_KernelPieces.kernel``), and its quotient by ``K Delta_G`` and
-  canonical generators (``_KernelPieces.lattice``);
+  canonical generators (``_KernelPieces.lattice``), both in ``G^2``;
 - per distinct walked sets and generators, inside one kernel triple: the
   verdict of the independent re-check of the generators
   (``_KernelTriple.verify``: ``aut0._verify_generators``, that is
@@ -73,7 +73,7 @@ import sys
 from math import comb, log10, prod
 from typing import Iterator, Sequence
 
-from .aut0 import Aut0Result, _kernel_pieces, _pre_admissible_set, _verify_generators, aut0
+from .aut0 import Aut0Result, _KernelPieces, _pre_admissible_set, _verify_generators, aut0
 from .covering import GeneratingVector, _riemann_hurwitz
 from .datum import (
     AlgebraicDatum,
@@ -342,7 +342,7 @@ class _KernelTriple:
     def aut0(self, datum: AlgebraicDatum, report: DatumReport,
              branches: Sequence[_Branch]) -> Aut0Result:
         if self._pieces is None:
-            self._pieces = _kernel_pieces(datum)
+            self._pieces = _KernelPieces(datum)
         for i, b in enumerate(branches):
             if b.classes is None:
                 b.classes = _class_lattice(datum, i)

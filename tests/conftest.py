@@ -12,8 +12,11 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from isoprod.aut0 import _admissible_span, _k_delta, _span_kernel, admissible_characters
-from isoprod.groups import AbelianGroup, GroupElement, Subgroup, direct_product, product_element
+from isoprod.aut0 import (_admissible_span, _k_delta, _KernelPieces, _lifted,
+                          admissible_characters, representation_kernel)
+from isoprod.groups import (AbelianGroup, GroupElement, QuotientStructure, Subgroup,
+                            direct_product, product_element, subgroup_quotient)
+from isoprod.oracle import enumerate_subgroup
 
 settings.register_profile(
     "suite",
@@ -112,13 +115,43 @@ def groups_with_subgroup(draw):
 
 
 def listed_kernel(datum, p: int, q: int) -> Subgroup:
-    """The ``(p,q)`` kernel of the listed admissible characters
+    """The ``(p,q)`` kernel in ``G^3`` of the listed admissible characters
     (``admissible_characters``): a reference for ``representation_kernel``
     and the report's kernels, which read the classes on large data."""
-    cube = direct_product([datum.group] * 3)
     first, second = admissible_characters(datum)
     characters = first + second if p + q == 3 else second
-    return _span_kernel(cube, _admissible_span(cube, characters), _k_delta(datum), (p, q))
+    kernel = _KernelPieces(datum).kernel(_admissible_span(datum.group, characters), (p, q))
+    return _lifted(datum.group, kernel)
+
+
+def brute_minimum(datum, rep: GroupElement) -> tuple[int, ...]:
+    """The least member of ``rep + K Delta_G`` with trivial third component,
+    by trying every ``(k1 - k3, k2 - k3, 0)`` with ``k_i`` in ``K_i``."""
+    g = datum.group
+    r = g.rank
+    a, b, c = (rep.exponents[s * r:(s + 1) * r] for s in range(3))
+    k1s, k2s, k3s = (enumerate_subgroup(k).members for k in datum.kernels)
+    tail = (0,) * g.rank
+
+    def shifted(x, k, k3):
+        return tuple((xj - cj + kj - k3j) % n
+                     for xj, cj, kj, k3j, n in zip(x, c, k, k3, g.orders))
+
+    return min(shifted(a, k1, k3) + shifted(b, k2, k3) + tail
+               for k1 in k1s for k2 in k2s for k3 in k3s)
+
+
+def reference_quotient(datum) -> tuple[QuotientStructure, list[tuple[int, ...]]]:
+    """``aut0``'s quotient by the route in ``G^3``, from public pieces: the
+    (3,0) kernel modulo ``K Delta_G`` (``subgroup_quotient``), and its
+    generators each reduced by ``brute_minimum``."""
+    quotient = subgroup_quotient(representation_kernel(datum, 3, 0), _k_delta(datum))
+    return quotient, [brute_minimum(datum, g) for g in quotient.generators]
+
+
+def cosets_generate(quotient: QuotientStructure, reps: list[GroupElement]) -> bool:
+    """Do the cosets of ``reps`` generate the whole quotient?"""
+    return quotient.group.subgroup(map(quotient.project, reps)).order == quotient.group.order
 
 
 # References for ``aut0._k_delta``: ``K_1 x K_2 x K_3`` and the diagonal

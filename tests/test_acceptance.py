@@ -13,7 +13,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_group, random_subgroup
+from conftest import cosets_generate, random_group, random_subgroup, reference_quotient
 from isoprod.aut0 import (
     Aut0Status,
     admissible_characters,
@@ -67,12 +67,12 @@ def test_criterion_1_first_family_regression():
     budget = Budget(10)
     for n1, n2, n3 in itertools.product((1, 2, 3), repeat=3):
         d = example1(n1, n2, n3)
-        r = aut0(d)
+        r, (q, _) = aut0(d), reference_quotient(d)
         assert list(r.invariant_factors) == [2, 2]
-        a = triple(d, r.cube, (0, n2, 0), (n1, 0, 0), (0, 0, 0))
-        b = triple(d, r.cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
+        a = triple(d, q.numerator.ambient, (0, n2, 0), (n1, 0, 0), (0, 0, 0))
+        b = triple(d, q.numerator.ambient, (0, n2, 0), (0, 0, n3), (0, 0, 0))
         assert verify_generator(d, a) and verify_generator(d, b)
-        assert r.cosets_generate([a, b])
+        assert cosets_generate(q, [a, b])
     budget.check()
 
 
@@ -101,14 +101,14 @@ def test_criterion_2_second_family_regression():
     budget = Budget(10)
     for n1, n2, n3 in itertools.product((1, 2, 3), repeat=3):
         d = example2a(n1, n2, n3)
-        r = aut0(d)
+        r, (q, _) = aut0(d), reference_quotient(d)
         assert list(r.invariant_factors) == [2]
-        gen = triple(d, r.cube, (0, n2, 0), (0, 0, 0), (0, 0, 0))
-        assert verify_generator(d, gen) and r.cosets_generate([gen])
+        gen = triple(d, q.numerator.ambient, (0, n2, 0), (0, 0, 0), (0, 0, 0))
+        assert verify_generator(d, gen) and cosets_generate(q, [gen])
     for n1, n2, n3 in itertools.product((2, 3), (1, 2, 3), (1, 2, 3)):
         d = example2b(n1, n2, n3)
-        r = aut0(d)
-        gen = triple(d, r.cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
+        r, (q, _) = aut0(d), reference_quotient(d)
+        gen = triple(d, q.numerator.ambient, (0, n2, 0), (0, 0, n3), (0, 0, 0))
         assert verify_generator(d, gen)
         if n1 == 2:
             # The doubled branch element has order 2 in its quotient, so
@@ -116,12 +116,12 @@ def test_criterion_2_second_family_regression():
             # the extra class (e2^{n2}, e1^2, 1) survives: Z2 x Z2, not the
             # Z2 that holds for every n1 >= 3.
             assert list(r.invariant_factors) == [2, 2]
-            extra = triple(d, r.cube, (0, n2, 0), (2, 0, 0), (0, 0, 0))
+            extra = triple(d, q.numerator.ambient, (0, n2, 0), (2, 0, 0), (0, 0, 0))
             assert verify_generator(d, extra)
-            assert r.cosets_generate([gen, extra])
+            assert cosets_generate(q, [gen, extra])
         else:
             assert list(r.invariant_factors) == [2]
-            assert r.cosets_generate([gen])
+            assert cosets_generate(q, [gen])
     budget.check()
 
 
@@ -134,11 +134,11 @@ def test_criterion_3_singular_family_regression():
         assert report.freeness_witness == d.group.element((0, n, n))
         first, second = admissible_characters(d)
         assert first == []
-        r = aut0(d, report)
+        r, (q, _) = aut0(d, report), reference_quotient(d)
         assert r.status is Aut0Status.NON_FREE_KERNEL_ONLY
         assert list(r.invariant_factors) == [2 * n]
-        gen = triple(d, r.cube, (0, 0, 0), (1, 0, 0), (0, 0, 0))
-        assert verify_generator(d, gen) and r.cosets_generate([gen])
+        gen = triple(d, q.numerator.ambient, (0, 0, 0), (1, 0, 0), (0, 0, 0))
+        assert verify_generator(d, gen) and cosets_generate(q, [gen])
     budget.check()
 
 
@@ -152,10 +152,10 @@ def test_criterion_4_non_cyclic_kernel_fixture():
         [(1, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 0)],
         [(1, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1)],
     ])
-    r = aut0(d)
+    r, (q, _) = aut0(d), reference_quotient(d)
     assert list(r.invariant_factors) == [2]
-    gen = triple(d, r.cube, (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0))
-    assert verify_generator(d, gen) and r.cosets_generate([gen])
+    gen = triple(d, q.numerator.ambient, (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0))
+    assert verify_generator(d, gen) and cosets_generate(q, [gen])
     budget.check()
 
 

@@ -10,8 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, diagonal_subgroup, listed_kernel,
-                      product_subgroup, random_element, random_group, random_subgroup)
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, brute_minimum, cosets_generate,
+                      diagonal_subgroup, listed_kernel, product_subgroup, random_element,
+                      random_group, random_subgroup, reference_quotient)
 
 from isoprod.aut0 import (
     Aut0Status,
@@ -21,7 +22,7 @@ from isoprod.aut0 import (
     representation_kernel,
     verify_generator,
     _k_delta,
-    _kernel_pieces,
+    _KernelPieces,
     _pre_admissible_set,
 )
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
@@ -30,13 +31,15 @@ from isoprod.examples import build_example, example1, example2a, example2b, exam
 from isoprod.groups import (
     AbelianGroup,
     PackedCharacters,
+    Subgroup,
     direct_product,
     product_element,
 )
-from isoprod.oracle import enumerate_subgroup
+from isoprod.search import SearchSpec, survey
 
 # The package exports the function ``aut0`` under the submodule's name.
 aut0_module = importlib.import_module("isoprod.aut0")
+groups_module = importlib.import_module("isoprod.groups")
 
 
 def triple(datum, cube, exps1, exps2, exps3):
@@ -203,12 +206,16 @@ class TestOneEnumeration:
         monkeypatch.setattr(aut0_module, name, wrapper)
 
     def test_aut0_enumerates_and_builds_k_delta_once(self, monkeypatch):
+        # K Delta_G enters as K's image on the slice, in ``_KernelPieces``;
+        # the subgroup of G^3 is never formed.
         calls = Counter()
-        self.spy(monkeypatch, calls, "admissible_characters")
-        self.spy(monkeypatch, calls, "_k_delta")
+        for name in ("admissible_characters", "_KernelPieces", "_k_delta"):
+            self.spy(monkeypatch, calls, name)
         result = aut0(example1())
-        assert calls == {"admissible_characters": 1, "_k_delta": 1}
-        assert result.kernel.basis == representation_kernel(example1(), 3, 0).basis
+        assert calls == {"admissible_characters": 1, "_KernelPieces": 1}
+        quotient, generators = reference_quotient(example1())
+        assert result.invariant_factors == quotient.invariant_factors
+        assert [g.exponents for g in result.generators] == generators
 
     def test_lone_call_goes_through_the_memo(self):
         # Without ``classes`` they come from the class lattice, and the work
@@ -216,15 +223,15 @@ class TestOneEnumeration:
         # on the listing route too: the counts and the spans of the listed
         # characters, not the characters.
         d = example2b()
-        pieces = aut0_module._kernel_pieces(d)
+        pieces = _KernelPieces(d)
         result = aut0(d, kernel_pieces=pieces)
         key = tuple(aut0_module._class_lattice(d, i).rows for i in range(3))
         assert list(pieces.memo) == [key]
         first, second = admissible_characters(d)
         assert pieces.memo[key] == aut0_module._Solved(
-            (len(first), len(second)), aut0_module._admissible_span(pieces.cube, first + second),
-            aut0_module._admissible_span(pieces.cube, second))
-        assert pieces.kernel(pieces.memo[key].span30, (3, 0)) is result.kernel
+            (len(first), len(second)), aut0_module._admissible_span(d.group, first + second),
+            aut0_module._admissible_span(d.group, second))
+        assert pieces.lattice(pieces.memo[key].span30)[1] is result.generators
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
     @pytest.mark.parametrize("factory", [example2b, lambda: example1(8, 8, 8)])
@@ -232,7 +239,7 @@ class TestOneEnumeration:
         # A second call on the same classes and pieces reads the memo: no
         # listing and no pre-admissible set, whichever route the miss took.
         d = factory()
-        pieces = aut0_module._kernel_pieces(d)
+        pieces = _KernelPieces(d)
         classes = [aut0_module._class_lattice(d, i) for i in range(3)]
         result = aut0(d, kernel_pieces=pieces, classes=classes)
         calls = Counter()
@@ -243,9 +250,9 @@ class TestOneEnumeration:
 
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
         d = example1()
-        # Nonzero on K_1 = <(1,0,0)> in the first slot, so its kernel misses
-        # K Delta_G.
-        bogus = direct_product([d.group] * 3).character((1, 0, 0) + (0, 0, 0) * 2)
+        # Sum-zero and nonzero on K_1 = <(1,0,0)> in the first slot, so its
+        # kernel misses K Delta_G.
+        bogus = direct_product([d.group] * 3).character((1, 0, 0) + (-1, 0, 0) + (0, 0, 0))
         monkeypatch.setattr(aut0_module, "admissible_characters",
                             lambda datum, pre=None: ([bogus], []))
         with pytest.raises(ConsistencyError, match=r"\(3,0\) kernel"):
@@ -267,7 +274,7 @@ class TestClassRoute:
         calls = Counter()
         TestOneEnumeration().spy(monkeypatch, calls, "admissible_characters")
         d = example1(8, 8, 8)
-        pieces = aut0_module._kernel_pieces(d)
+        pieces = _KernelPieces(d)
         result = aut0(d, kernel_pieces=pieces)
         assert calls["admissible_characters"] == 0
         assert result.admissible_counts == (512, 0)
@@ -275,14 +282,15 @@ class TestClassRoute:
         # Filed under the A_i bases.
         (key, solved), = pieces.memo.items()
         assert key == tuple(aut0_module._class_lattice(d, i).rows for i in range(3))
-        assert pieces.kernel(solved.span30, (3, 0)) is result.kernel
+        assert pieces.lattice(solved.span30)[1] is result.generators
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
     def test_aut0_keeps_the_k_delta_check(self, monkeypatch):
         d = example1(8, 8, 8)
         real = aut0_module._admissible_from_classes
-        # The row (c_1, c_2) of a character nonzero on K_1 = <(1,0,0)> in the
-        # first slot, so its kernel misses K Delta_G.
+        # The row (c_2, c_3) of the sum-zero character ((-1,0,0), (1,0,0), 0),
+        # nonzero on K_1 = <(1,0,0)> in the first slot, so its kernel misses
+        # K Delta_G.
         bogus = (1, 0, 0, 0, 0, 0)
 
         def with_bogus_row(group, classes):
@@ -298,24 +306,28 @@ class TestExampleAut0:
     def test_first_family_all_parameters(self):
         for n1, n2, n3 in itertools.product((1, 2, 3), repeat=3):
             d = example1(n1, n2, n3)
-            r = aut0(d)
+            r, (q, generators) = aut0(d), reference_quotient(d)
+            cube = q.numerator.ambient
+            assert [g.exponents for g in r.generators] == generators
             assert r.status is Aut0Status.PROVEN
             assert list(r.invariant_factors) == [2, 2]
-            a = triple(d, r.cube, (0, n2, 0), (n1, 0, 0), (0, 0, 0))
-            b = triple(d, r.cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
+            a = triple(d, cube, (0, n2, 0), (n1, 0, 0), (0, 0, 0))
+            b = triple(d, cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
             assert verify_generator(d, a) and verify_generator(d, b)
-            assert r.cosets_generate([a, b])
-            assert not r.same_coset(a, b)
+            assert cosets_generate(q, [a, b])
+            assert not q.denominator.contains(a - b)
 
     def test_second_family_variant_a(self):
         for n1, n2, n3 in itertools.product((1, 2, 3), repeat=3):
             d = example2a(n1, n2, n3)
-            r = aut0(d)
+            r, (q, generators) = aut0(d), reference_quotient(d)
+            cube = q.numerator.ambient
+            assert [g.exponents for g in r.generators] == generators
             assert r.status is Aut0Status.PROVEN
             assert list(r.invariant_factors) == [2]
-            gen = triple(d, r.cube, (0, n2, 0), (0, 0, 0), (0, 0, 0))
+            gen = triple(d, cube, (0, n2, 0), (0, 0, 0), (0, 0, 0))
             assert verify_generator(d, gen)
-            assert r.cosets_generate([gen])
+            assert cosets_generate(q, [gen])
 
     def test_second_family_variant_b(self):
         # For n1 >= 3 the group is Z_2 generated by (e2^{n2}, e3^{n3}, 1).
@@ -324,39 +336,80 @@ class TestExampleAut0:
         # second class (e2^{n2}, e1^2, 1) survives: the group is Z_2 x Z_2.
         for n1, n2, n3 in itertools.product((2, 3), (1, 2, 3), (1, 2, 3)):
             d = example2b(n1, n2, n3)
-            r = aut0(d)
+            r, (q, generators) = aut0(d), reference_quotient(d)
+            cube = q.numerator.ambient
+            assert [g.exponents for g in r.generators] == generators
             assert r.status is Aut0Status.PROVEN
-            gen = triple(d, r.cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
+            gen = triple(d, cube, (0, n2, 0), (0, 0, n3), (0, 0, 0))
             assert verify_generator(d, gen)
             if n1 == 2:
                 assert list(r.invariant_factors) == [2, 2]
-                extra = triple(d, r.cube, (0, n2, 0), (2, 0, 0), (0, 0, 0))
+                extra = triple(d, cube, (0, n2, 0), (2, 0, 0), (0, 0, 0))
                 assert verify_generator(d, extra)
-                assert r.cosets_generate([gen, extra])
+                assert cosets_generate(q, [gen, extra])
             else:
                 assert list(r.invariant_factors) == [2]
-                assert r.cosets_generate([gen])
+                assert cosets_generate(q, [gen])
 
     def test_singular_family(self):
         for n in (1, 2, 3):
             d = example3(n)
-            r = aut0(d)
+            r, (q, generators) = aut0(d), reference_quotient(d)
+            cube = q.numerator.ambient
+            assert [g.exponents for g in r.generators] == generators
             assert r.status is Aut0Status.NON_FREE_KERNEL_ONLY
             assert list(r.invariant_factors) == [2 * n]
-            gen = triple(d, r.cube, (0, 0, 0), (1, 0, 0), (0, 0, 0))
+            gen = triple(d, cube, (0, 0, 0), (1, 0, 0), (0, 0, 0))
             assert verify_generator(d, gen)
-            assert r.cosets_generate([gen])
+            assert cosets_generate(q, [gen])
 
     def test_non_cyclic_kernel_example(self):
         d = example4()
-        r = aut0(d)
+        r, (q, generators) = aut0(d), reference_quotient(d)
+        cube = q.numerator.ambient
         assert r.status is Aut0Status.KERNEL_ONLY
         assert list(r.invariant_factors) == [2]
-        gen = triple(d, r.cube, (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0))
+        gen = triple(d, cube, (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0))
         assert verify_generator(d, gen)
-        assert r.cosets_generate([gen])
+        assert cosets_generate(q, [gen])
         # The canonical representative differs but names the same coset.
-        assert r.same_coset(r.generators[0], gen)
+        assert q.denominator.contains(r.generators[0] - gen)
+        assert [g.exponents for g in r.generators] == generators
+
+
+class TestNoSubgroupOfTheCube:
+    """``aut0`` works in ``G^3 / Delta_G = G^2``: it forms no subgroup of
+    ``G^3``, and each of its quotients, and the survey's, is of ``G^2`` or
+    of a group of rank at most ``r`` (``G`` or a factor quotient)."""
+
+    @pytest.mark.parametrize("run", ["example1(8,8,8)", "basis_r4_survey"])
+    def test_aut0_forms_no_subgroup_of_the_cube(self, run, monkeypatch):
+        d = example1(8, 8, 8)
+        group = d.group if run == "example1(8,8,8)" else AbelianGroup((2, 2, 2))
+        subgroups, quotients = [], []
+        real_init, real_quotient = Subgroup.__init__, groups_module.subgroup_quotient
+
+        def init(self, ambient, generators):
+            subgroups.append(ambient.orders)
+            real_init(self, ambient, generators)
+
+        def quotient(a, b):
+            quotients.append(a.ambient.orders)
+            return real_quotient(a, b)
+
+        monkeypatch.setattr(Subgroup, "__init__", init)
+        for module in (groups_module, aut0_module):
+            monkeypatch.setattr(module, "subgroup_quotient", quotient)
+        if run == "example1(8,8,8)":
+            assert list(aut0(d).invariant_factors) == [2, 2]
+        else:
+            basis = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+            assert survey(SearchSpec(group_orders=(2, 2, 2), kernels=(basis,),
+                                     max_branch=4)).count
+        assert subgroups and group.orders * 3 not in subgroups
+        assert group.orders * 2 in quotients
+        assert all(orders == group.orders * 2 or len(orders) <= group.rank
+                   for orders in quotients)
 
 
 class TestCanonicalRepresentative:
@@ -364,20 +417,7 @@ class TestCanonicalRepresentative:
     triples with trivial third component: ``rep`` moves by
     ``(k1 - k3, k2 - k3, 1)`` with ``k_i`` in ``K_i``."""
 
-    @staticmethod
-    def brute_minimum(datum, rep):
-        g = datum.group
-        r = g.rank
-        a, b, c = (rep.exponents[s * r:(s + 1) * r] for s in range(3))
-        k1s, k2s, k3s = (enumerate_subgroup(k).members for k in datum.kernels)
-        tail = (0,) * g.rank
-
-        def shifted(x, k, k3):
-            return tuple((xj - cj + kj - k3j) % n
-                         for xj, cj, kj, k3j, n in zip(x, c, k, k3, g.orders))
-
-        return min(shifted(a, k1, k3) + shifted(b, k2, k3) + tail
-                   for k1 in k1s for k2 in k2s for k3 in k3s)
+    brute_minimum = staticmethod(brute_minimum)
 
     def test_random_small_kernels(self):
         rng = random.Random(31)
@@ -387,7 +427,7 @@ class TestCanonicalRepresentative:
                 group=group, kernels=tuple(random_subgroup(rng, group) for _ in range(3)))
             cube = direct_product([group] * 3)
             rep = random_element(rng, cube)
-            got = _kernel_pieces(datum).canonical(rep)
+            got = _KernelPieces(datum).canonical(rep)
             assert got.exponents == self.brute_minimum(datum, rep)
 
     def test_adjustment_subgroup_beyond_two_to_the_sixteen(self):
@@ -397,7 +437,7 @@ class TestCanonicalRepresentative:
         d = example1(21, 21, 21)
         cube = direct_product([d.group] * 3)
         rep = triple(d, cube, (5, 3, 1), (2, 7, 4), (1, 1, 1))
-        got = _kernel_pieces(d).canonical(rep)
+        got = _KernelPieces(d).canonical(rep)
         assert got.exponents == self.brute_minimum(d, rep)
         assert got.exponents[0] == 0
 
@@ -429,8 +469,9 @@ class TestStatuses:
         for factory in (example1, example2a, example4):
             d = factory()
             r = aut0(d)
-            assert r.kernel.order % r.k_delta.order == 0
-            assert r.order == r.kernel.order // r.k_delta.order
+            kernel, k_delta = representation_kernel(d, 3, 0), _k_delta(d)
+            assert kernel.order % k_delta.order == 0
+            assert r.order == kernel.order // k_delta.order
 
 
 class TestVerifyGenerator:

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh, run_limited, z2_classes_document
 from isoprod import cli, docio
 from isoprod.__main__ import main
-from isoprod.aut0 import _KernelPieces, aut0
+from isoprod.aut0 import _KernelPieces, _lifted, aut0
 from isoprod.cli import build_report
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
 from isoprod.docio import datum_document, dumps
@@ -310,6 +310,19 @@ def _spy_everywhere(monkeypatch, module_name: str, name: str, calls: Counter,
                     monkeypatch.setattr(module, attr, wrapper)
 
 
+def _spy_kernel_formation(monkeypatch, calls: Counter) -> None:
+    """Count the kernels that ``_KernelPieces.kernel`` forms: each is one
+    Hermite dual of a span, its memo hits none."""
+    aut0_module = importlib.import_module("isoprod.aut0")
+    real = aut0_module._hermite_dual
+
+    def wrapper(*args):
+        calls["kernel"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(aut0_module, "_hermite_dual", wrapper)
+
+
 def _off_path_datum(case: str) -> AlgebraicDatum:
     """Data whose kernels section cannot take the usual path: ``aut0`` stops
     at ``TrivialByRigidity`` or raises ``UnsupportedDatumError``, so it forms
@@ -335,9 +348,9 @@ class TestOnePassPerDatum:
         for module_name, name in (("isoprod.datum", "validate_datum"),
                                   ("isoprod.hodge", "eigendim_table"),
                                   ("isoprod.aut0", "admissible_characters"),
-                                  ("isoprod.aut0", "_admissible_span"),
-                                  ("isoprod.aut0", "_span_kernel")):
+                                  ("isoprod.aut0", "_admissible_span")):
             _spy_everywhere(monkeypatch, module_name, name, calls)
+        _spy_kernel_formation(monkeypatch, calls)
         report = build_report(example1(), ("invariants", "hodge", "aut0", "kernels"),
                               oracle=True)
         assert set(report["oracle"].values()) == {"agree"}
@@ -347,7 +360,7 @@ class TestOnePassPerDatum:
         assert calls["admissible_characters"] == 2
         # One span and one kernel per kind: every section reads them from
         # the memos.
-        assert calls["_admissible_span"] == calls["_span_kernel"] == 2
+        assert calls["_admissible_span"] == calls["kernel"] == 2
 
     @pytest.mark.parametrize("datum,kernels", [
         (example3(1), 1), (example3(4), 1), (example1(), 2)], ids=["ex3_n1", "ex3_n4", "ex1"])
@@ -356,10 +369,10 @@ class TestOnePassPerDatum:
         # kernels have one span, and the report forms one kernel for both
         # (listing route at n=1, class route at n=4).
         calls = Counter()
-        _spy_everywhere(monkeypatch, "isoprod.aut0", "_span_kernel", calls)
+        _spy_kernel_formation(monkeypatch, calls)
         report = build_report(datum, ("invariants", "hodge", "aut0", "kernels"), oracle=True)
         assert (report["aut0"]["admissible_first"] == 0) == (kernels == 1)
-        assert calls["_span_kernel"] == kernels
+        assert calls["kernel"] == kernels
 
     def test_report_makes_no_walk_over_the_annihilators(self, monkeypatch):
         # The classes and pre-admissible sets come from the Hermite box of
@@ -398,9 +411,10 @@ class TestOnePassPerDatum:
     @pytest.mark.parametrize("name,params", ORACLE_EXAMPLES)
     def test_oracle_closes_the_fast_kernel_once(self, name, params, monkeypatch):
         # The kernel and quotient checks share one oracle closure of the
-        # (3,0) kernel, and its Hermite box lists nothing for them.
+        # (3,0) kernel lifted to G^3, and its Hermite box lists nothing for
+        # them.
         datum = build_example(name, params)
-        kernel = cli._Analysis(datum).kernel((3, 0))
+        kernel = _lifted(datum.group, cli._Analysis(datum).kernel((3, 0)))
         calls, closed, listed = Counter(), [], []
         _spy_everywhere(monkeypatch, "isoprod.oracle", "enumerate_subgroup", calls, closed)
         real = Subgroup._element_tuples
@@ -450,29 +464,32 @@ class TestOracleCatchesErrors:
 
     @staticmethod
     def wrong_kernel(monkeypatch) -> None:
-        # The true kernel plus a basis element of G^3 outside it: still a
-        # subgroup containing K Delta_G, so the fast path's own checks pass.
+        # The true kernel on the slice plus a basis element of G^2 outside
+        # it: still a subgroup containing K's image, so the fast path's own
+        # checks pass.
         real = _KernelPieces.kernel
 
         def kernel(self, span, pq):
             kernel = real(self, span, pq)
-            cube = kernel.ambient
-            extra = next(e for e in map(cube.basis_element, range(cube.rank))
+            plane = kernel.ambient
+            extra = next(e for e in map(plane.basis_element, range(plane.rank))
                          if e not in kernel)
-            wrong = kernel.sum(cube.subgroup([extra]))
-            assert self.k_delta.is_subgroup_of(wrong)
+            wrong = kernel.sum(plane.subgroup([extra]))
+            assert self.k.is_subgroup_of(wrong)
             return wrong
 
         monkeypatch.setattr(_KernelPieces, "kernel", kernel)
 
     @staticmethod
     def wrong_quotient(monkeypatch) -> None:
-        # G^3 / K Delta_G in place of the (3,0) kernel's quotient.
+        # G^3 / K Delta_G, read on the slice as G^2 / K, in place of the
+        # (3,0) kernel's quotient.
         real = _KernelPieces.lattice
 
         def lattice(self, span):
             _, generators = real(self, span)
-            return subgroup_quotient(self.cube.full_subgroup(), self.k_delta), generators
+            return (subgroup_quotient(self.plane.full_subgroup(), self.k).invariant_factors,
+                    generators)
 
         monkeypatch.setattr(_KernelPieces, "lattice", lattice)
 

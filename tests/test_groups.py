@@ -679,6 +679,32 @@ class TestQuotients:
         with pytest.raises(ParentMismatchError, match="denominator is not contained"):
             subgroup_quotient(a, b)
 
+    @given(abelian_groups(max_rank=2, max_order=16), st.data())
+    def test_quotient_over_the_diagonal_is_read_on_the_slice(self, group, data):
+        # Subgroups B <= A of G^3 that contain Delta_G: A / B has the
+        # invariant factors of the slices x_1 = 0, read in G^2, and its
+        # generators are (0, y) for that quotient's generators y, equal as
+        # elements.  aut0's kernel layer rests on this; it fails if
+        # ``_smith`` changes its pivot rule.
+        cube, plane, r = direct_product([group] * 3), direct_product([group] * 2), group.rank
+        diagonal = [product_element(cube, [group.basis_element(j)] * 3) for j in range(r)]
+        tops = data.draw(st.lists(group_elements(cube), max_size=3))
+        combos = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=len(tops),
+                                             max_size=len(tops)), max_size=3))
+        bottoms = [sum((t * c for t, c in zip(tops, cs)), cube.zero) for cs in combos]
+
+        def on_slice(gens):
+            # g - (g_1, g_1, g_1) lies on x_1 = 0; with Delta_G they generate.
+            return plane.subgroup(plane.element(
+                [x - y for x, y in zip(g.exponents[r:], g.exponents[:r] * 2)]) for g in gens)
+
+        whole = subgroup_quotient(cube.subgroup(tops + diagonal),
+                                  cube.subgroup(bottoms + diagonal))
+        part = subgroup_quotient(on_slice(tops), on_slice(bottoms))
+        assert whole.invariant_factors == part.invariant_factors
+        assert [g.exponents for g in whole.generators] == \
+            [(0,) * r + y.exponents for y in part.generators]
+
     def test_subgroup_quotient_refuses_exactly_the_non_contained(self):
         rng = random.Random(31)
         for _ in range(200):

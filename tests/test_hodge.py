@@ -9,13 +9,14 @@ import json
 
 import pytest
 
-from conftest import EXAMPLE_LADDER, ORACLE_EXAMPLES, run_limited, z2_classes_document
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, reference_quotient, run_limited,
+                      z2_classes_document)
 from isoprod import datum as datum_module
 from isoprod import hodge as hodge_module
 from isoprod import docio
-from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _listing_pairs,
-                          _pre_admissible_set, _span_kernel, admissible_characters,
-                          pre_admissible)
+from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _KernelPieces,
+                          _lifted, _listing_pairs, _pre_admissible_set, _solved,
+                          admissible_characters, pre_admissible)
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
@@ -376,8 +377,8 @@ class TestClassesWithoutWalk:
             for characters, pq in ((first + second, (3, 0)), (second, (2, 0))):
                 reference = cube.subgroup(
                     [cube.element(psi.exponents) for psi in characters]).annihilator()
-                span = _admissible_span(cube, characters)
-                assert _span_kernel(cube, span, _k_delta(d), pq) == reference
+                span = _admissible_span(d.group, characters)
+                assert _lifted(d.group, _KernelPieces(d).kernel(span, pq)) == reference
 
     @pytest.mark.parametrize("name", CLASS_DATA)
     def test_admissible_lists_are_sorted_characters_of_the_cube(self, name):
@@ -422,13 +423,12 @@ class TestClassesWithoutWalk:
         data = _class_data(name) if name != "large" else (
             example2a(4, 4, 4), example2b(6, 3, 3), example1(5, 5, 5), example3(3))
         for d in data:
-            cube = direct_product([d.group] * 3)
             first, second = admissible_characters(d)
             classes = [hodge_module._class_lattice(d, i) for i in range(3)]
             counts, span30, span20 = _admissible_from_classes(d.group, classes)
             assert counts == (len(first), len(second))
-            assert span30 == _admissible_span(cube, first + second)
-            assert span20 == _admissible_span(cube, second)
+            assert span30 == _admissible_span(d.group, first + second)
+            assert span20 == _admissible_span(d.group, second)
 
     @pytest.mark.parametrize("factory", [lambda: example1(2, 1, 3), example2b, example4])
     def test_branch_lifts_shifted_by_kernel_elements(self, factory):
@@ -445,6 +445,22 @@ class TestClassesWithoutWalk:
         assert moved._classes == table._classes
         assert moved._packed == table._packed
         assert hodge_diamond(shifted) == hodge_diamond(d)
+
+
+class TestSliceQuotient:
+    """The kernel layer on the slice ``x_1 = 0`` (``_KernelPieces.lattice``)
+    gives the invariant factors and generators of the route in ``G^3``
+    (``conftest.reference_quotient``), equal as elements."""
+
+    @pytest.mark.parametrize("name", CLASS_DATA)
+    def test_equals_the_route_in_the_cube(self, name):
+        for d in _class_data(name):
+            pieces = _KernelPieces(d)
+            solved = _solved(d, pieces, [hodge_module._class_lattice(d, i) for i in range(3)])
+            factors, generators = pieces.lattice(solved.span30)
+            quotient, reference = reference_quotient(d)
+            assert factors == quotient.invariant_factors
+            assert [g.exponents for g in generators] == reference
 
 
 class TestIsotypic:

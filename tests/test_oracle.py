@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from conftest import (ORACLE_EXAMPLES, abelian_groups, diagonal_subgroup, random_element,
                       random_group, random_subgroup, subgroups)
 from isoprod import docio, oracle
-from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta
+from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta, _lifted
 from isoprod.cli import _Analysis
 from isoprod.errors import ConsistencyError, OracleScaleError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
@@ -190,8 +190,8 @@ class TestElementSetNumerator:
 
     @pytest.mark.parametrize("name,params", ORACLE_EXAMPLES)
     def test_fast_kernel_over_k_delta(self, name, params):
-        a = _Analysis(build_example(name, params))
-        kernel, k_delta = a.kernel((3, 0)), a.pieces.k_delta
+        d = build_example(name, params)
+        kernel, k_delta = _lifted(d.group, _Analysis(d).kernel((3, 0))), _k_delta(d)
         assert brute_quotient(enumerate_subgroup(kernel), k_delta) == \
             brute_quotient(kernel, k_delta)
 

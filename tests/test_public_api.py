@@ -202,8 +202,8 @@ VALUE_TYPES = {
     "EigenDimTable": (lambda k: EigenDimTable(example1(1 + k), eigendim_table(E1)._classes),
                       "datum"),
     "HodgeDiamond": (lambda k: HodgeDiamond(((1, 3 + k),)), "h"),
-    "Aut0Result": (lambda k: Aut0Result(Aut0Status.PROVEN, InvariantFactors(()), (), (k, 0),
-                                        Z2xZ4, None, None, None), "admissible_counts"),
+    "Aut0Result": (lambda k: Aut0Result(Aut0Status.PROVEN, InvariantFactors(()), (), (k, 0)),
+                   "admissible_counts"),
     "SearchSpec": (lambda k: SearchSpec((2, 2), max_branch=3 + k), "max_branch"),
     "SurveyResult": (lambda k: SurveyResult(k, {}, {}), "count"),
 }

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abelian_groups, group_elements
-from isoprod.aut0 import (Aut0Result, _pre_admissible_set, _verify_generators, aut0,
-                          verify_generator)
+from isoprod.aut0 import (Aut0Result, _lifted, _pre_admissible_set, _verify_generators, aut0,
+                          representation_kernel, verify_generator)
 from isoprod.datum import validate_datum
 from isoprod.errors import SchemaError, SearchCapError, TheoremViolationError
 from isoprod.examples import example1
@@ -412,7 +412,9 @@ class TestFactorized:
             assert got.invariant_factors == want.invariant_factors
             assert got.generators == want.generators
             assert got.admissible_counts == want.admissible_counts
-            assert got.kernel == want.kernel
+            solved = triple._pieces.memo[tuple(b.classes.rows for b in branches)]
+            assert _lifted(group, triple._pieces.kernel(solved.span30, (3, 0))) == \
+                representation_kernel(datum, 3, 0)
         assert valid and invalid
 
     @staticmethod
@@ -453,16 +455,17 @@ class TestFactorized:
             bases = tuple(k.basis for k in triple.kernels)
             pre = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))
             pre_triples.add((bases, pre))
-            kernels.add((bases, result.kernel))
+            kernels.add((bases, representation_kernel(datum, 3, 0)))
 
         calls = Counter()
         self.spy(monkeypatch, calls, search_module, "aut0")
-        self.spy(monkeypatch, calls, aut0_module, "_span_kernel")
+        # One Hermite dual per kernel formed.
+        self.spy(monkeypatch, calls, aut0_module, "_hermite_dual")
         self.spy(monkeypatch, calls, aut0_module, "subgroup_quotient")
         survey(spec)
         assert calls["aut0"] == valid == 208
         assert len(pre_triples) == 41
-        assert calls["_span_kernel"] == calls["subgroup_quotient"] == len(kernels) == 5
+        assert calls["_hermite_dual"] == calls["subgroup_quotient"] == len(kernels) == 5
 
     def test_survey_validates_only_free_triples(self, monkeypatch):
         # 792 of the 1,000 branch triples are not free.  The survey rejects
@@ -534,13 +537,13 @@ class TestFactorized:
             if walked not in verified:
                 verified[walked] = result.generators
                 return result
-            wrong = next(g for g in result.cube.elements() if not result.kernel.contains(g))
+            kernel = representation_kernel(datum, 3, 0)
+            wrong = next(g for g in kernel.ambient.elements() if not kernel.contains(g))
             generators = result.generators[:-1] + (wrong,)
             assert generators != verified[walked]
             planted.append(generators)
             return Aut0Result(result.status, result.invariant_factors, generators,
-                              result.admissible_counts, result.cube, result.kernel,
-                              result.k_delta, result.quotient)
+                              result.admissible_counts)
 
         monkeypatch.setattr(search_module._KernelTriple, "aut0", planting)
         with pytest.raises(TheoremViolationError, match="re-verification"):
@@ -563,7 +566,8 @@ class TestWalkedSets:
                 assert _verify_generators(datum, [gen], walked) is \
                     verify_generator(datum, gen) is True
                 checked += 1
-            outside = next(g for g in r.cube.elements() if not r.kernel.contains(g))
+            kernel = representation_kernel(datum, 3, 0)
+            outside = next(g for g in kernel.ambient.elements() if not kernel.contains(g))
             assert _verify_generators(datum, [outside], walked) is \
                 verify_generator(datum, outside) is False
         assert checked

@@ -69,7 +69,6 @@ from .groups import (
     _hermite_dual,
     _set,
     direct_product,
-    product_element,
     row_hermite,
     subgroup_quotient,
 )
@@ -162,23 +161,29 @@ def admissible_characters(datum: AlgebraicDatum, pre: Sequence[list[int]] | None
                  for pq in ((3, 0), (2, 0)))
 
 
+def _plus_diagonal(group: AbelianGroup, rows: list[tuple[int, ...]]) -> Subgroup:
+    """The subgroup of ``G^3`` with generators ``rows``, then ``Delta_G``."""
+    cube = direct_product([group] * 3)
+    units = (group.basis_element(j).exponents for j in range(group.rank))
+    return cube.subgroup(map(cube.element, rows + [e * 3 for e in units]))
+
+
 def _k_delta(datum: AlgebraicDatum) -> Subgroup:
     """``K Delta_G`` as one subgroup of ``G^3``: the kernels, then the diagonal."""
-    g = datum.group
-    cube = direct_product([g] * 3)
-    slots = [(g.zero,) * i + (k,) + (g.zero,) * (2 - i)
-             for i, h in enumerate(datum.kernels) for k in h.generators]
-    slots += [(g.basis_element(j),) * 3 for j in range(g.rank)]
-    return cube.subgroup(product_element(cube, parts) for parts in slots)
+    zero = (0,) * datum.group.rank
+    return _plus_diagonal(datum.group, [zero * i + k.exponents + zero * (2 - i)
+                                        for i, h in enumerate(datum.kernels) for k in h.generators])
 
 
 def _lifted(group: AbelianGroup, kernel: Subgroup) -> Subgroup:
     """The subgroup ``(0, kernel) + Delta_G`` of ``G^3`` for a ``kernel`` on
-    the slice ``x_1 = 0`` (``_KernelPieces.kernel``)."""
-    cube = direct_product([group] * 3)
-    return cube.subgroup([cube.element((0,) * group.rank + y.exponents) for y in kernel.generators]
-                         + [product_element(cube, [group.basis_element(j)] * 3)
-                            for j in range(group.rank)])
+    the slice ``x_1 = 0`` (``_KernelPieces``)."""
+    return _plus_diagonal(group, [(0,) * group.rank + y.exponents for y in kernel.generators])
+
+
+def _lifted_order(group: AbelianGroup, kernel: Subgroup) -> int:
+    """The order of ``_lifted(group, kernel)``, whose summands meet trivially."""
+    return group.order * kernel.order
 
 
 def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
@@ -338,21 +343,18 @@ class _KernelPieces:
     ``x_1 = 0`` of ``G^3 / Delta_G``, which is ``G^2``: ``K Delta_G`` meets
     it in ``k = <(-k_1, -k_1), (k_2, 0), (0, k_3)>``; the Hermite basis of
     its image on ``x_3 = 0`` serves the canonical representatives.  It is
-    the one place where a span's lattice is formed, and a cache of one
-    kernel triple's work, not a value.
+    a cache of one kernel triple's work, not a value.
 
-    ``memo`` holds the rest of ``aut0``'s work, which within one kernel
-    triple depends only on the ``A_i``: it maps the tuple of the three
-    ``A_i`` bases to their ``_Solved``.  ``kernel`` forms the kernel of
-    each ``_admissible_span`` once, and ``lattice`` its quotient by ``k``
-    and canonical generators once.  ``_pre`` keeps the packed
-    pre-admissible set of each factor index and ``A_i`` basis for the
-    listings of memo misses: ``Ann(K_i)`` differs between the factors.
+    ``memo`` maps the three ``A_i`` bases to their ``_Solved``; ``kernel``
+    and ``lattice`` form a span's kernel and its quotient by ``k`` once.
+    ``_pre`` keeps the packed pre-admissible set of each factor index and
+    ``A_i`` basis for the listings of memo misses.
     """
 
     def __init__(self, datum: AlgebraicDatum):
         self.group = g = datum.group
         self.plane = plane = direct_product([g, g])
+        self._cube = direct_product([g, g, g])
         zero = (0,) * g.rank
         k1, k2, k3 = ([h.exponents for h in k.generators] for k in datum.kernels)
         # (k_1, 0, 0), (0, k_2, 0) and (0, 0, k_3) read on x_1 = 0 and on x_3 = 0.
@@ -363,7 +365,7 @@ class _KernelPieces:
                                   + _diagonal(plane.orders), 2 * g.rank)
         self.memo: dict[tuple, _Solved] = {}
         self._kernels: dict[tuple, Subgroup] = {}
-        self._lattices: dict[tuple, tuple[InvariantFactors, tuple[GroupElement, ...]]] = {}
+        self._lattices: dict[tuple, tuple] = {}
         self._pre: dict[tuple, list[int]] = {}
 
     def pre_admissible(self, classes: Sequence[_ClassLattice]) -> list[list[int]]:
@@ -395,8 +397,8 @@ class _KernelPieces:
     def lattice(self, span: tuple[tuple[int, ...], ...],
                 ) -> tuple[InvariantFactors, tuple[GroupElement, ...]]:
         """The invariant factors of the (3,0) kernel of ``span`` modulo
-        ``K Delta_G``, and the canonical representatives of its generators,
-        formed once per span from the quotient on the slice.
+        ``K Delta_G`` and the canonical representatives of its generators,
+        formed once per span on the slice.
 
         They are those of the quotient in ``G^3``.  Both lattices there
         contain ``Delta_G``, so their Hermite bases have pivot 1 in each of
@@ -412,19 +414,22 @@ class _KernelPieces:
         lattice = self._lattices.get(span)
         if lattice is None:
             quotient = subgroup_quotient(self.kernel(span, (3, 0)), self.k)
-            cube = direct_product([self.group] * 3)
+            r = self.group.rank
+            # (0, y_2, y_3) is (-y_3, y_2 - y_3) on x_3 = 0.
             lattice = self._lattices[span] = (quotient.invariant_factors, tuple(
-                self.canonical(cube.element((0,) * self.group.rank + y.exponents))
-                for y in quotient.generators))
+                self._least([-b for b in e[r:]] + [a - b for a, b in zip(e, e[r:])])
+                for e in (y.exponents for y in quotient.generators)))
         return lattice
 
     def canonical(self, rep: GroupElement) -> GroupElement:
-        """The least member of ``rep + K Delta_G`` with trivial third
-        component: ``Delta_G`` takes ``rep`` to ``(x_1 - x_3, x_2 - x_3, 0)``,
-        reduced against the Hermite basis of ``K``'s image on ``x_3 = 0``."""
+        """The least member of ``rep + K Delta_G`` with ``x_3 = 0``; ``Delta_G``
+        takes ``rep`` to ``(x_1 - x_3, x_2 - x_3, 0)``."""
         e, r = rep.exponents, self.group.rank
-        key = _coset_key(self._image, [a - b for a, b in zip(e[:2 * r], e[2 * r:] * 2)])
-        return GroupElement(rep.group, key + (0,) * r)
+        return self._least([a - b for a, b in zip(e[:2 * r], e[2 * r:] * 2)])
+
+    def _least(self, x: list[int]) -> GroupElement:
+        """``(x, 0)`` in ``G^3``, ``x`` reduced against ``K``'s image on ``x_3 = 0``."""
+        return GroupElement(self._cube, _coset_key(self._image, x) + (0,) * self.group.rank)
 
 
 def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import docio
-from .aut0 import _k_delta, _KernelPieces, _lifted, _solved, _walked_admissible
+from .aut0 import _k_delta, _KernelPieces, _lifted, _lifted_order, _solved, _walked_admissible
 from .aut0 import aut0 as compute_aut0
 from .datum import AlgebraicDatum, invariants, rigidity_class, validate_datum
 from .errors import ConsistencyError, OracleScaleError, UnsupportedDatumError
@@ -125,8 +125,7 @@ def _aut0_section(a: _Analysis) -> dict:
 
 
 def _kernels_section(a: _Analysis) -> dict:
-    # In G^3 the kernel is the slice's plus Delta_G, which meet trivially.
-    return {f"h{p}{q}": {"order": a.datum.group.order * a.kernel((p, q)).order}
+    return {f"h{p}{q}": {"order": _lifted_order(a.datum.group, a.kernel((p, q)))}
             for p, q in ((3, 0), (2, 1), (2, 0), (1, 1))}
 
 

@@ -12,9 +12,13 @@ would differ from run to run.  The inputs:
 - ``z2_classes_document(k)``, whose classes take the class route;
 - 40 seeded documents of the ``g' = (2,1,1)`` basis-kernel space, 30 valid;
 - the frozen search spaces of the tests and a refused one;
-- the malformed and oversized inputs of ``test_cli.TestRobustness``, but
-  for the integer of 5,000 digits, whose message Python words differently
-  from version to version.
+- the malformed and oversized inputs of ``test_cli.TestRobustness`` whose
+  messages are the program's own words.  Left out are those worded by the
+  interpreter or by its limit on the digits of an integer, which can
+  differ between Python versions: the undecodable files (``json`` and
+  ``utf-8`` errors), the orders of 3,999 and 5,000 digits and the
+  survey counts past 4,300 digits; ``TestRobustness`` checks them under
+  each interpreter.
 
 Runs marked ``ci`` (``example1`` n=48 and n=64, ``Z2^9`` and ``Z2^10``)
 take seconds each; the tier-1 test (``test_corpus.py``) replays the others
@@ -27,7 +31,8 @@ Usage, from the repository root::
 
 Record only when a change means to change output, and list each changed
 entry and why.  ``--installed`` runs every entry, ``ci`` ones included,
-through the installed console script and exits 1 on any difference.
+through the installed console script, each within ``TIMEOUT`` seconds,
+and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from conftest import ORACLE_EXAMPLES, z2_classes_document
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "corpus.json"
 FORMATS = (("--format", "text"), ("--format", "json"))
+TIMEOUT = 120
 
 BASIS_KERNELS = [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]
 SPECS = {
@@ -59,17 +65,12 @@ SPECS = {
     "refused_cyclic": {"group": [4611686018427387904], "kernels": "cyclic", "max_branch": 2},
 }
 _A = 2 ** 40
-_HUGE = 10 ** 3999 - 1
 MALFORMED_SPECS = {
     "group_zero": {"group": [0]},
     "negative_branch": {"group": [2, 2], "max_branch": -1},
     "negative_genus": {"group": [2, 2], "g_primes": [-1, 1, 1]},
     "boolean_order": {"group": [True, 2]},
     "empty_quotient": {"group": [64], "kernels": [[[[1]], [], []]], "max_branch": 5},
-    "genus_4000": {"group": [2, 2], "kernels": "cyclic", "max_branch": 2,
-                   "g_primes": [4000, 1, 1]},
-    "genus_1e8": {"group": [2, 2], "kernels": "cyclic", "max_branch": 2,
-                  "g_primes": [100000000, 1, 1]},
 }
 MALFORMED_DATA = {
     "huge_kernel": {"group": [_A, 2], "kernels": [[[1, 0]], [[0, 1]], []],
@@ -86,13 +87,6 @@ MALFORMED_DATA = {
                                  "eta": [[0, 1], [0, 0]]},
                                 {"g_prime": 1, "branch": [[1, 0], [_A - 1, 0]],
                                  "eta": [[0, 1], [0, 0]]}]},
-    "order_digits": {"group": [_HUGE, _HUGE], "kernels": [[], [], []],
-                     "vectors": [{"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]}] * 3},
-}
-MALFORMED_TEXT = {
-    "broken_json": b"{broken",
-    "byte_0xff": b"\xff",
-    "utf16": '{"group": [2, 2]}'.encode("utf-16"),
 }
 EXAMPLE_GRID = (
     *(("example1", f"n={n}") for n in (1, 2, 3, 4, 8, 16, 32)),
@@ -141,7 +135,6 @@ def inputs() -> dict[str, bytes]:
     out.update((f"spec/{name}", _document(doc)) for name, doc in SPECS.items())
     out.update((f"malformed/{name}", _document(doc))
                for name, doc in {**MALFORMED_SPECS, **MALFORMED_DATA}.items())
-    out.update((f"malformed/{name}", text) for name, text in MALFORMED_TEXT.items())
     return out
 
 
@@ -181,9 +174,9 @@ def runs() -> list[tuple[tuple[str, ...], str | None, bool]]:
     for name in SPECS:
         for fmt in FORMATS:
             add(("search", "{input}", *fmt), f"spec/{name}")
-    for name in (*MALFORMED_SPECS, "broken_json", "byte_0xff", "utf16"):
+    for name in MALFORMED_SPECS:
         add(("search", "{input}"), f"malformed/{name}")
-    for name in (*MALFORMED_DATA, "byte_0xff", "utf16"):
+    for name in MALFORMED_DATA:
         add(("validate", "{input}"), f"malformed/{name}")
     add(("report", "{input}"), "z2_classes/12")
     return out
@@ -199,7 +192,7 @@ def _sha(data: bytes) -> str:
 
 
 def invoke(args: tuple[str, ...], source: str | None, workdir: Path,
-           installed: bool = False, timeout: float = 120) -> dict:
+           installed: bool = False) -> dict:
     """Run once, with the input written into ``workdir``: in process through
     click's runner, or through the installed ``isoprod`` script; the
     recorded fields of the outcome."""
@@ -212,7 +205,7 @@ def invoke(args: tuple[str, ...], source: str | None, workdir: Path,
         argv = [str(path) if a == "{input}" else a for a in args]
         outcome["input_sha256"] = _sha(data)
     if installed:
-        proc = subprocess.run(["isoprod", *argv], capture_output=True, timeout=timeout)
+        proc = subprocess.run(["isoprod", *argv], capture_output=True, timeout=TIMEOUT)
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
         from click.testing import CliRunner
@@ -242,7 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--record", action="store_true", help="rewrite the manifest, in process")
     mode.add_argument("--installed", action="store_true",
                       help="check every run through the installed isoprod script")
-    parser.add_argument("--timeout", type=float, default=120, help="seconds per installed run")
     opts = parser.parse_args(argv)
 
     entries, failures = [], []
@@ -255,9 +247,9 @@ def main(argv: list[str] | None = None) -> int:
             continue
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                outcome = invoke(args, source, Path(tmp), opts.installed, opts.timeout)
+                outcome = invoke(args, source, Path(tmp), opts.installed)
             except subprocess.TimeoutExpired:
-                failures.append(f"TIMEOUT after {opts.timeout} s: {name}")
+                failures.append(f"TIMEOUT after {TIMEOUT} s: {name}")
                 continue
         if opts.record:
             entries.append({**entry, **outcome})

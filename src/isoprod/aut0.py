@@ -10,10 +10,10 @@ Every admissible character lies in the sum-zero plane
 ``c_1 + c_2 + c_3 = 0``, so it vanishes on ``Delta_G``, and ``aut0`` works
 on the slice ``x_1 = 0`` of ``G^3 / Delta_G``, which is ``G^2``
 (``_KernelPieces``).  It needs of the characters their two counts and the
-canonical Hermite basis of their rows ``(c_2, c_3)``
-(``_admissible_span``).  ``G^3`` is formed only where it is asked for:
-``representation_kernel`` and the report's oracle lift a kernel
-(``_lifted``).
+canonical Hermite bases of their rows ``(c_2, c_3)``, which one rule forms
+from rows that generate each kind (``_spans``).  ``G^3`` is formed only
+where it is asked for: ``representation_kernel`` and the report's oracle
+lift a kernel (``_lifted``).
 
 ``aut0``'s one input is each factor's Chevalley-Weil classes
 (``hodge._ClassLattice``; its ``support`` is the rule for the
@@ -22,14 +22,15 @@ pre-admissible set ``Ann(K_i) \\ A_i``, so ``aut0`` keeps its work in
 ``_KernelPieces.memo`` under the three ``A_i`` bases as a ``_Solved``: the
 two counts and the spans of the (3,0) and (2,0) kernels, no characters.
 A miss fills it by one of two routes, chosen by one rule on the size of
-the listing (``LISTING_PAIRS``):
+the listing (``LISTING_PAIRS``), each handing its counts and rows to
+``_spans``:
 
 - small data list the characters (``admissible_characters``) from the
   packed pre-admissible sets (``groups.PackedCharacters``), which the
   pieces read off the classes (``hodge._pre_from_classes``) once per
   factor and ``A_i``, as the (3,0) and (2,0) Kunneth pieces of their 0/1
   tables (``hodge._kunneth_pieces``);
-- large data read the counts and spans off the classes ``x + A_i``
+- large data read the counts and rows off the classes ``x + A_i``
   themselves (``_admissible_from_classes``), by the matching rule of the
   Hodge sums (``hodge._class_matches``).
 
@@ -55,7 +56,8 @@ from typing import Sequence
 from .covering import stabilizer_union
 from .datum import (AlgebraicDatum, DatumReport, RigidityClass, _refuse_over, rigidity_class,
                     validate_datum)
-from .errors import ConsistencyError, TheoremViolationError, UnsupportedDatumError
+from .errors import (ConsistencyError, ParentMismatchError, TheoremViolationError,
+                     UnsupportedDatumError)
 from .groups import (
     AbelianGroup,
     Character,
@@ -76,10 +78,11 @@ from .hodge import (_class_lattice, _class_matches, _ClassLattice, _factor_walk,
                     _pre_from_classes)
 
 # The listing route runs while the first-kind convolution visits at most
-# this many pairs ``|P_1| |P_2|``; above it the counts and spans come from
-# the classes.  Timed on 88 data of the example families with up to 5,184
-# pairs, listing was the faster route on 55 of the 60 data up to 256
-# pairs and the classes on 26 of the 28 above, both near 0.75 ms there.
+# this many pairs ``|P_1| |P_2|``, else the counts and rows come from the
+# classes.  On ``_solved`` over the 8 report-ladder data, listing won at 4
+# and 16 pairs (0.14 ms against 0.31-0.33), tied at 64 (0.30 ms) and lost
+# from 192 up (0.33 against 0.21; 5.6 against 0.19 at 16,384).  Each miss
+# of the basis and ``"cyclic"`` Z2^3 surveys lists 4 to 16 pairs.
 LISTING_PAIRS = 256
 
 
@@ -213,23 +216,22 @@ def representation_kernel(datum: AlgebraicDatum, p: int, q: int) -> Subgroup:
     return _lifted(datum.group, pieces.kernel(solved.span((p, q)), (p, q)))
 
 
-def _admissible_span(group: AbelianGroup, characters: list[Character],
-                     within: tuple[tuple[int, ...], ...] = (),
-                     ) -> tuple[tuple[int, ...], ...]:
-    """The Hermite basis, at width ``2r``, of the rows ``(c_2, c_3)`` of the
-    given characters plus the relations of ``G^2``, or plus the rows of an
-    ``_admissible_span`` ``within``, which holds those relations.
+def _spans(group: AbelianGroup, first: Sequence[tuple[int, ...]],
+           second: Sequence[tuple[int, ...]]) -> tuple[tuple, tuple]:
+    """The spans ``(span30, span20)`` of ``_Solved`` from the rows
+    ``(c_2, c_3)`` that generate the characters of the first kind
+    (``first``) and of the second kind (``second``): the Hermite bases, at
+    width ``2r``, of ``second`` plus the relations of ``G^2``, and of that
+    basis plus ``first``, so each row enters one Hermite form.
 
     Every admissible character has ``c_1 + c_2 + c_3 = 0``, so it vanishes
     on ``Delta_G``, maps the slice point ``(0, y_2, y_3)`` to
-    ``c_2 y_2 + c_3 y_3`` and is fixed by its row.  The basis is canonical,
-    so equal spans give equal tuples.
+    ``c_2 y_2 + c_3 y_3`` and is fixed by its row.  The bases are
+    canonical, so equal spans give equal tuples.
     """
     r = group.rank
-    rows = [psi.exponents[r:] for psi in characters]
-    if within:
-        return row_hermite([*within, *rows], 2 * r)
-    return row_hermite(rows + _diagonal(group.orders * 2), 2 * r)
+    span20 = row_hermite([*second, *_diagonal(group.orders * 2)], 2 * r)
+    return row_hermite([*span20, *first], 2 * r), span20
 
 
 def _listing_pairs(classes: Sequence[_ClassLattice]) -> int:
@@ -239,11 +241,11 @@ def _listing_pairs(classes: Sequence[_ClassLattice]) -> int:
 
 
 def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattice],
-                             ) -> tuple[tuple[int, int], tuple, tuple]:
-    """The admissible counts ``(first, second)``, and the
-    ``_admissible_span`` of both kinds and of the second kind alone, read
-    off each factor's classes (``hodge._class_lattice``) without listing a
-    character.
+                             ) -> tuple[tuple[int, int], tuple, list]:
+    """The admissible counts ``(first, second)``, and rows ``(c_2, c_3)``
+    that generate the characters of the first kind and of the second kind,
+    for ``_spans``, read off each factor's classes (``hodge._class_lattice``)
+    without listing a character.
 
     The pre-admissible set is the union of the classes in the ``support``,
     so with it as weights the totals of ``hodge._class_matches`` count both
@@ -257,7 +259,7 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
     characters of one class triple.  The second-kind characters of slots
     ``(i, j)`` span the same with the feasible pairs and ``A_i x A_j``.
     Each such piece is found apart (intersecting with ``Z`` does not
-    distribute over sums), and the pieces add up at width ``2r``.
+    distribute over sums), and ``_spans`` adds the pieces up at width ``2r``.
 
     ``placed`` writes each row in the coordinates
     ``(c_1 + c_2 + c_3, c_2, c_3)``, the sum left unreduced: a unimodular
@@ -294,9 +296,8 @@ def _admissible_from_classes(group: AbelianGroup, classes: Sequence[_ClassLattic
                                                             3 * r)[r:])
 
     (first, rows30), *pairs = (feasible(idx) for idx in ((0, 1, 2), (0, 1), (0, 2), (1, 2)))
-    span20 = row_hermite([row for _, rows in pairs for row in rows]
-                         + _diagonal(group.orders * 2), 2 * r)
-    return (first, sum(count for count, _ in pairs)), row_hermite([*span20, *rows30], 2 * r), span20
+    return ((first, sum(count for count, _ in pairs)), rows30,
+            [row for _, rows in pairs for row in rows])
 
 
 def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
@@ -305,8 +306,11 @@ def verify_generator(datum: AlgebraicDatum, rep: GroupElement) -> bool:
 
     The characters are enumerated afresh from the three packed sets of
     the walk over ``Ann(K_i)`` (``_pre_admissible_set``); sets from the
-    classes would make the check depend on what it checks.
+    classes would make the check depend on what it checks.  It refuses an
+    element outside ``G^3``, even where no character is admissible.
     """
+    if rep.group.orders != datum.group.orders * 3:
+        raise ParentMismatchError("element outside G^3 of the datum")
     return _verify_generators(datum, [rep])
 
 
@@ -315,15 +319,13 @@ def _verify_generators(datum: AlgebraicDatum, reps: Sequence[GroupElement],
     """``verify_generator`` of every triple in ``reps`` on one enumeration,
     from the walk's three packed sets (``walked``, which the survey keeps
     per branch, else made here)."""
-    cube = direct_product([datum.group] * 3)
-    reps = [rep if rep.group == cube else cube.element(rep.exponents) for rep in reps]
     return all(psi.pairing(rep) == 0 for psi in _walked_admissible(datum, walked) for rep in reps)
 
 
 class _Solved(_Frozen):
     """``aut0``'s work on one triple of factors: the admissible counts and
-    the ``_admissible_span`` of the characters of the (3,0) kernel (both
-    kinds) and of the (2,0) kernel (the second kind alone)."""
+    the ``_spans`` of the characters of the (3,0) kernel (both kinds) and
+    of the (2,0) kernel (the second kind alone)."""
 
     _fields = ("counts", "span30", "span20")
 
@@ -378,10 +380,9 @@ class _KernelPieces:
         return [self._pre[i, c.rows] for i, c in enumerate(classes)]
 
     def kernel(self, span: tuple[tuple[int, ...], ...], pq: tuple[int, int]) -> Subgroup:
-        """The kernel on the slice of the characters whose
-        ``_admissible_span`` is ``span``, its Hermite dual, checked to
-        contain ``k`` and formed once per span; ``pq`` names it if it fails
-        its check."""
+        """The kernel on the slice of the characters whose span (``_spans``)
+        is ``span``, its Hermite dual, checked to contain ``k`` and formed
+        once per span; ``pq`` names it if it fails its check."""
         kernel = self._kernels.get(span)
         if kernel is None:
             kernel = self.plane.subgroup(map(self.plane.element,
@@ -437,22 +438,21 @@ def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
     """The memo entry of the datum's classes, filed under the ``A_i`` bases,
     which fix the pre-admissible sets within a kernel triple.  A miss lists
     the admissible characters while the listing visits at most
-    ``LISTING_PAIRS`` pairs, and reads the counts and spans off the classes
-    above; either way it keeps only the counts and the two spans."""
+    ``LISTING_PAIRS`` pairs, and reads the counts and rows off the classes
+    above; either way ``_spans`` turns the rows of each kind into the two
+    spans, and the entry keeps only them and the counts."""
     memo = kernel_pieces.memo
     key = tuple(c.rows for c in classes)
     solved = memo.get(key)
     if solved is None:
         if _listing_pairs(classes) <= LISTING_PAIRS:
-            first, second = admissible_characters(datum, kernel_pieces.pre_admissible(classes))
-            # The (3,0) span adds the first kind to the (2,0) span, so each
-            # character enters one Hermite basis.
-            span20 = _admissible_span(datum.group, second)
-            solved = _Solved((len(first), len(second)),
-                             _admissible_span(datum.group, first, span20), span20)
+            r = datum.group.rank
+            kinds = admissible_characters(datum, kernel_pieces.pre_admissible(classes))
+            counts = tuple(map(len, kinds))
+            first, second = ([psi.exponents[r:] for psi in kind] for kind in kinds)
         else:
-            solved = _Solved(*_admissible_from_classes(datum.group, classes))
-        memo[key] = solved
+            counts, first, second = _admissible_from_classes(datum.group, classes)
+        solved = memo[key] = _Solved(counts, *_spans(datum.group, first, second))
     return solved
 
 

@@ -336,9 +336,6 @@ class _KernelTriple:
         return AlgebraicDatum(self.group, self.kernels, tuple(v for v, _ in vectors),
                               self.quotients, tuple(r for _, r in vectors))
 
-    def validate(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> DatumReport:
-        return validate_datum(datum, self.checks, [b.checks for b in branches])
-
     def aut0(self, datum: AlgebraicDatum, report: DatumReport,
              branches: Sequence[_Branch]) -> Aut0Result:
         if self._pieces is None:
@@ -487,7 +484,7 @@ def survey(spec: SearchSpec) -> SurveyResult:
             continue
         datum = triple.datum(branches)
         try:
-            report = triple.validate(datum, branches)
+            report = validate_datum(datum, triple.checks, [b.checks for b in branches])
             if not report.ok:
                 raise ConsistencyError("survey datum passed the survey's checks but is not valid")
             result = triple.aut0(datum, report, branches)

@@ -12,10 +12,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from isoprod.aut0 import (_admissible_span, _k_delta, _KernelPieces, _lifted,
-                          admissible_characters, representation_kernel)
+from isoprod.aut0 import (_k_delta, _KernelPieces, _lifted, admissible_characters,
+                          representation_kernel)
 from isoprod.groups import (AbelianGroup, GroupElement, QuotientStructure, Subgroup,
-                            direct_product, product_element, subgroup_quotient)
+                            direct_product, product_element, row_hermite, subgroup_quotient)
 from isoprod.oracle import enumerate_subgroup
 
 settings.register_profile(
@@ -114,13 +114,27 @@ def groups_with_subgroup(draw):
     return group, draw(subgroups(group))
 
 
+def slice_span(group: AbelianGroup, rows) -> tuple[tuple[int, ...], ...]:
+    """The Hermite basis, at width ``2r``, of ``rows`` plus the relations of
+    ``G^2``: a reference for the spans of ``aut0._spans``."""
+    width = 2 * group.rank
+    relations = [tuple(n * (j == i) for j in range(width))
+                 for i, n in enumerate(group.orders * 2)]
+    return row_hermite([*rows, *relations], width)
+
+
+def character_span(group: AbelianGroup, characters) -> tuple[tuple[int, ...], ...]:
+    """``slice_span`` of the rows ``(c_2, c_3)`` of characters of ``G^3``."""
+    return slice_span(group, [psi.exponents[group.rank:] for psi in characters])
+
+
 def listed_kernel(datum, p: int, q: int) -> Subgroup:
     """The ``(p,q)`` kernel in ``G^3`` of the listed admissible characters
     (``admissible_characters``): a reference for ``representation_kernel``
     and the report's kernels, which read the classes on large data."""
     first, second = admissible_characters(datum)
     characters = first + second if p + q == 3 else second
-    kernel = _KernelPieces(datum).kernel(_admissible_span(datum.group, characters), (p, q))
+    kernel = _KernelPieces(datum).kernel(character_span(datum.group, characters), (p, q))
     return _lifted(datum.group, kernel)
 
 

@@ -12,6 +12,10 @@ would differ from run to run.  The inputs:
 - ``z2_classes_document(k)``, whose classes take the class route;
 - 40 seeded documents of the ``g' = (2,1,1)`` basis-kernel space, 30 valid;
 - the frozen search spaces of the tests and a refused one;
+- the surveys and the refusal of CI's time-limited steps, each in the one
+  form CI runs it;
+- CI's ``example1`` n=32 document under ``kernels``, and its data whose
+  vectors are invalid or give no genus, under ``validate`` and ``report``;
 - the malformed and oversized inputs of ``test_cli.TestRobustness`` whose
   messages are the program's own words.  Left out are those worded by the
   interpreter or by its limit on the digits of an integer, which can
@@ -20,7 +24,8 @@ would differ from run to run.  The inputs:
   survey counts past 4,300 digits; ``TestRobustness`` checks them under
   each interpreter.
 
-Runs marked ``ci`` (``example1`` n=48 and n=64, ``Z2^9`` and ``Z2^10``)
+Runs marked ``ci`` (``example1`` n=48 and n=64, ``Z2^9`` and ``Z2^10``,
+the ``"cyclic"`` ``Z2^3`` ``r <= 2`` survey and the ``Z8^3`` refusal)
 take seconds each; the tier-1 test (``test_corpus.py``) replays the others
 in process through click's runner.
 
@@ -64,6 +69,17 @@ SPECS = {
                          "g_primes": [1, 1, 3]},
     "refused_cyclic": {"group": [4611686018427387904], "kernels": "cyclic", "max_branch": 2},
 }
+# The spec of each survey or refusal of CI, its output format, and whether
+# it is left to CI.
+CI_SPECS = {
+    "z2^3_cyclic_r2": ({"group": [2, 2, 2], "kernels": "cyclic", "max_branch": 2},
+                       ("--format", "json"), True),
+    "z2^2_cyclic_g115": ({"group": [2, 2], "kernels": "cyclic", "g_primes": [1, 1, 5],
+                          "max_branch": 3}, ("--format", "json"), False),
+    "z3^3_basis_r3": ({"group": [3, 3, 3], "kernels": [BASIS_KERNELS], "max_branch": 3,
+                       "cap": 10 ** 7}, ("--format", "json"), False),
+    "refused_cyclic_z8": ({"group": [8, 8, 8], "kernels": "cyclic", "max_branch": 2}, (), True),
+}
 _A = 2 ** 40
 MALFORMED_SPECS = {
     "group_zero": {"group": [0]},
@@ -87,6 +103,23 @@ MALFORMED_DATA = {
                                  "eta": [[0, 1], [0, 0]]},
                                 {"g_prime": 1, "branch": [[1, 0], [_A - 1, 0]],
                                  "eta": [[0, 1], [0, 0]]}]},
+}
+# CI's data whose first vector breaks the product relation, or whose vectors
+# give no genus.
+INVALID_DATA = {
+    "broken_vector": {"group": [2, 2, 2], "kernels": [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]],
+                      "vectors": [{"g_prime": 1, "branch": [[0, 0, 1]],
+                                   "eta": [[0, 1, 0], [0, 0, 1]]},
+                                  {"g_prime": 1, "branch": [[1, 0, 0], [1, 0, 0]],
+                                   "eta": [[1, 0, 0], [0, 0, 1]]},
+                                  {"g_prime": 1, "branch": [[0, 1, 0], [0, 1, 0]],
+                                   "eta": [[1, 0, 0], [0, 1, 0]]}]},
+    "negative_genus": {"group": [7], "kernels": [[], [], []],
+                       "vectors": [{"g_prime": 0, "branch": [], "eta": []}] * 3},
+    "odd_genus": {"group": [2, 2], "kernels": [[[1, 0]], [[0, 1]], [[1, 1]]],
+                  "vectors": [{"g_prime": 1, "branch": [[0, 1]], "eta": [[0, 1], [0, 1]]},
+                              {"g_prime": 1, "branch": [], "eta": [[1, 0], [1, 0]]},
+                              {"g_prime": 1, "branch": [], "eta": [[1, 0], [1, 0]]}]},
 }
 EXAMPLE_GRID = (
     *(("example1", f"n={n}") for n in (1, 2, 3, 4, 8, 16, 32)),
@@ -128,13 +161,19 @@ def _g211_documents() -> list[bytes]:
 @functools.cache
 def inputs() -> dict[str, bytes]:
     """Every input file of the corpus by name."""
+    from isoprod.docio import datum_document
+    from isoprod.examples import example1
+
     out = {f"docs/{p.name}": p.read_bytes() for p in sorted((ROOT / "docs").glob("*.json"))}
     out.update((f"z2_classes/{k}", _document(z2_classes_document(k)))
                for k in (*range(6, 11), 12))
     out.update((f"g211/{i}", doc) for i, doc in enumerate(_g211_documents()))
     out.update((f"spec/{name}", _document(doc)) for name, doc in SPECS.items())
+    out.update((f"spec/{name}", _document(doc)) for name, (doc, _, _) in CI_SPECS.items())
     out.update((f"malformed/{name}", _document(doc))
                for name, doc in {**MALFORMED_SPECS, **MALFORMED_DATA}.items())
+    out.update((f"invalid/{name}", _document(doc)) for name, doc in INVALID_DATA.items())
+    out["example1_n32"] = _document(datum_document(example1(32, 32, 32)))
     return out
 
 
@@ -161,6 +200,8 @@ def runs() -> list[tuple[tuple[str, ...], str | None, bool]]:
         param = ",".join(f"{k}={v}" for k, v in params.items())
         add(("example", name, *(("--param", param) if param else ()), "--oracle",
              "--format", "json"))
+    for n in (2, 32):
+        add(("example", "example1", "--param", f"n={n}", "--oracle", "--format", "json"))
     add(("example", "example1", "--param", "n=48", "--format", "json"), ci=True)
     for flag in ((), ("--oracle",)):
         add(("example", "example1", "--param", "n=64", *flag, "--format", "json"), ci=True)
@@ -174,10 +215,16 @@ def runs() -> list[tuple[tuple[str, ...], str | None, bool]]:
     for name in SPECS:
         for fmt in FORMATS:
             add(("search", "{input}", *fmt), f"spec/{name}")
+    for name, (_, fmt, ci) in CI_SPECS.items():
+        add(("search", "{input}", *fmt), f"spec/{name}", ci)
+    add(("kernels", "{input}", "--format", "json"), "example1_n32")
     for name in MALFORMED_SPECS:
         add(("search", "{input}"), f"malformed/{name}")
     for name in MALFORMED_DATA:
         add(("validate", "{input}"), f"malformed/{name}")
+    for name in INVALID_DATA:
+        add(("validate", "{input}"), f"invalid/{name}")
+        add(("report", "{input}", "--format", "json"), f"invalid/{name}")
     add(("report", "{input}"), "z2_classes/12")
     return out
 

@@ -10,9 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, brute_minimum, cosets_generate,
-                      diagonal_subgroup, listed_kernel, product_subgroup, random_element,
-                      random_group, random_subgroup, reference_quotient)
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, brute_minimum, character_span,
+                      cosets_generate, diagonal_subgroup, listed_kernel, product_subgroup,
+                      random_element, random_group, random_subgroup, reference_quotient)
 
 from isoprod.aut0 import (
     Aut0Status,
@@ -26,7 +26,8 @@ from isoprod.aut0 import (
     _pre_admissible_set,
 )
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
-from isoprod.errors import ConsistencyError, TheoremViolationError, UnsupportedDatumError
+from isoprod.errors import (ConsistencyError, ParentMismatchError, TheoremViolationError,
+                            UnsupportedDatumError)
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import (
     AbelianGroup,
@@ -229,8 +230,8 @@ class TestOneEnumeration:
         assert list(pieces.memo) == [key]
         first, second = admissible_characters(d)
         assert pieces.memo[key] == aut0_module._Solved(
-            (len(first), len(second)), aut0_module._admissible_span(d.group, first + second),
-            aut0_module._admissible_span(d.group, second))
+            (len(first), len(second)), character_span(d.group, first + second),
+            character_span(d.group, second))
         assert pieces.lattice(pieces.memo[key].span30)[1] is result.generators
         assert aut0(d, kernel_pieces=pieces) == result and len(pieces.memo) == 1
 
@@ -294,8 +295,8 @@ class TestClassRoute:
         bogus = (1, 0, 0, 0, 0, 0)
 
         def with_bogus_row(group, classes):
-            counts, span30, span20 = real(group, classes)
-            return counts, aut0_module.row_hermite([bogus, *span30], 6), span20
+            counts, rows30, rows20 = real(group, classes)
+            return counts, [bogus, *rows30], rows20
 
         monkeypatch.setattr(aut0_module, "_admissible_from_classes", with_bogus_row)
         with pytest.raises(ConsistencyError, match=r"\(3,0\) kernel"):
@@ -480,6 +481,23 @@ class TestVerifyGenerator:
         cube = direct_product([d.group] * 3)
         bad = triple(d, cube, (0, 1, 0), (0, 0, 0), (0, 0, 0))
         assert not verify_generator(d, bad)
+
+    @pytest.mark.parametrize("case", ["example1", "no_admissible_character"])
+    def test_refuses_an_element_of_another_group(self, case):
+        # An element of Z3^(3r) is refused, not reduced modulo the orders of
+        # G^3 = Z2^(3r), where (1, ..., 1) lies in Delta_G and would pass;
+        # also where no character is admissible and none would pair with it.
+        if case == "example1":
+            d = example1()
+        else:
+            g = AbelianGroup([2])
+            e = g.basis_element(0)
+            genus_two = VectorSpec(2, (), (e, g.zero, e, g.zero))
+            d = AlgebraicDatum.build(g, [[], [], []], [genus_two] * 3)
+            assert admissible_characters(d) == ([], [])
+        rank = 3 * d.group.rank
+        with pytest.raises(ParentMismatchError):
+            verify_generator(d, AbelianGroup([3] * rank).element([1] * rank))
 
     def test_accepts_k_delta(self):
         d = example1(2, 1, 3)

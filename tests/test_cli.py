@@ -348,7 +348,7 @@ class TestOnePassPerDatum:
         for module_name, name in (("isoprod.datum", "validate_datum"),
                                   ("isoprod.hodge", "eigendim_table"),
                                   ("isoprod.aut0", "admissible_characters"),
-                                  ("isoprod.aut0", "_admissible_span")):
+                                  ("isoprod.aut0", "_spans")):
             _spy_everywhere(monkeypatch, module_name, name, calls)
         _spy_kernel_formation(monkeypatch, calls)
         report = build_report(example1(), ("invariants", "hodge", "aut0", "kernels"),
@@ -358,9 +358,9 @@ class TestOnePassPerDatum:
         # One listing for the memo miss, and one of the oracle's own from
         # the walked sets.
         assert calls["admissible_characters"] == 2
-        # One span and one kernel per kind: every section reads them from
-        # the memos.
-        assert calls["_admissible_span"] == calls["kernel"] == 2
+        # One tail call for the memo miss, which forms both spans, and one
+        # kernel per kind: every section reads them from the memos.
+        assert calls["_spans"] == 1 and calls["kernel"] == 2
 
     @pytest.mark.parametrize("datum,kernels", [
         (example3(1), 1), (example3(4), 1), (example1(), 2)], ids=["ex3_n1", "ex3_n4", "ex1"])

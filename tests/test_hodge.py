@@ -9,14 +9,14 @@ import json
 
 import pytest
 
-from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, reference_quotient, run_limited,
-                      z2_classes_document)
+from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, character_span, reference_quotient,
+                      run_limited, slice_span, z2_classes_document)
 from isoprod import datum as datum_module
 from isoprod import hodge as hodge_module
 from isoprod import docio
-from isoprod.aut0 import (_admissible_from_classes, _admissible_span, _k_delta, _KernelPieces,
-                          _lifted, _listing_pairs, _pre_admissible_set, _solved,
-                          admissible_characters, pre_admissible)
+from isoprod.aut0 import (_admissible_from_classes, _k_delta, _KernelPieces, _lifted,
+                          _listing_pairs, _pre_admissible_set, _solved, admissible_characters,
+                          pre_admissible)
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
@@ -377,7 +377,7 @@ class TestClassesWithoutWalk:
             for characters, pq in ((first + second, (3, 0)), (second, (2, 0))):
                 reference = cube.subgroup(
                     [cube.element(psi.exponents) for psi in characters]).annihilator()
-                span = _admissible_span(d.group, characters)
+                span = character_span(d.group, characters)
                 assert _lifted(d.group, _KernelPieces(d).kernel(span, pq)) == reference
 
     @pytest.mark.parametrize("name", CLASS_DATA)
@@ -417,18 +417,20 @@ class TestClassesWithoutWalk:
 
     @pytest.mark.parametrize("name", CLASS_DATA + ("large",))
     def test_class_route_equals_the_listing(self, name):
-        # The counts and both spans read off the classes equal those of the
-        # listed characters, on every datum whatever route it takes; "large"
-        # adds class-route examples with second-kind characters.
+        # The counts read off the classes, and the spans of the rows read
+        # off them, equal those of the listed characters, on every datum
+        # whatever route it takes; "large" adds class-route examples with
+        # second-kind characters.
         data = _class_data(name) if name != "large" else (
             example2a(4, 4, 4), example2b(6, 3, 3), example1(5, 5, 5), example3(3))
         for d in data:
             first, second = admissible_characters(d)
             classes = [hodge_module._class_lattice(d, i) for i in range(3)]
-            counts, span30, span20 = _admissible_from_classes(d.group, classes)
+            counts, rows30, rows20 = _admissible_from_classes(d.group, classes)
             assert counts == (len(first), len(second))
-            assert span30 == _admissible_span(d.group, first + second)
-            assert span20 == _admissible_span(d.group, second)
+            assert slice_span(d.group, [*rows30, *rows20]) == character_span(d.group,
+                                                                          first + second)
+            assert slice_span(d.group, rows20) == character_span(d.group, second)
 
     @pytest.mark.parametrize("factory", [lambda: example1(2, 1, 3), example2b, example4])
     def test_branch_lifts_shifted_by_kernel_elements(self, factory):

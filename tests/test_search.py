@@ -399,7 +399,7 @@ class TestFactorized:
         valid = invalid = 0
         for triple, branches in _candidates(spec, group):
             datum = triple.datum(branches)
-            report = triple.validate(datum, branches)
+            report = validate_datum(datum, triple.checks, [b.checks for b in branches])
             assert report == validate_datum(datum)
             # The survey's pre-check, read off the preimages alone.
             assert search_module._free(branches) == report.freeness_ok

@@ -10,7 +10,6 @@ other unexpected error.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
@@ -33,10 +32,7 @@ def _run(build: Callable[[], dict], fmt: str) -> NoReturn:
     its datum fails validation; any error ends in ``_fail``."""
     try:
         report = build()
-        if fmt == "json":
-            click.echo(json.dumps(report, indent=2))
-        else:
-            click.echo(render_text(report), nl=False)
+        click.echo(docio.dumps(report) if fmt == "json" else render_text(report), nl=False)
     except Exception as exc:
         _fail(exc)
     sys.exit(EXIT_INVALID if "validation" in report and not report["validation"]["ok"] else EXIT_OK)

@@ -422,12 +422,6 @@ class _KernelPieces:
                 for e in (y.exponents for y in quotient.generators)))
         return lattice
 
-    def canonical(self, rep: GroupElement) -> GroupElement:
-        """The least member of ``rep + K Delta_G`` with ``x_3 = 0``; ``Delta_G``
-        takes ``rep`` to ``(x_1 - x_3, x_2 - x_3, 0)``."""
-        e, r = rep.exponents, self.group.rank
-        return self._least([a - b for a, b in zip(e[:2 * r], e[2 * r:] * 2)])
-
     def _least(self, x: list[int]) -> GroupElement:
         """``(x, 0)`` in ``G^3``, ``x`` reduced against ``K``'s image on ``x_3 = 0``."""
         return GroupElement(self._cube, _coset_key(self._image, x) + (0,) * self.group.rank)

@@ -39,19 +39,6 @@ def _validation_section(datum: AlgebraicDatum, report) -> dict:
     }
 
 
-def _invariants_section(datum: AlgebraicDatum, report) -> dict:
-    section = {"genera": list(report.genera), "irregularity": report.irregularity}
-    try:
-        inv = invariants(datum)
-    except ConsistencyError:
-        section.update(chi_structure_sheaf=None, euler_number=None, canonical_cube=None)
-    else:
-        section.update(chi_structure_sheaf=inv.chi_structure_sheaf,
-                       euler_number=inv.euler_number,
-                       canonical_cube=inv.canonical_cube)
-    return section
-
-
 class _Analysis:
     """What a report computes for one datum, each piece once, when a section
     first reads it.  ``aut0``, the kernels and the oracle sections pass the
@@ -107,6 +94,27 @@ class _Analysis:
 
     def kernel(self, pq: tuple[int, int]) -> Subgroup:
         return self.pieces.kernel(self.solved.span(pq), pq)
+
+
+def _invariants_section(a: _Analysis) -> dict:
+    """The product formulas of ``datum.invariants``, which are those of ``X``
+    when the action is free.  When it is not and there is a diamond, also
+    ``chi(O_X)`` and ``e(X)`` read off the diamond: ``H^*(X, Q)`` is the
+    invariant part of ``H^*(Y, Q)``, and quotient singularities are
+    rational, so ``chi(O_X) = sum (-1)^q h^{0,q}``."""
+    section = {"genera": list(a.report.genera), "irregularity": a.report.irregularity}
+    try:
+        inv = invariants(a.datum)
+    except ConsistencyError:
+        section.update(chi_structure_sheaf=None, euler_number=None, canonical_cube=None)
+    else:
+        section.update(chi_structure_sheaf=inv.chi_structure_sheaf,
+                       euler_number=inv.euler_number,
+                       canonical_cube=inv.canonical_cube)
+    if not a.report.freeness_ok and a.diamond is not None:
+        section.update(chi_structure_sheaf_of_X=a.diamond.chi_structure_sheaf(),
+                       euler_number_of_X=a.diamond.euler_number())
+    return section
 
 
 def _aut0_section(a: _Analysis) -> dict:
@@ -169,7 +177,7 @@ def build_report(datum: AlgebraicDatum, sections: tuple[str, ...],
     out["datum"] = docio.datum_document(datum)
     out["validation"] = _validation_section(datum, a.report)
     if "invariants" in sections:
-        out["invariants"] = _invariants_section(datum, a.report)
+        out["invariants"] = _invariants_section(a)
     if "hodge" in sections:
         out["hodge"] = None if a.diamond is None else a.diamond.h
     if "aut0" in sections:
@@ -212,8 +220,13 @@ def render_text(report: dict) -> str:
                      f"  class: {v['rigidity_class']}")
     if "invariants" in report:
         inv = report["invariants"]
-        lines.append(f"invariants: chi(O) = {inv['chi_structure_sheaf']}"
+        of_x = "euler_number_of_X" in inv
+        lines.append(f"invariants{' (product formulas)' if of_x else ''}: "
+                     f"chi(O) = {inv['chi_structure_sheaf']}"
                      f"  e = {inv['euler_number']}  K^3 = {inv['canonical_cube']}")
+        if of_x:
+            lines.append(f"  of X, from the Hodge diamond: chi(O) = "
+                         f"{inv['chi_structure_sheaf_of_X']}  e = {inv['euler_number_of_X']}")
     if "hodge" in report:
         if report["hodge"] is None:
             lines.append("hodge diamond: undefined")

@@ -7,13 +7,14 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from isoprod.aut0 import (_k_delta, _KernelPieces, _lifted, admissible_characters,
                           representation_kernel)
+from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.groups import (AbelianGroup, GroupElement, QuotientStructure, Subgroup,
                             direct_product, product_element, row_hermite, subgroup_quotient)
 from isoprod.oracle import enumerate_subgroup
@@ -93,6 +94,51 @@ def abelian_groups(draw, max_rank: int = 3, max_order: int = 256) -> AbelianGrou
     if not orders:
         orders = [2]
     return AbelianGroup(orders)
+
+
+@st.composite
+def valid_data(draw, max_order: int = 32) -> AlgebraicDatum:
+    """Data with ``g' = (1,1,1)`` drawn valid by construction, without the
+    survey's lister (``search._candidates``), free or not:
+
+    - ``G`` of rank 2 or 3 and order at most ``max_order``, its orders mixed;
+    - a minimal kernel triple: each kernel proper, with at most two
+      generators, drawn until it meets the earlier ones trivially, and
+      trivial when five draws do not;
+    - in each factor, 2 to 4 branch elements, nonzero modulo ``K_i`` and of
+      sum zero: the last one closes the sum, unless the others sum to zero
+      already;
+    - handle pairs drawn until the vector generates ``G/K_i``; a draw that
+      finds none is rejected."""
+    orders = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=2, max_size=3)
+                  .filter(lambda o: prod(o) <= max_order))
+    group = AbelianGroup(orders)
+    elements = list(group.elements())
+    kernels: list[Subgroup] = []
+    for _ in range(3):
+        for _ in range(5):
+            gens = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=2))
+            kernel = group.subgroup(gens)
+            if kernel.order < group.order and all(map(kernel._meets_trivially, kernels)):
+                break
+        else:
+            kernel = group.trivial_subgroup()
+        kernels.append(kernel)
+    specs = []
+    for kernel in kernels:
+        nonzero = [g for g in elements if not kernel.contains(g)]
+        branch = draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=3))
+        closing = -sum(branch, group.zero)
+        if len(branch) == 1 or not kernel.contains(closing):
+            branch.append(closing)
+        for _ in range(10):
+            eta = [draw(st.sampled_from(elements)) for _ in range(2)]
+            if group.subgroup([*kernel.generators, *branch, *eta]).order == group.order:
+                break
+        else:
+            assume(False)
+        specs.append(VectorSpec(1, tuple(branch), tuple(eta)))
+    return AlgebraicDatum.build(group, [k.generators for k in kernels], specs)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The byte-identity corpus: runs of the command line, each pinned in
-``tests/corpus.json`` to its exit code and to the sha256 of its input, its
-stdout and its stderr.
+``tests/corpus.json`` to its exit code, to the sha256 of its input, its
+stdout and its stderr, and to the wall time it may take.  The corpus is
+the one place where a run of the command line is pinned.
 
 A run is a command line in which ``{input}`` stands for one input file,
 written into a fresh temporary directory: a path that reached the output
@@ -12,22 +13,24 @@ would differ from run to run.  The inputs:
 - ``z2_classes_document(k)``, whose classes take the class route;
 - 40 seeded documents of the ``g' = (2,1,1)`` basis-kernel space, 30 valid;
 - the frozen search spaces of the tests and a refused one;
-- the surveys and the refusal of CI's time-limited steps, each in the one
-  form CI runs it;
-- CI's ``example1`` n=32 document under ``kernels``, and its data whose
-  vectors are invalid or give no genus, under ``validate`` and ``report``;
+- the time-limited surveys and refusal, each in one form;
+- the ``example1`` n=32 document under ``kernels``, and data whose vectors
+  are invalid or give no genus, under ``validate`` and ``report``;
 - the malformed and oversized inputs of ``test_cli.TestRobustness`` whose
   messages are the program's own words.  Left out are those worded by the
   interpreter or by its limit on the digits of an integer, which can
   differ between Python versions: the undecodable files (``json`` and
   ``utf-8`` errors), the orders of 3,999 and 5,000 digits and the
   survey counts past 4,300 digits; ``TestRobustness`` checks them under
-  each interpreter.
+  each interpreter, each in a child process under the time and memory
+  limits of ``conftest.run_limited``.
 
-Runs marked ``ci`` (``example1`` n=48 and n=64, ``Z2^9`` and ``Z2^10``,
-the ``"cyclic"`` ``Z2^3`` ``r <= 2`` survey and the ``Z8^3`` refusal)
-take seconds each; the tier-1 test (``test_corpus.py``) replays the others
-in process through click's runner.
+Each run may take ``TIMEOUT`` seconds, or the tighter limit that
+``LIMITS`` gives it.  Runs marked ``ci`` (``example1`` n=48 and n=64,
+``Z2^9`` and ``Z2^10``, the ``"cyclic"`` ``Z2^3`` ``r <= 2`` survey and
+the ``Z8^3`` refusal) take seconds each; the tier-1 test
+(``test_corpus.py``) replays the others in process through click's
+runner, with no time limit.
 
 Usage, from the repository root::
 
@@ -36,8 +39,8 @@ Usage, from the repository root::
 
 Record only when a change means to change output, and list each changed
 entry and why.  ``--installed`` runs every entry, ``ci`` ones included,
-through the installed console script, each within ``TIMEOUT`` seconds,
-and exits 1 on any difference.
+through the installed console script, each within its limit, and exits 1
+on any difference or timeout.
 """
 
 from __future__ import annotations
@@ -69,9 +72,13 @@ SPECS = {
                          "g_primes": [1, 1, 3]},
     "refused_cyclic": {"group": [4611686018427387904], "kernels": "cyclic", "max_branch": 2},
 }
-# The spec of each survey or refusal of CI, its output format, and whether
-# it is left to CI.
-CI_SPECS = {
+# The spec of each time-limited survey or refusal, its output format, and
+# whether it is left out of tier-1.
+LIMITED_SPECS = {
+    "z2xz4_one_triple_r3": ({"group": [2, 4], "kernels": [[[], [[1, 0]], [[0, 2]]]],
+                             "max_branch": 3}, ("--format", "json"), False),
+    "z2^3_basis_r4_g111": ({"group": [2, 2, 2], "kernels": [BASIS_KERNELS],
+                            "g_primes": [1, 1, 1], "max_branch": 4}, ("--format", "json"), False),
     "z2^3_cyclic_r2": ({"group": [2, 2, 2], "kernels": "cyclic", "max_branch": 2},
                        ("--format", "json"), True),
     "z2^2_cyclic_g115": ({"group": [2, 2], "kernels": "cyclic", "g_primes": [1, 1, 5],
@@ -104,8 +111,8 @@ MALFORMED_DATA = {
                                 {"g_prime": 1, "branch": [[1, 0], [_A - 1, 0]],
                                  "eta": [[0, 1], [0, 0]]}]},
 }
-# CI's data whose first vector breaks the product relation, or whose vectors
-# give no genus.
+# Data whose first vector breaks the product relation, or whose vectors give
+# no genus.
 INVALID_DATA = {
     "broken_vector": {"group": [2, 2, 2], "kernels": [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]],
                       "vectors": [{"g_prime": 1, "branch": [[0, 0, 1]],
@@ -132,6 +139,27 @@ EXAMPLE_GRID = (
     ("example4", ""),
 )
 G211_SEED, G211_COUNT = 2013, 40
+# The runs allowed less than TIMEOUT seconds, by run id (``run_id``).
+LIMITS = {
+    "example example1 --param n=2 --oracle --format json": 60,
+    "example example2b --oracle --format json": 60,
+    "example example2a --param n1=1 --param n2=1 --param n3=2 --oracle --format json": 60,
+    "example example1 --param n=32 --oracle --format json": 60,
+    "example example1 --param n=64 --format json": 60,
+    "example example1 --param n=64 --oracle --format json": 60,
+    "kernels <example1_n32> --format json": 60,
+    "report <z2_classes/10> --format json": 60,
+    "report <z2_classes/12>": 30,
+    **{run: 60 for name in ("negative_genus", "odd_genus")
+       for run in (f"validate <invalid/{name}>", f"report <invalid/{name}> --format json")},
+    **{f"search <spec/{name}> --format json": 60
+       for name in ("z2xz4_one_triple_r3", "z2^3_basis_r4_g111", "z2^2_cyclic_g115",
+                    "z3^3_basis_r3")},
+    "search <spec/refused_cyclic_z8>": 60,
+    "search <malformed/empty_quotient>": 30,
+    "validate <malformed/huge_kernel>": 30,
+    "validate <malformed/huge_branch>": 30,
+}
 
 
 def _document(doc: dict) -> bytes:
@@ -169,7 +197,8 @@ def inputs() -> dict[str, bytes]:
                for k in (*range(6, 11), 12))
     out.update((f"g211/{i}", doc) for i, doc in enumerate(_g211_documents()))
     out.update((f"spec/{name}", _document(doc)) for name, doc in SPECS.items())
-    out.update((f"spec/{name}", _document(doc)) for name, (doc, _, _) in CI_SPECS.items())
+    out.update((f"spec/{name}", _document(doc))
+               for name, (doc, _, _) in LIMITED_SPECS.items())
     out.update((f"malformed/{name}", _document(doc))
                for name, doc in {**MALFORMED_SPECS, **MALFORMED_DATA}.items())
     out.update((f"invalid/{name}", _document(doc)) for name, doc in INVALID_DATA.items())
@@ -177,12 +206,15 @@ def inputs() -> dict[str, bytes]:
     return out
 
 
-def runs() -> list[tuple[tuple[str, ...], str | None, bool]]:
-    """Every run as ``(args, input name or None, ci only)``."""
+def runs() -> list[dict]:
+    """Every run as its manifest entry before the run: ``args``, ``input``
+    (a name of ``inputs()`` or None), ``ci`` (left out of tier-1) and
+    ``limit`` (its seconds of wall time)."""
     out = []
 
     def add(args, source=None, ci=False):
-        out.append((tuple(args), source, ci))
+        entry = {"args": list(args), "input": source, "ci": ci}
+        out.append({**entry, "limit": LIMITS.get(run_id(entry), TIMEOUT)})
 
     for name in ("sample_example1", "sample_example3_n2", "sample_example4"):
         source = f"docs/{name}.json"
@@ -200,6 +232,8 @@ def runs() -> list[tuple[tuple[str, ...], str | None, bool]]:
         param = ",".join(f"{k}={v}" for k, v in params.items())
         add(("example", name, *(("--param", param) if param else ()), "--oracle",
              "--format", "json"))
+    add(("example", "example2a", "--param", "n1=1", "--param", "n2=1", "--param", "n3=2",
+         "--oracle", "--format", "json"))
     for n in (2, 32):
         add(("example", "example1", "--param", f"n={n}", "--oracle", "--format", "json"))
     add(("example", "example1", "--param", "n=48", "--format", "json"), ci=True)
@@ -215,7 +249,7 @@ def runs() -> list[tuple[tuple[str, ...], str | None, bool]]:
     for name in SPECS:
         for fmt in FORMATS:
             add(("search", "{input}", *fmt), f"spec/{name}")
-    for name, (_, fmt, ci) in CI_SPECS.items():
+    for name, (_, fmt, ci) in LIMITED_SPECS.items():
         add(("search", "{input}", *fmt), f"spec/{name}", ci)
     add(("kernels", "{input}", "--format", "json"), "example1_n32")
     for name in MALFORMED_SPECS:
@@ -239,10 +273,11 @@ def _sha(data: bytes) -> str:
 
 
 def invoke(args: tuple[str, ...], source: str | None, workdir: Path,
-           installed: bool = False) -> dict:
+           limit: float | None = None) -> dict:
     """Run once, with the input written into ``workdir``: in process through
-    click's runner, or through the installed ``isoprod`` script; the
-    recorded fields of the outcome."""
+    click's runner, or, given a ``limit`` in seconds, through the installed
+    ``isoprod`` script, which raises ``subprocess.TimeoutExpired`` past it;
+    the recorded fields of the outcome."""
     outcome: dict = {"input_sha256": None}
     argv = list(args)
     if source is not None:
@@ -251,8 +286,8 @@ def invoke(args: tuple[str, ...], source: str | None, workdir: Path,
         path.write_bytes(data)
         argv = [str(path) if a == "{input}" else a for a in args]
         outcome["input_sha256"] = _sha(data)
-    if installed:
-        proc = subprocess.run(["isoprod", *argv], capture_output=True, timeout=TIMEOUT)
+    if limit is not None:
+        proc = subprocess.run(["isoprod", *argv], capture_output=True, timeout=limit)
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
         from click.testing import CliRunner
@@ -286,17 +321,17 @@ def main(argv: list[str] | None = None) -> int:
 
     entries, failures = [], []
     recorded = {} if opts.record else {run_id(e): e for e in load()}
-    for args, source, ci in runs():
-        entry = {"args": list(args), "input": source, "ci": ci}
+    for entry in runs():
         name = run_id(entry)
         if not opts.record and name not in recorded:
             failures.append(f"MISSING from the manifest: {name}")
             continue
+        limit = recorded[name]["limit"] if opts.installed else None
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                outcome = invoke(args, source, Path(tmp), opts.installed)
+                outcome = invoke(tuple(entry["args"]), entry["input"], Path(tmp), limit)
             except subprocess.TimeoutExpired:
-                failures.append(f"TIMEOUT after {TIMEOUT} s: {name}")
+                failures.append(f"TIMEOUT after {limit} s: {name}")
                 continue
         if opts.record:
             entries.append({**entry, **outcome})

@@ -12,8 +12,10 @@ import pytest
 
 from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, brute_minimum, character_span,
                       cosets_generate, diagonal_subgroup, listed_kernel, product_subgroup,
-                      random_element, random_group, random_subgroup, reference_quotient)
+                      random_group, random_subgroup, reference_quotient, run_limited,
+                      slice_span)
 
+from isoprod import docio
 from isoprod.aut0 import (
     Aut0Status,
     admissible_characters,
@@ -25,6 +27,7 @@ from isoprod.aut0 import (
     _KernelPieces,
     _pre_admissible_set,
 )
+from isoprod.cli import _Analysis
 from isoprod.datum import AlgebraicDatum, VectorSpec, validate_datum
 from isoprod.errors import (ConsistencyError, ParentMismatchError, TheoremViolationError,
                             UnsupportedDatumError)
@@ -35,6 +38,7 @@ from isoprod.groups import (
     Subgroup,
     direct_product,
     product_element,
+    subgroup_quotient,
 )
 from isoprod.search import SearchSpec, survey
 
@@ -182,6 +186,23 @@ class TestRepresentationKernel:
         orders = [representation_kernel(d, p, q).order for p, q in ((3, 0), (2, 0))]
         assert calls == {}
         assert orders == [2 ** 26, 2 ** 36]
+
+    def test_large_document_under_a_time_limit(self, tmp_path):
+        # example1 n=32 (|G| = 262,144) read back from its document: the
+        # (3,0) and (2,0) kernels come off the Chevalley-Weil classes, in a
+        # child process under the limits of conftest.run_limited.
+        path = tmp_path / "n32.json"
+        path.write_text(docio.dumps(docio.datum_document(example1(32, 32, 32))))
+        script = ("import sys\n"
+                  "from pathlib import Path\n"
+                  "from isoprod import docio\n"
+                  "from isoprod.aut0 import representation_kernel\n"
+                  "d = docio.loads(Path(sys.argv[1]).read_bytes())\n"
+                  "print(representation_kernel(d, 3, 0).order, "
+                  "representation_kernel(d, 2, 0).order)\n")
+        result = run_limited("-c", script, str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["274877906944", "18014398509481984"]
 
 
 class TestKDelta:
@@ -414,33 +435,47 @@ class TestNoSubgroupOfTheCube:
 
 
 class TestCanonicalRepresentative:
-    """Generators are the least representatives of their cosets among the
-    triples with trivial third component: ``rep`` moves by
-    ``(k1 - k3, k2 - k3, 1)`` with ``k_i`` in ``K_i``."""
+    """``lattice``'s generators are the least representatives of their cosets
+    among the triples with trivial third component: each generator
+    ``(0, y_2, y_3)`` of the quotient moves by ``(k1 - k3, k2 - k3, 0)``
+    with ``k_i`` in ``K_i``, and ``brute_minimum`` tries every move."""
 
-    brute_minimum = staticmethod(brute_minimum)
+    @staticmethod
+    def check_generators(datum, pieces, span) -> list[tuple[int, ...]]:
+        """Each generator of the quotient of ``span``'s kernel by ``k``, lifted
+        to ``(0, y_2, y_3)``, reduces to the generator that ``lattice`` gives;
+        the lifted generators."""
+        quotient = subgroup_quotient(pieces.kernel(span, (3, 0)), pieces.k)
+        _, generators = pieces.lattice(span)
+        cube = direct_product([datum.group] * 3)
+        lifted = [cube.element((0,) * datum.group.rank + y.exponents)
+                  for y in quotient.generators]
+        assert [g.exponents for g in generators] == [brute_minimum(datum, y) for y in lifted]
+        return [y.exponents for y in lifted]
 
     def test_random_small_kernels(self):
+        # Spans of random characters that vanish on k, so that k lies in
+        # their kernel.
         rng = random.Random(31)
         for _ in range(40):
-            group = random_group(rng, max_order=16)
+            group = random_group(rng, max_order=32)
             datum = SimpleNamespace(
                 group=group, kernels=tuple(random_subgroup(rng, group) for _ in range(3)))
-            cube = direct_product([group] * 3)
-            rep = random_element(rng, cube)
-            got = _KernelPieces(datum).canonical(rep)
-            assert got.exponents == self.brute_minimum(datum, rep)
+            pieces = _KernelPieces(datum)
+            ann = pieces.k.annihilator()
+            rows = [sum((a * rng.randrange(group.exponent) for a in ann.generators),
+                        pieces.plane.zero).exponents for _ in range(rng.randint(0, 1))]
+            self.check_generators(datum, pieces, slice_span(group, rows))
 
     def test_adjustment_subgroup_beyond_two_to_the_sixteen(self):
         # K_i = <e_i> of order 42: the triples (k1 - k3, k2 - k3, 0) of
-        # K Delta_G number 42^3 = 74,088, and the least representative has
-        # first coordinate 0.
-        d = example1(21, 21, 21)
-        cube = direct_product([d.group] * 3)
-        rep = triple(d, cube, (5, 3, 1), (2, 7, 4), (1, 1, 1))
-        got = _KernelPieces(d).canonical(rep)
-        assert got.exponents == self.brute_minimum(d, rep)
-        assert got.exponents[0] == 0
+        # K Delta_G number 42^3 = 74,088, and the adjustment moves every
+        # generator.
+        a = _Analysis(example1(21, 21, 21))
+        lifted = self.check_generators(a.datum, a.pieces, a.solved.span30)
+        _, generators = a.pieces.lattice(a.solved.span30)
+        assert len(generators) == 2
+        assert all(g.exponents != y for g, y in zip(generators, lifted))
 
 
 class TestStatuses:

@@ -207,6 +207,42 @@ class TestReport:
             assert f"oracle {check}: agree" in result.output
         assert elapsed < 60, f"report --oracle took {elapsed:.1f}s"
 
+    # The example families, the docs/ samples and the datum inputs of the
+    # golden cases; example3, sample_example3_n2 and z2_6_classes are not free.
+    INVARIANT_DATA = [
+        *(("example1", {"n": n}) for n in (1, 2, 3, 4)),
+        ("example1", {"n1": 2, "n2": 3, "n3": 4}),
+        *(("example2a", {"n": n}) for n in (1, 2, 4)),
+        ("example2a", {"n1": 1, "n2": 1, "n3": 2}),
+        ("example2b", {}), ("example2b", {"n1": 4, "n2": 2, "n3": 2}),
+        *(("example3", {"n": n}) for n in range(1, 7)), ("example4", {}),
+        *(("file", f"docs/sample_example{k}.json") for k in ("1", "3_n2", "4")),
+        ("file", "tests/golden/z2_6_classes.json"),
+    ]
+
+    @pytest.mark.parametrize("source", INVARIANT_DATA, ids=lambda s: f"{s[0]}-{s[1]}")
+    def test_chi_and_e_of_x_are_the_diamonds(self, source):
+        kind, arg = source
+        root = Path(__file__).resolve().parents[1]
+        datum = (docio.loads((root / arg).read_bytes()) if kind == "file"
+                 else build_example(kind, arg))
+        report = build_report(datum, ("invariants", "hodge"))
+        h, inv = report["hodge"], report["invariants"]
+        chi = sum((-1) ** q * h[0][q] for q in range(4))
+        e = sum((-1) ** (p + q) * h[p][q] for p in range(4) for q in range(4))
+        if report["validation"]["freeness_ok"]:
+            assert (inv["chi_structure_sheaf"], inv["euler_number"]) == (chi, e)
+            assert "chi_structure_sheaf_of_X" not in inv and "euler_number_of_X" not in inv
+        else:
+            assert (inv["chi_structure_sheaf_of_X"], inv["euler_number_of_X"]) == (chi, e)
+
+    def test_non_free_report_names_the_product_formulas(self, example3_file):
+        result = runner.invoke(main, ["report", example3_file])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        at = lines.index("invariants (product formulas): chi(O) = -8  e = -64  K^3 = 384")
+        assert lines[at + 1] == "  of X, from the Hodge diamond: chi(O) = 0  e = 0"
+
     def test_oracle_skips_when_too_large(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(dumps(datum_document(example1(3, 3, 3))))
@@ -721,6 +757,14 @@ class TestRobustness:
         assert result.exit_code == 2
         assert result.output.startswith("error [document-schema]: invalid JSON: ")
 
+    @staticmethod
+    def _in_a_child(tmp_path, command: str, data: str | bytes) -> subprocess.CompletedProcess:
+        """``python -m isoprod command`` on a file holding ``data``, in a child
+        process under the limits of ``conftest.run_limited`` (30 s, 1 GB)."""
+        path = tmp_path / "doc.json"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        return run_limited("-m", "isoprod", command, str(path))
+
     @pytest.mark.parametrize("command", ["search", "validate"])
     def test_integer_over_the_digit_limit_exits_two(self, tmp_path, command):
         # A cap, or a group order, of 5,000 digits: more than Python turns
@@ -732,20 +776,9 @@ class TestRobustness:
             doc = datum_document(example1())
             doc["group"][0] = "HUGE"
             text = json.dumps(doc).replace('"HUGE"', huge)
-        path = tmp_path / "doc.json"
-        path.write_text(text)
-        result = runner.invoke(main, [command, str(path)])
-        assert result.exit_code == 2
-        assert result.output.startswith("error [document-schema]: invalid JSON: Exceeds the limit")
-        assert isinstance(result.exception, SystemExit)
-
-    @staticmethod
-    def _validate_in_a_child(doc: dict, tmp_path) -> subprocess.CompletedProcess:
-        """``python -m isoprod validate`` on ``doc`` in a child process under
-        the limits of ``conftest.run_limited``."""
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        return run_limited("-m", "isoprod", "validate", str(path))
+        result = self._in_a_child(tmp_path, command, text)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [document-schema]: invalid JSON: Exceeds the limit")
 
     def test_huge_kernel_is_refused_under_a_time_limit(self, tmp_path):
         # |K_1| = 2^40: the stabilizer preimage is refused before it is
@@ -755,7 +788,7 @@ class TestRobustness:
                "vectors": [{"g_prime": 1, "branch": [[0, 1], [0, 1]], "eta": [[0, 1], [0, 0]]},
                            {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
                            {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
-        result = self._validate_in_a_child(doc, tmp_path)
+        result = self._in_a_child(tmp_path, "validate", json.dumps(doc))
         assert result.returncode == 2
         assert result.stderr.startswith("error [arithmetic-overflow]: the stabilizer preimage")
 
@@ -767,7 +800,7 @@ class TestRobustness:
                "vectors": [{"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 0], [0, 0]]},
                            {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]},
                            {"g_prime": 1, "branch": [[1, 0], [a - 1, 0]], "eta": [[0, 1], [0, 0]]}]}
-        result = self._validate_in_a_child(doc, tmp_path)
+        result = self._in_a_child(tmp_path, "validate", json.dumps(doc))
         assert result.returncode == 2
         assert result.stderr.startswith("error [arithmetic-overflow]: the stabilizer preimage")
 
@@ -775,9 +808,7 @@ class TestRobustness:
         # Z2^12: 2^11 Chevalley-Weil classes per factor; matching them would
         # visit 2047^2 class pairs, more than the listing bound, so the report
         # is refused before it matches any.
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(z2_classes_document(12)))
-        result = run_limited("-m", "isoprod", "report", str(path))
+        result = self._in_a_child(tmp_path, "report", json.dumps(z2_classes_document(12)))
         assert result.returncode == 2
         assert result.stderr.startswith("error [arithmetic-overflow]: 4190209 Chevalley-Weil "
                                         "class pairs exceed the listing bound")
@@ -788,11 +819,10 @@ class TestRobustness:
         huge = 10 ** 3999 - 1
         doc = {"group": [huge, huge], "kernels": [[], [], []],
                "vectors": [{"g_prime": 1, "branch": [], "eta": [[1, 0], [0, 1]]}] * 3}
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 2
-        assert result.output == (f"error [arithmetic-overflow]: group order of "
+        result = self._in_a_child(tmp_path, "validate", json.dumps(doc))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error [arithmetic-overflow]: group order of "
                                  f"{(huge * huge).bit_length()} bits exceeds the supported "
                                  f"scale (|G| <= {2 ** 62})\n")
 
@@ -802,12 +832,9 @@ class TestRobustness:
     def test_file_that_is_not_utf8_exits_two(self, tmp_path, command, data):
         # Files are read as bytes and decoded as UTF-8 alone: json.loads,
         # which would guess UTF-16 from the bytes, never sees them.
-        path = tmp_path / "doc.json"
-        path.write_bytes(data)
-        result = runner.invoke(main, [command, str(path)])
-        assert result.exit_code == 2
-        assert result.output.startswith("error [document-schema]: invalid JSON: 'utf-8' codec")
-        assert isinstance(result.exception, SystemExit)
+        result = self._in_a_child(tmp_path, command, data)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error [document-schema]: invalid JSON: 'utf-8' codec")
 
     @pytest.mark.parametrize("doc, code, output", [
         # A kernel triple whose first quotient is trivial has no branch
@@ -825,14 +852,12 @@ class TestRobustness:
           "g_primes": [100000000, 1, 1]}, 2, "error [search-cap]: the survey count"),
     ])
     def test_oversized_search_spec_ends_at_once(self, tmp_path, doc, code, output):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(doc))
         start = time.monotonic()
-        result = runner.invoke(main, ["search", str(path)])
+        result = self._in_a_child(tmp_path, "search", json.dumps(doc))
         assert time.monotonic() - start < 5
-        assert result.exit_code == code
-        assert result.output.startswith(output)
-        assert "Traceback" not in result.output
+        assert result.returncode == code
+        assert (result.stdout + result.stderr).startswith(output)
+        assert "Traceback" not in result.stdout + result.stderr
 
     @pytest.mark.parametrize("command", ["report", "search"])
     def test_error_while_printing_exits_three(self, tmp_path, example1_file, monkeypatch,

@@ -1,8 +1,9 @@
 """Every run of the byte-identity corpus (``tests/corpus.py``) reproduces the
 exit code and the stdout and stderr bytes recorded in ``tests/corpus.json``.
 
-The runs marked ``ci`` are left to CI, which replays every run through the
-installed console script (``python tests/corpus.py --installed``).
+The runs marked ``ci`` are left to ``python tests/corpus.py --installed``,
+which replays every run through the installed console script, each within
+the time limit its entry carries.
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ def test_run_reproduces_its_bytes(entry, tmp_path):
 
 
 def test_manifest_holds_every_run_once():
-    listed = [corpus.run_id({"args": list(args), "input": source})
-              for args, source, _ in corpus.runs()]
-    assert sorted(listed) == sorted(map(corpus.run_id, ENTRIES))
-    assert len(set(listed)) == len(listed)
+    def definitions(entries):
+        return sorted((corpus.run_id(e), e["ci"], e["limit"]) for e in entries)
+
+    runs = corpus.runs()
+    assert definitions(runs) == definitions(ENTRIES)
+    listed = set(map(corpus.run_id, runs))
+    assert len(listed) == len(runs)
+    assert set(corpus.LIMITS) <= listed
+    assert all(limit < corpus.TIMEOUT for limit in corpus.LIMITS.values())
 
 
 def test_planted_byte_fails_the_corpus(tmp_path, monkeypatch):

@@ -9,13 +9,14 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (ORACLE_EXAMPLES, abelian_groups, diagonal_subgroup, random_element,
-                      random_group, random_subgroup, subgroups)
+                      random_group, random_subgroup, relabel_document, subgroups, valid_data)
 from isoprod import docio, oracle
-from isoprod.aut0 import admissible_characters, representation_kernel, _k_delta, _lifted
+from isoprod.aut0 import admissible_characters, aut0, representation_kernel, _k_delta, _lifted
 from isoprod.cli import _Analysis
+from isoprod.datum import validate_datum
 from isoprod.errors import ConsistencyError, OracleScaleError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import AbelianGroup, direct_product, subgroup_quotient
@@ -27,6 +28,8 @@ from isoprod.oracle import (
     brute_quotient,
     enumerate_subgroup,
 )
+
+datum_module = importlib.import_module("isoprod.datum")
 
 
 class TestEnumerateSubgroup:
@@ -287,6 +290,57 @@ class TestBruteHodge:
                 "kernels": [doc["kernels"][i] for i in order],
                 "vectors": [doc["vectors"][i] for i in order]})
             assert brute_hodge(d).h == hodge_diamond(d).h
+
+
+def brute_free(datum) -> bool:
+    """Does no nonzero element of ``G`` fix a point on all three curves?  By
+    a scan of ``G``: on the i-th curve an element fixes a point when its
+    image in ``G/K_i`` is a multiple of a branch element."""
+    fixing = []
+    for quotient, vector in zip(datum.quotients, datum.vectors):
+        multiples = {quotient.group.zero}
+        for sigma in vector.branch:
+            x = sigma
+            while not x.is_zero:
+                multiples.add(x)
+                x = x + sigma
+        fixing.append(multiples)
+    return not any(all(q.project(g) in m for q, m in zip(datum.quotients, fixing))
+                   for g in datum.group.elements() if not g.is_zero)
+
+
+def oracles_agree(datum, rng):
+    """The fast paths agree with the oracles on a datum drawn valid by
+    construction, and a relabelling of the datum keeps what they compute."""
+    report = validate_datum(datum)
+    assert report.minimality_ok and report.vectors_ok and report.all_genera_at_least_two
+    assert report.freeness_ok == brute_free(datum)
+    diamond = hodge_diamond(datum, report=report).h
+    assert diamond == brute_hodge(datum).h
+    factors = aut0(datum, report).invariant_factors
+    first, second = admissible_characters(datum)
+    assert factors == brute_quotient(brute_kernel(datum, first + second), _k_delta(datum))
+    relabelled = docio.parse_datum_document(relabel_document(docio.datum_document(datum), rng))
+    assert validate_datum(relabelled).freeness_ok == report.freeness_ok
+    assert hodge_diamond(relabelled).h == diamond
+    assert aut0(relabelled).invariant_factors == factors
+
+
+class TestRandomValidData:
+    """``oracles_agree`` on the draws of ``conftest.valid_data``."""
+
+    draws = (valid_data(), st.randoms(use_true_random=False))
+
+    def test_oracles_agree(self):
+        given(*self.draws)(oracles_agree)()
+
+    def test_planted_wrong_freeness_verdict_fails(self, monkeypatch):
+        # Every datum is declared free; most draws are not.  The first
+        # failing draw is enough, so nothing is shrunk or stored.
+        monkeypatch.setattr(datum_module, "_common_fixed_point", lambda group, fixing: None)
+        check = settings(phases=[Phase.generate], database=None)(given(*self.draws)(oracles_agree))
+        with pytest.raises(AssertionError):
+            check()
 
 
 class TestElementSet:

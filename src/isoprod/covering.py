@@ -41,13 +41,13 @@ class GeneratingVector(_Frozen):
 
     def __init__(self, quotient_group: AbelianGroup, g_prime: int,
                  branch: tuple[GroupElement, ...], eta: tuple[GroupElement, ...]):
-        if g_prime < 0:
-            raise ValueError("base genus must be nonnegative")
+        if type(g_prime) is not int or g_prime < 0:
+            raise ValueError(f"base genus must be a nonnegative integer, got {g_prime!r}")
         for g in tuple(branch) + tuple(eta):
             if g.group != quotient_group:
                 raise ParentMismatchError("vector entry outside the acting group")
         _set(self, "quotient_group", quotient_group)
-        _set(self, "g_prime", int(g_prime))
+        _set(self, "g_prime", g_prime)
         _set(self, "branch", tuple(branch))
         _set(self, "eta", tuple(eta))
 

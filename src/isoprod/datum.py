@@ -138,14 +138,13 @@ class RigidityClass(enum.Enum):
 
 class DatumReport(_Frozen):
     _fields = ("minimality_ok", "minimality_witness", "freeness_ok", "freeness_witness",
-               "vector_outcomes", "genera", "irregularity", "all_bases_elliptic",
-               "all_genera_at_least_two")
+               "vector_outcomes", "genera", "irregularity", "all_genera_at_least_two")
 
     def __init__(self, minimality_ok: bool, minimality_witness: tuple[int, int] | None,
                  freeness_ok: bool, freeness_witness: GroupElement | None,
                  vector_outcomes: tuple[ValidationOutcome, ValidationOutcome, ValidationOutcome],
                  genera: tuple[int | None, int | None, int | None], irregularity: int,
-                 all_bases_elliptic: bool, all_genera_at_least_two: bool):
+                 all_genera_at_least_two: bool):
         _set(self, "minimality_ok", minimality_ok)
         _set(self, "minimality_witness", minimality_witness)
         _set(self, "freeness_ok", freeness_ok)
@@ -153,7 +152,6 @@ class DatumReport(_Frozen):
         _set(self, "vector_outcomes", vector_outcomes)
         _set(self, "genera", genera)
         _set(self, "irregularity", irregularity)
-        _set(self, "all_bases_elliptic", all_bases_elliptic)
         _set(self, "all_genera_at_least_two", all_genera_at_least_two)
 
     @property
@@ -166,12 +164,6 @@ class DatumReport(_Frozen):
         """Full validity: minimal, free, valid vectors, fibre genera >= 2."""
         return (self.minimality_ok and self.freeness_ok and self.vectors_ok
                 and self.all_genera_at_least_two)
-
-    @property
-    def is_product_quotient(self) -> bool:
-        """Structurally sound but with a non-free action."""
-        return (self.minimality_ok and self.vectors_ok
-                and self.all_genera_at_least_two and not self.freeness_ok)
 
 
 class _KernelChecks(_Frozen):
@@ -229,7 +221,7 @@ def _common_fixed_point(group: AbelianGroup, fixing: Sequence[frozenset[tuple[in
 def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = None,
                    factors: Sequence[_FactorChecks] | None = None) -> DatumReport:
     """Minimality, freeness (evaluated through preimages in G), vector
-    validity, genera, and the hypothesis flags of the classification.
+    validity, genera and the irregularity.
 
     ``kernel_checks`` and ``factors`` are the datum's own pieces (see the
     module docstring); each is computed here when not given.
@@ -241,7 +233,6 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
                                   datum.vectors[i]) for i in range(3)]
     witness = _common_fixed_point(datum.group, [f.fixing for f in factors])
     genera = tuple(f.genus for f in factors)
-    g_primes = [v.g_prime for v in datum.vectors]
     return DatumReport(
         minimality_ok=kernel_checks.minimality_witness is None,
         minimality_witness=kernel_checks.minimality_witness,
@@ -249,8 +240,7 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
         freeness_witness=witness,
         vector_outcomes=tuple(f.outcome for f in factors),
         genera=genera,
-        irregularity=sum(g_primes),
-        all_bases_elliptic=all(gp == 1 for gp in g_primes),
+        irregularity=sum(v.g_prime for v in datum.vectors),
         all_genera_at_least_two=all(g is not None and g >= 2 for g in genera),
     )
 

@@ -254,6 +254,9 @@ def _coset_key(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int,
     for the lattice ``L`` of an upper-triangular Hermite ``basis`` of full
     rank: one top-down pass, one floor division per column.  ``vec`` may
     hold any integers; each coset of ``L`` has exactly one point in the box.
+    It is the coset's lexicographically least point with entries in
+    ``[0, n_j)``: two such points that agree before column ``j`` differ
+    there by a multiple of the pivot ``basis[j][j]`` (H. Cohen, 2.4).
     """
     v = list(vec)
     for j, row in enumerate(basis):
@@ -343,9 +346,8 @@ class AbelianGroup(_Frozen):
     def __init__(self, orders: Iterable[int]):
         cleaned = []
         for n in orders:
-            n = int(n)
-            if n < 1:
-                raise ValueError(f"cyclic order must be >= 1, got {n}")
+            if type(n) is not int or n < 1:
+                raise ValueError(f"cyclic order must be an integer >= 1, got {n!r}")
             if n > 1:
                 cleaned.append(n)
         _set(self, "orders", tuple(cleaned))
@@ -400,19 +402,12 @@ class AbelianGroup(_Frozen):
     def character(self, exponents: Iterable[int]) -> "Character":
         return Character(self, tuple(exponents))
 
-    @property
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
-
     def characters(self) -> Iterator["Character"]:
         for exps in itertools.product(*(range(n) for n in self.orders)):
             yield Character(self, exps)
 
     def subgroup(self, generators: Iterable["GroupElement"]) -> "Subgroup":
         return Subgroup(self, tuple(generators))
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, ())
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(self.basis_element(j) for j in range(self.rank)))
@@ -676,20 +671,6 @@ class Subgroup(_Frozen):
     def __contains__(self, g: GroupElement) -> bool:
         return self.contains(g)
 
-    def coset_minimum(self, g: GroupElement) -> GroupElement:
-        """The lexicographically least element of the coset ``g + H``.
-
-        One top-down pass against the upper-triangular Hermite basis (H.
-        Cohen, *A Course in Computational Algebraic Number Theory*, 2.4)
-        leaves coordinate ``j`` in ``[0, p_j)`` for the pivot ``p_j``.  Two
-        members of the coset that agree before column ``j`` differ by a
-        lattice vector whose column ``j`` is a multiple of ``p_j``, so no
-        member is smaller there.
-        """
-        if g.group != self.ambient:
-            raise ParentMismatchError("element from a different group")
-        return GroupElement(self.ambient, _coset_key(self.basis, g.exponents))
-
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         if self.ambient != other.ambient:
             raise ParentMismatchError("subgroups of different groups")
@@ -718,16 +699,8 @@ class Subgroup(_Frozen):
             verdict = verdicts[key] = all(row[j] == 1 for j, row in enumerate(joined))
         return verdict
 
-    def sum(self, other: "Subgroup") -> "Subgroup":
-        if self.ambient != other.ambient:
-            raise ParentMismatchError("subgroups of different groups")
-        return Subgroup(self.ambient, self.generators + other.generators)
-
     def __and__(self, other: "Subgroup") -> "Subgroup":
         return self.intersection(other)
-
-    def __or__(self, other: "Subgroup") -> "Subgroup":
-        return self.sum(other)
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements, in the order of :meth:`_element_tuples`."""
@@ -784,10 +757,10 @@ class InvariantFactors(_Frozen):
     factors: tuple[int, ...]
 
     def __init__(self, factors: Iterable[int]):
-        factors = tuple(int(d) for d in factors)
+        factors = tuple(factors)
         for d in factors:
-            if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"invariant factor {d!r} is not an integer >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain {factors}")
@@ -901,11 +874,3 @@ def direct_product(groups: Sequence[AbelianGroup]) -> AbelianGroup:
     product = object.__new__(AbelianGroup)
     _set(product, "orders", tuple(n for g in groups for n in g.orders))
     return product
-
-
-def product_element(product: AbelianGroup, parts: Sequence[GroupElement]) -> GroupElement:
-    exps: list[int] = []
-    for p in parts:
-        exps.extend(p.exponents)
-    return product.element(exps)
-

@@ -59,8 +59,8 @@ with ``; datum`` and its canonical document on one line, which
 ``isoprod report`` replays.
 
 Before any other work, the kernel triples are formed once and
-``_candidates`` refuses a space whose estimated branch triples
-(``estimate_space``) exceed the cap; ``enumerate_data`` first refuses too
+``_candidates`` refuses a space whose estimated branch triples (the sum of
+``_triple_bounds``) exceed the cap; ``enumerate_data`` first refuses too
 many handle tuples on the same triples.  The ``"cyclic"`` policy refuses a
 group of more elements than the cap before it lists them.
 """

@@ -16,7 +16,7 @@ from isoprod.aut0 import (_k_delta, _KernelPieces, _lifted, admissible_character
                           representation_kernel)
 from isoprod.datum import AlgebraicDatum, VectorSpec
 from isoprod.groups import (AbelianGroup, GroupElement, QuotientStructure, Subgroup,
-                            direct_product, product_element, row_hermite, subgroup_quotient)
+                            direct_product, row_hermite, subgroup_quotient)
 from isoprod.oracle import enumerate_subgroup
 
 settings.register_profile(
@@ -122,7 +122,7 @@ def valid_data(draw, max_order: int = 32) -> AlgebraicDatum:
             if kernel.order < group.order and all(map(kernel._meets_trivially, kernels)):
                 break
         else:
-            kernel = group.trivial_subgroup()
+            kernel = group.subgroup(())
         kernels.append(kernel)
     specs = []
     for kernel in kernels:
@@ -229,7 +229,7 @@ def embed_factor(product: AbelianGroup, groups: list[AbelianGroup],
 
 def diagonal_subgroup(group: AbelianGroup, copies: int) -> Subgroup:
     product = direct_product([group] * copies)
-    return product.subgroup(product_element(product, [group.basis_element(j)] * copies)
+    return product.subgroup(product.element(group.basis_element(j).exponents * copies)
                             for j in range(group.rank))
 
 

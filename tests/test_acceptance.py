@@ -26,7 +26,6 @@ from isoprod.covering import cw_dimension, genus
 from isoprod.datum import invariants, validate_datum
 from isoprod.examples import example1, example2a, example2b, example3, example4
 from isoprod.groups import (
-    product_element,
     smith_normal_form,
     subgroup_quotient,
 )
@@ -53,8 +52,7 @@ class Budget:
 
 def triple(datum, cube, exps1, exps2, exps3):
     g = datum.group
-    return product_element(cube, [g.element(exps1), g.element(exps2),
-                                  g.element(exps3)])
+    return cube.element(sum((g.element(e).exponents for e in (exps1, exps2, exps3)), ()))
 
 
 REGRESSION_DATA = [

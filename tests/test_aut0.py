@@ -37,7 +37,6 @@ from isoprod.groups import (
     PackedCharacters,
     Subgroup,
     direct_product,
-    product_element,
     subgroup_quotient,
 )
 from isoprod.search import SearchSpec, survey
@@ -49,8 +48,7 @@ groups_module = importlib.import_module("isoprod.groups")
 
 def triple(datum, cube, exps1, exps2, exps3):
     g = datum.group
-    return product_element(cube, [g.element(exps1), g.element(exps2),
-                                  g.element(exps3)])
+    return cube.element(sum((g.element(e).exponents for e in (exps1, exps2, exps3)), ()))
 
 
 def thirds(psi):
@@ -211,7 +209,9 @@ class TestKDelta:
         # One subgroup of the stacked rows, with the same generators in the
         # same order as the sum of the two subgroups.
         d = build_example(name, params)
-        reference = product_subgroup(list(d.kernels)).sum(diagonal_subgroup(d.group, 3))
+        reference = product_subgroup(list(d.kernels))
+        reference = reference.ambient.subgroup(
+            reference.generators + diagonal_subgroup(d.group, 3).generators)
         k_delta = _k_delta(d)
         assert k_delta == reference
         assert k_delta.generators == reference.generators

@@ -510,7 +510,7 @@ class TestOracleCatchesErrors:
             plane = kernel.ambient
             extra = next(e for e in map(plane.basis_element, range(plane.rank))
                          if e not in kernel)
-            wrong = kernel.sum(plane.subgroup([extra]))
+            wrong = plane.subgroup(kernel.generators + (extra,))
             assert self.k.is_subgroup_of(wrong)
             return wrong
 

@@ -82,6 +82,13 @@ class TestValidation:
         with pytest.raises(ParentMismatchError):
             GeneratingVector(q, 1, (other.element((1,)),), ())
 
+    def test_base_genus_must_be_an_integer(self):
+        # A float is not truncated and a bool is not read as a number.
+        q = AbelianGroup([2])
+        for g_prime in (1.5, 2.0, True, -1):
+            with pytest.raises(ValueError, match="base genus must be a nonnegative integer"):
+                GeneratingVector(q, g_prime, (), ())
+
 
 class TestGenus:
     def test_known_values(self):
@@ -128,9 +135,9 @@ class TestStabilizerUnion:
 class TestEigenspaceDimensions:
     def test_trivial_character_dimension_is_base_genus(self):
         v = vector([2, 2], 1, [(0, 1), (0, 1)], [(1, 0), (0, 1)])
-        assert cw_dimension(v, v.quotient_group.trivial_character) == 1
+        assert cw_dimension(v, v.quotient_group.character((0, 0))) == 1
         w = vector([2], 2, [(1,), (1,)], [(1,), (0,), (1,), (0,)])
-        assert cw_dimension(w, w.quotient_group.trivial_character) == 2
+        assert cw_dimension(w, w.quotient_group.character((0,))) == 2
 
     def test_known_table(self):
         # Factor 1 of the smallest worked example: branch (e2', e2') over

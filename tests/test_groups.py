@@ -20,10 +20,10 @@ from isoprod.groups import (
     InvariantFactors,
     PackedCharacters,
     Subgroup,
+    _coset_key,
     _diagonal,
     _smith,
     direct_product,
-    product_element,
     quotient_structure,
     row_hermite,
     smith_normal_form,
@@ -273,6 +273,12 @@ class TestGroupBasics:
         assert AbelianGroup([1, 2, 1, 3]).orders == (2, 3)
         assert AbelianGroup([1]).is_trivial
 
+    def test_orders_must_be_integers(self):
+        # A float is not truncated and a bool is not read as a number.
+        for orders in ([2.7, 4], [True, 2], [2, 4.0], ["3"], [0]):
+            with pytest.raises(ValueError, match="cyclic order must be an integer >= 1"):
+                AbelianGroup(orders)
+
     def test_element_reduction(self):
         g = AbelianGroup([2, 4])
         assert g.element((3, 7)).exponents == (1, 3)
@@ -321,7 +327,7 @@ class TestSubgroups:
         assert h.order == 2
         assert h.is_cyclic
         assert g.full_subgroup().order == 16
-        assert g.trivial_subgroup().is_trivial
+        assert g.subgroup(()).is_trivial
 
     def test_membership_matches_enumeration(self):
         rng = random.Random(11)
@@ -339,11 +345,11 @@ class TestSubgroups:
         group, a = pair
         b = data.draw(subgroups(group))
         meet = a & b
-        join = a | b
+        join = group.subgroup(a.generators + b.generators)
         assert meet.is_subgroup_of(a) and meet.is_subgroup_of(b)
         assert a.is_subgroup_of(join) and b.is_subgroup_of(join)
         assert meet == (b & a)
-        assert join == (b | a)
+        assert join == group.subgroup(b.generators + a.generators)
         # |A||B| = |A+B| |A∩B| in any abelian group.
         assert a.order * b.order == join.order * meet.order
 
@@ -393,7 +399,7 @@ class TestIntersection:
 
     def test_rank_zero_group(self):
         g = AbelianGroup(())
-        meet = g.full_subgroup() & g.trivial_subgroup()
+        meet = g.full_subgroup() & g.subgroup(())
         assert meet.ambient == g and meet.basis == () and meet.order == 1
         assert g.zero in meet and meet == g.full_subgroup()
         assert list(enumerate_subgroup(meet).members) == [()]
@@ -408,10 +414,10 @@ class TestIntersection:
     def test_both_verdicts_of_the_meet_check(self):
         g = AbelianGroup([2, 4])
         a, b, c = (g.subgroup([g.element(e)]) for e in ((1, 0), (0, 1), (1, 1)))
-        assert a._meets_trivially(b) and a._meets_trivially(g.trivial_subgroup())
+        assert a._meets_trivially(b) and a._meets_trivially(g.subgroup(()))
         assert not b._meets_trivially(c) and not a._meets_trivially(g.full_subgroup())
         rank_zero = AbelianGroup(())
-        assert rank_zero.full_subgroup()._meets_trivially(rank_zero.trivial_subgroup())
+        assert rank_zero.full_subgroup()._meets_trivially(rank_zero.subgroup(()))
 
 
 # Random subgroups of these groups exercise high rank, a prime power
@@ -443,7 +449,7 @@ class TestHermitePaths:
     @given(hermite_subgroup_pairs())
     def test_cyclicity_matches_the_invariant_factors(self, pair):
         for h in pair:
-            factors = subgroup_quotient(h, h.ambient.trivial_subgroup()).invariant_factors
+            factors = subgroup_quotient(h, h.ambient.subgroup(())).invariant_factors
             assert h.is_cyclic == (len(factors) <= 1)
             assert h.exponent == max(factors, default=1)
 
@@ -485,7 +491,7 @@ class TestCosetMinimum:
             h = random_subgroup(rng, group)
             g = random_element(rng, group)
             coset = [(g + x).exponents for x in enumerate_subgroup(h).elements()]
-            assert h.coset_minimum(g).exponents == min(coset)
+            assert _coset_key(h.basis, g.exponents) == min(coset)
 
 
 class TestPackedCharacters:
@@ -585,7 +591,7 @@ class TestAnnihilator:
         # the empty order list is the rank-0 group.
         cube = direct_product([AbelianGroup(orders)] * 3)
         rng = random.Random(str(orders))
-        hs = [cube.trivial_subgroup(), cube.full_subgroup()]
+        hs = [cube.subgroup(()), cube.full_subgroup()]
         hs += [random_subgroup(rng, cube, max_gens=4) for _ in range(6)]
         for h in hs:
             ann = h.annihilator()
@@ -630,7 +636,7 @@ class TestQuotients:
 
     def test_quotient_by_trivial(self):
         g = AbelianGroup([2, 6])
-        q = quotient_structure(g, g.trivial_subgroup())
+        q = quotient_structure(g, g.subgroup(()))
         assert list(q.invariant_factors) == [2, 6]
 
     def test_quotient_by_full(self):
@@ -687,7 +693,7 @@ class TestQuotients:
         # elements.  aut0's kernel layer rests on this; it fails if
         # ``_smith`` changes its pivot rule.
         cube, plane, r = direct_product([group] * 3), direct_product([group] * 2), group.rank
-        diagonal = [product_element(cube, [group.basis_element(j)] * 3) for j in range(r)]
+        diagonal = [cube.element(group.basis_element(j).exponents * 3) for j in range(r)]
         tops = data.draw(st.lists(group_elements(cube), max_size=3))
         combos = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=len(tops),
                                              max_size=len(tops)), max_size=3))
@@ -728,6 +734,12 @@ class TestInvariantFactors:
         with pytest.raises(ValueError):
             InvariantFactors((2, 3))
 
+    def test_factors_must_be_integers(self):
+        # A float is not truncated and a bool is not read as a number.
+        for factors in ([2.9, 4.0], [2, 4.0], [True, 2], [1]):
+            with pytest.raises(ValueError, match="is not an integer >= 2"):
+                InvariantFactors(factors)
+
 
 class TestProducts:
     def test_split_embed_roundtrip(self):
@@ -735,10 +747,7 @@ class TestProducts:
         b = AbelianGroup([3])
         p = direct_product([a, b])
         x = a.element((1, 3))
-        y = b.element((2,))
-        joined = product_element(p, [x, y])
-        assert joined.exponents == x.exponents + y.exponents
-        assert embed_factor(p, [a, b], 0, x) == product_element(p, [x, b.zero])
+        assert embed_factor(p, [a, b], 0, x) == p.element(x.exponents + b.zero.exponents)
 
     def test_size_bound_holds_for_input_groups_only(self):
         # The product of checked groups is not bounded again: G^3 of a
@@ -763,5 +772,6 @@ class TestProducts:
         # (K1 x K2 x K3) + diagonal in (Z2^3)^3 has order 8 * 8.
         g = AbelianGroup([2, 2, 2])
         ks = [g.subgroup([g.basis_element(i)]) for i in range(3)]
-        k_delta = product_subgroup(ks).sum(diagonal_subgroup(g, 3))
+        k = product_subgroup(ks)
+        k_delta = k.ambient.subgroup(k.generators + diagonal_subgroup(g, 3).generators)
         assert k_delta.order == 64

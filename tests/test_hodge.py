@@ -215,7 +215,7 @@ class TestEigendimTables:
         d = example1()
         table = eigendim_table(d)
         for i in range(3):
-            assert table.tables[i][d.group.trivial_character] == 1
+            assert table.tables[i][d.group.character((0,) * d.group.rank)] == 1
 
 
 class TestClassCounting:

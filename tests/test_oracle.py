@@ -35,7 +35,7 @@ datum_module = importlib.import_module("isoprod.datum")
 class TestEnumerateSubgroup:
     def test_trivial_subgroup(self):
         g = AbelianGroup([4, 2])
-        closed = enumerate_subgroup(g.trivial_subgroup())
+        closed = enumerate_subgroup(g.subgroup(()))
         assert closed.members == ((0, 0),)
 
     def test_known_cyclic(self):
@@ -141,7 +141,7 @@ class TestBruteQuotient:
     def test_trivial_and_full(self):
         g = AbelianGroup([2, 6])
         assert list(brute_quotient(g, g.full_subgroup())) == []
-        assert list(brute_quotient(g, g.trivial_subgroup())) == [2, 6]
+        assert list(brute_quotient(g, g.subgroup(()))) == [2, 6]
 
     def test_subgroup_numerator(self):
         g = AbelianGroup([8])
@@ -160,7 +160,7 @@ class TestBruteQuotient:
     def test_cap_enforced(self):
         g = AbelianGroup([1 << 12])
         with pytest.raises(OracleScaleError):
-            brute_quotient(g, g.trivial_subgroup(), cap=100)
+            brute_quotient(g, g.subgroup(()), cap=100)
 
     @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 3]])
     def test_subgroup_numerator_matches_structured(self, orders):
@@ -183,7 +183,7 @@ class TestBruteQuotient:
         with pytest.raises(ConsistencyError):
             brute_quotient(a, b)
         with pytest.raises(ConsistencyError):
-            brute_quotient(g.trivial_subgroup(), b)
+            brute_quotient(g.subgroup(()), b)
 
 
 class TestElementSetNumerator:
@@ -207,7 +207,7 @@ class TestElementSetNumerator:
     def test_denominator_outside_numerator_raises(self):
         g = AbelianGroup([4, 2])
         b = g.subgroup([g.element((0, 1))])
-        for top in (g.subgroup([g.element((1, 0))]), g.trivial_subgroup()):
+        for top in (g.subgroup([g.element((1, 0))]), g.subgroup(())):
             with pytest.raises(ConsistencyError):
                 brute_quotient(enumerate_subgroup(top), b)
 

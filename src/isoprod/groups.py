@@ -34,7 +34,7 @@ import itertools
 import sys
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mod
+from operator import add, mod, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, OverflowLimitError, ParentMismatchError
@@ -422,7 +422,9 @@ def _reduce(exps: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Exponents(_Frozen):
     """An exponent tuple over ``group``, reduced on construction: what an
-    element and a character share.  An element never equals a character."""
+    element and a character share.  An element never equals a character,
+    and their sum or difference raises ``TypeError``; over two groups,
+    ``ParentMismatchError``."""
 
     _fields = ("group", "exponents")
 
@@ -438,27 +440,28 @@ class _Exponents(_Frozen):
     def __hash__(self) -> int:
         return hash((self.group, self.exponents))
 
+    def _combine(self, other: object, op) -> "_Exponents":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.group != other.group:
+            raise ParentMismatchError("operands over different groups")
+        return self.__class__(self.group, tuple(map(op, self.exponents, other.exponents)))
+
+    def __add__(self, other: object) -> "_Exponents":
+        return self._combine(other, add)
+
+    def __sub__(self, other: object) -> "_Exponents":
+        return self._combine(other, sub)
+
+    def __neg__(self) -> "_Exponents":
+        return self.__class__(self.group, tuple(-a for a in self.exponents))
+
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.exponents)) + ")"
 
 
 class GroupElement(_Exponents):
     """Element of an :class:`AbelianGroup`, stored in canonical reduced form."""
-
-    def _check(self, other: "GroupElement") -> None:
-        if self.group != other.group:
-            raise ParentMismatchError("elements belong to different groups")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-a for a in self.exponents))
 
     def __mul__(self, k: int) -> "GroupElement":
         return GroupElement(self.group, tuple(k * a for a in self.exponents))
@@ -497,17 +500,6 @@ class Character(_Exponents):
     @property
     def is_trivial(self) -> bool:
         return all(a == 0 for a in self.exponents)
-
-    def __add__(self, other: "Character") -> "Character":
-        if self.group != other.group:
-            raise ParentMismatchError("characters over different groups")
-        return Character(self.group, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __neg__(self) -> "Character":
-        return Character(self.group, tuple(-a for a in self.exponents))
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
 
 
 def _reduced_character(group: AbelianGroup, exponents: tuple[int, ...]) -> Character:

@@ -68,7 +68,7 @@ from typing import Sequence
 
 from .covering import genus
 from .datum import AlgebraicDatum, DatumReport, _refuse_over, invariants, validate_datum
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ParentMismatchError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key, _Frozen,
                      _hermite_box, _hermite_dual, _hermite_order, _set, row_hermite)
 
@@ -408,16 +408,26 @@ def _class_counts(group: AbelianGroup, classes: Sequence[_ClassLattice],
     return t30, sum(t for t, _ in t21), same, opp
 
 
+def _table_of(datum: AlgebraicDatum, table: EigenDimTable | None) -> EigenDimTable:
+    """The eigenspace table of ``datum``: ``table`` if it was built for
+    ``datum`` or an equal datum, a new one if it is None."""
+    if table is None:
+        return eigendim_table(datum)
+    if table.datum is not datum and table.datum != datum:
+        raise ParentMismatchError("the eigenspace table was built for another datum")
+    return table
+
+
 def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
                   report: DatumReport | None = None) -> HodgeDiamond:
     """Hodge diamond by Chevalley-Weil class counting (see the module notes).
 
     For free data the holomorphic Euler characteristic and the topological
     Euler number are cross-checked against the product formulas.  A caller
-    that has validated the datum already passes its ``report``.
+    that has validated the datum already passes its ``report``, and one
+    that holds its eigenspace table its ``table`` (``_table_of``).
     """
-    if table is None:
-        table = eigendim_table(datum)
+    table = _table_of(datum, table)
     # D_i = F_i + [chi = 0] with F_i(0) = g'_i - 1: the trivial character
     # adds the pair sums to the triple sums and constants to both.
     h10 = sum(c.dims[0] + 1 for c in table._classes)
@@ -459,8 +469,7 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
     """
     if (p, q) not in {(3, 0), (2, 1), (2, 0), (1, 1)}:
         raise ValueError(f"unsupported Hodge summand ({p},{q})")
-    if table is None:
-        table = eigendim_table(datum)
+    table = _table_of(datum, table)
     codec, tables = PackedCharacters(datum.group), table._packed
     acc: dict[tuple[int, int, int], int] = {}
     for key, dim in _kunneth_pieces(codec, tables, p, q):

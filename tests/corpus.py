@@ -1,7 +1,11 @@
 """The byte-identity corpus: runs of the command line, each pinned in
 ``tests/corpus.json`` to its exit code, to the sha256 of its input, its
 stdout and its stderr, and to the wall time it may take.  The corpus is
-the one place where a run of the command line is pinned.
+the one place where a run of the command line is pinned by hash.
+``tests/golden/`` keeps readable copies of the stdout of 18 of its runs,
+with the ``--help`` texts, which only click's runner pins (it wraps at 80
+columns, a process at 78); a change that means to change output
+re-records both.
 
 A run is a command line in which ``{input}`` stands for one input file,
 written into a fresh temporary directory: a path that reached the output
@@ -15,7 +19,10 @@ would differ from run to run.  The inputs:
 - the frozen search spaces of the tests and a refused one;
 - the time-limited surveys and refusal, each in one form;
 - the ``example1`` n=32 document under ``kernels``, and data whose vectors
-  are invalid or give no genus, under ``validate`` and ``report``;
+  are invalid or give no genus or whose kernels are not minimal, under
+  ``validate`` and ``report``;
+- ``isoprod example`` with a malformed, a non-integer and a non-positive
+  ``--param``;
 - the malformed and oversized inputs of ``test_cli.TestRobustness`` whose
   messages are the program's own words.  Left out are those worded by the
   interpreter or by its limit on the digits of an integer, which can
@@ -111,8 +118,8 @@ MALFORMED_DATA = {
                                 {"g_prime": 1, "branch": [[1, 0], [_A - 1, 0]],
                                  "eta": [[0, 1], [0, 0]]}]},
 }
-# Data whose first vector breaks the product relation, or whose vectors give
-# no genus.
+# Data whose first vector breaks the product relation, whose vectors give no
+# genus, or whose first two kernels are equal and so not minimal.
 INVALID_DATA = {
     "broken_vector": {"group": [2, 2, 2], "kernels": [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]],
                       "vectors": [{"g_prime": 1, "branch": [[0, 0, 1]],
@@ -127,7 +134,13 @@ INVALID_DATA = {
                   "vectors": [{"g_prime": 1, "branch": [[0, 1]], "eta": [[0, 1], [0, 1]]},
                               {"g_prime": 1, "branch": [], "eta": [[1, 0], [1, 0]]},
                               {"g_prime": 1, "branch": [], "eta": [[1, 0], [1, 0]]}]},
+    "non_minimal": {"group": [2, 2], "kernels": [[[1, 0]], [[1, 0]], [[0, 1]]],
+                    "vectors": [{"g_prime": 1, "branch": [[0, 1], [0, 1]],
+                                 "eta": [[0, 0], [0, 0]]}] * 2
+                    + [{"g_prime": 1, "branch": [[1, 0], [1, 0]], "eta": [[0, 0], [0, 0]]}]},
 }
+# ``--param`` texts that ``isoprod example`` refuses.
+BAD_PARAMS = ("n", "n=x", "n=0")
 EXAMPLE_GRID = (
     *(("example1", f"n={n}") for n in (1, 2, 3, 4, 8, 16, 32)),
     *(("example1", p) for p in ("n1=2,n2=1,n3=1", "n1=1,n2=2,n3=1", "n1=1,n2=1,n3=2",
@@ -260,6 +273,9 @@ def runs() -> list[dict]:
         add(("validate", "{input}"), f"invalid/{name}")
         add(("report", "{input}", "--format", "json"), f"invalid/{name}")
     add(("report", "{input}"), "z2_classes/12")
+    add(("report", "{input}"), "invalid/non_minimal")
+    for param in BAD_PARAMS:
+        add(("example", "example1", "--param", param))
     return out
 
 

@@ -48,6 +48,27 @@ class TestBuild:
         with pytest.raises(SchemaError):
             AlgebraicDatum.build(g, [[g.basis_element(0)]], [])
 
+    def test_refuses_two_generating_vectors(self):
+        d = example1()
+        kernels = [k.generators for k in d.kernels]
+        with pytest.raises(SchemaError, match="expected 3 generating vectors, got 2"):
+            AlgebraicDatum.build(d.group, kernels, d.raw_vectors[:2])
+
+    def test_refuses_a_kernel_generator_of_another_group(self):
+        d = example1()
+        kernels = [k.generators for k in d.kernels]
+        kernels[1] = [AbelianGroup([2, 2]).basis_element(0)]
+        with pytest.raises(SchemaError, match="kernel 2 generator outside the ambient group"):
+            AlgebraicDatum.build(d.group, kernels, d.raw_vectors)
+
+    def test_refuses_a_vector_entry_of_another_group(self):
+        d = example1()
+        kernels = [k.generators for k in d.kernels]
+        spec = d.raw_vectors[2]
+        foreign = VectorSpec(spec.g_prime, spec.branch, (AbelianGroup([4]).zero, *spec.eta[1:]))
+        with pytest.raises(SchemaError, match="vector 3 entry outside the ambient group"):
+            AlgebraicDatum.build(d.group, kernels, (*d.raw_vectors[:2], foreign))
+
     def test_vectors_live_in_quotients(self):
         d = example1()
         for i in range(3):

@@ -6,6 +6,7 @@ import itertools
 import random
 from collections import Counter
 from math import prod
+from operator import add, sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -289,6 +290,33 @@ class TestGroupBasics:
         b = AbelianGroup([4]).zero
         with pytest.raises(ParentMismatchError):
             a + b
+
+    @given(abelian_groups().flatmap(
+        lambda g: st.tuples(st.just(g), group_elements(g), group_elements(g))))
+    def test_sum_difference_and_negation(self, triple):
+        # Elements and characters share one exponent arithmetic mod the
+        # orders; it refuses to mix the two, and operands over two groups.
+        group, a, b = triple
+        other = AbelianGroup([*group.orders, 2])
+        for make, make_other in ((group.element, other.element),
+                                 (group.character, other.character)):
+            x, y = make(a.exponents), make(b.exponents)
+            for op in (add, sub):
+                result = op(x, y)
+                assert type(result) is type(x)
+                assert result.group == group
+                assert result.exponents == tuple(
+                    op(s, t) % n for s, t, n in zip(a.exponents, b.exponents, group.orders))
+                with pytest.raises(ParentMismatchError):
+                    op(x, make_other([0] * other.rank))
+            assert type(-x) is type(x)
+            assert (-x).exponents == tuple(-s % n for s, n in zip(a.exponents, group.orders))
+        element, character = group.element(a.exponents), group.character(b.exponents)
+        for op in (add, sub):
+            with pytest.raises(TypeError):
+                op(element, character)
+            with pytest.raises(TypeError):
+                op(character, element)
 
     @given(abelian_groups().flatmap(
         lambda g: st.tuples(st.just(g), group_elements(g))))

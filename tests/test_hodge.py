@@ -20,7 +20,7 @@ from isoprod.aut0 import (_admissible_from_classes, _k_delta, _KernelPieces, _li
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
-from isoprod.errors import ConsistencyError, OverflowLimitError
+from isoprod.errors import ConsistencyError, OverflowLimitError, ParentMismatchError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import AbelianGroup, PackedCharacters, Subgroup, _coset_key, direct_product
 from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_decomposition
@@ -510,6 +510,26 @@ class TestIsotypic:
         assert calls == []
         isotypic_decomposition(d, 3, 0, table=table)
         assert len(calls) == 1
+
+
+class TestTableOfAnotherDatum:
+    """A table is refused unless it was built for the datum or one equal to
+    it.  example1's table gives example2a the diamond of example1, and the
+    chi(O) and e cross-check cannot tell, since the two data share those
+    invariants."""
+
+    def test_hodge_diamond_refuses_it(self):
+        d = example2a()
+        assert hodge_diamond(d, table=eigendim_table(example2a())).h == hodge_diamond(d).h
+        with pytest.raises(ParentMismatchError):
+            hodge_diamond(d, table=eigendim_table(example1()))
+
+    def test_isotypic_decomposition_refuses_it(self):
+        d = example2a()
+        assert (isotypic_decomposition(d, 2, 0, table=eigendim_table(example2a()))
+                == isotypic_decomposition(d, 2, 0))
+        with pytest.raises(ParentMismatchError):
+            isotypic_decomposition(d, 2, 0, table=eigendim_table(example1()))
 
 
 class TestNonFree:

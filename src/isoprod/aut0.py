@@ -54,8 +54,7 @@ from math import prod
 from typing import Sequence
 
 from .covering import stabilizer_union
-from .datum import (AlgebraicDatum, DatumReport, RigidityClass, _refuse_over, rigidity_class,
-                    validate_datum)
+from .datum import AlgebraicDatum, RigidityClass, _refuse_over, rigidity_class, validate_datum
 from .errors import (ConsistencyError, ParentMismatchError, TheoremViolationError,
                      UnsupportedDatumError)
 from .groups import (
@@ -450,22 +449,21 @@ def _solved(datum: AlgebraicDatum, kernel_pieces: _KernelPieces,
     return solved
 
 
-def aut0(datum: AlgebraicDatum, report: DatumReport | None = None,
-         kernel_pieces: _KernelPieces | None = None,
+def aut0(datum: AlgebraicDatum, *, kernel_pieces: _KernelPieces | None = None,
          classes: Sequence[_ClassLattice] | None = None) -> Aut0Result:
     """The group of numerically trivial automorphisms (or the kernel
     quotient standing in for it), with generators and a proof status.
 
-    A caller that holds the datum's pieces already passes them in: its
-    ``report``, the ``kernel_pieces`` of its kernel triple (built from the
-    kernels alone), and the three factors' ``classes``
-    (``hodge._class_lattice``; else made here).  The counts and
-    spans are looked up in, or added to, ``kernel_pieces.memo`` (``_solved``),
-    where the caller can read them afterwards; the quotient and its
-    generators come from ``kernel_pieces.lattice``.
+    The status reads the datum's own report (``validate_datum``).
+    ``kernel_pieces`` is the cache of the datum's kernel triple (built from
+    the kernels alone) and ``classes`` the three factors' Chevalley-Weil
+    classes (``hodge._class_lattice``); each is made here when not given.
+    The counts and spans are looked up in, or added to,
+    ``kernel_pieces.memo`` (``_solved``), where the caller can read them
+    afterwards; the quotient and its generators come from
+    ``kernel_pieces.lattice``.
     """
-    if report is None:
-        report = validate_datum(datum)
+    report = validate_datum(datum)
     klass = rigidity_class(datum)
     if klass is RigidityClass.UNSUPPORTED:
         raise UnsupportedDatumError(

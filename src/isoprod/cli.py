@@ -50,6 +50,8 @@ class _Analysis:
     oracle's kernel check lists the admissible characters for itself
     (``admissible``).
 
+    The datum keeps its report and checked classes itself (the ``datum``
+    module docstring), so ``hodge_diamond`` and ``aut0`` take it alone.
     Chevalley-Weil needs valid generating vectors: without them there is no
     eigenspace table and no diamond (``None``), and the classes come from
     the bare class lattice.
@@ -61,20 +63,14 @@ class _Analysis:
 
     @cached_property
     def diamond(self):
-        if not self.report.vectors_ok:
-            return None
-        return hodge_diamond(self.datum, table=self.table, report=self.report)
-
-    @cached_property
-    def table(self):
-        return eigendim_table(self.datum)
+        return hodge_diamond(self.datum) if self.report.vectors_ok else None
 
     @cached_property
     def classes(self) -> Sequence[_ClassLattice]:
         """Each factor's classes, from the eigenspace table or, without
         valid vectors, the class lattice."""
         if self.report.vectors_ok:
-            return self.table._classes
+            return eigendim_table(self.datum)._classes
         return [_class_lattice(self.datum, i) for i in range(3)]
 
     @cached_property
@@ -119,7 +115,7 @@ def _invariants_section(a: _Analysis) -> dict:
 
 def _aut0_section(a: _Analysis) -> dict:
     try:
-        result = compute_aut0(a.datum, a.report, a.pieces, a.classes)
+        result = compute_aut0(a.datum, kernel_pieces=a.pieces, classes=a.classes)
     except UnsupportedDatumError as exc:
         return {"status": "Unsupported", "detail": str(exc)}
     return {

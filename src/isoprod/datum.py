@@ -12,10 +12,16 @@ survey filters its kernel triples with it.  ``_factor_checks`` reads one
 factor alone: the vector outcome, the genus and ``fixing``, the nontrivial
 elements of the stabilizer preimage in ``G`` as reduced exponent tuples,
 which both freeness checks read.  ``validate_datum`` computes both for a
-lone datum; a caller that holds them already, such as the survey (once
-per kernel triple and once per factor branch), passes them in as
-``kernel_checks`` and ``factors``, and only the three-way freeness
-intersection is left to do.
+lone datum; the survey, which holds them already (once per kernel triple
+and once per factor branch), passes them in as ``kernel_checks`` and
+``factors``, and only the three-way freeness intersection is left to do.
+
+As ``Subgroup`` files its annihilator, a datum files its ``DatumReport``
+(``validate_datum``) and its checked Chevalley-Weil classes
+(``hodge.eigendim_table``) at their first computation, and later calls
+return them: ``aut0`` and ``hodge_diamond`` take the datum alone.  No
+filed value refers back to the datum, and each is a pure function of its
+fields, so a racing first computation files an equal value.
 """
 
 from __future__ import annotations
@@ -221,11 +227,14 @@ def _common_fixed_point(group: AbelianGroup, fixing: Sequence[frozenset[tuple[in
 def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = None,
                    factors: Sequence[_FactorChecks] | None = None) -> DatumReport:
     """Minimality, freeness (evaluated through preimages in G), vector
-    validity, genera and the irregularity.
+    validity, genera and the irregularity, filed on the datum.
 
     ``kernel_checks`` and ``factors`` are the datum's own pieces (see the
     module docstring); each is computed here when not given.
     """
+    filed = datum.__dict__.get("_report")
+    if filed is not None:
+        return filed
     if kernel_checks is None:
         kernel_checks = _kernel_checks(datum.kernels)
     if factors is None:
@@ -233,7 +242,7 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
                                   datum.vectors[i]) for i in range(3)]
     witness = _common_fixed_point(datum.group, [f.fixing for f in factors])
     genera = tuple(f.genus for f in factors)
-    return DatumReport(
+    report = DatumReport(
         minimality_ok=kernel_checks.minimality_witness is None,
         minimality_witness=kernel_checks.minimality_witness,
         freeness_ok=witness is None,
@@ -243,6 +252,8 @@ def validate_datum(datum: AlgebraicDatum, kernel_checks: _KernelChecks | None = 
         irregularity=sum(v.g_prime for v in datum.vectors),
         all_genera_at_least_two=all(g is not None and g >= 2 for g in genera),
     )
+    _set(datum, "_report", report)
+    return report
 
 
 class NumericalInvariants(_Frozen):

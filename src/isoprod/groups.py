@@ -21,11 +21,12 @@ All values are immutable after construction: the value types derive from
 ``object.__setattr__``.  ``_Record`` gives them ``==`` and ``hash`` over
 the fields named in ``_fields`` and a ``repr`` of the public ones; the
 classes are written out, so importing the package generates no code.  The
-lazily cached values are a subgroup's annihilator, order, exponent and
-cyclicity, and its verdicts on meeting other subgroups trivially, stored
-in the instance ``__dict__`` by their first read; instances stay safe to
-share between threads, because each value is a pure function of the
-instance and a racing first read writes an equal value.
+lazily cached values are a group's full subgroup, a subgroup's annihilator,
+order, exponent and cyclicity, and its verdicts on meeting other subgroups
+trivially (and a datum's report and classes, see ``datum``), stored in the
+instance ``__dict__`` by their first read; instances stay safe to share
+between threads, because each value is a pure function of the instance and
+a racing first read writes an equal value.
 """
 
 from __future__ import annotations
@@ -410,7 +411,10 @@ class AbelianGroup(_Frozen):
         return Subgroup(self, tuple(generators))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(self.basis_element(j) for j in range(self.rank)))
+        """The whole group, stored on the instance by the first call."""
+        if "_full" not in self.__dict__:
+            _set(self, "_full", Subgroup(self, tuple(map(self.basis_element, range(self.rank)))))
+        return self._full
 
 
 def _reduce(exps: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:

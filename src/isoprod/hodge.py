@@ -19,7 +19,8 @@ per class off its representative's values, checked in integers.  The
 pre-admissible set is ``Ann(K_i)`` minus ``A_i``, the classes of
 ``_ClassLattice.support`` translated by ``A_i`` (``_pre_from_classes``).
 A factor's classes are one record (``_ClassLattice``), which the table
-keeps and ``aut0`` takes as its one input.
+keeps and ``aut0`` takes as its one input; the datum keeps the checked
+ones (``eigendim_table``), so each is formed once per datum.
 
 For classes ``x_i + A_i`` the triples ``c_1 + c_2 + c_3 = 0`` number the
 fibre size ``|A_1| |A_2| |A_3| / |A_1 + A_2 + A_3|`` when
@@ -67,8 +68,8 @@ from operator import mul
 from typing import Sequence
 
 from .covering import genus
-from .datum import AlgebraicDatum, DatumReport, _refuse_over, invariants, validate_datum
-from .errors import ConsistencyError, ParentMismatchError
+from .datum import AlgebraicDatum, _refuse_over, invariants, validate_datum
+from .errors import ConsistencyError
 from .groups import (AbelianGroup, Character, GroupElement, PackedCharacters, _coset_key, _Frozen,
                      _hermite_box, _hermite_dual, _hermite_order, _set, row_hermite)
 
@@ -200,7 +201,9 @@ def _pre_from_classes(codec: PackedCharacters, classes: _ClassLattice) -> list[i
 
 
 def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
-    """The Chevalley-Weil classes of each factor.
+    """The Chevalley-Weil classes of each factor, checked and filed on the
+    datum by the first call (see the ``datum`` module docstring); a later
+    call wraps the filed classes in a new table.
 
     Chevalley-Weil in integers on one representative per class, with its
     values ``v_j`` on the branch lifts scaled to ``e = exponent(G)``:
@@ -209,6 +212,9 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
     nonnegative.  Distinct classes must take distinct values, and the
     dimensions must sum to the genus: ``sum f |A_i| + 1 = g``.
     """
+    filed = datum.__dict__.get("_classes")
+    if filed is not None:
+        return EigenDimTable(datum, filed)
     group = datum.group
     den = group.exponent
     classes = []
@@ -239,7 +245,8 @@ def eigendim_table(datum: AlgebraicDatum) -> EigenDimTable:
                 f"factor {i + 1}: {len(reps)} Chevalley-Weil classes of |Ann(T)| = {order} "
                 f"give dimensions summing to {sum(dims) * order + 1}, genus is {g}")
         classes.append(_ClassLattice(lattice.rows, order, reps, tuple(dims)))
-    return EigenDimTable(datum, tuple(classes))
+    _set(datum, "_classes", tuple(classes))
+    return EigenDimTable(datum, datum._classes)
 
 
 class HodgeDiamond(_Frozen):
@@ -408,30 +415,18 @@ def _class_counts(group: AbelianGroup, classes: Sequence[_ClassLattice],
     return t30, sum(t for t, _ in t21), same, opp
 
 
-def _table_of(datum: AlgebraicDatum, table: EigenDimTable | None) -> EigenDimTable:
-    """The eigenspace table of ``datum``: ``table`` if it was built for
-    ``datum`` or an equal datum, a new one if it is None."""
-    if table is None:
-        return eigendim_table(datum)
-    if table.datum is not datum and table.datum != datum:
-        raise ParentMismatchError("the eigenspace table was built for another datum")
-    return table
-
-
-def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
-                  report: DatumReport | None = None) -> HodgeDiamond:
-    """Hodge diamond by Chevalley-Weil class counting (see the module notes).
+def hodge_diamond(datum: AlgebraicDatum) -> HodgeDiamond:
+    """Hodge diamond by Chevalley-Weil class counting (see the module notes),
+    from the datum's classes (``eigendim_table``).
 
     For free data the holomorphic Euler characteristic and the topological
-    Euler number are cross-checked against the product formulas.  A caller
-    that has validated the datum already passes its ``report``, and one
-    that holds its eigenspace table its ``table`` (``_table_of``).
+    Euler number are cross-checked against the product formulas.
     """
-    table = _table_of(datum, table)
+    classes = eigendim_table(datum)._classes
     # D_i = F_i + [chi = 0] with F_i(0) = g'_i - 1: the trivial character
     # adds the pair sums to the triple sums and constants to both.
-    h10 = sum(c.dims[0] + 1 for c in table._classes)
-    t30, t21, same, opp = _class_counts(datum.group, table._classes)
+    h10 = sum(c.dims[0] + 1 for c in classes)
+    t30, t21, same, opp = _class_counts(datum.group, classes)
     h30 = t30 + same + h10 - 2
     h21 = 2 * h10 + t21 + same + 2 * opp + 3 * (h10 - 2)
     h20 = same + 2 * h10 - 3
@@ -439,9 +434,7 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
 
     diamond = _assemble_diamond(h10, h20, h30, h11, h21)
 
-    if report is None:
-        report = validate_datum(datum)
-    if report.ok:
+    if validate_datum(datum).ok:
         inv = invariants(datum)
         if diamond.chi_structure_sheaf() != inv.chi_structure_sheaf:
             raise ConsistencyError(
@@ -455,8 +448,6 @@ def hodge_diamond(datum: AlgebraicDatum, table: EigenDimTable | None = None,
 
 
 def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
-                           table: EigenDimTable | None = None,
-                           report: DatumReport | None = None,
                            ) -> list[tuple[Character, int]]:
     """Isotypic pieces of ``H^{p,q}(X)`` under the descended product action.
 
@@ -465,12 +456,11 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
     are listed, sorted by character exponents.  Supported for
     ``(p, q) in {(3,0), (2,1), (2,0), (1,1)}``; the other summands follow
     by conjugation and duality.  The total is cross-checked against
-    ``hodge_diamond``, which receives ``table`` and ``report``.
+    ``hodge_diamond``.
     """
     if (p, q) not in {(3, 0), (2, 1), (2, 0), (1, 1)}:
         raise ValueError(f"unsupported Hodge summand ({p},{q})")
-    table = _table_of(datum, table)
-    codec, tables = PackedCharacters(datum.group), table._packed
+    codec, tables = PackedCharacters(datum.group), eigendim_table(datum)._packed
     acc: dict[tuple[int, int, int], int] = {}
     for key, dim in _kunneth_pieces(codec, tables, p, q):
         acc[key] = acc.get(key, 0) + dim
@@ -479,7 +469,7 @@ def isotypic_decomposition(datum: AlgebraicDatum, p: int, q: int,
     keys = sorted(key for key, dim in acc.items() if dim)
     out = list(zip(codec.cube_characters(keys), (acc[key] for key in keys)))
     total = sum(dim for _, dim in out)
-    expected = hodge_diamond(datum, table, report)[p, q]
+    expected = hodge_diamond(datum)[p, q]
     if total != expected:
         raise ConsistencyError(
             f"isotypic dimensions for ({p},{q}) sum to {total}, "

@@ -52,7 +52,8 @@ Each check runs once at the level it depends on:
   when that pair of walked sets and generators is new.
 
 ``validate_datum`` and ``aut0`` take these pieces as arguments and compute
-exactly what they would compute for a lone datum.  The checks above pass
+exactly what they would compute for a lone datum; ``validate_datum`` files
+its report on the datum, and ``aut0`` reads it there.  The checks above pass
 only valid data, so an invalid datum is an internal error, not a skip.  A
 ``ConsistencyError`` or ``TheoremViolationError`` from a datum's work ends
 with ``; datum`` and its canonical document on one line, which
@@ -75,14 +76,7 @@ from typing import Iterator, Sequence
 
 from .aut0 import Aut0Result, _KernelPieces, _pre_admissible_set, _verify_generators, aut0
 from .covering import GeneratingVector, _riemann_hurwitz
-from .datum import (
-    AlgebraicDatum,
-    DatumReport,
-    VectorSpec,
-    _factor_checks,
-    _kernel_checks,
-    validate_datum,
-)
+from .datum import AlgebraicDatum, VectorSpec, _factor_checks, _kernel_checks, validate_datum
 from .docio import _group_orders, _integer, _kernel_triple, _object, datum_document
 from .errors import ConsistencyError, SchemaError, SearchCapError, TheoremViolationError
 from .hodge import _class_lattice, _ClassLattice
@@ -336,14 +330,13 @@ class _KernelTriple:
         return AlgebraicDatum(self.group, self.kernels, tuple(v for v, _ in vectors),
                               self.quotients, tuple(r for _, r in vectors))
 
-    def aut0(self, datum: AlgebraicDatum, report: DatumReport,
-             branches: Sequence[_Branch]) -> Aut0Result:
+    def aut0(self, datum: AlgebraicDatum, branches: Sequence[_Branch]) -> Aut0Result:
         if self._pieces is None:
             self._pieces = _KernelPieces(datum)
         for i, b in enumerate(branches):
             if b.classes is None:
                 b.classes = _class_lattice(datum, i)
-        return aut0(datum, report, self._pieces, [b.classes for b in branches])
+        return aut0(datum, kernel_pieces=self._pieces, classes=[b.classes for b in branches])
 
     def verify(self, datum: AlgebraicDatum, generators: Sequence[GroupElement],
                branches: Sequence[_Branch]) -> bool:
@@ -484,10 +477,9 @@ def survey(spec: SearchSpec) -> SurveyResult:
             continue
         datum = triple.datum(branches)
         try:
-            report = validate_datum(datum, triple.checks, [b.checks for b in branches])
-            if not report.ok:
+            if not validate_datum(datum, triple.checks, [b.checks for b in branches]).ok:
                 raise ConsistencyError("survey datum passed the survey's checks but is not valid")
-            result = triple.aut0(datum, report, branches)
+            result = triple.aut0(datum, branches)
             if result.generators and not triple.verify(datum, result.generators, branches):
                 raise TheoremViolationError(
                     "survey generator failed independent re-verification")

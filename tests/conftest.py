@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import gcd, prod
 from pathlib import Path
 
@@ -39,6 +41,34 @@ ORACLE_EXAMPLES = (
     ("example2a", {"n1": 2, "n2": 1, "n3": 1}), ("example2a", {"n1": 1, "n2": 1, "n3": 2}),
     ("example2b", {}), ("example3", {"n": 1}), ("example4", {}),
 )
+
+
+def spy_everywhere(monkeypatch, module_name: str, name: str, calls: Counter,
+                   first_args: list | None = None) -> None:
+    """Count the calls of ``module.name`` in ``calls[name]``, and keep their
+    first arguments in ``first_args`` if it is given.  A function is patched
+    under every isoprod name bound to it, so calls through another module's
+    binding count too; a ``Class.method`` name is patched on its class."""
+    owner_name, _, attr = name.rpartition(".")
+    owner = importlib.import_module(module_name)
+    if owner_name:
+        owner = getattr(owner, owner_name)
+    real = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[attr] += 1
+        if first_args is not None:
+            first_args.append(args[0])
+        return real(*args, **kwargs)
+
+    if owner_name:
+        monkeypatch.setattr(owner, attr, wrapper)
+        return
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "isoprod" or mod_name.startswith("isoprod."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, wrapper)
 
 
 def run_fresh(script: str, *args: str):

@@ -86,7 +86,7 @@ def test_criterion_1_first_family_at_n16():
         (-4096, -32768, 196608)
     assert hodge_diamond(d).h == ((1, 3, 3, 4097), (3, 9, 12297, 3),
                                   (3, 12297, 9, 3), (4097, 3, 3, 1))
-    r = aut0(d, report)
+    r = aut0(d)
     assert r.status is Aut0Status.PROVEN
     assert list(r.invariant_factors) == [2, 2]
     orders = [representation_kernel(d, p, q).order
@@ -132,7 +132,7 @@ def test_criterion_3_singular_family_regression():
         assert report.freeness_witness == d.group.element((0, n, n))
         first, second = admissible_characters(d)
         assert first == []
-        r, (q, _) = aut0(d, report), reference_quotient(d)
+        r, (q, _) = aut0(d), reference_quotient(d)
         assert r.status is Aut0Status.NON_FREE_KERNEL_ONLY
         assert list(r.invariant_factors) == [2 * n]
         gen = triple(d, q.numerator.ambient, (0, 0, 0), (1, 0, 0), (0, 0, 0))

@@ -13,7 +13,7 @@ import pytest
 from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, brute_minimum, character_span,
                       cosets_generate, diagonal_subgroup, listed_kernel, product_subgroup,
                       random_group, random_subgroup, reference_quotient, run_limited,
-                      slice_span)
+                      slice_span, spy_everywhere)
 
 from isoprod import docio
 from isoprod.aut0 import (
@@ -179,7 +179,7 @@ class TestRepresentationKernel:
     def test_large_datum_lists_nothing(self, monkeypatch):
         calls = Counter()
         for name in ("admissible_characters", "_pre_from_classes"):
-            TestOneEnumeration().spy(monkeypatch, calls, name)
+            spy_everywhere(monkeypatch, "isoprod.aut0", name, calls)
         d = example1(8, 8, 8)
         orders = [representation_kernel(d, p, q).order for p, q in ((3, 0), (2, 0))]
         assert calls == {}
@@ -218,21 +218,12 @@ class TestKDelta:
 
 
 class TestOneEnumeration:
-    def spy(self, monkeypatch, calls, name):
-        real = getattr(aut0_module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(aut0_module, name, wrapper)
-
     def test_aut0_enumerates_and_builds_k_delta_once(self, monkeypatch):
         # K Delta_G enters as K's image on the slice, in ``_KernelPieces``;
         # the subgroup of G^3 is never formed.
         calls = Counter()
         for name in ("admissible_characters", "_KernelPieces", "_k_delta"):
-            self.spy(monkeypatch, calls, name)
+            spy_everywhere(monkeypatch, "isoprod.aut0", name, calls)
         result = aut0(example1())
         assert calls == {"admissible_characters": 1, "_KernelPieces": 1}
         quotient, generators = reference_quotient(example1())
@@ -266,7 +257,7 @@ class TestOneEnumeration:
         result = aut0(d, kernel_pieces=pieces, classes=classes)
         calls = Counter()
         for name in ("admissible_characters", "_pre_from_classes", "_admissible_from_classes"):
-            self.spy(monkeypatch, calls, name)
+            spy_everywhere(monkeypatch, "isoprod.aut0", name, calls)
         assert aut0(d, kernel_pieces=pieces, classes=classes) == result
         assert calls == {}
 
@@ -294,7 +285,7 @@ class TestClassRoute:
 
     def test_large_datum_lists_nothing(self, monkeypatch):
         calls = Counter()
-        TestOneEnumeration().spy(monkeypatch, calls, "admissible_characters")
+        spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
         d = example1(8, 8, 8)
         pieces = _KernelPieces(d)
         result = aut0(d, kernel_pieces=pieces)
@@ -508,6 +499,14 @@ class TestStatuses:
             kernel, k_delta = representation_kernel(d, 3, 0), _k_delta(d)
             assert kernel.order % k_delta.order == 0
             assert r.order == kernel.order // k_delta.order
+
+    def test_status_reads_the_datums_own_report(self):
+        # example1's report once gave example3, whose action is not free,
+        # the status Proven.  aut0 takes no report: one passed positionally
+        # is refused before any work.
+        with pytest.raises(TypeError):
+            aut0(example3(), validate_datum(example1()))
+        assert aut0(example3()).status is Aut0Status.NON_FREE_KERNEL_ONLY
 
 
 class TestVerifyGenerator:

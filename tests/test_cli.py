@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import ORACLE_EXAMPLES, listed_kernel, run_fresh, run_limited, z2_classes_document
+from conftest import (ORACLE_EXAMPLES, listed_kernel, run_fresh, run_limited, spy_everywhere,
+                      z2_classes_document)
 from isoprod import cli, docio
 from isoprod.__main__ import main
 from isoprod.aut0 import _KernelPieces, _lifted, aut0
@@ -327,25 +328,6 @@ class TestSubcommands:
         assert "aut0" not in doc
 
 
-def _spy_everywhere(monkeypatch, module_name: str, name: str, calls: Counter,
-                    first_args: list | None = None) -> None:
-    """Count the calls of ``module.name`` under every isoprod name bound to it,
-    and keep their first arguments in ``first_args`` if it is given."""
-    real = getattr(importlib.import_module(module_name), name)
-
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        if first_args is not None:
-            first_args.append(args[0])
-        return real(*args, **kwargs)
-
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name == "isoprod" or mod_name.startswith("isoprod."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, wrapper)
-
-
 def _spy_kernel_formation(monkeypatch, calls: Counter) -> None:
     """Count the kernels that ``_KernelPieces.kernel`` forms: each is one
     Hermite dual of a span, its memo hits none."""
@@ -381,16 +363,20 @@ def _off_path_datum(case: str) -> AlgebraicDatum:
 class TestOnePassPerDatum:
     def test_full_report_computes_each_object_once(self, monkeypatch):
         calls = Counter()
-        for module_name, name in (("isoprod.datum", "validate_datum"),
-                                  ("isoprod.hodge", "eigendim_table"),
+        for module_name, name in (("isoprod.datum", "_kernel_checks"),
+                                  ("isoprod.datum", "_factor_checks"),
+                                  ("isoprod.hodge", "_class_lattice"),
                                   ("isoprod.aut0", "admissible_characters"),
                                   ("isoprod.aut0", "_spans")):
-            _spy_everywhere(monkeypatch, module_name, name, calls)
+            spy_everywhere(monkeypatch, module_name, name, calls)
         _spy_kernel_formation(monkeypatch, calls)
         report = build_report(example1(), ("invariants", "hodge", "aut0", "kernels"),
                               oracle=True)
         assert set(report["oracle"].values()) == {"agree"}
-        assert calls["validate_datum"] == calls["eigendim_table"] == 1
+        # One validation (the kernel triple's checks and each factor's) and
+        # one set of Chevalley-Weil classes, whichever section reads them.
+        assert calls["_kernel_checks"] == 1
+        assert calls["_factor_checks"] == calls["_class_lattice"] == 3
         # One listing for the memo miss, and one of the oracle's own from
         # the walked sets.
         assert calls["admissible_characters"] == 2
@@ -414,7 +400,7 @@ class TestOnePassPerDatum:
         # The classes and pre-admissible sets come from the Hermite box of
         # class representatives, not from a walk over every Ann(K_i).
         calls = Counter()
-        _spy_everywhere(monkeypatch, "isoprod.hodge", "_factor_walk", calls)
+        spy_everywhere(monkeypatch, "isoprod.hodge", "_factor_walk", calls)
         build_report(example1(8), ("invariants", "hodge", "aut0", "kernels"))
         assert calls["_factor_walk"] == 0
 
@@ -422,8 +408,8 @@ class TestOnePassPerDatum:
         # Above the listing threshold the counts and spans come from the
         # classes: no enumeration and no pre-admissible set.
         calls = Counter()
-        _spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
-        _spy_everywhere(monkeypatch, "isoprod.hodge", "_pre_from_classes", calls)
+        spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
+        spy_everywhere(monkeypatch, "isoprod.hodge", "_pre_from_classes", calls)
         datum = example1(8, 8, 8)
         report = build_report(datum, ("invariants", "hodge", "aut0", "kernels"))
         assert calls == {}
@@ -436,7 +422,7 @@ class TestOnePassPerDatum:
         # characters, so a class-route datum over the cap lists none, and
         # the report is the recorded one.
         calls = Counter()
-        _spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
+        spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
         result = runner.invoke(main, ["example", "example1", "--param", "n=32", "--oracle",
                                       "--format", "json"])
         assert result.exit_code == 0
@@ -452,7 +438,7 @@ class TestOnePassPerDatum:
         datum = build_example(name, params)
         kernel = _lifted(datum.group, cli._Analysis(datum).kernel((3, 0)))
         calls, closed, listed = Counter(), [], []
-        _spy_everywhere(monkeypatch, "isoprod.oracle", "enumerate_subgroup", calls, closed)
+        spy_everywhere(monkeypatch, "isoprod.oracle", "enumerate_subgroup", calls, closed)
         real = Subgroup._element_tuples
 
         def element_tuples(self):
@@ -477,7 +463,7 @@ class TestOnePassPerDatum:
         listed = build_report(datum, sections, oracle=True)
         monkeypatch.setattr(importlib.import_module("isoprod.aut0"), "LISTING_PAIRS", -1)
         calls = Counter()
-        _spy_everywhere(monkeypatch, "isoprod.aut0", "_admissible_from_classes", calls)
+        spy_everywhere(monkeypatch, "isoprod.aut0", "_admissible_from_classes", calls)
         assert build_report(datum, sections, oracle=True) == listed
         assert calls["_admissible_from_classes"] == 1
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import random
 import re
+import types
 
 import pytest
 
@@ -30,6 +32,7 @@ from isoprod.examples import (
     example4,
 )
 from isoprod.groups import AbelianGroup, quotient_structure
+from isoprod.hodge import eigendim_table
 from isoprod.search import SearchSpec, _candidates
 
 
@@ -118,6 +121,37 @@ class TestValidation:
         assert validate_datum(example4()).genera == (5, 5, 3)
 
 
+def _reaches(root, target) -> bool:
+    """Whether ``target`` is reachable from ``root`` through object
+    references, not counting classes, modules and functions."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+class TestFiledValues:
+    """A datum keeps its report and its checked Chevalley-Weil classes from
+    their first computation on."""
+
+    def test_report_and_classes_are_filed(self):
+        d = example1(2, 1, 3)
+        assert validate_datum(d) is validate_datum(d)
+        assert eigendim_table(d)._classes is eigendim_table(d)._classes
+
+    def test_filed_values_do_not_refer_to_the_datum(self):
+        d = example1(2, 1, 3)
+        report, classes = validate_datum(d), eigendim_table(d)._classes
+        assert _reaches(eigendim_table(d), d)
+        assert not _reaches(report, d) and not _reaches(classes, d)
+
+
 class TestFixingBound:
     """The stabilizer preimage lists ``|K_i| (1 + sum(m_j - 1))`` sums over
     the orders ``m_j`` of the distinct branch elements, which is
@@ -127,6 +161,7 @@ class TestFixingBound:
     limit, never here."""
 
     def test_bound_is_inclusive(self, monkeypatch):
+        # A fresh datum for each bound: a datum keeps its first report.
         d = example1(4, 4, 4)
         most = max(k.order * len(stabilizer_union(v)) for k, v in zip(d.kernels, d.vectors))
         datum_module = importlib.import_module("isoprod.datum")
@@ -134,7 +169,7 @@ class TestFixingBound:
         assert validate_datum(d).ok
         monkeypatch.setattr(datum_module, "MAX_FIXING", most - 1)
         with pytest.raises(OverflowLimitError, match=f"exceeds the listing bound of {most - 1}"):
-            validate_datum(d)
+            validate_datum(example1(4, 4, 4))
 
 
 def _reference_preimage(datum, i: int) -> frozenset:

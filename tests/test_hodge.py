@@ -6,11 +6,12 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import (EXAMPLE_LADDER, ORACLE_EXAMPLES, character_span, reference_quotient,
-                      run_limited, slice_span, z2_classes_document)
+                      run_limited, slice_span, spy_everywhere, z2_classes_document)
 from isoprod import datum as datum_module
 from isoprod import hodge as hodge_module
 from isoprod import docio
@@ -20,7 +21,7 @@ from isoprod.aut0 import (_admissible_from_classes, _k_delta, _KernelPieces, _li
 from isoprod.cli import build_report
 from isoprod.covering import cw_dimension
 from isoprod.datum import AlgebraicDatum, VectorSpec, invariants, validate_datum
-from isoprod.errors import ConsistencyError, OverflowLimitError, ParentMismatchError
+from isoprod.errors import ConsistencyError, OverflowLimitError
 from isoprod.examples import build_example, example1, example2a, example2b, example3, example4
 from isoprod.groups import AbelianGroup, PackedCharacters, Subgroup, _coset_key, direct_product
 from isoprod.hodge import HodgeDiamond, eigendim_table, hodge_diamond, isotypic_decomposition
@@ -47,6 +48,10 @@ def _valid_data(spec: SearchSpec) -> tuple[AlgebraicDatum, ...]:
 
 
 BASIS_KERNELS = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+# The work of one report: the kernel triple's checks, each factor's checks
+# and each factor's Chevalley-Weil classes.
+WORK = (("isoprod.datum", "_kernel_checks"), ("isoprod.datum", "_factor_checks"),
+        ("isoprod.hodge", "_class_lattice"))
 # The frozen survey spaces of test_search and test_acceptance: r <= 4 holds
 # the r <= 3 one, and the two Z2 x Z4 kernel triples hold the single one.
 FROZEN_SPACES = {
@@ -123,15 +128,17 @@ class TestDiamondStructure:
         assert sum((-1) ** k * hd.betti(k) for k in range(7)) == hd.euler_number()
 
     def test_given_report_is_not_recomputed(self, monkeypatch):
+        # The report and classes filed on the datum serve every later call:
+        # one validation and one set of classes, however often it is asked.
+        expected = hodge_diamond(example1(2, 1, 3)).h
+        calls = Counter()
+        for module_name, name in WORK:
+            spy_everywhere(monkeypatch, module_name, name, calls)
         d = example1(2, 1, 3)
         report = validate_datum(d)
-        expected = hodge_diamond(d).h
-
-        def refuse(datum):
-            raise AssertionError("validate_datum called again")
-
-        monkeypatch.setattr("isoprod.hodge.validate_datum", refuse)
-        assert hodge_diamond(d, report=report).h == expected
+        assert hodge_diamond(d).h == hodge_diamond(d).h == expected
+        assert validate_datum(d) is report
+        assert calls == {"_kernel_checks": 1, "_factor_checks": 3, "_class_lattice": 3}
 
     @pytest.mark.parametrize("factory", [example1, example2a, example2b, example4])
     def test_matches_product_formulas(self, factory):
@@ -225,7 +232,7 @@ class TestClassCounting:
     @staticmethod
     def check(d: AlgebraicDatum) -> None:
         table = eigendim_table(d)
-        hd = hodge_diamond(d, table)
+        hd = hodge_diamond(d)
         codec = PackedCharacters(d.group)
         convolved = [sum(dim for _, dim in hodge_module._kunneth_pieces(codec, table._packed, *pq))
                      for pq in SUMMANDS]
@@ -298,7 +305,6 @@ class TestClassCounting:
 
     def test_no_convolution_in_the_diamond(self, monkeypatch):
         d = example1(2, 2, 2)
-        table = eigendim_table(d)
         calls = []
         real = PackedCharacters.convolve
 
@@ -307,7 +313,7 @@ class TestClassCounting:
             return real(self, *args)
 
         monkeypatch.setattr(PackedCharacters, "convolve", spy)
-        hodge_diamond(d, table)
+        hodge_diamond(d)
         assert calls == []
         # A report convolves once: the admissible enumeration.
         build_report(d, ("invariants", "hodge", "aut0", "kernels"))
@@ -494,42 +500,15 @@ class TestIsotypic:
         assert nontrivial[0][0].exponents == (0, 1, 1, 1, 0, 1, 1, 1, 0)
 
     def test_given_report_skips_validation(self, monkeypatch):
+        # Four summands and their diamond checks validate the datum and form
+        # its classes once, from the first call on.
+        calls = Counter()
+        for module_name, name in WORK:
+            spy_everywhere(monkeypatch, module_name, name, calls)
         d = example2a()
-        report = validate_datum(d)
-        table = eigendim_table(d)
-        real = hodge_module.validate_datum
-        calls = []
-
-        def spy(datum, *args, **kwargs):
-            calls.append(datum)
-            return real(datum, *args, **kwargs)
-
-        monkeypatch.setattr(hodge_module, "validate_datum", spy)
         for pq in ((3, 0), (2, 1), (2, 0), (1, 1)):
-            isotypic_decomposition(d, *pq, table=table, report=report)
-        assert calls == []
-        isotypic_decomposition(d, 3, 0, table=table)
-        assert len(calls) == 1
-
-
-class TestTableOfAnotherDatum:
-    """A table is refused unless it was built for the datum or one equal to
-    it.  example1's table gives example2a the diamond of example1, and the
-    chi(O) and e cross-check cannot tell, since the two data share those
-    invariants."""
-
-    def test_hodge_diamond_refuses_it(self):
-        d = example2a()
-        assert hodge_diamond(d, table=eigendim_table(example2a())).h == hodge_diamond(d).h
-        with pytest.raises(ParentMismatchError):
-            hodge_diamond(d, table=eigendim_table(example1()))
-
-    def test_isotypic_decomposition_refuses_it(self):
-        d = example2a()
-        assert (isotypic_decomposition(d, 2, 0, table=eigendim_table(example2a()))
-                == isotypic_decomposition(d, 2, 0))
-        with pytest.raises(ParentMismatchError):
-            isotypic_decomposition(d, 2, 0, table=eigendim_table(example1()))
+            isotypic_decomposition(d, *pq)
+        assert calls == {"_kernel_checks": 1, "_factor_checks": 3, "_class_lattice": 3}
 
 
 class TestNonFree:

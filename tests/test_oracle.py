@@ -315,9 +315,9 @@ def oracles_agree(datum, rng):
     report = validate_datum(datum)
     assert report.minimality_ok and report.vectors_ok and report.all_genera_at_least_two
     assert report.freeness_ok == brute_free(datum)
-    diamond = hodge_diamond(datum, report=report).h
+    diamond = hodge_diamond(datum).h
     assert diamond == brute_hodge(datum).h
-    factors = aut0(datum, report).invariant_factors
+    factors = aut0(datum).invariant_factors
     first, second = admissible_characters(datum)
     assert factors == brute_quotient(brute_kernel(datum, first + second), _k_delta(datum))
     relabelled = docio.parse_datum_document(relabel_document(docio.datum_document(datum), rng))

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import abelian_groups, group_elements
+from conftest import abelian_groups, group_elements, spy_everywhere
+from isoprod import docio
 from isoprod.aut0 import (Aut0Result, _lifted, _pre_admissible_set, _verify_generators, aut0,
                           representation_kernel, verify_generator)
 from isoprod.datum import validate_datum
@@ -34,7 +35,6 @@ from isoprod.search import (
     survey,
 )
 
-aut0_module = importlib.import_module("isoprod.aut0")
 search_module = importlib.import_module("isoprod.search")
 
 Z2_CUBED = SearchSpec(group_orders=(2, 2, 2))
@@ -398,16 +398,18 @@ class TestFactorized:
         group = AbelianGroup(spec.group_orders)
         valid = invalid = 0
         for triple, branches in _candidates(spec, group):
-            datum = triple.datum(branches)
+            # A datum keeps its first report, so the lone-datum verdicts come
+            # from a second datum of the same branch triple.
+            datum, lone = triple.datum(branches), triple.datum(branches)
             report = validate_datum(datum, triple.checks, [b.checks for b in branches])
-            assert report == validate_datum(datum)
+            assert report == validate_datum(lone)
             # The survey's pre-check, read off the preimages alone.
             assert search_module._free(branches) == report.freeness_ok
             if not report.ok:
                 invalid += 1
                 continue
             valid += 1
-            got, want = triple.aut0(datum, report, branches), aut0(datum)
+            got, want = triple.aut0(datum, branches), aut0(lone)
             assert got.status == want.status
             assert got.invariant_factors == want.invariant_factors
             assert got.generators == want.generators
@@ -417,15 +419,18 @@ class TestFactorized:
                 representation_kernel(datum, 3, 0)
         assert valid and invalid
 
-    @staticmethod
-    def spy(monkeypatch, calls, module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
+    def test_surveyed_reports_equal_the_reparsed_ones(self, monkeypatch):
+        # The survey validates with its own checks, and the report it files
+        # on each datum is the one its canonical document gets afresh.
+        surveyed = []
+        spy_everywhere(monkeypatch, "isoprod.search", "validate_datum", Counter(), surveyed)
+        survey(spec_with(max_branch=4))
+        data = list({id(d): d for d in surveyed}.values())
+        assert len(data) == 208
+        for d in data:
+            assert "_report" in vars(d)
+            reparsed = docio.parse_datum_document(docio.datum_document(d))
+            assert validate_datum(d) == validate_datum(reparsed)
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_enumeration_lists_each_branch_once(self, name, monkeypatch):
@@ -435,9 +440,8 @@ class TestFactorized:
         # many free triples hold the branch (basis_r4 scanned 628 times for
         # 30 branches when each triple listed them afresh).
         calls = Counter()
-        self.spy(monkeypatch, calls, search_module, "_completions")
-        self.spy(monkeypatch, calls, search_module, "_handle_count")
-        self.spy(monkeypatch, calls, search_module._Branch, "__init__")
+        for spied in ("_completions", "_handle_count", "_Branch.__init__"):
+            spy_everywhere(monkeypatch, "isoprod.search", spied, calls)
         assert sum(1 for _ in enumerate_data(self.SPACES[name]))
         assert calls["_completions"] <= calls["_handle_count"] + calls["__init__"]
 
@@ -457,26 +461,31 @@ class TestFactorized:
             pre_triples.add((bases, pre))
             kernels.add((bases, representation_kernel(datum, 3, 0)))
 
-        calls = Counter()
-        self.spy(monkeypatch, calls, search_module, "aut0")
-        # One Hermite dual per kernel formed.
-        self.spy(monkeypatch, calls, aut0_module, "_hermite_dual")
-        self.spy(monkeypatch, calls, aut0_module, "subgroup_quotient")
+        calls, duals, quotients = Counter(), [], []
+        spy_everywhere(monkeypatch, "isoprod.search", "aut0", calls)
+        # One Hermite dual per kernel formed, and one quotient of it, both in
+        # G^2: the other duals and quotients are in G (annihilators, class
+        # lattices, the quotients G / K_i).
+        spy_everywhere(monkeypatch, "isoprod.aut0", "_hermite_dual", calls, duals)
+        spy_everywhere(monkeypatch, "isoprod.aut0", "subgroup_quotient", calls, quotients)
         survey(spec)
         assert calls["aut0"] == valid == 208
         assert len(pre_triples) == 41
-        assert calls["_hermite_dual"] == calls["subgroup_quotient"] == len(kernels) == 5
+        plane = 2 * len(spec.group_orders)
+        assert sum(len(span[0]) == plane for span in duals) == len(kernels) == 5
+        assert sum(a.ambient.rank == plane for a in quotients) == 5
 
     def test_survey_validates_only_free_triples(self, monkeypatch):
         # 792 of the 1,000 branch triples are not free.  The survey rejects
         # them from the factor preimages, so it builds and validates a datum
         # only for the 208 free ones (1,000 when every triple was validated),
-        # and each of those is valid and gets aut0.
+        # and each of those is valid and gets aut0.  Its validation is left
+        # one three-way freeness intersection.
         calls = Counter()
-        self.spy(monkeypatch, calls, search_module, "validate_datum")
-        self.spy(monkeypatch, calls, search_module, "aut0")
+        spy_everywhere(monkeypatch, "isoprod.datum", "_common_fixed_point", calls)
+        spy_everywhere(monkeypatch, "isoprod.search", "aut0", calls)
         survey(spec_with(max_branch=4))
-        assert calls["validate_datum"] == calls["aut0"] == 208
+        assert calls["_common_fixed_point"] == calls["aut0"] == 208
 
     def test_survey_walks_each_factor_branch_once(self, monkeypatch):
         # verify_generator's pre-admissible sets come from the walk over
@@ -490,7 +499,7 @@ class TestFactorized:
                 used.update((triple, i, b) for i, b in enumerate(branches))
 
         calls = Counter()
-        self.spy(monkeypatch, calls, aut0_module, "_factor_walk")
+        spy_everywhere(monkeypatch, "isoprod.aut0", "_factor_walk", calls)
         survey(spec)
         assert calls["_factor_walk"] == len(used) == 18
 
@@ -513,8 +522,8 @@ class TestFactorized:
                     for triple, _, datum, result in data if result.generators}
 
         calls = Counter()
-        self.spy(monkeypatch, calls, aut0_module, "admissible_characters")
-        self.spy(monkeypatch, calls, aut0_module, "_pre_from_classes")
+        spy_everywhere(monkeypatch, "isoprod.aut0", "admissible_characters", calls)
+        spy_everywhere(monkeypatch, "isoprod.aut0", "_pre_from_classes", calls)
         survey(spec)
         assert (valid, with_generators, len(bases), len(rechecks)) == (208, 64, 41, 8)
         assert calls["admissible_characters"] == len(bases) + len(rechecks) == 49
@@ -529,8 +538,8 @@ class TestFactorized:
         real = search_module._KernelTriple.aut0
         verified, planted = {}, []
 
-        def planting(triple, datum, report, branches):
-            result = real(triple, datum, report, branches)
+        def planting(triple, datum, branches):
+            result = real(triple, datum, branches)
             if not result.generators:
                 return result
             walked = tuple(tuple(_pre_admissible_set(datum, i, codec)) for i in range(3))

@@ -35,9 +35,9 @@ BASIS_KERNELS = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
 
 # (Hermite calls, rows x width, Smith calls, sum of n^3) per input.
 LEDGER = {
-    "report_ladder": (269, 7868, 32, 2783),
-    "survey_basis_r4": (230, 6086, 12, 1193),
-    "oracle_crosscheck": (230, 7858, 28, 2486),
+    "report_ladder": (253, 7552, 32, 2783),
+    "survey_basis_r4": (225, 6026, 12, 1193),
+    "oracle_crosscheck": (216, 7578, 28, 2486),
 }
 
 
